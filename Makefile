@@ -1,7 +1,7 @@
 GO ?= go
 AGGVET := bin/aggvet
 
-.PHONY: build test vet lint lint-fixtures race chaos check bench bench-json fuzz cover
+.PHONY: build test vet lint lint-fixtures race chaos check bench fuzz cover
 
 build:
 	$(GO) build ./...
@@ -52,10 +52,3 @@ check: vet lint race
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
-
-# Machine-readable perf snapshot: ns/op (and simulated seconds) per
-# algorithm × selectivity, written to BENCH_pr3.json.
-bench-json:
-	GO="$(GO)" sh scripts/bench-json.sh
-	$(GO) run ./cmd/aggbench -microbench -out BENCH_pr5.json
-	$(GO) run ./cmd/aggbench -sharedbench -out BENCH_pr9.json

@@ -113,8 +113,8 @@ func BenchmarkAlgorithms(b *testing.B) {
 // selectivity axis the paper's adaptive argument turns on: the number
 // of groups as a fraction of the input. Low selectivity keeps every
 // table in memory (two-phase territory); high selectivity overflows
-// them (repartitioning territory). `make bench-json` distills this
-// sweep into BENCH_pr3.json.
+// them (repartitioning territory). It runs on the simulator and reports
+// simulated seconds; the live engine is measured by `go run ./bench`.
 func BenchmarkAlgorithmsSelectivity(b *testing.B) {
 	prm := benchParams()
 	for _, sel := range []float64{0.001, 0.05, 0.5} {

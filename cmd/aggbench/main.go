@@ -29,43 +29,8 @@ func main() {
 		check      = flag.Bool("check", false, "validate figure shapes against the paper's claims")
 		format     = flag.String("format", "table", "output format: table, csv, or chart")
 		record     = flag.String("record", "", "also write all output as markdown to this file")
-		micro      = flag.Bool("microbench", false, "run the data-plane microbenchmarks (aggtable vs builtin map) instead of the figures")
-		microOut   = flag.String("out", "BENCH_pr5.json", "microbenchmark JSON output file")
-		shared     = flag.Bool("sharedbench", false, "run the shared-vs-partitioned sweep (Shared/A-Shared vs 2P/Rep/A-2P) instead of the figures")
-		procs      = flag.String("procs", "2,4,8", "GOMAXPROCS legs of the -sharedbench sweep, comma-separated")
-		batch      = flag.Bool("batchbench", false, "run the batch-vs-scalar sweep (columnar fold path vs per-tuple baseline) instead of the figures")
 	)
 	flag.Parse()
-
-	if *micro {
-		if err := runMicrobench(*microOut); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *shared {
-		out := *microOut
-		if out == "BENCH_pr5.json" {
-			out = "BENCH_pr9.json"
-		}
-		if err := runSharedBench(out, *procs); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *batch {
-		out := *microOut
-		if out == "BENCH_pr5.json" {
-			out = "BENCH_pr10.json"
-		}
-		if err := runBatchBench(out); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	r := parallelagg.NewExperimentRunner(*scale, *seed)
 	ids := parallelagg.AllExperimentIDs()

@@ -24,12 +24,13 @@
 // Determinism contract: Partials, Drain and EvictBuckets return entries in
 // ascending key order regardless of insertion order or probe history, so
 // everything downstream of a drain (wire frames, simulator events,
-// results) is byte-identical across same-seed runs. Slot order itself is
-// never exposed.
+// results) is byte-identical across same-seed runs. Slot order is exposed
+// only by Each, for consumers that keep no order of their own.
 package aggtable
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parallelagg/internal/tuple"
 )
@@ -102,7 +103,7 @@ func (t *Table) init(slots int) {
 	for i := range t.ctrl {
 		t.ctrl[i] = ctrlEmpty
 	}
-	t.keys = make([]tuple.Key, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
+	t.keys = make([]tuple.Key, slots)        //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
 	t.states = make([]tuple.AggState, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
 	t.mask = uint64(slots - 1)
 	t.used = 0
@@ -268,7 +269,21 @@ func (t *Table) Partials() []tuple.Partial {
 // sortPartials orders partials by ascending key, the deterministic output
 // order every drain-like operation promises.
 func sortPartials(ps []tuple.Partial) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
+	slices.SortFunc(ps, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
+}
+
+// Each calls fn once for every group entry, in slot order — which
+// depends on insertion and growth history, so it is for consumers that
+// impose their own order or need none (the live engine pours merge
+// tables into a Go map). Anything that reaches a wire frame, a simulator
+// event or a printed result goes through Partials or Drain instead. fn
+// must not modify the table.
+func (t *Table) Each(fn func(tuple.Key, tuple.AggState)) {
+	for i, c := range t.ctrl {
+		if c != ctrlEmpty {
+			fn(t.keys[i], t.states[i])
+		}
+	}
 }
 
 // Drain returns the table contents like Partials and empties the table,
@@ -314,7 +329,7 @@ func (t *Table) EvictBuckets(nbuckets int) [][]tuple.Partial {
 		}
 	}
 	for b := 1; b < nbuckets; b++ {
-		sort.Slice(out[b], func(i, j int) bool { return out[b][i].Key < out[b][j].Key })
+		sortPartials(out[b])
 	}
 	t.init(slotsFor(len(keep)))
 	for _, pt := range keep {

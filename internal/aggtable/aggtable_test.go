@@ -89,6 +89,19 @@ func checkAgree(t *testing.T, ctx string, tab *Table, o *oracle) {
 		t.Fatalf("%s: Len = %d, want %d", ctx, tab.Len(), len(o.m))
 	}
 	samePartials(t, ctx, tab.Partials(), o.partials())
+	samePartials(t, ctx+" (Each)", eachSorted(tab), o.partials())
+}
+
+// eachSorted collects the unordered slot walk and sorts it, so a visit
+// that is missed, repeated or stale shows as a mismatch against the
+// ordered accessors.
+func eachSorted(tab *Table) []tuple.Partial {
+	var out []tuple.Partial
+	tab.Each(func(k tuple.Key, s tuple.AggState) {
+		out = append(out, tuple.Partial{Key: k, State: s})
+	})
+	sortPartials(out)
+	return out
 }
 
 // TestPropertyAgainstMapOracle drives 50 seeded random workloads —
@@ -205,6 +218,53 @@ func TestDrainEmptiesAndShrinks(t *testing.T) {
 	if tab.Len() != 0 || tab.Slots() != minSlots {
 		t.Errorf("after Drain: Len=%d Slots=%d, want 0/%d", tab.Len(), tab.Slots(), minSlots)
 	}
+}
+
+// The slot walk must see every live entry exactly once whatever the
+// table has been through: each doubling rebuilds the slot array, Drain
+// and Reset empty it. Checked right after every grow(), where a stale or
+// half-copied array would show.
+func TestEachVisitsEveryEntryOnceAcrossGrowth(t *testing.T) {
+	tab := New(0)
+	slots, grows := tab.Slots(), 0
+	check := func(ctx string, want int) {
+		t.Helper()
+		seen := make(map[tuple.Key]int, want)
+		tab.Each(func(k tuple.Key, s tuple.AggState) {
+			seen[k]++
+			if s.Count != 2 || s.Sum != 2*int64(k) {
+				t.Fatalf("%s: key %d visited with state %+v", ctx, k, s)
+			}
+		})
+		if len(seen) != want {
+			t.Fatalf("%s: visited %d distinct keys, want %d", ctx, len(seen), want)
+		}
+		for k, n := range seen {
+			if n != 1 || int(k) >= want {
+				t.Fatalf("%s: key %d visited %d times", ctx, k, n)
+			}
+		}
+	}
+	check("empty", 0)
+	for i := 0; i < 5_000; i++ {
+		tab.UpdateRaw(tuple.Tuple{Key: tuple.Key(i), Val: int64(i)})
+		tab.UpdateRaw(tuple.Tuple{Key: tuple.Key(i), Val: int64(i)})
+		if tab.Slots() != slots {
+			slots = tab.Slots()
+			grows++
+			check("after grow", i+1)
+		}
+	}
+	if grows < 5 {
+		t.Fatalf("table grew %d times, want at least 5", grows)
+	}
+	check("full", 5_000)
+	tab.Reset()
+	check("after Reset", 0)
+	tab.UpdateRaw(tuple.Tuple{Key: 0, Val: 0})
+	tab.UpdateRaw(tuple.Tuple{Key: 0, Val: 0})
+	tab.Drain()
+	check("after Drain", 0)
 }
 
 func TestNewSizedAvoidsGrowth(t *testing.T) {

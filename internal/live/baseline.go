@@ -1,16 +1,16 @@
 package live
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parallelagg/internal/tuple"
 )
 
 // mapTable is the builtin-map groupTable the engine used before
-// internal/aggtable existed. It is frozen here as the benchmark baseline
-// (BENCH_pr5 compares it against the open-addressing table on identical
-// workloads) and as a differential-testing oracle: the property tests run
-// both implementations over the same inputs and require identical results.
+// internal/aggtable existed, frozen here as a differential-testing
+// oracle: the property tests run both implementations over the same
+// inputs and require identical results.
 type mapTable struct {
 	m     map[tuple.Key]tuple.AggState
 	bound int
@@ -74,9 +74,15 @@ func (t *mapTable) Drain() []tuple.Partial {
 	for k, s := range t.m {
 		out = append(out, tuple.Partial{Key: k, State: s})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
 	t.m = make(map[tuple.Key]tuple.AggState)
 	return out
+}
+
+func (t *mapTable) Each(fn func(tuple.Key, tuple.AggState)) {
+	for k, s := range t.m {
+		fn(k, s)
+	}
 }
 
 func (t *mapTable) OccupancyPermille() int {

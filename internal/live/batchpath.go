@@ -241,11 +241,11 @@ func (wk *worker) sharedChunk(seg []tuple.Tuple) ([]tuple.Tuple, bool) {
 		// Bound pressure: declare end-of-phase for every worker and fold
 		// the refused tuples through the fallback strategy.
 		wk.fallback.Store(true)
-		left := make([]tuple.Tuple, 0, len(wk.refused))
+		wk.left = wk.left[:0]
 		for _, ix := range wk.refused {
-			left = append(left, wk.scanB.At(ix))
+			wk.left = append(wk.left, wk.scanB.At(ix))
 		}
-		return left, true
+		return wk.left, true
 	}
 	return nil, false
 }

@@ -108,9 +108,10 @@ type Config struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 
-	// TableEntries bounds each worker's local hash table, triggering the
-	// overflow behaviour of the chosen algorithm (spill passes for
-	// TwoPhase, the switch for AdaptiveTwoPhase). 0 means unbounded.
+	// TableEntries bounds each worker's scan-side local hash table only,
+	// triggering the overflow behaviour of the chosen algorithm (spill
+	// passes for TwoPhase, the switch for AdaptiveTwoPhase); a merge side
+	// holds every group its worker owns. 0 means unbounded.
 	TableEntries int
 
 	// Batch is the number of tuples or partials per exchanged message.
@@ -140,16 +141,17 @@ type Config struct {
 	// ScalarPath runs the per-tuple data plane the engine used before the
 	// columnar batch path existed: tuple-at-a-time folds, row-major
 	// exchange batches, one stripe-lock acquisition per shared fold. It
-	// exists as a benchmark baseline (BENCH_pr10) and a differential-
-	// testing oracle; the default batch path is strictly faster. Results
-	// are identical either way.
+	// exists as a differential-testing oracle. Measured once, on one vCPU
+	// (EXPERIMENTS.md §BENCH_pr10): the batch path ran at up to 3.3× the
+	// scalar rows/s for Shared/A-Shared at selectivity 0.001 and at
+	// 0.78–1.17× for 2P/A-2P. Results are identical either way.
 	ScalarPath bool
 
 	// BaselineMapTables runs every worker table on the builtin-map
 	// implementation the engine used before internal/aggtable existed.
-	// It exists only as a benchmark baseline (BENCH_pr5) and a
-	// differential-testing oracle; the default open-addressing path is
-	// strictly faster. Results are identical either way.
+	// It exists only as a differential-testing oracle. Measured once
+	// (EXPERIMENTS.md §BENCH_pr5): the open-addressing table ran at
+	// 1.3–2.7× the map's rows/s. Results are identical either way.
 	BaselineMapTables bool
 
 	// Obs, when non-nil, receives per-worker counters (rows, routed
@@ -185,7 +187,7 @@ type WorkerMetrics struct {
 	Spilled      int64 // tuples that left the bounded table (memory or disk)
 	GroupsOut    int64 // result groups this worker's merge side produced
 	FanIn        int64 // distinct scan sides that fed this worker's merge side
-	TableOcc     int64 // high-water table occupancy, permille (obs hook)
+	TableOcc     int64 // high-water occupancy of the scan side's bounded table, permille; the merge table has no bound to report against
 	Switched     bool  // the adaptive switch fired
 }
 
@@ -200,7 +202,8 @@ type Result struct {
 // sides fold into: the open-addressing internal/aggtable.Table by
 // default, or the builtin-map baseline under Config.BaselineMapTables.
 // Update/Merge return false when the key is absent and the table is at
-// its bound; Drain empties the table in ascending key order.
+// its bound; Drain empties the table in ascending key order; Each visits
+// every group once in no particular order and leaves the table as it is.
 type groupTable interface {
 	UpdateRaw(tuple.Tuple) bool
 	MergePartial(tuple.Partial) bool
@@ -208,6 +211,7 @@ type groupTable interface {
 	MergeBatch(*tuple.PartialBatch, []int) []int
 	Len() int
 	Drain() []tuple.Partial
+	Each(func(tuple.Key, tuple.AggState))
 	OccupancyPermille() int
 }
 
@@ -360,7 +364,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		}
 	}()
 
-	results := make([][]tuple.Partial, w)
+	owned := make([]groupTable, w) // each merge side's table of the groups it owns
 	metrics := make([]WorkerMetrics, w)
 	switched := make([]bool, w)
 	errs := make([]error, w)
@@ -387,9 +391,9 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		go func() {
 			defer all.Done()
 			span := cfg.Tracer.Begin(i, "merge")
-			results[i] = wk.mergeSide(inboxes[i])
-			metrics[i].GroupsOut = int64(len(results[i]))
-			span.End(fmt.Sprintf("%d groups, fan-in %d", len(results[i]), metrics[i].FanIn))
+			owned[i] = wk.mergeSide(inboxes[i])
+			metrics[i].GroupsOut = int64(owned[i].Len())
+			span.End(fmt.Sprintf("%d groups, fan-in %d", owned[i].Len(), metrics[i].FanIn))
 		}()
 	}
 	all.Wait()
@@ -400,18 +404,9 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		}
 	}
 
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	merged := make(map[tuple.Key]tuple.AggState, total)
-	for wi, r := range results {
-		for _, pt := range r {
-			if _, dup := merged[pt.Key]; dup {
-				return nil, fmt.Errorf("live: group %d produced by two workers (second: %d)", pt.Key, wi)
-			}
-			merged[pt.Key] = pt.State
-		}
+	merged, err := assemble(owned)
+	if err != nil {
+		return nil, err
 	}
 	if shared != nil {
 		// The merge phase of the shared algorithms: one drain. Keys can
@@ -420,13 +415,11 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		// per-worker overflow tables plain Shared falls back to at its
 		// bound, so these fold with Merge instead of the duplicate check.
 		for _, pt := range shared.Drain() {
-			mergeGroup(merged, pt)
+			mergeGroup(merged, pt.Key, pt.State)
 		}
 		for _, wk := range workers {
 			if wk.sharedOv != nil {
-				for _, pt := range wk.sharedOv.Drain() {
-					mergeGroup(merged, pt)
-				}
+				wk.sharedOv.Each(func(k tuple.Key, s tuple.AggState) { mergeGroup(merged, k, s) })
 			}
 		}
 	}
@@ -441,14 +434,41 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	return res, nil
 }
 
-// mergeGroup folds one partial into the final result map.
-func mergeGroup(m map[tuple.Key]tuple.AggState, pt tuple.Partial) {
-	if s, ok := m[pt.Key]; ok {
-		s.Merge(pt.State)
-		m[pt.Key] = s
-		return
+// assemble pours the merge sides' tables into the result map, one assign
+// per group and no order imposed: a map keeps none. Key.Dest partitions
+// the key space, so the tables are disjoint and the map must end up with
+// the sum of their sizes; if not, the cold path names the shared group.
+func assemble(owned []groupTable) (map[tuple.Key]tuple.AggState, error) {
+	total := 0
+	for _, tab := range owned {
+		total += tab.Len()
 	}
-	m[pt.Key] = pt.State
+	merged := make(map[tuple.Key]tuple.AggState, total)
+	for _, tab := range owned {
+		tab.Each(func(k tuple.Key, s tuple.AggState) { merged[k] = s })
+	}
+	if len(merged) == total {
+		return merged, nil
+	}
+	clear(merged)
+	var err error
+	for wi, tab := range owned {
+		tab.Each(func(k tuple.Key, s tuple.AggState) {
+			if _, dup := merged[k]; dup && err == nil {
+				err = fmt.Errorf("live: group %d produced by two workers (second: %d)", k, wi)
+			}
+			merged[k] = s
+		})
+	}
+	return nil, err
+}
+
+// mergeGroup folds one group's partial state into the final result map.
+func mergeGroup(m map[tuple.Key]tuple.AggState, k tuple.Key, s tuple.AggState) {
+	if have, ok := m[k]; ok {
+		s.Merge(have)
+	}
+	m[k] = s
 }
 
 // partition slices tuples into w near-equal contiguous parts.
@@ -505,14 +525,16 @@ type worker struct {
 	outPartC []*colPartBatch
 
 	// Batch-path scan scratch: the columnar staging batch the scan side
-	// folds chunks through, the reusable refusal index list, and the
-	// shared table's partition scratch. All reach 0 allocs/op after the
-	// first chunk.
+	// folds chunks through, the reusable refusal index list, the refused
+	// tuples a shared chunk leaves to the fallback strategy, and the shared
+	// table's partition scratch. All reach 0 allocs/op after the first chunk.
 	//
 	//aggvet:owner scan
 	scanB tuple.Batch
 	//aggvet:owner scan
 	refused []int
+	//aggvet:owner scan
+	left []tuple.Tuple
 	//aggvet:owner scan
 	sc aggtable.BatchScratch
 }
@@ -726,70 +748,41 @@ func (wk *worker) sharedContentionHigh() bool {
 	return float64(wk.sharedContended) > wk.cfg.SwitchRatio*float64(wk.sharedSeen)
 }
 
-// mergeSide folds everything routed to this worker into its final groups,
-// returned in ascending key order. The merge table is allowed to exceed
-// the bound only logically: overflow entries go to a second pass, as the
-// disk-backed bucket loop would. Every folded batch goes back to the
-// exchange pool, which is what keeps the steady-state data plane
-// allocation-free.
-func (wk *worker) mergeSide(inbox <-chan message) []tuple.Partial {
-	bound := wk.cfg.TableEntries
-	global := wk.newTable(bound)
-	var overflow []tuple.Partial
-	var refused []int // merge-goroutine-local batch refusal scratch
+// mergeSide folds everything routed to this worker — raw tuples and
+// partials alike (paper §3.2) — into one table and hands the table back
+// for assemble to walk. The table is unbounded, so it refuses nothing: a
+// merge side holds every group it owns until the query ends, and a bound
+// here only moved the refused entries somewhere costlier (DESIGN.md §14).
+// Every folded batch goes back to the exchange pool, which is what keeps
+// the steady-state data plane allocation-free.
+func (wk *worker) mergeSide(inbox <-chan message) groupTable {
+	owned := wk.newTable(0)
 	srcs := make([]bool, wk.cfg.Workers)
 	for m := range inbox {
-		srcs[m.src] = true
-		if m.raw != nil {
+		if !srcs[m.src] {
+			srcs[m.src] = true
+			wk.m.FanIn++
+		}
+		switch {
+		case m.craw != nil:
+			owned.UpdateBatch(&m.craw.b, nil)
+			wk.pools.colRaw.Put(m.craw)
+		case m.cpart != nil:
+			owned.MergeBatch(&m.cpart.pb, nil)
+			wk.pools.colPart.Put(m.cpart)
+		case m.raw != nil:
 			for _, t := range m.raw.ts {
-				if !global.UpdateRaw(t) {
-					overflow = append(overflow, tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
-				}
+				owned.UpdateRaw(t)
 			}
 			wk.pools.raw.Put(m.raw)
-		}
-		if m.part != nil {
+		case m.part != nil:
 			for _, pt := range m.part.ps {
-				if !global.MergePartial(pt) {
-					overflow = append(overflow, pt)
-				}
+				owned.MergePartial(pt)
 			}
 			wk.pools.part.Put(m.part)
 		}
-		if m.craw != nil {
-			refused = global.UpdateBatch(&m.craw.b, refused[:0])
-			for _, ix := range refused {
-				overflow = append(overflow, tuple.Partial{Key: m.craw.b.Keys[ix], State: tuple.NewState(m.craw.b.Vals[ix])})
-			}
-			wk.pools.colRaw.Put(m.craw)
-		}
-		if m.cpart != nil {
-			refused = global.MergeBatch(&m.cpart.pb, refused[:0])
-			for _, ix := range refused {
-				overflow = append(overflow, m.cpart.pb.At(ix))
-			}
-			wk.pools.colPart.Put(m.cpart)
-		}
 	}
-	for _, fed := range srcs {
-		if fed {
-			wk.m.FanIn++
-		}
-	}
-	wk.noteOcc(global)
-	if len(overflow) == 0 {
-		return global.Drain()
-	}
-	// Second pass: fold the bounded table and its overflow into an
-	// unbounded table (the logical equivalent of the paper's bucket loop).
-	out := wk.newTable(0)
-	for _, pt := range global.Drain() {
-		out.MergePartial(pt)
-	}
-	for _, pt := range overflow {
-		out.MergePartial(pt)
-	}
-	return out.Drain()
+	return owned
 }
 
 // route queues one raw tuple for the worker owning its group.

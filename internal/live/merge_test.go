@@ -1,0 +1,124 @@
+package live
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"parallelagg/internal/tuple"
+	"parallelagg/internal/workload"
+)
+
+// The merge side holds every group its worker owns in one growing table,
+// however small TableEntries is. With eight times more groups per worker
+// than the scan-side bound, every merge table grows through several
+// doublings while partials and raw tuples keep arriving; every algorithm
+// on every data plane must still produce the sequential fold.
+func TestHighCardinalityDifferential(t *testing.T) {
+	const workers, bound = 4, 128
+	rel := workload.Uniform(workers, 60_000, 8*bound*workers, 41)
+	want := rel.Reference()
+	if len(want) < 8*bound*workers {
+		t.Fatalf("workload has %d groups, want at least %d", len(want), 8*bound*workers)
+	}
+	planes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"scalar", Config{ScalarPath: true}},
+		{"maptables", Config{BaselineMapTables: true}},
+	}
+	for _, alg := range Algorithms() {
+		for _, pl := range planes {
+			t.Run(fmt.Sprintf("%v/%s", alg, pl.name), func(t *testing.T) {
+				cfg := pl.cfg
+				cfg.TableEntries = bound
+				res, err := AggregatePartitioned(cfg, rel.PerNode, alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstReference(t, rel, res)
+				var out int64
+				for _, m := range res.PerWorker {
+					out += m.GroupsOut
+				}
+				if alg != Shared && out != int64(len(want)) {
+					t.Errorf("merge sides produced %d groups, want %d", out, len(want))
+				}
+			})
+		}
+	}
+}
+
+// assemble trusts Key.Dest to make the merge tables disjoint and checks
+// it by count. Two tables sharing a key must fail, and the error must
+// name the key and the second producer, on either table implementation.
+func TestAssembleNamesDuplicateProducer(t *testing.T) {
+	factories := map[string]func(int) groupTable{
+		"aggtable": Config{}.tableFactory(),
+		"maptable": Config{BaselineMapTables: true}.tableFactory(),
+	}
+	for name, newTable := range factories {
+		t.Run(name, func(t *testing.T) {
+			a, b, c := newTable(0), newTable(0), newTable(0)
+			for k := 0; k < 100; k++ {
+				a.UpdateRaw(tuple.Tuple{Key: tuple.Key(k), Val: 1})
+				b.UpdateRaw(tuple.Tuple{Key: tuple.Key(100 + k), Val: 2})
+			}
+			c.UpdateRaw(tuple.Tuple{Key: 1000, Val: 3})
+
+			got, err := assemble([]groupTable{a, b, c})
+			if err != nil {
+				t.Fatalf("disjoint tables: %v", err)
+			}
+			if len(got) != 201 || got[7] != tuple.NewState(1) || got[107] != tuple.NewState(2) || got[1000] != tuple.NewState(3) {
+				t.Fatalf("disjoint tables assembled to %d groups (7: %+v)", len(got), got[7])
+			}
+
+			c.UpdateRaw(tuple.Tuple{Key: 42, Val: 3}) // owned by a already
+			got, err = assemble([]groupTable{a, b, c})
+			if err == nil {
+				t.Fatalf("duplicate producer accepted, %d groups", len(got))
+			}
+			if got != nil {
+				t.Errorf("error returned with a non-nil result map")
+			}
+			for _, want := range []string{"group 42 ", "second: 2"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// The merge side used to refuse entries past TableEntries, widen each
+// refused 16-byte tuple to a 48-byte partial in a growing slice, and
+// replay the slice into a second table: ≈460 B allocated per input row at
+// selectivity 0.5. One growing table plus the result map is ≈190 B/row here.
+// The ceiling sits between the two so the replay shape cannot come back
+// unnoticed.
+func TestA2PAllocationCeiling(t *testing.T) {
+	const rows, groups, ceiling = 1 << 17, 1 << 16, 260
+	rel := workload.Uniform(2, rows, groups, 5)
+	cfg := Config{TableEntries: 4096}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := AggregatePartitioned(cfg, rel.PerNode, AdaptiveTwoPhase)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Switched != 2 || len(res.Groups) != groups {
+			t.Fatalf("switched=%d groups=%d, want 2 and %d: not the regime this test pins", res.Switched, len(res.Groups), groups)
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / rows
+	}
+	run() // warm-up: goroutine stacks, runtime pools
+	if got := run(); got > ceiling {
+		t.Errorf("A-2P allocated %d B per input row, ceiling %d", got, ceiling)
+	}
+}
