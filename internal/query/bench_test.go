@@ -1,0 +1,97 @@
+package query
+
+import (
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"parallelagg/internal/live"
+)
+
+// lineitemTable is the shape of the benchmark spine's sql_groupby table:
+// two string flag columns (3×2 values, six groups) and two int measures.
+func lineitemTable(rows int, seed int64) *Table {
+	rng := rand.New(rand.NewSource(seed))
+	flags := []string{"A", "N", "R"}
+	status := []string{"F", "O"}
+	t := &Table{Schema: Schema{Cols: []Column{
+		{Name: "returnflag", Type: String},
+		{Name: "linestatus", Type: String},
+		{Name: "quantity", Type: Int64},
+		{Name: "price", Type: Int64},
+	}}}
+	t.Rows = make([]Row, rows)
+	for i := range t.Rows {
+		f, s := i%3, (i/3)%2 // the first six rows cover every group
+		if i >= 6 {
+			f, s = rng.Intn(3), rng.Intn(2)
+		}
+		t.Rows[i] = Row{
+			StrVal(flags[f]), StrVal(status[s]),
+			IntVal(1 + rng.Int63n(50)), IntVal(900 + rng.Int63n(100000)),
+		}
+	}
+	return t
+}
+
+// lineitemQuery is the spine's sql_groupby query.
+var lineitemQuery = Query{
+	GroupBy: []string{"returnflag", "linestatus"},
+	Aggs: []Agg{
+		{Func: Sum, Col: "quantity"},
+		{Func: Avg, Col: "price"},
+		{Func: CountStar},
+	},
+}
+
+func benchExecute(b *testing.B, tab *Table, q Query, wantGroups int) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Execute(tab, q, live.Config{Workers: 2}, live.AdaptiveTwoPhase)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != wantGroups {
+			b.Fatalf("%d groups, want %d", len(res.Rows), wantGroups)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tab.Rows)), "ns/row")
+}
+
+// BenchmarkExecuteLineitem is the spine's sql_groupby query without the
+// spine: 2^18 wide rows, six groups, so per-row key handling and
+// projection are all there is to see.
+func BenchmarkExecuteLineitem(b *testing.B) {
+	benchExecute(b, lineitemTable(1<<18, 1), lineitemQuery, 6)
+}
+
+// BenchmarkExecuteHighCard is the other end: an int × string group-by
+// with ~130 k groups in 2^18 rows, where dictionary growth, the group
+// sort and result assembly dominate.
+func BenchmarkExecuteHighCard(b *testing.B) {
+	const rows, regions, customers = 1 << 18, 512, 320
+	rng := rand.New(rand.NewSource(1))
+	names := make([]string, customers)
+	for i := range names {
+		names[i] = "cust-" + strconv.Itoa(i)
+	}
+	tab := &Table{Schema: Schema{Cols: []Column{
+		{Name: "region", Type: Int64},
+		{Name: "customer", Type: String},
+		{Name: "amount", Type: Int64},
+	}}}
+	tab.Rows = make([]Row, rows)
+	groups := make(map[[2]int]struct{})
+	for i := range tab.Rows {
+		// 1.6 draws per possible pair: about 80 % of them occur.
+		r, c := rng.Intn(regions), rng.Intn(customers)
+		groups[[2]int{r, c}] = struct{}{}
+		tab.Rows[i] = Row{IntVal(int64(r)), StrVal(names[c]), IntVal(rng.Int63n(1000))}
+	}
+	benchExecute(b, tab, Query{
+		GroupBy: []string{"region", "customer"},
+		Aggs:    []Agg{{Func: CountStar}, {Func: Sum, Col: "amount"}},
+	}, len(groups))
+}

@@ -10,16 +10,22 @@
 //	GROUP BY columns
 //	[HAVING  predicate]
 //
-// Group-by values are mapped to dense 64-bit keys through an injective
-// dictionary, each aggregated column becomes one engine pass, and the
-// passes are stitched back into a result table. SQL NULL semantics are
-// honoured: aggregates ignore NULL inputs, COUNT(*) counts rows, and a
-// group whose aggregated column is entirely NULL yields NULL.
+// One sequential pass over the rows applies WHERE and turns each row's
+// group-by cells into a dense group id: every group-by column has a code
+// dictionary, and the codes are folded left to right through (prefix id,
+// code) pair dictionaries, so no key is ever formatted or concatenated.
+// Each aggregated column then becomes one engine pass, projected into a
+// tuple buffer the passes share, and the passes are stitched back into a
+// result table (DESIGN.md §15). SQL NULL semantics are honoured:
+// aggregates ignore NULL inputs, COUNT(*) counts rows, and a group whose
+// aggregated column is entirely NULL yields NULL.
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"parallelagg/internal/live"
@@ -82,10 +88,16 @@ type Table struct {
 	Rows   []Row
 }
 
-// Append adds a row, validating its arity.
+// Append adds a row, validating its arity and that no Int64 column is
+// handed a string cell (it would aggregate as 0).
 func (t *Table) Append(r Row) error {
 	if len(r) != len(t.Schema.Cols) {
 		return fmt.Errorf("query: row has %d cells, schema has %d columns", len(r), len(t.Schema.Cols))
+	}
+	for i, c := range r {
+		if col := t.Schema.Cols[i]; col.Type == Int64 && !c.Null && c.Str != "" {
+			return fmt.Errorf("query: string cell %q in Int64 column %q", c.Str, col.Name)
+		}
 	}
 	t.Rows = append(t.Rows, r)
 	return nil
@@ -203,6 +215,9 @@ func (q Query) validate(s Schema) error {
 		}
 	}
 	for _, a := range q.Aggs {
+		if a.Distinct && a.Func != Count && a.Func != Sum {
+			return fmt.Errorf("query: DISTINCT is only supported for COUNT and SUM, not %v", a.Func)
+		}
 		if a.Func == CountStar {
 			continue
 		}
@@ -213,49 +228,153 @@ func (q Query) validate(s Schema) error {
 		if s.Cols[i].Type != Int64 {
 			return fmt.Errorf("query: cannot aggregate non-numeric column %q", a.Col)
 		}
-		if a.Distinct && a.Func != Count && a.Func != Sum {
-			return fmt.Errorf("query: DISTINCT is only supported for COUNT and SUM, not %v", a.Func)
-		}
 	}
 	return nil
 }
 
-// keyDict maps composite group-by cell tuples to dense engine keys and
-// back. Encoding is injective: cells are tagged and length-prefixed.
+// frontLen is how many of a dictionary's first entries are found by a
+// linear scan before its map is consulted. A column or key with no more
+// distinct values than this — a flag, a status — is never hashed.
+const frontLen = 8
+
+// keyDict extends a dense prefix id by one cell. code maps the cell to a
+// dense column code and id maps (prefix, code) to a dense id; both mint
+// 0, 1, 2, … in first-seen order, so the ids of the last group-by column
+// are the dense group keys 0..G-1 the engine and result assembly index
+// by, and the mapping is injective whatever the column count or
+// cardinality. A GROUP BY over k columns chains k of them (the first
+// needs no prefix, its codes are its ids); a DISTINCT pass uses one, with
+// the group id as the prefix.
+//
+// Two cells are the same key exactly when both are NULL, or neither is
+// and their Str are equal and non-empty, or both Str are empty and their
+// Int are equal — StrVal("") and IntVal(0) are one Value and one key.
 type keyDict struct {
-	fwd  map[string]tuple.Key
-	back []Row
+	vals  []Value           // code → the first cell seen with it
+	null  uint32            // NULL's code + 1 once it is past the front
+	strs  map[string]uint32 // codes past the front, by non-empty Str
+	ints  map[int64]uint32  // codes past the front, by Int
+	pairs []uint64          // id → prefix<<32 | code
+	ids   map[uint64]uint32 // ids past the front, by pair
 }
 
-func newKeyDict() *keyDict { return &keyDict{fwd: make(map[string]tuple.Key)} }
+func newKeyDict() *keyDict {
+	return &keyDict{strs: map[string]uint32{}, ints: map[int64]uint32{}, ids: map[uint64]uint32{}}
+}
 
-func (d *keyDict) encode(cells Row) tuple.Key {
-	var b strings.Builder
-	for _, c := range cells {
-		switch {
-		case c.Null:
-			b.WriteByte('n')
-		case c.Str != "":
-			fmt.Fprintf(&b, "s%d:%s", len(c.Str), c.Str)
-		default:
-			fmt.Fprintf(&b, "i%d", c.Int)
+func (d *keyDict) code(v Value) uint32 {
+	front := d.vals[:min(len(d.vals), frontLen)]
+	next, spill := uint32(len(d.vals)), len(d.vals) >= frontLen
+	switch {
+	case v.Null:
+		for i := range front {
+			if front[i].Null {
+				return uint32(i)
+			}
 		}
-		b.WriteByte(';')
+		if spill {
+			if d.null != 0 {
+				return d.null - 1
+			}
+			d.null = next + 1
+		}
+	case v.Str != "":
+		for i := range front {
+			if c := &front[i]; !c.Null && c.Str == v.Str {
+				return uint32(i)
+			}
+		}
+		if spill {
+			if c, ok := d.strs[v.Str]; ok {
+				return c
+			}
+			d.strs[v.Str] = next
+		}
+	default:
+		for i := range front {
+			if c := &front[i]; !c.Null && c.Str == "" && c.Int == v.Int {
+				return uint32(i)
+			}
+		}
+		if spill {
+			if c, ok := d.ints[v.Int]; ok {
+				return c
+			}
+			d.ints[v.Int] = next
+		}
 	}
-	s := b.String()
-	if k, ok := d.fwd[s]; ok {
-		return k
-	}
-	k := tuple.Key(len(d.back))
-	d.fwd[s] = k
-	d.back = append(d.back, append(Row(nil), cells...))
-	return k
+	d.vals = append(d.vals, v)
+	return next
 }
 
-// encodedRow pairs a source row with its dense group key.
-type encodedRow struct {
-	key tuple.Key
-	row Row
+func (d *keyDict) id(prefix, code uint32) uint32 {
+	p := uint64(prefix)<<32 | uint64(code)
+	for i, q := range d.pairs[:min(len(d.pairs), frontLen)] {
+		if q == p {
+			return uint32(i)
+		}
+	}
+	next := uint32(len(d.pairs))
+	if len(d.pairs) >= frontLen {
+		if id, ok := d.ids[p]; ok {
+			return id
+		}
+		d.ids[p] = next
+	}
+	d.pairs = append(d.pairs, p)
+	return next
+}
+
+// groupKey is a GROUP BY clause's dictionary: one keyDict per column.
+type groupKey struct {
+	cols  []int // schema position of each group-by column
+	level []*keyDict
+}
+
+func newGroupKey(cols []int) *groupKey {
+	g := &groupKey{cols: cols}
+	for range cols {
+		g.level = append(g.level, newKeyDict())
+	}
+	return g
+}
+
+// encode returns the row's dense group id. With no group-by columns every
+// row is group 0.
+func (g *groupKey) encode(r Row) uint32 {
+	id := uint32(0)
+	for i, d := range g.level {
+		c := d.code(r[g.cols[i]])
+		if i > 0 {
+			c = d.id(id, c)
+		}
+		id = c
+	}
+	return id
+}
+
+// decode writes group id's cells (the first seen of each) into out.
+func (g *groupKey) decode(id uint32, out Row) {
+	for i := len(g.level) - 1; i > 0; i-- {
+		p := g.level[i].pairs[id]
+		out[i] = g.level[i].vals[uint32(p)]
+		id = uint32(p >> 32)
+	}
+	if len(g.level) > 0 {
+		out[0] = g.level[0].vals[id]
+	}
+}
+
+// pass is one engine run: the non-NULL cells of one column (col -1:
+// every row, for COUNT(*)), keyed by group id — or, for a DISTINCT pass,
+// by the id of the (group, value) pair.
+type pass struct {
+	col      int
+	distinct bool
+	// st[g] is group g's state once the pass has run. Count 0 means the
+	// group fed the pass no non-NULL value. A DISTINCT pass fills Count
+	// and Sum only, from one representative per pair.
+	st []tuple.AggState
 }
 
 // Execute runs the query on the table using the live parallel engine with
@@ -264,188 +383,157 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	if err := q.validate(t.Schema); err != nil {
 		return nil, err
 	}
-
-	gidx := make([]int, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		gidx[i] = t.Schema.Index(g)
-	}
-
-	// Encode group keys once, applying WHERE.
-	dict := newKeyDict()
-	enc := make([]encodedRow, 0, len(t.Rows))
-	cells := make(Row, len(gidx))
-	for _, r := range t.Rows {
-		if q.Where != nil && !q.Where(r) {
-			continue
-		}
-		for i, gi := range gidx {
-			cells[i] = r[gi]
-		}
-		enc = append(enc, encodedRow{key: dict.encode(cells), row: r})
-	}
-
-	// One engine pass per distinct aggregated column, plus a row-count
-	// pass whenever COUNT(*) is requested or no column pass exists (pure
-	// duplicate elimination). Group keys are dense dictionary indices
-	// (0..G-1), so each pass's result is merged into a flat slice indexed
-	// by key instead of a second map — the per-group lookup during result
-	// assembly is then an array access.
-	G := len(dict.back)
-	colState := map[int]passState{}
-	needRowCount := len(q.Aggs) == 0
-	for _, a := range q.Aggs {
-		if a.Func == CountStar {
-			needRowCount = true
-			continue
-		}
-		if a.Distinct {
-			continue // DISTINCT aggregates run their own pass below
-		}
-		colState[t.Schema.Index(a.Col)] = passState{}
-	}
-	if len(colState) == 0 {
-		needRowCount = true
-	}
-	runPass := func(col int) (passState, error) {
-		in := make([]tuple.Tuple, 0, len(enc))
-		for _, er := range enc {
-			v := int64(0)
-			if col >= 0 {
-				cell := er.row[col]
-				if cell.Null {
-					continue // SQL aggregates ignore NULLs
-				}
-				v = cell.Int
-			}
-			in = append(in, tuple.Tuple{Key: er.key, Val: v})
-		}
-		res, err := live.Aggregate(cfg, in, alg)
-		if err != nil {
-			return passState{}, err
-		}
-		ps := passState{st: make([]tuple.AggState, G), ok: make([]bool, G)}
-		for k, s := range res.Groups {
-			ps.st[k] = s
-			ps.ok[k] = true
-		}
-		return ps, nil
-	}
-	for col := range colState {
-		st, err := runPass(col)
-		if err != nil {
-			return nil, err
-		}
-		colState[col] = st
-	}
-	var rowCount passState
-	if needRowCount {
-		st, err := runPass(-1)
-		if err != nil {
-			return nil, err
-		}
-		rowCount = st
-	}
-
-	// DISTINCT passes: deduplicate (group, value) pairs through the
-	// engine — parallel duplicate elimination, the paper's other use case
-	// — then fold one representative per pair back into per-group counts
-	// and sums, again in flat slices indexed by the dense group key
-	// (count == 0 marks a group whose column was entirely NULL).
-	distinctState := map[int][]distinctAgg{}
-	for _, a := range q.Aggs {
-		if !a.Distinct {
-			continue
-		}
-		col := t.Schema.Index(a.Col)
-		if _, done := distinctState[col]; done {
-			continue
-		}
-		cd := newKeyDict()
-		var backGroup []tuple.Key
-		var backVal []int64
-		in := make([]tuple.Tuple, 0, len(enc))
-		pair := make(Row, 2)
-		for _, er := range enc {
-			cell := er.row[col]
-			if cell.Null {
-				continue
-			}
-			pair[0] = IntVal(int64(er.key))
-			pair[1] = cell
-			before := len(cd.back)
-			ck := cd.encode(pair)
-			if len(cd.back) > before { // first sighting of this pair
-				backGroup = append(backGroup, er.key)
-				backVal = append(backVal, cell.Int)
-			}
-			in = append(in, tuple.Tuple{Key: ck, Val: cell.Int})
-		}
-		dres, err := live.Aggregate(cfg, in, alg)
-		if err != nil {
-			return nil, err
-		}
-		st := make([]distinctAgg, G)
-		for ck := range dres.Groups {
-			g := backGroup[ck]
-			st[g].count++
-			st[g].sum += backVal[ck]
-		}
-		distinctState[col] = st
+	// Group ids, codes and row indices are 32-bit; all are below the row count.
+	if uint64(len(t.Rows)) > math.MaxUint32 {
+		return nil, fmt.Errorf("query: table has %d rows, limit is %d", len(t.Rows), uint32(math.MaxUint32))
 	}
 
 	// Result schema: group-by columns, then aggregates.
 	out := &Result{}
+	var gcols []int
 	for _, g := range q.GroupBy {
-		out.Schema.Cols = append(out.Schema.Cols, t.Schema.Cols[t.Schema.Index(g)])
+		i := t.Schema.Index(g)
+		gcols = append(gcols, i)
+		out.Schema.Cols = append(out.Schema.Cols, t.Schema.Cols[i])
 	}
+	gk := newGroupKey(gcols)
 	for _, a := range q.Aggs {
 		out.Schema.Cols = append(out.Schema.Cols, Column{Name: a.outName(), Type: Int64})
 	}
-
-	// Every dictionary entry was minted by a surviving input row, so the
-	// dense key space 0..G-1 IS the union of groups across passes (a
-	// group whose aggregated column is entirely NULL still exists).
-	keys := make([]tuple.Key, 0, G)
-	for k := 0; k < G; k++ {
-		keys = append(keys, tuple.Key(k))
+	orderCol := out.Schema.Index(q.OrderBy)
+	if q.OrderBy != "" && orderCol < 0 {
+		return nil, fmt.Errorf("query: ORDER BY column %q not in the result", q.OrderBy)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return lessRow(dict.back[keys[i]], dict.back[keys[j]])
-	})
 
-	for _, k := range keys {
-		row := append(Row(nil), dict.back[k]...)
-		for _, a := range q.Aggs {
-			if a.Distinct {
-				da := distinctState[t.Schema.Index(a.Col)][k]
-				switch {
-				case a.Func == Count:
-					row = append(row, IntVal(da.count))
-				case da.count == 0:
-					row = append(row, NullValue) // SUM of all-NULL column
-				default:
-					row = append(row, IntVal(da.sum))
-				}
+	// One engine pass per distinct (column, DISTINCT) among the
+	// aggregates, plus a row-count pass whenever COUNT(*) is requested or
+	// no plain column pass exists (pure duplicate elimination). slot
+	// resolves each aggregate to its pass once, not per group.
+	var passes []pass
+	passFor := func(col int, distinct bool) int {
+		for i, p := range passes {
+			if p.col == col && p.distinct == distinct {
+				return i
+			}
+		}
+		passes = append(passes, pass{col: col, distinct: distinct})
+		return len(passes) - 1
+	}
+	slot := make([]int, len(q.Aggs))
+	for i, a := range q.Aggs {
+		col := -1
+		if a.Func != CountStar {
+			col = t.Schema.Index(a.Col)
+		}
+		slot[i] = passFor(col, a.Distinct)
+	}
+	if !slices.ContainsFunc(passes, func(p pass) bool { return !p.distinct }) {
+		passFor(-1, false)
+	}
+
+	// The row pass: WHERE, then the dense group key. It is sequential, so
+	// Where is never called concurrently. sel holds the surviving rows'
+	// indices and stays nil without a WHERE (every row survives). Every id
+	// was minted by a surviving row and ids are dense, so 0..G-1 IS the
+	// union of groups across passes (a group whose aggregated column is
+	// entirely NULL still exists).
+	keys, G, ncols := make([]tuple.Key, 0, len(t.Rows)), 0, len(t.Schema.Cols)
+	var sel []uint32
+	if q.Where != nil {
+		sel = make([]uint32, 0, len(t.Rows))
+	}
+	for i, r := range t.Rows {
+		if len(r) != ncols {
+			return nil, rowArityError(i, len(r), ncols)
+		}
+		if q.Where != nil {
+			if !q.Where(r) {
 				continue
 			}
-			row = append(row, evalAgg(a, k, t.Schema, colState, rowCount))
+			sel = append(sel, uint32(i))
 		}
-		if q.Having != nil && !q.Having(row) {
-			continue
+		id := gk.encode(r)
+		G = max(G, int(id)+1)
+		keys = append(keys, tuple.Key(id))
+	}
+
+	// The engine only reads its input and is done with it on return, so
+	// one projection buffer serves every pass. A DISTINCT pass keys its
+	// tuples by (group, value) pair — parallel duplicate elimination, the
+	// paper's other use case — and folds one representative per surviving
+	// pair back into the group's count and sum.
+	buf := make([]tuple.Tuple, 0, len(keys))
+	for pi := range passes {
+		p := &passes[pi]
+		var pd *keyDict
+		if p.distinct {
+			pd = newKeyDict()
 		}
-		out.Rows = append(out.Rows, row)
+		buf = buf[:0]
+		for i, k := range keys {
+			v := int64(0)
+			if p.col >= 0 {
+				ri := i
+				if sel != nil {
+					ri = int(sel[i])
+				}
+				cell := &t.Rows[ri][p.col]
+				if cell.Null {
+					continue // SQL aggregates ignore NULLs
+				}
+				v = cell.Int
+				if pd != nil {
+					k = tuple.Key(pd.id(uint32(k), pd.code(*cell)))
+				}
+			}
+			buf = append(buf, tuple.Tuple{Key: k, Val: v})
+		}
+		res, err := live.Aggregate(cfg, buf, alg)
+		if err != nil {
+			return nil, err
+		}
+		p.st = make([]tuple.AggState, G)
+		for k, s := range res.Groups {
+			if pd == nil {
+				p.st[k] = s
+				continue
+			}
+			pair := pd.pairs[k]
+			st := &p.st[pair>>32]
+			st.Count++
+			st.Sum += pd.vals[uint32(pair)].Int
+		}
+	}
+
+	// Assemble one row per group, in group-by order, then HAVING, ORDER BY
+	// and LIMIT. Distinct groups never compare equal, so the order is total.
+	nkey := len(gk.level)
+	out.Rows = make([]Row, G)
+	for g := range out.Rows {
+		row := make(Row, nkey+len(q.Aggs))
+		gk.decode(uint32(g), row)
+		for i, a := range q.Aggs {
+			row[nkey+i] = evalAgg(a.Func, passes[slot[i]].st[g])
+		}
+		out.Rows[g] = row
+	}
+	slices.SortFunc(out.Rows, func(a, b Row) int {
+		for i := 0; i < nkey; i++ {
+			if c := cmpValue(a[i], b[i]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	if q.Having != nil {
+		out.Rows = slices.DeleteFunc(out.Rows, func(r Row) bool { return !q.Having(r) })
 	}
 	if q.OrderBy != "" {
-		col := out.Schema.Index(q.OrderBy)
-		if col < 0 {
-			return nil, fmt.Errorf("query: ORDER BY column %q not in the result", q.OrderBy)
-		}
-		sort.SliceStable(out.Rows, func(i, j int) bool {
-			a, b := Row{out.Rows[i][col]}, Row{out.Rows[j][col]}
+		slices.SortStableFunc(out.Rows, func(a, b Row) int {
 			if q.Desc {
-				return lessRow(b, a)
+				a, b = b, a
 			}
-			return lessRow(a, b)
+			return cmpValue(a[orderCol], b[orderCol])
 		})
 	}
 	if q.Limit > 0 && len(out.Rows) > q.Limit {
@@ -454,80 +542,48 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	if r := cfg.Obs; r != nil {
 		r.Counter("sql_queries_total", "queries executed").Inc()
 		r.Counter("sql_rows_in_total", "table rows read (before WHERE)").Add(int64(len(t.Rows)))
-		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(len(enc)))
+		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(len(keys)))
 		r.Counter("sql_groups_out_total", "result rows produced (after HAVING and LIMIT)").Add(int64(len(out.Rows)))
 	}
 	return out, nil
 }
 
-// passState is one engine pass's result, flattened onto the dense group
-// key space: st[k] is group k's aggregate state, valid when ok[k].
-type passState struct {
-	st []tuple.AggState
-	ok []bool
+func rowArityError(row, cells, cols int) error {
+	return fmt.Errorf("query: row %d has %d cells, schema has %d columns", row, cells, cols)
 }
 
-func (p passState) get(k tuple.Key) (tuple.AggState, bool) {
-	if p.ok == nil || !p.ok[k] {
-		return tuple.AggState{}, false
-	}
-	return p.st[k], true
-}
-
-// distinctAgg folds the deduplicated (group, value) pairs of one DISTINCT
-// pass back into a per-group count and sum.
-type distinctAgg struct{ count, sum int64 }
-
-// evalAgg produces one aggregate cell for group k.
-func evalAgg(a Agg, k tuple.Key, s Schema, colState map[int]passState, rowCount passState) Value {
-	if a.Func == CountStar {
-		if st, ok := rowCount.get(k); ok {
-			return IntVal(st.Count)
-		}
-		return IntVal(0)
-	}
-	st, ok := colState[s.Index(a.Col)].get(k)
-	if !ok {
-		if a.Func == Count {
-			return IntVal(0) // COUNT of an all-NULL column is 0, not NULL
-		}
+// evalAgg turns a group's state in the aggregate's pass into its cell.
+func evalAgg(f AggFunc, st tuple.AggState) Value {
+	switch {
+	case f == Count, f == CountStar:
+		return IntVal(st.Count) // COUNT of an all-NULL column is 0, not NULL
+	case st.Count == 0:
 		return NullValue
-	}
-	switch a.Func {
-	case Count:
-		return IntVal(st.Count)
-	case Sum:
+	case f == Sum:
 		return IntVal(st.Sum)
-	case Avg:
+	case f == Avg:
 		return IntVal(st.Sum / st.Count)
-	case Min:
+	case f == Min:
 		return IntVal(st.Min)
-	case Max:
+	case f == Max:
 		return IntVal(st.Max)
 	default:
 		return NullValue
 	}
 }
 
-// lessRow orders rows cell-wise: NULLs first, then by string, then by int.
-func lessRow(a, b Row) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		x, y := a[i], b[i]
-		switch {
-		case x.Null && y.Null:
-			continue
-		case x.Null:
-			return true
-		case y.Null:
-			return false
-		case x.Str != y.Str:
-			return x.Str < y.Str
-		case x.Int != y.Int:
-			return x.Int < y.Int
-		}
+// cmpValue orders cells: NULLs first, then by string, then by int.
+func cmpValue(a, b Value) int {
+	switch {
+	case a.Null && b.Null:
+		return 0
+	case a.Null:
+		return -1
+	case b.Null:
+		return 1
+	case a.Str != b.Str:
+		return strings.Compare(a.Str, b.Str)
+	default:
+		return cmp.Compare(a.Int, b.Int)
 	}
-	return false
 }

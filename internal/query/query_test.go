@@ -2,8 +2,11 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"parallelagg/internal/live"
 )
@@ -192,9 +195,27 @@ func TestNullGroupKey(t *testing.T) {
 	}
 }
 
+// tagged is the reference key: the injective tagged, length-prefixed
+// string the dictionary used to build for every row.
+func tagged(cells Row) string {
+	var b strings.Builder
+	for _, c := range cells {
+		switch {
+		case c.Null:
+			b.WriteByte('n')
+		case c.Str != "":
+			fmt.Fprintf(&b, "s%d:%s", len(c.Str), c.Str)
+		default:
+			fmt.Fprintf(&b, "i%d", c.Int)
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
 func TestInjectiveKeyEncoding(t *testing.T) {
-	d := newKeyDict()
-	// Pairs that naive separator-based encodings confuse.
+	// Pairs that naive separator-based or radix encodings confuse.
+	g := newGroupKey([]int{0, 1})
 	rows := []Row{
 		{StrVal("a;b"), StrVal("c")},
 		{StrVal("a"), StrVal("b;c")},
@@ -204,18 +225,67 @@ func TestInjectiveKeyEncoding(t *testing.T) {
 		{StrVal("1"), StrVal("23")},
 		{NullValue, IntVal(0)},
 		{IntVal(0), NullValue},
+		{NullValue, NullValue},
+		{IntVal(0), IntVal(0)},
+		{IntVal(-1 << 63), IntVal(1<<63 - 1)},
+		{IntVal(1<<63 - 1), IntVal(-1 << 63)},
 	}
-	seen := map[interface{}]bool{}
-	for _, r := range rows {
-		k := d.encode(r)
-		if seen[k] {
-			t.Fatalf("key collision for %v", r)
+	for i, r := range rows {
+		if id := g.encode(r); id != uint32(i) {
+			t.Fatalf("row %d %v got id %d: ids must be dense in first-seen order", i, r, id)
 		}
-		seen[k] = true
 	}
-	// Same cells → same key.
-	if d.encode(rows[0]) != d.encode(rows[0]) {
-		t.Error("encode not stable")
+	for i, r := range rows {
+		if id := g.encode(r); id != uint32(i) {
+			t.Errorf("encode not stable: row %d %v is now id %d", i, r, id)
+		}
+	}
+	// StrVal("") and IntVal(0) are one Value, hence one key; NULL is not.
+	// A non-empty Str decides alone, whatever Int rides along.
+	one := newGroupKey([]int{0})
+	if a, b, n := one.encode(Row{StrVal("")}), one.encode(Row{IntVal(0)}), one.encode(Row{NullValue}); a != b || n == a {
+		t.Errorf(`StrVal("") = %d, IntVal(0) = %d, NULL = %d`, a, b, n)
+	}
+	if a, b := one.encode(Row{{Str: "x", Int: 1}}), one.encode(Row{{Str: "x", Int: 2}}); a != b {
+		t.Errorf("same Str, different Int: ids %d and %d", a, b)
+	}
+	if a, b := one.encode(Row{{Null: true, Str: "x"}}), one.encode(Row{NullValue}); a != b {
+		t.Errorf("NULL carrying a Str is id %d, plain NULL %d", a, b)
+	}
+
+	// Three columns over more values than the linear front holds, NULL in
+	// every position: same tagged string <=> same id, ids dense in
+	// first-seen order, and decode returns the first cells seen.
+	vals := []Value{NullValue, IntVal(0), StrVal("0"), StrVal("a"), StrVal("a;"), StrVal("n")}
+	for i := int64(1); len(vals) < 2*frontLen+3; i++ {
+		vals = append(vals, IntVal(i), StrVal(fmt.Sprint("s", i)))
+	}
+	g = newGroupKey([]int{0, 1, 2})
+	ref := map[string]uint32{}
+	for round := 0; round < 2; round++ {
+		for _, a := range vals {
+			for _, b := range vals {
+				for _, c := range vals {
+					r := Row{a, b, c}
+					want, seen := ref[tagged(r)]
+					if !seen {
+						want = uint32(len(ref))
+						ref[tagged(r)] = want
+					}
+					if got := g.encode(r); got != want {
+						t.Fatalf("round %d: %v encodes to %d, want %d", round, r, got, want)
+					}
+					back := make(Row, 3)
+					g.decode(want, back)
+					if tagged(back) != tagged(r) {
+						t.Fatalf("id %d decodes to %v, was minted by %v", want, back, r)
+					}
+				}
+			}
+		}
+	}
+	if n := len(vals) * len(vals) * len(vals); len(ref) != n || len(g.level[2].pairs) != n {
+		t.Errorf("%d reference keys, %d ids, want %d of each", len(ref), len(g.level[2].pairs), n)
 	}
 }
 
@@ -241,6 +311,42 @@ func TestAppendArityChecked(t *testing.T) {
 	}
 }
 
+// A string cell in an Int64 column used to be accepted and then
+// aggregated as 0.
+func TestAppendRejectsStringInIntColumn(t *testing.T) {
+	tab := &Table{Schema: Schema{Cols: []Column{{Name: "k", Type: String}, {Name: "v", Type: Int64}}}}
+	err := tab.Append(Row{StrVal("x"), StrVal("7")})
+	if err == nil || !strings.Contains(err.Error(), `Int64 column "v"`) {
+		t.Errorf("string cell in Int64 column: err = %v", err)
+	}
+	if len(tab.Rows) != 0 {
+		t.Errorf("rejected row was stored: %v", tab.Rows)
+	}
+	for _, r := range []Row{{StrVal("x"), IntVal(7)}, {NullValue, NullValue}} {
+		if err := tab.Append(r); err != nil {
+			t.Errorf("well-typed row %v rejected: %v", r, err)
+		}
+	}
+}
+
+// Rows can be assigned without Append; a row of the wrong arity used to
+// panic with index-out-of-range inside Execute.
+func TestExecuteRejectsWrongArityRow(t *testing.T) {
+	for _, bad := range []Row{{StrVal("A")}, {StrVal("A"), StrVal("F"), IntVal(1), IntVal(2), IntVal(3)}} {
+		tab := lineitems()
+		tab.Rows = append(tab.Rows, bad)
+		_, err := Execute(tab, Query{
+			GroupBy: []string{"returnflag"},
+			Aggs:    []Agg{{Func: Sum, Col: "price"}},
+			Where:   func(r Row) bool { return !r[3].Null },
+		}, live.Config{Workers: 2}, live.TwoPhase)
+		want := fmt.Sprintf("query: row 6 has %d cells, schema has 4 columns", len(bad))
+		if err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %q", err, want)
+		}
+	}
+}
+
 func TestResultColAccessor(t *testing.T) {
 	res := exec(t, lineitems(), Query{
 		GroupBy: []string{"returnflag"},
@@ -262,52 +368,171 @@ func TestResultColAccessor(t *testing.T) {
 	}
 }
 
-// Property: the query layer agrees with a direct map-based evaluation for
-// random single-column group-bys, for every live algorithm.
-func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
-	f := func(keys []uint8, vals []int8, algPick uint8) bool {
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
+// refLess is the documented result order, written without cmpValue: NULLs
+// first, then by string, then by int.
+func refLess(a, b Row) bool {
+	for i := range a {
+		x, y := a[i], b[i]
+		switch {
+		case x.Null && y.Null:
+		case x.Null || y.Null:
+			return x.Null
+		case x.Str != y.Str:
+			return x.Str < y.Str
+		case x.Int != y.Int:
+			return x.Int < y.Int
 		}
-		if n == 0 {
-			return true
-		}
-		tab := &Table{Schema: Schema{Cols: []Column{
-			{Name: "k", Type: Int64}, {Name: "v", Type: Int64},
-		}}}
-		type agg struct{ count, sum int64 }
-		ref := map[int64]*agg{}
-		for i := 0; i < n; i++ {
-			k, v := int64(keys[i]%16), int64(vals[i])
-			tab.Append(Row{IntVal(k), IntVal(v)})
-			if ref[k] == nil {
-				ref[k] = &agg{}
-			}
-			ref[k].count++
-			ref[k].sum += v
-		}
-		alg := live.Algorithms()[int(algPick)%len(live.Algorithms())]
-		res, err := Execute(tab, Query{
-			GroupBy: []string{"k"},
-			Aggs:    []Agg{{Func: CountStar}, {Func: Sum, Col: "v"}},
-		}, live.Config{Workers: 3, TableEntries: 4, InitSeg: 8}, alg)
-		if err != nil {
-			return false
-		}
-		if len(res.Rows) != len(ref) {
-			return false
-		}
-		for _, r := range res.Rows {
-			a := ref[r[0].Int]
-			if a == nil || r[1].Int != a.count || r[2].Int != a.sum {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	return false
+}
+
+// Property: the query layer agrees with a direct map-based evaluation on
+// 50 seeded random tables — string, int and NULL group-by cells in up to
+// three columns (more distinct values than the dictionaries' linear front
+// holds), WHERE, every aggregate including COUNT/SUM DISTINCT, HAVING,
+// ORDER BY + LIMIT — for every live algorithm, with scan tables of four
+// entries so every pass overflows and switches.
+func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
+	schema := Schema{Cols: []Column{
+		{Name: "s", Type: String}, {Name: "i", Type: Int64}, {Name: "j", Type: Int64},
+		{Name: "v", Type: Int64}, {Name: "w", Type: Int64},
+	}}
+	aggs := []Agg{
+		{Func: CountStar, As: "n"},
+		{Func: Count, Col: "v"}, {Func: Sum, Col: "v", As: "sv"}, {Func: Avg, Col: "v"},
+		{Func: Min, Col: "v"}, {Func: Max, Col: "v"},
+		{Func: Count, Col: "v", Distinct: true}, {Func: Sum, Col: "v", Distinct: true},
+		{Func: Sum, Col: "w"},
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cell := func(v Value) Value { // one cell in eight is NULL
+			if rng.Intn(8) == 0 {
+				return NullValue
+			}
+			return v
+		}
+		tab := &Table{Schema: schema}
+		for n := rng.Intn(600); n > 0; n-- {
+			if err := tab.Append(Row{
+				cell(StrVal(fmt.Sprint("s", rng.Intn(2*frontLen)))),
+				cell(IntVal(int64(rng.Intn(2*frontLen) - 3))),
+				cell(IntVal(int64(rng.Intn(3)))),
+				cell(IntVal(int64(rng.Intn(12) - 4))),
+				cell(IntVal(int64(rng.Intn(100)))),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := Query{Aggs: aggs}
+		for _, c := range rng.Perm(3)[:rng.Intn(4)] {
+			q.GroupBy = append(q.GroupBy, schema.Cols[c].Name)
+		}
+		if floor := int64(rng.Intn(60)); rng.Intn(3) > 0 {
+			q.Where = func(r Row) bool { return !r[4].Null && r[4].Int >= floor }
+		}
+		nkey := len(q.GroupBy)
+		if rng.Intn(2) == 0 {
+			q.Having = func(r Row) bool { return r[nkey].Int >= 2 } // n >= 2
+		}
+		if rng.Intn(3) > 0 {
+			q.OrderBy, q.Desc, q.Limit = []string{"sv", "n", "s"}[rng.Intn(3)], rng.Intn(2) == 0, rng.Intn(20)
+			if q.OrderBy == "s" && !slices.Contains(q.GroupBy, "s") {
+				q.OrderBy = "sv"
+			}
+		}
+
+		// The oracle: one accumulator per tagged group key.
+		type acc struct {
+			cells                 Row
+			n, cnt, sum, min, max int64
+			distinct              map[int64]bool
+			wcnt, wsum            int64
+		}
+		groups := map[string]*acc{}
+		for _, r := range tab.Rows {
+			if q.Where != nil && !q.Where(r) {
+				continue
+			}
+			var cells Row
+			for _, g := range q.GroupBy {
+				cells = append(cells, r[schema.Index(g)])
+			}
+			a := groups[tagged(cells)]
+			if a == nil {
+				a = &acc{cells: cells, distinct: map[int64]bool{}}
+				groups[tagged(cells)] = a
+			}
+			a.n++
+			if v := r[3]; !v.Null {
+				if a.cnt == 0 || v.Int < a.min {
+					a.min = v.Int
+				}
+				if a.cnt == 0 || v.Int > a.max {
+					a.max = v.Int
+				}
+				a.cnt++
+				a.sum += v.Int
+				a.distinct[v.Int] = true
+			}
+			if w := r[4]; !w.Null {
+				a.wcnt++
+				a.wsum += w.Int
+			}
+		}
+		orNull := func(ok bool, v int64) Value {
+			if !ok {
+				return NullValue
+			}
+			return IntVal(v)
+		}
+		var want []Row
+		for _, a := range groups {
+			var dsum int64
+			for v := range a.distinct {
+				dsum += v
+			}
+			row := append(append(Row(nil), a.cells...),
+				IntVal(a.n), IntVal(a.cnt), orNull(a.cnt > 0, a.sum), orNull(a.cnt > 0, a.sum/max(a.cnt, 1)),
+				orNull(a.cnt > 0, a.min), orNull(a.cnt > 0, a.max),
+				IntVal(int64(len(a.distinct))), orNull(a.cnt > 0, dsum), orNull(a.wcnt > 0, a.wsum))
+			if q.Having == nil || q.Having(row) {
+				want = append(want, row)
+			}
+		}
+		sort.Slice(want, func(x, y int) bool { return refLess(want[x][:nkey], want[y][:nkey]) })
+		if q.OrderBy != "" {
+			oc := slices.Index(append(slices.Clone(q.GroupBy), "n", "count_v", "sv"), q.OrderBy)
+			sort.SliceStable(want, func(x, y int) bool {
+				a, b := want[x][oc:oc+1], want[y][oc:oc+1]
+				if q.Desc {
+					a, b = b, a
+				}
+				return refLess(a, b)
+			})
+		}
+		if q.Limit > 0 && len(want) > q.Limit {
+			want = want[:q.Limit]
+		}
+
+		for _, alg := range live.Algorithms() {
+			res, err := Execute(tab, q, live.Config{Workers: 3, TableEntries: 4, InitSeg: 8}, alg)
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, alg, err)
+			}
+			if len(res.Rows) != len(want) {
+				t.Fatalf("seed %d %v: %d result rows, oracle has %d (query %+v)", seed, alg, len(res.Rows), len(want), q)
+			}
+			for ri, r := range res.Rows {
+				for ci := range r {
+					got, w := r[ci], want[ri][ci]
+					if got.Null != w.Null || (!w.Null && (got.Int != w.Int || got.Str != w.Str)) {
+						t.Fatalf("seed %d %v: row %d column %q = %+v, oracle %+v (query %+v)",
+							seed, alg, ri, res.Schema.Cols[ci].Name, got, w, q)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -491,6 +716,11 @@ func TestDistinctRejectedForMinMax(t *testing.T) {
 	if err == nil {
 		t.Error("MIN(DISTINCT) accepted")
 	}
+	// COUNT(DISTINCT *) has no column to deduplicate; it used to panic.
+	_, err = Execute(tab, Query{Aggs: []Agg{{Func: CountStar, Distinct: true}}}, live.Config{}, live.TwoPhase)
+	if err == nil {
+		t.Error("COUNT(DISTINCT *) accepted")
+	}
 }
 
 func TestDistinctOutputName(t *testing.T) {
@@ -498,4 +728,29 @@ func TestDistinctOutputName(t *testing.T) {
 	if a.outName() != "count_distinct_v" {
 		t.Errorf("outName = %q", a.outName())
 	}
+}
+
+// The query layer used to allocate about five times per input row (a
+// formatted key string, its builder, an encodedRow, …). Now its own
+// allocations are per query and per group, and the rest is the engine's
+// fixed cost per run (≈115 per worker, three runs here): a 4× larger
+// table must cost almost the same number of allocations, and the spine's
+// query shape stays in the hundreds, not the hundred-thousands.
+func TestExecuteAllocationCeiling(t *testing.T) {
+	allocs := func(rows int) float64 {
+		tab := lineitemTable(rows, 7)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Execute(tab, lineitemQuery, live.Config{Workers: 1}, live.AdaptiveTwoPhase); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<14), allocs(1<<16)
+	if large-small >= 64 {
+		t.Errorf("2^14 rows: %.0f allocations, 2^16 rows: %.0f — the query layer allocates per row again", small, large)
+	}
+	if large >= 400 {
+		t.Errorf("%.0f allocations per query on 2^16 rows, ceiling 400", large)
+	}
+	t.Logf("allocations per query: %.0f on 2^14 rows, %.0f on 2^16 rows", small, large)
 }

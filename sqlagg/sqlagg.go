@@ -2,7 +2,9 @@
 // tables, GROUP BY over several columns, COUNT/SUM/AVG/MIN/MAX plus
 // COUNT(DISTINCT)/SUM(DISTINCT) with SQL NULL semantics, WHERE pushed
 // below the aggregation, HAVING applied after it, and ORDER BY/LIMIT for
-// top-k results — executed on the live parallel engine.
+// top-k results — executed on the live parallel engine. Group-by cells
+// reach the engine as dense integer keys built from per-column code
+// dictionaries, with no per-row string or allocation (DESIGN.md §15).
 //
 //	res, err := sqlagg.Execute(table, sqlagg.Query{
 //	    GroupBy: []string{"returnflag", "linestatus"},
