@@ -1,13 +1,19 @@
 GO ?= go
 AGGVET := bin/aggvet
 
-.PHONY: build test vet lint lint-fixtures race chaos check bench fuzz cover
+.PHONY: build test fmt vet lint lint-fixtures race chaos check bench fuzz cover
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt over every Go file outside testdata (analyzer fixtures and fuzz
+# corpora are inputs, not sources): any file it would rewrite fails.
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -48,7 +54,7 @@ cover:
 
 # What CI runs (CI additionally shuffles test order and runs
 # staticcheck/govulncheck, which need network access to install).
-check: vet lint race
+check: fmt vet lint race
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -147,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ioTimeout   = fs.Duration("io-timeout", 30*time.Second, "per-frame read/write deadline; a peer silent longer is failed")
 		chaos       = fs.String("chaos", "", "fault-injection spec, e.g. latency=2ms,jitter=1ms,reset=0.01,hang=0.01,acceptfail=0.1,seed=42")
 
-		columnar   = fs.Bool("columnar", false, "encode data frames in the columnar layout (receivers accept both)")
 		tolerate   = fs.Bool("tolerate", false, "survive peer failures: node 0 supervises liveness and reassigns dead peers' partitions")
 		heartbeat  = fs.Duration("heartbeat", 0, "liveness beacon interval in tolerant mode (0 = default 250ms)")
 		speculate  = fs.Int("speculate", 0, "straggler factor k: re-ship a peer lagging k x behind the median (0 disables)")
@@ -183,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TableEntries:    *mem,
 		DialTimeout:     *dialTimeout,
 		IOTimeout:       *ioTimeout,
-		Columnar:        *columnar,
 		Tolerate:        *tolerate,
 		HeartbeatEvery:  *heartbeat,
 		SpeculateFactor: *speculate,

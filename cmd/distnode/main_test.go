@@ -78,9 +78,6 @@ func scrape(t *testing.T, addr string) map[string]int64 {
 		}
 		series[name] = v
 	}
-	if len(series) == 0 {
-		t.Fatal("scrape returned no samples")
-	}
 	return series
 }
 
@@ -139,7 +136,15 @@ func TestThreeNodeScrape(t *testing.T) {
 		t.Fatal("metrics endpoint never came up")
 	}
 
-	first := scrape(t, metricsAddr)
+	// The endpoint serves before RunNode registers the node's metric
+	// families, so a scrape that wins that race is empty: poll.
+	var first map[string]int64
+	for deadline := time.Now().Add(10 * time.Second); len(first) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("scrape returned no samples")
+		}
+		first = scrape(t, metricsAddr)
+	}
 
 	// Wait until the other nodes' queries complete; the distributed
 	// barrier means node 0's query is finished too, and its linger
@@ -306,7 +311,7 @@ func TestTolerantCLISurvivesCrash(t *testing.T) {
 // opening any sockets.
 func TestBadFlagsExitNonzero(t *testing.T) {
 	cases := [][]string{
-		{},                          // missing -addrs
+		{}, // missing -addrs
 		{"-addrs", "x", "-alg", "nope"},
 		{"-addrs", "a,b", "-id", "5"},
 		{"-addrs", "a,b", "-chaos", "latency=oops"},

@@ -180,12 +180,20 @@ func (t *Table) insertAtH(i int, k tuple.Key, h uint64) int {
 	return i
 }
 
-// grow doubles the slot array and reinserts every live entry. Amortized
-// over the inserts that filled the table this is O(1) per insert; tables
-// built with NewSized on a good hint never grow at all.
-func (t *Table) grow() {
+// grow doubles the slot array. Amortized over the inserts that filled the
+// table this is O(1) per insert; tables built with NewSized on a good
+// hint, or Reserved ahead of a bulk load, never grow at all. Not inlined,
+// so insertAtH compiles to what it was when grow held the rehash loop.
+//
+//go:noinline
+func (t *Table) grow() { t.rehash(len(t.ctrl) << 1) }
+
+// rehash rebuilds the table over a slot array of the given size (a power
+// of two that holds t.used entries below the load limit) and reinserts
+// every live entry.
+func (t *Table) rehash(slots int) {
 	oldCtrl, oldKeys, oldStates := t.ctrl, t.keys, t.states
-	t.init(len(oldCtrl) << 1)
+	t.init(slots)
 	for i, c := range oldCtrl {
 		if c == ctrlEmpty {
 			continue
@@ -196,6 +204,18 @@ func (t *Table) grow() {
 		t.keys[j] = k
 		t.states[j] = oldStates[i]
 		t.used++
+	}
+}
+
+// Reserve makes room for n more entries with at most one rehash, so the
+// inserts that follow never grow the table. Call it before pouring
+// another table's Each walk in: Each visits entries in slot order, which
+// is hash order, so a destination that doubles as it fills takes them
+// into the front of each too-small slot array as one long probe chain —
+// quadratic until the last doubling (DESIGN.md §10 "Growth").
+func (t *Table) Reserve(n int) {
+	if slots := slotsFor(t.used + n); slots > len(t.ctrl) {
+		t.rehash(slots)
 	}
 }
 

@@ -278,6 +278,50 @@ func TestNewSizedAvoidsGrowth(t *testing.T) {
 	}
 }
 
+// pourSource is a table of n groups, the shape a dist stage or a live
+// merge table has when it is poured into another table.
+func pourSource(n int) *Table {
+	src := New(0)
+	for i := 0; i < n; i++ {
+		src.UpdateRaw(tuple.Tuple{Key: tuple.Key(i * 7919), Val: int64(i)})
+	}
+	return src
+}
+
+// TestReserveThenPour: after Reserve(src.Len()) a whole Each pour never
+// grows the destination, lands every group, and a second Reserve that
+// already fits does nothing.
+func TestReserveThenPour(t *testing.T) {
+	src := pourSource(20_000)
+	dst, o := New(0), newOracle(0)
+	for i := 0; i < 3_000; i++ { // overlaps src's first keys
+		p := tuple.Partial{Key: tuple.Key(i * 7919), State: tuple.NewState(-1)}
+		dst.MergePartial(p)
+		o.mergePartial(p)
+	}
+	dst.Reserve(src.Len())
+	slots := dst.Slots()
+	if want := slotsFor(3_000 + 20_000); slots != want {
+		t.Fatalf("Reserve(%d) on %d entries: %d slots, want %d", src.Len(), 3_000, slots, want)
+	}
+	checkAgree(t, "after Reserve", dst, o)
+	src.Each(func(k tuple.Key, s tuple.AggState) {
+		p := tuple.Partial{Key: k, State: s}
+		if !dst.MergePartial(p) {
+			t.Fatalf("unbounded table refused key %d", k)
+		}
+		o.mergePartial(p)
+	})
+	if dst.Slots() != slots {
+		t.Errorf("pour grew the reserved table from %d to %d slots", slots, dst.Slots())
+	}
+	checkAgree(t, "after pour", dst, o)
+	dst.Reserve(10)
+	if dst.Slots() != slots {
+		t.Errorf("Reserve that already fits changed the slot array: %d -> %d", slots, dst.Slots())
+	}
+}
+
 func TestOccupancyPermille(t *testing.T) {
 	tab := New(10)
 	for i := 0; i < 5; i++ {
@@ -351,5 +395,35 @@ func TestAllocsPinInsertWithinCapacity(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pre-sized insert allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkPourSlotOrder pours one table's Each walk (slot order, i.e.
+// hash order) into an empty unbounded table, the way dist's tryCommit
+// folds a stage into final. Without Reserve the destination doubles as it
+// fills and every too-small array takes the walk front to back as one
+// long probe chain; with it the pour is one pass of short probes.
+func BenchmarkPourSlotOrder(b *testing.B) {
+	src := pourSource(1 << 17)
+	for _, reserve := range []bool{false, true} {
+		name := "grow"
+		if reserve {
+			name = "reserve"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst := New(0)
+				if reserve {
+					dst.Reserve(src.Len())
+				}
+				src.Each(func(k tuple.Key, s tuple.AggState) {
+					dst.MergePartial(tuple.Partial{Key: k, State: s})
+				})
+				if dst.Len() != src.Len() {
+					b.Fatalf("poured %d groups, want %d", dst.Len(), src.Len())
+				}
+			}
+		})
 	}
 }

@@ -15,12 +15,13 @@ import (
 // the fuzzer finds new coverage.
 func FuzzInsertMergeDrain(f *testing.F) {
 	// Seeds: empty, one insert, update-after-insert, a drain mid-stream,
-	// an eviction, and a bound-refusal sequence.
+	// an eviction, a bound-refusal sequence, and a Reserve between inserts.
 	f.Add([]byte{})
 	f.Add(seq(op(0, 7), op(0, 7), op(1, 7)))
 	f.Add(seq(op(0, 1), op(0, 2), op(0, 3), op(2, 0), op(0, 1)))
 	f.Add(seq(op(0, 10), op(1, 20), op(3, 0), op(0, 10)))
 	f.Add(seq(op(0, 1), op(0, 2), op(0, 3), op(0, 4), op(0, 5)))
+	f.Add(seq(op(0, 1), op(4, 900), op(0, 2), op(1, 1), op(4, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -38,7 +39,7 @@ func FuzzInsertMergeDrain(f *testing.F) {
 			code, arg := data[0], int64(binary.LittleEndian.Uint64(data[1:9]))
 			data = data[9:]
 			k := tuple.Key(arg % 1024) // narrow space: forces collisions
-			switch code % 4 {
+			switch code % 5 {
 			case 0:
 				if got, want := tab.UpdateRaw(tuple.Tuple{Key: k, Val: arg}), o.updateRaw(tuple.Tuple{Key: k, Val: arg}); got != want {
 					t.Fatalf("UpdateRaw(%d) = %v, oracle %v", k, got, want)
@@ -74,6 +75,14 @@ func FuzzInsertMergeDrain(f *testing.F) {
 							t.Fatalf("EvictBuckets[%d][%d] mismatch", b, i)
 						}
 					}
+				}
+			case 4:
+				// Reserve changes the slot array only: the oracle has
+				// nothing to do, the checks below see a lost entry.
+				n := int(uint64(arg) % 4096)
+				tab.Reserve(n)
+				if tab.Slots() < slotsFor(tab.Len()+n) {
+					t.Fatalf("Reserve(%d) on %d entries left %d slots", n, tab.Len(), tab.Slots())
 				}
 			}
 			if tab.Len() != len(o.m) {

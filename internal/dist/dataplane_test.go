@@ -1,0 +1,625 @@
+package dist
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"parallelagg/internal/aggtable"
+	"parallelagg/internal/obs"
+	"parallelagg/internal/tuple"
+	"parallelagg/internal/workload"
+)
+
+// Tests of the data plane the folds, the decoders and the self slot share:
+// what crosses a socket and in what frame sizes, what the decoders do with
+// short or forged bodies, and what one query allocates.
+
+func testTuples(n int) []tuple.Tuple {
+	ts := make([]tuple.Tuple, n)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(i*2654435761 + 1), Val: int64(i) - 7}
+	}
+	return ts
+}
+
+func testPartials(n int) []tuple.Partial {
+	ps := make([]tuple.Partial, n)
+	for i, t := range testTuples(n) {
+		ps[i] = tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)}
+		ps[i].State.Update(int64(i))
+	}
+	return ps
+}
+
+// frameCodec is one (dialect, record kind) pair behind a common shape so
+// the decode tests run the same cases over all four.
+type frameCodec struct {
+	name    string
+	header  int
+	recSize int
+	encode  func(n int) []byte
+	// decode reads one frame and reports whether its records are the
+	// first n test records.
+	decode func(r *bufio.Reader, n int) error
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func sameRecords[T comparable](got, want []T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("record %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func frameCodecs() []frameCodec {
+	return []frameCodec{
+		{"raw", 5, tuple.RawSize,
+			func(n int) []byte { return must(rawFrameInto(nil, testTuples(n))) },
+			func(r *bufio.Reader, n int) error {
+				f, err := readFrame(r, nil)
+				if err != nil {
+					return err
+				}
+				return sameRecords(f.raw, testTuples(n))
+			}},
+		{"partial", 5, tuple.PartialSize,
+			func(n int) []byte { return must(partialFrameInto(nil, testPartials(n))) },
+			func(r *bufio.Reader, n int) error {
+				f, err := readFrame(r, nil)
+				if err != nil {
+					return err
+				}
+				return sameRecords(f.partials, testPartials(n))
+			}},
+		{"tolerant raw", tHeaderSize, tuple.RawSize,
+			func(n int) []byte { return must(tRawFrameInto(nil, 3, 9, testTuples(n))) },
+			func(r *bufio.Reader, n int) error {
+				f, err := readTFrame(r, nil)
+				if err != nil {
+					return err
+				}
+				if f.origin != 3 || f.epoch != 9 {
+					return fmt.Errorf("stream tag (%d, %d), want (3, 9)", f.origin, f.epoch)
+				}
+				return sameRecords(f.raw, testTuples(n))
+			}},
+		{"tolerant partial", tHeaderSize, tuple.PartialSize,
+			func(n int) []byte { return must(tPartialFrameInto(nil, 3, 9, testPartials(n))) },
+			func(r *bufio.Reader, n int) error {
+				f, err := readTFrame(r, nil)
+				if err != nil {
+					return err
+				}
+				return sameRecords(f.partials, testPartials(n))
+			}},
+	}
+}
+
+// The decoders take record bodies out of the reader's buffer a run at a
+// time. Counts on both sides of a run boundary, a frame many runs long,
+// the smallest reader in use (4,096 bytes) and a source that delivers one
+// byte per Read must all decode the same records and leave the stream at
+// the next frame.
+func TestBulkDecode(t *testing.T) {
+	for _, c := range frameCodecs() {
+		for _, n := range []int{1, 255, 256, 257, 5000} {
+			stream := append(c.encode(n), c.encode(2)...)
+			sources := map[string]io.Reader{
+				"whole":    bytes.NewReader(stream),
+				"one byte": iotest.OneByteReader(bytes.NewReader(stream)),
+			}
+			for how, src := range sources {
+				r := bufio.NewReaderSize(src, 4096)
+				if err := c.decode(r, n); err != nil {
+					t.Errorf("%s, %d records, %s: %v", c.name, n, how, err)
+					continue
+				}
+				if err := c.decode(r, 2); err != nil {
+					t.Errorf("%s, frame after %d records, %s: %v", c.name, n, how, err)
+				}
+			}
+		}
+	}
+}
+
+// A body that stops early is io.ErrUnexpectedEOF wherever the cut falls:
+// inside a record, between two records of a run, or between two runs.
+func TestBulkDecodeTruncated(t *testing.T) {
+	for _, c := range frameCodecs() {
+		whole := c.encode(5000)
+		run := allocChunk / c.recSize * c.recSize
+		for _, cut := range []int{c.header, c.header + 7, c.header + 3*c.recSize, c.header + run, c.header + 2*run + c.recSize + 1, len(whole) - 1} {
+			err := c.decode(bufio.NewReaderSize(bytes.NewReader(whole[:cut]), 4096), 5000)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s cut at byte %d of %d: %v, want io.ErrUnexpectedEOF", c.name, cut, len(whole), err)
+			}
+		}
+	}
+}
+
+// A forged length prefix must surface as a read error, never as a large
+// allocation: the record slice grows only as record bytes arrive, so a
+// header claiming maxFrameRecords records over a 10-byte body costs one
+// run's worth of records.
+func TestWireRejectsForgedCounts(t *testing.T) {
+	for _, c := range frameCodecs() {
+		forged := c.encode(1)[:c.header+10]
+		binary.LittleEndian.PutUint32(forged[c.header-4:], maxFrameRecords) // both headers end in the count
+		r := bufio.NewReaderSize(bytes.NewReader(forged), 4096)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(r, maxFrameRecords)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: forged count over a 10-byte body: %v, want io.ErrUnexpectedEOF", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: forged count allocated %d bytes before failing, want < 64 KiB", c.name, got)
+		}
+	}
+	over := make([]byte, tHeaderSize)
+	putTHeader(over, frameRaw, 0, 0, 0, maxFrameRecords+1)
+	if _, err := readTFrame(bufio.NewReader(bytes.NewReader(over)), nil); err == nil {
+		t.Error("tolerant count over the limit accepted")
+	}
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{byte(framePartial), 1, 0, 16, 0})), nil); err == nil {
+		t.Error("count over the limit accepted")
+	}
+}
+
+// Kinds 11 and 12 were the columnar data frames. They are gone from both
+// dialects, so a peer still sending them is a protocol error.
+func TestRetiredColumnarKindsRejected(t *testing.T) {
+	for _, kind := range []frameKind{11, 12} {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{byte(kind), 0, 0, 0, 0})), nil); err == nil {
+			t.Errorf("kind %d accepted", kind)
+		}
+		b := make([]byte, tHeaderSize)
+		putTHeader(b, kind, 0, 0, 0, 0)
+		if _, err := readTFrame(bufio.NewReader(bytes.NewReader(b)), nil); err == nil {
+			t.Errorf("tolerant kind %d accepted", kind)
+		}
+	}
+}
+
+// The pool hands a folded slice to the next decode and never blocks.
+func TestRawPoolRecycles(t *testing.T) {
+	pool := make(rawPool, 1)
+	done := make(chan struct{})
+	if pool.get() != nil {
+		t.Fatal("empty pool returned a slice")
+	}
+	r := bufio.NewReader(bytes.NewReader(append(must(rawFrameInto(nil, testTuples(300))), must(rawFrameInto(nil, testTuples(200)))...)))
+	f, err := readFrame(r, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &f.raw[0]
+	pool.put(f.raw, done)
+	pool.put(make([]tuple.Tuple, 5), done) // full: dropped, not blocked on
+	f, err = readFrame(r, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRecords(f.raw, testTuples(200)); err != nil {
+		t.Fatal(err)
+	}
+	if &f.raw[0] != first {
+		t.Error("second raw frame did not decode into the recycled slice")
+	}
+}
+
+// runNodes is RunConfigured keeping the per-node results.
+func runNodes(t *testing.T, parts [][]tuple.Tuple, template Config) []*NodeResult {
+	t.Helper()
+	n := len(parts)
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
+	}
+	results := make([]*NodeResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := template
+			cfg.ID, cfg.Addrs = i, addrs
+			results[i], errs[i] = RunNode(listeners[i], cfg, parts[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	return results
+}
+
+// series reads one exact series of a Prometheus text snapshot; a series
+// that was never touched does not exist.
+func series(snap, name string) (float64, bool) {
+	for _, line := range bytes.Split([]byte(snap), []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte(name+" ")); ok {
+			var v float64
+			if _, err := fmt.Sscan(string(rest), &v); err == nil {
+				return v, true
+			}
+		}
+	}
+	return 0, false
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// A fail-fast node's own slice of the repartitioned stream is merged in
+// memory. The node-level counters still count it (RawSent is the whole
+// partition under Rep, as it was when the slice looped through a socket);
+// the wire metrics count exactly what went to other nodes.
+func TestSelfSlotAccounting(t *testing.T) {
+	const nodes, batch = 3, 128
+	rel := workload.Uniform(nodes, 9_000, 600, 21)
+	reg := obs.New()
+	results := runNodes(t, rel.PerNode, Config{Algorithm: Repartitioning, Batch: batch, Obs: reg})
+	snap := string(reg.Snapshot())
+
+	got := make(map[tuple.Key]tuple.AggState)
+	var wantBytes, gotBytes float64
+	for i, r := range results {
+		if r.RawSent != int64(len(rel.PerNode[i])) || r.PartialsSent != 0 {
+			t.Errorf("node %d: RawSent %d PartialsSent %d, want %d and 0", i, r.RawSent, r.PartialsSent, len(rel.PerNode[i]))
+		}
+		for k, s := range r.Groups {
+			got[k] = s
+		}
+		to := make([]int, nodes)
+		for _, tp := range rel.PerNode[i] {
+			to[tp.Key.Dest(nodes)]++
+		}
+		for d := 0; d < nodes; d++ {
+			labels := fmt.Sprintf(`{node="%d",peer="%d"`, i, d)
+			if d == i {
+				for _, family := range []string{"dist_bytes_sent_total", "dist_bytes_recv_total"} {
+					if _, ok := series(snap, family+labels+"}"); ok {
+						t.Errorf("%s%s} exists: the self slot reached the wire metrics", family, labels)
+					}
+				}
+				if _, ok := series(snap, "dist_frames_sent_total"+labels+`,kind="raw"}`); ok {
+					t.Errorf("node %d counted frames sent to itself", i)
+				}
+				continue
+			}
+			sent, ok := series(snap, "dist_bytes_sent_total"+labels+"}")
+			if !ok {
+				t.Fatalf("no dist_bytes_sent_total%s} series", labels)
+			}
+			frames := ceilDiv(to[d], batch)
+			if f, _ := series(snap, "dist_frames_sent_total"+labels+`,kind="raw"}`); int(f) != frames {
+				t.Errorf("node %d -> %d: %v raw frames for %d records, want %d", i, d, f, to[d], frames)
+			}
+			// hello + one header per raw frame + records + EOS.
+			wantBytes += float64(4 + 5*frames + to[d]*tuple.RawSize + 5)
+			gotBytes += sent
+		}
+	}
+	if gotBytes != wantBytes {
+		t.Errorf("wire bytes %v, want %v (records to other nodes x RawSize + headers)", gotBytes, wantBytes)
+	}
+	verify(t, rel, got)
+}
+
+// countingListener counts the connections a node accepted.
+type countingListener struct {
+	net.Listener
+	accepted *atomic.Int32
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// A one-node cluster is all self slot: nothing is dialed, nothing is
+// accepted, and every algorithm still answers.
+func TestSingleNodeOpensNoConnection(t *testing.T) {
+	rel := workload.Uniform(1, 5_000, 300, 22)
+	for _, alg := range algorithms() {
+		var accepted atomic.Int32
+		res, err := RunConfigured(rel.PerNode, Config{
+			Algorithm:    alg,
+			TableEntries: 100,
+			Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				t.Errorf("%v: dialed %s", alg, addr)
+				return net.DialTimeout(network, addr, timeout)
+			},
+			WrapListener: func(ln net.Listener) net.Listener { return countingListener{ln, &accepted} },
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if n := accepted.Load(); n != 0 {
+			t.Errorf("%v: accepted %d connections", alg, n)
+		}
+		verify(t, rel, res.Groups)
+	}
+}
+
+// flushPartials must deliver every group exactly once, per destination in
+// key order, in frames no larger than the batch, and leave the table and
+// the per-destination buffers empty; a write error ends it.
+func TestFlushPartialsFrames(t *testing.T) {
+	const n, batch, groups = 3, 64, 1000
+	tbl := aggtable.New(0)
+	for i := 0; i < groups; i++ {
+		tbl.UpdateRaw(tuple.Tuple{Key: tuple.Key(i * 31), Val: int64(i)})
+	}
+	want := tbl.Partials()
+	bufs := make([][]tuple.Partial, n)
+	dest := func(k tuple.Key) int { return k.Dest(n) }
+	got := make([][]tuple.Partial, n)
+	err := flushPartials(tbl, nil, bufs, batch, dest, func(d int, ps []tuple.Partial) error {
+		if len(ps) == 0 || len(ps) > batch {
+			t.Errorf("frame of %d partials to %d, want 1..%d", len(ps), d, batch)
+		}
+		got[d] = append(got[d], ps...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 0 {
+		t.Errorf("table holds %d groups after the flush", tbl.Len())
+	}
+	var all []tuple.Partial
+	for d := range got {
+		if len(bufs[d]) != 0 {
+			t.Errorf("destination %d buffer left with %d partials", d, len(bufs[d]))
+		}
+		for i, pt := range got[d] {
+			if dest(pt.Key) != d || i > 0 && pt.Key <= got[d][i-1].Key {
+				t.Fatalf("destination %d partial %d (key %d) misrouted or out of key order", d, i, pt.Key)
+			}
+		}
+		all = append(all, got[d]...)
+	}
+	if len(all) != len(want) {
+		t.Fatalf("flushed %d partials, want %d", len(all), len(want))
+	}
+
+	tbl.UpdateRaw(tuple.Tuple{Key: 1, Val: 1})
+	boom := errors.New("boom")
+	if err := flushPartials(tbl, nil, bufs, batch, dest, func(int, []tuple.Partial) error { return boom }); err != boom {
+		t.Errorf("write error not returned: %v", err)
+	}
+}
+
+// With Batch 64 no partial frame may carry more than 64 records, in
+// either mode: the frame count per (node, peer) is exactly what splitting
+// that pair's partials into 64s gives. Tolerant mode sends its own share
+// over its self-connection, so there the pair (i, i) counts too.
+func TestPartialFramesBoundedByBatch(t *testing.T) {
+	const nodes, batch = 2, 64
+	rel := workload.Uniform(nodes, 6_000, 1_000, 23)
+	for _, tolerate := range []bool{false, true} {
+		template := Config{Algorithm: TwoPhase, Batch: batch}
+		if tolerate {
+			template = tolerantTemplate(TwoPhase)
+			template.Batch = batch
+		}
+		template.Obs = obs.New()
+		res, err := RunConfigured(rel.PerNode, template)
+		if err != nil {
+			t.Fatalf("tolerate=%v: %v", tolerate, err)
+		}
+		verify(t, rel, res.Groups)
+		snap := string(template.Obs.Snapshot())
+		for i, part := range rel.PerNode {
+			to := make([]map[tuple.Key]bool, nodes)
+			for _, tp := range part {
+				d := tp.Key.Dest(nodes)
+				if to[d] == nil {
+					to[d] = make(map[tuple.Key]bool)
+				}
+				to[d][tp.Key] = true
+			}
+			for d := range to {
+				if d == i && !tolerate {
+					continue
+				}
+				name := fmt.Sprintf(`dist_frames_sent_total{node="%d",peer="%d",kind="partial"}`, i, d)
+				if got, _ := series(snap, name); int(got) != ceilDiv(len(to[d]), batch) {
+					t.Errorf("tolerate=%v: %s = %v for %d partials, want %d", tolerate, name, got, len(to[d]), ceilDiv(len(to[d]), batch))
+				}
+			}
+		}
+	}
+}
+
+// An unbounded table can hold more groups for one destination than a
+// frame may carry (maxFrameRecords). The flush used to write them as one
+// frame and fail the query on the write-side limit.
+func TestFlushLargerThanWireLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("folds 2^20 groups")
+	}
+	part := make([]tuple.Tuple, maxFrameRecords+5)
+	for i := range part {
+		part[i] = tuple.Tuple{Key: tuple.Key(i), Val: int64(i % 1000)}
+	}
+	rel := &workload.Relation{PerNode: [][]tuple.Tuple{part}}
+	got, _, err := Run(rel.PerNode, TwoPhase, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, rel, got)
+}
+
+// Every algorithm, both modes and three table bounds (unbounded, a bound
+// every node hits at once, a bound some seeds never reach) against the
+// sequential fold, over 50 seeded relations with empty and lopsided
+// partitions among them.
+func TestDifferentialAllModes(t *testing.T) {
+	seeds := 50
+	if testing.Short() {
+		seeds = 5
+	}
+	for seed := 0; seed < seeds; seed++ {
+		nodes := 1 + seed%4
+		groups := int64(1 + (seed*seed*37)%3_000)
+		rel := workload.Uniform(nodes, 3_000, groups, int64(100+seed))
+		if seed%5 == 4 {
+			// One node holds everything: its peers scan nothing.
+			all := []tuple.Tuple{}
+			for i := range rel.PerNode {
+				all = append(all, rel.PerNode[i]...)
+				rel.PerNode[i] = nil
+			}
+			rel.PerNode[nodes-1] = all
+		}
+		want := rel.Reference()
+		for _, alg := range algorithms() {
+			for _, tolerate := range []bool{false, true} {
+				for _, bound := range []int{0, 4, 1024} {
+					template := Config{Algorithm: alg}
+					if tolerate {
+						template = tolerantTemplate(alg)
+					}
+					template.TableEntries = bound
+					res, err := RunConfigured(rel.PerNode, template)
+					ctx := fmt.Sprintf("seed %d, %d nodes, %d groups, %v, tolerate=%v, bound %d", seed, nodes, groups, alg, tolerate, bound)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					if len(res.Groups) != len(want) {
+						t.Fatalf("%s: %d groups, want %d", ctx, len(res.Groups), len(want))
+					}
+					for k, ws := range want {
+						if gs, ok := res.Groups[k]; !ok || gs != ws {
+							t.Fatalf("%s: group %d = %v, want %v", ctx, k, gs, ws)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// One A-2P query over 4,096 groups with a 1,024-entry bound switches to
+// raw shipping almost at once, so nearly every input row crosses the
+// exchange as a raw record. What it allocates must not grow with the
+// input: the tables and the result map depend on the groups, and the
+// frames decode into pooled slices. Four times the rows used to cost
+// 565–571 more allocations (a header and a record slice per raw frame,
+// map growth per node); now the two sizes differ by -10 to +1, which is
+// how many pooled slices happened to be in flight at once.
+func TestDistAllocationCeiling(t *testing.T) {
+	const groups, ceiling = 4096, 20
+	run := func(rows int64) int64 {
+		rel := workload.Uniform(2, rows, groups, 24)
+		cfg := Config{Algorithm: AdaptiveTwoPhase, TableEntries: 1024}
+		measure := func() int64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := RunConfigured(rel.PerNode, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Switched != 2 || len(res.Groups) != groups {
+				t.Fatalf("switched=%d groups=%d, want 2 and %d: not the regime this test pins", res.Switched, len(res.Groups), groups)
+			}
+			return int64(after.Mallocs - before.Mallocs)
+		}
+		measure() // warm-up: goroutine stacks, runtime pools
+		return min(measure(), measure(), measure())
+	}
+	small, large := run(1<<16), run(1<<18)
+	t.Logf("allocations: %d at 2^16 rows, %d at 2^18 rows", small, large)
+	if large-small > ceiling {
+		t.Errorf("4x the rows cost %d more allocations (%d -> %d), ceiling %d", large-small, small, large, ceiling)
+	}
+}
+
+// BenchmarkClusterA2P is dist_loop's query shape at a quarter of the rows:
+// a two-node loopback cluster, cluster formation included, every node
+// switching once its 16,384-entry table fills.
+func BenchmarkClusterA2P(b *testing.B) {
+	rel := workload.Uniform(2, 1<<18, 50_000, 25)
+	for _, tolerate := range []bool{false, true} {
+		name := "failfast"
+		if tolerate {
+			name = "tolerate"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := Config{Algorithm: AdaptiveTwoPhase, TableEntries: 16384, Tolerate: tolerate}
+			b.ReportAllocs()
+			b.SetBytes(int64(rel.Tuples()) * tuple.RawSize)
+			for i := 0; i < b.N; i++ {
+				res, err := RunConfigured(rel.PerNode, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Groups) != 50_000 {
+					b.Fatalf("%d groups", len(res.Groups))
+				}
+			}
+		})
+	}
+}
+
+func benchReadFrame(b *testing.B, encoded []byte, records int) {
+	src := bytes.NewReader(encoded)
+	r := bufio.NewReaderSize(src, 1<<16)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(encoded)))
+	for i := 0; i < b.N; i++ {
+		src.Reset(encoded)
+		r.Reset(src)
+		f, err := readFrame(r, nil)
+		if err != nil || len(f.raw)+len(f.partials) != records {
+			b.Fatalf("%d records, %v", len(f.raw)+len(f.partials), err)
+		}
+	}
+}
+
+// The two record decoders on a default-batch frame, through the reader
+// size the nodes use and with no pool (every frame allocates its slice).
+func BenchmarkReadFrameRaw(b *testing.B) {
+	benchReadFrame(b, must(rawFrameInto(nil, testTuples(1024))), 1024)
+}
+
+func BenchmarkReadFramePartial(b *testing.B) {
+	benchReadFrame(b, must(partialFrameInto(nil, testPartials(1024))), 1024)
+}

@@ -2,9 +2,12 @@
 // connections — the modern equivalent of the paper's Section 5
 // implementation, which ran on eight workstations connected by Ethernet
 // under PVM. Each node is a full protocol participant: it serves a
-// listener, dials every peer, exchanges length-delimited binary frames
-// (the same record encodings the simulator's pages use), aggregates its
-// partition, and merges the groups that hash to it.
+// listener, dials every other node, exchanges length-delimited binary
+// frames (the same record encodings the simulator's pages use), aggregates
+// its partition into a bounded aggtable.Table, and merges the groups that
+// hash to it into an unbounded one. A fail-fast node's own share of the
+// exchange goes to its merge loop in memory; only other nodes' shares
+// cross a socket.
 //
 // Unlike the PVM original, where a slow or dead peer hung the whole query,
 // the exchange here is failure-safe: every frame read and write carries a
@@ -26,11 +29,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
@@ -85,15 +88,10 @@ type Config struct {
 	// adaptive switch then never fires).
 	TableEntries int
 
-	// Batch is the number of records per frame. Default 1024.
+	// Batch is the most records a data frame carries: raw tuples ship
+	// when a destination's batch fills, a flushed table's partials in
+	// batches of this size. Default 1024; at most 1<<20 (the wire limit).
 	Batch int
-
-	// Columnar encodes this node's raw/partial data frames in the
-	// columnar layout (frameRawCol/framePartialCol): same records,
-	// column-major sections, one single-pass encode into the per-peer
-	// scratch buffer. Decoding always accepts both layouts, so mixed
-	// clusters interoperate; the flag only selects what this node emits.
-	Columnar bool
 
 	// InitSeg and SwitchRatio drive AdaptiveRepartitioning's fallback,
 	// with the same meaning as the simulator's options. Defaults: 4096
@@ -205,6 +203,11 @@ type NodeResult struct {
 	Groups   map[tuple.Key]tuple.AggState
 	Switched bool // the adaptive switch fired on this node
 
+	// table is the node's merge table, the form the answer is computed
+	// in. RunNode copies it into Groups; RunConfigured pours every node's
+	// table straight into the cluster's map instead.
+	table *aggtable.Table
+
 	// RawSent and PartialsSent count the records this node shipped; they
 	// are the distributed analogue of the simulator's network metrics.
 	RawSent      int64
@@ -268,6 +271,17 @@ type incoming struct {
 // phase. It never blocks longer than roughly IOTimeout past the failure
 // and never leaks goroutines.
 func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, error) {
+	res, err := runNode(ln, cfg, part)
+	if err != nil {
+		return nil, err
+	}
+	res.Groups = make(map[tuple.Key]tuple.AggState, res.table.Len())
+	res.table.Each(func(k tuple.Key, s tuple.AggState) { res.Groups[k] = s })
+	return res, nil
+}
+
+// runNode is RunNode up to the merge table: the result's Groups is unset.
+func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, error) {
 	cfg = cfg.withDefaults()
 	n := len(cfg.Addrs)
 	if n == 0 {
@@ -275,6 +289,9 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	}
 	if cfg.ID < 0 || cfg.ID >= n {
 		return nil, fmt.Errorf("dist: node id %d out of range [0,%d)", cfg.ID, n)
+	}
+	if cfg.Batch > maxFrameRecords {
+		return nil, fmt.Errorf("dist: Batch %d exceeds the %d-record wire limit", cfg.Batch, maxFrameRecords)
 	}
 	if cfg.WrapListener != nil {
 		ln = cfg.WrapListener(ln)
@@ -305,13 +322,17 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	defer cancel()
 	defer ln.Close()
 
-	// Accept side: n incoming connections (every node, including
-	// ourselves, dials every node). Frames are funnelled into one
-	// channel; the merge loop is the only consumer. Errors travel on the
-	// same channel so the merge loop is also the single decision point
-	// for aborting. Every send selects on done so accepters can never
-	// strand on a full frames channel after the merge loop has exited.
+	// Accept side: n-1 incoming connections (every node dials every other
+	// node; our own slice of the exchange reaches the merge loop through
+	// the self slot, not a socket). Frames are funnelled into one channel;
+	// the merge loop is the only consumer. Errors travel on the same
+	// channel so the merge loop is also the single decision point for
+	// aborting. Every send selects on done so accepters can never strand
+	// on a full frames channel after the merge loop has exited.
 	frames := make(chan incoming, 4*n)
+	// One slice per frame that can be queued, decoding or folding at once:
+	// past that the pool only holds memory.
+	pool := make(rawPool, cap(frames)+n+1)
 	var accepters sync.WaitGroup
 	send := func(in incoming) bool {
 		select {
@@ -327,7 +348,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	go func() {
 		defer accepters.Done()
 		acceptDeadline := time.Now().Add(cfg.DialTimeout)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n-1; i++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				if isTemporary(err) && time.Now().Before(acceptDeadline) {
@@ -366,7 +387,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				m.recv(src, frameHello, 0)
 				for {
 					arm()
-					f, err := readFrame(r)
+					f, err := readFrame(r, pool)
 					if err != nil {
 						m.ioError(PhaseRead, err)
 						send(incoming{err: nodeErr(cfg.ID, src, PhaseRead, err)})
@@ -400,16 +421,16 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 			ln.Close() // unblock the accept loop
 			send(incoming{err: nodeErr(cfg.ID, -1, PhaseAccept,
 				fmt.Errorf("cluster formation timed out after %v (%d/%d peers connected)",
-					cfg.DialTimeout, connected.Load(), n))})
+					cfg.DialTimeout, connected.Load(), n-1))})
 		}
 	}()
 
-	// Dial side: one outgoing connection per node, with exponential
+	// Dial side: one outgoing connection per other node, with exponential
 	// backoff + jitter while the cluster comes up, all bounded by
 	// DialTimeout.
 	dialSpan := cfg.Tracer.Begin(cfg.ID, "dial")
 	peers, err := dialPeers(cfg, tracker, m)
-	dialSpan.End(fmt.Sprintf("%d peers", n))
+	dialSpan.End(fmt.Sprintf("%d peers", n-1))
 	if err != nil {
 		// Nobody is reading frames yet, but cancel closes done, so every
 		// accepter's pending send unblocks and the wait below terminates.
@@ -417,6 +438,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		accepters.Wait()
 		return nil, err
 	}
+	peers[cfg.ID] = &peer{id: cfg.ID, self: &selfSlot{frames: frames, done: done, pool: pool}}
 
 	// Merge side runs concurrently with the scan so the exchange never
 	// backs up into a TCP deadlock. The fallback flag carries Adaptive
@@ -425,24 +447,16 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// first peer error the merge loop records it and cancels, which fails
 	// the scan side's next write and unblocks every accepter.
 	var fallback atomic.Bool
-	merged := make(map[tuple.Key]tuple.AggState)
+	merged := aggtable.New(0)
 	var mergeErr error
 	var mergeDone sync.WaitGroup
 	mergeDone.Add(1)
 	go func() {
 		defer mergeDone.Done()
 		mergeSpan := cfg.Tracer.Begin(cfg.ID, "merge")
-		defer func() { mergeSpan.End(fmt.Sprintf("%d groups", len(merged))) }()
-		eos := 0
-		absorb := func(pt tuple.Partial) {
-			if s, ok := merged[pt.Key]; ok {
-				s.Merge(pt.State)
-				merged[pt.Key] = s
-			} else {
-				merged[pt.Key] = pt.State
-			}
-		}
-		for eos < n {
+		defer func() { mergeSpan.End(fmt.Sprintf("%d groups", merged.Len())) }()
+		// n streams end here: one per inbound connection and our own.
+		for eos := 0; eos < n; {
 			var in incoming
 			select {
 			case in = <-frames:
@@ -467,13 +481,14 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				eos++
 			case frameEOP:
 				fallback.Store(true)
-			case frameRaw, frameRawCol:
+			case frameRaw:
 				for _, t := range in.f.raw {
-					absorb(tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
+					merged.UpdateRaw(t)
 				}
-			case framePartial, framePartialCol:
+				pool.put(in.f.raw, done)
+			case framePartial:
 				for _, pt := range in.f.partials {
-					absorb(pt)
+					merged.MergePartial(pt)
 				}
 			default:
 				// readFrame rejects kinds outside the fail-fast dialect, so
@@ -488,7 +503,7 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	}()
 
 	// Scan side: the same per-node state machine as the live engine.
-	res := &NodeResult{}
+	res := &NodeResult{table: merged}
 	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
 	switched, scanErr := scanAndShip(cfg, part, peers, &fallback, res, m)
 	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v", len(part), switched))
@@ -515,22 +530,30 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	// Sanity: every merged group must hash to this node. Track the
-	// smallest offending key so the error is the same on every run.
-	misrouted := false
-	var badKey tuple.Key
-	for k := range merged {
-		if k.Dest(n) != cfg.ID && (!misrouted || k < badKey) {
-			misrouted, badKey = true, k
-		}
+	if err := checkRouting(cfg.ID, merged, func(k tuple.Key) int { return k.Dest(n) }); err != nil {
+		return nil, err
 	}
-	if misrouted {
-		return nil, nodeErr(cfg.ID, badKey.Dest(n), PhaseMerge,
-			fmt.Errorf("received group %d owned by node %d", badKey, badKey.Dest(n)))
-	}
-	res.Groups = merged
 	res.Switched = switched
 	return res, nil
+}
+
+// checkRouting is the post-merge sanity check of both modes: every group
+// in a node's merge table must belong to a range the node owns. It
+// reports the smallest offending key so the error is the same on every
+// run.
+func checkRouting(id int, merged *aggtable.Table, owner func(tuple.Key) int) error {
+	misrouted := false
+	var badKey tuple.Key
+	merged.Each(func(k tuple.Key, _ tuple.AggState) {
+		if owner(k) != id && (!misrouted || k < badKey) {
+			misrouted, badKey = true, k
+		}
+	})
+	if !misrouted {
+		return nil
+	}
+	return nodeErr(id, owner(badKey), PhaseMerge,
+		fmt.Errorf("received group %d owned by node %d", badKey, owner(badKey)))
 }
 
 // jitterRand builds the per-node jitter source for dial backoff. Each
@@ -541,9 +564,10 @@ func jitterRand(cfg Config) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed ^ (int64(cfg.ID)+1)*0x9E3779B9))
 }
 
-// dialPeers connects to every node with exponential backoff + jitter,
-// bounded overall by cfg.DialTimeout, and performs the hello handshake.
-// Connections are registered with tracker so cancellation closes them.
+// dialPeers connects to every other node with exponential backoff +
+// jitter, bounded overall by cfg.DialTimeout, and performs the hello
+// handshake. Connections are registered with tracker so cancellation
+// closes them. The node's own entry is left for the caller's self slot.
 func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 	n := len(cfg.Addrs)
 	dial := cfg.Dial
@@ -554,6 +578,9 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 	rng := jitterRand(cfg)
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for j := 0; j < n; j++ {
+		if j == cfg.ID {
+			continue
+		}
 		backoff := 2 * time.Millisecond
 		var conn net.Conn
 		var err error
@@ -589,7 +616,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 		if ok := tracker.add(conn); !ok {
 			return nil, nodeErr(cfg.ID, j, PhaseDial, net.ErrClosed)
 		}
-		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m, columnar: cfg.Columnar}
+		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m}
 		if err := p.writeHello(cfg.ID); err != nil {
 			return nil, nodeErr(cfg.ID, j, PhaseHello, err)
 		}
@@ -598,14 +625,49 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 	return peers, nil
 }
 
+// flushPartials empties a scan-side table onto the wire. Its groups leave
+// in key order (Drain), so a same-seed run ships byte-identical frames;
+// each goes to the destination dest names, through that destination's
+// reusable slice in bufs, in frames of at most batch records — the table
+// may be unbounded, a frame is not. write ships one frame; the first
+// error it returns ends the flush.
+func flushPartials(tbl *aggtable.Table, m *metrics, bufs [][]tuple.Partial, batch int,
+	dest func(tuple.Key) int, write func(d int, ps []tuple.Partial) error) error {
+	m.occupancy(tbl.Len(), tbl.Cap())
+	if tbl.Len() == 0 {
+		return nil
+	}
+	ship := func(d int) error {
+		err := write(d, bufs[d])
+		bufs[d] = bufs[d][:0]
+		return err
+	}
+	for _, pt := range tbl.Drain() {
+		d := dest(pt.Key)
+		bufs[d] = append(bufs[d], pt)
+		if len(bufs[d]) >= batch {
+			if err := ship(d); err != nil {
+				return err
+			}
+		}
+	}
+	for d := range bufs {
+		if len(bufs[d]) > 0 {
+			if err := ship(d); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // scanAndShip runs the scan-side state machine, writing frames to peers.
 // fallback carries the Adaptive Repartitioning end-of-phase signal in both
 // directions: the merge loop sets it when another node broadcasts, and
 // this side sets it (and broadcasts) when its own observation triggers.
 func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic.Bool, res *NodeResult, m *metrics) (bool, error) {
 	n := len(peers)
-	local := make(map[tuple.Key]tuple.AggState)
-	bound := cfg.TableEntries
+	local := aggtable.New(cfg.TableEntries)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 	switched := false
 
@@ -622,37 +684,33 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 	}
 
 	rawBuf := make([][]tuple.Tuple, n)
+	writeRaw := func(d int) error {
+		if err := peers[d].writeRaw(rawBuf[d]); err != nil {
+			return nodeErr(cfg.ID, d, PhaseWrite, err)
+		}
+		res.RawSent += int64(len(rawBuf[d]))
+		rawBuf[d] = rawBuf[d][:0]
+		return nil
+	}
 	shipRaw := func(t tuple.Tuple) error {
 		d := t.Key.Dest(n)
 		rawBuf[d] = append(rawBuf[d], t)
 		if len(rawBuf[d]) >= cfg.Batch {
-			if err := peers[d].writeRaw(rawBuf[d]); err != nil {
-				return nodeErr(cfg.ID, d, PhaseWrite, err)
-			}
-			res.RawSent += int64(len(rawBuf[d]))
-			rawBuf[d] = rawBuf[d][:0]
+			return writeRaw(d)
 		}
 		return nil
 	}
-	flushPartials := func() error {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			d := k.Dest(n)
-			partBuf[d] = append(partBuf[d], tuple.Partial{Key: k, State: s})
-		}
-		for d := 0; d < n; d++ {
-			// partBuf[d] was filled in map order; fix the wire order so a
-			// same-seed run ships byte-identical frames.
-			sort.Slice(partBuf[d], func(i, j int) bool { return partBuf[d][i].Key < partBuf[d][j].Key })
-			if len(partBuf[d]) > 0 {
-				if err := peers[d].writePartials(partBuf[d]); err != nil {
+	partBuf := make([][]tuple.Partial, n)
+	flush := func() error {
+		return flushPartials(local, m, partBuf, cfg.Batch,
+			func(k tuple.Key) int { return k.Dest(n) },
+			func(d int, ps []tuple.Partial) error {
+				if err := peers[d].writePartials(ps); err != nil {
 					return nodeErr(cfg.ID, d, PhaseWrite, err)
 				}
-				res.PartialsSent += int64(len(partBuf[d]))
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
-		return nil
+				res.PartialsSent += int64(len(ps))
+				return nil
+			})
 	}
 
 	for _, t := range part {
@@ -693,46 +751,36 @@ func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic
 			}
 			continue
 		}
-		if s, ok := local[t.Key]; ok {
-			s.Update(t.Val)
-			local[t.Key] = s
+		if local.UpdateRaw(t) {
 			continue
 		}
-		if bound > 0 && len(local) >= bound {
-			switch cfg.Algorithm {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning:
-				// The A-2P switch, over a real network this time.
-				if err := flushPartials(); err != nil {
-					return switched, err
-				}
-				routing = true
-				switched = true
-				observing = false
-				m.switched("repart")
-				if err := shipRaw(t); err != nil {
-					return switched, err
-				}
-				continue
-			default:
-				// Plain 2P with a hard bound: evict the full table as
-				// partials (a memory-pressure flush) and keep going.
-				if err := flushPartials(); err != nil {
-					return switched, err
-				}
-			}
+		// Refused: t opens a new group and the table is at its bound.
+		if err := flush(); err != nil {
+			return switched, err
 		}
-		local[t.Key] = tuple.NewState(t.Val)
-		m.occupancy(len(local), bound)
+		if cfg.Algorithm == TwoPhase {
+			// Plain 2P with a hard bound: that was a memory-pressure
+			// eviction of the full table; keep aggregating.
+			local.UpdateRaw(t)
+			continue
+		}
+		// The A-2P switch, over a real network this time.
+		routing = true
+		switched = true
+		observing = false
+		m.switched("repart")
+		if err := shipRaw(t); err != nil {
+			return switched, err
+		}
 	}
-	if err := flushPartials(); err != nil {
+	if err := flush(); err != nil {
 		return switched, err
 	}
 	for d := 0; d < n; d++ {
 		if len(rawBuf[d]) > 0 {
-			if err := peers[d].writeRaw(rawBuf[d]); err != nil {
-				return switched, nodeErr(cfg.ID, d, PhaseWrite, err)
+			if err := writeRaw(d); err != nil {
+				return switched, err
 			}
-			res.RawSent += int64(len(rawBuf[d]))
 		}
 	}
 	return switched, nil
@@ -795,11 +843,11 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 			cfg := template
 			cfg.ID = i
 			cfg.Addrs = addrs
-			results[i], errs[i] = RunNode(listeners[i], cfg, parts[i])
+			results[i], errs[i] = runNode(listeners[i], cfg, parts[i])
 		}()
 	}
 	wg.Wait()
-	out := &ClusterResult{Groups: make(map[tuple.Key]tuple.AggState)}
+	out := &ClusterResult{}
 	if template.Tolerate {
 		// Tolerant combine: the supervisor (node 0) is the authority on who
 		// died. Its result must exist; errors from dead-declared nodes are
@@ -832,8 +880,17 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 			}
 		}
 	}
-	// Track the smallest duplicated key so a multi-duplicate bug reports
-	// the same group on every run.
+	// One pour per node into a map sized for all of them. A group two
+	// nodes both produced shows as an assignment that did not lengthen
+	// the map; track the smallest such key so a multi-duplicate bug
+	// reports the same group on every run.
+	total := 0
+	for _, r := range results {
+		if r != nil {
+			total += r.table.Len()
+		}
+	}
+	out.Groups = make(map[tuple.Key]tuple.AggState, total)
 	dupFound := false
 	var dupKey tuple.Key
 	dupNode := -1
@@ -844,15 +901,13 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 		if r.Switched {
 			out.Switched++
 		}
-		for k, s := range r.Groups {
-			if _, dup := out.Groups[k]; dup {
-				if !dupFound || k < dupKey {
-					dupFound, dupKey, dupNode = true, k, i
-				}
-				continue
-			}
+		r.table.Each(func(k tuple.Key, s tuple.AggState) {
+			before := len(out.Groups)
 			out.Groups[k] = s
-		}
+			if len(out.Groups) == before && (!dupFound || k < dupKey) {
+				dupFound, dupKey, dupNode = true, k, i
+			}
+		})
 	}
 	if dupFound {
 		return nil, fmt.Errorf("dist: group %d produced by two nodes (second: %d)", dupKey, dupNode)

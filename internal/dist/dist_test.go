@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -106,6 +107,17 @@ func TestDistributedEmpty(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("empty partitions produced %d groups", len(got))
 	}
+	// So do clusters where only some nodes have input: the idle nodes'
+	// EOS (and under Rep nothing else) is all their peers hear of them.
+	rel := workload.Uniform(1, 2_000, 150, 9)
+	rel.PerNode = [][]tuple.Tuple{nil, rel.PerNode[0], nil}
+	for _, alg := range algorithms() {
+		got, _, err := Run(rel.PerNode, alg, 16)
+		if err != nil {
+			t.Fatalf("%v with two empty partitions: %v", alg, err)
+		}
+		verify(t, rel, got)
+	}
 }
 
 func TestRunNodeValidatesConfig(t *testing.T) {
@@ -119,6 +131,20 @@ func TestRunNodeValidatesConfig(t *testing.T) {
 	ln2, _ := net.Listen("tcp", "127.0.0.1:0")
 	if _, err := RunNode(ln2, Config{ID: 5, Addrs: []string{"x"}}, nil); err == nil {
 		t.Error("out-of-range id accepted")
+	}
+	// A batch no frame could carry is refused here, not after the cluster
+	// has formed as a write failure blamed on a healthy peer.
+	ln3, _ := net.Listen("tcp", "127.0.0.1:0")
+	defer ln3.Close()
+	_, err = RunNode(ln3, Config{ID: 0, Addrs: []string{ln3.Addr().String()}, Batch: maxFrameRecords + 1}, nil)
+	var ne *NodeError
+	if err == nil || errors.As(err, &ne) {
+		t.Errorf("Batch over the wire limit: %v, want a plain config error", err)
+	}
+	if c, err := net.Dial("tcp", ln3.Addr().String()); err != nil {
+		t.Errorf("the rejected config closed or consumed the listener: %v", err)
+	} else {
+		c.Close()
 	}
 }
 

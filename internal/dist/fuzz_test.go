@@ -20,15 +20,6 @@ func encodeRawFrame(ts []tuple.Tuple) []byte {
 	return buf.Bytes()
 }
 
-// mustFrame unwraps an encoder result for seeding (seed batches are
-// always under the record bound).
-func mustFrame(b []byte, err error) []byte {
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 func encodePartialFrame(ps []tuple.Partial) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -57,18 +48,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 0, 0})                       // unknown kind
 	f.Add(encodeRawFrame([]tuple.Tuple{{Key: 1, Val: -7}, {Key: 99, Val: 42}}))
 	f.Add(encodePartialFrame([]tuple.Partial{{Key: 3, State: tuple.NewState(5)}}))
-	f.Add([]byte{byte(frameRawCol), 0, 0, 16, 0})     // forged columnar count, no body
-	f.Add([]byte{byte(framePartialCol), 2, 0, 0, 0})  // truncated columnar body
-	f.Add(mustFrame(rawColFrameInto(nil, []tuple.Tuple{{Key: 8, Val: -1}, {Key: 9, Val: 2}})))
-	f.Add(mustFrame(partialColFrameInto(nil, []tuple.Partial{{Key: 4, State: tuple.NewState(6)}})))
+	f.Add([]byte{11, 0, 0, 16, 0}) // kinds 11 and 12 were the columnar frames: unknown now
+	f.Add([]byte{12, 2, 0, 0, 0})
+	// One record past a decode run (allocChunk bytes), whole and cut mid-run.
+	f.Add(encodeRawFrame(make([]tuple.Tuple, allocChunk/tuple.RawSize+1)))
+	f.Add(encodePartialFrame(make([]tuple.Partial, allocChunk/tuple.PartialSize+1))[:5+allocChunk/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
 		if err != nil {
 			return
 		}
 		switch fr.kind {
-		case frameRaw, framePartial, frameEOS, frameEOP, frameRawCol, framePartialCol:
+		case frameRaw, framePartial, frameEOS, frameEOP:
 		default:
 			t.Fatalf("decoded frame has unknown kind %d", fr.kind)
 		}
@@ -78,9 +70,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if (fr.kind == frameEOS || fr.kind == frameEOP) && (len(fr.raw) != 0 || len(fr.partials) != 0) {
 			t.Fatalf("control frame %d decoded with records", fr.kind)
 		}
-		rawKind := fr.kind == frameRaw || fr.kind == frameRawCol
-		partialKind := fr.kind == framePartial || fr.kind == framePartialCol
-		if rawKind && len(fr.partials) != 0 || partialKind && len(fr.raw) != 0 {
+		if fr.kind == frameRaw && len(fr.partials) != 0 || fr.kind == framePartial && len(fr.raw) != 0 {
 			t.Fatalf("frame kind %d decoded with records of the other kind", fr.kind)
 		}
 
@@ -93,16 +83,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			werr = writeRawFrame(w, fr.raw)
 		case framePartial:
 			werr = writePartialFrame(w, fr.partials)
-		case frameRawCol:
-			var b []byte
-			if b, werr = rawColFrameInto(nil, fr.raw); werr == nil {
-				_, werr = w.Write(b)
-			}
-		case framePartialCol:
-			var b []byte
-			if b, werr = partialColFrameInto(nil, fr.partials); werr == nil {
-				_, werr = w.Write(b)
-			}
 		case frameEOS:
 			werr = writeEOSFrame(w)
 		case frameEOP:
@@ -112,7 +92,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encode of decoded frame failed: %v", werr)
 		}
 		w.Flush()
-		fr2, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+		fr2, err := readFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}

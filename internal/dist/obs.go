@@ -102,10 +102,6 @@ func kindName(kind frameKind) string {
 		return "raw"
 	case framePartial:
 		return "partial"
-	case frameRawCol:
-		return "rawcol"
-	case framePartialCol:
-		return "partialcol"
 	case frameEOS:
 		return "eos"
 	case frameEOP:
@@ -132,9 +128,9 @@ func frameBytes(kind frameKind, count int) int64 {
 	switch kind {
 	case frameHello:
 		return 4
-	case frameRaw, frameRawCol:
+	case frameRaw:
 		return 5 + int64(count)*tuple.RawSize
-	case framePartial, framePartialCol:
+	case framePartial:
 		return 5 + int64(count)*tuple.PartialSize
 	default:
 		return 5
@@ -165,9 +161,9 @@ func tFrameBytes(kind frameKind, count int) int64 {
 	switch kind {
 	case frameHello:
 		return 4
-	case frameRaw, frameRawCol:
+	case frameRaw:
 		return tHeaderSize + int64(count)*tuple.RawSize
-	case framePartial, framePartialCol:
+	case framePartial:
 		return tHeaderSize + int64(count)*tuple.PartialSize
 	default:
 		return tHeaderSize

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/tuple"
 )
 
@@ -100,17 +100,8 @@ type slot struct {
 // pre-aggregated per key so staging is bounded by the group count rather
 // than the input size.
 type stage struct {
-	groups map[tuple.Key]tuple.AggState
+	groups *aggtable.Table
 	frames int64
-}
-
-func (st *stage) absorb(pt tuple.Partial) {
-	if s, ok := st.groups[pt.Key]; ok {
-		s.Merge(pt.State)
-		st.groups[pt.Key] = s
-	} else {
-		st.groups[pt.Key] = pt.State
-	}
 }
 
 // errPeerDown marks a write skipped because the peer was already marked
@@ -126,10 +117,7 @@ type tpeer struct {
 	id      int
 	timeout time.Duration
 	m       *metrics
-	// columnar selects the columnar data-frame layout for writes
-	// (Config.Columnar); reads accept both layouts regardless.
-	columnar bool
-	down     atomic.Bool
+	down    atomic.Bool
 
 	mu sync.Mutex
 	//aggvet:guard mu
@@ -229,22 +217,15 @@ func (p *tpeer) writeRawT(origin, epoch int, ts []tuple.Tuple) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	kind := frameRaw
 	var err error
-	if p.columnar {
-		kind = frameRawCol
-		p.buf, err = tRawColFrameInto(p.buf, origin, epoch, ts)
-	} else {
-		p.buf, err = tRawFrameInto(p.buf, origin, epoch, ts)
-	}
-	if err != nil {
+	if p.buf, err = tRawFrameInto(p.buf, origin, epoch, ts); err != nil {
 		return err
 	}
 	p.arm()
 	if _, err := p.w.Write(p.buf); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, kind, len(ts))
+	p.m.tsent(p.id, frameRaw, len(ts))
 	return nil
 }
 
@@ -254,22 +235,15 @@ func (p *tpeer) writePartialsT(origin, epoch int, ps []tuple.Partial) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	kind := framePartial
 	var err error
-	if p.columnar {
-		kind = framePartialCol
-		p.buf, err = tPartialColFrameInto(p.buf, origin, epoch, ps)
-	} else {
-		p.buf, err = tPartialFrameInto(p.buf, origin, epoch, ps)
-	}
-	if err != nil {
+	if p.buf, err = tPartialFrameInto(p.buf, origin, epoch, ps); err != nil {
 		return err
 	}
 	p.arm()
 	if _, err := p.w.Write(p.buf); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, kind, len(ps))
+	p.m.tsent(p.id, framePartial, len(ps))
 	return nil
 }
 
@@ -289,6 +263,7 @@ type tnode struct {
 	events chan tevent
 	jobs   chan tjob
 	peers  []*tpeer
+	pool   rawPool // raw-record slices: readers take, the control loop returns
 
 	ownerPtr atomic.Pointer[[]int] // routing snapshot shared with the scan side
 	fallback atomic.Bool           // A-Rep end-of-phase flag
@@ -307,7 +282,7 @@ type tnode struct {
 	// post-join reads in runNodeTolerant) carry rationaled allows.
 	//
 	//aggvet:owner control
-	final map[tuple.Key]tuple.AggState
+	final *aggtable.Table
 	//aggvet:owner control
 	slots map[slotKey]*slot
 	//aggvet:owner control
@@ -368,7 +343,8 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		events:       make(chan tevent, 16*n),
 		jobs:         make(chan tjob, 2*n*n+8),
 		peers:        make([]*tpeer, n),
-		final:        make(map[tuple.Key]tuple.AggState),
+		pool:         make(rawPool, 16*n), // as many as events can queue
+		final:        aggtable.New(0),
 		slots:        make(map[slotKey]*slot),
 		stages:       make(map[streamID]*stage),
 		pending:      make(map[streamID]bool),
@@ -382,7 +358,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	}
 	//aggvet:allow loopown -- construction: no goroutine exists yet; control() assumes ownership when it starts
 	for i := 0; i < n; i++ {
-		p := &tpeer{id: i, timeout: cfg.IOTimeout, m: nd.m, columnar: cfg.Columnar}
+		p := &tpeer{id: i, timeout: cfg.IOTimeout, m: nd.m}
 		p.down.Store(true) // up only once dialed
 		nd.peers[i] = p
 		nd.owner[i] = i
@@ -613,22 +589,13 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 		nd.m.stale(st.frames)
 	}
 	// Sanity: every final group must hash to a range this node owns.
-	misrouted := false
-	var badKey tuple.Key
 	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	for k := range nd.final {
-		if nd.owner[k.Dest(nd.n)] != nd.id && (!misrouted || k < badKey) {
-			misrouted, badKey = true, k
-		}
-	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	if misrouted {
-		return nil, nodeErr(nd.id, nd.owner[badKey.Dest(nd.n)], PhaseMerge,
-			fmt.Errorf("received group %d owned by node %d", badKey, nd.owner[badKey.Dest(nd.n)]))
+	if err := checkRouting(nd.id, nd.final, func(k tuple.Key) int { return nd.owner[k.Dest(nd.n)] }); err != nil {
+		return nil, err
 	}
 	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
 	res := &NodeResult{
-		Groups:       nd.final,
+		table:        nd.final,
 		Switched:     nd.switched,
 		RawSent:      nd.rawSent,
 		PartialsSent: nd.partialsSent,
@@ -736,7 +703,7 @@ func (nd *tnode) readLoop(conn net.Conn) {
 	}
 	for {
 		arm()
-		f, err := readTFrame(r)
+		f, err := readTFrame(r, nd.pool)
 		if err != nil {
 			nd.m.ioError(PhaseRead, err)
 			nd.post(tevent{typ: evReadErr, peer: src, err: err})
@@ -786,8 +753,7 @@ func (nd *tnode) heartbeatLoop() {
 func (nd *tnode) scanPrimary() {
 	cfg := nd.cfg
 	n := nd.n
-	local := make(map[tuple.Key]tuple.AggState)
-	bound := cfg.TableEntries
+	local := aggtable.New(cfg.TableEntries)
 	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
 
 	observing := cfg.Algorithm == AdaptiveRepartitioning
@@ -800,35 +766,24 @@ func (nd *tnode) scanPrimary() {
 	}
 
 	rawBuf := make([][]tuple.Tuple, n)
+	writeRaw := func(d int) {
+		if err := nd.peers[d].writeRawT(nd.id, 0, rawBuf[d]); err != nil {
+			nd.shipFail(d, err)
+		} else {
+			nd.rawSent += int64(len(rawBuf[d]))
+		}
+		rawBuf[d] = rawBuf[d][:0]
+	}
 	shipRaw := func(t tuple.Tuple) {
 		d := nd.ownerOf(t.Key)
 		rawBuf[d] = append(rawBuf[d], t)
 		if len(rawBuf[d]) >= cfg.Batch {
-			if err := nd.peers[d].writeRawT(nd.id, 0, rawBuf[d]); err != nil {
-				nd.shipFail(d, err)
-			} else {
-				nd.rawSent += int64(len(rawBuf[d]))
-			}
-			rawBuf[d] = rawBuf[d][:0]
+			writeRaw(d)
 		}
 	}
-	flushPartials := func() {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			d := nd.ownerOf(k)
-			partBuf[d] = append(partBuf[d], tuple.Partial{Key: k, State: s})
-		}
-		for d := 0; d < n; d++ {
-			sort.Slice(partBuf[d], func(i, j int) bool { return partBuf[d][i].Key < partBuf[d][j].Key })
-			if len(partBuf[d]) > 0 {
-				if err := nd.peers[d].writePartialsT(nd.id, 0, partBuf[d]); err != nil {
-					nd.shipFail(d, err)
-				} else {
-					nd.partialsSent += int64(len(partBuf[d]))
-				}
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
+	partBuf := make([][]tuple.Partial, n)
+	flush := func() {
+		nd.flushStream(local, partBuf, streamID{origin: nd.id}, nd.ownerOf)
 	}
 
 	for _, t := range nd.part {
@@ -866,36 +821,25 @@ func (nd *tnode) scanPrimary() {
 			shipRaw(t)
 			continue
 		}
-		if s, ok := local[t.Key]; ok {
-			s.Update(t.Val)
-			local[t.Key] = s
+		if local.UpdateRaw(t) {
 			continue
 		}
-		if bound > 0 && len(local) >= bound {
-			switch cfg.Algorithm {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning:
-				flushPartials()
-				routing = true
-				nd.switched = true
-				observing = false
-				nd.m.switched("repart")
-				shipRaw(t)
-				continue
-			default:
-				flushPartials()
-			}
+		// Refused: t opens a new group and the table is at its bound.
+		flush()
+		if cfg.Algorithm == TwoPhase {
+			local.UpdateRaw(t)
+			continue
 		}
-		local[t.Key] = tuple.NewState(t.Val)
-		nd.m.occupancy(len(local), bound)
+		routing = true
+		nd.switched = true
+		observing = false
+		nd.m.switched("repart")
+		shipRaw(t)
 	}
-	flushPartials()
+	flush()
 	for d := 0; d < n; d++ {
 		if len(rawBuf[d]) > 0 {
-			if err := nd.peers[d].writeRawT(nd.id, 0, rawBuf[d]); err != nil {
-				nd.shipFail(d, err)
-			} else {
-				nd.rawSent += int64(len(rawBuf[d]))
-			}
+			writeRaw(d)
 		}
 	}
 	nd.scanFlag.Store(true)
@@ -909,6 +853,23 @@ func (nd *tnode) scanPrimary() {
 	}
 }
 
+// flushStream is flushPartials with tolerant writes: frames are tagged
+// with stream s, and a failed write marks the peer down and drops that
+// destination's share (shipFail) instead of ending the flush. It returns
+// the number of partials that reached a connection.
+func (nd *tnode) flushStream(tbl *aggtable.Table, bufs [][]tuple.Partial, s streamID, dest func(tuple.Key) int) (shipped int64) {
+	flushPartials(tbl, nd.m, bufs, nd.cfg.Batch, dest, func(d int, ps []tuple.Partial) error {
+		if err := nd.peers[d].writePartialsT(s.origin, s.epoch, ps); err != nil {
+			nd.shipFail(d, err)
+		} else {
+			shipped += int64(len(ps))
+		}
+		return nil
+	})
+	nd.partialsSent += shipped
+	return shipped
+}
+
 // runJob executes one recovery re-execution on the scan goroutine. The
 // job aggregates into a bounded table; hitting the bound degrades the
 // remainder to raw shipping (graceful A-2P → Rep downgrade) instead of
@@ -919,9 +880,9 @@ func (nd *tnode) runJob(j tjob) {
 		data = nd.cfg.PartitionSource(j.partition)
 	}
 	n := nd.n
-	bound := nd.cfg.TableEntries
-	local := make(map[tuple.Key]tuple.AggState)
+	local := aggtable.New(nd.cfg.TableEntries)
 	rawBuf := make([][]tuple.Tuple, n)
+	partBuf := make([][]tuple.Partial, n)
 	var shipped int64
 	degraded := false
 
@@ -931,36 +892,17 @@ func (nd *tnode) runJob(j tjob) {
 		}
 		return nd.ownerOf(k)
 	}
-	shipRaw := func(t tuple.Tuple) {
-		d := dest(t.Key)
-		rawBuf[d] = append(rawBuf[d], t)
-		if len(rawBuf[d]) >= nd.cfg.Batch {
-			if err := nd.peers[d].writeRawT(j.partition, j.epoch, rawBuf[d]); err != nil {
-				nd.shipFail(d, err)
-			} else {
-				shipped += int64(len(rawBuf[d]))
-				nd.rawSent += int64(len(rawBuf[d]))
-			}
-			rawBuf[d] = rawBuf[d][:0]
+	writeRaw := func(d int) {
+		if err := nd.peers[d].writeRawT(j.partition, j.epoch, rawBuf[d]); err != nil {
+			nd.shipFail(d, err)
+		} else {
+			shipped += int64(len(rawBuf[d]))
+			nd.rawSent += int64(len(rawBuf[d]))
 		}
+		rawBuf[d] = rawBuf[d][:0]
 	}
-	flushPartials := func() {
-		partBuf := make([][]tuple.Partial, n)
-		for k, s := range local {
-			partBuf[dest(k)] = append(partBuf[dest(k)], tuple.Partial{Key: k, State: s})
-		}
-		for d := 0; d < n; d++ {
-			sort.Slice(partBuf[d], func(a, b int) bool { return partBuf[d][a].Key < partBuf[d][b].Key })
-			if len(partBuf[d]) > 0 {
-				if err := nd.peers[d].writePartialsT(j.partition, j.epoch, partBuf[d]); err != nil {
-					nd.shipFail(d, err)
-				} else {
-					shipped += int64(len(partBuf[d]))
-					nd.partialsSent += int64(len(partBuf[d]))
-				}
-			}
-		}
-		local = make(map[tuple.Key]tuple.AggState)
+	flush := func() {
+		shipped += nd.flushStream(local, partBuf, streamID{origin: j.partition, epoch: j.epoch}, dest)
 	}
 
 	for _, t := range data {
@@ -968,33 +910,25 @@ func (nd *tnode) runJob(j tjob) {
 			continue
 		}
 		if !degraded {
-			if s, ok := local[t.Key]; ok {
-				s.Update(t.Val)
-				local[t.Key] = s
+			if local.UpdateRaw(t) {
 				continue
 			}
-			if bound > 0 && len(local) >= bound {
-				// Memory pressure during recovery: flush what we have as
-				// partials and ship the remainder raw rather than refuse.
-				nd.m.downgrade()
-				degraded = true
-				flushPartials()
-			} else {
-				local[t.Key] = tuple.NewState(t.Val)
-				continue
-			}
+			// Memory pressure during recovery: flush what we have as
+			// partials and ship the remainder raw rather than refuse.
+			nd.m.downgrade()
+			degraded = true
+			flush()
 		}
-		shipRaw(t)
+		d := dest(t.Key)
+		rawBuf[d] = append(rawBuf[d], t)
+		if len(rawBuf[d]) >= nd.cfg.Batch {
+			writeRaw(d)
+		}
 	}
-	flushPartials()
+	flush()
 	for d := 0; d < n; d++ {
 		if len(rawBuf[d]) > 0 {
-			if err := nd.peers[d].writeRawT(j.partition, j.epoch, rawBuf[d]); err != nil {
-				nd.shipFail(d, err)
-			} else {
-				shipped += int64(len(rawBuf[d]))
-				nd.rawSent += int64(len(rawBuf[d]))
-			}
+			writeRaw(d)
 		}
 	}
 	nd.m.reship(shipped)
@@ -1096,17 +1030,18 @@ func (nd *tnode) onFrame(ev tevent) {
 		nd.finished = true
 	case frameEOP:
 		nd.fallback.Store(true)
-	case frameRaw, frameRawCol:
+	case frameRaw:
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, t := range f.raw {
-			st.absorb(tuple.Partial{Key: t.Key, State: tuple.NewState(t.Val)})
+			st.groups.UpdateRaw(t)
 		}
-	case framePartial, framePartialCol:
+		nd.pool.put(f.raw, nd.done)
+	case framePartial:
 		st := nd.stage(f.stream())
 		st.frames++
 		for _, pt := range f.partials {
-			st.absorb(pt)
+			st.groups.MergePartial(pt)
 		}
 	case frameEOS:
 		nd.tryCommit(f.stream())
@@ -1116,7 +1051,7 @@ func (nd *tnode) onFrame(ev tevent) {
 func (nd *tnode) stage(s streamID) *stage {
 	st, ok := nd.stages[s]
 	if !ok {
-		st = &stage{groups: make(map[tuple.Key]tuple.AggState)}
+		st = &stage{groups: aggtable.New(0)}
 		nd.stages[s] = st
 	}
 	return st
@@ -1396,30 +1331,31 @@ func (nd *tnode) tryCommit(s streamID) {
 		nd.pending[s] = true
 		return
 	}
-	eligible := make(map[int]bool)
+	eligible := make([]bool, nd.n)
+	found := false
 	for k, sl := range nd.slots {
 		if k.p == s.origin && !sl.sat && sl.acceptable[s.epoch] {
-			eligible[k.r] = true
+			eligible[k.r], found = true, true
 		}
 	}
-	if len(eligible) == 0 {
+	if !found {
 		nd.m.stale(st.frames)
 		delete(nd.stages, s)
 		span := nd.cfg.Tracer.Begin(nd.id, "discard")
 		span.End(fmt.Sprintf("stale stream %s", s))
 		return
 	}
-	for key, state := range st.groups {
-		if !eligible[key.Dest(nd.n)] {
-			continue
+	// Grow final ahead of the pour, by the groups the stage is certain to
+	// add (those beyond what final holds cannot all be duplicates): Each
+	// walks the stage in slot order, which a small destination doubling
+	// its way up takes quadratically (aggtable.Reserve). A later stage
+	// over the same keys reserves nothing and final stays as it is.
+	nd.final.Reserve(st.groups.Len() - nd.final.Len())
+	st.groups.Each(func(key tuple.Key, state tuple.AggState) {
+		if eligible[key.Dest(nd.n)] {
+			nd.final.MergePartial(tuple.Partial{Key: key, State: state})
 		}
-		if cur, ok := nd.final[key]; ok {
-			cur.Merge(state)
-			nd.final[key] = cur
-		} else {
-			nd.final[key] = state
-		}
-	}
+	})
 	for k, sl := range nd.slots {
 		if k.p == s.origin && eligible[k.r] {
 			sl.sat = true

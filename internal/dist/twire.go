@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"parallelagg/internal/tuple"
 )
@@ -176,39 +175,11 @@ func tPartialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byt
 	return buf, nil
 }
 
-// tRawColFrameInto encodes a tagged columnar raw frame into buf in a
-// single pass, with the same record-count bound as the row encoder.
-//
-//aggvet:noalloc
-func tRawColFrameInto(buf []byte, origin, epoch int, ts []tuple.Tuple) ([]byte, error) {
-	if len(ts) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ts)*tuple.RawSize)
-	putTHeader(buf, frameRawCol, origin, epoch, 0, len(ts))
-	tuple.EncodeRawCol(buf[tHeaderSize:], ts)
-	return buf, nil
-}
-
-// tPartialColFrameInto encodes a tagged columnar partial frame, same
-// contract.
-//
-//aggvet:noalloc
-func tPartialColFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte, error) {
-	if len(ps) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, tHeaderSize+len(ps)*tuple.PartialSize)
-	putTHeader(buf, framePartialCol, origin, epoch, 0, len(ps))
-	tuple.EncodePartialCol(buf[tHeaderSize:], ps)
-	return buf, nil
-}
-
 // readTFrame decodes the next tolerant-mode frame with the same
-// hostile-input guards as v1: bounded counts, chunked allocation.
-func readTFrame(r *bufio.Reader) (tframe, error) {
-	var hdr [tHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// hostile-input guards, record-body decoders and raw-slice pool as v1.
+func readTFrame(r *bufio.Reader, pool rawPool) (tframe, error) {
+	hdr, err := peekHeader(r, tHeaderSize)
+	if err != nil {
 		return tframe{}, err
 	}
 	f := tframe{
@@ -218,50 +189,24 @@ func readTFrame(r *bufio.Reader) (tframe, error) {
 		aux:    binary.LittleEndian.Uint32(hdr[4:8]),
 	}
 	count := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	r.Discard(tHeaderSize) // cannot fail: the bytes were just peeked
 	if count < 0 || count > maxFrameRecords {
 		return tframe{}, fmt.Errorf("dist: frame count %d out of range", count)
 	}
 	switch f.kind {
 	case frameEOS, frameEOP, frameHeartbeat, frameSuspect, frameAssign, frameEvict, frameDone, frameFinish:
 		if count != 0 {
-			return tframe{}, fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
+			err = fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
 		}
-		return f, nil
 	case frameRaw:
-		f.raw = make([]tuple.Tuple, 0, min(count, allocChunk))
-		var rec [tuple.RawSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return tframe{}, err
-			}
-			f.raw = append(f.raw, tuple.DecodeRaw(rec[:]))
-		}
-		return f, nil
+		f.raw, err = readRawBody(r, pool.get(), count)
 	case framePartial:
-		f.partials = make([]tuple.Partial, 0, min(count, allocChunk))
-		var rec [tuple.PartialSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return tframe{}, err
-			}
-			f.partials = append(f.partials, tuple.DecodePartial(rec[:]))
-		}
-		return f, nil
-	case frameRawCol:
-		body, err := readColBody(r, count*tuple.RawSize)
-		if err != nil {
-			return tframe{}, err
-		}
-		f.raw = tuple.DecodeRawCol(make([]tuple.Tuple, 0, count), body, count)
-		return f, nil
-	case framePartialCol:
-		body, err := readColBody(r, count*tuple.PartialSize)
-		if err != nil {
-			return tframe{}, err
-		}
-		f.partials = tuple.DecodePartialCol(make([]tuple.Partial, 0, count), body, count)
-		return f, nil
+		f.partials, err = readPartialBody(r, count)
 	default:
 		return tframe{}, fmt.Errorf("dist: unknown frame kind %d", f.kind)
 	}
+	if err != nil {
+		return tframe{}, err
+	}
+	return f, nil
 }

@@ -12,7 +12,7 @@ import (
 
 func readBack(t *testing.T, buf []byte) (tframe, error) {
 	t.Helper()
-	return readTFrame(bufio.NewReader(bytes.NewReader(buf)))
+	return readTFrame(bufio.NewReader(bytes.NewReader(buf)), nil)
 }
 
 func TestTolerantRawFrameRoundTrip(t *testing.T) {

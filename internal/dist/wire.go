@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"parallelagg/internal/tuple"
@@ -35,17 +36,6 @@ const (
 	frameEOS     frameKind = 3
 	// frameEOP carries Adaptive Repartitioning's end-of-phase broadcast.
 	frameEOP frameKind = 4
-
-	// frameRawCol and framePartialCol are the columnar variants of the
-	// data frames: the same records and the same per-record widths, laid
-	// out column-major (all keys contiguous, then each value column; see
-	// tuple.EncodeRawCol/EncodePartialCol). Both dialects share them
-	// (kinds 5–10 are the tolerant dialect's control frames, twire.go).
-	// Encoding is opt-in per cluster (Config.Columnar); every decoder
-	// accepts both layouts unconditionally, so the flag can roll out one
-	// fleet at a time without a protocol epoch.
-	frameRawCol     frameKind = 11
-	framePartialCol frameKind = 12
 )
 
 // maxFrameRecords bounds a frame so a corrupt length cannot allocate
@@ -56,37 +46,99 @@ const (
 // for every later frame on the connection).
 const maxFrameRecords = 1 << 20
 
-// allocChunk caps the upfront record-slice allocation while decoding a
-// frame. The slice then grows with append as record bytes actually
-// arrive, so a forged header claiming maxFrameRecords records costs a
-// few KiB, not tens of MiB, before the connection's read deadline or a
-// short read kills it.
+// allocChunk is the most body bytes a decoder takes from the reader in one
+// step (Peek, decode the whole run, Discard), so it must fit the smallest
+// bufio.Reader in use — the 4,096-byte default. The record slice grows
+// with append only as those bytes actually arrive, so a forged header
+// claiming maxFrameRecords records costs a few KiB, not tens of MiB,
+// before the connection's read deadline or a short read kills it.
 const allocChunk = 4096
 
-// colBodyCap caps the upfront body-buffer allocation while decoding a
-// columnar frame — the same forged-length defense as allocChunk, in
-// bytes: a columnar body cannot be decoded record-at-a-time (the value
-// columns trail all the keys), so the decoder buffers the body, growing
-// it only as bytes actually arrive in colReadChunk-sized reads.
-const (
-	colBodyCap   = 64 << 10
-	colReadChunk = 4096
-)
+// rawPool is a node's free list of raw-record slices: the readers decode
+// raw frames into slices taken from it and the merge side puts them back
+// once folded, so a steady exchange allocates no record slices. A nil
+// pool always allocates and drops.
+type rawPool chan []tuple.Tuple
 
-// readColBody reads a columnar frame body of `need` bytes, growing the
-// buffer chunk-by-chunk so a forged count costs at most colBodyCap
-// before the short read or the connection's deadline kills it.
-func readColBody(r *bufio.Reader, need int) ([]byte, error) {
-	body := make([]byte, 0, min(need, colBodyCap))
-	var chunk [colReadChunk]byte
-	for len(body) < need {
-		n := min(need-len(body), colReadChunk)
-		if _, err := io.ReadFull(r, chunk[:n]); err != nil {
-			return nil, err
-		}
-		body = append(body, chunk[:n]...)
+func (p rawPool) get() []tuple.Tuple {
+	select {
+	case b := <-p:
+		return b[:0]
+	default:
+		return nil
 	}
-	return body, nil
+}
+
+// put returns b unless the pool is full; done keeps the send from ever
+// outliving the node (and is what the donesend analyzer looks for).
+func (p rawPool) put(b []tuple.Tuple, done <-chan struct{}) {
+	select {
+	case p <- b:
+	case <-done:
+	default:
+	}
+}
+
+// shortBody is the error for a frame body that ended early: a stream that
+// stops mid-frame is io.ErrUnexpectedEOF wherever the cut fell, and
+// deadline or reset errors pass through.
+func shortBody(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// peekHeader returns the next n bytes of r in place (a header array handed
+// to io.ReadFull escapes: one allocation per frame) without consuming
+// them. A stream that ends before the first byte is io.EOF, inside the
+// header io.ErrUnexpectedEOF — io.ReadFull's contract.
+func peekHeader(r *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := r.Peek(n)
+	if err != nil && len(hdr) > 0 {
+		err = shortBody(err)
+	}
+	return hdr, err
+}
+
+// readRawBody appends the count raw records that follow a frame header to
+// dst, decoding straight out of r's buffer in runs of at most allocChunk
+// bytes; dst grows only to what r has already buffered. Both dialects
+// decode through it.
+func readRawBody(r *bufio.Reader, dst []tuple.Tuple, count int) ([]tuple.Tuple, error) {
+	for count > 0 {
+		n := min(count, allocChunk/tuple.RawSize)
+		b, err := r.Peek(n * tuple.RawSize)
+		if err != nil {
+			return nil, shortBody(err)
+		}
+		dst = slices.Grow(dst, min(count, max(n, r.Buffered()/tuple.RawSize)))
+		for ; len(b) > 0; b = b[tuple.RawSize:] {
+			dst = append(dst, tuple.DecodeRaw(b))
+		}
+		r.Discard(n * tuple.RawSize) // cannot fail: the bytes were just peeked
+		count -= n
+	}
+	return dst, nil
+}
+
+// readPartialBody is readRawBody for partial records.
+func readPartialBody(r *bufio.Reader, count int) ([]tuple.Partial, error) {
+	var dst []tuple.Partial
+	for count > 0 {
+		n := min(count, allocChunk/tuple.PartialSize)
+		b, err := r.Peek(n * tuple.PartialSize)
+		if err != nil {
+			return nil, shortBody(err)
+		}
+		dst = slices.Grow(dst, min(count, max(n, r.Buffered()/tuple.PartialSize)))
+		for ; len(b) > 0; b = b[tuple.PartialSize:] {
+			dst = append(dst, tuple.DecodePartial(b))
+		}
+		r.Discard(n * tuple.PartialSize) // cannot fail: the bytes were just peeked
+		count -= n
+	}
+	return dst, nil
 }
 
 // writeHello sends the connection's source node id.
@@ -163,37 +215,6 @@ func partialFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
 	return buf, nil
 }
 
-// rawColFrameInto encodes a whole columnar raw frame (header + key
-// column + value column) into buf in a single pass, with the same
-// record-count bound as the row encoder.
-//
-//aggvet:noalloc
-func rawColFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
-	if len(ts) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, 5+len(ts)*tuple.RawSize)
-	buf[0] = byte(frameRawCol)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ts)))
-	tuple.EncodeRawCol(buf[5:], ts)
-	return buf, nil
-}
-
-// partialColFrameInto encodes a whole columnar partial frame into buf
-// in a single pass, with the same contract as rawColFrameInto.
-//
-//aggvet:noalloc
-func partialColFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
-	if len(ps) > maxFrameRecords {
-		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
-	}
-	buf = frameBuf(buf, 5+len(ps)*tuple.PartialSize)
-	buf[0] = byte(framePartialCol)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ps)))
-	tuple.EncodePartialCol(buf[5:], ps)
-	return buf, nil
-}
-
 // writeRawFrame sends a batch of raw tuples as one Write call.
 func writeRawFrame(w io.Writer, ts []tuple.Tuple) error {
 	buf, err := rawFrameInto(nil, ts)
@@ -242,15 +263,34 @@ type peer struct {
 	w       *bufio.Writer
 	timeout time.Duration
 	m       *metrics // nil when metrics are disabled
-	// columnar selects the columnar data-frame layout for this
-	// connection's writes (Config.Columnar); reads accept both layouts
-	// regardless.
-	columnar bool
 	// buf is the frame-encoding scratch buffer: each data frame is
 	// encoded here in full and handed to the writer as one Write, so the
 	// steady state is one buffer allocation per connection, not one
 	// record-sized Write per tuple.
 	buf []byte
+	// self is set on the node's own entry only, which has no connection:
+	// every write hands a copy of the frame to the node's merge loop.
+	self *selfSlot
+}
+
+// selfSlot is where a fail-fast node's own share of the repartitioned
+// stream goes: straight onto the merge loop's channel, never through a
+// socket (paper §5 — a node merges its own partition of the exchange
+// locally). The wire metrics therefore never see it. Once the node is
+// cancelled a post fails the way a write to a closed connection does.
+type selfSlot struct {
+	frames chan<- incoming
+	done   <-chan struct{}
+	pool   rawPool
+}
+
+func (s *selfSlot) post(f frame) error {
+	select {
+	case s.frames <- incoming{f: f}:
+		return nil
+	case <-s.done:
+		return net.ErrClosed
+	}
 }
 
 func (p *peer) arm() {
@@ -281,15 +321,14 @@ func (p *peer) writeHello(src int) error {
 	return p.count(frameHello, 0, p.w.Flush())
 }
 
+// writeRaw ships ts as one raw frame. Like every write below it does not
+// keep ts: a socket write encodes it, the self slot copies it.
 func (p *peer) writeRaw(ts []tuple.Tuple) error {
+	if p.self != nil {
+		return p.self.post(frame{kind: frameRaw, raw: append(p.self.pool.get(), ts...)})
+	}
 	p.arm()
 	var err error
-	if p.columnar {
-		if p.buf, err = rawColFrameInto(p.buf, ts); err == nil {
-			_, err = p.w.Write(p.buf)
-		}
-		return p.count(frameRawCol, len(ts), err)
-	}
 	if p.buf, err = rawFrameInto(p.buf, ts); err == nil {
 		_, err = p.w.Write(p.buf)
 	}
@@ -297,14 +336,11 @@ func (p *peer) writeRaw(ts []tuple.Tuple) error {
 }
 
 func (p *peer) writePartials(ps []tuple.Partial) error {
+	if p.self != nil {
+		return p.self.post(frame{kind: framePartial, partials: slices.Clone(ps)})
+	}
 	p.arm()
 	var err error
-	if p.columnar {
-		if p.buf, err = partialColFrameInto(p.buf, ps); err == nil {
-			_, err = p.w.Write(p.buf)
-		}
-		return p.count(framePartialCol, len(ps), err)
-	}
 	if p.buf, err = partialFrameInto(p.buf, ps); err == nil {
 		_, err = p.w.Write(p.buf)
 	}
@@ -312,11 +348,17 @@ func (p *peer) writePartials(ps []tuple.Partial) error {
 }
 
 func (p *peer) writeEOS() error {
+	if p.self != nil {
+		return p.self.post(frame{kind: frameEOS})
+	}
 	p.arm()
 	return p.count(frameEOS, 0, writeEOSFrame(p.w))
 }
 
 func (p *peer) writeEOP() error {
+	if p.self != nil {
+		return p.self.post(frame{kind: frameEOP})
+	}
 	p.arm()
 	return p.count(frameEOP, 0, writeEOPFrame(p.w))
 }
@@ -328,60 +370,33 @@ type frame struct {
 	partials []tuple.Partial
 }
 
-// readFrame decodes the next frame.
-func readFrame(r *bufio.Reader) (frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame decodes the next frame; a raw frame's records land in a slice
+// from pool, which the consumer puts back.
+func readFrame(r *bufio.Reader, pool rawPool) (frame, error) {
+	hdr, err := peekHeader(r, 5)
+	if err != nil {
 		return frame{}, err
 	}
-	kind := frameKind(hdr[0])
+	f := frame{kind: frameKind(hdr[0])}
 	count := int(binary.LittleEndian.Uint32(hdr[1:]))
+	r.Discard(5) // cannot fail: the bytes were just peeked
 	if count < 0 || count > maxFrameRecords {
 		return frame{}, fmt.Errorf("dist: frame count %d out of range", count)
 	}
-	switch kind {
+	switch f.kind {
 	case frameEOS, frameEOP:
 		if count != 0 {
-			return frame{}, fmt.Errorf("dist: control frame %d with count %d", kind, count)
+			err = fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
 		}
-		return frame{kind: kind}, nil
 	case frameRaw:
-		f := frame{kind: kind, raw: make([]tuple.Tuple, 0, min(count, allocChunk))}
-		var rec [tuple.RawSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return frame{}, err
-			}
-			f.raw = append(f.raw, tuple.DecodeRaw(rec[:]))
-		}
-		return f, nil
+		f.raw, err = readRawBody(r, pool.get(), count)
 	case framePartial:
-		f := frame{kind: kind, partials: make([]tuple.Partial, 0, min(count, allocChunk))}
-		var rec [tuple.PartialSize]byte
-		for i := 0; i < count; i++ {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return frame{}, err
-			}
-			f.partials = append(f.partials, tuple.DecodePartial(rec[:]))
-		}
-		return f, nil
-	case frameRawCol:
-		// The whole body is buffered before decoding (the value column
-		// trails every key), chunk-grown so the forged-count exposure
-		// stays bounded; count*RawSize real bytes have arrived by the
-		// time the record slice is sized.
-		body, err := readColBody(r, count*tuple.RawSize)
-		if err != nil {
-			return frame{}, err
-		}
-		return frame{kind: kind, raw: tuple.DecodeRawCol(make([]tuple.Tuple, 0, count), body, count)}, nil
-	case framePartialCol:
-		body, err := readColBody(r, count*tuple.PartialSize)
-		if err != nil {
-			return frame{}, err
-		}
-		return frame{kind: kind, partials: tuple.DecodePartialCol(make([]tuple.Partial, 0, count), body, count)}, nil
+		f.partials, err = readPartialBody(r, count)
 	default:
-		return frame{}, fmt.Errorf("dist: unknown frame kind %d", kind)
+		return frame{}, fmt.Errorf("dist: unknown frame kind %d", f.kind)
 	}
+	if err != nil {
+		return frame{}, err
+	}
+	return f, nil
 }

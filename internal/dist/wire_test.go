@@ -24,14 +24,14 @@ func TestWireRawRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(&buf)
-	f, err := readFrame(r)
+	f, err := readFrame(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.kind != frameRaw || len(f.raw) != 2 || f.raw[0] != in[0] || f.raw[1] != in[1] {
 		t.Fatalf("frame = %+v", f)
 	}
-	f, err = readFrame(r)
+	f, err = readFrame(r, nil)
 	if err != nil || f.kind != frameEOS {
 		t.Fatalf("EOS frame = %+v, %v", f, err)
 	}
@@ -45,7 +45,7 @@ func TestWirePartialRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Flush()
-	f, err := readFrame(bufio.NewReader(&buf))
+	f, err := readFrame(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 		"truncated":      {byte(frameRaw), 2, 0, 0, 0, 1, 2, 3},
 	}
 	for name, b := range cases {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(b))); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -94,7 +94,7 @@ func TestWriteSideFrameBound(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(bufio.NewReader(&buf))
+	f, err := readFrame(bufio.NewReader(&buf), nil)
 	if err != nil || len(f.raw) != maxFrameRecords {
 		t.Fatalf("limit-sized frame: %d records, %v", len(f.raw), err)
 	}
@@ -195,7 +195,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if writeRawFrame(w, in) != nil || w.Flush() != nil {
 			return false
 		}
-		fr, err := readFrame(bufio.NewReader(&buf))
+		fr, err := readFrame(bufio.NewReader(&buf), nil)
 		if err != nil || len(fr.raw) != n {
 			return false
 		}

@@ -12,12 +12,12 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("latency=2ms,jitter=1ms,bw=1048576,partial=0.01,reset=0.005,hang=0.002,acceptfail=0.1,seed=42")
 	f.Add("latency=5ms")
 	f.Add("  reset=0.5 , hang=0.25 ")
-	f.Add("partial=1.5")    // probability out of range
-	f.Add("latency=-3ms")   // negative duration
-	f.Add("bw=banana")      // unparseable value
-	f.Add("frobnicate=1")   // unknown key
-	f.Add("latency")        // missing =
-	f.Add("=,=,=")          // empty keys and values
+	f.Add("partial=1.5")  // probability out of range
+	f.Add("latency=-3ms") // negative duration
+	f.Add("bw=banana")    // unparseable value
+	f.Add("frobnicate=1") // unknown key
+	f.Add("latency")      // missing =
+	f.Add("=,=,=")        // empty keys and values
 	f.Add("seed=9223372036854775807")
 	f.Add("seed=99999999999999999999") // overflows int64
 
