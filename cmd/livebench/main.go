@@ -7,6 +7,14 @@
 //
 //	livebench [-tuples 4000000] [-groups 100000] [-workers 0]
 //	          [-mem 0] [-spill-dir ""] [-runs 3] [-metrics-addr ""]
+//	          [-zipf 0]
+//
+// With -zipf s (s > 1) the keys follow a Zipf distribution over -groups
+// keys (internal/workload.Zipf, the generator behind the benchmark's
+// shared_hot: -tuples 4194304 -groups 8192 -zipf 1.2 -mem 16384) instead of
+// the default round-robin, and under every row a second line gives, for the
+// two shared algorithms, rows/s and the share of the input their workers'
+// front tables absorbed without reaching the shared table.
 //
 // With -metrics-addr, the process serves its metrics registry over HTTP
 // for the whole benchmark (Prometheus text on /metrics, JSON on
@@ -24,6 +32,7 @@ import (
 	"time"
 
 	"parallelagg"
+	"parallelagg/internal/workload"
 	"parallelagg/live"
 )
 
@@ -35,6 +44,7 @@ func main() {
 		mem     = flag.Int("mem", 0, "per-worker hash table bound (0 = unbounded)")
 		spill   = flag.String("spill-dir", "", "spool 2P overflow to real files in this directory")
 		runs    = flag.Int("runs", 3, "timed repetitions (best is reported)")
+		zipf    = flag.Float64("zipf", 0, "Zipf parameter of the key distribution (> 1); 0 = every group equally often")
 
 		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus text (/metrics), JSON (/metrics.json) and pprof on this address; empty disables")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the benchmark completes")
@@ -54,10 +64,20 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics\n\n", mln.Addr())
 	}
 
-	in := make([]live.Tuple, *tuples)
-	for i := range in {
-		k := live.Key(uint64(i*2654435761) % uint64(*groups))
-		in[i] = live.Tuple{Key: k, Val: int64(i % 1000)}
+	var in []live.Tuple
+	if *zipf != 0 {
+		if *zipf <= 1 {
+			fmt.Fprintln(os.Stderr, "livebench: -zipf must be greater than 1")
+			os.Exit(2)
+		}
+		rel := workload.Zipf(1, *tuples, *groups, *zipf, 1)
+		in, *groups = rel.PerNode[0], rel.Groups // the distinct keys actually drawn
+	} else {
+		in = make([]live.Tuple, *tuples)
+		for i := range in {
+			k := live.Key(uint64(i*2654435761) % uint64(*groups))
+			in[i] = live.Tuple{Key: k, Val: int64(i % 1000)}
+		}
 	}
 
 	best := func(f func() error) (time.Duration, error) {
@@ -103,6 +123,7 @@ func main() {
 	fmt.Println()
 	for w := 1; w <= maxW; w *= 2 {
 		fmt.Printf("%-8d", w)
+		fronts := "" // the shared algorithms' second line
 		for _, alg := range live.Algorithms() {
 			cfg := live.Config{
 				Workers:      w,
@@ -111,6 +132,7 @@ func main() {
 				SpillDir:     *spill,
 				Obs:          reg,
 			}
+			var absorbed int64
 			el, err := best(func() error {
 				res, err := live.Aggregate(cfg, in, alg)
 				if err != nil {
@@ -119,6 +141,10 @@ func main() {
 				if int64(len(res.Groups)) != *groups {
 					return fmt.Errorf("%v produced %d groups, want %d", alg, len(res.Groups), *groups)
 				}
+				absorbed = 0
+				for _, m := range res.PerWorker {
+					absorbed += m.Absorbed
+				}
 				return nil
 			})
 			if err != nil {
@@ -126,8 +152,12 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("  %-8v x%-6.2f", el.Round(time.Millisecond), seq.Seconds()/el.Seconds())
+			if alg == live.Shared || alg == live.AdaptiveShared {
+				fronts += fmt.Sprintf("  %v %.1f M rows/s, fronts absorbed %.1f%%", alg,
+					float64(*tuples)/el.Seconds()/1e6, 100*float64(absorbed)/float64(*tuples))
+			}
 		}
-		fmt.Println()
+		fmt.Printf("\n%-8s%s\n", "", fronts)
 	}
 	if *metricsLinger > 0 {
 		time.Sleep(*metricsLinger)

@@ -20,6 +20,10 @@ package aggtable
 
 import "parallelagg/internal/tuple"
 
+// ReserveBatch sizes the pre-hash scratch for batches of up to n records,
+// so a table that lives for one query does not grow it by doubling.
+func (t *Table) ReserveBatch(n int) { t.hashes = make([]uint64, 0, n) }
+
 // UpdateBatch folds every tuple of b into the table in index order.
 // Refused indexes (group absent and table at bound) are appended to
 // refused, which is returned; pass a capacity-reusing slice

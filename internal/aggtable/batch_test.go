@@ -286,6 +286,30 @@ func TestAllocsPinUpdateBatch(t *testing.T) {
 	}
 }
 
+// A table that lives for one query reserves its pre-hash scratch instead of
+// growing it through the first batch: a presized table then folds its very
+// first batch without allocating.
+func TestAllocsPinReservedFirstBatch(t *testing.T) {
+	b := tuple.NewBatch(1024)
+	for i := 0; i < 1024; i++ {
+		b.Append(tuple.Key(i%512), 1)
+	}
+	refused := make([]int, 0, 1024)
+	tabs := make([]*Table, 101)
+	for i := range tabs {
+		tabs[i] = NewSized(512, 512)
+		tabs[i].ReserveBatch(1024)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		refused = tabs[next].UpdateBatch(b, refused[:0])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("first UpdateBatch on a reserved table allocates %.1f per op, want 0", allocs)
+	}
+}
+
 func TestAllocsPinMergeBatch(t *testing.T) {
 	tab := New(0)
 	pb := tuple.NewPartialBatch(1024)

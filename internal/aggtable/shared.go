@@ -274,6 +274,20 @@ func (s *Shared) Get(k tuple.Key) (tuple.AggState, bool) {
 	return st.t.states[i], true
 }
 
+// Each calls fn once for every group entry, one stripe at a time under
+// that stripe's lock and in slot order within it — like Table.Each, for
+// consumers that keep no order (the live engine pours the table into a Go
+// map); Partials and Drain keep the sorted contract for everyone else.
+// fn must not call back into the table.
+func (s *Shared) Each(fn func(tuple.Key, tuple.AggState)) {
+	for i := range s.stripes {
+		st := &s.stripes[i].stripe
+		st.mu.Lock()
+		st.t.Each(fn)
+		st.mu.Unlock()
+	}
+}
+
 // Partials returns a snapshot of the table contents in ascending key
 // order without modifying the table. The snapshot boundary is
 // per-stripe: each stripe's contribution is atomic, and a quiescent

@@ -66,6 +66,9 @@ func TestSharedSequentialMatchesTable(t *testing.T) {
 				ref.Reset()
 			default:
 				samePartials(t, "shared partials", sh.Partials(), ref.Partials())
+				var each []tuple.Partial // slot order, stripe by stripe: the same set
+				sh.Each(func(k tuple.Key, s tuple.AggState) { each = append(each, tuple.Partial{Key: k, State: s}) })
+				samePartials(t, "shared each", sortedDrain(each), ref.Partials())
 				if sh.Len() != ref.Len() {
 					t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, sh.Len(), ref.Len())
 				}

@@ -1,10 +1,10 @@
 // The columnar batch data plane: the default scan path since the
 // struct-of-arrays tuple.Batch landed. The scan side cuts its partition
 // into cfg.Batch-sized chunks and folds each chunk with ONE call into
-// the batch entry points of internal/aggtable — pre-hashed probes on
-// the local table, stripe-segmented locking on the shared one — and
-// routes into columnar per-destination builders that travel the
-// exchange as colRawBatch/colPartBatch messages.
+// the batch entry points of internal/aggtable — pre-hashed probes on the
+// local table and the shared mode's front, stripe-segmented locking on
+// the shared table behind it — and routes into columnar per-destination
+// builders that travel the exchange as colRawBatch/colPartBatch messages.
 //
 // Semantics are the scalar path's, chunk-shaped. The adaptive triggers
 // fire at chunk boundaries instead of per tuple (a switch decision can
@@ -40,6 +40,12 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		mode = modeRoute
 	case Shared, AdaptiveShared:
 		mode = modeShared
+		// Sized up front, not by append-doubling: one query is all they live for.
+		if n, _ := wk.cfg.sharedBudget(); n > 0 {
+			wk.front = aggtable.NewSized(n, n)
+			wk.front.ReserveBatch(wk.cfg.Batch)
+		}
+		wk.scanB, wk.miss = *tuple.NewBatch(wk.cfg.Batch), *tuple.NewBatch(wk.cfg.Batch)
 	}
 	switched := false
 	var spill spillStore // plain 2P's overflow buffer (memory or real disk)
@@ -97,17 +103,14 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		off = end
 		for len(seg) > 0 {
 			if mode == modeShared {
-				var fell bool
-				seg, fell = wk.sharedChunk(seg)
-				if !fell {
-					break
+				if wk.sharedChunk(seg) {
+					wk.leaveShared() // the paper's switch rule a third time: shared mode goes on, frontless
 				}
-				// Not absorbed: AdaptiveShared is falling back. From here
-				// this worker runs the AdaptiveTwoPhase strategy, starting
-				// with the leftover tuples.
-				mode = modeLocal
-				switched = true
-				continue
+				if wk.alg == AdaptiveShared && wk.fallback.Load() { // by whoever's hand: A-2P's strategy from here
+					wk.leaveShared()
+					mode, switched = modeLocal, true
+				}
+				break
 			}
 			if mode == modeRoute && wk.alg == AdaptiveRepartitioning {
 				i := 0
@@ -162,6 +165,9 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 
 	// Drain the local table, then process the spill in bounded passes,
 	// exactly like the overflow-bucket loop of the paper.
+	if mode == modeShared {
+		wk.leaveShared()
+	}
 	if wk.shared != nil {
 		wk.noteOcc(wk.shared)
 	}
@@ -198,56 +204,89 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 	return switched, nil
 }
 
-// sharedChunk folds one chunk into the shared concurrent table with a
-// single stripe-segmented batch call. It returns the tuples the shared
-// phase did NOT absorb plus whether the worker must fall back to
-// partitioned aggregation (AdaptiveShared only): either another worker
-// raised the fallback flag (whole chunk returned), or folds were
-// refused at the table's global bound (refused tuples returned). Plain
-// Shared never falls back — refused tuples go to the worker-private
-// overflow table, as in the scalar path.
-func (wk *worker) sharedChunk(seg []tuple.Tuple) ([]tuple.Tuple, bool) {
-	if wk.alg == Shared {
-		wk.scanB.Reset()
-		wk.scanB.AppendRows(seg)
-		wk.refused = wk.shared.UpdateBatch(&wk.sc, &wk.scanB, wk.refused[:0])
-		if len(wk.refused) > 0 {
-			wk.m.Spilled += int64(len(wk.refused))
-			if wk.sharedOv == nil {
-				wk.sharedOv = aggtable.New(0)
-			}
-			for _, ix := range wk.refused {
-				wk.sharedOv.UpdateRaw(wk.scanB.At(ix))
-			}
-		}
-		return nil, false
-	}
-	if wk.fallback.Load() {
-		return seg, true
+// sharedChunk folds one chunk the way the paper's local phase would, with
+// the shared table as the overflow: into the worker's front first, which
+// keeps the first keys it met and evicts nothing, so a hot key costs one
+// private probe; the tuples it refuses (new key, front full) are compacted
+// into the miss batch, which goes to the shared table cfg.Batch at a time —
+// a chunk's few misses alone would pay a stripe lock every tuple or two. It
+// reports a cold front, to be given up: one that missed over a third of the chunk
+// (the hot keys came too late for it, or there are none) costs more than it saves.
+//
+//aggvet:noalloc
+func (wk *worker) sharedChunk(seg []tuple.Tuple) (cold bool) {
+	if wk.front == nil { // no room for one in the budget, or given up: the chunk is its own miss batch
+		wk.miss.AppendRows(seg)
+		wk.flushMiss()
+		return false
 	}
 	wk.scanB.Reset()
 	wk.scanB.AppendRows(seg)
+	wk.refused = wk.front.UpdateBatch(&wk.scanB, wk.refused[:0])
+	wk.m.Absorbed += int64(len(seg) - len(wk.refused))
+	for _, ix := range wk.refused {
+		if wk.miss.Len() == wk.cfg.Batch {
+			wk.flushMiss()
+		}
+		wk.miss.Append(wk.scanB.Keys[ix], wk.scanB.Vals[ix])
+	}
+	return 3*len(wk.refused) > len(seg)
+}
+
+// flushMiss folds the miss batch into the shared table, one lock per
+// stripe, and bounces what the table refuses at its global bound.
+//
+//aggvet:noalloc
+func (wk *worker) flushMiss() {
 	var contended int
-	wk.refused, contended = wk.shared.UpdateBatchContended(&wk.sc, &wk.scanB, wk.refused[:0])
-	wk.sharedSeen += len(seg) - len(wk.refused)
-	wk.sharedContended += contended
-	if wk.sharedSeen >= wk.cfg.InitSeg {
-		if wk.sharedContentionHigh() {
-			wk.fallback.Store(true)
+	wk.bounced, contended = wk.shared.UpdateBatchContended(&wk.sc, &wk.miss, wk.bounced[:0])
+	if wk.alg == AdaptiveShared {
+		wk.sharedSeen += wk.miss.Len() - len(wk.bounced)
+		wk.sharedContended += contended
+		if wk.sharedSeen >= wk.cfg.InitSeg {
+			if wk.sharedContentionHigh() {
+				wk.fallback.Store(true)
+			}
+			wk.sharedSeen, wk.sharedContended = 0, 0
 		}
-		wk.sharedSeen, wk.sharedContended = 0, 0
 	}
-	if len(wk.refused) > 0 {
-		// Bound pressure: declare end-of-phase for every worker and fold
-		// the refused tuples through the fallback strategy.
-		wk.fallback.Store(true)
-		wk.left = wk.left[:0]
-		for _, ix := range wk.refused {
-			wk.left = append(wk.left, wk.scanB.At(ix))
+	for _, ix := range wk.bounced {
+		wk.bounce(tuple.Partial{Key: wk.miss.Keys[ix], State: tuple.NewState(wk.miss.Vals[ix])})
+	}
+	wk.miss.Reset()
+}
+
+// bounce takes an entry refused at the shared table's global bound: plain Shared's
+// goes to its overflow table, AdaptiveShared's raises the flag and waits in left.
+//
+//aggvet:noalloc
+func (wk *worker) bounce(p tuple.Partial) {
+	if wk.alg == Shared {
+		wk.m.Spilled += p.State.Count
+		wk.sharedOv.MergePartial(p)
+		return
+	}
+	wk.fallback.Store(true)
+	wk.left = append(wk.left, p)
+}
+
+// leaveShared empties the shared-mode buffers — at the end of the partition, on
+// AdaptiveShared's fallback, or to go on without a cold front: the misses into the
+// shared table, the front after them through one pooled batch, left to the exchange.
+func (wk *worker) leaveShared() {
+	wk.flushMiss()
+	if wk.front != nil {
+		cp := wk.pools.getColPart()
+		wk.front.Each(func(k tuple.Key, s tuple.AggState) { cp.pb.Append(tuple.Partial{Key: k, State: s}) })
+		wk.front = nil
+		wk.bounced = wk.shared.MergeBatch(&wk.sc, &cp.pb, wk.bounced[:0])
+		for _, ix := range wk.bounced {
+			wk.bounce(cp.pb.At(ix))
 		}
-		return wk.left, true
+		wk.pools.colPart.Put(cp)
 	}
-	return nil, false
+	wk.flushPartialsB(wk.left)
+	wk.left = wk.left[:0]
 }
 
 // routeB queues one raw tuple for the worker owning its group, into the

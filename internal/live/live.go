@@ -58,21 +58,23 @@ const (
 	// too few distinct groups in its first InitSeg tuples raises a shared
 	// flag and every worker falls back to the AdaptiveTwoPhase strategy.
 	AdaptiveRepartitioning
-	// Shared: every worker folds its partition directly into ONE striped
-	// concurrent table (internal/aggtable.Shared); there is no exchange,
-	// and the merge phase is a single drain. This is the 2025 counterpoint
-	// to the paper's partitioned designs ("Global Hash Tables Strike
-	// Back!"): no second phase, no partial traffic, at the price of lock
-	// traffic on hot stripes. The TableEntries budget is global —
-	// TableEntries×Workers entries, the same total memory as the
-	// partitioned algorithms.
+	// Shared: every worker folds its partition into ONE striped concurrent
+	// table (internal/aggtable.Shared) through a small private front table —
+	// the paper's local phase with the shared table as its overflow: the
+	// front keeps the first keys it sees (and is given up if they turn out
+	// cold), its misses are batched into the shared table, and it is merged
+	// in when the scan ends. There is no exchange and the merge phase is one
+	// pour. This is the 2025 counterpoint to the paper's partitioned designs
+	// ("Global Hash Tables Strike Back!"): no second phase, no partial
+	// traffic, lock traffic only for what the fronts miss. The TableEntries
+	// budget is global — TableEntries×Workers entries, fronts included.
 	Shared
 	// AdaptiveShared: start as Shared; a worker that sees the shared
 	// table refuse a tuple (bound pressure) or more than SwitchRatio of
-	// its last InitSeg folds contend on a stripe lock raises a flag and
-	// every worker falls back to the AdaptiveTwoPhase strategy for the
-	// rest of its partition. The pre-switch shared contents are drained
-	// once at the end and merged with the exchanged results.
+	// its last InitSeg shared-table folds contend on a stripe lock raises
+	// a flag; every worker then empties its front into the shared table and
+	// runs the AdaptiveTwoPhase strategy on the rest of its partition. The
+	// shared contents are poured once at the end over the exchanged results.
 	AdaptiveShared
 )
 
@@ -111,7 +113,8 @@ type Config struct {
 	// TableEntries bounds each worker's scan-side local hash table only,
 	// triggering the overflow behaviour of the chosen algorithm (spill
 	// passes for TwoPhase, the switch for AdaptiveTwoPhase); a merge side
-	// holds every group its worker owns. 0 means unbounded.
+	// holds every group its worker owns. 0 means unbounded. The shared algorithms
+	// pool it: a front takes at most a quarter of a share, the rest bounds the table.
 	TableEntries int
 
 	// Batch is the number of tuples or partials per exchanged message.
@@ -122,14 +125,15 @@ type Config struct {
 	// with the same meaning as core.Options. Defaults: 4096 and 0.1.
 	// AdaptiveShared reuses them as its contention window: a worker that
 	// sees more than SwitchRatio×InitSeg contended folds among InitSeg
-	// consecutive shared-table updates falls back to two-phase.
+	// consecutive shared-table updates falls back to two-phase. Tuples its
+	// front absorbs take no lock and are not in the window.
 	InitSeg     int
 	SwitchRatio float64
 
 	// SharedStripes is the stripe count of the Shared/AdaptiveShared
 	// concurrent table (rounded up to a power of two; 0 picks the
-	// aggtable default). More stripes mean fewer lock collisions and a
-	// bigger drained-table footprint.
+	// aggtable default). More stripes mean fewer lock collisions among
+	// the tuples the fronts miss, and a bigger empty-table footprint.
 	SharedStripes int
 
 	// SpillToDisk spools TwoPhase overflow to real temporary files instead
@@ -184,7 +188,8 @@ type WorkerMetrics struct {
 	Scanned      int64 // tuples this worker's scan side processed
 	Routed       int64 // raw tuples shipped to other workers
 	PartialsSent int64 // partial aggregates shipped
-	Spilled      int64 // tuples that left the bounded table (memory or disk)
+	Spilled      int64 // tuples that left the bounded table (memory or disk); Shared: refused at the global bound
+	Absorbed     int64 // tuples a shared-mode worker's front folded without reaching the shared table
 	GroupsOut    int64 // result groups this worker's merge side produced
 	FanIn        int64 // distinct scan sides that fed this worker's merge side
 	TableOcc     int64 // high-water occupancy of the scan side's bounded table, permille; the merge table has no bound to report against
@@ -331,13 +336,10 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 
 	// The shared algorithms fold into one concurrent table. Its bound is
 	// the global equivalent of the per-worker budget: TableEntries
-	// entries per worker, pooled.
+	// entries per worker, pooled, less what the workers' fronts hold.
 	var shared *aggtable.Shared
 	if alg == Shared || alg == AdaptiveShared {
-		bound := 0
-		if cfg.TableEntries > 0 {
-			bound = cfg.TableEntries * w
-		}
+		_, bound := cfg.sharedBudget()
 		shared = aggtable.NewShared(bound, cfg.SharedStripes)
 	}
 
@@ -379,6 +381,9 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		wk := &worker{id: i, cfg: cfg, alg: alg, inboxes: inboxes,
 			fallback: &fallback, m: &metrics[i], pools: pools, newTable: newTable,
 			shared: shared}
+		if shared != nil {
+			wk.sharedOv = aggtable.New(0)
+		}
 		workers[i] = wk
 		all.Add(2)
 		go func() {
@@ -404,23 +409,27 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		}
 	}
 
-	merged, err := assemble(owned)
+	// The merge phase of the shared algorithms: one pour, unordered like the
+	// map it fills, which is made for all of it. Keys can legitimately coexist
+	// with exchanged results (A-Shared groups split across the pre- and
+	// post-switch phases) and with the overflow tables plain Shared falls back
+	// to at its bound, so these fold with Merge instead of the duplicate check.
+	extra := 0
+	if shared != nil {
+		extra = shared.Len()
+		for _, wk := range workers {
+			extra += wk.sharedOv.Len()
+		}
+	}
+	merged, err := assemble(owned, extra)
 	if err != nil {
 		return nil, err
 	}
 	if shared != nil {
-		// The merge phase of the shared algorithms: one drain. Keys can
-		// legitimately coexist with exchanged results (A-Shared groups
-		// split across the pre- and post-switch phases) and with the
-		// per-worker overflow tables plain Shared falls back to at its
-		// bound, so these fold with Merge instead of the duplicate check.
-		for _, pt := range shared.Drain() {
-			mergeGroup(merged, pt.Key, pt.State)
-		}
+		pour := func(k tuple.Key, s tuple.AggState) { mergeGroup(merged, k, s) }
+		shared.Each(pour)
 		for _, wk := range workers {
-			if wk.sharedOv != nil {
-				wk.sharedOv.Each(func(k tuple.Key, s tuple.AggState) { mergeGroup(merged, k, s) })
-			}
+			wk.sharedOv.Each(pour)
 		}
 	}
 	res := &Result{Groups: merged, PerWorker: metrics}
@@ -438,12 +447,13 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 // per group and no order imposed: a map keeps none. Key.Dest partitions
 // the key space, so the tables are disjoint and the map must end up with
 // the sum of their sizes; if not, the cold path names the shared group.
-func assemble(owned []groupTable) (map[tuple.Key]tuple.AggState, error) {
+// extra is room for the groups the caller pours in afterwards.
+func assemble(owned []groupTable, extra int) (map[tuple.Key]tuple.AggState, error) {
 	total := 0
 	for _, tab := range owned {
 		total += tab.Len()
 	}
-	merged := make(map[tuple.Key]tuple.AggState, total)
+	merged := make(map[tuple.Key]tuple.AggState, total+extra)
 	for _, tab := range owned {
 		tab.Each(func(k tuple.Key, s tuple.AggState) { merged[k] = s })
 	}
@@ -501,11 +511,26 @@ type worker struct {
 
 	// shared is the one concurrent table every worker folds into under
 	// the Shared/AdaptiveShared algorithms (nil otherwise). sharedOv is
-	// this worker's private overflow table for tuples plain Shared could
+	// this worker's private overflow table for what plain Shared could
 	// not absorb at the bound; the scan side fills it, the coordinator
-	// drains it after every worker has finished.
+	// pours it out after every worker has finished.
 	shared   *aggtable.Shared
 	sharedOv *aggtable.Table
+
+	// The batch path's shared mode (sharedChunk): front is the bounded private
+	// table every chunk folds into first (nil when the budget has no room for
+	// one, or once a chunk found it cold), miss the tuples it refused, on their
+	// way to the shared table, bounced the indexes that table refused in its
+	// turn, left those entries, AdaptiveShared's, on their way to the exchange.
+	//
+	//aggvet:owner scan
+	front *aggtable.Table
+	//aggvet:owner scan
+	miss tuple.Batch
+	//aggvet:owner scan
+	bounced []int
+	//aggvet:owner scan
+	left []tuple.Partial
 
 	// Contention-window accounting for AdaptiveShared, scan-side only.
 	sharedSeen      int
@@ -525,8 +550,7 @@ type worker struct {
 	outPartC []*colPartBatch
 
 	// Batch-path scan scratch: the columnar staging batch the scan side
-	// folds chunks through, the reusable refusal index list, the refused
-	// tuples a shared chunk leaves to the fallback strategy, and the shared
+	// folds chunks through, the reusable refusal index list, and the shared
 	// table's partition scratch. All reach 0 allocs/op after the first chunk.
 	//
 	//aggvet:owner scan
@@ -534,9 +558,26 @@ type worker struct {
 	//aggvet:owner scan
 	refused []int
 	//aggvet:owner scan
-	left []tuple.Tuple
-	//aggvet:owner scan
 	sc aggtable.BatchScratch
+}
+
+// frontEntries is the capacity of a shared-mode worker's front table:
+// 8,192 slots of 49 bytes, sized to stay in a core's private L2.
+const frontEntries = 4096
+
+// sharedBudget splits the shared algorithms' TableEntries×Workers budget: front
+// entries for each worker's front — at most a quarter of its share and the one
+// batch of partials it is emptied through, none on ScalarPath, which builds no
+// front — and the rest as the shared table's bound (0 = unbounded).
+func (c Config) sharedBudget() (front, bound int) {
+	if !c.ScalarPath {
+		front = min(frontEntries, c.Batch)
+	}
+	if c.TableEntries > 0 {
+		front = min(front, c.TableEntries/4)
+		bound = (c.TableEntries - front) * c.Workers
+	}
+	return front, bound
 }
 
 type workerMode int
@@ -714,9 +755,6 @@ func (wk *worker) sharedStep(t tuple.Tuple) bool {
 			return true
 		}
 		wk.m.Spilled++
-		if wk.sharedOv == nil {
-			wk.sharedOv = aggtable.New(0)
-		}
 		wk.sharedOv.UpdateRaw(t)
 		return true
 	}
@@ -743,7 +781,8 @@ func (wk *worker) sharedStep(t tuple.Tuple) bool {
 }
 
 // sharedContentionHigh is AdaptiveShared's switch predicate: more than
-// SwitchRatio of the window's folds hit a held stripe lock.
+// SwitchRatio of the window's folds hit a held stripe lock. The window
+// counts only folds that reach the shared table: a front takes no lock.
 func (wk *worker) sharedContentionHigh() bool {
 	return float64(wk.sharedContended) > wk.cfg.SwitchRatio*float64(wk.sharedSeen)
 }

@@ -69,7 +69,7 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 			}
 			c.UpdateRaw(tuple.Tuple{Key: 1000, Val: 3})
 
-			got, err := assemble([]groupTable{a, b, c})
+			got, err := assemble([]groupTable{a, b, c}, 0)
 			if err != nil {
 				t.Fatalf("disjoint tables: %v", err)
 			}
@@ -78,7 +78,7 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 			}
 
 			c.UpdateRaw(tuple.Tuple{Key: 42, Val: 3}) // owned by a already
-			got, err = assemble([]groupTable{a, b, c})
+			got, err = assemble([]groupTable{a, b, c}, 0)
 			if err == nil {
 				t.Fatalf("duplicate producer accepted, %d groups", len(got))
 			}

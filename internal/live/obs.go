@@ -17,6 +17,7 @@ func publishObs(r *obs.Registry, metrics []WorkerMetrics, elapsed time.Duration)
 	routed := r.CounterVec("live_routed_total", "raw tuples shipped between workers", "worker")
 	partials := r.CounterVec("live_partials_sent_total", "partial aggregates shipped between workers", "worker")
 	spilled := r.CounterVec("live_spilled_total", "tuples that left the bounded table", "worker")
+	absorbed := r.CounterVec("live_front_absorbed_total", "tuples a shared-mode front folded without reaching the shared table", "worker")
 	groups := r.CounterVec("live_groups_total", "result groups produced by each merge side", "worker")
 	fanIn := r.GaugeVec("live_merge_fan_in", "distinct scan sides that fed each merge side", "worker")
 	switches := r.CounterVec("live_switch_total", "adaptive strategy switches fired", "worker")
@@ -30,6 +31,7 @@ func publishObs(r *obs.Registry, metrics []WorkerMetrics, elapsed time.Duration)
 		routed.With(w).Add(m.Routed)
 		partials.With(w).Add(m.PartialsSent)
 		spilled.With(w).Add(m.Spilled)
+		absorbed.With(w).Add(m.Absorbed)
 		groups.With(w).Add(m.GroupsOut)
 		fanIn.With(w).Set(m.FanIn)
 		occ.With(w).Set(m.TableOcc)

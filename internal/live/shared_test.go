@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -202,5 +203,286 @@ func TestAllAlgorithmStringsCovered(t *testing.T) {
 		if len(name) == 0 || name[0] == 'A' && name == fmt.Sprintf("Algorithm(%d)", int(a)) {
 			t.Errorf("algorithm %d has no paper abbreviation", int(a))
 		}
+	}
+}
+
+// absorbedShare is the part of the input the fronts folded privately.
+func absorbedShare(res *Result) float64 {
+	var absorbed, scanned int64
+	for _, m := range res.PerWorker {
+		absorbed += m.Absorbed
+		scanned += m.Scanned
+	}
+	return float64(absorbed) / float64(scanned)
+}
+
+// TestSharedFrontMatchesScalarPath holds the front to the direct fold:
+// ScalarPath's sharedStep takes the stripe lock for every tuple and knows no
+// front, and both must produce the sequential reference — over an input the
+// front can do nothing for (uniform, far more groups than it holds), one it
+// is made for (Zipf 1.2), and its weak case: a key-sorted input, where every
+// key's tuples arrive in one run, so an evicting cache would absorb nearly all
+// of them, and a first-come front keeps the first keys it met, misses every
+// run after them and is given up as cold. Budgets go from none (TableEntries
+// < 4: no front at all) through fronts of 25 and 125 entries to the full-size
+// one, bounded and unbounded.
+func TestSharedFrontMatchesScalarPath(t *testing.T) {
+	const rows = 24_000
+	sorted := make([]tuple.Tuple, rows)
+	for i := range sorted {
+		sorted[i] = tuple.Tuple{Key: tuple.Key(i / 12), Val: int64(i%97) - 40} // 2,000 keys, 12 in a row each
+	}
+	shapes := []struct {
+		name string
+		in   []tuple.Tuple
+	}{
+		{"uniform-many", flatten(workload.Uniform(1, rows, 12_000, 51))},
+		{"zipf", flatten(workload.Zipf(1, rows, 8_192, 1.2, 52))},
+		{"sorted", sorted},
+	}
+	for _, sh := range shapes {
+		want := (&workload.Relation{PerNode: [][]tuple.Tuple{sh.in}}).Reference()
+		for _, entries := range []int{0, 1, 3, 100, 500, 16384} {
+			for _, workers := range []int{1, 2, 4, 7} {
+				for _, alg := range []Algorithm{Shared, AdaptiveShared} {
+					cfg := Config{Workers: workers, TableEntries: entries, Batch: 512}
+					name := fmt.Sprintf("%s/entries%d/w%d/%v", sh.name, entries, workers, alg)
+					scalarCfg := cfg
+					scalarCfg.ScalarPath = true
+					sres, err := Aggregate(scalarCfg, sh.in, alg)
+					if err != nil {
+						t.Fatalf("%s: scalar: %v", name, err)
+					}
+					res, err := Aggregate(cfg, sh.in, alg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(res.Groups) != len(want) || len(sres.Groups) != len(want) {
+						t.Fatalf("%s: front %d groups, scalar %d, reference %d", name, len(res.Groups), len(sres.Groups), len(want))
+					}
+					for k, ws := range want {
+						if res.Groups[k] != ws || sres.Groups[k] != ws {
+							t.Fatalf("%s: group %d: front %+v, scalar %+v, reference %+v", name, k, res.Groups[k], sres.Groups[k], ws)
+						}
+					}
+					share := absorbedShare(res)
+					switch {
+					case entries > 0 && entries < 4 && share != 0:
+						t.Errorf("%s: no room for a front, yet %.3f of the input was absorbed", name, share)
+					case entries == 500 && sh.name != "zipf" && share > float64(workers*125*12)/rows:
+						// Each front keeps 125 first-come keys of 12,000 uniform or
+						// 2,000 sorted ones, and no key has more than 12 tuples.
+						t.Errorf("%s: 125-entry fronts absorbed %.3f of the input", name, share)
+					case entries == 16384 && sh.name == "zipf" && alg == Shared && share < 0.8:
+						t.Errorf("%s: a full-size front absorbed only %.3f of a Zipf input", name, share)
+					}
+				}
+			}
+		}
+	}
+}
+
+// newSharedWorker builds one shared-mode scan side with nobody else in the
+// query; its inboxes hold up to room messages, since nobody receives.
+func newSharedWorker(cfg Config, alg Algorithm, flagUp bool, room int) *worker {
+	cfg = cfg.withDefaults()
+	var flag atomic.Bool
+	flag.Store(flagUp)
+	inboxes := make([]chan message, cfg.Workers)
+	for i := range inboxes {
+		inboxes[i] = make(chan message, room)
+	}
+	_, bound := cfg.sharedBudget()
+	return &worker{cfg: cfg, alg: alg, inboxes: inboxes, fallback: &flag, m: &WorkerMetrics{},
+		pools: newExchangePools(cfg.Batch), newTable: cfg.tableFactory(),
+		shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
+}
+
+// runSharedScan drives one AdaptiveShared scan side by hand and returns the
+// worker and everything its partition turned into: the shared table's
+// contents plus what it put on the exchange.
+func runSharedScan(t *testing.T, cfg Config, part []tuple.Tuple, flagUp bool) (*worker, bool, map[tuple.Key]tuple.AggState) {
+	t.Helper()
+	wk := newSharedWorker(cfg, AdaptiveShared, flagUp, len(part)+1)
+	inboxes := wk.inboxes
+	switched, err := wk.scanSide(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[tuple.Key]tuple.AggState{}
+	wk.shared.Each(func(k tuple.Key, s tuple.AggState) { mergeGroup(got, k, s) })
+	for _, ch := range inboxes {
+		close(ch)
+		for m := range ch {
+			switch {
+			case m.craw != nil:
+				for i := 0; i < m.craw.b.Len(); i++ {
+					tp := m.craw.b.At(i)
+					mergeGroup(got, tp.Key, tuple.NewState(tp.Val))
+				}
+			case m.cpart != nil:
+				for i := 0; i < m.cpart.pb.Len(); i++ {
+					mergeGroup(got, m.cpart.pb.Keys[i], m.cpart.pb.StateAt(i))
+				}
+			default:
+				t.Fatal("row-major message on the batch path")
+			}
+		}
+	}
+	return wk, switched, got
+}
+
+// TestASharedFallsBackWithFrontAndMisses: when AdaptiveShared leaves shared
+// mode its front is not empty and its miss batch is part-filled; both must
+// reach the shared table (or, refused there, the exchange) before the
+// fallback strategy takes over, whether the flag went up under this worker's
+// own bound pressure or by another worker's hand.
+func TestASharedFallsBackWithFrontAndMisses(t *testing.T) {
+	// A 16-entry front and 64-tuple batches: the front's 16 first-come keys
+	// are 85 % of the input, so it stays warm, and every chunk leaves some
+	// ten misses behind — the miss batch fills every sixth chunk and is
+	// part-filled at the others — over 900 keys the 96-entry table must refuse.
+	rng := rand.New(rand.NewSource(61))
+	part := make([]tuple.Tuple, 6_000)
+	for i := range part {
+		k := i
+		if i >= 16 {
+			if k = rng.Intn(16); rng.Intn(100) >= 85 {
+				k = 16 + rng.Intn(900)
+			}
+		}
+		part[i] = tuple.Tuple{Key: tuple.Key(k), Val: int64(i%89) - 30}
+	}
+	rel := &workload.Relation{PerNode: [][]tuple.Tuple{part}}
+	cfg := Config{Workers: 2, TableEntries: 64, Batch: 64, SwitchRatio: 1}
+	for _, flagUp := range []bool{false, true} {
+		wk, switched, got := runSharedScan(t, cfg, part, flagUp)
+		if !switched || !wk.fallback.Load() {
+			t.Fatalf("flagUp=%v: switched=%v flag=%v, want a fallback", flagUp, switched, wk.fallback.Load())
+		}
+		if wk.m.Absorbed < 40 {
+			t.Errorf("flagUp=%v: the front absorbed %d tuples before the fallback", flagUp, wk.m.Absorbed)
+		}
+		if wk.front != nil || wk.miss.Len() != 0 {
+			t.Errorf("flagUp=%v: left shared mode with a front (%v) or %d misses still held", flagUp, wk.front != nil, wk.miss.Len())
+		}
+		if flagUp && wk.shared.Len() == 0 {
+			t.Errorf("another worker's flag: the first chunk's front and misses never reached the shared table")
+		}
+		if !flagUp && wk.shared.Len() != wk.shared.Cap() {
+			t.Errorf("bound pressure: shared table holds %d of %d entries at the fallback", wk.shared.Len(), wk.shared.Cap())
+		}
+		if wk.m.Routed == 0 || wk.m.PartialsSent == 0 {
+			t.Errorf("flagUp=%v: fallback strategy shipped %d raw, %d partials", flagUp, wk.m.Routed, wk.m.PartialsSent)
+		}
+		checkAgainstReference(t, rel, &Result{Groups: got})
+	}
+}
+
+// TestSharedColdFrontGivenUp: a front whose first-come keys turn out cold is
+// emptied into the shared table after the first chunk it mostly misses, and
+// shared mode goes on without it; one that keeps absorbing stays.
+func TestSharedColdFrontGivenUp(t *testing.T) {
+	chunk := func(first, keys int) []tuple.Tuple {
+		seg := make([]tuple.Tuple, 64)
+		for i := range seg {
+			seg[i] = tuple.Tuple{Key: tuple.Key(first + i%keys), Val: int64(i)}
+		}
+		return seg
+	}
+	for _, alg := range []Algorithm{Shared, AdaptiveShared} {
+		wk := newSharedWorker(Config{Workers: 2, TableEntries: 64, Batch: 64}, alg, false, 8)
+		n, _ := wk.cfg.sharedBudget() // 16 entries
+		wk.front = aggtable.NewSized(n, n)
+		steps := []struct {
+			seg  []tuple.Tuple
+			cold bool
+		}{
+			{chunk(0, 16), false},  // fills the front
+			{chunk(0, 20), false},  // 12 of 64 missed
+			{chunk(100, 64), true}, // all missed
+			{chunk(0, 16), false},  // no front left to be cold
+		}
+		for i, st := range steps {
+			cold := wk.sharedChunk(st.seg)
+			if cold != st.cold {
+				t.Fatalf("%v: chunk %d: cold=%v, want %v", alg, i, cold, st.cold)
+			}
+			if cold {
+				wk.leaveShared()
+			}
+			if (wk.front == nil) != (i >= 2) {
+				t.Fatalf("%v: after chunk %d: front held=%v", alg, i, wk.front != nil)
+			}
+		}
+		if wk.m.Absorbed != 64+52 || wk.miss.Len() != 0 || wk.shared.Len() != 20+64 || wk.fallback.Load() {
+			t.Errorf("%v: absorbed %d, %d misses pending, table holds %d keys, flag %v; want 116, 0, 84, false",
+				alg, wk.m.Absorbed, wk.miss.Len(), wk.shared.Len(), wk.fallback.Load())
+		}
+	}
+}
+
+// TestSharedBudget: the fronts come out of the TableEntries×Workers budget
+// the Shared doc promises, not on top of it, a budget too small to carve
+// leaves no front, a front fits the one batch it is emptied through, and
+// ScalarPath, which builds no front, keeps the whole budget for the table.
+func TestSharedBudget(t *testing.T) {
+	for _, entries := range []int{0, 1, 2, 3, 4, 5, 100, 500, 16384, 1 << 20} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			for _, batch := range []int{0, 7, 100_000} {
+				cfg := Config{Workers: workers, TableEntries: entries, Batch: batch}.withDefaults()
+				front, bound := cfg.sharedBudget()
+				if front > frontEntries || front > cfg.Batch || front < 0 {
+					t.Errorf("entries %d workers %d batch %d: front of %d entries", entries, workers, batch, front)
+				}
+				if entries == 0 {
+					if bound != 0 {
+						t.Errorf("unbounded budget gave the shared table a bound of %d", bound)
+					}
+					continue
+				}
+				if bound < 1 || front*workers+bound > entries*workers {
+					t.Errorf("entries %d workers %d batch %d: %d fronts of %d + bound %d exceed %d",
+						entries, workers, batch, workers, front, bound, entries*workers)
+				}
+				if (entries < 4) != (front == 0) {
+					t.Errorf("entries %d: front of %d entries", entries, front)
+				}
+				cfg.ScalarPath = true
+				if front, bound := cfg.sharedBudget(); front != 0 || bound != entries*workers {
+					t.Errorf("entries %d workers %d: ScalarPath front %d, bound %d", entries, workers, front, bound)
+				}
+			}
+		}
+	}
+}
+
+// Shared's allocation is a per-query constant that scales with groups, not
+// rows: the striped table and its growth, one presized front, staging batch
+// and miss batch per worker, the front's way out through one pooled partial
+// batch, and a result map made at its final size. On shared_hot's shape at
+// 1/64 that is 1.6–1.8 MB a query (one or two partial batches, as the pool
+// has it); the staging batch grown by append-doubling is 0.37 MB more and
+// puts it past the ceiling.
+func TestSharedAllocationCeiling(t *testing.T) {
+	const rows, groups, ceiling = 1 << 16, 128, 2_000_000
+	rel := workload.Zipf(2, rows, groups, 1.2, 5)
+	cfg := Config{TableEntries: 16384}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := AggregatePartitioned(cfg, rel.PerNode, Shared)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Switched != 0 || absorbedShare(res) < 0.99 {
+			t.Fatalf("switched=%d absorbed=%.3f: not the regime this test pins", res.Switched, absorbedShare(res))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm-up: goroutine stacks, runtime pools
+	if got := run(); got > ceiling {
+		t.Errorf("Shared allocated %d B for the query, ceiling %d", got, ceiling)
 	}
 }
