@@ -64,11 +64,6 @@ type Table struct {
 	used   int    // live entries
 	growAt int    // used threshold that triggers doubling
 	bound  int    // logical capacity (0 = unbounded)
-
-	// hashes is the batch fold's pre-hash scratch column (batch.go). It
-	// lives on the table so a long-lived table reaches 0 allocs/op: the
-	// first UpdateBatch sizes it, every later one reuses the capacity.
-	hashes []uint64
 }
 
 // New returns an empty table. A positive bound caps the number of group
@@ -140,9 +135,8 @@ func (t *Table) find(k tuple.Key) (int, bool) {
 	return t.findH(k, k.Hash())
 }
 
-// findH is find with k's hash already in hand — the batch fold hashes a
-// whole column up front and probes with the result, so the hash chain
-// never sits on the probe's critical path.
+// findH is find with k's hash in hand, and the probe half of the fold kernel:
+// it inlines, which find does not, so the fold entry points hash for it.
 //
 //aggvet:noalloc
 func (t *Table) findH(k tuple.Key, h uint64) (int, bool) {
@@ -160,13 +154,20 @@ func (t *Table) findH(k tuple.Key, h uint64) (int, bool) {
 	}
 }
 
-// insertAt claims the empty slot i for k, growing (and re-probing) first
-// when the load limit is reached. It returns the slot holding k's state.
-func (t *Table) insertAt(i int, k tuple.Key) int {
-	return t.insertAtH(i, k, k.Hash())
+// claim is the insert half of the fold kernel: it takes the empty slot i
+// findH stopped at for the new group k, or returns -1 at the table's bound.
+//
+//aggvet:noalloc
+func (t *Table) claim(i int, k tuple.Key, h uint64) int {
+	if t.bound > 0 && t.used >= t.bound {
+		return -1
+	}
+	return t.insertAtH(i, k, h)
 }
 
-// insertAtH is insertAt with k's hash already in hand.
+// insertAtH claims the empty slot i for k, whose hash is h, growing (and
+// re-probing) first when the load limit is reached. It returns the slot
+// holding k's state.
 //
 //aggvet:noalloc
 func (t *Table) insertAtH(i int, k tuple.Key, h uint64) int {
@@ -241,15 +242,15 @@ func (t *Table) Get(k tuple.Key) (tuple.AggState, bool) {
 //
 //aggvet:noalloc
 func (t *Table) UpdateRaw(tp tuple.Tuple) bool {
-	i, ok := t.find(tp.Key)
+	h := tp.Key.Hash()
+	i, ok := t.findH(tp.Key, h)
 	if ok {
 		t.states[i].Update(tp.Val)
 		return true
 	}
-	if t.bound > 0 && t.used >= t.bound {
+	if i = t.claim(i, tp.Key, h); i < 0 {
 		return false
 	}
-	i = t.insertAt(i, tp.Key)
 	t.states[i] = tuple.NewState(tp.Val)
 	return true
 }
@@ -259,15 +260,15 @@ func (t *Table) UpdateRaw(tp tuple.Tuple) bool {
 //
 //aggvet:noalloc
 func (t *Table) MergePartial(p tuple.Partial) bool {
-	i, ok := t.find(p.Key)
+	h := p.Key.Hash()
+	i, ok := t.findH(p.Key, h)
 	if ok {
 		t.states[i].Merge(p.State)
 		return true
 	}
-	if t.bound > 0 && t.used >= t.bound {
+	if i = t.claim(i, p.Key, h); i < 0 {
 		return false
 	}
-	i = t.insertAt(i, p.Key)
 	t.states[i] = p.State
 	return true
 }
@@ -353,11 +354,7 @@ func (t *Table) EvictBuckets(nbuckets int) [][]tuple.Partial {
 	}
 	t.init(slotsFor(len(keep)))
 	for _, pt := range keep {
-		i, _ := t.find(pt.Key)
-		t.ctrl[i] = uint8(pt.Key.Hash() >> 57)
-		t.keys[i] = pt.Key
-		t.states[i] = pt.State
-		t.used++
+		t.MergePartial(pt) // fewer entries than before the eviction: never refused
 	}
 	return out
 }

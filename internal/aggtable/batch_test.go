@@ -277,7 +277,7 @@ func TestAllocsPinUpdateBatch(t *testing.T) {
 		b.Append(tuple.Key(i%512), 1)
 	}
 	refused := make([]int, 0, 1024)
-	tab.UpdateBatch(b, refused[:0]) // warm table + hash scratch
+	tab.UpdateBatch(b, refused[:0]) // warm table
 	allocs := testing.AllocsPerRun(1000, func() {
 		refused = tab.UpdateBatch(b, refused[:0])
 	})
@@ -286,27 +286,32 @@ func TestAllocsPinUpdateBatch(t *testing.T) {
 	}
 }
 
-// A table that lives for one query reserves its pre-hash scratch instead of
-// growing it through the first batch: a presized table then folds its very
-// first batch without allocating.
-func TestAllocsPinReservedFirstBatch(t *testing.T) {
-	b := tuple.NewBatch(1024)
-	for i := 0; i < 1024; i++ {
-		b.Append(tuple.Key(i%512), 1)
+// UpdateRows is the live scan side's fold, and its tables live for one query:
+// with no scratch to size, the very first call on a presized table allocates
+// nothing, and neither does any later one on a warm table.
+func TestAllocsPinUpdateRows(t *testing.T) {
+	ts := make([]tuple.Tuple, 1024)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(i % 512), Val: 1}
 	}
 	refused := make([]int, 0, 1024)
 	tabs := make([]*Table, 101)
 	for i := range tabs {
-		tabs[i] = NewSized(512, 512)
-		tabs[i].ReserveBatch(1024)
+		tabs[i] = NewSized(256, 256) // half the keys fit: the refusal list is exercised too
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		refused = tabs[next].UpdateBatch(b, refused[:0])
+		refused = tabs[next].UpdateRows(ts, refused[:0])
 		next++
 	})
+	if allocs != 0 || len(refused) != 512 {
+		t.Errorf("first UpdateRows on a presized table allocates %.1f per op and refused %d, want 0 and 512", allocs, len(refused))
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		refused = tabs[0].UpdateRows(ts, refused[:0])
+	})
 	if allocs != 0 {
-		t.Errorf("first UpdateBatch on a reserved table allocates %.1f per op, want 0", allocs)
+		t.Errorf("steady-state UpdateRows allocates %.1f per op, want 0", allocs)
 	}
 }
 
@@ -377,16 +382,20 @@ func TestAllocsPinSharedMergeBatch(t *testing.T) {
 	}
 }
 
-// FuzzBatchUpdate drives UpdateBatch against the scalar oracle over
-// fuzzer-chosen keys, values, bound regimes, and batch split points: a
-// batch folded as two sub-batches at any cut must leave the table and
-// the (index-adjusted) refusal list identical to tuple-at-a-time folds.
+// FuzzBatchUpdate folds every input three ways into equally bounded tables —
+// UpdateRaw per tuple (the oracle), UpdateBatch and UpdateRows — over
+// fuzzer-chosen keys, values, bound regimes and split points: a chunk folded
+// as two sub-chunks at any cut must produce the oracle's refusal indexes
+// exactly, and leave Len() and Partials() identical to tuple-at-a-time folds.
 func FuzzBatchUpdate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 2})             // unbounded, two keys
 	f.Add([]byte{3, 1, 1, 1, 2, 2, 3, 3, 4, 4}) // bound 3: last key refused
 	f.Add([]byte{1, 2, 9, 1, 9, 2, 8, 3})       // bound 1, split mid-batch
 	f.Add([]byte{15, 255, 0, 0, 0, 1, 0, 2, 1, 0})
+	// Bound 2, cut at 3: the table fills inside the first sub-chunk, which
+	// refuses its last tuple; the second starts full, folds residents and refuses the rest.
+	f.Add([]byte{2, 3, 5, 1, 6, 2, 7, 3, 5, 4, 8, 5, 6, 6, 7, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -398,47 +407,61 @@ func FuzzBatchUpdate(f *testing.F) {
 		if n > 512 {
 			n = 512
 		}
-		b := tuple.NewBatch(n)
-		for i := 0; i < n; i++ {
-			b.Append(tuple.Key(rest[2*i]%64), int64(int8(rest[2*i+1])))
+		ts := make([]tuple.Tuple, n)
+		for i := range ts {
+			ts[i] = tuple.Tuple{Key: tuple.Key(rest[2*i] % 64), Val: int64(int8(rest[2*i+1]))}
 		}
+		b := tuple.NewBatch(n)
+		b.AppendRows(ts)
 
 		oracle := New(bound)
 		var wantRefused []int
-		for i := 0; i < b.Len(); i++ {
-			if !oracle.UpdateRaw(b.At(i)) {
+		for i, tp := range ts {
+			if !oracle.UpdateRaw(tp) {
 				wantRefused = append(wantRefused, i)
 			}
 		}
+		want := oracle.Partials()
 
-		tab := New(bound)
 		cut := 0
 		if n > 0 {
 			cut = split % (n + 1)
 		}
 		b1 := &tuple.Batch{Keys: b.Keys[:cut], Vals: b.Vals[:cut]}
 		b2 := &tuple.Batch{Keys: b.Keys[cut:], Vals: b.Vals[cut:]}
-		got := tab.UpdateBatch(b1, nil)
-		for _, ix := range tab.UpdateBatch(b2, nil) {
-			got = append(got, ix+cut)
+		batchTab, rowsTab := New(bound), New(bound)
+		folds := []struct {
+			name    string
+			tab     *Table
+			refused [2][]int // per sub-chunk, indexes relative to it
+		}{
+			{"UpdateBatch", batchTab, [2][]int{batchTab.UpdateBatch(b1, nil), batchTab.UpdateBatch(b2, nil)}},
+			{"UpdateRows", rowsTab, [2][]int{rowsTab.UpdateRows(ts[:cut], nil), rowsTab.UpdateRows(ts[cut:], nil)}},
 		}
-
-		if len(got) != len(wantRefused) {
-			t.Fatalf("bound %d cut %d: %d refusals, want %d", bound, cut, len(got), len(wantRefused))
-		}
-		for i := range got {
-			if got[i] != wantRefused[i] {
-				t.Fatalf("bound %d cut %d: refusal %d = %d, want %d", bound, cut, i, got[i], wantRefused[i])
+		for _, fd := range folds {
+			got := fd.refused[0]
+			for _, ix := range fd.refused[1] {
+				got = append(got, ix+cut)
 			}
-		}
-		want := sortedDrain(oracle.Drain())
-		have := sortedDrain(tab.Drain())
-		if len(have) != len(want) {
-			t.Fatalf("bound %d cut %d: %d groups, want %d", bound, cut, len(have), len(want))
-		}
-		for i := range want {
-			if have[i] != want[i] {
-				t.Fatalf("bound %d cut %d: group %d = %+v, want %+v", bound, cut, i, have[i], want[i])
+			if len(got) != len(wantRefused) {
+				t.Fatalf("%s bound %d cut %d: %d refusals, want %d", fd.name, bound, cut, len(got), len(wantRefused))
+			}
+			for i := range got {
+				if got[i] != wantRefused[i] {
+					t.Fatalf("%s bound %d cut %d: refusal %d = %d, want %d", fd.name, bound, cut, i, got[i], wantRefused[i])
+				}
+			}
+			if fd.tab.Len() != oracle.Len() {
+				t.Fatalf("%s bound %d cut %d: Len %d, want %d", fd.name, bound, cut, fd.tab.Len(), oracle.Len())
+			}
+			have := fd.tab.Partials()
+			if len(have) != len(want) {
+				t.Fatalf("%s bound %d cut %d: %d groups, want %d", fd.name, bound, cut, len(have), len(want))
+			}
+			for i := range want {
+				if have[i] != want[i] {
+					t.Fatalf("%s bound %d cut %d: group %d = %+v, want %+v", fd.name, bound, cut, i, have[i], want[i])
+				}
 			}
 		}
 	})

@@ -182,7 +182,7 @@ func (s *Shared) updateLocked(st *stripe, tp tuple.Tuple) bool {
 	} else {
 		s.used.Add(1)
 	}
-	i = st.t.insertAt(i, tp.Key)
+	i = st.t.insertAtH(i, tp.Key, tp.Key.Hash())
 	st.t.states[i] = tuple.NewState(tp.Val)
 	return true
 }
@@ -204,7 +204,7 @@ func (s *Shared) mergeLocked(st *stripe, p tuple.Partial) bool {
 	} else {
 		s.used.Add(1)
 	}
-	i = st.t.insertAt(i, p.Key)
+	i = st.t.insertAtH(i, p.Key, p.Key.Hash())
 	st.t.states[i] = p.State
 	return true
 }

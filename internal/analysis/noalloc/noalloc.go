@@ -70,7 +70,7 @@ var KnownAllocFree = map[string][]string{
 		"Len", "Reset", "Append", "AppendRows", "At", "StateAt", "EncodeRawCol", "EncodePartialCol", "DecodeRawCol", "DecodePartialCol"},
 	// The fold entry points of Table and Shared: annotated in package
 	// aggtable, and scripts/lint.sh's -require-noalloc gate keeps them so.
-	"internal/aggtable": {"UpdateRaw", "MergePartial", "UpdateBatch", "UpdateBatchContended", "MergeBatch"},
+	"internal/aggtable": {"UpdateRaw", "MergePartial", "UpdateRows", "UpdateBatch", "UpdateBatchContended", "MergeBatch"},
 
 	"encoding/binary": {"PutUint16", "PutUint32", "PutUint64", "Uint16", "Uint32", "Uint64"},
 	"math/bits":       {"*"},

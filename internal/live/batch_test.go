@@ -8,12 +8,13 @@ import (
 	"parallelagg/internal/workload"
 )
 
-// The batch scan path is the default; Config.ScalarPath keeps the
-// per-tuple fold reachable as the differential baseline. This suite is
-// the equivalence argument's teeth: same seed, same workload, same
-// bounds — the two paths must produce byte-identical results on every
-// algorithm, including the adaptive and shared ones whose internal
-// switch timing may legitimately differ between paths.
+// The scan side folds and routes a chunk at a time, so its adaptive
+// switches fire at chunk boundaries and a refusing chunk folds what it can
+// first. This suite is the teeth of the argument that none of that shows in
+// the result: seeded workloads, bounds and chunk sizes, and every algorithm
+// — the adaptive and shared ones included, whose switch timing depends on
+// the chunking — must produce the sequential map fold
+// (workload.Relation.Reference) group for group.
 
 // diffWorkload builds a deterministic workload for one differential
 // seed, sweeping selectivity (groups/tuples) and table pressure so low-,
@@ -57,63 +58,32 @@ func TestBatchScalarDifferential(t *testing.T) {
 		in := flatten(rel)
 		for _, alg := range Algorithms() {
 			t.Run(fmt.Sprintf("seed%d/%v", seed, alg), func(t *testing.T) {
-				scalarCfg := cfg
-				scalarCfg.ScalarPath = true
-				sres, err := Aggregate(scalarCfg, in, alg)
+				res, err := Aggregate(cfg, in, alg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bres, err := Aggregate(cfg, in, alg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(bres.Groups) != len(sres.Groups) {
-					t.Fatalf("batch %d groups, scalar %d", len(bres.Groups), len(sres.Groups))
-				}
-				for k, ss := range sres.Groups {
-					if bs, ok := bres.Groups[k]; !ok || bs != ss {
-						t.Fatalf("group %d: batch %+v, scalar %+v", k, bres.Groups[k], ss)
-					}
-				}
-				// Both must also match the sequential reference.
-				checkAgainstReference(t, rel, bres)
+				checkAgainstReference(t, rel, res)
 			})
 		}
 	}
 }
 
-// The scalar flag must actually select the scalar path — a quick probe
-// that the two paths exist and behave identically on a bound so tight
-// the refusal machinery dominates.
+// A bound so tight that nearly every chunk is mostly refusals: the leftover
+// path (spill, drain-and-switch, bounce) does the work, not the chunk fold.
 func TestBatchScalarDifferentialTinyBound(t *testing.T) {
 	rel := workload.Uniform(4, 10_000, 5_000, 77)
 	in := flatten(rel)
 	for _, alg := range Algorithms() {
-		cfg := Config{Workers: 4, TableEntries: 8}
-		scalarCfg := cfg
-		scalarCfg.ScalarPath = true
-		sres, err := Aggregate(scalarCfg, in, alg)
+		res, err := Aggregate(Config{Workers: 4, TableEntries: 8}, in, alg)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		bres, err := Aggregate(cfg, in, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		for k, ss := range sres.Groups {
-			if bs, ok := bres.Groups[k]; !ok || bs != ss {
-				t.Fatalf("%v group %d: batch %+v, scalar %+v", alg, k, bres.Groups[k], ss)
-			}
-		}
-		if len(bres.Groups) != len(sres.Groups) {
-			t.Fatalf("%v: batch %d groups, scalar %d", alg, len(bres.Groups), len(sres.Groups))
-		}
-		checkAgainstReference(t, rel, bres)
+		checkAgainstReference(t, rel, res)
 	}
 }
 
 // Scan-side batches must reach the merge side through the columnar
-// builders: a single-run smoke that the batch path routes (Routed > 0)
+// builders: a single-run smoke that the scan side routes (Routed > 0)
 // and ships partials on the two-phase algorithms.
 func TestBatchPathShipsColumnar(t *testing.T) {
 	rel := workload.Uniform(4, 20_000, 2_000, 31)
@@ -126,7 +96,7 @@ func TestBatchPathShipsColumnar(t *testing.T) {
 		partials += m.PartialsSent
 	}
 	if partials == 0 {
-		t.Error("two-phase batch path shipped no partials")
+		t.Error("two-phase shipped no partials")
 	}
 	checkAgainstReference(t, rel, res)
 
@@ -139,7 +109,7 @@ func TestBatchPathShipsColumnar(t *testing.T) {
 		routed += m.Routed
 	}
 	if routed == 0 {
-		t.Error("repartitioning batch path routed no tuples")
+		t.Error("repartitioning routed no tuples")
 	}
 	checkAgainstReference(t, rel, res)
 }

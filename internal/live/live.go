@@ -2,8 +2,9 @@
 // as internal/core, executed with actual goroutines and channels on the
 // host machine instead of on the simulated cluster. Workers play the role
 // of nodes, channel exchanges the role of the interconnect, and a bounded
-// hash table the role of the memory budget; overflow "spills" are buffered
-// in memory (a real system would spool them to disk).
+// hash table the role of the memory budget; plain two-phase overflow spills
+// to an in-memory buffer or, under Config.SpillToDisk, to real temporary
+// files.
 //
 // The engine exists for two reasons. First, it is the artifact a user of
 // this library most likely wants: a fast multicore GROUP BY. Second, it
@@ -13,9 +14,9 @@
 // synchronization.
 //
 // Each worker runs two goroutines, mirroring the Gamma operator split: a
-// scan side that aggregates or routes its partition, and a merge side that
-// owns the groups hashing to the worker and consumes the exchange from the
-// moment the query starts (so bounded exchange channels provide
+// scan side that aggregates or routes its partition (scan.go), and a merge
+// side that owns the groups hashing to the worker and consumes the exchange
+// from the moment the query starts (so bounded exchange channels provide
 // backpressure without deadlock).
 //
 // The data plane is allocation-free in steady state: worker tables are
@@ -117,8 +118,9 @@ type Config struct {
 	// pool it: a front takes at most a quarter of a share, the rest bounds the table.
 	TableEntries int
 
-	// Batch is the number of tuples or partials per exchanged message.
-	// Default 4096.
+	// Batch is the scan chunk — the tuples a scan side folds or routes with
+	// one call, between two looks at the adaptive triggers — and the number
+	// of tuples or partials per exchanged message. Default 4096.
 	Batch int
 
 	// InitSeg and SwitchRatio drive AdaptiveRepartitioning's fallback,
@@ -141,22 +143,6 @@ type Config struct {
 	// bound. SpillDir selects the directory ("" = the OS temp dir).
 	SpillToDisk bool
 	SpillDir    string
-
-	// ScalarPath runs the per-tuple data plane the engine used before the
-	// columnar batch path existed: tuple-at-a-time folds, row-major
-	// exchange batches, one stripe-lock acquisition per shared fold. It
-	// exists as a differential-testing oracle. Measured once, on one vCPU
-	// (EXPERIMENTS.md §BENCH_pr10): the batch path ran at up to 3.3× the
-	// scalar rows/s for Shared/A-Shared at selectivity 0.001 and at
-	// 0.78–1.17× for 2P/A-2P. Results are identical either way.
-	ScalarPath bool
-
-	// BaselineMapTables runs every worker table on the builtin-map
-	// implementation the engine used before internal/aggtable existed.
-	// It exists only as a differential-testing oracle. Measured once
-	// (EXPERIMENTS.md §BENCH_pr5): the open-addressing table ran at
-	// 1.3–2.7× the map's rows/s. Results are identical either way.
-	BaselineMapTables bool
 
 	// Obs, when non-nil, receives per-worker counters (rows, routed
 	// tuples, partials, spills, groups, merge fan-in) and whole-run
@@ -203,38 +189,9 @@ type Result struct {
 	PerWorker []WorkerMetrics
 }
 
-// groupTable is the bounded aggregation table a worker's scan and merge
-// sides fold into: the open-addressing internal/aggtable.Table by
-// default, or the builtin-map baseline under Config.BaselineMapTables.
-// Update/Merge return false when the key is absent and the table is at
-// its bound; Drain empties the table in ascending key order; Each visits
-// every group once in no particular order and leaves the table as it is.
-type groupTable interface {
-	UpdateRaw(tuple.Tuple) bool
-	MergePartial(tuple.Partial) bool
-	UpdateBatch(*tuple.Batch, []int) []int
-	MergeBatch(*tuple.PartialBatch, []int) []int
-	Len() int
-	Drain() []tuple.Partial
-	Each(func(tuple.Key, tuple.AggState))
-	OccupancyPermille() int
-}
-
-// tableFactory picks the groupTable implementation once per run.
-func (c Config) tableFactory() func(bound int) groupTable {
-	if c.BaselineMapTables {
-		return func(bound int) groupTable { return newMapTable(bound) }
-	}
-	return func(bound int) groupTable { return aggtable.New(bound) }
-}
-
-// rawBatch and partBatch are pooled row-major exchange buffers (the
-// scalar path); colRawBatch and colPartBatch their columnar twins (the
-// batch path). The holder structs travel through the channels by pointer
-// so the merge side can hand the same allocation back to the pool after
-// folding it.
-type rawBatch struct{ ts []tuple.Tuple }
-type partBatch struct{ ps []tuple.Partial }
+// colRawBatch and colPartBatch are the pooled columnar exchange buffers.
+// The holder structs travel through the channels by pointer so the merge
+// side can hand the same allocation back to the pool after folding it.
 type colRawBatch struct{ b tuple.Batch }
 type colPartBatch struct{ pb tuple.PartialBatch }
 
@@ -242,20 +199,12 @@ type colPartBatch struct{ pb tuple.PartialBatch }
 // not global, so every pooled buffer has exactly cfg.Batch capacity and
 // the allocations die with the run.
 type exchangePools struct {
-	raw     sync.Pool
-	part    sync.Pool
 	colRaw  sync.Pool
 	colPart sync.Pool
 }
 
 func newExchangePools(batch int) *exchangePools {
 	return &exchangePools{
-		raw: sync.Pool{New: func() any {
-			return &rawBatch{ts: make([]tuple.Tuple, 0, batch)}
-		}},
-		part: sync.Pool{New: func() any {
-			return &partBatch{ps: make([]tuple.Partial, 0, batch)}
-		}},
 		colRaw: sync.Pool{New: func() any {
 			return &colRawBatch{b: tuple.Batch{
 				Keys: make([]tuple.Key, 0, batch),
@@ -275,18 +224,6 @@ func newExchangePools(batch int) *exchangePools {
 	}
 }
 
-func (p *exchangePools) getRaw() *rawBatch {
-	b := p.raw.Get().(*rawBatch)
-	b.ts = b.ts[:0]
-	return b
-}
-
-func (p *exchangePools) getPart() *partBatch {
-	b := p.part.Get().(*partBatch)
-	b.ps = b.ps[:0]
-	return b
-}
-
 func (p *exchangePools) getColRaw() *colRawBatch {
 	b := p.colRaw.Get().(*colRawBatch)
 	b.b.Reset()
@@ -299,15 +236,13 @@ func (p *exchangePools) getColPart() *colPartBatch {
 	return b
 }
 
-// message is one exchange batch between workers. At most one of
-// raw/part/craw/cpart is non-nil; the receiver owns the batch and must
-// return it to the pool once folded.
+// message is one exchange batch between workers. Exactly one of raw/part
+// is non-nil; the receiver owns the batch and must return it to the pool
+// once folded.
 type message struct {
-	src   int // sending worker, for merge fan-in accounting
-	raw   *rawBatch
-	part  *partBatch
-	craw  *colRawBatch
-	cpart *colPartBatch
+	src  int // sending worker, for merge fan-in accounting
+	raw  *colRawBatch
+	part *colPartBatch
 }
 
 // Aggregate runs alg over the tuples with cfg.Workers parallel workers and
@@ -366,12 +301,11 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		}
 	}()
 
-	owned := make([]groupTable, w) // each merge side's table of the groups it owns
+	owned := make([]*aggtable.Table, w) // each merge side's table of the groups it owns
 	metrics := make([]WorkerMetrics, w)
 	switched := make([]bool, w)
 	errs := make([]error, w)
 	var fallback atomic.Bool // ARep's broadcast "end-of-phase" flag
-	newTable := cfg.tableFactory()
 
 	start := time.Now()
 	var all sync.WaitGroup
@@ -379,8 +313,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	for i := 0; i < w; i++ {
 		i := i
 		wk := &worker{id: i, cfg: cfg, alg: alg, inboxes: inboxes,
-			fallback: &fallback, m: &metrics[i], pools: pools, newTable: newTable,
-			shared: shared}
+			fallback: &fallback, m: &metrics[i], pools: pools, shared: shared}
 		if shared != nil {
 			wk.sharedOv = aggtable.New(0)
 		}
@@ -448,7 +381,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 // the key space, so the tables are disjoint and the map must end up with
 // the sum of their sizes; if not, the cold path names the shared group.
 // extra is room for the groups the caller pours in afterwards.
-func assemble(owned []groupTable, extra int) (map[tuple.Key]tuple.AggState, error) {
+func assemble(owned []*aggtable.Table, extra int) (map[tuple.Key]tuple.AggState, error) {
 	total := 0
 	for _, tab := range owned {
 		total += tab.Len()
@@ -507,7 +440,6 @@ type worker struct {
 	fallback *atomic.Bool
 	m        *WorkerMetrics
 	pools    *exchangePools
-	newTable func(bound int) groupTable
 
 	// shared is the one concurrent table every worker folds into under
 	// the Shared/AdaptiveShared algorithms (nil otherwise). sharedOv is
@@ -517,7 +449,7 @@ type worker struct {
 	shared   *aggtable.Shared
 	sharedOv *aggtable.Table
 
-	// The batch path's shared mode (sharedChunk): front is the bounded private
+	// Shared mode's scan state (sharedChunk): front is the bounded private
 	// table every chunk folds into first (nil when the budget has no room for
 	// one, or once a chunk found it cold), miss the tuples it refused, on their
 	// way to the shared table, bounced the indexes that table refused in its
@@ -541,20 +473,14 @@ type worker struct {
 	// inbox channels instead).
 	//
 	//aggvet:owner scan
-	outRaw []*rawBatch
+	outRaw []*colRawBatch
 	//aggvet:owner scan
-	outPart []*partBatch
-	//aggvet:owner scan
-	outRawC []*colRawBatch
-	//aggvet:owner scan
-	outPartC []*colPartBatch
+	outPart []*colPartBatch
 
-	// Batch-path scan scratch: the columnar staging batch the scan side
-	// folds chunks through, the reusable refusal index list, and the shared
-	// table's partition scratch. All reach 0 allocs/op after the first chunk.
+	// Scan scratch: the reusable refusal index list of the chunk folds, and
+	// the shared table's partition scratch. Both reach 0 allocs/op after
+	// the first chunk.
 	//
-	//aggvet:owner scan
-	scanB tuple.Batch
 	//aggvet:owner scan
 	refused []int
 	//aggvet:owner scan
@@ -567,12 +493,10 @@ const frontEntries = 4096
 
 // sharedBudget splits the shared algorithms' TableEntries×Workers budget: front
 // entries for each worker's front — at most a quarter of its share and the one
-// batch of partials it is emptied through, none on ScalarPath, which builds no
-// front — and the rest as the shared table's bound (0 = unbounded).
+// batch of partials it is emptied through — and the rest as the shared table's
+// bound (0 = unbounded).
 func (c Config) sharedBudget() (front, bound int) {
-	if !c.ScalarPath {
-		front = min(frontEntries, c.Batch)
-	}
+	front = min(frontEntries, c.Batch)
 	if c.TableEntries > 0 {
 		front = min(front, c.TableEntries/4)
 		bound = (c.TableEntries - front) * c.Workers
@@ -588,196 +512,9 @@ const (
 	modeShared
 )
 
-// noteOcc records the table's high-water occupancy for the obs layer.
-// It takes just the occupancy hook so the Shared table (whose batch
-// entry points need caller-owned scratch) qualifies alongside
-// groupTable implementations.
-func (wk *worker) noteOcc(tab interface{ OccupancyPermille() int }) {
-	if occ := int64(tab.OccupancyPermille()); occ > wk.m.TableOcc {
-		wk.m.TableOcc = occ
-	}
-}
-
-// scanSide aggregates or routes this worker's partition, reporting whether
-// it switched strategy. It is the owning loop of the worker's outbound
-// batch state (outRaw/outPart).
-//
-//aggvet:loop scan
-func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
-	w := wk.cfg.Workers
-	wk.outRaw = make([]*rawBatch, w)
-	wk.outPart = make([]*partBatch, w)
-	wk.outRawC = make([]*colRawBatch, w)
-	wk.outPartC = make([]*colPartBatch, w)
-	if !wk.cfg.ScalarPath {
-		return wk.scanSideBatch(part)
-	}
-
-	bound := wk.cfg.TableEntries
-	local := wk.newTable(bound)
-	mode := modeLocal
-	switch wk.alg {
-	case Repartitioning, AdaptiveRepartitioning:
-		mode = modeRoute
-	case Shared, AdaptiveShared:
-		mode = modeShared
-	}
-	switched := false
-	var spill spillStore // plain 2P's overflow buffer (memory or real disk)
-	defer func() {
-		if spill != nil {
-			spill.close()
-		}
-	}()
-
-	// ARep observation state.
-	observing := wk.alg == AdaptiveRepartitioning
-	obsSeen := 0
-	obsGroups := make(map[tuple.Key]struct{})
-	threshold := int(wk.cfg.SwitchRatio * float64(wk.cfg.InitSeg))
-	if threshold < 1 {
-		threshold = 1
-	}
-
-	wk.m.Scanned = int64(len(part))
-	for _, t := range part {
-		if mode == modeShared {
-			if wk.sharedStep(t) {
-				continue
-			}
-			// Not absorbed: AdaptiveShared is falling back. From here
-			// this worker runs the AdaptiveTwoPhase strategy, starting
-			// with this very tuple.
-			mode = modeLocal
-			switched = true
-		}
-		if mode == modeRoute && wk.alg == AdaptiveRepartitioning {
-			if wk.fallback.Load() {
-				// Another worker (or this one) declared end-of-phase.
-				mode = modeLocal
-				switched = true
-				observing = false
-			} else if observing {
-				obsSeen++
-				if len(obsGroups) <= threshold {
-					obsGroups[t.Key] = struct{}{}
-				}
-				if len(obsGroups) > threshold {
-					observing = false // plenty of groups: keep routing
-				} else if obsSeen >= wk.cfg.InitSeg {
-					observing = false
-					wk.fallback.Store(true)
-					mode = modeLocal
-					switched = true
-				}
-			}
-		}
-		switch mode {
-		case modeLocal:
-			if local.UpdateRaw(t) {
-				continue
-			}
-			// Local table is full and this tuple starts a new group.
-			switch wk.alg {
-			case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-				// Flush the accumulated partials, free the memory,
-				// repartition from here on — the A-2P switch.
-				wk.noteOcc(local)
-				wk.flushPartials(local.Drain())
-				mode = modeRoute
-				switched = true
-				wk.route(t)
-			default:
-				// Plain 2P spools the overflow tuple.
-				wk.m.Spilled++
-				if spill == nil {
-					if spill, err = newSpillStore(wk.cfg); err != nil {
-						return switched, err
-					}
-				}
-				if err = spill.add(t); err != nil {
-					return switched, err
-				}
-			}
-		case modeRoute:
-			wk.route(t)
-		}
-	}
-
-	// Drain the local table, then process the spill in bounded passes,
-	// exactly like the overflow-bucket loop of the paper.
-	if wk.shared != nil {
-		wk.noteOcc(wk.shared)
-	}
-	wk.noteOcc(local)
-	wk.flushPartials(local.Drain())
-	for spill != nil && spill.len() > 0 {
-		var next spillStore
-		tab := wk.newTable(bound)
-		err = spill.drain(func(t tuple.Tuple) error {
-			if tab.UpdateRaw(t) {
-				return nil
-			}
-			if next == nil {
-				var nerr error
-				if next, nerr = newSpillStore(wk.cfg); nerr != nil {
-					return nerr
-				}
-			}
-			return next.add(t)
-		})
-		spill.close()
-		spill = next
-		if err != nil {
-			if spill != nil {
-				spill.close()
-				spill = nil
-			}
-			return switched, err
-		}
-		wk.noteOcc(tab)
-		wk.flushPartials(tab.Drain())
-	}
-	wk.flushAll()
-	return switched, nil
-}
-
-// sharedStep folds one tuple into the shared concurrent table. It
-// returns false when the tuple was NOT absorbed and the worker must fall
-// back to partitioned aggregation (AdaptiveShared only): either another
-// worker raised the fallback flag, or this fold was refused at the
-// table's global bound. Plain Shared never falls back — refused tuples
-// go to a worker-private unbounded overflow table, the live equivalent
-// of the paper's spill pass, and the coordinator merges it at the end.
-func (wk *worker) sharedStep(t tuple.Tuple) bool {
-	if wk.alg == Shared {
-		if wk.shared.UpdateRaw(t) {
-			return true
-		}
-		wk.m.Spilled++
-		wk.sharedOv.UpdateRaw(t)
-		return true
-	}
-	if wk.fallback.Load() {
-		return false
-	}
-	ok, contended := wk.shared.UpdateRawContended(t)
-	if !ok {
-		// Bound pressure: declare end-of-phase for every worker.
-		wk.fallback.Store(true)
-		return false
-	}
-	wk.sharedSeen++
-	if contended {
-		wk.sharedContended++
-	}
-	if wk.sharedSeen >= wk.cfg.InitSeg {
-		if wk.sharedContentionHigh() {
-			wk.fallback.Store(true)
-		}
-		wk.sharedSeen, wk.sharedContended = 0, 0
-	}
-	return true
+// noteOcc records a table's high-water occupancy for the obs layer.
+func (wk *worker) noteOcc(permille int) {
+	wk.m.TableOcc = max(wk.m.TableOcc, int64(permille))
 }
 
 // sharedContentionHigh is AdaptiveShared's switch predicate: more than
@@ -794,105 +531,43 @@ func (wk *worker) sharedContentionHigh() bool {
 // here only moved the refused entries somewhere costlier (DESIGN.md §14).
 // Every folded batch goes back to the exchange pool, which is what keeps
 // the steady-state data plane allocation-free.
-func (wk *worker) mergeSide(inbox <-chan message) groupTable {
-	owned := wk.newTable(0)
+func (wk *worker) mergeSide(inbox <-chan message) *aggtable.Table {
+	owned := aggtable.New(0)
 	srcs := make([]bool, wk.cfg.Workers)
 	for m := range inbox {
 		if !srcs[m.src] {
 			srcs[m.src] = true
 			wk.m.FanIn++
 		}
-		switch {
-		case m.craw != nil:
-			owned.UpdateBatch(&m.craw.b, nil)
-			wk.pools.colRaw.Put(m.craw)
-		case m.cpart != nil:
-			owned.MergeBatch(&m.cpart.pb, nil)
-			wk.pools.colPart.Put(m.cpart)
-		case m.raw != nil:
-			for _, t := range m.raw.ts {
-				owned.UpdateRaw(t)
-			}
-			wk.pools.raw.Put(m.raw)
-		case m.part != nil:
-			for _, pt := range m.part.ps {
-				owned.MergePartial(pt)
-			}
-			wk.pools.part.Put(m.part)
+		if m.raw != nil {
+			owned.UpdateBatch(&m.raw.b, nil)
+			wk.pools.colRaw.Put(m.raw)
+		} else {
+			owned.MergeBatch(&m.part.pb, nil)
+			wk.pools.colPart.Put(m.part)
 		}
 	}
 	return owned
-}
-
-// route queues one raw tuple for the worker owning its group.
-func (wk *worker) route(t tuple.Tuple) {
-	wk.m.Routed++
-	d := t.Key.Dest(wk.cfg.Workers)
-	b := wk.outRaw[d]
-	if b == nil {
-		b = wk.pools.getRaw()
-		wk.outRaw[d] = b
-	}
-	b.ts = append(b.ts, t)
-	if len(b.ts) >= wk.cfg.Batch {
-		wk.inboxes[d] <- message{src: wk.id, raw: b}
-		wk.outRaw[d] = nil
-	}
-}
-
-// flushPartials partitions a drained table's partials to their merge
-// workers. The input is consumed (it aliases nothing once sent).
-func (wk *worker) flushPartials(parts []tuple.Partial) {
-	wk.m.PartialsSent += int64(len(parts))
-	for _, pt := range parts {
-		d := pt.Key.Dest(wk.cfg.Workers)
-		b := wk.outPart[d]
-		if b == nil {
-			b = wk.pools.getPart()
-			wk.outPart[d] = b
-		}
-		b.ps = append(b.ps, pt)
-		if len(b.ps) >= wk.cfg.Batch {
-			wk.inboxes[d] <- message{src: wk.id, part: b}
-			wk.outPart[d] = nil
-		}
-	}
 }
 
 // flushAll sends every partially-filled batch.
 func (wk *worker) flushAll() {
 	for d := range wk.inboxes {
 		if b := wk.outRaw[d]; b != nil {
-			if len(b.ts) > 0 {
+			if b.b.Len() > 0 {
 				wk.inboxes[d] <- message{src: wk.id, raw: b}
 			} else {
-				wk.pools.raw.Put(b)
+				wk.pools.colRaw.Put(b)
 			}
 			wk.outRaw[d] = nil
 		}
 		if b := wk.outPart[d]; b != nil {
-			if len(b.ps) > 0 {
-				wk.inboxes[d] <- message{src: wk.id, part: b}
-			} else {
-				wk.pools.part.Put(b)
-			}
-			wk.outPart[d] = nil
-		}
-		if b := wk.outRawC[d]; b != nil {
-			if b.b.Len() > 0 {
-				wk.inboxes[d] <- message{src: wk.id, craw: b}
-			} else {
-				wk.pools.colRaw.Put(b)
-			}
-			wk.outRawC[d] = nil
-		}
-		if b := wk.outPartC[d]; b != nil {
 			if b.pb.Len() > 0 {
-				wk.inboxes[d] <- message{src: wk.id, cpart: b}
+				wk.inboxes[d] <- message{src: wk.id, part: b}
 			} else {
 				wk.pools.colPart.Put(b)
 			}
-			wk.outPartC[d] = nil
+			wk.outPart[d] = nil
 		}
 	}
 }

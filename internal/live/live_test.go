@@ -20,13 +20,18 @@ func flatten(rel *workload.Relation) []tuple.Tuple {
 
 func checkAgainstReference(t *testing.T, rel *workload.Relation, res *Result) {
 	t.Helper()
-	want := rel.Reference()
-	if len(res.Groups) != len(want) {
-		t.Fatalf("got %d groups, want %d", len(res.Groups), len(want))
+	checkGroups(t, rel.Reference(), res.Groups)
+}
+
+// checkGroups requires got to be want, group for group.
+func checkGroups(t *testing.T, want, got map[tuple.Key]tuple.AggState) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d groups, want %d", len(got), len(want))
 	}
 	for k, ws := range want {
-		if gs, ok := res.Groups[k]; !ok || gs != ws {
-			t.Fatalf("group %d = %v, want %v", k, res.Groups[k], ws)
+		if gs, ok := got[k]; !ok || gs != ws {
+			t.Fatalf("group %d = %v, want %v", k, got[k], ws)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/tuple"
 	"parallelagg/internal/workload"
 )
@@ -14,84 +15,79 @@ import (
 // however small TableEntries is. With eight times more groups per worker
 // than the scan-side bound, every merge table grows through several
 // doublings while partials and raw tuples keep arriving; every algorithm
-// on every data plane must still produce the sequential fold.
+// must still produce the sequential fold — as three oracles that share no
+// code compute it: workload's reference map ("default"), and adaptive two-phase
+// written out by hand over per-tuple aggtable calls ("scalar") and over
+// builtin maps ("maptables").
 func TestHighCardinalityDifferential(t *testing.T) {
 	const workers, bound = 4, 128
 	rel := workload.Uniform(workers, 60_000, 8*bound*workers, 41)
-	want := rel.Reference()
-	if len(want) < 8*bound*workers {
-		t.Fatalf("workload has %d groups, want at least %d", len(want), 8*bound*workers)
-	}
-	planes := []struct {
+	oracles := []struct {
 		name string
-		cfg  Config
+		want map[tuple.Key]tuple.AggState
 	}{
-		{"default", Config{}},
-		{"scalar", Config{ScalarPath: true}},
-		{"maptables", Config{BaselineMapTables: true}},
+		{"default", rel.Reference()},
+		{"scalar", sequentialA2P(rel.PerNode, bound, newAggTable)},
+		{"maptables", sequentialA2P(rel.PerNode, bound, newMapTable)},
+	}
+	groups := len(oracles[0].want)
+	if groups < 8*bound*workers {
+		t.Fatalf("workload has %d groups, want at least %d", groups, 8*bound*workers)
 	}
 	for _, alg := range Algorithms() {
-		for _, pl := range planes {
-			t.Run(fmt.Sprintf("%v/%s", alg, pl.name), func(t *testing.T) {
-				cfg := pl.cfg
-				cfg.TableEntries = bound
-				res, err := AggregatePartitioned(cfg, rel.PerNode, alg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstReference(t, rel, res)
-				var out int64
-				for _, m := range res.PerWorker {
-					out += m.GroupsOut
-				}
-				if alg != Shared && out != int64(len(want)) {
-					t.Errorf("merge sides produced %d groups, want %d", out, len(want))
-				}
+		res, err := AggregatePartitioned(Config{TableEntries: bound}, rel.PerNode, alg)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		for _, or := range oracles {
+			t.Run(fmt.Sprintf("%v/%s", alg, or.name), func(t *testing.T) {
+				checkGroups(t, or.want, res.Groups)
 			})
+		}
+		var out int64
+		for _, m := range res.PerWorker {
+			out += m.GroupsOut
+		}
+		if alg != Shared && out != int64(groups) {
+			t.Errorf("%v: merge sides produced %d groups, want %d", alg, out, groups)
 		}
 	}
 }
 
 // assemble trusts Key.Dest to make the merge tables disjoint and checks
 // it by count. Two tables sharing a key must fail, and the error must
-// name the key and the second producer, on either table implementation.
+// name the key and the second producer.
 func TestAssembleNamesDuplicateProducer(t *testing.T) {
-	factories := map[string]func(int) groupTable{
-		"aggtable": Config{}.tableFactory(),
-		"maptable": Config{BaselineMapTables: true}.tableFactory(),
-	}
-	for name, newTable := range factories {
-		t.Run(name, func(t *testing.T) {
-			a, b, c := newTable(0), newTable(0), newTable(0)
-			for k := 0; k < 100; k++ {
-				a.UpdateRaw(tuple.Tuple{Key: tuple.Key(k), Val: 1})
-				b.UpdateRaw(tuple.Tuple{Key: tuple.Key(100 + k), Val: 2})
-			}
-			c.UpdateRaw(tuple.Tuple{Key: 1000, Val: 3})
+	t.Run("aggtable", func(t *testing.T) {
+		a, b, c := aggtable.New(0), aggtable.New(0), aggtable.New(0)
+		for k := 0; k < 100; k++ {
+			a.UpdateRaw(tuple.Tuple{Key: tuple.Key(k), Val: 1})
+			b.UpdateRaw(tuple.Tuple{Key: tuple.Key(100 + k), Val: 2})
+		}
+		c.UpdateRaw(tuple.Tuple{Key: 1000, Val: 3})
 
-			got, err := assemble([]groupTable{a, b, c}, 0)
-			if err != nil {
-				t.Fatalf("disjoint tables: %v", err)
-			}
-			if len(got) != 201 || got[7] != tuple.NewState(1) || got[107] != tuple.NewState(2) || got[1000] != tuple.NewState(3) {
-				t.Fatalf("disjoint tables assembled to %d groups (7: %+v)", len(got), got[7])
-			}
+		got, err := assemble([]*aggtable.Table{a, b, c}, 0)
+		if err != nil {
+			t.Fatalf("disjoint tables: %v", err)
+		}
+		if len(got) != 201 || got[7] != tuple.NewState(1) || got[107] != tuple.NewState(2) || got[1000] != tuple.NewState(3) {
+			t.Fatalf("disjoint tables assembled to %d groups (7: %+v)", len(got), got[7])
+		}
 
-			c.UpdateRaw(tuple.Tuple{Key: 42, Val: 3}) // owned by a already
-			got, err = assemble([]groupTable{a, b, c}, 0)
-			if err == nil {
-				t.Fatalf("duplicate producer accepted, %d groups", len(got))
+		c.UpdateRaw(tuple.Tuple{Key: 42, Val: 3}) // owned by a already
+		got, err = assemble([]*aggtable.Table{a, b, c}, 0)
+		if err == nil {
+			t.Fatalf("duplicate producer accepted, %d groups", len(got))
+		}
+		if got != nil {
+			t.Errorf("error returned with a non-nil result map")
+		}
+		for _, want := range []string{"group 42 ", "second: 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
 			}
-			if got != nil {
-				t.Errorf("error returned with a non-nil result map")
-			}
-			for _, want := range []string{"group 42 ", "second: 2"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not contain %q", err, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // The merge side used to refuse entries past TableEntries, widen each

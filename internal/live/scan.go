@@ -1,25 +1,24 @@
-// The columnar batch data plane: the default scan path since the
-// struct-of-arrays tuple.Batch landed. The scan side cuts its partition
-// into cfg.Batch-sized chunks and folds each chunk with ONE call into
-// the batch entry points of internal/aggtable — pre-hashed probes on the
-// local table and the shared mode's front, stripe-segmented locking on
-// the shared table behind it — and routes into columnar per-destination
-// builders that travel the exchange as colRawBatch/colPartBatch messages.
+// The scan side: one loop for every algorithm. A worker cuts its partition
+// into cfg.Batch-sized chunks and hands each chunk to its current mode with
+// ONE call — local mode and the shared mode's front fold the rows straight
+// from the partition with aggtable's fused kernel (Table.UpdateRows: hash,
+// probe and update per tuple, no staging copy and no hash column), shared
+// mode batches what the front misses into the striped table one lock per
+// stripe segment, route mode appends into columnar per-destination builders
+// that travel the exchange as colRawBatch/colPartBatch messages.
 //
-// Semantics are the scalar path's, chunk-shaped. The adaptive triggers
-// fire at chunk boundaries instead of per tuple (a switch decision can
-// lag by at most one chunk), and a refusing chunk folds its absorbable
-// tuples before the switch instead of none of them, but both paths
-// compute the same exact fold of the input multiset: every tuple lands
-// in exactly one table, every table drains to the merge of its groups,
-// and AggState folds are commutative and associative — so final groups
-// are byte-identical (the differential suite in batch_test.go holds
-// the two paths to that).
+// The adaptive triggers are looked at between chunks, so a switch decision
+// can lag its cause by at most one chunk, and a chunk the table refuses part
+// of folds what it can before the switch. Neither changes the result: every
+// tuple lands in exactly one table, every table drains to the merge of its
+// groups, and AggState folds are commutative and associative, so the final
+// groups are the sequential fold's whatever the timing (the differential
+// suites in batch_test.go and merge_test.go hold the engine to that).
 //
-// Only AdaptiveRepartitioning's observation phase stays per-tuple: its
+// Only AdaptiveRepartitioning's observation phase is per tuple: its
 // contract ("distinct groups among the first InitSeg tuples") is
-// positional, the phase is bounded by InitSeg, and it routes — there
-// is nothing to batch-fold until the verdict is in.
+// positional, the phase is bounded by InitSeg, and it routes — there is
+// nothing to fold until the verdict is in.
 
 package live
 
@@ -28,12 +27,16 @@ import (
 	"parallelagg/internal/tuple"
 )
 
-// scanSideBatch is the batch-path body of scanSide: same strategy
-// state machine, chunked folds. Called from (and owned by) the scan
-// loop goroutine.
-func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error) {
+// scanSide aggregates or routes this worker's partition, reporting whether
+// it switched strategy. It is the owning loop of the worker's outbound
+// batch state (outRaw/outPart).
+//
+//aggvet:loop scan
+func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
+	wk.outRaw = make([]*colRawBatch, wk.cfg.Workers)
+	wk.outPart = make([]*colPartBatch, wk.cfg.Workers)
 	bound := wk.cfg.TableEntries
-	local := wk.newTable(bound)
+	local := aggtable.New(bound)
 	mode := modeLocal
 	switch wk.alg {
 	case Repartitioning, AdaptiveRepartitioning:
@@ -43,9 +46,8 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		// Sized up front, not by append-doubling: one query is all they live for.
 		if n, _ := wk.cfg.sharedBudget(); n > 0 {
 			wk.front = aggtable.NewSized(n, n)
-			wk.front.ReserveBatch(wk.cfg.Batch)
 		}
-		wk.scanB, wk.miss = *tuple.NewBatch(wk.cfg.Batch), *tuple.NewBatch(wk.cfg.Batch)
+		wk.miss = *tuple.NewBatch(wk.cfg.Batch)
 	}
 	switched := false
 	var spill spillStore // plain 2P's overflow buffer (memory or real disk)
@@ -55,7 +57,7 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		}
 	}()
 
-	// ARep observation state (per-tuple; see the package comment).
+	// ARep observation state (per tuple; see the file comment).
 	observing := wk.alg == AdaptiveRepartitioning
 	obsSeen := 0
 	obsGroups := make(map[tuple.Key]struct{})
@@ -64,14 +66,14 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		threshold = 1
 	}
 
-	// foldLocalOne is the cold per-tuple leftover path: tuples a batch
-	// fold refused re-enter here, where the scalar local-mode logic
-	// (drain-and-switch for the adaptive algorithms, spill for 2P)
-	// applies. The re-probe is cheap and keeps the refusal handling
-	// textually identical to the scalar path's.
+	// foldLocalOne is the cold leftover path: the tuples a chunk fold
+	// refused re-enter here one by one, where the full table's consequence
+	// applies — drain and switch to routing for the adaptive algorithms
+	// (the A-2P switch), the spill store for plain 2P. The re-probe is
+	// cheap, and after a switch the rest of the refusals just route.
 	foldLocalOne := func(t tuple.Tuple) error {
 		if mode != modeLocal {
-			wk.routeB(t)
+			wk.route(t)
 			return nil
 		}
 		if local.UpdateRaw(t) {
@@ -79,11 +81,11 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		}
 		switch wk.alg {
 		case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-			wk.noteOcc(local)
-			wk.flushPartialsB(local.Drain())
+			wk.noteOcc(local.OccupancyPermille())
+			wk.flushPartials(local.Drain())
 			mode = modeRoute
 			switched = true
-			wk.routeB(t)
+			wk.route(t)
 		default:
 			wk.m.Spilled++
 			if spill == nil {
@@ -139,24 +141,22 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 							break observe
 						}
 					}
-					wk.routeB(t)
+					wk.route(t)
 				}
 				seg = seg[i:]
 				continue
 			}
 			switch mode {
 			case modeLocal:
-				wk.scanB.Reset()
-				wk.scanB.AppendRows(seg)
-				wk.refused = local.UpdateBatch(&wk.scanB, wk.refused[:0])
+				wk.refused = local.UpdateRows(seg, wk.refused[:0])
 				for _, ix := range wk.refused {
-					if err = foldLocalOne(wk.scanB.At(ix)); err != nil {
+					if err = foldLocalOne(seg[ix]); err != nil {
 						return switched, err
 					}
 				}
 			case modeRoute:
 				for _, t := range seg {
-					wk.routeB(t)
+					wk.route(t)
 				}
 			}
 			seg = nil
@@ -169,13 +169,13 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 		wk.leaveShared()
 	}
 	if wk.shared != nil {
-		wk.noteOcc(wk.shared)
+		wk.noteOcc(wk.shared.OccupancyPermille())
 	}
-	wk.noteOcc(local)
-	wk.flushPartialsB(local.Drain())
+	wk.noteOcc(local.OccupancyPermille())
+	wk.flushPartials(local.Drain())
 	for spill != nil && spill.len() > 0 {
 		var next spillStore
-		tab := wk.newTable(bound)
+		tab := aggtable.New(bound)
 		err = spill.drain(func(t tuple.Tuple) error {
 			if tab.UpdateRaw(t) {
 				return nil
@@ -197,8 +197,8 @@ func (wk *worker) scanSideBatch(part []tuple.Tuple) (switchedOut bool, err error
 			}
 			return switched, err
 		}
-		wk.noteOcc(tab)
-		wk.flushPartialsB(tab.Drain())
+		wk.noteOcc(tab.OccupancyPermille())
+		wk.flushPartials(tab.Drain())
 	}
 	wk.flushAll()
 	return switched, nil
@@ -220,15 +220,13 @@ func (wk *worker) sharedChunk(seg []tuple.Tuple) (cold bool) {
 		wk.flushMiss()
 		return false
 	}
-	wk.scanB.Reset()
-	wk.scanB.AppendRows(seg)
-	wk.refused = wk.front.UpdateBatch(&wk.scanB, wk.refused[:0])
+	wk.refused = wk.front.UpdateRows(seg, wk.refused[:0])
 	wk.m.Absorbed += int64(len(seg) - len(wk.refused))
 	for _, ix := range wk.refused {
 		if wk.miss.Len() == wk.cfg.Batch {
 			wk.flushMiss()
 		}
-		wk.miss.Append(wk.scanB.Keys[ix], wk.scanB.Vals[ix])
+		wk.miss.Append(seg[ix].Key, seg[ix].Val)
 	}
 	return 3*len(wk.refused) > len(seg)
 }
@@ -285,42 +283,42 @@ func (wk *worker) leaveShared() {
 		}
 		wk.pools.colPart.Put(cp)
 	}
-	wk.flushPartialsB(wk.left)
+	wk.flushPartials(wk.left)
 	wk.left = wk.left[:0]
 }
 
-// routeB queues one raw tuple for the worker owning its group, into the
+// route queues one raw tuple for the worker owning its group, into the
 // columnar per-destination builder.
-func (wk *worker) routeB(t tuple.Tuple) {
+func (wk *worker) route(t tuple.Tuple) {
 	wk.m.Routed++
 	d := t.Key.Dest(wk.cfg.Workers)
-	b := wk.outRawC[d]
+	b := wk.outRaw[d]
 	if b == nil {
 		b = wk.pools.getColRaw()
-		wk.outRawC[d] = b
+		wk.outRaw[d] = b
 	}
 	b.b.Append(t.Key, t.Val)
 	if b.b.Len() >= wk.cfg.Batch {
-		wk.inboxes[d] <- message{src: wk.id, craw: b}
-		wk.outRawC[d] = nil
+		wk.inboxes[d] <- message{src: wk.id, raw: b}
+		wk.outRaw[d] = nil
 	}
 }
 
-// flushPartialsB partitions a drained table's partials to their merge
+// flushPartials partitions a drained table's partials to their merge
 // workers as columnar partial batches.
-func (wk *worker) flushPartialsB(parts []tuple.Partial) {
+func (wk *worker) flushPartials(parts []tuple.Partial) {
 	wk.m.PartialsSent += int64(len(parts))
 	for _, pt := range parts {
 		d := pt.Key.Dest(wk.cfg.Workers)
-		b := wk.outPartC[d]
+		b := wk.outPart[d]
 		if b == nil {
 			b = wk.pools.getColPart()
-			wk.outPartC[d] = b
+			wk.outPart[d] = b
 		}
 		b.pb.Append(pt)
 		if b.pb.Len() >= wk.cfg.Batch {
-			wk.inboxes[d] <- message{src: wk.id, cpart: b}
-			wk.outPartC[d] = nil
+			wk.inboxes[d] <- message{src: wk.id, part: b}
+			wk.outPart[d] = nil
 		}
 	}
 }

@@ -158,28 +158,28 @@ func TestSharedContentionPredicate(t *testing.T) {
 	}
 }
 
-// TestSharedContentionWindowResets drives sharedStep directly (no
-// concurrency, so nothing contends) and checks the window bookkeeping
-// rolls over without tripping the flag.
+// TestSharedContentionWindowResets drives a frontless shared-mode worker
+// chunk by chunk (no concurrency, so nothing contends) and checks the
+// window bookkeeping rolls over without tripping the flag.
 func TestSharedContentionWindowResets(t *testing.T) {
-	var flag atomic.Bool
-	wk := &worker{
-		cfg:      Config{InitSeg: 8, SwitchRatio: 0.1}.withDefaults(),
-		alg:      AdaptiveShared,
-		fallback: &flag,
-		m:        &WorkerMetrics{},
-		shared:   aggtable.NewShared(0, 0),
-	}
-	for i := 0; i < 20; i++ {
-		if !wk.sharedStep(tuple.Tuple{Key: tuple.Key(i), Val: 1}) {
-			t.Fatalf("uncontended sharedStep %d not absorbed", i)
+	wk := newSharedWorker(Config{Workers: 1, InitSeg: 8, SwitchRatio: 0.1}, AdaptiveShared, false, 0)
+	for i := 0; i < 20; i += 5 {
+		seg := make([]tuple.Tuple, 5)
+		for j := range seg {
+			seg[j] = tuple.Tuple{Key: tuple.Key(i + j), Val: 1}
+		}
+		if wk.sharedChunk(seg) {
+			t.Fatalf("chunk at %d: a worker without a front reported a cold one", i)
+		}
+		if want := (i + 5) % 10; wk.sharedSeen != want {
+			t.Errorf("after %d tuples: sharedSeen = %d, want %d (the window closes at InitSeg and starts over)", i+5, wk.sharedSeen, want)
 		}
 	}
 	if wk.fallback.Load() {
 		t.Error("uncontended run raised the fallback flag")
 	}
-	if wk.sharedSeen >= 8 {
-		t.Errorf("window never reset: sharedSeen = %d", wk.sharedSeen)
+	if wk.shared.Len() != 20 || wk.miss.Len() != 0 {
+		t.Errorf("shared table holds %d keys with %d misses pending, want 20 and 0", wk.shared.Len(), wk.miss.Len())
 	}
 }
 
@@ -216,17 +216,34 @@ func absorbedShare(res *Result) float64 {
 	return float64(absorbed) / float64(scanned)
 }
 
-// TestSharedFrontMatchesScalarPath holds the front to the direct fold:
-// ScalarPath's sharedStep takes the stripe lock for every tuple and knows no
-// front, and both must produce the sequential reference — over an input the
-// front can do nothing for (uniform, far more groups than it holds), one it
-// is made for (Zipf 1.2), and its weak case: a key-sorted input, where every
-// key's tuples arrive in one run, so an evicting cache would absorb nearly all
-// of them, and a first-come front keeps the first keys it met, misses every
-// run after them and is given up as cold. Budgets go from none (TableEntries
-// < 4: no front at all) through fronts of 25 and 125 entries to the full-size
-// one, bounded and unbounded.
-func TestSharedFrontMatchesScalarPath(t *testing.T) {
+// directSharedFold is shared mode with nothing in front of the table: every
+// tuple takes its stripe lock (Shared.UpdateRaw), and what the table refuses
+// at the budget's bound goes to an unbounded overflow table, merged at the end.
+func directSharedFold(cfg Config, in []tuple.Tuple) map[tuple.Key]tuple.AggState {
+	cfg = cfg.withDefaults()
+	shared := aggtable.NewShared(cfg.TableEntries*cfg.Workers, cfg.SharedStripes)
+	overflow := aggtable.New(0)
+	for _, tp := range in {
+		if !shared.UpdateRaw(tp) {
+			overflow.UpdateRaw(tp)
+		}
+	}
+	got := map[tuple.Key]tuple.AggState{}
+	shared.Each(func(k tuple.Key, s tuple.AggState) { got[k] = s })
+	overflow.Each(func(k tuple.Key, s tuple.AggState) { mergeGroup(got, k, s) })
+	return got
+}
+
+// TestSharedFrontMatchesDirectFold holds the front to the direct fold, which
+// knows no front, chunk or miss batch, and both to the sequential reference —
+// over an input the front can do nothing for (uniform, far more groups than
+// it holds), one it is made for (Zipf 1.2), and its weak case: a key-sorted
+// input, where every key's tuples arrive in one run, so an evicting cache
+// would absorb nearly all of them, and a first-come front keeps the first keys
+// it met, misses every run after them and is given up as cold. Budgets go from
+// none (TableEntries < 4: no front at all) through fronts of 25 and 125 entries
+// to the full-size one, bounded and unbounded.
+func TestSharedFrontMatchesDirectFold(t *testing.T) {
 	const rows = 24_000
 	sorted := make([]tuple.Tuple, rows)
 	for i := range sorted {
@@ -244,25 +261,20 @@ func TestSharedFrontMatchesScalarPath(t *testing.T) {
 		want := (&workload.Relation{PerNode: [][]tuple.Tuple{sh.in}}).Reference()
 		for _, entries := range []int{0, 1, 3, 100, 500, 16384} {
 			for _, workers := range []int{1, 2, 4, 7} {
+				cfg := Config{Workers: workers, TableEntries: entries, Batch: 512}
+				direct := directSharedFold(cfg, sh.in)
 				for _, alg := range []Algorithm{Shared, AdaptiveShared} {
-					cfg := Config{Workers: workers, TableEntries: entries, Batch: 512}
 					name := fmt.Sprintf("%s/entries%d/w%d/%v", sh.name, entries, workers, alg)
-					scalarCfg := cfg
-					scalarCfg.ScalarPath = true
-					sres, err := Aggregate(scalarCfg, sh.in, alg)
-					if err != nil {
-						t.Fatalf("%s: scalar: %v", name, err)
-					}
 					res, err := Aggregate(cfg, sh.in, alg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if len(res.Groups) != len(want) || len(sres.Groups) != len(want) {
-						t.Fatalf("%s: front %d groups, scalar %d, reference %d", name, len(res.Groups), len(sres.Groups), len(want))
+					if len(res.Groups) != len(want) || len(direct) != len(want) {
+						t.Fatalf("%s: front %d groups, direct %d, reference %d", name, len(res.Groups), len(direct), len(want))
 					}
 					for k, ws := range want {
-						if res.Groups[k] != ws || sres.Groups[k] != ws {
-							t.Fatalf("%s: group %d: front %+v, scalar %+v, reference %+v", name, k, res.Groups[k], sres.Groups[k], ws)
+						if res.Groups[k] != ws || direct[k] != ws {
+							t.Fatalf("%s: group %d: front %+v, direct %+v, reference %+v", name, k, res.Groups[k], direct[k], ws)
 						}
 					}
 					share := absorbedShare(res)
@@ -294,8 +306,7 @@ func newSharedWorker(cfg Config, alg Algorithm, flagUp bool, room int) *worker {
 	}
 	_, bound := cfg.sharedBudget()
 	return &worker{cfg: cfg, alg: alg, inboxes: inboxes, fallback: &flag, m: &WorkerMetrics{},
-		pools: newExchangePools(cfg.Batch), newTable: cfg.tableFactory(),
-		shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
+		pools: newExchangePools(cfg.Batch), shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
 }
 
 // runSharedScan drives one AdaptiveShared scan side by hand and returns the
@@ -314,18 +325,15 @@ func runSharedScan(t *testing.T, cfg Config, part []tuple.Tuple, flagUp bool) (*
 	for _, ch := range inboxes {
 		close(ch)
 		for m := range ch {
-			switch {
-			case m.craw != nil:
-				for i := 0; i < m.craw.b.Len(); i++ {
-					tp := m.craw.b.At(i)
+			if m.raw != nil {
+				for i := 0; i < m.raw.b.Len(); i++ {
+					tp := m.raw.b.At(i)
 					mergeGroup(got, tp.Key, tuple.NewState(tp.Val))
 				}
-			case m.cpart != nil:
-				for i := 0; i < m.cpart.pb.Len(); i++ {
-					mergeGroup(got, m.cpart.pb.Keys[i], m.cpart.pb.StateAt(i))
+			} else {
+				for i := 0; i < m.part.pb.Len(); i++ {
+					mergeGroup(got, m.part.pb.Keys[i], m.part.pb.StateAt(i))
 				}
-			default:
-				t.Fatal("row-major message on the batch path")
 			}
 		}
 	}
@@ -424,8 +432,7 @@ func TestSharedColdFrontGivenUp(t *testing.T) {
 
 // TestSharedBudget: the fronts come out of the TableEntries×Workers budget
 // the Shared doc promises, not on top of it, a budget too small to carve
-// leaves no front, a front fits the one batch it is emptied through, and
-// ScalarPath, which builds no front, keeps the whole budget for the table.
+// leaves no front, and a front fits the one batch it is emptied through.
 func TestSharedBudget(t *testing.T) {
 	for _, entries := range []int{0, 1, 2, 3, 4, 5, 100, 500, 16384, 1 << 20} {
 		for _, workers := range []int{1, 2, 4, 7} {
@@ -448,24 +455,21 @@ func TestSharedBudget(t *testing.T) {
 				if (entries < 4) != (front == 0) {
 					t.Errorf("entries %d: front of %d entries", entries, front)
 				}
-				cfg.ScalarPath = true
-				if front, bound := cfg.sharedBudget(); front != 0 || bound != entries*workers {
-					t.Errorf("entries %d workers %d: ScalarPath front %d, bound %d", entries, workers, front, bound)
-				}
 			}
 		}
 	}
 }
 
 // Shared's allocation is a per-query constant that scales with groups, not
-// rows: the striped table and its growth, one presized front, staging batch
-// and miss batch per worker, the front's way out through one pooled partial
-// batch, and a result map made at its final size. On shared_hot's shape at
-// 1/64 that is 1.6–1.8 MB a query (one or two partial batches, as the pool
-// has it); the staging batch grown by append-doubling is 0.37 MB more and
-// puts it past the ceiling.
+// rows: the striped table and its growth, one presized front and miss batch
+// per worker, the front's way out through one pooled partial batch, and a
+// result map made at its final size. On shared_hot's shape at 1/64 that is
+// 1.4–1.6 MB a query (one or two partial batches, as the pool has it). A
+// per-worker columnar copy of the chunk in front of the fold, which is what
+// the scan side made until the front folded rows where they lie, adds 0.2 MB
+// presized (1.6–1.8, at the ceiling) and 0.5 MB grown by append (past it).
 func TestSharedAllocationCeiling(t *testing.T) {
-	const rows, groups, ceiling = 1 << 16, 128, 2_000_000
+	const rows, groups, ceiling = 1 << 16, 128, 1_700_000
 	rel := workload.Zipf(2, rows, groups, 1.2, 5)
 	cfg := Config{TableEntries: 16384}
 	run := func() uint64 {

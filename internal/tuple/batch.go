@@ -1,10 +1,11 @@
 // Columnar (struct-of-arrays) tuple batches. A Batch holds the same
 // information as a []Tuple and a PartialBatch the same information as a
 // []Partial, but column-major: all keys contiguous, then all values.
-// The layout lets the aggregation table pre-hash a whole batch in one
-// tight loop (the hash chain pipelines across tuples instead of
-// serializing behind each probe) and lets the wire layer emit one
-// contiguous section per column.
+// It is the live engine's exchange format and the shared table's input: a
+// contiguous key column is what aggtable.Shared hashes and partitions by
+// stripe before it takes a lock, and each column is one contiguous section
+// for a codec. A private table's probe gains nothing from it
+// (aggtable/batch.go), so scan sides fold row-major tuples where they lie.
 //
 // Batches are builders: Append until full, hand the batch to a fold or
 // an encoder, Reset, reuse. The backing arrays are retained across
