@@ -2,8 +2,8 @@
 // algorithm in the paper bottoms out in: hash the GROUP BY key, insert a
 // new entry for the first tuple of a group, update the running aggregate
 // for every subsequent one. It replaces the builtin map[tuple.Key]
-// tuple.AggState that used to sit under internal/hashtab with an
-// open-addressing layout tuned for exactly that loop:
+// tuple.AggState the repo started with by an open-addressing layout tuned
+// for exactly that loop:
 //
 //   - SwissTable-flavored control bytes: one byte per slot holding either
 //     "empty" or the top 7 bits of the key's hash, so a probe usually
@@ -19,7 +19,8 @@
 //     doubles when occupancy crosses maxLoadNum/maxLoadDen, up to what the
 //     logical capacity bound needs. A zero bound means unbounded (the live
 //     engine's default); a positive bound gives the paper's hard memory
-//     budget M with the exact hashtab.Table refusal contract.
+//     budget M: a new group past it is refused, an existing one still
+//     updates, and the caller decides what a refusal means.
 //
 // Determinism contract: Partials, Drain and EvictBuckets return entries in
 // ascending key order regardless of insertion order or probe history, so
@@ -67,8 +68,7 @@ type Table struct {
 }
 
 // New returns an empty table. A positive bound caps the number of group
-// entries (the paper's memory budget M, hashtab's capacity contract);
-// bound <= 0 means unbounded.
+// entries (the paper's memory budget M); bound <= 0 means unbounded.
 func New(bound int) *Table {
 	t := &Table{bound: bound}
 	t.init(minSlots)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"parallelagg/internal/tuple"
 )
@@ -175,6 +176,47 @@ func TestPropertyAgainstMapOracle(t *testing.T) {
 			}
 		}
 		checkAgree(t, "final", tab, o)
+	}
+}
+
+// Property: splitting a stream in two, aggregating each half in its own
+// bounded table, then merging the drained partials of both into a third,
+// equals aggregating the whole stream in one table. This is the two-phase
+// correctness argument every algorithm of the paper rests on.
+func TestTwoPhaseEqualsOnePhaseProperty(t *testing.T) {
+	f := func(a, b []struct {
+		K uint8
+		V int16
+	}) bool {
+		one := New(512)
+		ta, tb := New(512), New(512)
+		for _, r := range a {
+			tp := tuple.Tuple{Key: tuple.Key(r.K), Val: int64(r.V)}
+			one.UpdateRaw(tp)
+			ta.UpdateRaw(tp)
+		}
+		for _, r := range b {
+			tp := tuple.Tuple{Key: tuple.Key(r.K), Val: int64(r.V)}
+			one.UpdateRaw(tp)
+			tb.UpdateRaw(tp)
+		}
+		merged := New(512)
+		for _, p := range append(ta.Drain(), tb.Drain()...) {
+			merged.MergePartial(p)
+		}
+		got, want := merged.Partials(), one.Partials()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -17,7 +17,7 @@
 // if its body contains a return or panic outside nested function
 // literals — an empty or fall-through default is precisely the silent
 // frame drop the rule exists to prevent. A default that deliberately
-// maps unknown kinds to a value (`default: return tHeaderSize`) is
+// maps unknown kinds to a value (`default: return headerSize`) is
 // accepted: it is an explicit decision, visible in review.
 package framecase
 
@@ -36,8 +36,8 @@ const marker = "aggvet:exhaustive"
 var Analyzer = &analysis.Analyzer{
 	Name: "framecase",
 	Doc: "switches over //aggvet:exhaustive types must handle every constant\n\n" +
-		"A switch whose tag has a type marked //aggvet:exhaustive (the wire and\n" +
-		"twire frame-kind enums) must list every declared constant of that type,\n" +
+		"A switch whose tag has a type marked //aggvet:exhaustive (the wire\n" +
+		"frame-kind enum) must list every declared constant of that type,\n" +
 		"or have a default that returns or panics. Without this, adding a control\n" +
 		"frame kind silently falls through old dispatch switches.",
 	Run: run,

@@ -4,7 +4,7 @@
 //
 // A `for range` over a map in the simulation and result-assembly
 // packages (internal/des, internal/core, internal/exec, internal/dist,
-// internal/hashtab) is flagged when its iteration order can reach an
+// internal/aggtable, internal/live) is flagged when its iteration order can reach an
 // observable sink:
 //
 //   - directly: the body sends a loop-dependent value on a channel,
@@ -46,7 +46,7 @@ import (
 // simulated events, network frames, or assembled results.
 var Packages = []string{
 	"internal/des", "internal/core", "internal/exec",
-	"internal/dist", "internal/hashtab", "internal/aggtable",
+	"internal/dist", "internal/aggtable",
 	"internal/live",
 }
 

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
 	"parallelagg/internal/disk"
-	"parallelagg/internal/hashtab"
 	"parallelagg/internal/network"
 	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
@@ -114,7 +114,7 @@ func eosMsg(src, dst int) *network.Message {
 type aggregator struct {
 	c   *cluster.Cluster
 	n   *cluster.Node
-	tab *hashtab.Table
+	tab *aggtable.Table
 
 	firstPassInstr float64 // charged per record on the first pass
 	expected       int64   // anticipated total records (bucket-count sizing)
@@ -129,7 +129,7 @@ func newAggregator(c *cluster.Cluster, n *cluster.Node, firstPassInstr float64, 
 	return &aggregator{
 		c:              c,
 		n:              n,
-		tab:            hashtab.New(c.Prm.HashEntries),
+		tab:            aggtable.New(c.Prm.HashEntries),
 		firstPassInstr: firstPassInstr,
 		expected:       expected,
 		maxBuckets:     maxBuckets,

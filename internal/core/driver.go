@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strconv"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
-	"parallelagg/internal/hashtab"
 	"parallelagg/internal/network"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/trace"
@@ -71,7 +71,7 @@ type driverNode struct {
 	// local phase state: exactly one of localAgg (spilling) or localTab
 	// (bounded, adaptive) is set while mode may be modeLocal.
 	localAgg *aggregator
-	localTab *hashtab.Table
+	localTab *aggtable.Table
 
 	global *aggregator // merge phase table (groups hashing to this node)
 	ship   *shipper
@@ -126,7 +126,7 @@ func (d *driverNode) initLocal() {
 		d.localAgg = newAggregator(d.c, d.n, prm.TRead+prm.THash+prm.TAgg,
 			int64(d.n.Rel.Len()), d.opt.MaxBuckets)
 	} else {
-		d.localTab = hashtab.New(prm.HashEntries)
+		d.localTab = aggtable.New(prm.HashEntries)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
-	"parallelagg/internal/hashtab"
 	"parallelagg/internal/network"
 	"parallelagg/internal/sample"
 	"parallelagg/internal/trace"
@@ -57,7 +57,7 @@ func runSampNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Options) 
 	ship := newShipper(c, n)
 	if wantPages > 0 {
 		cap := wantPages*prm.TuplesPerDiskPage() + 1
-		tab := hashtab.New(cap)
+		tab := aggtable.New(cap)
 		for _, idx := range rng.Perm(n.Rel.Pages())[:wantPages] {
 			ts := n.Rel.ReadPageRand(p, idx)
 			n.Metrics.Scanned += int64(len(ts))

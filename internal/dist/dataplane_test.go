@@ -42,15 +42,14 @@ func testPartials(n int) []tuple.Partial {
 	return ps
 }
 
-// frameCodec is one (dialect, record kind) pair behind a common shape so
-// the decode tests run the same cases over all four.
+// frameCodec is one record kind behind a common shape so the decode
+// tests run the same cases over both.
 type frameCodec struct {
 	name    string
-	header  int
 	recSize int
 	encode  func(n int) []byte
-	// decode reads one frame and reports whether its records are the
-	// first n test records.
+	// decode reads one frame and reports whether it carries stream (3, 9)
+	// and the first n test records.
 	decode func(r *bufio.Reader, n int) error
 }
 
@@ -74,41 +73,28 @@ func sameRecords[T comparable](got, want []T) error {
 }
 
 func frameCodecs() []frameCodec {
+	tag := streamID{origin: 3, epoch: 9}
+	decode := func(r *bufio.Reader) (frame, error) {
+		f, err := readFrame(r, nil)
+		if err == nil && f.stream() != tag {
+			err = fmt.Errorf("stream tag %v, want %v", f.stream(), tag)
+		}
+		return f, err
+	}
 	return []frameCodec{
-		{"raw", 5, tuple.RawSize,
-			func(n int) []byte { return must(rawFrameInto(nil, testTuples(n))) },
+		{"raw", tuple.RawSize,
+			func(n int) []byte { return must(rawFrameInto(nil, tag.origin, tag.epoch, testTuples(n))) },
 			func(r *bufio.Reader, n int) error {
-				f, err := readFrame(r, nil)
+				f, err := decode(r)
 				if err != nil {
 					return err
 				}
 				return sameRecords(f.raw, testTuples(n))
 			}},
-		{"partial", 5, tuple.PartialSize,
-			func(n int) []byte { return must(partialFrameInto(nil, testPartials(n))) },
+		{"partial", tuple.PartialSize,
+			func(n int) []byte { return must(partialFrameInto(nil, tag.origin, tag.epoch, testPartials(n))) },
 			func(r *bufio.Reader, n int) error {
-				f, err := readFrame(r, nil)
-				if err != nil {
-					return err
-				}
-				return sameRecords(f.partials, testPartials(n))
-			}},
-		{"tolerant raw", tHeaderSize, tuple.RawSize,
-			func(n int) []byte { return must(tRawFrameInto(nil, 3, 9, testTuples(n))) },
-			func(r *bufio.Reader, n int) error {
-				f, err := readTFrame(r, nil)
-				if err != nil {
-					return err
-				}
-				if f.origin != 3 || f.epoch != 9 {
-					return fmt.Errorf("stream tag (%d, %d), want (3, 9)", f.origin, f.epoch)
-				}
-				return sameRecords(f.raw, testTuples(n))
-			}},
-		{"tolerant partial", tHeaderSize, tuple.PartialSize,
-			func(n int) []byte { return must(tPartialFrameInto(nil, 3, 9, testPartials(n))) },
-			func(r *bufio.Reader, n int) error {
-				f, err := readTFrame(r, nil)
+				f, err := decode(r)
 				if err != nil {
 					return err
 				}
@@ -150,7 +136,7 @@ func TestBulkDecodeTruncated(t *testing.T) {
 	for _, c := range frameCodecs() {
 		whole := c.encode(5000)
 		run := allocChunk / c.recSize * c.recSize
-		for _, cut := range []int{c.header, c.header + 7, c.header + 3*c.recSize, c.header + run, c.header + 2*run + c.recSize + 1, len(whole) - 1} {
+		for _, cut := range []int{headerSize, headerSize + 7, headerSize + 3*c.recSize, headerSize + run, headerSize + 2*run + c.recSize + 1, len(whole) - 1} {
 			err := c.decode(bufio.NewReaderSize(bytes.NewReader(whole[:cut]), 4096), 5000)
 			if !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Errorf("%s cut at byte %d of %d: %v, want io.ErrUnexpectedEOF", c.name, cut, len(whole), err)
@@ -165,8 +151,8 @@ func TestBulkDecodeTruncated(t *testing.T) {
 // run's worth of records.
 func TestWireRejectsForgedCounts(t *testing.T) {
 	for _, c := range frameCodecs() {
-		forged := c.encode(1)[:c.header+10]
-		binary.LittleEndian.PutUint32(forged[c.header-4:], maxFrameRecords) // both headers end in the count
+		forged := c.encode(1)[:headerSize+10]
+		binary.LittleEndian.PutUint32(forged[headerSize-4:], maxFrameRecords) // the header ends in the count
 		r := bufio.NewReaderSize(bytes.NewReader(forged), 4096)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -179,27 +165,17 @@ func TestWireRejectsForgedCounts(t *testing.T) {
 			t.Errorf("%s: forged count allocated %d bytes before failing, want < 64 KiB", c.name, got)
 		}
 	}
-	over := make([]byte, tHeaderSize)
-	putTHeader(over, frameRaw, 0, 0, 0, maxFrameRecords+1)
-	if _, err := readTFrame(bufio.NewReader(bytes.NewReader(over)), nil); err == nil {
-		t.Error("tolerant count over the limit accepted")
-	}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{byte(framePartial), 1, 0, 16, 0})), nil); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(header(framePartial, 0, 0, 0, maxFrameRecords+1))), nil); err == nil {
 		t.Error("count over the limit accepted")
 	}
 }
 
-// Kinds 11 and 12 were the columnar data frames. They are gone from both
-// dialects, so a peer still sending them is a protocol error.
+// Kinds 11 and 12 were the columnar data frames. They are gone, so a
+// peer still sending them is a protocol error.
 func TestRetiredColumnarKindsRejected(t *testing.T) {
 	for _, kind := range []frameKind{11, 12} {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{byte(kind), 0, 0, 0, 0})), nil); err == nil {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(header(kind, 0, 0, 0, 0))), nil); err == nil {
 			t.Errorf("kind %d accepted", kind)
-		}
-		b := make([]byte, tHeaderSize)
-		putTHeader(b, kind, 0, 0, 0, 0)
-		if _, err := readTFrame(bufio.NewReader(bytes.NewReader(b)), nil); err == nil {
-			t.Errorf("tolerant kind %d accepted", kind)
 		}
 	}
 }
@@ -211,7 +187,7 @@ func TestRawPoolRecycles(t *testing.T) {
 	if pool.get() != nil {
 		t.Fatal("empty pool returned a slice")
 	}
-	r := bufio.NewReader(bytes.NewReader(append(must(rawFrameInto(nil, testTuples(300))), must(rawFrameInto(nil, testTuples(200)))...)))
+	r := bufio.NewReader(bytes.NewReader(append(must(rawFrameInto(nil, 0, 0, testTuples(300))), must(rawFrameInto(nil, 0, 0, testTuples(200)))...)))
 	f, err := readFrame(r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +303,7 @@ func TestSelfSlotAccounting(t *testing.T) {
 				t.Errorf("node %d -> %d: %v raw frames for %d records, want %d", i, d, f, to[d], frames)
 			}
 			// hello + one header per raw frame + records + EOS.
-			wantBytes += float64(4 + 5*frames + to[d]*tuple.RawSize + 5)
+			wantBytes += float64(4 + headerSize*frames + to[d]*tuple.RawSize + headerSize)
 			gotBytes += sent
 		}
 	}
@@ -617,9 +593,9 @@ func benchReadFrame(b *testing.B, encoded []byte, records int) {
 // The two record decoders on a default-batch frame, through the reader
 // size the nodes use and with no pool (every frame allocates its slice).
 func BenchmarkReadFrameRaw(b *testing.B) {
-	benchReadFrame(b, must(rawFrameInto(nil, testTuples(1024))), 1024)
+	benchReadFrame(b, must(rawFrameInto(nil, 0, 0, testTuples(1024))), 1024)
 }
 
 func BenchmarkReadFramePartial(b *testing.B) {
-	benchReadFrame(b, must(partialFrameInto(nil, testPartials(1024))), 1024)
+	benchReadFrame(b, must(partialFrameInto(nil, 0, 0, testPartials(1024))), 1024)
 }

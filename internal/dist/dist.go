@@ -9,6 +9,12 @@
 // exchange goes to its merge loop in memory; only other nodes' shares
 // cross a socket.
 //
+// Both modes speak one protocol (wire.go): every frame has the same
+// 12-byte header, tagged with the (origin, epoch) stream the tolerant
+// mode's recovery needs, and the connection's hello tells the modes
+// apart. Both run one scan loop (scan.go); they differ in where keys go
+// and in what a failed write means.
+//
 // Unlike the PVM original, where a slow or dead peer hung the whole query,
 // the exchange here is failure-safe: every frame read and write carries a
 // deadline (Config.IOTimeout), dialing retries with exponential backoff
@@ -293,6 +299,9 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if cfg.Batch > maxFrameRecords {
 		return nil, fmt.Errorf("dist: Batch %d exceeds the %d-record wire limit", cfg.Batch, maxFrameRecords)
 	}
+	if cfg.Tolerate && n > maxOrigins {
+		return nil, fmt.Errorf("dist: Tolerate supports at most %d nodes (a frame names its origin in one byte), got %d", maxOrigins, n)
+	}
 	if cfg.WrapListener != nil {
 		ln = cfg.WrapListener(ln)
 	}
@@ -378,7 +387,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 					}
 				}
 				arm()
-				src, err := readHello(r)
+				src, err := readHello(r, n, false)
 				if err != nil {
 					m.ioError(PhaseHello, err)
 					send(incoming{err: nodeErr(cfg.ID, -1, PhaseHello, err)})
@@ -491,10 +500,11 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 					merged.MergePartial(pt)
 				}
 			default:
-				// readFrame rejects kinds outside the fail-fast dialect, so
-				// reaching here means a tolerant-mode control frame leaked
-				// into a fail-fast cluster: abort rather than drop it.
-				mergeErr = &NodeError{NodeID: cfg.ID, Phase: PhaseMerge,
+				// readFrame decodes every kind of the one protocol, so a
+				// tolerant control frame (heartbeat, assign, ...) sent
+				// after a fail-fast hello lands here: abort rather than
+				// drop it.
+				mergeErr = &NodeError{NodeID: cfg.ID, Peer: -1, Phase: PhaseMerge,
 					Err: fmt.Errorf("unexpected frame kind %d in fail-fast mode", in.f.kind)}
 				cancel()
 				return
@@ -502,18 +512,35 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		}
 	}()
 
-	// Scan side: the same per-node state machine as the live engine.
+	// Scan side: the scan loop over fail-fast ship functions, which stop
+	// at the first failed write; keys go to their home node.
 	res := &NodeResult{table: merged}
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	sc := &scanner{alg: cfg.Algorithm, cfg: cfg, owner: identity, tag: streamID{origin: cfg.ID}, fallback: &fallback, m: m,
+		raw: func(d int, s streamID, ts []tuple.Tuple) error {
+			if err := peers[d].writeRaw(s, ts); err != nil {
+				return nodeErr(cfg.ID, d, PhaseWrite, err)
+			}
+			res.RawSent += int64(len(ts))
+			return nil
+		},
+		partials: func(d int, s streamID, ps []tuple.Partial) error {
+			if err := peers[d].writePartials(s, ps); err != nil {
+				return nodeErr(cfg.ID, d, PhaseWrite, err)
+			}
+			res.PartialsSent += int64(len(ps))
+			return nil
+		},
+		endPhase: func() error { return broadcast(peers, cfg.ID, frameEOP) },
+	}
 	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
-	switched, scanErr := scanAndShip(cfg, part, peers, &fallback, res, m)
+	switched, scanErr := sc.run(part)
 	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v", len(part), switched))
 	if scanErr == nil {
-		for _, p := range peers {
-			if err := p.writeEOS(); err != nil {
-				scanErr = nodeErr(cfg.ID, p.id, PhaseWrite, err)
-				break
-			}
-		}
+		scanErr = broadcast(peers, cfg.ID, frameEOS)
 	}
 	if scanErr != nil {
 		cancel()
@@ -564,57 +591,54 @@ func jitterRand(cfg Config) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed ^ (int64(cfg.ID)+1)*0x9E3779B9))
 }
 
-// dialPeers connects to every other node with exponential backoff +
-// jitter, bounded overall by cfg.DialTimeout, and performs the hello
-// handshake. Connections are registered with tracker so cancellation
-// closes them. The node's own entry is left for the caller's self slot.
-func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
-	n := len(cfg.Addrs)
+// dialPeer connects to node j, retrying with exponential backoff and
+// jitter (drawn from rng) until deadline, and registers the connection
+// with tracker so cancellation closes it. Both modes dial through it.
+func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, tracker *connTracker, m *metrics) (net.Conn, error) {
 	dial := cfg.Dial
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	peers := make([]*peer, n)
-	rng := jitterRand(cfg)
-	deadline := time.Now().Add(cfg.DialTimeout)
-	for j := 0; j < n; j++ {
-		if j == cfg.ID {
-			continue
-		}
-		backoff := 2 * time.Millisecond
-		var conn net.Conn
-		var err error
-		for {
-			attempt := time.Until(deadline)
-			if attempt > time.Second {
-				attempt = time.Second
-			}
-			if attempt < 50*time.Millisecond {
-				attempt = 50 * time.Millisecond
-			}
-			conn, err = dial("tcp", cfg.Addrs[j], attempt)
-			if err == nil || time.Now().After(deadline) {
-				break
+	backoff := 2 * time.Millisecond
+	for {
+		conn, err := dial("tcp", cfg.Addrs[j], max(min(time.Until(deadline), time.Second), 50*time.Millisecond))
+		if err != nil {
+			if time.Now().After(deadline) {
+				return nil, nodeErr(cfg.ID, j, PhaseDial, err)
 			}
 			m.dialRetry(j)
 			// Full jitter on a doubling base, so a cluster of nodes
 			// restarting together doesn't hammer a recovering peer in
 			// lockstep.
-			sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
-			if until := time.Until(deadline); sleep > until {
-				sleep = until
-			}
+			sleep := min(backoff/2+time.Duration(rng.Int63n(int64(backoff))), time.Until(deadline))
 			m.backoff(sleep)
 			time.Sleep(sleep)
 			if backoff < 250*time.Millisecond {
 				backoff *= 2
 			}
-		}
-		if err != nil {
-			return nil, nodeErr(cfg.ID, j, PhaseDial, err)
+			continue
 		}
 		if ok := tracker.add(conn); !ok {
 			return nil, nodeErr(cfg.ID, j, PhaseDial, net.ErrClosed)
+		}
+		return conn, nil
+	}
+}
+
+// dialPeers connects to every other node, bounded overall by
+// cfg.DialTimeout, and performs the hello handshake. The node's own entry
+// is left for the caller's self slot.
+func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
+	peers := make([]*peer, len(cfg.Addrs))
+	rng := jitterRand(cfg)
+	deadline := time.Now().Add(cfg.DialTimeout)
+	for j := range peers {
+		if j == cfg.ID {
+			continue
+		}
+		conn, err := dialPeer(cfg, j, deadline, rng, tracker, m)
+		if err != nil {
+			return nil, err
 		}
 		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m}
 		if err := p.writeHello(cfg.ID); err != nil {
@@ -625,165 +649,15 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 	return peers, nil
 }
 
-// flushPartials empties a scan-side table onto the wire. Its groups leave
-// in key order (Drain), so a same-seed run ships byte-identical frames;
-// each goes to the destination dest names, through that destination's
-// reusable slice in bufs, in frames of at most batch records — the table
-// may be unbounded, a frame is not. write ships one frame; the first
-// error it returns ends the flush.
-func flushPartials(tbl *aggtable.Table, m *metrics, bufs [][]tuple.Partial, batch int,
-	dest func(tuple.Key) int, write func(d int, ps []tuple.Partial) error) error {
-	m.occupancy(tbl.Len(), tbl.Cap())
-	if tbl.Len() == 0 {
-		return nil
-	}
-	ship := func(d int) error {
-		err := write(d, bufs[d])
-		bufs[d] = bufs[d][:0]
-		return err
-	}
-	for _, pt := range tbl.Drain() {
-		d := dest(pt.Key)
-		bufs[d] = append(bufs[d], pt)
-		if len(bufs[d]) >= batch {
-			if err := ship(d); err != nil {
-				return err
-			}
-		}
-	}
-	for d := range bufs {
-		if len(bufs[d]) > 0 {
-			if err := ship(d); err != nil {
-				return err
-			}
+// broadcast sends a fail-fast control frame to every peer, the self slot
+// included; the first failed write ends it.
+func broadcast(peers []*peer, id int, kind frameKind) error {
+	for _, p := range peers {
+		if err := p.control(kind, streamID{origin: id}); err != nil {
+			return nodeErr(id, p.id, PhaseWrite, err)
 		}
 	}
 	return nil
-}
-
-// scanAndShip runs the scan-side state machine, writing frames to peers.
-// fallback carries the Adaptive Repartitioning end-of-phase signal in both
-// directions: the merge loop sets it when another node broadcasts, and
-// this side sets it (and broadcasts) when its own observation triggers.
-func scanAndShip(cfg Config, part []tuple.Tuple, peers []*peer, fallback *atomic.Bool, res *NodeResult, m *metrics) (bool, error) {
-	n := len(peers)
-	local := aggtable.New(cfg.TableEntries)
-	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
-	switched := false
-
-	// ARep observation of the first InitSeg scanned tuples. fellBack
-	// latches the end-of-phase transition so a later A-2P switch back to
-	// routing is not undone by the (still-set) fallback flag.
-	observing := cfg.Algorithm == AdaptiveRepartitioning
-	fellBack := false
-	obsSeen := 0
-	obsGroups := make(map[tuple.Key]struct{})
-	threshold := int(cfg.SwitchRatio * float64(cfg.InitSeg))
-	if threshold < 1 {
-		threshold = 1
-	}
-
-	rawBuf := make([][]tuple.Tuple, n)
-	writeRaw := func(d int) error {
-		if err := peers[d].writeRaw(rawBuf[d]); err != nil {
-			return nodeErr(cfg.ID, d, PhaseWrite, err)
-		}
-		res.RawSent += int64(len(rawBuf[d]))
-		rawBuf[d] = rawBuf[d][:0]
-		return nil
-	}
-	shipRaw := func(t tuple.Tuple) error {
-		d := t.Key.Dest(n)
-		rawBuf[d] = append(rawBuf[d], t)
-		if len(rawBuf[d]) >= cfg.Batch {
-			return writeRaw(d)
-		}
-		return nil
-	}
-	partBuf := make([][]tuple.Partial, n)
-	flush := func() error {
-		return flushPartials(local, m, partBuf, cfg.Batch,
-			func(k tuple.Key) int { return k.Dest(n) },
-			func(d int, ps []tuple.Partial) error {
-				if err := peers[d].writePartials(ps); err != nil {
-					return nodeErr(cfg.ID, d, PhaseWrite, err)
-				}
-				res.PartialsSent += int64(len(ps))
-				return nil
-			})
-	}
-
-	for _, t := range part {
-		if routing && cfg.Algorithm == AdaptiveRepartitioning && !fellBack {
-			if fallback.Load() {
-				// Someone (possibly us, via a relayed frame) declared
-				// end-of-phase: fall back to local aggregation.
-				fellBack = true
-				routing = false
-				switched = true
-				observing = false
-				m.switched("local")
-			} else if observing {
-				obsSeen++
-				if len(obsGroups) <= threshold {
-					obsGroups[t.Key] = struct{}{}
-				}
-				if len(obsGroups) > threshold {
-					observing = false // plenty of groups: keep routing
-				} else if obsSeen >= cfg.InitSeg {
-					observing = false
-					fellBack = true
-					fallback.Store(true)
-					routing = false
-					switched = true
-					m.switched("local")
-					for d := 0; d < n; d++ {
-						if err := peers[d].writeEOP(); err != nil {
-							return switched, nodeErr(cfg.ID, d, PhaseWrite, err)
-						}
-					}
-				}
-			}
-		}
-		if routing {
-			if err := shipRaw(t); err != nil {
-				return switched, err
-			}
-			continue
-		}
-		if local.UpdateRaw(t) {
-			continue
-		}
-		// Refused: t opens a new group and the table is at its bound.
-		if err := flush(); err != nil {
-			return switched, err
-		}
-		if cfg.Algorithm == TwoPhase {
-			// Plain 2P with a hard bound: that was a memory-pressure
-			// eviction of the full table; keep aggregating.
-			local.UpdateRaw(t)
-			continue
-		}
-		// The A-2P switch, over a real network this time.
-		routing = true
-		switched = true
-		observing = false
-		m.switched("repart")
-		if err := shipRaw(t); err != nil {
-			return switched, err
-		}
-	}
-	if err := flush(); err != nil {
-		return switched, err
-	}
-	for d := 0; d < n; d++ {
-		if len(rawBuf[d]) > 0 {
-			if err := writeRaw(d); err != nil {
-				return switched, err
-			}
-		}
-	}
-	return switched, nil
 }
 
 // ClusterResult is the combined outcome of an in-process cluster run.

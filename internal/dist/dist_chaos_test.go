@@ -109,7 +109,7 @@ func TestChaosPeerCrashMidExchange(t *testing.T) {
 	}
 	fake := sabotagePeer(t, func() string { return ln0.Addr().String() }, true, func(conn net.Conn) {
 		// Read node 0's hello like a healthy peer, then crash.
-		readHello(conn)
+		readHello(conn, 2, false)
 		time.Sleep(20 * time.Millisecond)
 		conn.Close()
 	})
@@ -132,7 +132,7 @@ func TestChaosPeerHangsSilently(t *testing.T) {
 	hold := make(chan struct{})
 	t.Cleanup(func() { close(hold) })
 	fake := sabotagePeer(t, func() string { return ln0.Addr().String() }, true, func(conn net.Conn) {
-		readHello(conn)
+		readHello(conn, 2, false)
 		<-hold // silent: the connection stays open but nothing arrives
 		conn.Close()
 	})
@@ -178,7 +178,7 @@ func TestChaosPeerNeverReads(t *testing.T) {
 		if err == nil {
 			bw := bufio.NewWriter(back)
 			writeHello(bw, 1)
-			writeEOSFrame(bw)
+			writeControl(bw, frameEOS, 1, 0, 0)
 		}
 		<-hold
 		conn.Close()
@@ -448,5 +448,87 @@ func TestNodeErrorFormatting(t *testing.T) {
 	// An injected crash is permanent, never a retryable accept hiccup.
 	if isTemporary(faultnet.ErrInjectedCrash) {
 		t.Error("injected crash reported temporary")
+	}
+}
+
+// mixedPeer plays node 1 of a two-node cluster around the fail-fast node
+// listening on ln0: it takes node 0's connection, dials back with hello,
+// writes frames, and then holds both connections open, so whatever node 0
+// reports came over the back connection.
+func mixedPeer(t *testing.T, ln0 net.Listener, hello int, frames func(*bufio.Writer)) net.Listener {
+	t.Helper()
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	return sabotagePeer(t, nil, false, func(conn net.Conn) {
+		defer conn.Close()
+		readHello(conn, 2, false)
+		back, err := net.Dial("tcp", ln0.Addr().String())
+		if err != nil {
+			return
+		}
+		defer back.Close()
+		bw := bufio.NewWriter(back)
+		writeHello(bw, hello)
+		frames(bw)
+		bw.Flush()
+		<-hold
+	})
+}
+
+// One hello check serves both accept loops: a peer of the other mode, or
+// one naming a node outside the cluster, fails a fail-fast node's
+// handshake with a hello error and is an unidentified dead connection to
+// a tolerant node.
+func TestMixedModeHelloRejected(t *testing.T) {
+	leakCheck(t)
+	for _, hello := range []int{helloTolerantFlag | 1, 7} {
+		ln0, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fake := mixedPeer(t, ln0, hello, func(*bufio.Writer) {})
+		ne := runVictim(t, ln0, chaosConfig([]string{ln0.Addr().String(), fake.Addr().String()}), 3*time.Second)
+		if ne.Phase != PhaseHello || ne.Peer != -1 {
+			t.Errorf("hello %#x on a fail-fast node: phase %q peer %d, want hello from an unidentified peer", hello, ne.Phase, ne.Peer)
+		}
+	}
+	for _, hello := range []int{1, helloTolerantFlag | 7} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{ID: 0, Addrs: []string{"a", "b", "c"}, Tolerate: true}
+		nd := newTnode(ln, cfg.withDefaults(), nil)
+		a, b := net.Pipe()
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			nd.readLoop(b)
+		}()
+		writeHello(a, hello)
+		if ev := <-nd.events; ev.typ != evReadErr || ev.peer != -1 || ev.err == nil {
+			t.Errorf("hello %#x on a tolerant node: event %+v, want a read error from an unidentified peer", hello, ev)
+		}
+		<-exited
+		if _, err := a.Read(make([]byte, 1)); err == nil {
+			t.Errorf("hello %#x on a tolerant node: connection left open", hello)
+		}
+		a.Close()
+		ln.Close()
+	}
+}
+
+// With one header a tolerant control frame decodes cleanly on a fail-fast
+// node; its merge loop must refuse it instead of dropping it.
+func TestFailFastRejectsHeartbeat(t *testing.T) {
+	leakCheck(t)
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := mixedPeer(t, ln0, 1, func(bw *bufio.Writer) { writeControl(bw, frameHeartbeat, 1, 0, 500) })
+	ne := runVictim(t, ln0, chaosConfig([]string{ln0.Addr().String(), fake.Addr().String()}), 3*time.Second)
+	if ne.Phase != PhaseMerge || !strings.Contains(ne.Err.Error(), "unexpected frame kind") {
+		t.Errorf("heartbeat on a fail-fast node: %v, want a merge error", ne)
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +146,29 @@ func TestRunNodeValidatesConfig(t *testing.T) {
 		t.Errorf("the rejected config closed or consumed the listener: %v", err)
 	} else {
 		c.Close()
+	}
+	// A frame names its origin in one byte: a tolerant cluster it cannot
+	// address is refused the same way.
+	addrs := make([]string, maxOrigins+1)
+	for i := range addrs {
+		addrs[i] = ln3.Addr().String()
+	}
+	cfg := tolerantTemplate(TwoPhase)
+	cfg.Addrs = addrs
+	cfg.PartitionSource = func(int) []tuple.Tuple { return nil }
+	if _, err = RunNode(ln3, cfg, nil); err == nil || errors.As(err, &ne) {
+		t.Errorf("Tolerate with %d nodes: %v, want a plain config error", len(addrs), err)
+	}
+	if c, err := net.Dial("tcp", ln3.Addr().String()); err != nil {
+		t.Errorf("the rejected tolerant config closed or consumed the listener: %v", err)
+	} else {
+		c.Close()
+	}
+	// The largest addressable tolerant cluster passes that check and
+	// reaches the next one.
+	cfg.Addrs, cfg.PartitionSource = addrs[:maxOrigins], nil
+	if _, err = RunNode(ln3, cfg, nil); err == nil || !strings.Contains(err.Error(), "PartitionSource") {
+		t.Errorf("Tolerate with %d nodes: %v, want only the missing PartitionSource refused", maxOrigins, err)
 	}
 }
 

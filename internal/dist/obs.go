@@ -123,17 +123,18 @@ func kindName(kind frameKind) string {
 	}
 }
 
-// frameBytes is the wire size of a frame with the given record count.
+// frameBytes is the wire size of a frame with the given record count: the
+// header plus records, or the 4-byte hello.
 func frameBytes(kind frameKind, count int) int64 {
 	switch kind {
 	case frameHello:
 		return 4
 	case frameRaw:
-		return 5 + int64(count)*tuple.RawSize
+		return headerSize + int64(count)*tuple.RawSize
 	case framePartial:
-		return 5 + int64(count)*tuple.PartialSize
+		return headerSize + int64(count)*tuple.PartialSize
 	default:
-		return 5
+		return headerSize
 	}
 }
 
@@ -153,39 +154,6 @@ func (m *metrics) recv(peer int, kind frameKind, count int) {
 	p := strconv.Itoa(peer)
 	m.framesRecv.With(m.node, p, kindName(kind)).Inc()
 	m.bytesRecv.With(m.node, p).Add(frameBytes(kind, count))
-}
-
-// tFrameBytes is the wire size of a tolerant-mode frame: the 12-byte
-// tagged header plus records (hello stays 4 bytes).
-func tFrameBytes(kind frameKind, count int) int64 {
-	switch kind {
-	case frameHello:
-		return 4
-	case frameRaw:
-		return tHeaderSize + int64(count)*tuple.RawSize
-	case framePartial:
-		return tHeaderSize + int64(count)*tuple.PartialSize
-	default:
-		return tHeaderSize
-	}
-}
-
-func (m *metrics) tsent(peer int, kind frameKind, count int) {
-	if m == nil {
-		return
-	}
-	p := strconv.Itoa(peer)
-	m.framesSent.With(m.node, p, kindName(kind)).Inc()
-	m.bytesSent.With(m.node, p).Add(tFrameBytes(kind, count))
-}
-
-func (m *metrics) trecv(peer int, kind frameKind, count int) {
-	if m == nil {
-		return
-	}
-	p := strconv.Itoa(peer)
-	m.framesRecv.With(m.node, p, kindName(kind)).Inc()
-	m.bytesRecv.With(m.node, p).Add(tFrameBytes(kind, count))
 }
 
 func (m *metrics) heartbeat() {

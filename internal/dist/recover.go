@@ -63,7 +63,7 @@ type tevent struct {
 	peer  int
 	phase Phase
 	err   error
-	f     tframe
+	f     frame
 	conn  net.Conn // hello events carry the inbound connection
 }
 
@@ -171,7 +171,7 @@ func (p *tpeer) helloT(src int) error {
 	if err := p.w.Flush(); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, frameHello, 0)
+	p.m.sent(p.id, frameHello, 0)
 	return nil
 }
 
@@ -204,46 +204,46 @@ func (p *tpeer) controlLocked(kind frameKind, origin, epoch int, aux uint32) err
 		return errPeerDown
 	}
 	p.arm()
-	if err := writeTControl(p.w, kind, origin, epoch, aux); err != nil {
+	if err := writeControl(p.w, kind, origin, epoch, aux); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, kind, 0)
+	p.m.sent(p.id, kind, 0)
 	return nil
 }
 
-func (p *tpeer) writeRawT(origin, epoch int, ts []tuple.Tuple) error {
+func (p *tpeer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.down.Load() {
 		return errPeerDown
 	}
 	var err error
-	if p.buf, err = tRawFrameInto(p.buf, origin, epoch, ts); err != nil {
+	if p.buf, err = rawFrameInto(p.buf, s.origin, s.epoch, ts); err != nil {
 		return err
 	}
 	p.arm()
 	if _, err := p.w.Write(p.buf); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, frameRaw, len(ts))
+	p.m.sent(p.id, frameRaw, len(ts))
 	return nil
 }
 
-func (p *tpeer) writePartialsT(origin, epoch int, ps []tuple.Partial) error {
+func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.down.Load() {
 		return errPeerDown
 	}
 	var err error
-	if p.buf, err = tPartialFrameInto(p.buf, origin, epoch, ps); err != nil {
+	if p.buf, err = partialFrameInto(p.buf, s.origin, s.epoch, ps); err != nil {
 		return err
 	}
 	p.arm()
 	if _, err := p.w.Write(p.buf); err != nil {
 		return err
 	}
-	p.m.tsent(p.id, framePartial, len(ps))
+	p.m.sent(p.id, framePartial, len(ps))
 	return nil
 }
 
@@ -267,7 +267,7 @@ type tnode struct {
 
 	ownerPtr atomic.Pointer[[]int] // routing snapshot shared with the scan side
 	fallback atomic.Bool           // A-Rep end-of-phase flag
-	scanned  atomic.Int64          // primary-scan progress (tuples)
+	scanned  atomic.Int64          // primary-scan progress (tuples), published once per Batch
 	scanFlag atomic.Bool           // primary scan complete
 
 	// Scan-goroutine-owned counters, read after it exits.
@@ -386,10 +386,6 @@ func (nd *tnode) publishOwner() {
 	snap := make([]int, nd.n)
 	copy(snap, nd.owner)
 	nd.ownerPtr.Store(&snap)
-}
-
-func (nd *tnode) ownerOf(k tuple.Key) int {
-	return (*nd.ownerPtr.Load())[k.Dest(nd.n)]
 }
 
 // post delivers an event to the control loop, giving up on cancellation.
@@ -549,11 +545,21 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	go func() {
 		defer scan.Done()
 		scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
-		nd.scanPrimary()
+		primary := streamID{origin: nd.id}
+		sc := nd.scanner(cfg.Algorithm, primary)
+		sc.refresh = func(scanned int) []int {
+			nd.scanned.Store(int64(scanned))
+			return *nd.ownerPtr.Load()
+		}
+		nd.switched, _ = sc.run(part)
+		nd.scanFlag.Store(true)
+		// End of the primary stream at every peer: even a peer that
+		// received no slices needs the EOS to satisfy its (r, us) slot.
+		nd.broadcast(nd.peers, frameEOS, primary)
 		scanSpan.End(fmt.Sprintf("%d tuples, switched=%v", len(part), nd.switched))
 		nd.post(tevent{typ: evScanDone})
 		for j := range nd.jobs {
-			nd.runJob(j)
+			nd.reexecute(j)
 			nd.post(tevent{typ: evJobDone})
 		}
 	}()
@@ -615,47 +621,13 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	return res, nil
 }
 
-// dialOne connects to peer j (with the same backoff/jitter policy as the
-// fail-fast dialer), performs the tolerant hello, and installs the
-// connection. The peer stays down on failure.
+// dialOne connects to peer j through the shared dialer, performs the
+// tolerant hello, and installs the connection. The peer stays down on
+// failure.
 func (nd *tnode) dialOne(j int, deadline time.Time) error {
-	cfg := nd.cfg
-	dial := cfg.Dial
-	if dial == nil {
-		dial = net.DialTimeout
-	}
-	rng := jitterRand(cfg)
-	backoff := 2 * time.Millisecond
-	var conn net.Conn
-	var err error
-	for {
-		attempt := time.Until(deadline)
-		if attempt > time.Second {
-			attempt = time.Second
-		}
-		if attempt < 50*time.Millisecond {
-			attempt = 50 * time.Millisecond
-		}
-		conn, err = dial("tcp", cfg.Addrs[j], attempt)
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		nd.m.dialRetry(j)
-		sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
-		if until := time.Until(deadline); sleep > until {
-			sleep = until
-		}
-		nd.m.backoff(sleep)
-		time.Sleep(sleep)
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
-		}
-	}
+	conn, err := dialPeer(nd.cfg, j, deadline, jitterRand(nd.cfg), nd.tracker, nd.m)
 	if err != nil {
-		return nodeErr(nd.id, j, PhaseDial, err)
-	}
-	if ok := nd.tracker.add(conn); !ok {
-		return nodeErr(nd.id, j, PhaseDial, net.ErrClosed)
+		return err
 	}
 	p := nd.peers[j]
 	p.install(conn)
@@ -679,11 +651,8 @@ func (nd *tnode) readLoop(conn net.Conn) {
 		}
 	}
 	arm()
-	raw, err := readHello(r)
-	if err != nil || raw&helloTolerantFlag == 0 {
-		if err == nil {
-			err = fmt.Errorf("dist: fail-fast hello on a tolerant node (mixed-mode cluster)")
-		}
+	src, err := readHello(r, nd.n, true)
+	if err != nil {
 		nd.m.ioError(PhaseHello, err)
 		// Unidentified connection: we can't complain about a nameless
 		// peer, but the control loop counts these — a node whose EVERY
@@ -692,24 +661,19 @@ func (nd *tnode) readLoop(conn net.Conn) {
 		nd.post(tevent{typ: evReadErr, peer: -1, err: err})
 		return
 	}
-	src := raw &^ helloTolerantFlag
-	if src < 0 || src >= nd.n {
-		nd.post(tevent{typ: evReadErr, peer: -1, err: fmt.Errorf("dist: hello from out-of-range node %d", src)})
-		return
-	}
-	nd.m.trecv(src, frameHello, 0)
-	if !nd.post(tevent{typ: evFrame, peer: src, f: tframe{kind: frameHello}, conn: conn}) {
+	nd.m.recv(src, frameHello, 0)
+	if !nd.post(tevent{typ: evFrame, peer: src, f: frame{kind: frameHello}, conn: conn}) {
 		return
 	}
 	for {
 		arm()
-		f, err := readTFrame(r, nd.pool)
+		f, err := readFrame(r, nd.pool)
 		if err != nil {
 			nd.m.ioError(PhaseRead, err)
 			nd.post(tevent{typ: evReadErr, peer: src, err: err})
 			return
 		}
-		nd.m.trecv(src, f.kind, len(f.raw)+len(f.partials))
+		nd.m.recv(src, f.kind, len(f.raw)+len(f.partials))
 		if !nd.post(tevent{typ: evFrame, peer: src, f: f}) {
 			return
 		}
@@ -745,204 +709,77 @@ func (nd *tnode) heartbeatLoop() {
 	}
 }
 
-// scanPrimary is the tolerant scan-side state machine: the same algorithm
-// logic as scanAndShip, but routing by the live owner table, tolerating
-// write failures (mark down + complain + drop that destination's slices —
-// the receiver-side slot algebra makes the drop correct), and feeding the
-// heartbeat progress counter.
-func (nd *tnode) scanPrimary() {
-	cfg := nd.cfg
-	n := nd.n
-	local := aggtable.New(cfg.TableEntries)
-	routing := cfg.Algorithm == Repartitioning || cfg.Algorithm == AdaptiveRepartitioning
+// scanner is the scan loop with the tolerant ship policy, routing by the
+// live owner table and tagging every frame with stream s.
+func (nd *tnode) scanner(alg Algorithm, s streamID) scanner {
+	return scanner{alg: alg, cfg: nd.cfg, tag: s, fallback: &nd.fallback, m: nd.m,
+		owner:    *nd.ownerPtr.Load(),
+		refresh:  func(int) []int { return *nd.ownerPtr.Load() },
+		raw:      nd.shipRaw,
+		partials: nd.shipPartials,
+		endPhase: func() error {
+			nd.broadcast(nd.peers, frameEOP, s)
+			return nil
+		},
+	}
+}
 
-	observing := cfg.Algorithm == AdaptiveRepartitioning
-	fellBack := false
-	obsSeen := 0
-	obsGroups := make(map[tuple.Key]struct{})
-	threshold := int(cfg.SwitchRatio * float64(cfg.InitSeg))
-	if threshold < 1 {
-		threshold = 1
+// shipRaw and shipPartials are the tolerant ship functions: a failed write
+// marks the peer down and complains (shipFail) and drops that
+// destination's share — the receiver-side slot algebra makes the drop
+// correct — so neither ever ends the scan.
+func (nd *tnode) shipRaw(d int, s streamID, ts []tuple.Tuple) error {
+	if err := nd.peers[d].writeRaw(s, ts); err != nil {
+		nd.shipFail(d, err)
+	} else {
+		nd.rawSent += int64(len(ts))
 	}
+	return nil
+}
 
-	rawBuf := make([][]tuple.Tuple, n)
-	writeRaw := func(d int) {
-		if err := nd.peers[d].writeRawT(nd.id, 0, rawBuf[d]); err != nil {
-			nd.shipFail(d, err)
-		} else {
-			nd.rawSent += int64(len(rawBuf[d]))
-		}
-		rawBuf[d] = rawBuf[d][:0]
+func (nd *tnode) shipPartials(d int, s streamID, ps []tuple.Partial) error {
+	if err := nd.peers[d].writePartials(s, ps); err != nil {
+		nd.shipFail(d, err)
+	} else {
+		nd.partialsSent += int64(len(ps))
 	}
-	shipRaw := func(t tuple.Tuple) {
-		d := nd.ownerOf(t.Key)
-		rawBuf[d] = append(rawBuf[d], t)
-		if len(rawBuf[d]) >= cfg.Batch {
-			writeRaw(d)
-		}
-	}
-	partBuf := make([][]tuple.Partial, n)
-	flush := func() {
-		nd.flushStream(local, partBuf, streamID{origin: nd.id}, nd.ownerOf)
-	}
+	return nil
+}
 
-	for _, t := range nd.part {
-		nd.scanned.Add(1)
-		if routing && cfg.Algorithm == AdaptiveRepartitioning && !fellBack {
-			if nd.fallback.Load() {
-				fellBack = true
-				routing = false
-				nd.switched = true
-				observing = false
-				nd.m.switched("local")
-			} else if observing {
-				obsSeen++
-				if len(obsGroups) <= threshold {
-					obsGroups[t.Key] = struct{}{}
-				}
-				if len(obsGroups) > threshold {
-					observing = false
-				} else if obsSeen >= cfg.InitSeg {
-					observing = false
-					fellBack = true
-					nd.fallback.Store(true)
-					routing = false
-					nd.switched = true
-					nd.m.switched("local")
-					for d := 0; d < n; d++ {
-						if err := nd.peers[d].control(frameEOP, nd.id, 0, 0); err != nil {
-							nd.shipFail(d, err)
-						}
-					}
-				}
-			}
-		}
-		if routing {
-			shipRaw(t)
-			continue
-		}
-		if local.UpdateRaw(t) {
-			continue
-		}
-		// Refused: t opens a new group and the table is at its bound.
-		flush()
-		if cfg.Algorithm == TwoPhase {
-			local.UpdateRaw(t)
-			continue
-		}
-		routing = true
-		nd.switched = true
-		observing = false
-		nd.m.switched("repart")
-		shipRaw(t)
-	}
-	flush()
-	for d := 0; d < n; d++ {
-		if len(rawBuf[d]) > 0 {
-			writeRaw(d)
-		}
-	}
-	nd.scanFlag.Store(true)
-	// End of the primary stream (this partition, epoch 0) at every peer:
-	// even a peer that received no slices needs the EOS to satisfy its
-	// (r, us) slot.
-	for d := 0; d < n; d++ {
-		if err := nd.peers[d].control(frameEOS, nd.id, 0, 0); err != nil {
-			nd.shipFail(d, err)
+// broadcast sends a control frame of stream s to every peer in to, with
+// the same failure policy.
+func (nd *tnode) broadcast(to []*tpeer, kind frameKind, s streamID) {
+	for _, p := range to {
+		if err := p.control(kind, s.origin, s.epoch, 0); err != nil {
+			nd.shipFail(p.id, err)
 		}
 	}
 }
 
-// flushStream is flushPartials with tolerant writes: frames are tagged
-// with stream s, and a failed write marks the peer down and drops that
-// destination's share (shipFail) instead of ending the flush. It returns
-// the number of partials that reached a connection.
-func (nd *tnode) flushStream(tbl *aggtable.Table, bufs [][]tuple.Partial, s streamID, dest func(tuple.Key) int) (shipped int64) {
-	flushPartials(tbl, nd.m, bufs, nd.cfg.Batch, dest, func(d int, ps []tuple.Partial) error {
-		if err := nd.peers[d].writePartialsT(s.origin, s.epoch, ps); err != nil {
-			nd.shipFail(d, err)
-		} else {
-			shipped += int64(len(ps))
-		}
-		return nil
-	})
-	nd.partialsSent += shipped
-	return shipped
-}
-
-// runJob executes one recovery re-execution on the scan goroutine. The
-// job aggregates into a bounded table; hitting the bound degrades the
-// remainder to raw shipping (graceful A-2P → Rep downgrade) instead of
-// failing the recovery.
-func (nd *tnode) runJob(j tjob) {
+// reexecute runs one recovery job on the scan goroutine: the scan loop as
+// A-2P over the job's partition, whose bounded-table switch degrades the
+// remainder to raw shipping (A-2P → Rep) instead of failing the recovery.
+func (nd *tnode) reexecute(j tjob) {
 	data := nd.part
 	if j.partition != nd.id {
 		data = nd.cfg.PartitionSource(j.partition)
 	}
-	n := nd.n
-	local := aggtable.New(nd.cfg.TableEntries)
-	rawBuf := make([][]tuple.Tuple, n)
-	partBuf := make([][]tuple.Partial, n)
-	var shipped int64
-	degraded := false
-
-	dest := func(k tuple.Key) int {
-		if j.dest >= 0 {
-			return j.dest
-		}
-		return nd.ownerOf(k)
-	}
-	writeRaw := func(d int) {
-		if err := nd.peers[d].writeRawT(j.partition, j.epoch, rawBuf[d]); err != nil {
-			nd.shipFail(d, err)
-		} else {
-			shipped += int64(len(rawBuf[d]))
-			nd.rawSent += int64(len(rawBuf[d]))
-		}
-		rawBuf[d] = rawBuf[d][:0]
-	}
-	flush := func() {
-		shipped += nd.flushStream(local, partBuf, streamID{origin: j.partition, epoch: j.epoch}, dest)
-	}
-
-	for _, t := range data {
-		if j.ranges != nil && !j.ranges[t.Key.Dest(n)] {
-			continue
-		}
-		if !degraded {
-			if local.UpdateRaw(t) {
-				continue
-			}
-			// Memory pressure during recovery: flush what we have as
-			// partials and ship the remainder raw rather than refuse.
-			nd.m.downgrade()
-			degraded = true
-			flush()
-		}
-		d := dest(t.Key)
-		rawBuf[d] = append(rawBuf[d], t)
-		if len(rawBuf[d]) >= nd.cfg.Batch {
-			writeRaw(d)
-		}
-	}
-	flush()
-	for d := 0; d < n; d++ {
-		if len(rawBuf[d]) > 0 {
-			writeRaw(d)
-		}
-	}
-	nd.m.reship(shipped)
+	s := streamID{origin: j.partition, epoch: j.epoch}
+	sc := nd.scanner(AdaptiveTwoPhase, s)
+	sc.keep, sc.recovery = j.ranges, true
+	to := nd.peers
 	if j.dest >= 0 {
-		if err := nd.peers[j.dest].control(frameEOS, j.partition, j.epoch, 0); err != nil {
-			nd.shipFail(j.dest, err)
+		// Re-extract: every kept key goes to the takeover worker.
+		sc.owner, sc.refresh = make([]int, nd.n), nil
+		for r := range sc.owner {
+			sc.owner[r] = j.dest
 		}
-		return
+		to = nd.peers[j.dest : j.dest+1]
 	}
-	for d := 0; d < n; d++ {
-		if err := nd.peers[d].control(frameEOS, j.partition, j.epoch, 0); err != nil {
-			nd.shipFail(d, err)
-		}
-	}
+	before := nd.rawSent + nd.partialsSent
+	sc.run(data)
+	nd.m.reship(nd.rawSent + nd.partialsSent - before)
+	nd.broadcast(to, frameEOS, s)
 }
 
 // control is the single-goroutine brain: it owns all merge and duty state

@@ -286,7 +286,7 @@ func TestTolerantFaultFreeAllAlgorithms(t *testing.T) {
 
 func TestTolerantAdaptiveSwitch(t *testing.T) {
 	// A tiny bound forces the A-2P switch on every node, over the
-	// tolerant wire dialect (mixed partial + raw frames in one stream).
+	// tolerant protocol (mixed partial + raw frames in one stream).
 	rel := workload.Uniform(4, 8_000, 4_000, 12)
 	template := tolerantTemplate(AdaptiveTwoPhase)
 	template.TableEntries = 64

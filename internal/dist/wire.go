@@ -12,20 +12,32 @@ import (
 	"parallelagg/internal/tuple"
 )
 
-// Wire protocol: length-delimited frames over TCP.
+// Wire protocol: length-delimited frames over TCP, one format for both
+// modes.
 //
-//	hello frame (once per connection):  [u32 srcID]
-//	data frame:                         [u8 kind][u32 count][count records]
+//	hello (once per connection):  [u32 helloTolerantFlag?|srcID]
+//	frame:                        [u8 kind][u8 origin][u16 epoch][u32 aux][u32 count][count records]
 //
-// Raw records are tuple.RawSize bytes, partial records tuple.PartialSize
-// bytes, in the same little-endian layout the simulator's pages use. An
-// EOS frame has kind frameEOS and count 0.
+// The hello names the sender, and its helloTolerantFlag bit is what tells
+// the modes apart: a node refuses a hello of the other mode or from an id
+// outside its cluster, so a mixed-mode cluster fails the handshake instead
+// of folding the other mode's frames.
 //
-// frameKind is the dispatch tag for both dialects (wire.go and
-// twire.go declare its constants). It is marked exhaustive: every
-// switch over a frameKind must either handle all declared kinds or
-// reject unknown ones with an error-returning default, so adding a
-// control frame cannot silently fall through an old dispatch point.
+// origin and epoch are the frame's stream tag. origin names the input
+// partition whose data the stream carries (NOT the sender: a recovery
+// worker ships partition d's re-execution as origin d); epoch is the
+// supervisor-assigned attempt number (0 = the primary scan). A fail-fast
+// node sends origin = its id and epoch 0, and its merge side never reads
+// them. aux is a control frame's immediate (heartbeat progress, assign
+// owner and flags, done watermark) and 0 on a data frame. Raw records are
+// tuple.RawSize bytes, partial records tuple.PartialSize bytes, in the
+// same little-endian layout the simulator's pages use; a control frame
+// has count 0.
+//
+// frameKind is marked exhaustive: every switch over a frameKind must
+// either handle all declared kinds or reject unknown ones with an
+// error-returning default, so adding a control frame cannot silently fall
+// through an old dispatch point.
 //
 //aggvet:exhaustive
 type frameKind byte
@@ -36,12 +48,51 @@ const (
 	frameEOS     frameKind = 3
 	// frameEOP carries Adaptive Repartitioning's end-of-phase broadcast.
 	frameEOP frameKind = 4
+
+	// The tolerant protocol's control frames (Config.Tolerate; DESIGN.md
+	// §11). A fail-fast node decodes them like any other kind and aborts.
+	//
+	// frameHeartbeat carries liveness + scan progress (aux = permille of
+	// the sender's partition scanned). origin = sender.
+	frameHeartbeat frameKind = 5
+	// frameSuspect is a complaint to the supervisor: origin = the peer
+	// the sender failed to reach, aux = a phaseCode for the failed op.
+	frameSuspect frameKind = 6
+	// frameAssign is the supervisor's reassignment broadcast: all duties
+	// of node `origin` move to node `aux&0xFFFF` at `epoch`;
+	// aux bit 16 set means origin is declared dead (full takeover),
+	// clear means a speculative re-execution (first complete attempt wins).
+	frameAssign frameKind = 7
+	// frameEvict tells the recipient the supervisor has declared it dead;
+	// it must stop and return ErrEvicted.
+	frameEvict frameKind = 8
+	// frameDone reports to the supervisor that the sender's scan, queued
+	// recovery jobs, and merge are complete as of epoch aux.
+	frameDone frameKind = 9
+	// frameFinish is the supervisor's broadcast that every live node is
+	// done: recipients tear down cleanly and return their results.
+	frameFinish frameKind = 10
+)
+
+const (
+	headerSize = 12
+
+	// maxOrigins is how many nodes the one-byte origin can name: a
+	// tolerant cluster larger than this would mix up its streams.
+	maxOrigins = 1 << 8
+
+	// helloTolerantFlag marks a tolerant node's hello.
+	helloTolerantFlag = 0x40000000
+
+	// assignDeadFlag in frameAssign's aux marks a dead takeover (vs. a
+	// speculative duplicate execution).
+	assignDeadFlag = 1 << 16
 )
 
 // maxFrameRecords bounds a frame so a corrupt length cannot allocate
 // unbounded memory. The bound is enforced on BOTH sides of the wire: the
 // decoder rejects oversized counts from a hostile or corrupt peer, and
-// the frame writers refuse to emit a batch that a conforming decoder
+// the frame encoders refuse to emit a batch that a conforming decoder
 // would reject (a silent >maxFrameRecords write would poison the stream
 // for every later frame on the connection).
 const maxFrameRecords = 1 << 20
@@ -53,6 +104,58 @@ const maxFrameRecords = 1 << 20
 // claiming maxFrameRecords records costs a few KiB, not tens of MiB,
 // before the connection's read deadline or a short read kills it.
 const allocChunk = 4096
+
+// phaseCode compresses a Phase into the u32 aux of a suspect frame.
+func phaseCode(p Phase) uint32 {
+	switch p {
+	case PhaseDial:
+		return 1
+	case PhaseHello:
+		return 2
+	case PhaseAccept:
+		return 3
+	case PhaseRead:
+		return 4
+	case PhaseWrite:
+		return 5
+	case PhaseMerge:
+		return 6
+	case PhaseHeartbeat:
+		return 7
+	default:
+		return 0
+	}
+}
+
+func codePhase(c uint32) Phase {
+	switch c {
+	case 1:
+		return PhaseDial
+	case 2:
+		return PhaseHello
+	case 3:
+		return PhaseAccept
+	case 4:
+		return PhaseRead
+	case 5:
+		return PhaseWrite
+	case 6:
+		return PhaseMerge
+	case 7:
+		return PhaseHeartbeat
+	default:
+		return Phase("unknown")
+	}
+}
+
+// streamID identifies one shipment attempt: which input partition the
+// data derives from, and which supervisor-assigned attempt produced it.
+type streamID struct {
+	origin int
+	epoch  int
+}
+
+func (s streamID) String() string { return fmt.Sprintf("(origin %d, epoch %d)", s.origin, s.epoch) }
 
 // rawPool is a node's free list of raw-record slices: the readers decode
 // raw frames into slices taken from it and the merge side puts them back
@@ -89,22 +192,9 @@ func shortBody(err error) error {
 	return err
 }
 
-// peekHeader returns the next n bytes of r in place (a header array handed
-// to io.ReadFull escapes: one allocation per frame) without consuming
-// them. A stream that ends before the first byte is io.EOF, inside the
-// header io.ErrUnexpectedEOF — io.ReadFull's contract.
-func peekHeader(r *bufio.Reader, n int) ([]byte, error) {
-	hdr, err := r.Peek(n)
-	if err != nil && len(hdr) > 0 {
-		err = shortBody(err)
-	}
-	return hdr, err
-}
-
 // readRawBody appends the count raw records that follow a frame header to
 // dst, decoding straight out of r's buffer in runs of at most allocChunk
-// bytes; dst grows only to what r has already buffered. Both dialects
-// decode through it.
+// bytes; dst grows only to what r has already buffered.
 func readRawBody(r *bufio.Reader, dst []tuple.Tuple, count int) ([]tuple.Tuple, error) {
 	for count > 0 {
 		n := min(count, allocChunk/tuple.RawSize)
@@ -141,29 +231,52 @@ func readPartialBody(r *bufio.Reader, count int) ([]tuple.Partial, error) {
 	return dst, nil
 }
 
-// writeHello sends the connection's source node id.
-func writeHello(w io.Writer, src int) error {
+// writeHello sends the connection's hello: the source node id, with
+// helloTolerantFlag set by a tolerant node.
+func writeHello(w io.Writer, hello int) error {
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(src))
+	binary.LittleEndian.PutUint32(b[:], uint32(hello))
 	_, err := w.Write(b[:])
 	return err
 }
 
-// readHello receives the peer's node id.
-func readHello(r io.Reader) (int, error) {
+// readHello receives a peer's hello and is the one handshake check of both
+// modes: the peer must speak this node's mode (tolerant or not) and name a
+// node of its n-node cluster.
+func readHello(r io.Reader, n int, tolerant bool) (int, error) {
 	var b [4]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+		return -1, err
 	}
-	return int(binary.LittleEndian.Uint32(b[:])), nil
+	hello := binary.LittleEndian.Uint32(b[:])
+	if peerTolerant := hello&helloTolerantFlag != 0; peerTolerant != tolerant {
+		return -1, fmt.Errorf("dist: hello from a node of the other mode (peer tolerant=%v, mixed-mode cluster)", peerTolerant)
+	}
+	src := hello &^ helloTolerantFlag
+	if src >= uint32(n) {
+		return -1, fmt.Errorf("dist: hello from out-of-range node %d", src)
+	}
+	return int(src), nil
 }
 
-func writeHeader(w io.Writer, kind frameKind, count int) error {
-	var b [5]byte
+func putHeader(b []byte, kind frameKind, origin, epoch int, aux uint32, count int) {
 	b[0] = byte(kind)
-	binary.LittleEndian.PutUint32(b[1:], uint32(count))
-	_, err := w.Write(b[:])
-	return err
+	b[1] = byte(origin)
+	binary.LittleEndian.PutUint16(b[2:4], uint16(epoch))
+	binary.LittleEndian.PutUint32(b[4:8], aux)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(count))
+}
+
+// writeControl writes a record-less frame and flushes, so control traffic
+// (end of stream or phase, heartbeats, assigns) is never stuck behind
+// buffered data.
+func writeControl(w *bufio.Writer, kind frameKind, origin, epoch int, aux uint32) error {
+	var b [headerSize]byte
+	putHeader(b[:], kind, origin, epoch, aux, 0)
+	if _, err := w.Write(b[:]); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // frameBuf returns buf resized to hold need bytes, reallocating only
@@ -176,19 +289,18 @@ func frameBuf(buf []byte, need int) []byte {
 	return buf[:need]
 }
 
-// rawFrameInto encodes a whole raw frame (header + records) into buf,
-// growing it if needed, and returns the encoded frame. It refuses a
-// batch larger than maxFrameRecords.
+// rawFrameInto encodes a whole raw frame of stream (origin, epoch) —
+// header and records — into buf, growing it if needed, and returns the
+// encoded frame. It refuses a batch larger than maxFrameRecords.
 //
 //aggvet:noalloc
-func rawFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
+func rawFrameInto(buf []byte, origin, epoch int, ts []tuple.Tuple) ([]byte, error) {
 	if len(ts) > maxFrameRecords {
 		return buf, fmt.Errorf("dist: raw frame of %d records exceeds the %d-record wire limit", len(ts), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
 	}
-	buf = frameBuf(buf, 5+len(ts)*tuple.RawSize)
-	buf[0] = byte(frameRaw)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ts)))
-	off := 5
+	buf = frameBuf(buf, headerSize+len(ts)*tuple.RawSize)
+	putHeader(buf, frameRaw, origin, epoch, 0, len(ts))
+	off := headerSize
 	for _, t := range ts {
 		tuple.EncodeRaw(buf[off:off+tuple.RawSize], t)
 		off += tuple.RawSize
@@ -200,14 +312,13 @@ func rawFrameInto(buf []byte, ts []tuple.Tuple) ([]byte, error) {
 // contract as rawFrameInto.
 //
 //aggvet:noalloc
-func partialFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
+func partialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte, error) {
 	if len(ps) > maxFrameRecords {
 		return buf, fmt.Errorf("dist: partial frame of %d records exceeds the %d-record wire limit", len(ps), maxFrameRecords) //aggvet:allow noalloc -- cold path: the oversized batch is refused, never encoded
 	}
-	buf = frameBuf(buf, 5+len(ps)*tuple.PartialSize)
-	buf[0] = byte(framePartial)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ps)))
-	off := 5
+	buf = frameBuf(buf, headerSize+len(ps)*tuple.PartialSize)
+	putHeader(buf, framePartial, origin, epoch, 0, len(ps))
+	off := headerSize
 	for _, pt := range ps {
 		tuple.EncodePartial(buf[off:off+tuple.PartialSize], pt)
 		off += tuple.PartialSize
@@ -215,48 +326,11 @@ func partialFrameInto(buf []byte, ps []tuple.Partial) ([]byte, error) {
 	return buf, nil
 }
 
-// writeRawFrame sends a batch of raw tuples as one Write call.
-func writeRawFrame(w io.Writer, ts []tuple.Tuple) error {
-	buf, err := rawFrameInto(nil, ts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// writePartialFrame sends a batch of partial aggregates as one Write call.
-func writePartialFrame(w io.Writer, ps []tuple.Partial) error {
-	buf, err := partialFrameInto(nil, ps)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// writeEOSFrame signals end of stream and flushes.
-func writeEOSFrame(w *bufio.Writer) error {
-	if err := writeHeader(w, frameEOS, 0); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// writeEOPFrame broadcasts Adaptive Repartitioning's end-of-phase signal
-// and flushes so it is not stuck behind buffered data.
-func writeEOPFrame(w *bufio.Writer) error {
-	if err := writeHeader(w, frameEOP, 0); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// peer is one outgoing connection: the conn for deadline control, the
-// buffered writer for framing, and the per-frame write timeout. Every
-// write arms a fresh deadline, so a peer that stops draining its socket
-// (backpressure hang) fails the write within timeout instead of blocking
-// the scan forever.
+// peer is one fail-fast outgoing connection: the conn for deadline
+// control, the buffered writer for framing, and the per-frame write
+// timeout. Every write arms a fresh deadline, so a peer that stops
+// draining its socket (backpressure hang) fails the write within timeout
+// instead of blocking the scan forever.
 type peer struct {
 	id      int
 	conn    net.Conn
@@ -321,70 +395,82 @@ func (p *peer) writeHello(src int) error {
 	return p.count(frameHello, 0, p.w.Flush())
 }
 
-// writeRaw ships ts as one raw frame. Like every write below it does not
-// keep ts: a socket write encodes it, the self slot copies it.
-func (p *peer) writeRaw(ts []tuple.Tuple) error {
+// writeRaw ships ts as one raw frame of stream s. Like every write below
+// it does not keep ts: a socket write encodes it, the self slot copies it.
+func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.self != nil {
 		return p.self.post(frame{kind: frameRaw, raw: append(p.self.pool.get(), ts...)})
 	}
 	p.arm()
 	var err error
-	if p.buf, err = rawFrameInto(p.buf, ts); err == nil {
+	if p.buf, err = rawFrameInto(p.buf, s.origin, s.epoch, ts); err == nil {
 		_, err = p.w.Write(p.buf)
 	}
 	return p.count(frameRaw, len(ts), err)
 }
 
-func (p *peer) writePartials(ps []tuple.Partial) error {
+func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.self != nil {
 		return p.self.post(frame{kind: framePartial, partials: slices.Clone(ps)})
 	}
 	p.arm()
 	var err error
-	if p.buf, err = partialFrameInto(p.buf, ps); err == nil {
+	if p.buf, err = partialFrameInto(p.buf, s.origin, s.epoch, ps); err == nil {
 		_, err = p.w.Write(p.buf)
 	}
 	return p.count(framePartial, len(ps), err)
 }
 
-func (p *peer) writeEOS() error {
+// control sends a record-less frame (EOS, EOP) and flushes.
+func (p *peer) control(kind frameKind, s streamID) error {
 	if p.self != nil {
-		return p.self.post(frame{kind: frameEOS})
+		return p.self.post(frame{kind: kind})
 	}
 	p.arm()
-	return p.count(frameEOS, 0, writeEOSFrame(p.w))
-}
-
-func (p *peer) writeEOP() error {
-	if p.self != nil {
-		return p.self.post(frame{kind: frameEOP})
-	}
-	p.arm()
-	return p.count(frameEOP, 0, writeEOPFrame(p.w))
+	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, 0))
 }
 
 // frame is one decoded wire frame.
 type frame struct {
 	kind     frameKind
+	origin   int
+	epoch    int
+	aux      uint32
 	raw      []tuple.Tuple
 	partials []tuple.Partial
 }
 
+func (f frame) stream() streamID { return streamID{origin: f.origin, epoch: f.epoch} }
+
 // readFrame decodes the next frame; a raw frame's records land in a slice
-// from pool, which the consumer puts back.
+// from pool, which the consumer puts back. A peek of the header (a header
+// array handed to io.ReadFull escapes: one allocation per frame) is
+// io.EOF for a stream that ends before the first byte and
+// io.ErrUnexpectedEOF inside the header — io.ReadFull's contract.
 func readFrame(r *bufio.Reader, pool rawPool) (frame, error) {
-	hdr, err := peekHeader(r, 5)
+	hdr, err := r.Peek(headerSize)
 	if err != nil {
+		if len(hdr) > 0 {
+			err = shortBody(err)
+		}
 		return frame{}, err
 	}
-	f := frame{kind: frameKind(hdr[0])}
-	count := int(binary.LittleEndian.Uint32(hdr[1:]))
-	r.Discard(5) // cannot fail: the bytes were just peeked
+	f := frame{
+		kind:   frameKind(hdr[0]),
+		origin: int(hdr[1]),
+		epoch:  int(binary.LittleEndian.Uint16(hdr[2:4])),
+		aux:    binary.LittleEndian.Uint32(hdr[4:8]),
+	}
+	count := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	r.Discard(headerSize) // cannot fail: the bytes were just peeked
 	if count < 0 || count > maxFrameRecords {
 		return frame{}, fmt.Errorf("dist: frame count %d out of range", count)
 	}
+	if f.aux != 0 && (f.kind == frameRaw || f.kind == framePartial) {
+		return frame{}, fmt.Errorf("dist: data frame %d with aux %#x", f.kind, f.aux)
+	}
 	switch f.kind {
-	case frameEOS, frameEOP:
+	case frameEOS, frameEOP, frameHeartbeat, frameSuspect, frameAssign, frameEvict, frameDone, frameFinish:
 		if count != 0 {
 			err = fmt.Errorf("dist: control frame %d with count %d", f.kind, count)
 		}

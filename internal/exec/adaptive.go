@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strconv"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
-	"parallelagg/internal/hashtab"
 )
 
 // AdaptiveAgg is the Adaptive Two Phase local phase as a composable
@@ -33,7 +33,7 @@ func (a *AdaptiveAgg) Name() string { return fmt.Sprintf("adaptiveagg-%d", a.Nod
 // Run implements Operator.
 func (a *AdaptiveAgg) Run(p *des.Proc) {
 	prm := a.C.Prm
-	tab := hashtab.New(prm.HashEntries)
+	tab := aggtable.New(prm.HashEntries)
 	switched := false
 
 	flush := func() {

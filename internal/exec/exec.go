@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"strconv"
 
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
 	"parallelagg/internal/disk"
-	"parallelagg/internal/hashtab"
 	"parallelagg/internal/network"
 	"parallelagg/internal/tuple"
 )
@@ -235,7 +235,7 @@ func (h *HashAgg) Run(p *des.Proc) {
 	if mb == 0 {
 		mb = 64
 	}
-	tab := hashtab.New(prm.HashEntries)
+	tab := aggtable.New(prm.HashEntries)
 	occ := h.C.Obs.GaugeVec("sim_hash_occupancy_permille",
 		"high-water fill of the local hash table per 1000 entries", "node").
 		With(strconv.Itoa(h.Node.ID))

@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"parallelagg/internal/aggtable"
 	"parallelagg/internal/des"
 	"parallelagg/internal/disk"
-	"parallelagg/internal/hashtab"
 	"parallelagg/internal/tuple"
 )
 
@@ -18,7 +18,7 @@ type spillSet struct {
 
 // ensure lazily creates the spill set, sizing the bucket fan-out from the
 // groups-per-record rate observed so far (the same rule as internal/core).
-func (s *spillSet) ensure(h *HashAgg, tab *hashtab.Table, seen, expected int64, maxBuckets int) *spillSet {
+func (s *spillSet) ensure(h *HashAgg, tab *aggtable.Table, seen, expected int64, maxBuckets int) *spillSet {
 	if s != nil {
 		return s
 	}
@@ -70,7 +70,7 @@ func (s *spillSet) finalize(p *des.Proc, depth int, emit func([]tuple.Partial)) 
 		sp.Flush(p)
 		recs := sp.ReadAll(p)
 		s.h.Node.Work(p, (prm.TRead+prm.TAgg)*float64(len(recs)))
-		tab := hashtab.New(prm.HashEntries)
+		tab := aggtable.New(prm.HashEntries)
 		var sub *spillSet
 		for _, r := range recs {
 			if r.IsPartial {
@@ -90,7 +90,7 @@ func (s *spillSet) finalize(p *des.Proc, depth int, emit func([]tuple.Partial)) 
 	}
 }
 
-func (s *spillSet) subSet(sub *spillSet, tab *hashtab.Table, recs, depth int) *spillSet {
+func (s *spillSet) subSet(sub *spillSet, tab *aggtable.Table, recs, depth int) *spillSet {
 	if sub != nil {
 		return sub
 	}

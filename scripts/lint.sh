@@ -74,7 +74,7 @@ fi
 # the annotated bodies; this step verifies the annotations exist.
 if ! "$AGGVET" -require-noalloc \
     internal/aggtable:Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Shared.UpdateRaw,Shared.UpdateRawContended,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
-    internal/dist:rawFrameInto,partialFrameInto,tRawFrameInto,tPartialFrameInto; then
+    internal/dist:rawFrameInto,partialFrameInto; then
     echo "lint: -require-noalloc gate failed — a pinned hot-path function lost its //aggvet:noalloc annotation" >&2
     exit 1
 fi
