@@ -295,8 +295,9 @@ func sortPartials(ps []tuple.Partial) {
 
 // Each calls fn once for every group entry, in slot order — which
 // depends on insertion and growth history, so it is for consumers that
-// impose their own order or need none (the live engine pours merge
-// tables into a Go map). Anything that reaches a wire frame, a simulator
+// impose their own order or need none (the live engine flushes scan
+// tables into its exchange and pours merge tables into a Go map).
+// Anything that reaches a wire frame, a simulator
 // event or a printed result goes through Partials or Drain instead. fn
 // must not modify the table.
 func (t *Table) Each(fn func(tuple.Key, tuple.AggState)) {

@@ -462,6 +462,43 @@ func TestFlushLargerThanWireLimit(t *testing.T) {
 	verify(t, rel, got)
 }
 
+// runWatchdog bounds one in-process cluster run in the tests that use
+// runWatched; a healthy one takes milliseconds, even under -race.
+const runWatchdog = 60 * time.Second
+
+// runWatched is RunConfigured under a watchdog. A run that has not returned
+// within runWatchdog fails the test at once, naming the case (ctx) and
+// dumping every goroutine's stack, instead of hanging until go test's
+// package timeout, which names neither.
+func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (*ClusterResult, error) {
+	t.Helper()
+	type outcome struct {
+		res *ClusterResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunConfigured(parts, cfg)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(runWatchdog):
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+		t.Fatalf("%s: no result after %v; goroutines:\n%s", ctx, runWatchdog, buf)
+		return nil, nil
+	}
+}
+
 // Every algorithm, both modes and three table bounds (unbounded, a bound
 // every node hits at once, a bound some seeds never reach) against the
 // sequential fold, over 50 seeded relations with empty and lopsided
@@ -493,8 +530,8 @@ func TestDifferentialAllModes(t *testing.T) {
 						template = tolerantTemplate(alg)
 					}
 					template.TableEntries = bound
-					res, err := RunConfigured(rel.PerNode, template)
 					ctx := fmt.Sprintf("seed %d, %d nodes, %d groups, %v, tolerate=%v, bound %d", seed, nodes, groups, alg, tolerate, bound)
+					res, err := runWatched(t, ctx, rel.PerNode, template)
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}

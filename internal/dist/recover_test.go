@@ -320,12 +320,12 @@ func TestTolerantMatchesFailFast(t *testing.T) {
 	// matrix proves the faulty half against the same baseline).
 	rel := workload.Uniform(4, 8_000, 700, 14)
 	template := tolerantTemplate(TwoPhase)
-	tol, err := RunConfigured(rel.PerNode, template)
+	tol, err := runWatched(t, "seed 14, 4 nodes, 2P, tolerate=true, bound 0", rel.PerNode, template)
 	if err != nil {
 		t.Fatal(err)
 	}
 	template.Tolerate = false
-	ff, err := RunConfigured(rel.PerNode, template)
+	ff, err := runWatched(t, "seed 14, 4 nodes, 2P, tolerate=false, bound 0", rel.PerNode, template)
 	if err != nil {
 		t.Fatal(err)
 	}

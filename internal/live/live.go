@@ -24,6 +24,10 @@
 // map traffic), and exchange batches are sync.Pool-recycled — the merge
 // side returns each batch to the pool after folding it, so after warm-up
 // the scan sides append into recycled buffers instead of allocating.
+// A scan side flushes a table unsorted, straight into the exchange, after
+// sending each owner a reservation target (at an A-2P switch, the paper's
+// §3.1 projection of the groups it will own), so a merge side sizes its
+// table once instead of doubling its way up to them.
 package live
 
 import (
@@ -81,22 +85,10 @@ const (
 
 // String returns the paper's abbreviation.
 func (a Algorithm) String() string {
-	switch a {
-	case TwoPhase:
-		return "2P"
-	case Repartitioning:
-		return "Rep"
-	case AdaptiveTwoPhase:
-		return "A-2P"
-	case AdaptiveRepartitioning:
-		return "A-Rep"
-	case Shared:
-		return "Shared"
-	case AdaptiveShared:
-		return "A-Shared"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if names := [...]string{"2P", "Rep", "A-2P", "A-Rep", "Shared", "A-Shared"}; a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // Algorithms lists the implemented strategies.
@@ -113,9 +105,10 @@ type Config struct {
 
 	// TableEntries bounds each worker's scan-side local hash table only,
 	// triggering the overflow behaviour of the chosen algorithm (spill
-	// passes for TwoPhase, the switch for AdaptiveTwoPhase); a merge side
-	// holds every group its worker owns. 0 means unbounded. The shared algorithms
-	// pool it: a front takes at most a quarter of a share, the rest bounds the table.
+	// passes for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
+	// group its worker owns, sized from what the scan tables report. 0 means unbounded.
+	// The shared algorithms pool it: a front takes at most a quarter of a share, the
+	// rest bounds the table.
 	TableEntries int
 
 	// Batch is the scan chunk — the tuples a scan side folds or routes with
@@ -236,13 +229,14 @@ func (p *exchangePools) getColPart() *colPartBatch {
 	return b
 }
 
-// message is one exchange batch between workers. Exactly one of raw/part
-// is non-nil; the receiver owns the batch and must return it to the pool
-// once folded.
+// message is one exchange batch between workers, or a flush's reservation
+// target. Exactly one of raw/part/reserve is set; the receiver owns a batch
+// and must return it to the pool once folded.
 type message struct {
-	src  int // sending worker, for merge fan-in accounting
-	raw  *colRawBatch
-	part *colPartBatch
+	src     int // sending worker, for merge fan-in accounting
+	raw     *colRawBatch
+	part    *colPartBatch
+	reserve int // groups to make room for, sent ahead of a flush's partials
 }
 
 // Aggregate runs alg over the tuples with cfg.Workers parallel workers and
@@ -263,9 +257,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		return &Result{Groups: map[tuple.Key]tuple.AggState{}}, nil
 	}
 	cfg.Workers = w
-	switch alg {
-	case TwoPhase, Repartitioning, AdaptiveTwoPhase, AdaptiveRepartitioning, Shared, AdaptiveShared:
-	default:
+	if alg < TwoPhase || alg > AdaptiveShared {
 		return nil, fmt.Errorf("live: unknown algorithm %v", alg)
 	}
 
@@ -306,13 +298,17 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	switched := make([]bool, w)
 	errs := make([]error, w)
 	var fallback atomic.Bool // ARep's broadcast "end-of-phase" flag
+	rows := 0
+	for _, p := range parts {
+		rows += len(p)
+	}
 
 	start := time.Now()
 	var all sync.WaitGroup
 	workers := make([]*worker, w)
 	for i := 0; i < w; i++ {
 		i := i
-		wk := &worker{id: i, cfg: cfg, alg: alg, inboxes: inboxes,
+		wk := &worker{id: i, cfg: cfg, alg: alg, inboxes: inboxes, rows: rows,
 			fallback: &fallback, m: &metrics[i], pools: pools, shared: shared}
 		if shared != nil {
 			wk.sharedOv = aggtable.New(0)
@@ -324,14 +320,16 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			defer scanners.Done()
 			span := cfg.Tracer.Begin(i, "scan")
 			switched[i], errs[i] = wk.scanSide(parts[i])
-			span.End(fmt.Sprintf("%d tuples, switched=%v", len(parts[i]), switched[i]))
+			span.End(fmt.Sprintf("%d tuples, switched=%v%s", len(parts[i]), switched[i], wk.estNote))
 		}()
 		go func() {
 			defer all.Done()
 			span := cfg.Tracer.Begin(i, "merge")
-			owned[i] = wk.mergeSide(inboxes[i])
+			var reserved int
+			owned[i], reserved = wk.mergeSide(inboxes[i])
 			metrics[i].GroupsOut = int64(owned[i].Len())
-			span.End(fmt.Sprintf("%d groups, fan-in %d", owned[i].Len(), metrics[i].FanIn))
+			span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots",
+				owned[i].Len(), metrics[i].FanIn, reserved, owned[i].Slots()))
 		}()
 	}
 	all.Wait()
@@ -440,6 +438,8 @@ type worker struct {
 	fallback *atomic.Bool
 	m        *WorkerMetrics
 	pools    *exchangePools
+	rows     int    // the whole input, which the switch projects its group estimate over
+	estNote  string // the switch's estimate, for the scan span once scanSide returns
 
 	// shared is the one concurrent table every worker folds into under
 	// the Shared/AdaptiveShared algorithms (nil otherwise). sharedOv is
@@ -476,6 +476,8 @@ type worker struct {
 	outRaw []*colRawBatch
 	//aggvet:owner scan
 	outPart []*colPartBatch
+	//aggvet:owner scan
+	reserve []int // a flush's reservation target per destination
 
 	// Scan scratch: the reusable refusal index list of the chunk folds, and
 	// the shared table's partition scratch. Both reach 0 allocs/op after
@@ -525,16 +527,21 @@ func (wk *worker) sharedContentionHigh() bool {
 }
 
 // mergeSide folds everything routed to this worker — raw tuples and
-// partials alike (paper §3.2) — into one table and hands the table back
-// for assemble to walk. The table is unbounded, so it refuses nothing: a
-// merge side holds every group it owns until the query ends, and a bound
-// here only moved the refused entries somewhere costlier (DESIGN.md §14).
-// Every folded batch goes back to the exchange pool, which is what keeps
-// the steady-state data plane allocation-free.
-func (wk *worker) mergeSide(inbox <-chan message) *aggtable.Table {
-	owned := aggtable.New(0)
+// partials alike (paper §3.2) — into one table and hands it back for
+// assemble to walk, with the largest reservation target it received, to
+// which the table was sized. It is unbounded, so it refuses nothing: a
+// merge side holds every group it owns until the query ends (DESIGN.md
+// §14). Every folded batch goes back to the exchange pool, which is what
+// keeps the steady-state data plane allocation-free.
+func (wk *worker) mergeSide(inbox <-chan message) (owned *aggtable.Table, reserved int) {
+	owned = aggtable.New(0)
 	srcs := make([]bool, wk.cfg.Workers)
 	for m := range inbox {
+		if m.reserve > 0 { // Reserve is a no-op while the slots suffice
+			reserved = max(reserved, m.reserve)
+			owned.Reserve(reserved - owned.Len())
+			continue
+		}
 		if !srcs[m.src] {
 			srcs[m.src] = true
 			wk.m.FanIn++
@@ -547,27 +554,18 @@ func (wk *worker) mergeSide(inbox <-chan message) *aggtable.Table {
 			wk.pools.colPart.Put(m.part)
 		}
 	}
-	return owned
+	return owned, reserved
 }
 
-// flushAll sends every partially-filled batch.
+// flushAll sends every partially-filled batch (a builder is never empty).
 func (wk *worker) flushAll() {
-	for d := range wk.inboxes {
+	for d, inbox := range wk.inboxes {
 		if b := wk.outRaw[d]; b != nil {
-			if b.b.Len() > 0 {
-				wk.inboxes[d] <- message{src: wk.id, raw: b}
-			} else {
-				wk.pools.colRaw.Put(b)
-			}
-			wk.outRaw[d] = nil
+			inbox <- message{src: wk.id, raw: b}
 		}
 		if b := wk.outPart[d]; b != nil {
-			if b.pb.Len() > 0 {
-				wk.inboxes[d] <- message{src: wk.id, part: b}
-			} else {
-				wk.pools.colPart.Put(b)
-			}
-			wk.outPart[d] = nil
+			inbox <- message{src: wk.id, part: b}
 		}
+		wk.outRaw[d], wk.outPart[d] = nil, nil
 	}
 }

@@ -18,38 +18,60 @@ import (
 // must still produce the sequential fold — as three oracles that share no
 // code compute it: workload's reference map ("default"), and adaptive two-phase
 // written out by hand over per-tuple aggtable calls ("scalar") and over
-// builtin maps ("maptables").
+// builtin maps ("maptables"). Both inputs take the paths whose flushes are
+// unsorted and make no projection: plain 2P's spill passes, and switches
+// from a table too small to hold repeats (on OutputSkew, from one that lists
+// every group once first). Without a projection, each merge table must
+// end at exactly the size growth alone reaches, floors or not.
 func TestHighCardinalityDifferential(t *testing.T) {
 	const workers, bound = 4, 128
-	rel := workload.Uniform(workers, 60_000, 8*bound*workers, 41)
-	oracles := []struct {
-		name string
-		want map[tuple.Key]tuple.AggState
-	}{
-		{"default", rel.Reference()},
-		{"scalar", sequentialA2P(rel.PerNode, bound, newAggTable)},
-		{"maptables", sequentialA2P(rel.PerNode, bound, newMapTable)},
-	}
-	groups := len(oracles[0].want)
-	if groups < 8*bound*workers {
-		t.Fatalf("workload has %d groups, want at least %d", groups, 8*bound*workers)
-	}
-	for _, alg := range Algorithms() {
-		res, err := AggregatePartitioned(Config{TableEntries: bound}, rel.PerNode, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+	for ri, rel := range []*workload.Relation{
+		workload.Uniform(workers, 60_000, 8*bound*workers, 41),
+		workload.OutputSkew(workers, 60_000, 8*bound*workers, 43),
+	} {
+		oracles := []struct {
+			name string
+			want map[tuple.Key]tuple.AggState
+		}{
+			{"default", rel.Reference()},
+			{"scalar", sequentialA2P(rel.PerNode, bound, newAggTable)},
+			{"maptables", sequentialA2P(rel.PerNode, bound, newMapTable)},
 		}
-		for _, or := range oracles {
-			t.Run(fmt.Sprintf("%v/%s", alg, or.name), func(t *testing.T) {
-				checkGroups(t, or.want, res.Groups)
-			})
+		groups := len(oracles[0].want)
+		if groups < 8*bound*workers {
+			t.Fatalf("%s has %d groups, want at least %d", rel.Name, groups, 8*bound*workers)
 		}
-		var out int64
-		for _, m := range res.PerWorker {
-			out += m.GroupsOut
-		}
-		if alg != Shared && out != int64(groups) {
-			t.Errorf("%v: merge sides produced %d groups, want %d", alg, out, groups)
+		for _, alg := range Algorithms() {
+			res, scans, merges := tracedRun(t, Config{TableEntries: bound}, rel.PerNode, alg)
+			for _, or := range oracles {
+				name := fmt.Sprintf("%v/%s", alg, or.name)
+				if ri > 0 {
+					name = "OutputSkew/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					checkGroups(t, or.want, res.Groups)
+				})
+			}
+			var out, spilled int64
+			for i, m := range res.PerWorker {
+				out += m.GroupsOut
+				spilled += m.Spilled
+				if strings.Contains(scans[i], "/owner") {
+					t.Errorf("%s/%v: scan %d projected from a %d-entry table: %q", rel.Name, alg, i, bound, scans[i])
+				}
+				if mg := merges[i]; mg.slots != slotsFor(mg.groups) {
+					t.Errorf("%s/%v: merge %d ends at %d slots for %d groups (reserved %d), growth alone reaches %d",
+						rel.Name, alg, i, mg.slots, mg.groups, mg.reserved, slotsFor(mg.groups))
+				}
+			}
+			// The shared table keeps groups of its own: plain Shared's, and on
+			// OutputSkew those of the one-group workers under A-Shared.
+			if alg != Shared && (alg != AdaptiveShared || ri == 0) && out != int64(groups) {
+				t.Errorf("%s/%v: merge sides produced %d groups, want %d", rel.Name, alg, out, groups)
+			}
+			if alg == TwoPhase && spilled == 0 {
+				t.Errorf("%s: plain 2P spilled nothing, so no spill pass ran", rel.Name)
+			}
 		}
 	}
 }
@@ -93,11 +115,13 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 // The merge side used to refuse entries past TableEntries, widen each
 // refused 16-byte tuple to a 48-byte partial in a growing slice, and
 // replay the slice into a second table: ≈460 B allocated per input row at
-// selectivity 0.5. One growing table plus the result map is ≈190 B/row here.
-// The ceiling sits between the two so the replay shape cannot come back
-// unnoticed.
+// selectivity 0.5. One growing table plus the result map was ≈190 B/row
+// here; reserved once at the switch instead of doubling from 64 slots, and
+// flushed from the scan side without a drained copy, it is 127–132 (with or
+// without -race). The ceiling sits just above that, so neither the replay
+// shape nor merge-table growth can come back unnoticed.
 func TestA2PAllocationCeiling(t *testing.T) {
-	const rows, groups, ceiling = 1 << 17, 1 << 16, 260
+	const rows, groups, ceiling = 1 << 17, 1 << 16, 140
 	rel := workload.Uniform(2, rows, groups, 5)
 	cfg := Config{TableEntries: 4096}
 	run := func() uint64 {

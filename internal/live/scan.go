@@ -7,13 +7,15 @@
 // stripe segment, route mode appends into columnar per-destination builders
 // that travel the exchange as colRawBatch/colPartBatch messages.
 //
-// The adaptive triggers are looked at between chunks, so a switch decision
-// can lag its cause by at most one chunk, and a chunk the table refuses part
-// of folds what it can before the switch. Neither changes the result: every
-// tuple lands in exactly one table, every table drains to the merge of its
-// groups, and AggState folds are commutative and associative, so the final
-// groups are the sequential fold's whatever the timing (the differential
-// suites in batch_test.go and merge_test.go hold the engine to that).
+// The fallback flag and the contention window are looked at between chunks,
+// so those switches lag their cause by at most one chunk; a full table
+// switches an adaptive worker at the first tuple it refuses. None of it
+// changes the result: every tuple lands in exactly one table, every table is
+// flushed to the merge of its groups, and AggState folds are commutative and
+// associative, so the final groups are the sequential fold's whatever the
+// timing and whatever order a flush walks its table in (the differential
+// suites in batch_test.go, merge_test.go and reserve_test.go hold the
+// engine to that).
 //
 // Only AdaptiveRepartitioning's observation phase is per tuple: its
 // contract ("distinct groups among the first InitSeg tuples") is
@@ -23,7 +25,10 @@
 package live
 
 import (
+	"fmt"
+
 	"parallelagg/internal/aggtable"
+	"parallelagg/internal/sample"
 	"parallelagg/internal/tuple"
 )
 
@@ -35,8 +40,8 @@ import (
 func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 	wk.outRaw = make([]*colRawBatch, wk.cfg.Workers)
 	wk.outPart = make([]*colPartBatch, wk.cfg.Workers)
-	bound := wk.cfg.TableEntries
-	local := aggtable.New(bound)
+	wk.reserve = make([]int, wk.cfg.Workers)
+	local := aggtable.New(wk.cfg.TableEntries)
 	mode := modeLocal
 	switch wk.alg {
 	case Repartitioning, AdaptiveRepartitioning:
@@ -61,14 +66,11 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 	observing := wk.alg == AdaptiveRepartitioning
 	obsSeen := 0
 	obsGroups := make(map[tuple.Key]struct{})
-	threshold := int(wk.cfg.SwitchRatio * float64(wk.cfg.InitSeg))
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := max(1, int(wk.cfg.SwitchRatio*float64(wk.cfg.InitSeg)))
 
 	// foldLocalOne is the cold leftover path: the tuples a chunk fold
 	// refused re-enter here one by one, where the full table's consequence
-	// applies — drain and switch to routing for the adaptive algorithms
+	// applies — flush and switch to routing for the adaptive algorithms
 	// (the A-2P switch), the spill store for plain 2P. The re-probe is
 	// cheap, and after a switch the rest of the refusals just route.
 	foldLocalOne := func(t tuple.Tuple) error {
@@ -81,19 +83,13 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 		}
 		switch wk.alg {
 		case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-			wk.noteOcc(local.OccupancyPermille())
-			wk.flushPartials(local.Drain())
+			wk.flushTable(local, true)
 			mode = modeRoute
 			switched = true
 			wk.route(t)
 		default:
 			wk.m.Spilled++
-			if spill == nil {
-				if spill, err = newSpillStore(wk.cfg); err != nil {
-					return err
-				}
-			}
-			return spill.add(t)
+			return wk.spillTo(&spill, t)
 		}
 		return nil
 	}
@@ -121,9 +117,7 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 					t := seg[i]
 					if wk.fallback.Load() {
 						// Another worker (or this one) declared end-of-phase.
-						mode = modeLocal
-						switched = true
-						observing = false
+						mode, switched, observing = modeLocal, true, false
 						break observe
 					}
 					if observing {
@@ -134,10 +128,8 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 						if len(obsGroups) > threshold {
 							observing = false // plenty of groups: keep routing
 						} else if obsSeen >= wk.cfg.InitSeg {
-							observing = false
 							wk.fallback.Store(true)
-							mode = modeLocal
-							switched = true
+							mode, switched, observing = modeLocal, true, false
 							break observe
 						}
 					}
@@ -146,59 +138,54 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
 				seg = seg[i:]
 				continue
 			}
-			switch mode {
-			case modeLocal:
-				wk.refused = local.UpdateRows(seg, wk.refused[:0])
-				for _, ix := range wk.refused {
-					if err = foldLocalOne(seg[ix]); err != nil {
-						return switched, err
-					}
-				}
-			case modeRoute:
+			if mode == modeRoute {
 				for _, t := range seg {
 					wk.route(t)
 				}
+				break
 			}
-			seg = nil
+			// Near its bound an adaptive worker folds at most the table's room per
+			// call: it switches at the first refused tuple, its profile unblurred by
+			// a chunk's further repeats (the projection reads those as fewer groups).
+			n := len(seg)
+			if wk.alg != TwoPhase && wk.cfg.TableEntries > 0 {
+				n = min(n, max(wk.cfg.TableEntries-local.Len(), 1))
+			}
+			wk.refused = local.UpdateRows(seg[:n], wk.refused[:0])
+			for _, ix := range wk.refused {
+				if err = foldLocalOne(seg[ix]); err != nil {
+					return switched, err
+				}
+			}
+			seg = seg[n:]
 		}
 	}
 
-	// Drain the local table, then process the spill in bounded passes,
-	// exactly like the overflow-bucket loop of the paper.
+	// Flush the local table, then process the spill in bounded passes, like the
+	// paper's overflow-bucket loop, each into a table of its own: the closure
+	// escapes into the store, and must not drag local's scan state with it.
 	if mode == modeShared {
 		wk.leaveShared()
 	}
 	if wk.shared != nil {
 		wk.noteOcc(wk.shared.OccupancyPermille())
 	}
-	wk.noteOcc(local.OccupancyPermille())
-	wk.flushPartials(local.Drain())
+	wk.flushTable(local, false)
 	for spill != nil && spill.len() > 0 {
 		var next spillStore
-		tab := aggtable.New(bound)
+		tab := aggtable.New(wk.cfg.TableEntries)
 		err = spill.drain(func(t tuple.Tuple) error {
 			if tab.UpdateRaw(t) {
 				return nil
 			}
-			if next == nil {
-				var nerr error
-				if next, nerr = newSpillStore(wk.cfg); nerr != nil {
-					return nerr
-				}
-			}
-			return next.add(t)
+			return wk.spillTo(&next, t)
 		})
 		spill.close()
 		spill = next
 		if err != nil {
-			if spill != nil {
-				spill.close()
-				spill = nil
-			}
-			return switched, err
+			return switched, err // the deferred close takes the next store
 		}
-		wk.noteOcc(tab.OccupancyPermille())
-		wk.flushPartials(tab.Drain())
+		wk.flushTable(tab, false)
 	}
 	wk.flushAll()
 	return switched, nil
@@ -283,8 +270,20 @@ func (wk *worker) leaveShared() {
 		}
 		wk.pools.colPart.Put(cp)
 	}
-	wk.flushPartials(wk.left)
+	for _, p := range wk.left {
+		wk.emitPartial(p)
+	}
 	wk.left = wk.left[:0]
+}
+
+// spillTo adds t to the store *s, creating the store on first use.
+func (wk *worker) spillTo(s *spillStore, t tuple.Tuple) (err error) {
+	if *s == nil {
+		if *s, err = newSpillStore(wk.cfg); err != nil {
+			return err
+		}
+	}
+	return (*s).add(t)
 }
 
 // route queues one raw tuple for the worker owning its group, into the
@@ -304,21 +303,74 @@ func (wk *worker) route(t tuple.Tuple) {
 	}
 }
 
-// flushPartials partitions a drained table's partials to their merge
-// workers as columnar partial batches.
-func (wk *worker) flushPartials(parts []tuple.Partial) {
-	wk.m.PartialsSent += int64(len(parts))
-	for _, pt := range parts {
-		d := pt.Key.Dest(wk.cfg.Workers)
-		b := wk.outPart[d]
-		if b == nil {
-			b = wk.pools.getColPart()
-			wk.outPart[d] = b
+// flushTable ships a scan-side table's groups to their owners as partials and
+// empties it. A first walk counts each owner's share, sent as its reservation
+// target (at a switch, project raises it to the projection), and the count
+// profile; a second writes the groups in slot order into the builders. No copy,
+// no sort: the merge side keeps no order, and the target makes the pour safe.
+func (wk *worker) flushTable(tab *aggtable.Table, project bool) {
+	wk.noteOcc(tab.OccupancyPermille())
+	clear(wk.reserve)
+	var f1, f2 int
+	tab.Each(func(k tuple.Key, s tuple.AggState) {
+		wk.reserve[k.Dest(wk.cfg.Workers)]++
+		switch s.Count {
+		case 1:
+			f1++
+		case 2:
+			f2++
 		}
-		b.pb.Append(pt)
-		if b.pb.Len() >= wk.cfg.Batch {
-			wk.inboxes[d] <- message{src: wk.id, part: b}
-			wk.outPart[d] = nil
+	})
+	if project {
+		est, ok := projectOwnerGroups(tab.Len(), f1, f2, wk.rows, wk.cfg.Workers)
+		wk.estNote = fmt.Sprintf(", est %d/owner (f1 %d, f2 %d)", est, f1, f2)
+		if !ok {
+			wk.estNote = fmt.Sprintf(", est declined (f1 %d, f2 %d)", f1, f2)
 		}
+		for d := range wk.reserve {
+			wk.reserve[d] = max(wk.reserve[d], est)
+		}
+	}
+	for d, n := range wk.reserve {
+		if n > 0 {
+			wk.inboxes[d] <- message{src: wk.id, reserve: n}
+		}
+	}
+	tab.Each(func(k tuple.Key, s tuple.AggState) { wk.emitPartial(tuple.Partial{Key: k, State: s}) })
+	tab.Reset()
+}
+
+// minDoubletons is the fewest count-2 groups a full table must hold to be
+// projected from: Chao1's f1²/(2·f2) moves by about 1/√f2 of itself, and a
+// table without repeats (OutputSkew's) only says the groups outnumber it.
+const minDoubletons = 32
+
+// projectOwnerGroups is the switch's estimate of each owner's groups, the
+// paper's §3.1 Sampling estimate made from the table A-2P fills anyway: Chao1
+// over the full table's profile (observed groups, f1 seen once, f2 twice)
+// estimates the domain, ExpectedDistinct projects it over all rows, and the
+// owners split that, capped at rows/workers. ok is false when f2 is too small.
+func projectOwnerGroups(observed, f1, f2, rows, workers int) (est int, ok bool) {
+	if f2 < minDoubletons {
+		return 0, false
+	}
+	g := sample.ExpectedDistinct(sample.Chao1(observed, f1, f2), float64(rows))
+	return min(int(g)/workers, rows/workers), true
+}
+
+// emitPartial queues one partial for the worker owning its group, into the
+// columnar per-destination builder.
+func (wk *worker) emitPartial(pt tuple.Partial) {
+	wk.m.PartialsSent++
+	d := pt.Key.Dest(wk.cfg.Workers)
+	b := wk.outPart[d]
+	if b == nil {
+		b = wk.pools.getColPart()
+		wk.outPart[d] = b
+	}
+	b.pb.Append(pt)
+	if b.pb.Len() >= wk.cfg.Batch {
+		wk.inboxes[d] <- message{src: wk.id, part: b}
+		wk.outPart[d] = nil
 	}
 }

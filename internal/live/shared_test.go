@@ -330,7 +330,7 @@ func runSharedScan(t *testing.T, cfg Config, part []tuple.Tuple, flagUp bool) (*
 					tp := m.raw.b.At(i)
 					mergeGroup(got, tp.Key, tuple.NewState(tp.Val))
 				}
-			} else {
+			} else if m.part != nil {
 				for i := 0; i < m.part.pb.Len(); i++ {
 					mergeGroup(got, m.part.pb.Keys[i], m.part.pb.StateAt(i))
 				}
