@@ -24,9 +24,13 @@
 //
 // Determinism contract: Partials, Drain and EvictBuckets return entries in
 // ascending key order regardless of insertion order or probe history, so
-// everything downstream of a drain (wire frames, simulator events,
-// results) is byte-identical across same-seed runs. Slot order is exposed
-// only by Each, for consumers that keep no order of their own.
+// everything downstream of a drain (simulator events, results) is
+// byte-identical across same-seed runs. Slot order is exposed only by Each.
+// It is a function of the insertion sequence: two tables fed the same
+// operations in the same order walk identically. So Each serves consumers
+// that keep no order of their own, and wire frames filled by one goroutine
+// in a deterministic order (dist's scan-side flushes), which stay
+// byte-identical across same-seed runs without a sort.
 package aggtable
 
 import (
@@ -295,11 +299,11 @@ func sortPartials(ps []tuple.Partial) {
 
 // Each calls fn once for every group entry, in slot order — which
 // depends on insertion and growth history, so it is for consumers that
-// impose their own order or need none (the live engine flushes scan
-// tables into its exchange and pours merge tables into a Go map).
-// Anything that reaches a wire frame, a simulator
-// event or a printed result goes through Partials or Drain instead. fn
-// must not modify the table.
+// impose their own order or need none (both engines flush scan tables
+// into their exchange with it, and live pours merge tables into a Go
+// map). A wire frame may carry slot order only when one goroutine fills
+// the table in a deterministic order; a simulator event or a printed
+// result goes through Partials or Drain. fn must not modify the table.
 func (t *Table) Each(fn func(tuple.Key, tuple.AggState)) {
 	for i, c := range t.ctrl {
 		if c != ctrlEmpty {

@@ -3,12 +3,15 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -352,46 +355,67 @@ func TestSingleNodeOpensNoConnection(t *testing.T) {
 	}
 }
 
-// flushPartials must deliver every group exactly once, per destination in
-// key order, in frames no larger than the batch, and leave the table and
-// the per-destination buffers empty; a write error ends it.
+// flushPartials must deliver every group exactly once to its destination,
+// in frames of 1..batch records, and leave the table and the
+// per-destination buffers empty; two identically filled tables must flush
+// identical frame sequences (the slot order is a function of the fill, so
+// a same-seed run ships byte-identical frames); a write error ends it.
 func TestFlushPartialsFrames(t *testing.T) {
 	const n, batch, groups = 3, 64, 1000
-	tbl := aggtable.New(0)
-	for i := 0; i < groups; i++ {
-		tbl.UpdateRaw(tuple.Tuple{Key: tuple.Key(i * 31), Val: int64(i)})
+	fill := func() *aggtable.Table {
+		tbl := aggtable.New(0)
+		for i := 0; i < 3*groups; i++ {
+			tbl.UpdateRaw(tuple.Tuple{Key: tuple.Key(i % groups * 31), Val: int64(i)})
+		}
+		return tbl
 	}
-	want := tbl.Partials()
+	type sent struct {
+		d  int
+		ps []tuple.Partial
+	}
 	bufs := make([][]tuple.Partial, n)
 	dest := func(k tuple.Key) int { return k.Dest(n) }
-	got := make([][]tuple.Partial, n)
-	err := flushPartials(tbl, nil, bufs, batch, dest, func(d int, ps []tuple.Partial) error {
-		if len(ps) == 0 || len(ps) > batch {
-			t.Errorf("frame of %d partials to %d, want 1..%d", len(ps), d, batch)
+	flush := func(tbl *aggtable.Table) []sent {
+		var frames []sent
+		err := flushPartials(tbl, nil, bufs, batch, dest, func(d int, ps []tuple.Partial) error {
+			if len(ps) == 0 || len(ps) > batch {
+				t.Errorf("frame of %d partials to %d, want 1..%d", len(ps), d, batch)
+			}
+			frames = append(frames, sent{d, slices.Clone(ps)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got[d] = append(got[d], ps...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 0 {
-		t.Errorf("table holds %d groups after the flush", tbl.Len())
-	}
-	var all []tuple.Partial
-	for d := range got {
-		if len(bufs[d]) != 0 {
-			t.Errorf("destination %d buffer left with %d partials", d, len(bufs[d]))
+		if tbl.Len() != 0 {
+			t.Errorf("table holds %d groups after the flush", tbl.Len())
 		}
-		for i, pt := range got[d] {
-			if dest(pt.Key) != d || i > 0 && pt.Key <= got[d][i-1].Key {
-				t.Fatalf("destination %d partial %d (key %d) misrouted or out of key order", d, i, pt.Key)
+		for d := range bufs {
+			if len(bufs[d]) != 0 {
+				t.Errorf("destination %d buffer left with %d partials", d, len(bufs[d]))
 			}
 		}
-		all = append(all, got[d]...)
+		return frames
 	}
-	if len(all) != len(want) {
-		t.Fatalf("flushed %d partials, want %d", len(all), len(want))
+
+	tbl := fill()
+	want := tbl.Partials()
+	frames := flush(tbl)
+	var all []tuple.Partial
+	for _, f := range frames {
+		for _, pt := range f.ps {
+			if dest(pt.Key) != f.d {
+				t.Fatalf("key %d shipped to %d, owned by %d", pt.Key, f.d, dest(pt.Key))
+			}
+		}
+		all = append(all, f.ps...)
+	}
+	slices.SortFunc(all, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
+	if !slices.Equal(all, want) {
+		t.Fatalf("flushed %d partials, not the table's %d groups", len(all), len(want))
+	}
+	if again := flush(fill()); !reflect.DeepEqual(again, frames) {
+		t.Error("two identically filled tables flushed different frame sequences")
 	}
 
 	tbl.UpdateRaw(tuple.Tuple{Key: 1, Val: 1})
@@ -463,27 +487,22 @@ func TestFlushLargerThanWireLimit(t *testing.T) {
 }
 
 // runWatchdog bounds one in-process cluster run in the tests that use
-// runWatched; a healthy one takes milliseconds, even under -race.
+// watched; a healthy one takes milliseconds, even under -race.
 const runWatchdog = 60 * time.Second
 
-// runWatched is RunConfigured under a watchdog. A run that has not returned
-// within runWatchdog fails the test at once, naming the case (ctx) and
-// dumping every goroutine's stack, instead of hanging until go test's
-// package timeout, which names neither.
-func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (*ClusterResult, error) {
+// watched runs run under a watchdog. A run that has not returned within
+// runWatchdog fails the test at once, naming the case (ctx) and dumping
+// every goroutine's stack, instead of hanging until go test's package
+// timeout, which names neither.
+func watched(t *testing.T, ctx string, run func()) {
 	t.Helper()
-	type outcome struct {
-		res *ClusterResult
-		err error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan struct{})
 	go func() {
-		res, err := RunConfigured(parts, cfg)
-		done <- outcome{res, err}
+		defer close(done)
+		run()
 	}()
 	select {
-	case o := <-done:
-		return o.res, o.err
+	case <-done:
 	case <-time.After(runWatchdog):
 		buf := make([]byte, 1<<20)
 		for {
@@ -495,8 +514,14 @@ func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (*C
 			buf = make([]byte, 2*len(buf))
 		}
 		t.Fatalf("%s: no result after %v; goroutines:\n%s", ctx, runWatchdog, buf)
-		return nil, nil
 	}
+}
+
+// runWatched is RunConfigured under watched.
+func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (res *ClusterResult, err error) {
+	t.Helper()
+	watched(t, ctx, func() { res, err = RunConfigured(parts, cfg) })
+	return res, err
 }
 
 // Every algorithm, both modes and three table bounds (unbounded, a bound
@@ -587,18 +612,30 @@ func TestDistAllocationCeiling(t *testing.T) {
 
 // BenchmarkClusterA2P is dist_loop's query shape at a quarter of the rows:
 // a two-node loopback cluster, cluster formation included, every node
-// switching once its 16,384-entry table fills.
+// switching once its 16,384-entry table fills, and the same query with no
+// bound, so no switch. rows/s and B/row are the numbers to read (B/op and
+// allocs/op repeat exactly, ns/op swings); compare two commits by
+// alternating their test binaries.
 func BenchmarkClusterA2P(b *testing.B) {
 	rel := workload.Uniform(2, 1<<18, 50_000, 25)
-	for _, tolerate := range []bool{false, true} {
-		name := "failfast"
-		if tolerate {
-			name = "tolerate"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := Config{Algorithm: AdaptiveTwoPhase, TableEntries: 16384, Tolerate: tolerate}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"failfast", Config{Algorithm: AdaptiveTwoPhase, TableEntries: 16384}},
+		{"tolerate", Config{Algorithm: AdaptiveTwoPhase, TableEntries: 16384, Tolerate: true}},
+		// Unbounded: one end-of-scan flush of every group a node saw, poured
+		// in slot order into merge tables nothing reserved.
+		{"failfast_unbounded", Config{Algorithm: AdaptiveTwoPhase}},
+		{"tolerate_unbounded", Config{Algorithm: AdaptiveTwoPhase, Tolerate: true}},
+	} {
+		cfg := c.cfg
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(rel.Tuples()) * tuple.RawSize)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := RunConfigured(rel.PerNode, cfg)
 				if err != nil {
@@ -608,6 +645,11 @@ func BenchmarkClusterA2P(b *testing.B) {
 					b.Fatalf("%d groups", len(res.Groups))
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			rows := float64(b.N) * float64(rel.Tuples())
+			b.ReportMetric(rows/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rows, "B/row")
 		})
 	}
 }

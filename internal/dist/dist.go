@@ -259,11 +259,12 @@ func (t *connTracker) closeAll() {
 	t.conns = nil
 }
 
-// incoming is one unit of accept-side input to the merge loop: a frame or
-// a terminal error from one peer connection.
+// incoming is one unit of input to the merge loop: a frame or a terminal
+// error from one peer connection, or a reservation from the node's scanner.
 type incoming struct {
-	f   frame
-	err error
+	f       frame
+	err     error
+	reserve int
 }
 
 // RunNode executes one node's role: it must be called with a listener
@@ -457,13 +458,16 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// the scan side's next write and unblocks every accepter.
 	var fallback atomic.Bool
 	merged := aggtable.New(0)
+	reserved := 0 // the largest reservation target the scanner has sent
 	var mergeErr error
 	var mergeDone sync.WaitGroup
 	mergeDone.Add(1)
 	go func() {
 		defer mergeDone.Done()
 		mergeSpan := cfg.Tracer.Begin(cfg.ID, "merge")
-		defer func() { mergeSpan.End(fmt.Sprintf("%d groups", merged.Len())) }()
+		defer func() {
+			mergeSpan.End(fmt.Sprintf("%d groups, reserved %d, %d slots", merged.Len(), reserved, merged.Slots()))
+		}()
 		// n streams end here: one per inbound connection and our own.
 		for eos := 0; eos < n; {
 			var in incoming
@@ -484,6 +488,11 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				mergeErr = in.err
 				cancel()
 				return
+			}
+			if in.reserve > 0 { // sized once: Reserve is a no-op while the slots suffice
+				reserved = max(reserved, in.reserve)
+				merged.Reserve(reserved - merged.Len())
+				continue
 			}
 			switch in.f.kind {
 			case frameEOS:
@@ -535,10 +544,11 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 			return nil
 		},
 		endPhase: func() error { return broadcast(peers, cfg.ID, frameEOP) },
+		reserve:  func(g int) error { return peers[cfg.ID].self.post(incoming{reserve: g}) },
 	}
 	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
 	switched, scanErr := sc.run(part)
-	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v", len(part), switched))
+	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), switched, sc.estNote))
 	if scanErr == nil {
 		scanErr = broadcast(peers, cfg.ID, frameEOS)
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -294,7 +295,7 @@ func TestChaosLatencyJitterStillCorrect(t *testing.T) {
 		Jitter:  300 * time.Microsecond,
 	})
 	rel := workload.Uniform(3, 9_000, 400, 3)
-	got, err := RunConfigured(rel.PerNode, Config{
+	got, err := runWatched(t, t.Name(), rel.PerNode, Config{
 		Algorithm:    AdaptiveTwoPhase,
 		TableEntries: 128,
 		Dial:         inj.Dialer(nil),
@@ -313,7 +314,7 @@ func TestChaosAcceptFailuresRecovered(t *testing.T) {
 	leakCheck(t)
 	inj := faultnet.New(faultnet.Config{Seed: 7, AcceptFail: 0.5})
 	rel := workload.Uniform(3, 9_000, 400, 4)
-	got, err := RunConfigured(rel.PerNode, Config{
+	got, err := runWatched(t, t.Name(), rel.PerNode, Config{
 		Algorithm:    TwoPhase,
 		WrapListener: inj.Listener,
 	})
@@ -331,7 +332,7 @@ func TestChaosInjectedResetsFailCleanly(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{Seed: 9, Reset: 1})
 	rel := workload.Uniform(2, 4_000, 100, 5)
 	start := time.Now()
-	_, err := RunConfigured(rel.PerNode, Config{
+	_, err := runWatched(t, t.Name(), rel.PerNode, Config{
 		Algorithm:   TwoPhase,
 		Dial:        inj.Dialer(nil),
 		DialTimeout: 500 * time.Millisecond,
@@ -356,7 +357,7 @@ func TestChaosPartialWritesFailCleanly(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{Seed: 11, PartialWrite: 0.3})
 	rel := workload.Uniform(2, 20_000, 2_000, 6)
 	start := time.Now()
-	_, err := RunConfigured(rel.PerNode, Config{
+	_, err := runWatched(t, t.Name(), rel.PerNode, Config{
 		Algorithm:   Repartitioning,
 		Dial:        inj.Dialer(nil),
 		DialTimeout: 500 * time.Millisecond,
@@ -387,7 +388,7 @@ func TestChaosSurvivableChaosMatrix(t *testing.T) {
 			AcceptFail: 0.3,
 			Latency:    100 * time.Microsecond,
 		})
-		got, err := RunConfigured(rel.PerNode, Config{
+		got, err := runWatched(t, fmt.Sprintf("%s %v", t.Name(), alg), rel.PerNode, Config{
 			Algorithm:    alg,
 			TableEntries: 256,
 			Dial:         inj.Dialer(nil),

@@ -69,7 +69,8 @@ func recoveryTemplate(alg Algorithm) Config {
 // RunConfigured, but with a per-node hook so a single victim can carry a
 // fault injector (RunConfigured's template hooks apply to every node,
 // which would take the whole cluster down with it). The combine mirrors
-// RunConfigured's tolerant path.
+// RunConfigured's tolerant path; the nodes run under watched, so a hang
+// fails with the case named.
 func launchTolerant(t *testing.T, parts [][]tuple.Tuple, template Config, perNode func(id int, cfg *Config)) (*ClusterResult, []error) {
 	t.Helper()
 	n := len(parts)
@@ -106,7 +107,7 @@ func launchTolerant(t *testing.T, parts [][]tuple.Tuple, template Config, perNod
 			results[i], errs[i] = RunNode(listeners[i], cfg, parts[i])
 		}()
 	}
-	wg.Wait()
+	watched(t, t.Name(), wg.Wait)
 	if errs[0] != nil {
 		t.Fatalf("supervisor (node 0) failed: %v", errs[0])
 	}

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"parallelagg/internal/aggtable"
+	"parallelagg/internal/sample"
 	"parallelagg/internal/tuple"
 )
 
@@ -44,6 +46,12 @@ type scanner struct {
 	raw      func(d int, s streamID, ts []tuple.Tuple) error
 	partials func(d int, s streamID, ps []tuple.Partial) error
 	endPhase func() error
+	// reserve, if set, posts the node's own merge loop a reservation target
+	// (fail-fast only: a tolerant node stages per stream and reserves its
+	// final table at commit). estNote is the switch's estimate, for the
+	// scan span.
+	reserve func(groups int) error
+	estNote string
 }
 
 // run scans part and reports whether the node switched strategy; the
@@ -104,6 +112,9 @@ func (sc *scanner) run(part []tuple.Tuple) (switched bool, err error) {
 					continue
 				}
 				// Refused: t opens a new group and the table is at its bound.
+				if err := sc.project(local, n*len(part)); err != nil {
+					return switched, err
+				}
 				if err := flush(owner); err != nil {
 					return switched, err
 				}
@@ -149,38 +160,56 @@ func (sc *scanner) run(part []tuple.Tuple) (switched bool, err error) {
 	return switched, nil
 }
 
-// flushPartials empties a scan-side table onto the wire. Its groups leave
-// in key order (Drain), so a same-seed run ships byte-identical frames;
-// each goes to the destination dest names, through that destination's
-// reusable slice in bufs, in frames of at most batch records — the table
-// may be unbounded, a frame is not. write ships one frame; the first
-// error it returns ends the flush.
+// project reserves the node's own merge table, ahead of an A-2P switch's
+// flush, for its range's groups as estimated from the full table. A node
+// sees only its own partition, so rows = n × its length: equal partitions.
+func (sc *scanner) project(tbl *aggtable.Table, rows int) error {
+	if sc.reserve == nil || sc.alg == TwoPhase {
+		return nil
+	}
+	var prof sample.Profile
+	tbl.Each(func(_ tuple.Key, s tuple.AggState) { prof.Add(s.Count) })
+	est, ok := sample.ProjectOwnerGroups(tbl.Len(), prof.F1, prof.F2, rows, len(sc.owner))
+	if !ok || est == 0 { // a zero target would read as a frame
+		sc.estNote = fmt.Sprintf(", est declined (f1 %d, f2 %d)", prof.F1, prof.F2)
+		return nil
+	}
+	sc.estNote = fmt.Sprintf(", est %d/range (f1 %d, f2 %d)", est, prof.F1, prof.F2)
+	return sc.reserve(est)
+}
+
+// flushPartials empties a scan-side table onto the wire: one slot-order walk
+// (Each), then Reset — no sort. One goroutine fills the table in partition
+// order, so every frame is a function of the partition. Each group goes to
+// the destination dest names, through that destination's reusable slice in
+// bufs, in frames of at most batch records — the table may be unbounded, a
+// frame is not. write ships one frame; the first error ends the flush.
 func flushPartials(tbl *aggtable.Table, m *metrics, bufs [][]tuple.Partial, batch int,
 	dest func(tuple.Key) int, write func(d int, ps []tuple.Partial) error) error {
 	m.occupancy(tbl.Len(), tbl.Cap())
 	if tbl.Len() == 0 {
 		return nil
 	}
-	ship := func(d int) error {
-		err := write(d, bufs[d])
+	var err error
+	ship := func(d int) {
+		err = write(d, bufs[d])
 		bufs[d] = bufs[d][:0]
-		return err
 	}
-	for _, pt := range tbl.Drain() {
-		d := dest(pt.Key)
-		bufs[d] = append(bufs[d], pt)
+	tbl.Each(func(k tuple.Key, s tuple.AggState) {
+		if err != nil {
+			return
+		}
+		d := dest(k)
+		bufs[d] = append(bufs[d], tuple.Partial{Key: k, State: s})
 		if len(bufs[d]) >= batch {
-			if err := ship(d); err != nil {
-				return err
-			}
+			ship(d)
 		}
-	}
+	})
 	for d := range bufs {
-		if len(bufs[d]) > 0 {
-			if err := ship(d); err != nil {
-				return err
-			}
+		if err == nil && len(bufs[d]) > 0 {
+			ship(d)
 		}
 	}
-	return nil
+	tbl.Reset()
+	return err
 }

@@ -358,9 +358,10 @@ type selfSlot struct {
 	pool   rawPool
 }
 
-func (s *selfSlot) post(f frame) error {
+// post hands the merge loop a frame or, ahead of a flush, a reservation.
+func (s *selfSlot) post(in incoming) error {
 	select {
-	case s.frames <- incoming{f: f}:
+	case s.frames <- in:
 		return nil
 	case <-s.done:
 		return net.ErrClosed
@@ -399,7 +400,7 @@ func (p *peer) writeHello(src int) error {
 // it does not keep ts: a socket write encodes it, the self slot copies it.
 func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.self != nil {
-		return p.self.post(frame{kind: frameRaw, raw: append(p.self.pool.get(), ts...)})
+		return p.self.post(incoming{f: frame{kind: frameRaw, raw: append(p.self.pool.get(), ts...)}})
 	}
 	p.arm()
 	var err error
@@ -411,7 +412,7 @@ func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 
 func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.self != nil {
-		return p.self.post(frame{kind: framePartial, partials: slices.Clone(ps)})
+		return p.self.post(incoming{f: frame{kind: framePartial, partials: slices.Clone(ps)}})
 	}
 	p.arm()
 	var err error
@@ -424,7 +425,7 @@ func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 // control sends a record-less frame (EOS, EOP) and flushes.
 func (p *peer) control(kind frameKind, s streamID) error {
 	if p.self != nil {
-		return p.self.post(frame{kind: kind})
+		return p.self.post(incoming{f: frame{kind: kind}})
 	}
 	p.arm()
 	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, 0))

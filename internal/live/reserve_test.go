@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -12,96 +11,6 @@ import (
 	"parallelagg/internal/tuple"
 	"parallelagg/internal/workload"
 )
-
-// fullTableProfile folds part into a table of bound entries until the table
-// refuses a group, as an adaptive scan side does, and returns the count
-// profile its switch sees: groups held, f1 of them seen once, f2 twice.
-func fullTableProfile(part []tuple.Tuple, bound int) (observed, f1, f2 int) {
-	tab := aggtable.New(bound)
-	for _, tp := range part {
-		if !tab.UpdateRaw(tp) {
-			break
-		}
-	}
-	tab.Each(func(_ tuple.Key, s tuple.AggState) {
-		switch s.Count {
-		case 1:
-			f1++
-		case 2:
-			f2++
-		}
-	})
-	return tab.Len(), f1, f2
-}
-
-// ownerCounts is how many groups of want each of w owners holds.
-func ownerCounts(want map[tuple.Key]tuple.AggState, w int) []int {
-	n := make([]int, w)
-	for k := range want {
-		n[k.Dest(w)]++
-	}
-	return n
-}
-
-// The switch's projection, checked against the groups each owner really
-// ends up with: close on uniform input at the spine's shapes and seeds,
-// declined on OutputSkew's many-groups partition (every group listed once
-// before any repeats, so the full table holds no count-2 group), and never
-// above rows ÷ workers, however wild the profile.
-func TestProjectOwnerGroups(t *testing.T) {
-	shapes := []struct {
-		workers      int
-		rows, groups int64
-		bound        int
-	}{
-		{2, 1 << 16, 1 << 15, 2048}, // live_many at 1/8 scale
-		{2, 1 << 17, 1 << 16, 4096}, // TestA2PAllocationCeiling's shape
-		{4, 1 << 18, 1 << 15, 4096}, // selectivity 1/8
-		{2, 1 << 20, 1 << 16, 4096}, // selectivity 1/16
-	}
-	for _, s := range shapes {
-		for seed := int64(1); seed <= 4; seed++ {
-			rel := workload.Uniform(s.workers, s.rows, s.groups, seed)
-			truth := ownerCounts(rel.Reference(), s.workers)
-			for p, part := range rel.PerNode {
-				observed, f1, f2 := fullTableProfile(part, s.bound)
-				est, ok := projectOwnerGroups(observed, f1, f2, int(s.rows), s.workers)
-				name := fmt.Sprintf("w%d rows %d groups %d bound %d seed %d part %d (f1 %d, f2 %d)",
-					s.workers, s.rows, s.groups, s.bound, seed, p, f1, f2)
-				if !ok {
-					t.Errorf("%s: declined", name)
-					continue
-				}
-				for d, n := range truth {
-					if e := math.Abs(float64(est)/float64(n) - 1); e > 0.25 {
-						t.Errorf("%s: est %d, owner %d holds %d (off by %.0f%%)", name, est, d, n, 100*e)
-					}
-				}
-			}
-		}
-	}
-
-	for seed := int64(1); seed <= 4; seed++ {
-		rel := workload.OutputSkew(2, 1<<17, 1<<14+1, seed)
-		observed, f1, f2 := fullTableProfile(rel.PerNode[1], 2048)
-		if est, ok := projectOwnerGroups(observed, f1, f2, 1<<17, 2); ok {
-			t.Errorf("OutputSkew seed %d: projected %d/owner from f1 %d, f2 %d; want declined", seed, est, f1, f2)
-		}
-	}
-
-	for _, rows := range []int{1, 100, 1 << 12, 1 << 20} {
-		for _, workers := range []int{1, 2, 7} {
-			for _, f2 := range []int{minDoubletons, 1 << 10} {
-				for _, f1 := range []int{0, 1 << 10, 1 << 20} {
-					est, _ := projectOwnerGroups(f1+f2, f1, f2, rows, workers)
-					if est > rows/workers {
-						t.Errorf("rows %d, workers %d, f1 %d, f2 %d: est %d over rows/workers", rows, workers, f1, f2, est)
-					}
-				}
-			}
-		}
-	}
-}
 
 // mergeSpan is what one merge span's note says.
 type mergeSpan struct{ groups, fanIn, reserved, slots int }

@@ -311,21 +311,16 @@ func (wk *worker) route(t tuple.Tuple) {
 func (wk *worker) flushTable(tab *aggtable.Table, project bool) {
 	wk.noteOcc(tab.OccupancyPermille())
 	clear(wk.reserve)
-	var f1, f2 int
+	var prof sample.Profile
 	tab.Each(func(k tuple.Key, s tuple.AggState) {
 		wk.reserve[k.Dest(wk.cfg.Workers)]++
-		switch s.Count {
-		case 1:
-			f1++
-		case 2:
-			f2++
-		}
+		prof.Add(s.Count)
 	})
 	if project {
-		est, ok := projectOwnerGroups(tab.Len(), f1, f2, wk.rows, wk.cfg.Workers)
-		wk.estNote = fmt.Sprintf(", est %d/owner (f1 %d, f2 %d)", est, f1, f2)
+		est, ok := sample.ProjectOwnerGroups(tab.Len(), prof.F1, prof.F2, wk.rows, wk.cfg.Workers)
+		wk.estNote = fmt.Sprintf(", est %d/owner (f1 %d, f2 %d)", est, prof.F1, prof.F2)
 		if !ok {
-			wk.estNote = fmt.Sprintf(", est declined (f1 %d, f2 %d)", f1, f2)
+			wk.estNote = fmt.Sprintf(", est declined (f1 %d, f2 %d)", prof.F1, prof.F2)
 		}
 		for d := range wk.reserve {
 			wk.reserve[d] = max(wk.reserve[d], est)
@@ -338,24 +333,6 @@ func (wk *worker) flushTable(tab *aggtable.Table, project bool) {
 	}
 	tab.Each(func(k tuple.Key, s tuple.AggState) { wk.emitPartial(tuple.Partial{Key: k, State: s}) })
 	tab.Reset()
-}
-
-// minDoubletons is the fewest count-2 groups a full table must hold to be
-// projected from: Chao1's f1²/(2·f2) moves by about 1/√f2 of itself, and a
-// table without repeats (OutputSkew's) only says the groups outnumber it.
-const minDoubletons = 32
-
-// projectOwnerGroups is the switch's estimate of each owner's groups, the
-// paper's §3.1 Sampling estimate made from the table A-2P fills anyway: Chao1
-// over the full table's profile (observed groups, f1 seen once, f2 twice)
-// estimates the domain, ExpectedDistinct projects it over all rows, and the
-// owners split that, capped at rows/workers. ok is false when f2 is too small.
-func projectOwnerGroups(observed, f1, f2, rows, workers int) (est int, ok bool) {
-	if f2 < minDoubletons {
-		return 0, false
-	}
-	g := sample.ExpectedDistinct(sample.Chao1(observed, f1, f2), float64(rows))
-	return min(int(g)/workers, rows/workers), true
 }
 
 // emitPartial queues one partial for the worker owning its group, into the

@@ -100,3 +100,36 @@ func MisdetectionProb(g, n float64, threshold int) float64 {
 	// indicators (occupancy counts).
 	return math.Exp(-(mu - th) * (mu - th) / (2 * mu))
 }
+
+// Profile is the low end of a table's count profile: how many of its groups
+// were seen exactly once (F1) and exactly twice (F2), Chao1's inputs.
+type Profile struct{ F1, F2 int }
+
+// Add counts one group seen count times.
+func (p *Profile) Add(count int64) {
+	switch count {
+	case 1:
+		p.F1++
+	case 2:
+		p.F2++
+	}
+}
+
+// MinDoubletons is the fewest count-2 groups a full table must hold to be
+// projected from: Chao1's f1²/(2·f2) moves by about 1/√f2 of itself, and a
+// table without repeats (an output-skewed partition's) only says the groups
+// outnumber it.
+const MinDoubletons = 32
+
+// ProjectOwnerGroups is an adaptive switch's estimate of each owner's groups,
+// the §3.1 Sampling estimate made from the table A-2P fills anyway: Chao1
+// over the full table's profile (observed groups, f1 seen once, f2 twice)
+// estimates the domain, ExpectedDistinct projects it over all rows, and the
+// owners split that, capped at rows/owners. ok is false when f2 is too small.
+func ProjectOwnerGroups(observed, f1, f2, rows, owners int) (est int, ok bool) {
+	if f2 < MinDoubletons {
+		return 0, false
+	}
+	g := ExpectedDistinct(Chao1(observed, f1, f2), float64(rows))
+	return min(int(g)/owners, rows/owners), true
+}
