@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	aggbench [-experiment fig1|...|fig9|all] [-scale 0.125] [-seed 1] [-check]
+//	aggbench [-experiment fig1|...|fig9|ext-opt|ext-sort|ext-inputskew|ext-bcast|ext-simscaleup|all]
+//	         [-scale 0.125] [-seed 1] [-check]
 //
 // -scale sets the size of the simulated (fig8/fig9) study relative to the
 // paper's 2M-tuple cluster run; 1.0 reproduces the full size. -check
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to regenerate (fig1..fig9, ext-opt, ext-sort, ext-inputskew, or all)")
+		experiment = flag.String("experiment", "all", "experiment to regenerate (fig1..fig9, ext-opt, ext-sort, ext-inputskew, ext-bcast, ext-simscaleup, or all)")
 		scale      = flag.Float64("scale", 0.125, "simulated-study scale relative to the paper's 2M tuples")
 		seed       = flag.Int64("seed", 1, "workload generator seed")
 		check      = flag.Bool("check", false, "validate figure shapes against the paper's claims")

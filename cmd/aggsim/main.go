@@ -22,14 +22,15 @@ import (
 )
 
 var algByName = map[string]parallelagg.Algorithm{
-	"c2p":   parallelagg.CentralizedTwoPhase,
-	"2p":    parallelagg.TwoPhase,
-	"opt2p": parallelagg.OptimizedTwoPhase,
-	"rep":   parallelagg.Repartitioning,
-	"samp":  parallelagg.Sampling,
-	"a2p":   parallelagg.AdaptiveTwoPhase,
-	"arep":  parallelagg.AdaptiveRepartitioning,
-	"bcast": parallelagg.Broadcast,
+	"c2p":    parallelagg.CentralizedTwoPhase,
+	"2p":     parallelagg.TwoPhase,
+	"opt2p":  parallelagg.OptimizedTwoPhase,
+	"rep":    parallelagg.Repartitioning,
+	"samp":   parallelagg.Sampling,
+	"a2p":    parallelagg.AdaptiveTwoPhase,
+	"arep":   parallelagg.AdaptiveRepartitioning,
+	"bcast":  parallelagg.Broadcast,
+	"sort2p": parallelagg.SortTwoPhase,
 }
 
 func main() {
@@ -42,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aggsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		algName   = fs.String("alg", "a2p", "algorithm: c2p, 2p, opt2p, rep, samp, a2p, arep, bcast")
+		algName   = fs.String("alg", "a2p", "algorithm: c2p, 2p, opt2p, rep, samp, a2p, arep, bcast, sort2p")
 		wl        = fs.String("workload", "uniform", "workload: uniform, range, dupelim, inputskew, outputskew, zipf, tpcd-q1, tpcd-q3")
 		nodes     = fs.Int("nodes", 8, "cluster size")
 		tuples    = fs.Int64("tuples", 200_000, "relation cardinality")

@@ -112,8 +112,8 @@ func Stamp() int64 {
 		}
 	})
 
-	t.Run("unsorted key escape in internal/exec fails vet", func(t *testing.T) {
-		dir := writeModule(t, map[string]string{"internal/exec/keys.go": `package exec
+	t.Run("unsorted key escape in internal/core fails vet", func(t *testing.T) {
+		dir := writeModule(t, map[string]string{"internal/core/keys.go": `package core
 
 func Keys(m map[int]int64) []int {
 	var out []int
@@ -133,7 +133,7 @@ func Keys(m map[int]int64) []int {
 	})
 
 	t.Run("sorted key materialization passes vet", func(t *testing.T) {
-		dir := writeModule(t, map[string]string{"internal/exec/keys.go": `package exec
+		dir := writeModule(t, map[string]string{"internal/core/keys.go": `package core
 
 import "sort"
 

@@ -22,7 +22,7 @@
 //     budget M: a new group past it is refused, an existing one still
 //     updates, and the caller decides what a refusal means.
 //
-// Determinism contract: Partials, Drain and EvictBuckets return entries in
+// Determinism contract: Partials and Drain return entries in
 // ascending key order regardless of insertion order or probe history, so
 // everything downstream of a drain (simulator events, results) is
 // byte-identical across same-seed runs. Slot order is exposed only by Each.
@@ -44,7 +44,7 @@ const (
 	// ctrlEmpty marks a free slot. Live slots hold the hash's top 7 bits
 	// (h2), which always have the high bit clear, so the two can never
 	// collide. There are no tombstones: entries leave only via Drain or
-	// EvictBuckets, both of which rebuild the slot array.
+	// Reset, which rebuild or clear the whole slot array.
 	ctrlEmpty = 0x80
 
 	// minSlots is the initial slot-array size (power of two). Small enough
@@ -328,38 +328,4 @@ func (t *Table) Reset() {
 		t.ctrl[i] = ctrlEmpty
 	}
 	t.used = 0
-}
-
-// EvictBuckets removes every entry whose overflow bucket (per
-// tuple.Key.Bucket) is not zero and returns the evicted entries grouped by
-// bucket index 1..nbuckets-1 (slot 0 is always nil), each bucket in
-// ascending key order. Entries in bucket 0 stay resident. This implements
-// step 2 of the paper's uniprocessor hash aggregation: on memory overflow,
-// partition and spool all but the first bucket. The survivors are
-// reinserted into a rebuilt slot array, so no tombstones are needed.
-func (t *Table) EvictBuckets(nbuckets int) [][]tuple.Partial {
-	if nbuckets < 2 {
-		panic("aggtable: EvictBuckets needs at least 2 buckets")
-	}
-	out := make([][]tuple.Partial, nbuckets)
-	var keep []tuple.Partial
-	for i, c := range t.ctrl {
-		if c == ctrlEmpty {
-			continue
-		}
-		pt := tuple.Partial{Key: t.keys[i], State: t.states[i]}
-		if b := pt.Key.Bucket(nbuckets); b != 0 {
-			out[b] = append(out[b], pt)
-		} else {
-			keep = append(keep, pt)
-		}
-	}
-	for b := 1; b < nbuckets; b++ {
-		sortPartials(out[b])
-	}
-	t.init(slotsFor(len(keep)))
-	for _, pt := range keep {
-		t.MergePartial(pt) // fewer entries than before the eviction: never refused
-	}
-	return out
 }

@@ -57,20 +57,6 @@ func (o *oracle) partials() []tuple.Partial {
 	return out
 }
 
-func (o *oracle) evictBuckets(nbuckets int) [][]tuple.Partial {
-	out := make([][]tuple.Partial, nbuckets)
-	for k, s := range o.m {
-		if b := k.Bucket(nbuckets); b != 0 {
-			out[b] = append(out[b], tuple.Partial{Key: k, State: s})
-			delete(o.m, k)
-		}
-	}
-	for b := 1; b < nbuckets; b++ {
-		sort.Slice(out[b], func(i, j int) bool { return out[b][i].Key < out[b][j].Key })
-	}
-	return out
-}
-
 func samePartials(t *testing.T, ctx string, got, want []tuple.Partial) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -106,9 +92,8 @@ func eachSorted(tab *Table) []tuple.Partial {
 }
 
 // TestPropertyAgainstMapOracle drives 50 seeded random workloads —
-// mixed raw updates, partial merges, drains, resets and bucket
-// evictions, bounded and unbounded — through the table and the map
-// oracle in lockstep.
+// mixed raw updates, partial merges, drains and resets, bounded and
+// unbounded — through the table and the map oracle in lockstep.
 func TestPropertyAgainstMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		seed := seed
@@ -158,16 +143,6 @@ func TestPropertyAgainstMapOracle(t *testing.T) {
 			case c < 85:
 				tab.Reset()
 				o.m = make(map[tuple.Key]tuple.AggState)
-			case c < 88:
-				nb := 2 + rng.Intn(6)
-				got := tab.EvictBuckets(nb)
-				want := o.evictBuckets(nb)
-				for b := 1; b < nb; b++ {
-					samePartials(t, "evict bucket", got[b], want[b])
-				}
-				if got[0] != nil {
-					t.Fatalf("seed %d: EvictBuckets bucket 0 non-nil", seed)
-				}
 			default:
 				checkAgree(t, "spot check", tab, o)
 			}
@@ -377,15 +352,6 @@ func TestOccupancyPermille(t *testing.T) {
 	if got := un.OccupancyPermille(); got <= 0 || got > 1000 {
 		t.Errorf("unbounded occupancy = %d out of range", got)
 	}
-}
-
-func TestEvictBucketsPanicsBelowTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("EvictBuckets(1) did not panic")
-		}
-	}()
-	New(0).EvictBuckets(1)
 }
 
 // TestAllocsPinUpdate pins the steady-state data plane: once a table has

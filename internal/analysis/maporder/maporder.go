@@ -3,8 +3,8 @@
 // value rests on bit-for-bit reproducible runs.
 //
 // A `for range` over a map in the simulation and result-assembly
-// packages (internal/des, internal/core, internal/exec, internal/dist,
-// internal/aggtable, internal/live) is flagged when its iteration order can reach an
+// packages (internal/des, internal/core, internal/dist, internal/aggtable,
+// internal/live) is flagged when its iteration order can reach an
 // observable sink:
 //
 //   - directly: the body sends a loop-dependent value on a channel,
@@ -45,7 +45,7 @@ import (
 // Packages scopes the analyzer to the layers where map order can reach
 // simulated events, network frames, or assembled results.
 var Packages = []string{
-	"internal/des", "internal/core", "internal/exec",
+	"internal/des", "internal/core",
 	"internal/dist", "internal/aggtable",
 	"internal/live",
 }

@@ -9,7 +9,7 @@ import (
 
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", maporder.Analyzer,
-		"parallelagg/internal/exec",     // in scope: wants diagnostics
+		"parallelagg/internal/core",     // in scope: wants diagnostics
 		"parallelagg/internal/aggtable", // in scope: sorted drain clean, unsorted flagged
 		"parallelagg/internal/workload", // out of scope: must be clean
 	)

@@ -1,5 +1,5 @@
 // Package workload is outside maporder's scope: the same patterns that
-// are flagged in internal/exec must produce no diagnostics here.
+// are flagged in internal/core must produce no diagnostics here.
 package workload
 
 func sendKeys(m map[int]int64, ch chan int) {

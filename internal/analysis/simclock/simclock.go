@@ -19,7 +19,6 @@ import (
 var SimulatedPackages = []string{
 	"internal/des",
 	"internal/core",
-	"internal/exec",
 	"internal/cost",
 }
 

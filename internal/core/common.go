@@ -103,6 +103,18 @@ func eosMsg(src, dst int) *network.Message {
 	return &network.Message{Src: src, Dst: dst, EOS: true}
 }
 
+// groupAgg is a memory-bounded aggregation that never refuses a record: it
+// spills what does not fit and folds everything in Finalize. The hashing
+// aggregator (2P) and the sorting sorter (Sort-2P) implement it.
+type groupAgg interface {
+	// instr is the CPU cost of one first-pass record, which callers charge
+	// per page or message; AddRaw and AddPartial charge only spill I/O.
+	instr() float64
+	AddRaw(p *des.Proc, t tuple.Tuple)
+	AddPartial(p *des.Proc, pt tuple.Partial)
+	Finalize(p *des.Proc) []tuple.Partial
+}
+
 // aggregator is a capacity-bounded hash aggregation with recursive overflow
 // partitioning (the uniprocessor algorithm of Section 2): records that
 // cannot enter the in-memory table are hash-partitioned into spill files on
@@ -189,6 +201,8 @@ func (a *aggregator) AddPartial(p *des.Proc, pt tuple.Partial) {
 		a.n.Metrics.Spilled++
 	}
 }
+
+func (a *aggregator) instr() float64 { return a.firstPassInstr }
 
 // chargeBatch charges the first-pass CPU cost for n records in one go.
 func (a *aggregator) chargeBatch(p *des.Proc, n int) {

@@ -18,6 +18,9 @@
 //   - Adaptive Repartitioning (ARep): start as Rep; a node that observes
 //     too few groups broadcasts end-of-phase and every node falls back to
 //     the A2P strategy, reusing the merge table built so far.
+//   - Broadcast (Bcast) and Sort Two Phase (Sort2P): the baselines of
+//     Bitton et al. [BBDW83] — every tuple sent to every node, and Two
+//     Phase with sort-based instead of hash aggregation.
 //
 // Every algorithm produces the exact aggregation result; Run verifies it
 // against a sequential reference fold before returning.
@@ -52,6 +55,9 @@ const (
 	// Bcast is the broadcast baseline of Bitton et al. [BBDW83], which the
 	// paper dismisses in Section 1; included so the dismissal is measurable.
 	Bcast
+	// Sort2P is Two Phase with the sort-based aggregation of [BBDW83] on
+	// both sides: the hash-versus-sort baseline.
+	Sort2P
 )
 
 var algNames = map[Algorithm]string{
@@ -63,6 +69,7 @@ var algNames = map[Algorithm]string{
 	A2P:         "A-2P",
 	ARep:        "A-Rep",
 	Bcast:       "Bcast",
+	Sort2P:      "Sort-2P",
 }
 
 // String returns the paper's abbreviation for the algorithm.
@@ -74,9 +81,9 @@ func (a Algorithm) String() string {
 }
 
 // All lists every implemented algorithm in presentation order (the paper's
-// seven plus the broadcast baseline).
+// seven plus the broadcast and sort-based baselines).
 func All() []Algorithm {
-	return []Algorithm{C2P, TwoPhase, OptTwoPhase, Rep, Samp, A2P, ARep, Bcast}
+	return []Algorithm{C2P, TwoPhase, OptTwoPhase, Rep, Samp, A2P, ARep, Bcast, Sort2P}
 }
 
 // Options tunes the adaptive and sampling behaviour. The zero value selects
@@ -203,6 +210,8 @@ func Run(prm params.Params, rel *workload.Relation, alg Algorithm, opt Options) 
 		launchPartitioned(c, opt, configForARep())
 	case Bcast:
 		launchBroadcast(c, opt)
+	case Sort2P:
+		launchPartitioned(c, opt, configForSort2P())
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}

@@ -534,6 +534,33 @@ func TestARepEndOfPhaseAfterScanFinished(t *testing.T) {
 	}
 }
 
+// TestSort2PSpoolsRunsUnderMemoryPressure: with 32-record runs every node
+// spools sorted runs to disk, and the answer stays exact (Run verifies it).
+func TestSort2PSpoolsRunsUnderMemoryPressure(t *testing.T) {
+	prm := testParams(4)
+	prm.HashEntries = 32
+	res := run(t, prm, workload.Uniform(4, 2000, 800, 17), Sort2P, Options{})
+	for i, m := range res.Nodes {
+		if m.Spilled == 0 {
+			t.Errorf("node %d spooled no run with 32-record memory", i)
+		}
+	}
+}
+
+// TestHashVsSortCostOrdering: with memory for every group, hash
+// aggregation beats sort-based aggregation, which still pays n·log n. This
+// is the classic result the paper's hash-only treatment assumes.
+func TestHashVsSortCostOrdering(t *testing.T) {
+	prm := testParams(4)
+	prm.HashEntries = 100_000
+	rel := workload.Uniform(4, 8000, 400, 19)
+	hash := run(t, prm, rel, TwoPhase, Options{})
+	sorted := run(t, prm, rel, Sort2P, Options{})
+	if hash.Elapsed >= sorted.Elapsed {
+		t.Errorf("2P %v should beat Sort-2P %v in memory", hash.Elapsed, sorted.Elapsed)
+	}
+}
+
 func TestVerifyReportsSmallestBadGroup(t *testing.T) {
 	// verify walks the reference in sorted key order, so a result with
 	// several wrong groups names the same (smallest) one on every run —

@@ -33,8 +33,11 @@ const (
 type driverConfig struct {
 	start mode
 
-	// localSpill: a full local table spools overflow to disk (plain 2P).
+	// localSpill: the local phase folds into a groupAgg, which spools what
+	// does not fit to disk (plain 2P).
 	localSpill bool
+	// sortRuns: both groupAggs sort runs instead of hashing (Sort-2P).
+	sortRuns bool
 	// forwardOnFull: a full local table forwards overflow tuples raw to
 	// their merge node (Graefe's optimized 2P).
 	forwardOnFull bool
@@ -47,6 +50,9 @@ type driverConfig struct {
 }
 
 func configFor2P() driverConfig { return driverConfig{start: modeLocal, localSpill: true} }
+func configForSort2P() driverConfig {
+	return driverConfig{start: modeLocal, localSpill: true, sortRuns: true}
+}
 func configForOpt2P() driverConfig {
 	return driverConfig{start: modeLocal, forwardOnFull: true}
 }
@@ -70,10 +76,10 @@ type driverNode struct {
 
 	// local phase state: exactly one of localAgg (spilling) or localTab
 	// (bounded, adaptive) is set while mode may be modeLocal.
-	localAgg *aggregator
+	localAgg groupAgg
 	localTab *aggtable.Table
 
-	global *aggregator // merge phase table (groups hashing to this node)
+	global groupAgg // merge phase aggregation (groups hashing to this node)
 	ship   *shipper
 
 	eos     int
@@ -100,7 +106,7 @@ func newDriverNode(c *cluster.Cluster, n *cluster.Node, opt Options, cfg driverC
 		mode:     cfg.start,
 		scanning: true,
 		ship:     newShipper(c, n),
-		global: newAggregator(c, n, prm.TRead+prm.TAgg,
+		global: cfg.newAgg(c, n, prm.TRead+prm.TAgg,
 			prm.Tuples/int64(prm.N)+1, opt.MaxBuckets),
 	}
 	if c.Obs != nil {
@@ -123,11 +129,20 @@ func newDriverNode(c *cluster.Cluster, n *cluster.Node, opt Options, cfg driverC
 func (d *driverNode) initLocal() {
 	prm := d.c.Prm
 	if d.cfg.localSpill {
-		d.localAgg = newAggregator(d.c, d.n, prm.TRead+prm.THash+prm.TAgg,
+		d.localAgg = d.cfg.newAgg(d.c, d.n, prm.TRead+prm.THash+prm.TAgg,
 			int64(d.n.Rel.Len()), d.opt.MaxBuckets)
 	} else {
 		d.localTab = aggtable.New(prm.HashEntries)
 	}
+}
+
+// newAgg builds a local or merge aggregation: a sorter for Sort-2P, else a
+// hashing aggregator charging instr per first-pass record.
+func (cfg driverConfig) newAgg(c *cluster.Cluster, n *cluster.Node, instr float64, expected int64, maxBuckets int) groupAgg {
+	if cfg.sortRuns {
+		return &sorter{c: c, n: n}
+	}
+	return newAggregator(c, n, instr, expected, maxBuckets)
 }
 
 // scanPage processes one page of scanned tuples according to the current
@@ -140,7 +155,7 @@ func (d *driverNode) scanPage(p *des.Proc, ts []tuple.Tuple) {
 			// Getting the tuple off the data page, then local aggregation.
 			instr += prm.TRead + prm.TWrite
 			if d.cfg.localSpill {
-				instr += prm.TRead + prm.THash + prm.TAgg
+				instr += d.localAgg.instr()
 				d.localAgg.AddRaw(p, t)
 				continue
 			}
@@ -272,7 +287,7 @@ func (d *driverNode) handleMsg(p *des.Proc, m *network.Message) {
 		d.endOfPhase(p)
 	}
 	if k := len(m.Raw) + len(m.Partials); k > 0 {
-		d.global.chargeBatch(p, k)
+		d.n.Work(p, d.global.instr()*float64(k))
 		for _, t := range m.Raw {
 			d.global.AddRaw(p, t)
 		}
@@ -352,6 +367,8 @@ func driverName(cfg driverConfig, id int) string {
 		return nodeName("a2p", id)
 	case cfg.forwardOnFull:
 		return nodeName("opt2p", id)
+	case cfg.sortRuns:
+		return nodeName("sort2p", id)
 	case cfg.localSpill:
 		return nodeName("2p", id)
 	default:

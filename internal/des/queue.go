@@ -132,6 +132,3 @@ func (q *Queue) TryGet() (interface{}, bool) {
 	}
 	return nil, false
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }

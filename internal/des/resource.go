@@ -23,16 +23,6 @@ type Resource struct {
 // Name returns the name given to NewResource.
 func (r *Resource) Name() string { return r.name }
 
-// Utilization returns BusyTime as a fraction of the virtual time
-// elapsed up to now (0 when no time has passed). It is the per-node
-// CPU/disk/bus utilisation the observability layer reports.
-func (r *Resource) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(r.BusyTime) / float64(now)
-}
-
 // NewResource returns an idle resource. The name appears in deadlock
 // reports.
 func (s *Simulation) NewResource(name string) *Resource {

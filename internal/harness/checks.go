@@ -71,7 +71,8 @@ func checkOptimizerSensitivity(e *Experiment) error {
 	return nil
 }
 
-// checkHashVsSort: hash aggregation never loses to the sort-based plan.
+// checkHashVsSort: Sort-2P, the Two Phase driver with sort-based
+// aggregation, pays more than hash aggregation at every group count.
 func checkHashVsSort(e *Experiment) error {
 	hash, err := e.Get("Hash-2P")
 	if err != nil {
@@ -86,8 +87,8 @@ func checkHashVsSort(e *Experiment) error {
 		if err != nil {
 			return err
 		}
-		if p.Y > sy*1.02 {
-			return fmt.Errorf("%s: hash (%.2fs) lost to sort (%.2fs) at %v groups", e.ID, p.Y, sy, p.X)
+		if sy <= p.Y {
+			return fmt.Errorf("%s: sort (%.2fs) not above hash (%.2fs) at %v groups", e.ID, sy, p.Y, p.X)
 		}
 	}
 	return nil

@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"parallelagg/internal/cluster"
 	"parallelagg/internal/core"
-	"parallelagg/internal/exec"
 	"parallelagg/internal/optimizer"
 	"parallelagg/internal/params"
 	"parallelagg/internal/workload"
@@ -45,9 +43,10 @@ func (r Runner) ExtOpt() *Experiment {
 	return e
 }
 
-// ExtSort regenerates the hash-versus-sort aggregation comparison on the
-// operator-plan substrate: Two Phase plans with the hash operators of the
-// paper against the sort-based operators of Bitton et al.
+// ExtSort regenerates the hash-versus-sort aggregation comparison: Two
+// Phase with the paper's hash aggregation against Sort-2P, the same driver
+// with the sort-based aggregation of Bitton et al. Both run on fig8's
+// relations, so the Hash-2P series is fig8's 2P series.
 func (r Runner) ExtSort() (*Experiment, error) {
 	prm := r.simParams()
 	e := &Experiment{
@@ -55,24 +54,22 @@ func (r Runner) ExtSort() (*Experiment, error) {
 		Title:  fmt.Sprintf("Hash vs sort-based aggregation (8 nodes, %d tuples)", prm.Tuples),
 		XLabel: "groups",
 		YLabel: "seconds",
-		Notes:  "Two Phase operator plans; sort pays n·log n and run spooling.",
+		Notes:  "Two Phase with hash or sort aggregation; sort pays n·log n and run spooling.",
 	}
 	sweep := simGroupSweep(prm)
 	kinds := []struct {
 		name string
-		sort bool
-	}{{"Hash-2P", false}, {"Sort-2P", true}}
+		alg  core.Algorithm
+	}{{"Hash-2P", core.TwoPhase}, {"Sort-2P", core.Sort2P}}
 	for _, kind := range kinds {
 		s := Series{Name: kind.name}
 		for i, g := range sweep {
 			rel := workload.Uniform(prm.N, prm.Tuples, g, r.Seed+int64(i))
-			res, err := exec.RunPlan(prm, rel, func(c *cluster.Cluster) {
-				exec.BuildTwoPhase(c, exec.PlanOptions{SortBased: kind.sort})
-			})
+			y, err := runSim(prm, rel, kind.alg, r.Seed)
 			if err != nil {
 				return nil, err
 			}
-			s.Points = append(s.Points, Point{X: float64(g), Y: res.Elapsed.Seconds()})
+			s.Points = append(s.Points, Point{X: float64(g), Y: y})
 		}
 		e.Series = append(e.Series, s)
 	}

@@ -279,6 +279,36 @@ func TestExtensionFiguresSeriesComplete(t *testing.T) {
 	}
 }
 
+// TestExtSortHashIsFig8TwoPhase: ext-sort's Hash-2P is the simulator's own
+// 2P on fig8's relations, so the two series agree cell for cell.
+func TestExtSortHashIsFig8TwoPhase(t *testing.T) {
+	r := quickRunner()
+	fig8, err := r.Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := r.ExtSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoP, err := fig8.Get("2P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := ext.Get("Hash-2P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hash.Points) != len(twoP.Points) {
+		t.Fatalf("Hash-2P has %d points, fig8's 2P %d", len(hash.Points), len(twoP.Points))
+	}
+	for i, p := range hash.Points {
+		if p != twoP.Points[i] {
+			t.Errorf("point %d: Hash-2P %+v, fig8's 2P %+v", i, p, twoP.Points[i])
+		}
+	}
+}
+
 func TestAllRunsEveryExperiment(t *testing.T) {
 	es, err := quickRunner().All()
 	if err != nil {

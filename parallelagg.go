@@ -3,6 +3,7 @@
 // the three traditional parallel GROUP BY strategies — Centralized Two
 // Phase, Two Phase and Repartitioning — and the paper's three adaptive
 // algorithms — Sampling, Adaptive Two Phase and Adaptive Repartitioning —
+// and two baselines of Bitton et al., Broadcast and sort-based Two Phase,
 // on a deterministic discrete-event simulation of a shared-nothing cluster,
 // plus the paper's analytical cost models.
 //
@@ -72,6 +73,9 @@ const (
 	AdaptiveRepartitioning = core.ARep
 	// Broadcast is the Bitton et al. baseline the paper dismisses (§1).
 	Broadcast = core.Bcast
+	// SortTwoPhase is Two Phase with the sort-based aggregation of Bitton
+	// et al., the hash-versus-sort baseline (ext-sort).
+	SortTwoPhase = core.Sort2P
 )
 
 // Algorithms lists every implemented algorithm in presentation order.
