@@ -499,7 +499,7 @@ func (B) Step() {}
 			t.Fatal(err)
 		}
 		cmd := exec.Command(tool, "-require-noalloc",
-			"internal/aggtable:Table.UpdateRaw,Table.MergePartial,Shared.UpdateRaw,Shared.UpdateRawContended,Shared.MergePartial")
+			"internal/aggtable:Table.UpdateRaw,Table.MergePartial,Shared.UpdateRaw,Shared.MergePartial")
 		cmd.Dir = repoRoot
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("repo pins failed — a hot-path //aggvet:noalloc annotation is gone: %v\n%s", err, out)

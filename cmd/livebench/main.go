@@ -6,7 +6,7 @@
 // Usage:
 //
 //	livebench [-tuples 4000000] [-groups 100000] [-workers 0]
-//	          [-mem 0] [-spill-dir ""] [-runs 3] [-metrics-addr ""]
+//	          [-mem 0] [-runs 3] [-metrics-addr ""]
 //	          [-zipf 0]
 //
 // With -zipf s (s > 1) the keys follow a Zipf distribution over -groups
@@ -42,7 +42,6 @@ func main() {
 		groups  = flag.Int64("groups", 100_000, "distinct group count")
 		workers = flag.Int("workers", 0, "max workers (0 = GOMAXPROCS)")
 		mem     = flag.Int("mem", 0, "per-worker hash table bound (0 = unbounded)")
-		spill   = flag.String("spill-dir", "", "spool 2P overflow to real files in this directory")
 		runs    = flag.Int("runs", 3, "timed repetitions (best is reported)")
 		zipf    = flag.Float64("zipf", 0, "Zipf parameter of the key distribution (> 1); 0 = every group equally often")
 
@@ -128,8 +127,6 @@ func main() {
 			cfg := live.Config{
 				Workers:      w,
 				TableEntries: *mem,
-				SpillToDisk:  *spill != "",
-				SpillDir:     *spill,
 				Obs:          reg,
 			}
 			var absorbed int64

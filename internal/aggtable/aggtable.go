@@ -110,6 +110,8 @@ func (t *Table) init(slots int) {
 }
 
 // Len returns the number of group entries.
+//
+//aggvet:noalloc
 func (t *Table) Len() int { return t.used }
 
 // Cap returns the logical capacity bound (0 = unbounded).

@@ -223,24 +223,6 @@ func (s *Shared) UpdateRaw(tp tuple.Tuple) bool {
 	return ok
 }
 
-// UpdateRawContended is UpdateRaw plus a contention probe: contended
-// reports that the stripe lock was held by another goroutine when the
-// call arrived (the call still completes, by blocking). The live engine's
-// adaptive Shared algorithm samples this signal to decide whether to fall
-// back to partitioned two-phase aggregation.
-//
-//aggvet:noalloc
-func (s *Shared) UpdateRawContended(tp tuple.Tuple) (ok, contended bool) {
-	st := s.stripeFor(tp.Key)
-	if !st.mu.TryLock() {
-		contended = true
-		st.mu.Lock()
-	}
-	ok = s.updateLocked(st, tp)
-	st.mu.Unlock()
-	return ok, contended
-}
-
 // MergePartial folds one partial-aggregate tuple into the table, with the
 // same full-table contract as UpdateRaw.
 //

@@ -24,6 +24,7 @@ func TestSharedSequentialMatchesTable(t *testing.T) {
 
 		sh := NewShared(bound, stripes)
 		ref := New(bound)
+		var sc BatchScratch
 		for op := 0; op < ops; op++ {
 			k := tuple.Key(rng.Int63n(keySpace))
 			switch c := rng.Intn(100); {
@@ -42,12 +43,13 @@ func TestSharedSequentialMatchesTable(t *testing.T) {
 					t.Fatalf("seed %d op %d: MergePartial(%d) = %v, sequential table %v", seed, op, k, got, want)
 				}
 			case c < 70:
-				ok, contended := sh.UpdateRawContended(tuple.Tuple{Key: k, Val: 1})
+				b := tuple.Batch{Keys: []tuple.Key{k}, Vals: []int64{1}}
+				refused, contended := sh.UpdateBatchContended(&sc, &b, nil)
 				want := ref.UpdateRaw(tuple.Tuple{Key: k, Val: 1})
-				if ok != want {
-					t.Fatalf("seed %d op %d: UpdateRawContended(%d) = %v, sequential table %v", seed, op, k, ok, want)
+				if (len(refused) == 0) != want {
+					t.Fatalf("seed %d op %d: UpdateBatchContended(%d) refused %v, sequential table %v", seed, op, k, refused, want)
 				}
-				if contended {
+				if contended != 0 {
 					t.Fatalf("seed %d op %d: single-threaded call reported contention", seed, op)
 				}
 			case c < 75:
@@ -188,23 +190,5 @@ func TestAllocsPinSharedMerge(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Shared.MergePartial allocates %.1f per op, want 0", allocs)
-	}
-}
-
-// TestAllocsPinSharedContended pins the adaptive probe variant too: the
-// TryLock fast path must not cost an allocation either.
-func TestAllocsPinSharedContended(t *testing.T) {
-	sh := NewShared(0, 16)
-	const groups = 4096
-	for i := 0; i < groups; i++ {
-		sh.UpdateRaw(tuple.Tuple{Key: tuple.Key(i), Val: 1})
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(10_000, func() {
-		sh.UpdateRawContended(tuple.Tuple{Key: tuple.Key(i % groups), Val: 7})
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Shared.UpdateRawContended allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -160,8 +160,7 @@ func (s *Shared) UpdateBatch(sc *BatchScratch, b *tuple.Batch, refused []int) []
 // UpdateBatchContended is UpdateBatch plus the contention probe the
 // adaptive Shared algorithm samples: contended counts the tuples whose
 // stripe lock was held by another goroutine when their segment's
-// acquisition arrived (the fold still completes, by blocking) — the
-// batch analogue of UpdateRawContended's per-tuple bool.
+// acquisition arrived (the fold still completes, by blocking).
 //
 //aggvet:noalloc
 func (s *Shared) UpdateBatchContended(sc *BatchScratch, b *tuple.Batch, refused []int) ([]int, int) {

@@ -70,10 +70,8 @@ func apply(t *testing.T, sh *Shared, sched []tortureOp, drainAt int, drains *[][
 		var ok bool
 		if op.merge {
 			ok = sh.MergePartial(op.p)
-		} else if i%2 == 0 {
-			ok = sh.UpdateRaw(op.t)
 		} else {
-			ok, _ = sh.UpdateRawContended(op.t)
+			ok = sh.UpdateRaw(op.t)
 		}
 		if !ok {
 			t.Errorf("op %d refused on an unrefusable schedule", i)

@@ -15,9 +15,10 @@
 // composite literal construction (`tnode{pending: ...}`) names fields
 // before any goroutine exists and uses plain keys, not selectors, so
 // it never triggers; and a function literal lexically inside an owning
-// function is treated as owning too — unless it is the operand of a
-// `go` statement — so loop code may pass comparators to sort.Slice
-// without losing ownership.
+// function is treated as owning too, with its same-goroutine callees —
+// unless it is the operand of a `go` statement — so loop code may pass
+// comparators to sort.Slice, or visitors to a table walk, without losing
+// ownership.
 //
 // An `//aggvet:owner` tag with no matching `//aggvet:loop` function in
 // the package is itself reported: an unenforceable annotation is a
@@ -147,9 +148,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // lexicalClose extends reach to function literals written inside an
-// owning function, except literals launched with `go`: a sort.Slice
-// comparator in the loop body is loop code, a spawned goroutine is
-// not.
+// owning function, and to their same-goroutine callees, except literals
+// launched with `go`: a sort.Slice comparator in the loop body is loop
+// code, and so is what it calls; a spawned goroutine is not.
 func lexicalClose(reach map[*analysis.FuncNode]bool, graph *analysis.CallGraph, files []*ast.File) {
 	encloser := make(map[*analysis.FuncNode]*analysis.FuncNode)
 	spawned := make(map[*analysis.FuncNode]bool)
@@ -193,7 +194,9 @@ func lexicalClose(reach map[*analysis.FuncNode]bool, graph *analysis.CallGraph, 
 		changed = false
 		for lit, outer := range encloser {
 			if !reach[lit] && !spawned[lit] && outer != nil && reach[outer] {
-				reach[lit] = true
+				for n := range graph.Reachable([]*analysis.FuncNode{lit}, true) {
+					reach[n] = true
+				}
 				changed = true
 			}
 		}

@@ -26,6 +26,7 @@ func (nd *node) control() {
 	nd.pending++
 	nd.step()
 	sortish(func() { nd.pending-- }) // lexically loop code: fine
+	sortish(func() { nd.viaLit() })  // and so is what it calls
 	go nd.scan()
 	go func() {
 		nd.pending++ // want `field pending is owned by the "control" loop goroutine`
@@ -37,6 +38,10 @@ func (nd *node) control() {
 
 func (nd *node) step() {
 	nd.final[0] = 1
+}
+
+func (nd *node) viaLit() {
+	nd.pending--
 }
 
 func (nd *node) cleanup() {

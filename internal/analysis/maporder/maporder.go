@@ -4,7 +4,7 @@
 //
 // A `for range` over a map in the simulation and result-assembly
 // packages (internal/des, internal/core, internal/dist, internal/aggtable,
-// internal/live) is flagged when its iteration order can reach an
+// internal/kernel, internal/live) is flagged when its iteration order can reach an
 // observable sink:
 //
 //   - directly: the body sends a loop-dependent value on a channel,
@@ -47,7 +47,7 @@ import (
 var Packages = []string{
 	"internal/des", "internal/core",
 	"internal/dist", "internal/aggtable",
-	"internal/live",
+	"internal/kernel", "internal/live",
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -355,75 +355,88 @@ func TestSingleNodeOpensNoConnection(t *testing.T) {
 	}
 }
 
-// flushPartials must deliver every group exactly once to its destination,
-// in frames of 1..batch records, and leave the table and the
-// per-destination buffers empty; two identically filled tables must flush
-// identical frame sequences (the slot order is a function of the fill, so
-// a same-seed run ships byte-identical frames); a write error ends it.
+// A scan's flush through the fail-fast exchange must deliver every group
+// exactly once to its destination, in frames of 1..batch records; two runs
+// over the same partition must write identical bytes (the slot order is a
+// function of the fill, so a same-seed run ships byte-identical frames);
+// and the first failed write ends the scan with the peer's *NodeError.
 func TestFlushPartialsFrames(t *testing.T) {
 	const n, batch, groups = 3, 64, 1000
-	fill := func() *aggtable.Table {
-		tbl := aggtable.New(0)
-		for i := 0; i < 3*groups; i++ {
-			tbl.UpdateRaw(tuple.Tuple{Key: tuple.Key(i % groups * 31), Val: int64(i)})
-		}
-		return tbl
+	part := make([]tuple.Tuple, 3*groups)
+	want := aggtable.New(0)
+	for i := range part {
+		part[i] = tuple.Tuple{Key: tuple.Key(i % groups * 31), Val: int64(i)}
+		want.UpdateRaw(part[i])
 	}
-	type sent struct {
-		d  int
-		ps []tuple.Partial
+	// id n names no peer: every destination is a socket, none the self slot.
+	run := func(w func(d int) io.Writer) ([][]byte, error) {
+		bufs := make([]*bytes.Buffer, n)
+		peers := make([]*peer, n)
+		for d := range peers {
+			bufs[d] = new(bytes.Buffer)
+			peers[d] = &peer{id: d, w: bufio.NewWriterSize(io.MultiWriter(bufs[d], w(d)), 16)}
+		}
+		sc := newScan(Config{Batch: batch}, TwoPhase, n, len(part), nil,
+			&failFast{id: n, batch: batch, peers: peers, res: &NodeResult{}})
+		err := sc.Run(part)
+		out := make([][]byte, n)
+		for d, p := range peers {
+			p.w.Flush()
+			out[d] = bufs[d].Bytes()
+		}
+		return out, err
 	}
-	bufs := make([][]tuple.Partial, n)
-	dest := func(k tuple.Key) int { return k.Dest(n) }
-	flush := func(tbl *aggtable.Table) []sent {
-		var frames []sent
-		err := flushPartials(tbl, nil, bufs, batch, dest, func(d int, ps []tuple.Partial) error {
-			if len(ps) == 0 || len(ps) > batch {
-				t.Errorf("frame of %d partials to %d, want 1..%d", len(ps), d, batch)
-			}
-			frames = append(frames, sent{d, slices.Clone(ps)})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tbl.Len() != 0 {
-			t.Errorf("table holds %d groups after the flush", tbl.Len())
-		}
-		for d := range bufs {
-			if len(bufs[d]) != 0 {
-				t.Errorf("destination %d buffer left with %d partials", d, len(bufs[d]))
-			}
-		}
-		return frames
+	ok := func(int) io.Writer { return io.Discard }
+	wire, err := run(ok)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	tbl := fill()
-	want := tbl.Partials()
-	frames := flush(tbl)
 	var all []tuple.Partial
-	for _, f := range frames {
-		for _, pt := range f.ps {
-			if dest(pt.Key) != f.d {
-				t.Fatalf("key %d shipped to %d, owned by %d", pt.Key, f.d, dest(pt.Key))
+	for d, b := range wire {
+		r := bufio.NewReader(bytes.NewReader(b))
+		for {
+			f, err := readFrame(r, nil)
+			if err == io.EOF {
+				break
 			}
+			if err != nil || f.kind != framePartial {
+				t.Fatalf("destination %d: frame kind %d, %v", d, f.kind, err)
+			}
+			if len(f.partials) == 0 || len(f.partials) > batch {
+				t.Errorf("frame of %d partials to %d, want 1..%d", len(f.partials), d, batch)
+			}
+			for _, pt := range f.partials {
+				if pt.Key.Dest(n) != d {
+					t.Fatalf("key %d shipped to %d, owned by %d", pt.Key, d, pt.Key.Dest(n))
+				}
+			}
+			all = append(all, f.partials...)
 		}
-		all = append(all, f.ps...)
 	}
 	slices.SortFunc(all, func(a, b tuple.Partial) int { return cmp.Compare(a.Key, b.Key) })
-	if !slices.Equal(all, want) {
-		t.Fatalf("flushed %d partials, not the table's %d groups", len(all), len(want))
+	if !slices.Equal(all, want.Partials()) {
+		t.Fatalf("flushed %d partials, not the table's %d groups", len(all), want.Len())
 	}
-	if again := flush(fill()); !reflect.DeepEqual(again, frames) {
-		t.Error("two identically filled tables flushed different frame sequences")
+	if again, _ := run(ok); !reflect.DeepEqual(again, wire) {
+		t.Error("two runs over one partition wrote different bytes")
 	}
 
-	tbl.UpdateRaw(tuple.Tuple{Key: 1, Val: 1})
 	boom := errors.New("boom")
-	if err := flushPartials(tbl, nil, bufs, batch, dest, func(int, []tuple.Partial) error { return boom }); err != boom {
-		t.Errorf("write error not returned: %v", err)
+	_, err = run(func(d int) io.Writer {
+		if d == 1 {
+			return errWriter{boom}
+		}
+		return io.Discard
+	})
+	var ne *NodeError
+	if !errors.As(err, &ne) || ne.Peer != 1 || !errors.Is(err, boom) {
+		t.Errorf("write error to peer 1 ended the scan with %v", err)
 	}
 }
+
+type errWriter struct{ err error }
+
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // With Batch 64 no partial frame may carry more than 64 records, in
 // either mode: the frame count per (node, peer) is exactly what splitting

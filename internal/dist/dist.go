@@ -12,8 +12,8 @@
 // Both modes speak one protocol (wire.go): every frame has the same
 // 12-byte header, tagged with the (origin, epoch) stream the tolerant
 // mode's recovery needs, and the connection's hello tells the modes
-// apart. Both run one scan loop (scan.go); they differ in where keys go
-// and in what a failed write means.
+// apart. Both run internal/kernel's scan loop (scan.go); they differ in
+// where keys go and in what a failed write means.
 //
 // Unlike the PVM original, where a slow or dead peer hung the whole query,
 // the exchange here is failure-safe: every frame read and write carries a
@@ -40,29 +40,30 @@ import (
 	"time"
 
 	"parallelagg/internal/aggtable"
+	"parallelagg/internal/kernel"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
-// Algorithm selects the distributed strategy. The Sampling front-end needs
-// a coordinator and is left to the simulator; the other four cover the
-// paper's implementation study, including Adaptive Repartitioning's
-// end-of-phase broadcast (a control frame on every peer connection).
+// Algorithm selects the distributed strategy, one of internal/kernel's.
+// The Sampling front-end needs a coordinator and is left to the simulator;
+// the other four cover the paper's implementation study, including Adaptive
+// Repartitioning's end-of-phase broadcast (a control frame on every peer).
 type Algorithm int
 
 const (
 	// TwoPhase: aggregate locally, exchange partials, merge in parallel.
-	TwoPhase Algorithm = iota
+	TwoPhase = Algorithm(kernel.TwoPhase)
 	// Repartitioning: exchange raw tuples, aggregate owned groups.
-	Repartitioning
+	Repartitioning = Algorithm(kernel.Repartitioning)
 	// AdaptiveTwoPhase: start as TwoPhase, switch to raw repartitioning
 	// when the local table hits Config.TableEntries.
-	AdaptiveTwoPhase
+	AdaptiveTwoPhase = Algorithm(kernel.AdaptiveTwoPhase)
 	// AdaptiveRepartitioning: start as Repartitioning; a node that sees
 	// too few distinct groups in its first InitSeg tuples broadcasts an
 	// end-of-phase frame and every node falls back to AdaptiveTwoPhase.
-	AdaptiveRepartitioning
+	AdaptiveRepartitioning = Algorithm(kernel.AdaptiveRepartitioning)
 )
 
 // String returns the paper's abbreviation.
@@ -260,7 +261,7 @@ func (t *connTracker) closeAll() {
 }
 
 // incoming is one unit of input to the merge loop: a frame or a terminal
-// error from one peer connection, or a reservation from the node's scanner.
+// error from one peer connection, or a reservation from the node's scan.
 type incoming struct {
 	f       frame
 	err     error
@@ -448,7 +449,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		accepters.Wait()
 		return nil, err
 	}
-	peers[cfg.ID] = &peer{id: cfg.ID, self: &selfSlot{frames: frames, done: done, pool: pool}}
+	peers[cfg.ID] = &peer{id: cfg.ID, self: &selfSlot{frames: frames, done: done}}
 
 	// Merge side runs concurrently with the scan so the exchange never
 	// backs up into a TCP deadlock. The fallback flag carries Adaptive
@@ -458,7 +459,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// the scan side's next write and unblocks every accepter.
 	var fallback atomic.Bool
 	merged := aggtable.New(0)
-	reserved := 0 // the largest reservation target the scanner has sent
+	reserved := 0 // the largest reservation target the scan has sent
 	var mergeErr error
 	var mergeDone sync.WaitGroup
 	mergeDone.Add(1)
@@ -500,9 +501,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 			case frameEOP:
 				fallback.Store(true)
 			case frameRaw:
-				for _, t := range in.f.raw {
-					merged.UpdateRaw(t)
-				}
+				merged.UpdateRows(in.f.raw, nil)
 				pool.put(in.f.raw, done)
 			case framePartial:
 				for _, pt := range in.f.partials {
@@ -521,34 +520,16 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		}
 	}()
 
-	// Scan side: the scan loop over fail-fast ship functions, which stop
-	// at the first failed write; keys go to their home node.
+	// Scan side: the kernel over the fail-fast exchange, which stops at the
+	// first failed write; keys go to their home node.
 	res := &NodeResult{table: merged}
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
-	}
-	sc := &scanner{alg: cfg.Algorithm, cfg: cfg, owner: identity, tag: streamID{origin: cfg.ID}, fallback: &fallback, m: m,
-		raw: func(d int, s streamID, ts []tuple.Tuple) error {
-			if err := peers[d].writeRaw(s, ts); err != nil {
-				return nodeErr(cfg.ID, d, PhaseWrite, err)
-			}
-			res.RawSent += int64(len(ts))
-			return nil
-		},
-		partials: func(d int, s streamID, ps []tuple.Partial) error {
-			if err := peers[d].writePartials(s, ps); err != nil {
-				return nodeErr(cfg.ID, d, PhaseWrite, err)
-			}
-			res.PartialsSent += int64(len(ps))
-			return nil
-		},
-		endPhase: func() error { return broadcast(peers, cfg.ID, frameEOP) },
-		reserve:  func(g int) error { return peers[cfg.ID].self.post(incoming{reserve: g}) },
-	}
+	sc := newScan(cfg, cfg.Algorithm, n, len(part), &fallback,
+		&failFast{id: cfg.ID, batch: cfg.Batch, peers: peers, pool: pool, res: res})
 	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
-	switched, scanErr := sc.run(part)
-	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), switched, sc.estNote))
+	scanErr := sc.Run(part)
+	m.scanned(&sc, cfg.TableEntries > 0, false)
+	res.Switched = sc.FellBack || sc.Switched
+	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), res.Switched, sc.Note("range")))
 	if scanErr == nil {
 		scanErr = broadcast(peers, cfg.ID, frameEOS)
 	}
@@ -570,7 +551,6 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if err := checkRouting(cfg.ID, merged, func(k tuple.Key) int { return k.Dest(n) }); err != nil {
 		return nil, err
 	}
-	res.Switched = switched
 	return res, nil
 }
 
@@ -663,7 +643,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 // included; the first failed write ends it.
 func broadcast(peers []*peer, id int, kind frameKind) error {
 	for _, p := range peers {
-		if err := p.control(kind, streamID{origin: id}); err != nil {
+		if err := p.control(kind, streamID{origin: id}, 0); err != nil {
 			return nodeErr(id, p.id, PhaseWrite, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"parallelagg/internal/kernel"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/tuple"
 )
@@ -202,13 +203,6 @@ func (m *metrics) reship(records int64) {
 	m.reships.Add(records)
 }
 
-func (m *metrics) downgrade() {
-	if m == nil {
-		return
-	}
-	m.downgrades.Inc()
-}
-
 func (m *metrics) recoverLatency(ns int64) {
 	if m == nil {
 		return
@@ -254,17 +248,23 @@ func (m *metrics) ioError(phase Phase, err error) {
 	}
 }
 
-// occupancy records the local hash table's high-water fill level.
-func (m *metrics) occupancy(used, capacity int) {
-	if m == nil || capacity <= 0 {
-		return
-	}
-	m.hashOcc.Max(int64(1000 * used / capacity))
-}
-
-func (m *metrics) switched(to string) {
+// scanned records a finished scan's switches and, for a bounded table,
+// its high-water fill level. A recovery job's switch is a downgrade to raw
+// shipping, not an adaptive strategy switch.
+func (m *metrics) scanned(sc *kernel.Scan, bounded, recovery bool) {
 	if m == nil {
 		return
 	}
-	m.switches.With(m.node, to).Inc()
+	if bounded {
+		m.hashOcc.Max(int64(sc.Occ))
+	}
+	if sc.FellBack {
+		m.switches.With(m.node, "local").Inc()
+	}
+	switch {
+	case sc.Switched && recovery:
+		m.downgrades.Inc()
+	case sc.Switched:
+		m.switches.With(m.node, "repart").Inc()
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"parallelagg/internal/aggtable"
+	"parallelagg/internal/kernel"
 	"parallelagg/internal/tuple"
 )
 
@@ -108,24 +109,20 @@ type stage struct {
 // down; it is never a fresh failure discovery.
 var errPeerDown = errors.New("dist: peer marked down")
 
-// tpeer is one outgoing connection in tolerant mode. Unlike the fail-fast
-// peer, it can be marked down: subsequent writes return errPeerDown and
-// the data plane drops that destination's slices (the receiver-side slot
-// algebra makes ship-vs-drop equally correct for a dead peer). markDown
-// closes the connection so a write already blocked on it fails promptly.
+// tpeer is one outgoing connection in tolerant mode: a peer behind a lock,
+// shared by the scan, the heartbeat ticker and the control loop, that can
+// be marked down. A down peer's writes return
+// errPeerDown and the data plane drops that destination's slices (the
+// receiver-side slot algebra makes ship-vs-drop equally correct for a dead
+// peer). markDown closes the connection so a write already blocked on it
+// fails promptly.
 type tpeer struct {
-	id      int
-	timeout time.Duration
-	m       *metrics
-	down    atomic.Bool
+	id   int
+	down atomic.Bool
 
 	mu sync.Mutex
 	//aggvet:guard mu
-	conn net.Conn
-	//aggvet:guard mu
-	w *bufio.Writer
-	//aggvet:guard mu
-	buf []byte
+	out peer // its conn is nil until install
 }
 
 func (p *tpeer) markDown() {
@@ -133,45 +130,32 @@ func (p *tpeer) markDown() {
 		return
 	}
 	p.mu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
+	if p.out.conn != nil {
+		p.out.conn.Close()
 	}
 	p.mu.Unlock()
 }
 
-// install arms the peer with a live connection (dial side).
+// install arms the peer with a live connection (dial side). The peer stays
+// down until helloT has flushed the hello on it: a frame written ahead of
+// the hello would be read as one and refused as the other mode's.
 func (p *tpeer) install(conn net.Conn) {
 	p.mu.Lock()
-	p.conn = conn
-	p.w = bufio.NewWriterSize(conn, 1<<16)
+	p.out.conn, p.out.w = conn, bufio.NewWriterSize(conn, 1<<16)
 	p.mu.Unlock()
-	p.down.Store(false)
 }
 
-// arm refreshes the write deadline on the held connection. Callers
-// hold p.mu: every write path locks before touching conn or w.
-//
-//aggvet:holds p.mu
-func (p *tpeer) arm() {
-	if p.timeout > 0 {
-		p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	}
-}
-
+// helloT writes and flushes the hello on the installed connection and
+// only then marks the peer up, under the lock every write takes, so no
+// frame can precede the hello.
 func (p *tpeer) helloT(src int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down.Load() {
-		return errPeerDown
-	}
-	p.arm()
-	if err := writeHello(p.w, helloTolerantFlag|src); err != nil {
+	if err := p.out.writeHello(helloTolerantFlag | src); err != nil {
+		p.out.conn.Close()
 		return err
 	}
-	if err := p.w.Flush(); err != nil {
-		return err
-	}
-	p.m.sent(p.id, frameHello, 0)
+	p.down.Store(false)
 	return nil
 }
 
@@ -203,12 +187,7 @@ func (p *tpeer) controlLocked(kind frameKind, origin, epoch int, aux uint32) err
 	if p.down.Load() {
 		return errPeerDown
 	}
-	p.arm()
-	if err := writeControl(p.w, kind, origin, epoch, aux); err != nil {
-		return err
-	}
-	p.m.sent(p.id, kind, 0)
-	return nil
+	return p.out.control(kind, streamID{origin: origin, epoch: epoch}, aux)
 }
 
 func (p *tpeer) writeRaw(s streamID, ts []tuple.Tuple) error {
@@ -217,16 +196,7 @@ func (p *tpeer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	var err error
-	if p.buf, err = rawFrameInto(p.buf, s.origin, s.epoch, ts); err != nil {
-		return err
-	}
-	p.arm()
-	if _, err := p.w.Write(p.buf); err != nil {
-		return err
-	}
-	p.m.sent(p.id, frameRaw, len(ts))
-	return nil
+	return p.out.writeRaw(s, ts)
 }
 
 func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
@@ -235,16 +205,7 @@ func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.down.Load() {
 		return errPeerDown
 	}
-	var err error
-	if p.buf, err = partialFrameInto(p.buf, s.origin, s.epoch, ps); err != nil {
-		return err
-	}
-	p.arm()
-	if _, err := p.w.Write(p.buf); err != nil {
-		return err
-	}
-	p.m.sent(p.id, framePartial, len(ps))
-	return nil
+	return p.out.writePartials(s, ps)
 }
 
 // tnode is one tolerant-mode node. Fields below the "control-loop state"
@@ -273,6 +234,10 @@ type tnode struct {
 	// Scan-goroutine-owned counters, read after it exits.
 	rawSent, partialsSent int64
 	switched              bool
+
+	// The outcome control() leaves at exit, read after it.
+	res *NodeResult
+	err error
 
 	// --- control-loop state ---
 	// Every field below is owned by the control() goroutine: other
@@ -358,7 +323,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	}
 	//aggvet:allow loopown -- construction: no goroutine exists yet; control() assumes ownership when it starts
 	for i := 0; i < n; i++ {
-		p := &tpeer{id: i, timeout: cfg.IOTimeout, m: nd.m}
+		p := &tpeer{id: i, out: peer{id: i, timeout: cfg.IOTimeout, m: nd.m}}
 		p.down.Store(true) // up only once dialed
 		nd.peers[i] = p
 		nd.owner[i] = i
@@ -407,7 +372,6 @@ func (nd *tnode) shipFail(d int, err error) {
 	if errors.Is(err, errPeerDown) {
 		return // already known down; nothing new to report
 	}
-	nd.m.ioError(PhaseWrite, err)
 	nd.peers[d].markDown()
 	if d == 0 && nd.id != 0 {
 		nd.post(tevent{typ: evFatal, err: nodeErr(nd.id, 0, PhaseWrite,
@@ -546,12 +510,14 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 		defer scan.Done()
 		scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
 		primary := streamID{origin: nd.id}
-		sc := nd.scanner(cfg.Algorithm, primary)
-		sc.refresh = func(scanned int) []int {
+		sc := nd.scan(cfg.Algorithm, primary, len(part))
+		sc.Refresh = func(scanned int) []int {
 			nd.scanned.Store(int64(scanned))
 			return *nd.ownerPtr.Load()
 		}
-		nd.switched, _ = sc.run(part)
+		_ = sc.Run(part) // a tolerant ship never fails
+		nd.m.scanned(&sc, cfg.TableEntries > 0, false)
+		nd.switched = sc.FellBack || sc.Switched
 		nd.scanFlag.Store(true)
 		// End of the primary stream at every peer: even a peer that
 		// received no slices needs the EOS to satisfy its (r, us) slot.
@@ -571,48 +537,42 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	scan.Wait()
 	readers.Wait()
 
-	// Everything below runs after ctrl.Wait(): control() has exited and
-	// the join handed its state back to this goroutine.
-	//
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	if nd.evicted {
+	// control() left its outcome at exit; the scan goroutine's counters are
+	// final now too.
+	if nd.err != nil {
+		return nil, nd.err
+	}
+	nd.res.Switched, nd.res.RawSent, nd.res.PartialsSent = nd.switched, nd.rawSent, nd.partialsSent
+	return nd.res, nil
+}
+
+// outcome is the node's result as control() leaves it.
+func (nd *tnode) outcome() (*NodeResult, error) {
+	switch {
+	case nd.evicted:
 		return nil, nodeErr(nd.id, 0, PhaseHeartbeat, ErrEvicted)
-	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	if nd.fatal != nil {
+	case nd.fatal != nil:
 		return nil, nd.fatal
-	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	if !nd.finished {
+	case !nd.finished:
 		// The done channel closed under us without a finish — only
 		// possible if cancel ran from a path that already reported.
 		return nil, nodeErr(nd.id, -1, PhaseHeartbeat, fmt.Errorf("query cancelled before completion"))
 	}
 	// Leftover stages are zombie attempts that never found an eligible
 	// slot; account for them before the sanity check.
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
 	for _, st := range nd.stages {
 		nd.m.stale(st.frames)
 	}
 	// Sanity: every final group must hash to a range this node owns.
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
 	if err := checkRouting(nd.id, nd.final, func(k tuple.Key) int { return nd.owner[k.Dest(nd.n)] }); err != nil {
 		return nil, err
 	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
-	res := &NodeResult{
-		table:        nd.final,
-		Switched:     nd.switched,
-		RawSent:      nd.rawSent,
-		PartialsSent: nd.partialsSent,
-	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
+	res := &NodeResult{table: nd.final}
 	for r := 0; r < nd.n; r++ {
 		if nd.owner[r] == nd.id {
 			res.Ranges = append(res.Ranges, r)
 		}
 	}
-	//aggvet:allow loopown -- post-join read: control() exited at ctrl.Wait() above
 	for x := 0; x < nd.n; x++ {
 		if nd.deadPeers[x] {
 			res.DeadPeers = append(res.DeadPeers, x)
@@ -709,41 +669,12 @@ func (nd *tnode) heartbeatLoop() {
 	}
 }
 
-// scanner is the scan loop with the tolerant ship policy, routing by the
-// live owner table and tagging every frame with stream s.
-func (nd *tnode) scanner(alg Algorithm, s streamID) scanner {
-	return scanner{alg: alg, cfg: nd.cfg, tag: s, fallback: &nd.fallback, m: nd.m,
-		owner:    *nd.ownerPtr.Load(),
-		refresh:  func(int) []int { return *nd.ownerPtr.Load() },
-		raw:      nd.shipRaw,
-		partials: nd.shipPartials,
-		endPhase: func() error {
-			nd.broadcast(nd.peers, frameEOP, s)
-			return nil
-		},
-	}
-}
-
-// shipRaw and shipPartials are the tolerant ship functions: a failed write
-// marks the peer down and complains (shipFail) and drops that
-// destination's share — the receiver-side slot algebra makes the drop
-// correct — so neither ever ends the scan.
-func (nd *tnode) shipRaw(d int, s streamID, ts []tuple.Tuple) error {
-	if err := nd.peers[d].writeRaw(s, ts); err != nil {
-		nd.shipFail(d, err)
-	} else {
-		nd.rawSent += int64(len(ts))
-	}
-	return nil
-}
-
-func (nd *tnode) shipPartials(d int, s streamID, ps []tuple.Partial) error {
-	if err := nd.peers[d].writePartials(s, ps); err != nil {
-		nd.shipFail(d, err)
-	} else {
-		nd.partialsSent += int64(len(ps))
-	}
-	return nil
+// scan is a kernel run over the tolerant exchange of stream s, routing by
+// the live owner table.
+func (nd *tnode) scan(alg Algorithm, s streamID, rows int) kernel.Scan {
+	sc := newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &tolerantEx{nd: nd, s: s})
+	sc.Refresh = func(int) []int { return *nd.ownerPtr.Load() }
+	return sc
 }
 
 // broadcast sends a control frame of stream s to every peer in to, with
@@ -765,30 +696,32 @@ func (nd *tnode) reexecute(j tjob) {
 		data = nd.cfg.PartitionSource(j.partition)
 	}
 	s := streamID{origin: j.partition, epoch: j.epoch}
-	sc := nd.scanner(AdaptiveTwoPhase, s)
-	sc.keep, sc.recovery = j.ranges, true
+	sc := nd.scan(AdaptiveTwoPhase, s, len(data))
+	sc.Keep = j.ranges
 	to := nd.peers
 	if j.dest >= 0 {
 		// Re-extract: every kept key goes to the takeover worker.
-		sc.owner, sc.refresh = make([]int, nd.n), nil
-		for r := range sc.owner {
-			sc.owner[r] = j.dest
+		sc.Owner, sc.Refresh = make([]int, nd.n), nil
+		for r := range sc.Owner {
+			sc.Owner[r] = j.dest
 		}
 		to = nd.peers[j.dest : j.dest+1]
 	}
 	before := nd.rawSent + nd.partialsSent
-	sc.run(data)
+	_ = sc.Run(data) // a tolerant ship never fails
+	nd.m.scanned(&sc, nd.cfg.TableEntries > 0, true)
 	nd.m.reship(nd.rawSent + nd.partialsSent - before)
 	nd.broadcast(to, frameEOS, s)
 }
 
-// control is the single-goroutine brain: it owns all merge and duty state
-// and is the only writer of the jobs channel (closed on exit, which ends
-// the scan goroutine's job loop).
+// control is the single-goroutine brain: it owns all merge and duty state,
+// leaves the node's outcome in res and err, and is the only writer of the
+// jobs channel (closed on exit, which ends the scan goroutine's job loop).
 //
 //aggvet:loop control
 func (nd *tnode) control() {
 	defer close(nd.jobs)
+	defer func() { nd.res, nd.err = nd.outcome() }()
 	for {
 		var ev tevent
 		select {
@@ -870,9 +803,7 @@ func (nd *tnode) onFrame(ev tevent) {
 	case frameRaw:
 		st := nd.stage(f.stream())
 		st.frames++
-		for _, t := range f.raw {
-			st.groups.UpdateRaw(t)
-		}
+		st.groups.UpdateRows(f.raw, nil)
 		nd.pool.put(f.raw, nd.done)
 	case framePartial:
 		st := nd.stage(f.stream())

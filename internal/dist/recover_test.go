@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -482,5 +485,43 @@ func TestCheckDeaf(t *testing.T) {
 		if nd.fatal != nil {
 			t.Fatalf("fired after completion: %v", nd.fatal)
 		}
+	}
+}
+
+// A tolerant peer is up only once its hello is flushed. A heartbeat written
+// between the dial and the hello reached the acceptor as a hello without
+// the tolerant flag; it refused the connection as the other mode's, the
+// dialer's next write failed, and the dialer dropped that peer's share for
+// good while both nodes went on heartbeating — a query that never ended.
+// Between install and helloT the peer must refuse tryControl; after it, the
+// wire must carry the tolerant hello first and the heartbeat second.
+func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
+	dialer, acceptor := net.Pipe()
+	defer dialer.Close()
+	defer acceptor.Close()
+	wire := make(chan []byte, 1)
+	go func() {
+		b := make([]byte, 4+headerSize)
+		io.ReadFull(acceptor, b)
+		wire <- b
+	}()
+	p := &tpeer{id: 1}
+	p.down.Store(true)
+	p.install(dialer)
+	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); sent || err != nil {
+		t.Fatalf("a peer without its hello took a heartbeat: sent=%v err=%v", sent, err)
+	}
+	if err := p.helloT(0); err != nil {
+		t.Fatal(err)
+	}
+	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); !sent || err != nil {
+		t.Fatalf("a peer past its hello refused a heartbeat: sent=%v err=%v", sent, err)
+	}
+	b := <-wire
+	if src, err := readHello(bytes.NewReader(b[:4]), 2, true); src != 0 || err != nil {
+		t.Fatalf("first bytes read as hello from %d: %v", src, err)
+	}
+	if f, err := readFrame(bufio.NewReader(bytes.NewReader(b[4:])), nil); f.kind != frameHeartbeat || err != nil {
+		t.Errorf("second frame is kind %d (%v), want a heartbeat", f.kind, err)
 	}
 }

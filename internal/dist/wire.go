@@ -105,47 +105,25 @@ const maxFrameRecords = 1 << 20
 // before the connection's read deadline or a short read kills it.
 const allocChunk = 4096
 
+// phaseCodes numbers the phases a suspect frame's u32 aux can name; code
+// 0 is unknown.
+var phaseCodes = [...]Phase{"unknown", PhaseDial, PhaseHello, PhaseAccept, PhaseRead, PhaseWrite, PhaseMerge, PhaseHeartbeat}
+
 // phaseCode compresses a Phase into the u32 aux of a suspect frame.
 func phaseCode(p Phase) uint32 {
-	switch p {
-	case PhaseDial:
-		return 1
-	case PhaseHello:
-		return 2
-	case PhaseAccept:
-		return 3
-	case PhaseRead:
-		return 4
-	case PhaseWrite:
-		return 5
-	case PhaseMerge:
-		return 6
-	case PhaseHeartbeat:
-		return 7
-	default:
-		return 0
+	for c, q := range phaseCodes[1:] {
+		if q == p {
+			return uint32(c + 1)
+		}
 	}
+	return 0
 }
 
 func codePhase(c uint32) Phase {
-	switch c {
-	case 1:
-		return PhaseDial
-	case 2:
-		return PhaseHello
-	case 3:
-		return PhaseAccept
-	case 4:
-		return PhaseRead
-	case 5:
-		return PhaseWrite
-	case 6:
-		return PhaseMerge
-	case 7:
-		return PhaseHeartbeat
-	default:
-		return Phase("unknown")
+	if c >= uint32(len(phaseCodes)) {
+		c = 0
 	}
+	return phaseCodes[c]
 }
 
 // streamID identifies one shipment attempt: which input partition the
@@ -326,11 +304,12 @@ func partialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte
 	return buf, nil
 }
 
-// peer is one fail-fast outgoing connection: the conn for deadline
-// control, the buffered writer for framing, and the per-frame write
-// timeout. Every write arms a fresh deadline, so a peer that stops
-// draining its socket (backpressure hang) fails the write within timeout
-// instead of blocking the scan forever.
+// peer is one outgoing connection — a fail-fast node's, or the writer
+// inside a tolerant tpeer: the conn for deadline control, the buffered
+// writer for framing, and the per-frame write timeout. Every write arms a
+// fresh deadline, so a peer that stops draining its socket (backpressure
+// hang) fails the write within timeout instead of blocking the scan
+// forever.
 type peer struct {
 	id      int
 	conn    net.Conn
@@ -343,7 +322,8 @@ type peer struct {
 	// record-sized Write per tuple.
 	buf []byte
 	// self is set on the node's own entry only, which has no connection:
-	// every write hands a copy of the frame to the node's merge loop.
+	// every write hands its records to the node's merge loop, which keeps
+	// them.
 	self *selfSlot
 }
 
@@ -355,7 +335,6 @@ type peer struct {
 type selfSlot struct {
 	frames chan<- incoming
 	done   <-chan struct{}
-	pool   rawPool
 }
 
 // post hands the merge loop a frame or, ahead of a flush, a reservation.
@@ -396,11 +375,12 @@ func (p *peer) writeHello(src int) error {
 	return p.count(frameHello, 0, p.w.Flush())
 }
 
-// writeRaw ships ts as one raw frame of stream s. Like every write below
-// it does not keep ts: a socket write encodes it, the self slot copies it.
+// writeRaw ships ts as one raw frame of stream s. A socket write encodes
+// ts and does not keep it; the self slot keeps it, and the merge loop puts
+// it in the node's raw pool once folded.
 func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.self != nil {
-		return p.self.post(incoming{f: frame{kind: frameRaw, raw: append(p.self.pool.get(), ts...)}})
+		return p.self.post(incoming{f: frame{kind: frameRaw, raw: ts}})
 	}
 	p.arm()
 	var err error
@@ -412,7 +392,7 @@ func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 
 func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.self != nil {
-		return p.self.post(incoming{f: frame{kind: framePartial, partials: slices.Clone(ps)}})
+		return p.self.post(incoming{f: frame{kind: framePartial, partials: ps}})
 	}
 	p.arm()
 	var err error
@@ -422,13 +402,14 @@ func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	return p.count(framePartial, len(ps), err)
 }
 
-// control sends a record-less frame (EOS, EOP) and flushes.
-func (p *peer) control(kind frameKind, s streamID) error {
+// control sends a record-less frame of stream s with immediate aux and
+// flushes.
+func (p *peer) control(kind frameKind, s streamID, aux uint32) error {
 	if p.self != nil {
 		return p.self.post(incoming{f: frame{kind: kind}})
 	}
 	p.arm()
-	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, 0))
+	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, aux))
 }
 
 // frame is one decoded wire frame.

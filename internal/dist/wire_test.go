@@ -280,7 +280,7 @@ func TestPeerWriteDeadline(t *testing.T) {
 	defer b.Close()
 	p := &peer{id: 1, conn: a, w: bufio.NewWriterSize(a, 8), timeout: 50 * time.Millisecond}
 	start := time.Now()
-	err := p.control(frameEOS, streamID{}) // flushes into a pipe with no reader
+	err := p.control(frameEOS, streamID{}, 0) // flushes into a pipe with no reader
 	if err == nil {
 		t.Fatal("write to undrained pipe succeeded")
 	}
@@ -309,7 +309,7 @@ func TestPeerZeroTimeoutWrites(t *testing.T) {
 	if err := p.writeHello(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.control(frameEOS, streamID{}); err != nil {
+	if err := p.control(frameEOS, streamID{}, 0); err != nil {
 		t.Fatal(err)
 	}
 }

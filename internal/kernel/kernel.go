@@ -1,0 +1,409 @@
+// Package kernel is the per-node loop of paper §3.2, written once for the
+// real engines: fold the partition into a bounded table, test the switch
+// rule, ship partials or raw tuples to the owner of each key's group.
+// internal/live runs it over channels, internal/dist over TCP peers and
+// epoch-tagged streams; the simulator's internal/core keeps the paper's
+// spilling 2P, which its figures need. Whatever a scan ships, the merge
+// side folds it in any order to the sequential fold: AggState folds are
+// commutative and associative.
+//
+// A folding chunk is one aggtable.Table.UpdateRows call; only the tuples
+// it refuses (new groups at a full table) come back one by one. TwoPhase
+// then evicts the full table to the owners as partials and folds on into
+// the emptied one (in-stream early aggregation, never raw);
+// AdaptiveTwoPhase flushes it and routes every later tuple raw, the
+// switch. Near its bound an adaptive scan folds at most the table's room
+// per call, so it switches at the first refused tuple and projects from a
+// table without the chunk's later repeats. AdaptiveRepartitioning's
+// observation of its first InitSeg tuples is the one per-tuple phase.
+//
+// A flush walks the table twice: to count each destination's groups, sent
+// ahead as a reservation floor (at a switch raised to the §3.1 projection
+// sample.ProjectOwnerGroups), and to append the groups, unsorted, to the
+// destinations' buffers.
+package kernel
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"parallelagg/internal/aggtable"
+	"parallelagg/internal/sample"
+	"parallelagg/internal/tuple"
+)
+
+// Algorithm is one of the paper's four partitioned strategies; live and
+// dist define theirs from these.
+type Algorithm int
+
+const (
+	TwoPhase Algorithm = iota
+	Repartitioning
+	AdaptiveTwoPhase
+	AdaptiveRepartitioning
+)
+
+// Exchange is where a scan's output goes; its first error ends the scan.
+// Raw(d, b) ships b's records (at most Batch) to destination d and returns
+// the buffer to fill next: b emptied, or nil if it kept b — the kernel then
+// asks with Raw(d, nil), which ships nothing, for a fresh one. Partials
+// likewise.
+type Exchange interface {
+	Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error)
+	Partials(d int, b []tuple.Partial) ([]tuple.Partial, error)
+	// Reserve tells destination d to make room for groups groups, ahead
+	// of a flush's partials.
+	Reserve(d, groups int) error
+	// EndPhase announces AdaptiveRepartitioning's fallback to the other
+	// scans, beyond the Fallback flag this one shares.
+	EndPhase() error
+}
+
+// Scan is one run of the loop. Set the configuration fields, then Run —
+// or Begin, Scan and Finish, with Partial in between for a caller that
+// has partials of its own to ship (live's shared front). A Scan is a
+// value the caller keeps (live, one in each worker), so a run allocates
+// only its table and per-destination slices.
+type Scan struct {
+	Alg         Algorithm
+	Bound       int // the table's group bound; 0 = unbounded
+	Batch       int // tuples per chunk, and the most records a buffer holds
+	InitSeg     int // AdaptiveRepartitioning's observation window
+	SwitchRatio float64
+	Dests       int // destinations, and the merge ranges keys hash to (Key.Dest)
+	Rows        int // the input a switch projects its group estimate over
+
+	// Owner maps a merge range to the destination that owns it (nil: the
+	// identity). Refresh, if set, replaces it before every chunk and the
+	// final flush; it is given the tuples scanned so far. Keep, if set,
+	// drops every key whose range it does not mark.
+	Owner   []int
+	Refresh func(scanned int) []int
+	Keep    []bool
+
+	// Fallback is AdaptiveRepartitioning's end-of-phase flag, shared with
+	// whoever else may raise it.
+	Fallback *atomic.Bool
+	Ex       Exchange
+
+	// Outcome, valid after Finish.
+	FellBack bool  // AdaptiveRepartitioning fell back to folding
+	Switched bool  // a full table switched the scan to routing
+	Routed   int64 // raw tuples shipped
+	Partials int64 // partials shipped
+	Evicted  int64 // groups TwoPhase evicted from a full table
+	Occ      int   // the table's high-water occupancy at a flush, permille
+
+	//aggvet:owner scan
+	table *aggtable.Table
+	//aggvet:owner scan
+	raw [][]tuple.Tuple
+	//aggvet:owner scan
+	part [][]tuple.Partial
+	//aggvet:owner scan
+	reserve []int
+
+	refused []int                  // the chunk fold's refusals
+	kept    []tuple.Tuple          // the chunk Keep filtered
+	seen    map[tuple.Key]struct{} // AdaptiveRepartitioning's observed groups
+
+	// The switch's projection: groups per destination, made when estOK,
+	// from the full table's count profile.
+	est, f1, f2 int
+	estOK       bool
+
+	routing, listening bool
+	observed, scanned  int
+}
+
+// Run scans part from start to finish.
+//
+//aggvet:loop scan
+func (k *Scan) Run(part []tuple.Tuple) error {
+	k.Begin()
+	if err := k.Scan(part); err != nil {
+		return err
+	}
+	return k.Finish()
+}
+
+// Begin readies a fresh Scan's state for its run.
+func (k *Scan) Begin() {
+	k.table = aggtable.New(k.Bound)
+	k.raw = make([][]tuple.Tuple, k.Dests)
+	k.part = make([][]tuple.Partial, k.Dests)
+	k.reserve = make([]int, k.Dests)
+	k.routing = k.Alg == Repartitioning || k.Alg == AdaptiveRepartitioning
+	k.listening = k.Alg == AdaptiveRepartitioning
+	if k.listening {
+		k.seen = make(map[tuple.Key]struct{})
+	}
+}
+
+// Scan aggregates or routes part, a chunk at a time.
+func (k *Scan) Scan(part []tuple.Tuple) error {
+	for lo := 0; lo < len(part); lo += k.Batch {
+		if k.Refresh != nil {
+			k.Owner = k.Refresh(k.scanned + lo)
+		}
+		seg := part[lo:min(lo+k.Batch, len(part))]
+		if k.Keep != nil {
+			seg = k.filter(seg)
+		}
+		if err := k.chunk(seg); err != nil {
+			return err
+		}
+	}
+	k.scanned += len(part)
+	return nil
+}
+
+// Finish flushes the table and ships every buffer that holds records.
+func (k *Scan) Finish() error {
+	if k.Refresh != nil {
+		k.Owner = k.Refresh(k.scanned)
+	}
+	if err := k.flush(false); err != nil {
+		return err
+	}
+	for d := range k.Dests {
+		raw, part := k.raw[d], k.part[d]
+		k.raw[d], k.part[d] = nil, nil
+		if len(raw) > 0 {
+			if _, err := k.Ex.Raw(d, raw); err != nil {
+				return err
+			}
+		}
+		if len(part) > 0 {
+			if _, err := k.Ex.Partials(d, part); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// chunk is the per-chunk dispatch on the scan's mode, which a tuple may
+// change.
+func (k *Scan) chunk(seg []tuple.Tuple) error {
+	for len(seg) > 0 {
+		switch {
+		case k.listening:
+			i, err := k.observe(seg)
+			if err != nil {
+				return err
+			}
+			seg = seg[i:]
+		case k.routing:
+			return k.routeAll(seg)
+		default:
+			n := k.fold(seg)
+			for _, ix := range k.refused {
+				if err := k.refuse(seg[ix]); err != nil {
+					return err
+				}
+			}
+			seg = seg[n:]
+		}
+	}
+	return nil
+}
+
+// fold folds a prefix of seg into the table and returns its length; the
+// indexes it refused are left in k.refused. An adaptive scan near its
+// bound folds at most the table's room (see the package comment).
+//
+//aggvet:noalloc
+func (k *Scan) fold(seg []tuple.Tuple) int {
+	n := len(seg)
+	if k.Alg != TwoPhase && k.Bound > 0 {
+		n = min(n, max(k.Bound-k.table.Len(), 1))
+	}
+	k.refused = k.table.UpdateRows(seg[:n], k.refused[:0])
+	return n
+}
+
+// refuse takes one tuple the chunk fold refused: its group is new and the
+// table was full. An adaptive fold refuses at most one tuple, so only
+// TwoPhase, which never routes, comes back here after a flush.
+func (k *Scan) refuse(t tuple.Tuple) error {
+	if k.table.UpdateRaw(t) { // an eviction earlier in the chunk made room
+		return nil
+	}
+	if k.Alg == TwoPhase {
+		k.Evicted += int64(k.table.Len())
+		if err := k.flush(false); err != nil {
+			return err
+		}
+		k.table.UpdateRaw(t)
+		return nil
+	}
+	if err := k.flush(true); err != nil {
+		return err
+	}
+	k.routing, k.Switched = true, true
+	return k.routeAll([]tuple.Tuple{t})
+}
+
+// observe is AdaptiveRepartitioning before its fallback: it watches the
+// Fallback flag at every tuple and, over its first InitSeg tuples, counts
+// their groups; then it routes the tuples it watched. It returns how many
+// that was; fewer than len(seg) means the scan fell back and folds the rest.
+func (k *Scan) observe(seg []tuple.Tuple) (int, error) {
+	threshold := max(1, int(k.SwitchRatio*float64(k.InitSeg)))
+	declared := false
+	i := 0
+	for ; i < len(seg); i++ {
+		if k.Fallback.Load() { // raised by another scan, or relayed back to this one
+			k.FellBack = true
+			break
+		}
+		if k.seen == nil {
+			continue
+		}
+		k.observed++
+		if len(k.seen) <= threshold {
+			k.seen[seg[i].Key] = struct{}{}
+		}
+		if len(k.seen) > threshold {
+			k.seen = nil // plenty of groups: keep routing
+		} else if k.observed >= k.InitSeg {
+			k.FellBack, declared = true, true
+			k.Fallback.Store(true)
+			break
+		}
+	}
+	if k.FellBack {
+		k.listening, k.routing = false, false
+	}
+	if err := k.routeAll(seg[:i]); err != nil || !declared {
+		return i, err
+	}
+	return i, k.Ex.EndPhase()
+}
+
+// routeAll routes every tuple of seg, shipping each buffer as it fills.
+func (k *Scan) routeAll(seg []tuple.Tuple) error {
+	for len(seg) > 0 {
+		i, d := k.route(seg)
+		k.Routed += int64(i)
+		seg = seg[i:]
+		if d < 0 {
+			return nil
+		}
+		b, err := k.Ex.Raw(d, k.raw[d])
+		if err == nil && b == nil {
+			b, err = k.Ex.Raw(d, nil)
+		}
+		if err != nil {
+			return err
+		}
+		k.raw[d] = b
+	}
+	return nil
+}
+
+// route appends seg's tuples to their destinations' buffers. It stops at
+// the first tuple whose buffer is full (or not yet handed out) and returns
+// how many it took and that destination, or -1 when it took them all.
+//
+//aggvet:noalloc
+func (k *Scan) route(seg []tuple.Tuple) (int, int) {
+	for i, t := range seg {
+		d := k.dest(t.Key)
+		if b := k.raw[d]; len(b) == cap(b) || len(b) >= k.Batch {
+			return i, d
+		}
+		k.raw[d] = append(k.raw[d], t)
+	}
+	return len(seg), -1
+}
+
+// dest is the destination of key's merge range.
+//
+//aggvet:noalloc
+func (k *Scan) dest(key tuple.Key) int {
+	d := key.Dest(k.Dests)
+	if k.Owner != nil {
+		return k.Owner[d]
+	}
+	return d
+}
+
+// filter returns the tuples of seg that Keep marks, in a reused buffer.
+func (k *Scan) filter(seg []tuple.Tuple) []tuple.Tuple {
+	k.kept = k.kept[:0]
+	for _, t := range seg {
+		if k.Keep[t.Key.Dest(k.Dests)] {
+			k.kept = append(k.kept, t)
+		}
+	}
+	return k.kept
+}
+
+// flush ships the table's groups to their owners as partials and empties
+// it; project marks an A-2P switch (see the package comment).
+func (k *Scan) flush(project bool) error {
+	k.Occ = max(k.Occ, k.table.OccupancyPermille())
+	if k.table.Len() == 0 {
+		return nil
+	}
+	clear(k.reserve)
+	var prof sample.Profile
+	k.table.Each(func(key tuple.Key, s tuple.AggState) {
+		k.reserve[k.dest(key)]++
+		prof.Add(s.Count)
+	})
+	if project {
+		k.f1, k.f2 = prof.F1, prof.F2
+		if k.est, k.estOK = sample.ProjectOwnerGroups(k.table.Len(), prof.F1, prof.F2, k.Rows, k.Dests); k.estOK {
+			for d := range k.reserve {
+				k.reserve[d] = max(k.reserve[d], k.est)
+			}
+		}
+	}
+	for d, n := range k.reserve {
+		if n > 0 {
+			if err := k.Ex.Reserve(d, n); err != nil {
+				return err
+			}
+		}
+	}
+	var err error
+	k.table.Each(func(key tuple.Key, s tuple.AggState) {
+		if err == nil {
+			err = k.Partial(tuple.Partial{Key: key, State: s})
+		}
+	})
+	k.table.Reset()
+	return err
+}
+
+// Partial ships one partial to the owner of its group.
+func (k *Scan) Partial(p tuple.Partial) (err error) {
+	d := k.dest(p.Key)
+	b := k.part[d]
+	if len(b) == cap(b) || len(b) >= k.Batch {
+		if b, err = k.Ex.Partials(d, b); err == nil && b == nil {
+			b, err = k.Ex.Partials(d, nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	k.part[d] = append(b, p)
+	k.Partials++
+	return nil
+}
+
+// Note describes the switch's projection for a scan span, per names what
+// a destination is; it is empty when the scan did not switch.
+func (k *Scan) Note(per string) string {
+	switch {
+	case !k.Switched:
+		return ""
+	case !k.estOK:
+		return fmt.Sprintf(", est declined (f1 %d, f2 %d)", k.f1, k.f2)
+	}
+	return fmt.Sprintf(", est %d/%s (f1 %d, f2 %d)", k.est, per, k.f1, k.f2)
+}

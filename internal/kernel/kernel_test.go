@@ -1,0 +1,299 @@
+package kernel
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"parallelagg/internal/tuple"
+)
+
+// recorder is an Exchange that keeps everything shipped to it. Even
+// destinations hand the buffer back emptied (an encoding exchange), odd
+// ones keep it (a handing-over one), so both halves of the ship contract
+// run.
+type recorder struct {
+	t        *testing.T
+	batch    int
+	dest     func(tuple.Key) int
+	raw      []tuple.Tuple
+	partials []tuple.Partial
+	reserves int
+	endPhase int
+}
+
+func (r *recorder) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
+	if len(b) == 0 {
+		return make([]tuple.Tuple, 0, r.batch), nil
+	}
+	r.check(d, len(b))
+	for _, t := range b {
+		if r.dest(t.Key) != d {
+			r.t.Fatalf("raw key %d shipped to %d, owned by %d", t.Key, d, r.dest(t.Key))
+		}
+	}
+	r.raw = append(r.raw, b...)
+	if d%2 == 1 {
+		return nil, nil
+	}
+	return b[:0], nil
+}
+
+func (r *recorder) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) == 0 {
+		return make([]tuple.Partial, 0, r.batch), nil
+	}
+	r.check(d, len(b))
+	for _, p := range b {
+		if r.dest(p.Key) != d {
+			r.t.Fatalf("partial key %d shipped to %d, owned by %d", p.Key, d, r.dest(p.Key))
+		}
+	}
+	r.partials = append(r.partials, b...)
+	if d%2 == 1 {
+		return nil, nil
+	}
+	return b[:0], nil
+}
+
+func (r *recorder) check(d, n int) {
+	if n > r.batch {
+		r.t.Fatalf("a buffer of %d records to %d, Batch %d", n, d, r.batch)
+	}
+}
+
+func (r *recorder) Reserve(d, groups int) error {
+	if groups <= 0 {
+		r.t.Fatalf("reservation of %d groups to %d", groups, d)
+	}
+	r.reserves++
+	return nil
+}
+
+func (r *recorder) EndPhase() error { r.endPhase++; return nil }
+
+// firstRefusal is where a table bounded to bound groups, filled from ts in
+// order, first meets a new group while full: len(ts) if it never does.
+func firstRefusal(ts []tuple.Tuple, bound int) int {
+	seen := map[tuple.Key]bool{}
+	for i, t := range ts {
+		if !seen[t.Key] && bound > 0 && len(seen) == bound {
+			return i
+		}
+		seen[t.Key] = true
+	}
+	return len(ts)
+}
+
+func sortedTuples(ts []tuple.Tuple) []tuple.Tuple {
+	ts = slices.Clone(ts)
+	slices.SortFunc(ts, func(a, b tuple.Tuple) int { return cmp.Compare(a.Val, b.Val) })
+	return ts
+}
+
+// One table of runs: every algorithm, three bounds (none, tiny, roomy),
+// few and many groups, and the routing variants the engines use — the
+// identity, a permuted owner table, a refreshed one, and a Keep filter
+// that sends everything to one destination (a recovery re-extract). Each
+// run's shipments must fold to the sequential fold of what it kept, and
+// each algorithm must ship raw exactly the tuples its rule says.
+func TestScanShipsWhatTheRuleSays(t *testing.T) {
+	const n, batch, rows, initSeg = 3, 64, 5000, 256
+	type variant struct {
+		name    string
+		owner   []int
+		refresh bool
+		keep    []bool
+	}
+	variants := []variant{
+		{name: "identity"},
+		{name: "permuted", owner: []int{2, 0, 1}},
+		{name: "refreshed", owner: []int{1, 2, 0}, refresh: true},
+		{name: "keep", owner: []int{1, 1, 1}, keep: []bool{true, false, true}},
+	}
+	for _, groups := range []int{10, 2000} {
+		part := make([]tuple.Tuple, rows)
+		for i := range part {
+			part[i] = tuple.Tuple{Key: tuple.Key(i * 7 % groups), Val: int64(i)}
+		}
+		for _, alg := range []Algorithm{TwoPhase, Repartitioning, AdaptiveTwoPhase, AdaptiveRepartitioning} {
+			for _, bound := range []int{0, 4, 1024} {
+				for _, v := range variants {
+					name := fmt.Sprintf("groups%d/alg%d/bound%d/%s", groups, alg, bound, v.name)
+					t.Run(name, func(t *testing.T) {
+						kept := part
+						if v.keep != nil {
+							kept = nil
+							for _, tp := range part {
+								if v.keep[tp.Key.Dest(n)] {
+									kept = append(kept, tp)
+								}
+							}
+						}
+						var fallback atomic.Bool
+						rec := &recorder{t: t, batch: batch, dest: func(k tuple.Key) int {
+							if v.owner == nil {
+								return k.Dest(n)
+							}
+							return v.owner[k.Dest(n)]
+						}}
+						k := Scan{Alg: alg, Bound: bound, Batch: batch, InitSeg: initSeg, SwitchRatio: 0.1,
+							Dests: n, Rows: n * rows, Owner: v.owner, Keep: v.keep, Fallback: &fallback, Ex: rec}
+						var progress []int
+						if v.refresh {
+							k.Refresh = func(scanned int) []int {
+								progress = append(progress, scanned)
+								return v.owner
+							}
+						}
+						if err := k.Run(part); err != nil {
+							t.Fatal(err)
+						}
+
+						want := map[tuple.Key]tuple.AggState{}
+						for _, tp := range kept {
+							s, ok := want[tp.Key]
+							if ok {
+								s.Update(tp.Val)
+							} else {
+								s = tuple.NewState(tp.Val)
+							}
+							want[tp.Key] = s
+						}
+						got := map[tuple.Key]tuple.AggState{}
+						fold := func(key tuple.Key, s tuple.AggState) {
+							if have, ok := got[key]; ok {
+								s.Merge(have)
+							}
+							got[key] = s
+						}
+						for _, tp := range rec.raw {
+							fold(tp.Key, tuple.NewState(tp.Val))
+						}
+						for _, p := range rec.partials {
+							fold(p.Key, p.State)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("shipments fold to %d groups, want %d", len(got), len(want))
+						}
+						for key, s := range want {
+							if got[key] != s {
+								t.Fatalf("group %d folds to %+v, want %+v", key, got[key], s)
+							}
+						}
+
+						// The raw tuples each rule ships, as a suffix or prefix of what it kept.
+						// Plain 2P ships none; a switch ships everything from the first
+						// refused tuple on.
+						var wantRaw []tuple.Tuple
+						wantSwitch := false
+						switch alg {
+						case Repartitioning:
+							wantRaw = kept
+						case AdaptiveTwoPhase:
+							i := firstRefusal(kept, bound)
+							wantRaw, wantSwitch = kept[i:], i < len(kept)
+						case AdaptiveRepartitioning:
+							if groups >= initSeg/10 {
+								wantRaw = kept // plenty of groups: never falls back
+								break
+							}
+							// Falls back at the InitSeg-th tuple, which it folds.
+							rest := kept[initSeg-1:]
+							i := firstRefusal(rest, bound)
+							wantRaw, wantSwitch = append(slices.Clone(kept[:initSeg-1]), rest[i:]...), i < len(rest)
+							if !k.FellBack || !fallback.Load() || rec.endPhase != 1 {
+								t.Errorf("fell back %v, flag %v, %d end-of-phase calls; want a fallback at tuple %d",
+									k.FellBack, fallback.Load(), rec.endPhase, initSeg)
+							}
+						}
+						if got, want := sortedTuples(rec.raw), sortedTuples(wantRaw); !slices.Equal(got, want) {
+							t.Errorf("shipped %d raw tuples, the rule says %d", len(got), len(want))
+						}
+						if k.Routed != int64(len(rec.raw)) || k.Partials != int64(len(rec.partials)) {
+							t.Errorf("counted %d raw and %d partials, shipped %d and %d", k.Routed, k.Partials, len(rec.raw), len(rec.partials))
+						}
+						if alg == TwoPhase && bound > 0 && len(want) > bound && k.Evicted == 0 {
+							t.Errorf("2P over %d groups evicted nothing from a %d-entry table", len(want), bound)
+						}
+						if k.Switched != wantSwitch {
+							t.Errorf("switched=%v, want %v", k.Switched, wantSwitch)
+						}
+						if v.refresh && (len(progress) == 0 || progress[len(progress)-1] != rows || !slices.IsSorted(progress)) {
+							t.Errorf("refresh saw progress %v, want ascending to %d", progress, rows)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// failing is an Exchange whose every operation fails once its budget of
+// successful ones is spent.
+type failing struct{ left int }
+
+var errShip = errors.New("ship failed")
+
+func (f *failing) op() error {
+	if f.left--; f.left < 0 {
+		return errShip
+	}
+	return nil
+}
+
+func (f *failing) Raw(_ int, b []tuple.Tuple) ([]tuple.Tuple, error) {
+	if len(b) == 0 {
+		return make([]tuple.Tuple, 0, 8), nil
+	}
+	return b[:0], f.op()
+}
+
+func (f *failing) Partials(_ int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) == 0 {
+		return make([]tuple.Partial, 0, 8), nil
+	}
+	return b[:0], f.op()
+}
+
+func (f *failing) Reserve(int, int) error { return f.op() }
+func (f *failing) EndPhase() error        { return f.op() }
+
+// The first failed operation ends the run with its error, at every point
+// an operation happens: a raw ship, a flush's reservation or partials, an
+// end of phase.
+func TestScanStopsAtFirstError(t *testing.T) {
+	part := make([]tuple.Tuple, 2000)
+	for i := range part {
+		part[i] = tuple.Tuple{Key: tuple.Key(i % 300), Val: 1}
+	}
+	for _, alg := range []Algorithm{TwoPhase, Repartitioning, AdaptiveTwoPhase, AdaptiveRepartitioning} {
+		for left := 0; left < 40; left++ {
+			k := Scan{Alg: alg, Bound: 16, Batch: 8, InitSeg: 64, SwitchRatio: 0.5, Dests: 2, Rows: len(part),
+				Fallback: new(atomic.Bool), Ex: &failing{left: left}}
+			if err := k.Run(part); err != errShip {
+				t.Fatalf("alg %d, %d good operations: Run returned %v", alg, left, err)
+			}
+		}
+	}
+}
+
+// A scan span's note says what the switch projected, and nothing without
+// a switch.
+func TestNote(t *testing.T) {
+	k := Scan{}
+	if got := k.Note("owner"); got != "" {
+		t.Errorf("no switch: note %q", got)
+	}
+	k.Switched, k.f1, k.f2 = true, 7, 3
+	if got := k.Note("owner"); got != ", est declined (f1 7, f2 3)" {
+		t.Errorf("declined: note %q", got)
+	}
+	k.est, k.estOK = 42, true
+	if got := k.Note("range"); got != ", est 42/range (f1 7, f2 3)" {
+		t.Errorf("projected: note %q", got)
+	}
+}

@@ -69,7 +69,7 @@ func TestBatchScalarDifferential(t *testing.T) {
 }
 
 // A bound so tight that nearly every chunk is mostly refusals: the leftover
-// path (spill, drain-and-switch, bounce) does the work, not the chunk fold.
+// path (evict, flush-and-switch, bounce) does the work, not the chunk fold.
 func TestBatchScalarDifferentialTinyBound(t *testing.T) {
 	rel := workload.Uniform(4, 10_000, 5_000, 77)
 	in := flatten(rel)

@@ -2,9 +2,8 @@
 // as internal/core, executed with actual goroutines and channels on the
 // host machine instead of on the simulated cluster. Workers play the role
 // of nodes, channel exchanges the role of the interconnect, and a bounded
-// hash table the role of the memory budget; plain two-phase overflow spills
-// to an in-memory buffer or, under Config.SpillToDisk, to real temporary
-// files.
+// hash table the role of the memory budget; a plain two-phase worker whose
+// table fills evicts it to the groups' owners as partials and folds on.
 //
 // The engine exists for two reasons. First, it is the artifact a user of
 // this library most likely wants: a fast multicore GROUP BY. Second, it
@@ -14,20 +13,16 @@
 // synchronization.
 //
 // Each worker runs two goroutines, mirroring the Gamma operator split: a
-// scan side that aggregates or routes its partition (scan.go), and a merge
-// side that owns the groups hashing to the worker and consumes the exchange
-// from the moment the query starts (so bounded exchange channels provide
-// backpressure without deadlock).
+// scan side that aggregates or routes its partition (scan.go, over
+// internal/kernel's loop), and a merge side that owns the groups hashing
+// to the worker and consumes the exchange from the moment the query starts
+// (so bounded exchange channels provide backpressure without deadlock).
 //
 // The data plane is allocation-free in steady state: worker tables are
-// internal/aggtable open-addressing tables (inline update, no per-tuple
-// map traffic), and exchange batches are sync.Pool-recycled — the merge
-// side returns each batch to the pool after folding it, so after warm-up
-// the scan sides append into recycled buffers instead of allocating.
-// A scan side flushes a table unsorted, straight into the exchange, after
-// sending each owner a reservation target (at an A-2P switch, the paper's
-// §3.1 projection of the groups it will own), so a merge side sizes its
-// table once instead of doubling its way up to them.
+// internal/aggtable open-addressing tables, and exchange buffers are
+// recycled — the merge side returns each buffer to the run's pool after
+// folding it, and sizes its table once from the reservation targets the
+// scan sides send ahead of their flushes.
 package live
 
 import (
@@ -38,12 +33,14 @@ import (
 	"time"
 
 	"parallelagg/internal/aggtable"
+	"parallelagg/internal/kernel"
 	"parallelagg/internal/obs"
 	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
-// Algorithm selects the parallel strategy. The disk-centric members of the
+// Algorithm selects the parallel strategy; the first four are
+// internal/kernel's, which runs them. The disk-centric members of the
 // paper's lineup (C-2P's coordinator and the Sampling front-end) are
 // omitted: with the relation already in memory, sampling saves nothing and
 // a centralized merge is strictly worse than the parallel one.
@@ -51,18 +48,19 @@ type Algorithm int
 
 const (
 	// TwoPhase: each worker aggregates its partition locally, then the
-	// partials are hash-partitioned and merged in parallel.
-	TwoPhase Algorithm = iota
+	// partials are hash-partitioned and merged in parallel. A worker whose
+	// table fills evicts it to the owners as partials and folds on.
+	TwoPhase = Algorithm(kernel.TwoPhase)
 	// Repartitioning: raw tuples are hash-partitioned first; each worker
 	// aggregates only the groups it owns.
-	Repartitioning
+	Repartitioning = Algorithm(kernel.Repartitioning)
 	// AdaptiveTwoPhase: start as TwoPhase; a worker whose local table
 	// fills flushes its partials and repartitions the rest raw.
-	AdaptiveTwoPhase
+	AdaptiveTwoPhase = Algorithm(kernel.AdaptiveTwoPhase)
 	// AdaptiveRepartitioning: start as Repartitioning; a worker that sees
 	// too few distinct groups in its first InitSeg tuples raises a shared
 	// flag and every worker falls back to the AdaptiveTwoPhase strategy.
-	AdaptiveRepartitioning
+	AdaptiveRepartitioning = Algorithm(kernel.AdaptiveRepartitioning)
 	// Shared: every worker folds its partition into ONE striped concurrent
 	// table (internal/aggtable.Shared) through a small private front table —
 	// the paper's local phase with the shared table as its overflow: the
@@ -73,14 +71,14 @@ const (
 	// ("Global Hash Tables Strike Back!"): no second phase, no partial
 	// traffic, lock traffic only for what the fronts miss. The TableEntries
 	// budget is global — TableEntries×Workers entries, fronts included.
-	Shared
+	Shared = AdaptiveRepartitioning + 1
 	// AdaptiveShared: start as Shared; a worker that sees the shared
 	// table refuse a tuple (bound pressure) or more than SwitchRatio of
 	// its last InitSeg shared-table folds contend on a stripe lock raises
 	// a flag; every worker then empties its front into the shared table and
 	// runs the AdaptiveTwoPhase strategy on the rest of its partition. The
 	// shared contents are poured once at the end over the exchanged results.
-	AdaptiveShared
+	AdaptiveShared = Shared + 1
 )
 
 // String returns the paper's abbreviation.
@@ -104,8 +102,8 @@ type Config struct {
 	Workers int
 
 	// TableEntries bounds each worker's scan-side local hash table only,
-	// triggering the overflow behaviour of the chosen algorithm (spill
-	// passes for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
+	// triggering the overflow behaviour of the chosen algorithm (an eviction
+	// for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
 	// group its worker owns, sized from what the scan tables report. 0 means unbounded.
 	// The shared algorithms pool it: a front takes at most a quarter of a share, the
 	// rest bounds the table.
@@ -130,12 +128,6 @@ type Config struct {
 	// aggtable default). More stripes mean fewer lock collisions among
 	// the tuples the fronts miss, and a bigger empty-table footprint.
 	SharedStripes int
-
-	// SpillToDisk spools TwoPhase overflow to real temporary files instead
-	// of an in-memory buffer, making the TableEntries bound a true memory
-	// bound. SpillDir selects the directory ("" = the OS temp dir).
-	SpillToDisk bool
-	SpillDir    string
 
 	// Obs, when non-nil, receives per-worker counters (rows, routed
 	// tuples, partials, spills, groups, merge fan-in) and whole-run
@@ -167,7 +159,7 @@ type WorkerMetrics struct {
 	Scanned      int64 // tuples this worker's scan side processed
 	Routed       int64 // raw tuples shipped to other workers
 	PartialsSent int64 // partial aggregates shipped
-	Spilled      int64 // tuples that left the bounded table (memory or disk); Shared: refused at the global bound
+	Spilled      int64 // entries that left the bounded table: groups TwoPhase evicted to their owners; Shared: tuples refused at the global bound
 	Absorbed     int64 // tuples a shared-mode worker's front folded without reaching the shared table
 	GroupsOut    int64 // result groups this worker's merge side produced
 	FanIn        int64 // distinct scan sides that fed this worker's merge side
@@ -182,60 +174,47 @@ type Result struct {
 	PerWorker []WorkerMetrics
 }
 
-// colRawBatch and colPartBatch are the pooled columnar exchange buffers.
-// The holder structs travel through the channels by pointer so the merge
-// side can hand the same allocation back to the pool after folding it.
-type colRawBatch struct{ b tuple.Batch }
-type colPartBatch struct{ pb tuple.PartialBatch }
+// pool is a run's free list of exchange buffers: a scan side takes one when
+// a record needs room, the merge side puts it back once folded. Pools are
+// per run, so the buffers die with it; an empty pool allocates, a full one
+// drops.
+type pool[T any] chan []T
 
-// exchangePools recycles exchange batches for one run. Pools are per-run,
-// not global, so every pooled buffer has exactly cfg.Batch capacity and
-// the allocations die with the run.
-type exchangePools struct {
-	colRaw  sync.Pool
-	colPart sync.Pool
-}
-
-func newExchangePools(batch int) *exchangePools {
-	return &exchangePools{
-		colRaw: sync.Pool{New: func() any {
-			return &colRawBatch{b: tuple.Batch{
-				Keys: make([]tuple.Key, 0, batch),
-				Vals: make([]int64, 0, batch),
-			}}
-		}},
-		colPart: sync.Pool{New: func() any {
-			return &colPartBatch{pb: tuple.PartialBatch{
-				Keys:   make([]tuple.Key, 0, batch),
-				Counts: make([]int64, 0, batch),
-				Sums:   make([]int64, 0, batch),
-				SumSqs: make([]int64, 0, batch),
-				Mins:   make([]int64, 0, batch),
-				Maxs:   make([]int64, 0, batch),
-			}}
-		}},
+func (p pool[T]) get(n int) []T {
+	select {
+	case b := <-p:
+		return b[:0]
+	default:
+		return make([]T, 0, n)
 	}
 }
 
-func (p *exchangePools) getColRaw() *colRawBatch {
-	b := p.colRaw.Get().(*colRawBatch)
-	b.b.Reset()
-	return b
+func (p pool[T]) put(b []T) {
+	select {
+	case p <- b:
+	default:
+	}
 }
 
-func (p *exchangePools) getColPart() *colPartBatch {
-	b := p.colPart.Get().(*colPartBatch)
-	b.pb.Reset()
-	return b
+// exchangePools are a w-worker run's pools, with room for every buffer that
+// can be in flight at once: the inboxes' and one per scan side and
+// destination of each kind.
+type exchangePools struct {
+	raw  pool[tuple.Tuple]
+	part pool[tuple.Partial]
 }
 
-// message is one exchange batch between workers, or a flush's reservation
-// target. Exactly one of raw/part/reserve is set; the receiver owns a batch
-// and must return it to the pool once folded.
+func newExchangePools(w int) *exchangePools {
+	return &exchangePools{make(pool[tuple.Tuple], 4*w*w), make(pool[tuple.Partial], 4*w*w)}
+}
+
+// message is one exchange buffer between workers, or a flush's reservation
+// target. Exactly one of raw/part/reserve is set; the receiver owns a buffer
+// and returns it to the pool once folded.
 type message struct {
 	src     int // sending worker, for merge fan-in accounting
-	raw     *colRawBatch
-	part    *colPartBatch
+	raw     []tuple.Tuple
+	part    []tuple.Partial
 	reserve int // groups to make room for, sent ahead of a flush's partials
 }
 
@@ -281,7 +260,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	for i := range inboxes {
 		inboxes[i] = make(chan message, 2*w)
 	}
-	pools := newExchangePools(cfg.Batch)
+	pools := newExchangePools(w)
 	var scanners sync.WaitGroup
 	scanners.Add(w)
 	go func() {
@@ -296,7 +275,6 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	owned := make([]*aggtable.Table, w) // each merge side's table of the groups it owns
 	metrics := make([]WorkerMetrics, w)
 	switched := make([]bool, w)
-	errs := make([]error, w)
 	var fallback atomic.Bool // ARep's broadcast "end-of-phase" flag
 	rows := 0
 	for _, p := range parts {
@@ -319,8 +297,8 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			defer all.Done()
 			defer scanners.Done()
 			span := cfg.Tracer.Begin(i, "scan")
-			switched[i], errs[i] = wk.scanSide(parts[i])
-			span.End(fmt.Sprintf("%d tuples, switched=%v%s", len(parts[i]), switched[i], wk.estNote))
+			switched[i] = wk.scanSide(parts[i])
+			span.End(fmt.Sprintf("%d tuples, switched=%v%s", len(parts[i]), switched[i], wk.k.Note("owner")))
 		}()
 		go func() {
 			defer all.Done()
@@ -334,11 +312,6 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 	}
 	all.Wait()
 	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	// The merge phase of the shared algorithms: one pour, unordered like the
 	// map it fills, which is made for all of it. Keys can legitimately coexist
@@ -438,8 +411,10 @@ type worker struct {
 	fallback *atomic.Bool
 	m        *WorkerMetrics
 	pools    *exchangePools
-	rows     int    // the whole input, which the switch projects its group estimate over
-	estNote  string // the switch's estimate, for the scan span once scanSide returns
+	rows     int // the whole input, which the switch projects its group estimate over
+
+	// k is the scan side's run of the kernel loop; the worker is its exchange.
+	k kernel.Scan
 
 	// shared is the one concurrent table every worker folds into under
 	// the Shared/AdaptiveShared algorithms (nil otherwise). sharedOv is
@@ -453,7 +428,9 @@ type worker struct {
 	// table every chunk folds into first (nil when the budget has no room for
 	// one, or once a chunk found it cold), miss the tuples it refused, on their
 	// way to the shared table, bounced the indexes that table refused in its
-	// turn, left those entries, AdaptiveShared's, on their way to the exchange.
+	// turn, left those entries, AdaptiveShared's, on their way to the exchange;
+	// refused and sc are the front fold's and the shared table's scratch, at 0
+	// allocs/op after the first chunk.
 	//
 	//aggvet:owner scan
 	front *aggtable.Table
@@ -463,30 +440,14 @@ type worker struct {
 	bounced []int
 	//aggvet:owner scan
 	left []tuple.Partial
-
-	// Contention-window accounting for AdaptiveShared, scan-side only.
-	sharedSeen      int
-	sharedContended int
-
-	// Pending outbound batches, owned by the scan goroutine: the merge
-	// side must never touch them (it receives full batches over the
-	// inbox channels instead).
-	//
-	//aggvet:owner scan
-	outRaw []*colRawBatch
-	//aggvet:owner scan
-	outPart []*colPartBatch
-	//aggvet:owner scan
-	reserve []int // a flush's reservation target per destination
-
-	// Scan scratch: the reusable refusal index list of the chunk folds, and
-	// the shared table's partition scratch. Both reach 0 allocs/op after
-	// the first chunk.
-	//
 	//aggvet:owner scan
 	refused []int
 	//aggvet:owner scan
 	sc aggtable.BatchScratch
+
+	// Contention-window accounting for AdaptiveShared, scan-side only.
+	sharedSeen      int
+	sharedContended int
 }
 
 // frontEntries is the capacity of a shared-mode worker's front table:
@@ -506,14 +467,6 @@ func (c Config) sharedBudget() (front, bound int) {
 	return front, bound
 }
 
-type workerMode int
-
-const (
-	modeLocal workerMode = iota
-	modeRoute
-	modeShared
-)
-
 // noteOcc records a table's high-water occupancy for the obs layer.
 func (wk *worker) noteOcc(permille int) {
 	wk.m.TableOcc = max(wk.m.TableOcc, int64(permille))
@@ -531,7 +484,7 @@ func (wk *worker) sharedContentionHigh() bool {
 // assemble to walk, with the largest reservation target it received, to
 // which the table was sized. It is unbounded, so it refuses nothing: a
 // merge side holds every group it owns until the query ends (DESIGN.md
-// §14). Every folded batch goes back to the exchange pool, which is what
+// §14). Every folded buffer goes back to the exchange pool, which is what
 // keeps the steady-state data plane allocation-free.
 func (wk *worker) mergeSide(inbox <-chan message) (owned *aggtable.Table, reserved int) {
 	owned = aggtable.New(0)
@@ -547,25 +500,14 @@ func (wk *worker) mergeSide(inbox <-chan message) (owned *aggtable.Table, reserv
 			wk.m.FanIn++
 		}
 		if m.raw != nil {
-			owned.UpdateBatch(&m.raw.b, nil)
-			wk.pools.colRaw.Put(m.raw)
-		} else {
-			owned.MergeBatch(&m.part.pb, nil)
-			wk.pools.colPart.Put(m.part)
+			owned.UpdateRows(m.raw, nil)
+			wk.pools.raw.put(m.raw)
+			continue
 		}
+		for _, p := range m.part {
+			owned.MergePartial(p)
+		}
+		wk.pools.part.put(m.part)
 	}
 	return owned, reserved
-}
-
-// flushAll sends every partially-filled batch (a builder is never empty).
-func (wk *worker) flushAll() {
-	for d, inbox := range wk.inboxes {
-		if b := wk.outRaw[d]; b != nil {
-			inbox <- message{src: wk.id, raw: b}
-		}
-		if b := wk.outPart[d]; b != nil {
-			inbox <- message{src: wk.id, part: b}
-		}
-		wk.outRaw[d], wk.outPart[d] = nil, nil
-	}
 }

@@ -19,7 +19,7 @@ import (
 // code compute it: workload's reference map ("default"), and adaptive two-phase
 // written out by hand over per-tuple aggtable calls ("scalar") and over
 // builtin maps ("maptables"). Both inputs take the paths whose flushes are
-// unsorted and make no projection: plain 2P's spill passes, and switches
+// unsorted and make no projection: plain 2P's evictions, and switches
 // from a table too small to hold repeats (on OutputSkew, from one that lists
 // every group once first). Without a projection, each merge table must
 // end at exactly the size growth alone reaches, floors or not.
@@ -70,7 +70,7 @@ func TestHighCardinalityDifferential(t *testing.T) {
 				t.Errorf("%s/%v: merge sides produced %d groups, want %d", rel.Name, alg, out, groups)
 			}
 			if alg == TwoPhase && spilled == 0 {
-				t.Errorf("%s: plain 2P spilled nothing, so no spill pass ran", rel.Name)
+				t.Errorf("%s: plain 2P evicted nothing from its %d-entry tables", rel.Name, bound)
 			}
 		}
 	}

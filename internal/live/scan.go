@@ -1,194 +1,73 @@
-// The scan side: one loop for every algorithm. A worker cuts its partition
-// into cfg.Batch-sized chunks and hands each chunk to its current mode with
-// ONE call — local mode and the shared mode's front fold the rows straight
-// from the partition with aggtable's fused kernel (Table.UpdateRows: hash,
-// probe and update per tuple, no staging copy and no hash column), shared
-// mode batches what the front misses into the striped table one lock per
-// stripe segment, route mode appends into columnar per-destination builders
-// that travel the exchange as colRawBatch/colPartBatch messages.
-//
-// The fallback flag and the contention window are looked at between chunks,
-// so those switches lag their cause by at most one chunk; a full table
-// switches an adaptive worker at the first tuple it refuses. None of it
-// changes the result: every tuple lands in exactly one table, every table is
-// flushed to the merge of its groups, and AggState folds are commutative and
-// associative, so the final groups are the sequential fold's whatever the
-// timing and whatever order a flush walks its table in (the differential
-// suites in batch_test.go, merge_test.go and reserve_test.go hold the
-// engine to that).
-//
-// Only AdaptiveRepartitioning's observation phase is per tuple: its
-// contract ("distinct groups among the first InitSeg tuples") is
-// positional, the phase is bounded by InitSeg, and it routes — there is
-// nothing to fold until the verdict is in.
+// The scan side is internal/kernel's loop over this engine's channels: the
+// worker is the kernel's Exchange, and its ships hand pooled buffers to the
+// owners' inboxes without a copy. Shared and AdaptiveShared put a front of
+// their own ahead of it: each chunk folds into the worker's private front
+// table, and what the front misses is batched into the striped shared
+// table one lock per stripe segment. Once AdaptiveShared's fallback flag is
+// up (it is looked at between chunks), the worker empties its front and
+// hands the rest of its partition to the kernel as AdaptiveTwoPhase. The
+// differential suites in batch_test.go, merge_test.go and reserve_test.go
+// hold every algorithm to the sequential fold, whatever the timing.
 
 package live
 
 import (
-	"fmt"
-
 	"parallelagg/internal/aggtable"
-	"parallelagg/internal/sample"
+	"parallelagg/internal/kernel"
 	"parallelagg/internal/tuple"
 )
 
 // scanSide aggregates or routes this worker's partition, reporting whether
-// it switched strategy. It is the owning loop of the worker's outbound
-// batch state (outRaw/outPart).
+// it switched strategy.
 //
 //aggvet:loop scan
-func (wk *worker) scanSide(part []tuple.Tuple) (switchedOut bool, err error) {
-	wk.outRaw = make([]*colRawBatch, wk.cfg.Workers)
-	wk.outPart = make([]*colPartBatch, wk.cfg.Workers)
-	wk.reserve = make([]int, wk.cfg.Workers)
-	local := aggtable.New(wk.cfg.TableEntries)
-	mode := modeLocal
-	switch wk.alg {
-	case Repartitioning, AdaptiveRepartitioning:
-		mode = modeRoute
-	case Shared, AdaptiveShared:
-		mode = modeShared
-		// Sized up front, not by append-doubling: one query is all they live for.
-		if n, _ := wk.cfg.sharedBudget(); n > 0 {
-			wk.front = aggtable.NewSized(n, n)
-		}
-		wk.miss = *tuple.NewBatch(wk.cfg.Batch)
+func (wk *worker) scanSide(part []tuple.Tuple) (switched bool) {
+	alg := kernel.Algorithm(wk.alg)
+	if wk.shared != nil {
+		alg = kernel.AdaptiveTwoPhase // the strategy AdaptiveShared falls back to
 	}
-	switched := false
-	var spill spillStore // plain 2P's overflow buffer (memory or real disk)
-	defer func() {
-		if spill != nil {
-			spill.close()
-		}
-	}()
-
-	// ARep observation state (per tuple; see the file comment).
-	observing := wk.alg == AdaptiveRepartitioning
-	obsSeen := 0
-	obsGroups := make(map[tuple.Key]struct{})
-	threshold := max(1, int(wk.cfg.SwitchRatio*float64(wk.cfg.InitSeg)))
-
-	// foldLocalOne is the cold leftover path: the tuples a chunk fold
-	// refused re-enter here one by one, where the full table's consequence
-	// applies — flush and switch to routing for the adaptive algorithms
-	// (the A-2P switch), the spill store for plain 2P. The re-probe is
-	// cheap, and after a switch the rest of the refusals just route.
-	foldLocalOne := func(t tuple.Tuple) error {
-		if mode != modeLocal {
-			wk.route(t)
-			return nil
-		}
-		if local.UpdateRaw(t) {
-			return nil
-		}
-		switch wk.alg {
-		case AdaptiveTwoPhase, AdaptiveRepartitioning, AdaptiveShared:
-			wk.flushTable(local, true)
-			mode = modeRoute
-			switched = true
-			wk.route(t)
-		default:
-			wk.m.Spilled++
-			return wk.spillTo(&spill, t)
-		}
-		return nil
-	}
-
+	k := &wk.k
+	*k = kernel.Scan{Alg: alg, Bound: wk.cfg.TableEntries, Batch: wk.cfg.Batch,
+		InitSeg: wk.cfg.InitSeg, SwitchRatio: wk.cfg.SwitchRatio, Dests: wk.cfg.Workers, Rows: wk.rows,
+		Fallback: wk.fallback, Ex: wk}
+	k.Begin()
 	wk.m.Scanned = int64(len(part))
-	for off := 0; off < len(part); {
-		end := min(off+wk.cfg.Batch, len(part))
-		seg := part[off:end]
-		off = end
-		for len(seg) > 0 {
-			if mode == modeShared {
-				if wk.sharedChunk(seg) {
-					wk.leaveShared() // the paper's switch rule a third time: shared mode goes on, frontless
-				}
-				if wk.alg == AdaptiveShared && wk.fallback.Load() { // by whoever's hand: A-2P's strategy from here
-					wk.leaveShared()
-					mode, switched = modeLocal, true
-				}
-				break
-			}
-			if mode == modeRoute && wk.alg == AdaptiveRepartitioning {
-				i := 0
-			observe:
-				for ; i < len(seg); i++ {
-					t := seg[i]
-					if wk.fallback.Load() {
-						// Another worker (or this one) declared end-of-phase.
-						mode, switched, observing = modeLocal, true, false
-						break observe
-					}
-					if observing {
-						obsSeen++
-						if len(obsGroups) <= threshold {
-							obsGroups[t.Key] = struct{}{}
-						}
-						if len(obsGroups) > threshold {
-							observing = false // plenty of groups: keep routing
-						} else if obsSeen >= wk.cfg.InitSeg {
-							wk.fallback.Store(true)
-							mode, switched, observing = modeLocal, true, false
-							break observe
-						}
-					}
-					wk.route(t)
-				}
-				seg = seg[i:]
-				continue
-			}
-			if mode == modeRoute {
-				for _, t := range seg {
-					wk.route(t)
-				}
-				break
-			}
-			// Near its bound an adaptive worker folds at most the table's room per
-			// call: it switches at the first refused tuple, its profile unblurred by
-			// a chunk's further repeats (the projection reads those as fewer groups).
-			n := len(seg)
-			if wk.alg != TwoPhase && wk.cfg.TableEntries > 0 {
-				n = min(n, max(wk.cfg.TableEntries-local.Len(), 1))
-			}
-			wk.refused = local.UpdateRows(seg[:n], wk.refused[:0])
-			for _, ix := range wk.refused {
-				if err = foldLocalOne(seg[ix]); err != nil {
-					return switched, err
-				}
-			}
-			seg = seg[n:]
-		}
+	if wk.shared != nil {
+		part = wk.sharedScan(part)
+		switched = part != nil
 	}
-
-	// Flush the local table, then process the spill in bounded passes, like the
-	// paper's overflow-bucket loop, each into a table of its own: the closure
-	// escapes into the store, and must not drag local's scan state with it.
-	if mode == modeShared {
-		wk.leaveShared()
-	}
+	// The worker's ships never fail, so neither does the kernel.
+	_ = k.Scan(part)
+	_ = k.Finish()
 	if wk.shared != nil {
 		wk.noteOcc(wk.shared.OccupancyPermille())
 	}
-	wk.flushTable(local, false)
-	for spill != nil && spill.len() > 0 {
-		var next spillStore
-		tab := aggtable.New(wk.cfg.TableEntries)
-		err = spill.drain(func(t tuple.Tuple) error {
-			if tab.UpdateRaw(t) {
-				return nil
-			}
-			return wk.spillTo(&next, t)
-		})
-		spill.close()
-		spill = next
-		if err != nil {
-			return switched, err // the deferred close takes the next store
-		}
-		wk.flushTable(tab, false)
+	wk.noteOcc(k.Occ)
+	wk.m.Routed, wk.m.PartialsSent, wk.m.Spilled = k.Routed, k.Partials, wk.m.Spilled+k.Evicted
+	return switched || k.FellBack || k.Switched
+}
+
+// sharedScan runs the shared mode over part a chunk at a time and returns
+// what is left of it once AdaptiveShared falls back (nil when nothing is).
+func (wk *worker) sharedScan(part []tuple.Tuple) []tuple.Tuple {
+	// Sized up front, not by append-doubling: one query is all they live for.
+	if n, _ := wk.cfg.sharedBudget(); n > 0 {
+		wk.front = aggtable.NewSized(n, n)
 	}
-	wk.flushAll()
-	return switched, nil
+	wk.miss = *tuple.NewBatch(wk.cfg.Batch)
+	for off := 0; off < len(part); {
+		end := min(off+wk.cfg.Batch, len(part))
+		if wk.sharedChunk(part[off:end]) {
+			wk.leaveShared() // the paper's switch rule a third time: shared mode goes on, frontless
+		}
+		off = end
+		if wk.alg == AdaptiveShared && wk.fallback.Load() { // by whoever's hand: A-2P's strategy from here
+			wk.leaveShared()
+			return part[off:]
+		}
+	}
+	wk.leaveShared()
+	return nil
 }
 
 // sharedChunk folds one chunk the way the paper's local phase would, with
@@ -257,97 +136,48 @@ func (wk *worker) bounce(p tuple.Partial) {
 
 // leaveShared empties the shared-mode buffers — at the end of the partition, on
 // AdaptiveShared's fallback, or to go on without a cold front: the misses into the
-// shared table, the front after them through one pooled batch, left to the exchange.
+// shared table, the front after them through one batch, left to the exchange.
 func (wk *worker) leaveShared() {
 	wk.flushMiss()
 	if wk.front != nil {
-		cp := wk.pools.getColPart()
-		wk.front.Each(func(k tuple.Key, s tuple.AggState) { cp.pb.Append(tuple.Partial{Key: k, State: s}) })
+		pb := tuple.NewPartialBatch(wk.front.Len())
+		wk.front.Each(func(k tuple.Key, s tuple.AggState) { pb.Append(tuple.Partial{Key: k, State: s}) })
 		wk.front = nil
-		wk.bounced = wk.shared.MergeBatch(&wk.sc, &cp.pb, wk.bounced[:0])
+		wk.bounced = wk.shared.MergeBatch(&wk.sc, pb, wk.bounced[:0])
 		for _, ix := range wk.bounced {
-			wk.bounce(cp.pb.At(ix))
+			wk.bounce(pb.At(ix))
 		}
-		wk.pools.colPart.Put(cp)
 	}
 	for _, p := range wk.left {
-		wk.emitPartial(p)
+		_ = wk.k.Partial(p) // cannot fail: the worker's ships never do
 	}
 	wk.left = wk.left[:0]
 }
 
-// spillTo adds t to the store *s, creating the store on first use.
-func (wk *worker) spillTo(s *spillStore, t tuple.Tuple) (err error) {
-	if *s == nil {
-		if *s, err = newSpillStore(wk.cfg); err != nil {
-			return err
-		}
+// Raw, Partials, Reserve and EndPhase make the worker the kernel's
+// Exchange: a ship hands the buffer to the owner's inbox (whose merge side
+// pools it once folded), a reservation is a message of its own, and the
+// shared Fallback flag is all the end of a phase needs. None fails.
+
+func (wk *worker) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
+	if len(b) == 0 {
+		return wk.pools.raw.get(wk.cfg.Batch), nil
 	}
-	return (*s).add(t)
+	wk.inboxes[d] <- message{src: wk.id, raw: b}
+	return nil, nil
 }
 
-// route queues one raw tuple for the worker owning its group, into the
-// columnar per-destination builder.
-func (wk *worker) route(t tuple.Tuple) {
-	wk.m.Routed++
-	d := t.Key.Dest(wk.cfg.Workers)
-	b := wk.outRaw[d]
-	if b == nil {
-		b = wk.pools.getColRaw()
-		wk.outRaw[d] = b
+func (wk *worker) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) == 0 {
+		return wk.pools.part.get(wk.cfg.Batch), nil
 	}
-	b.b.Append(t.Key, t.Val)
-	if b.b.Len() >= wk.cfg.Batch {
-		wk.inboxes[d] <- message{src: wk.id, raw: b}
-		wk.outRaw[d] = nil
-	}
+	wk.inboxes[d] <- message{src: wk.id, part: b}
+	return nil, nil
 }
 
-// flushTable ships a scan-side table's groups to their owners as partials and
-// empties it. A first walk counts each owner's share, sent as its reservation
-// target (at a switch, project raises it to the projection), and the count
-// profile; a second writes the groups in slot order into the builders. No copy,
-// no sort: the merge side keeps no order, and the target makes the pour safe.
-func (wk *worker) flushTable(tab *aggtable.Table, project bool) {
-	wk.noteOcc(tab.OccupancyPermille())
-	clear(wk.reserve)
-	var prof sample.Profile
-	tab.Each(func(k tuple.Key, s tuple.AggState) {
-		wk.reserve[k.Dest(wk.cfg.Workers)]++
-		prof.Add(s.Count)
-	})
-	if project {
-		est, ok := sample.ProjectOwnerGroups(tab.Len(), prof.F1, prof.F2, wk.rows, wk.cfg.Workers)
-		wk.estNote = fmt.Sprintf(", est %d/owner (f1 %d, f2 %d)", est, prof.F1, prof.F2)
-		if !ok {
-			wk.estNote = fmt.Sprintf(", est declined (f1 %d, f2 %d)", prof.F1, prof.F2)
-		}
-		for d := range wk.reserve {
-			wk.reserve[d] = max(wk.reserve[d], est)
-		}
-	}
-	for d, n := range wk.reserve {
-		if n > 0 {
-			wk.inboxes[d] <- message{src: wk.id, reserve: n}
-		}
-	}
-	tab.Each(func(k tuple.Key, s tuple.AggState) { wk.emitPartial(tuple.Partial{Key: k, State: s}) })
-	tab.Reset()
+func (wk *worker) Reserve(d, groups int) error {
+	wk.inboxes[d] <- message{src: wk.id, reserve: groups}
+	return nil
 }
 
-// emitPartial queues one partial for the worker owning its group, into the
-// columnar per-destination builder.
-func (wk *worker) emitPartial(pt tuple.Partial) {
-	wk.m.PartialsSent++
-	d := pt.Key.Dest(wk.cfg.Workers)
-	b := wk.outPart[d]
-	if b == nil {
-		b = wk.pools.getColPart()
-		wk.outPart[d] = b
-	}
-	b.pb.Append(pt)
-	if b.pb.Len() >= wk.cfg.Batch {
-		wk.inboxes[d] <- message{src: wk.id, part: b}
-		wk.outPart[d] = nil
-	}
-}
+func (wk *worker) EndPhase() error { return nil }

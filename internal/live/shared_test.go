@@ -306,7 +306,7 @@ func newSharedWorker(cfg Config, alg Algorithm, flagUp bool, room int) *worker {
 	}
 	_, bound := cfg.sharedBudget()
 	return &worker{cfg: cfg, alg: alg, inboxes: inboxes, fallback: &flag, m: &WorkerMetrics{},
-		pools: newExchangePools(cfg.Batch), shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
+		pools: newExchangePools(cfg.Workers), shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
 }
 
 // runSharedScan drives one AdaptiveShared scan side by hand and returns the
@@ -316,24 +316,17 @@ func runSharedScan(t *testing.T, cfg Config, part []tuple.Tuple, flagUp bool) (*
 	t.Helper()
 	wk := newSharedWorker(cfg, AdaptiveShared, flagUp, len(part)+1)
 	inboxes := wk.inboxes
-	switched, err := wk.scanSide(part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	switched := wk.scanSide(part)
 	got := map[tuple.Key]tuple.AggState{}
 	wk.shared.Each(func(k tuple.Key, s tuple.AggState) { mergeGroup(got, k, s) })
 	for _, ch := range inboxes {
 		close(ch)
 		for m := range ch {
-			if m.raw != nil {
-				for i := 0; i < m.raw.b.Len(); i++ {
-					tp := m.raw.b.At(i)
-					mergeGroup(got, tp.Key, tuple.NewState(tp.Val))
-				}
-			} else if m.part != nil {
-				for i := 0; i < m.part.pb.Len(); i++ {
-					mergeGroup(got, m.part.pb.Keys[i], m.part.pb.StateAt(i))
-				}
+			for _, tp := range m.raw {
+				mergeGroup(got, tp.Key, tuple.NewState(tp.Val))
+			}
+			for _, p := range m.part {
+				mergeGroup(got, p.Key, p.State)
 			}
 		}
 	}

@@ -130,23 +130,13 @@ func (k Key) Hash() uint64 { return hash64(uint64(k)) }
 
 // Dest returns the node (0..n-1) responsible for this key under hash
 // partitioning on the GROUP BY attribute.
+//
+//aggvet:noalloc
 func (k Key) Dest(n int) int {
 	if n <= 0 {
 		panic("tuple: Dest with non-positive node count")
 	}
 	return int(k.Hash() % uint64(n))
-}
-
-// Bucket returns the overflow bucket (0..n-1) for this key. It uses the
-// high bits of the hash so that bucket membership is independent of the
-// destination node computed by Dest.
-//
-//aggvet:noalloc
-func (k Key) Bucket(n int) int {
-	if n <= 0 {
-		panic("tuple: Bucket with non-positive bucket count")
-	}
-	return int((k.Hash() >> 32) % uint64(n))
 }
 
 // BucketAt returns an overflow bucket in [0,n) drawn from a hash family

@@ -138,15 +138,6 @@ func TestDestInRangeAndStable(t *testing.T) {
 	}
 }
 
-func TestBucketInRange(t *testing.T) {
-	for k := Key(0); k < 1000; k++ {
-		b := k.Bucket(8)
-		if b < 0 || b >= 8 {
-			t.Fatalf("Bucket of key %d = %d out of range", k, b)
-		}
-	}
-}
-
 func TestDestSpreadsKeys(t *testing.T) {
 	const n, keys = 8, 8000
 	counts := make([]int, n)
@@ -285,19 +276,12 @@ func FuzzPartialRoundTrip(f *testing.F) {
 }
 
 func TestBucketPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"Bucket":   func() { Key(1).Bucket(0) },
-		"BucketAt": func() { Key(1).BucketAt(0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s(0) did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BucketAt(0) did not panic")
+		}
+	}()
+	Key(1).BucketAt(0, 1)
 }
 
 func TestBucketAtDepthsDiffer(t *testing.T) {

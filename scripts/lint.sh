@@ -73,7 +73,9 @@ fi
 # lint, not just review. The noalloc analyzer above already verified
 # the annotated bodies; this step verifies the annotations exist.
 if ! "$AGGVET" -require-noalloc \
-    internal/aggtable:Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Shared.UpdateRaw,Shared.UpdateRawContended,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
+    internal/tuple:Key.Hash,Key.Dest \
+    internal/aggtable:Table.Len,Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Shared.UpdateRaw,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
+    internal/kernel:Scan.fold,Scan.route,Scan.dest \
     internal/dist:rawFrameInto,partialFrameInto; then
     echo "lint: -require-noalloc gate failed — a pinned hot-path function lost its //aggvet:noalloc annotation" >&2
     exit 1
