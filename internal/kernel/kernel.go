@@ -20,7 +20,10 @@
 // A flush walks the table twice: to count each destination's groups, sent
 // ahead as a reservation floor (at a switch raised to the §3.1 projection
 // sample.ProjectOwnerGroups), and to append the groups, unsorted, to the
-// destinations' buffers.
+// destinations' buffers. A buffer the table's last flush starts (at a
+// switch or the end of the scan, not at a TwoPhase eviction) is sized to
+// the groups it has left for that destination, at most Batch: a flush of
+// six groups allocates six records, not Batch.
 package kernel
 
 import (
@@ -47,7 +50,9 @@ const (
 // Raw(d, b) ships b's records (at most Batch) to destination d and returns
 // the buffer to fill next: b emptied, or nil if it kept b — the kernel then
 // asks with Raw(d, nil), which ships nothing, for a fresh one. Partials
-// likewise.
+// likewise, except that a table's last flush, holding fewer than Batch
+// groups for d, makes its fresh buffer itself, only as large as they
+// need: a partial buffer the kernel ships may be of any capacity.
 type Exchange interface {
 	Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error)
 	Partials(d int, b []tuple.Partial) ([]tuple.Partial, error)
@@ -101,7 +106,7 @@ type Scan struct {
 	//aggvet:owner scan
 	part [][]tuple.Partial
 	//aggvet:owner scan
-	reserve []int
+	left []int // groups a last flush has yet to ship to each destination
 
 	refused []int                  // the chunk fold's refusals
 	kept    []tuple.Tuple          // the chunk Keep filtered
@@ -132,7 +137,7 @@ func (k *Scan) Begin() {
 	k.table = aggtable.New(k.Bound)
 	k.raw = make([][]tuple.Tuple, k.Dests)
 	k.part = make([][]tuple.Partial, k.Dests)
-	k.reserve = make([]int, k.Dests)
+	k.left = make([]int, k.Dests)
 	k.routing = k.Alg == Repartitioning || k.Alg == AdaptiveRepartitioning
 	k.listening = k.Alg == AdaptiveRepartitioning
 	if k.listening {
@@ -163,7 +168,7 @@ func (k *Scan) Finish() error {
 	if k.Refresh != nil {
 		k.Owner = k.Refresh(k.scanned)
 	}
-	if err := k.flush(false); err != nil {
+	if err := k.flush(last); err != nil {
 		return err
 	}
 	for d := range k.Dests {
@@ -232,13 +237,13 @@ func (k *Scan) refuse(t tuple.Tuple) error {
 	}
 	if k.Alg == TwoPhase {
 		k.Evicted += int64(k.table.Len())
-		if err := k.flush(false); err != nil {
+		if err := k.flush(evict); err != nil {
 			return err
 		}
 		k.table.UpdateRaw(t)
 		return nil
 	}
-	if err := k.flush(true); err != nil {
+	if err := k.flush(switchOver); err != nil {
 		return err
 	}
 	k.routing, k.Switched = true, true
@@ -341,33 +346,44 @@ func (k *Scan) filter(seg []tuple.Tuple) []tuple.Tuple {
 	return k.kept
 }
 
+// Why a flush empties the table.
+type flushKind int
+
+const (
+	evict      flushKind = iota // TwoPhase's table is full; later evictions fill the same buffers
+	switchOver                  // an adaptive scan's is full: it projects, then routes (see the package comment)
+	last                        // the scan is done
+)
+
 // flush ships the table's groups to their owners as partials and empties
-// it; project marks an A-2P switch (see the package comment).
-func (k *Scan) flush(project bool) error {
+// it. Every flush but an eviction ships the table's last partials, so a
+// buffer it starts holds at most the groups it has left for the owner.
+func (k *Scan) flush(why flushKind) error {
 	k.Occ = max(k.Occ, k.table.OccupancyPermille())
 	if k.table.Len() == 0 {
 		return nil
 	}
-	clear(k.reserve)
 	var prof sample.Profile
 	k.table.Each(func(key tuple.Key, s tuple.AggState) {
-		k.reserve[k.dest(key)]++
+		k.left[k.dest(key)]++
 		prof.Add(s.Count)
 	})
-	if project {
+	floor := 0
+	if why == switchOver {
 		k.f1, k.f2 = prof.F1, prof.F2
 		if k.est, k.estOK = sample.ProjectOwnerGroups(k.table.Len(), prof.F1, prof.F2, k.Rows, k.Dests); k.estOK {
-			for d := range k.reserve {
-				k.reserve[d] = max(k.reserve[d], k.est)
-			}
+			floor = k.est
 		}
 	}
-	for d, n := range k.reserve {
-		if n > 0 {
+	for d, n := range k.left {
+		if n = max(n, floor); n > 0 {
 			if err := k.Ex.Reserve(d, n); err != nil {
 				return err
 			}
 		}
+	}
+	if why == evict {
+		clear(k.left)
 	}
 	var err error
 	k.table.Each(func(key tuple.Key, s tuple.AggState) {
@@ -379,19 +395,32 @@ func (k *Scan) flush(project bool) error {
 	return err
 }
 
-// Partial ships one partial to the owner of its group.
+// Partial ships one partial to the owner of its group, in a buffer of
+// Batch records or, in a table's last flush, of what it has left for the
+// owner.
 func (k *Scan) Partial(p tuple.Partial) (err error) {
 	d := k.dest(p.Key)
 	b := k.part[d]
 	if len(b) == cap(b) || len(b) >= k.Batch {
-		if b, err = k.Ex.Partials(d, b); err == nil && b == nil {
-			b, err = k.Ex.Partials(d, nil)
+		if len(b) > 0 {
+			if b, err = k.Ex.Partials(d, b); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
+		need := k.Batch
+		if n := k.left[d]; n > 0 {
+			need = min(n, need)
+		}
+		if cap(b) < need {
+			if need < k.Batch {
+				b = make([]tuple.Partial, 0, need)
+			} else if b, err = k.Ex.Partials(d, nil); err != nil {
+				return err
+			}
 		}
 	}
 	k.part[d] = append(b, p)
+	k.left[d] = max(k.left[d]-1, 0)
 	k.Partials++
 	return nil
 }

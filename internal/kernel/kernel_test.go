@@ -297,3 +297,66 @@ func TestNote(t *testing.T) {
 		t.Errorf("projected: note %q", got)
 	}
 }
+
+// sizer is a recorder that notes the capacity of every partial buffer
+// shipped to it and counts the fresh ones it is asked for.
+type sizer struct {
+	recorder
+	caps  []int
+	fresh int
+}
+
+func (r *sizer) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) == 0 {
+		r.fresh++
+	} else {
+		r.caps = append(r.caps, cap(b))
+	}
+	return r.recorder.Partials(d, b)
+}
+
+// A table's last flush sizes its buffers to its groups: six groups over
+// two destinations ship in buffers of at most six records, none asked of
+// the exchange at Batch. A TwoPhase eviction still takes Batch-sized
+// ones, which later evictions go on filling.
+func TestLastFlushSizesBuffersToItsGroups(t *testing.T) {
+	const batch, dests = 4096, 2
+	six := make([]tuple.Tuple, 3000)
+	for i := range six {
+		six[i] = tuple.Tuple{Key: tuple.Key(i % 6), Val: 1}
+	}
+	for _, alg := range []Algorithm{TwoPhase, AdaptiveTwoPhase, AdaptiveRepartitioning} {
+		for _, bound := range []int{0, 6} {
+			r := &sizer{recorder: recorder{t: t, batch: batch, dest: func(k tuple.Key) int { return k.Dest(dests) }}}
+			k := Scan{Alg: alg, Bound: bound, Batch: batch, InitSeg: 64, SwitchRatio: 0.5, Dests: dests, Rows: len(six),
+				Fallback: new(atomic.Bool), Ex: r}
+			if err := k.Run(six); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.partials) != 6 || r.fresh != 0 || len(r.caps) == 0 {
+				t.Fatalf("alg %d bound %d: %d partials in %d buffers, %d fresh ones asked for", alg, bound, len(r.partials), len(r.caps), r.fresh)
+			}
+			for _, c := range r.caps {
+				if c > 6 {
+					t.Errorf("alg %d bound %d: a buffer of %d records for six groups", alg, bound, c)
+				}
+			}
+		}
+	}
+
+	// Bound 4 over 100 groups: TwoPhase evicts 25 times or so.
+	many := make([]tuple.Tuple, 3000)
+	for i := range many {
+		many[i] = tuple.Tuple{Key: tuple.Key(i % 100), Val: 1}
+	}
+	r := &sizer{recorder: recorder{t: t, batch: 64, dest: func(k tuple.Key) int { return k.Dest(dests) }}}
+	k := Scan{Alg: TwoPhase, Bound: 4, Batch: 64, Dests: dests, Rows: len(many), Fallback: new(atomic.Bool), Ex: r}
+	if err := k.Run(many); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range r.caps[:len(r.caps)-dests] {
+		if c != 64 {
+			t.Fatalf("an eviction's buffer of %d records, want Batch 64 (all: %v)", c, r.caps)
+		}
+	}
+}

@@ -138,10 +138,17 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+// WorkerCount is the number of workers c runs with: Workers, or by
+// default runtime.GOMAXPROCS(0).
+func (c Config) WorkerCount() int {
+	if c.Workers > 0 {
+		return c.Workers
 	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func (c Config) withDefaults() Config {
+	c.Workers = c.WorkerCount()
 	if c.Batch <= 0 {
 		c.Batch = 4096
 	}
@@ -176,8 +183,10 @@ type Result struct {
 
 // pool is a run's free list of exchange buffers: a scan side takes one when
 // a record needs room, the merge side puts it back once folded. Pools are
-// per run, so the buffers die with it; an empty pool allocates, a full one
-// drops.
+// per run, so the buffers die with it; an empty pool allocates n-record
+// buffers, and put drops a buffer when the pool is full or the buffer holds
+// fewer than n records (the kernel's own, for a flush of a few groups), so
+// get hands out none smaller.
 type pool[T any] chan []T
 
 func (p pool[T]) get(n int) []T {
@@ -189,7 +198,10 @@ func (p pool[T]) get(n int) []T {
 	}
 }
 
-func (p pool[T]) put(b []T) {
+func (p pool[T]) put(b []T, n int) {
+	if cap(b) < n {
+		return
+	}
 	select {
 	case p <- b:
 	default:
@@ -501,13 +513,13 @@ func (wk *worker) mergeSide(inbox <-chan message) (owned *aggtable.Table, reserv
 		}
 		if m.raw != nil {
 			owned.UpdateRows(m.raw, nil)
-			wk.pools.raw.put(m.raw)
+			wk.pools.raw.put(m.raw, wk.cfg.Batch)
 			continue
 		}
 		for _, p := range m.part {
 			owned.MergePartial(p)
 		}
-		wk.pools.part.put(m.part)
+		wk.pools.part.put(m.part, wk.cfg.Batch)
 	}
 	return owned, reserved
 }

@@ -10,15 +10,15 @@
 //	GROUP BY columns
 //	[HAVING  predicate]
 //
-// One sequential pass over the rows applies WHERE and turns each row's
-// group-by cells into a dense group id: every group-by column has a code
-// dictionary, and the codes are folded left to right through (prefix id,
-// code) pair dictionaries, so no key is ever formatted or concatenated.
-// Each aggregated column then becomes one engine pass, projected into a
-// tuple buffer the passes share, and the passes are stitched back into a
-// result table (DESIGN.md §15). SQL NULL semantics are honoured:
-// aggregates ignore NULL inputs, COUNT(*) counts rows, and a group whose
-// aggregated column is entirely NULL yields NULL.
+// A pass over the rows, one shard per engine worker, applies WHERE and turns
+// each row's group-by cells into a dense group id: every group-by column has
+// a code dictionary, and the codes are folded left to right through (prefix
+// id, code) pair dictionaries, so no key is ever formatted or concatenated.
+// Each aggregated column then becomes one engine pass, each shard projecting
+// its own partition, and the passes are stitched into a result table
+// (DESIGN.md §15). SQL NULL semantics are honoured: aggregates ignore NULL
+// inputs, COUNT(*) counts rows, and a group whose aggregated column is
+// entirely NULL yields NULL.
 package query
 
 import (
@@ -27,6 +27,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"parallelagg/internal/live"
 	"parallelagg/internal/tuple"
@@ -120,22 +121,10 @@ const (
 
 // String returns the SQL name.
 func (f AggFunc) String() string {
-	switch f {
-	case Count:
-		return "COUNT"
-	case CountStar:
-		return "COUNT(*)"
-	case Sum:
-		return "SUM"
-	case Avg:
-		return "AVG"
-	case Min:
-		return "MIN"
-	case Max:
-		return "MAX"
-	default:
-		return fmt.Sprintf("AggFunc(%d)", int(f))
+	if names := [...]string{"COUNT", "COUNT(*)", "SUM", "AVG", "MIN", "MAX"}; f >= 0 && int(f) < len(names) {
+		return names[f]
 	}
+	return fmt.Sprintf("AggFunc(%d)", int(f))
 }
 
 // Agg is one aggregate output: Func over Col, named As in the result.
@@ -156,18 +145,19 @@ func (a Agg) outName() string {
 	if a.Func == CountStar {
 		return "count_star"
 	}
-	name := strings.ToLower(a.Func.String()) + "_" + a.Col
+	infix := "_"
 	if a.Distinct {
-		name = strings.ToLower(a.Func.String()) + "_distinct_" + a.Col
+		infix = "_distinct_"
 	}
-	return name
+	return strings.ToLower(a.Func.String()) + infix + a.Col
 }
 
 // Query is a GROUP BY aggregation over a table.
 type Query struct {
 	GroupBy []string
 	Aggs    []Agg
-	// Where, if set, filters input rows before aggregation.
+	// Where, if set, filters input rows before aggregation. It is called
+	// from every engine worker's goroutine at once: keep it a pure predicate.
 	Where func(Row) bool
 	// Having, if set, filters result rows after aggregation. It receives
 	// the result row (group-by cells then aggregate cells, in order).
@@ -232,9 +222,8 @@ func (q Query) validate(s Schema) error {
 	return nil
 }
 
-// frontLen is how many of a dictionary's first entries are found by a
-// linear scan before its map is consulted. A column or key with no more
-// distinct values than this — a flag, a status — is never hashed.
+// frontLen is how many of a dictionary's first entries a linear scan finds
+// before its maps are made and consulted: a flag or a status is never hashed.
 const frontLen = 8
 
 // keyDict extends a dense prefix id by one cell. code maps the cell to a
@@ -251,55 +240,51 @@ const frontLen = 8
 // Int are equal — StrVal("") and IntVal(0) are one Value and one key.
 type keyDict struct {
 	vals  []Value           // code → the first cell seen with it
-	null  uint32            // NULL's code + 1 once it is past the front
-	strs  map[string]uint32 // codes past the front, by non-empty Str
+	strs  map[string]uint32 // codes past the front, by non-empty Str ("": NULL)
 	ints  map[int64]uint32  // codes past the front, by Int
 	pairs []uint64          // id → prefix<<32 | code
 	ids   map[uint64]uint32 // ids past the front, by pair
 }
 
-func newKeyDict() *keyDict {
-	return &keyDict{strs: map[string]uint32{}, ints: map[int64]uint32{}, ids: map[uint64]uint32{}}
+// newKeyDicts returns n empty dictionaries whose fronts share a presized
+// backing: one that never outgrows its front allocates nothing.
+func newKeyDicts(n int) []keyDict {
+	ds, vals, pairs := make([]keyDict, n), make([]Value, n*frontLen), make([]uint64, n*frontLen)
+	for i := range ds {
+		ds[i].vals, ds[i].pairs = vals[i*frontLen:][:0:frontLen], pairs[i*frontLen:][:0:frontLen]
+	}
+	return ds
 }
 
 func (d *keyDict) code(v Value) uint32 {
-	front := d.vals[:min(len(d.vals), frontLen)]
-	next, spill := uint32(len(d.vals)), len(d.vals) >= frontLen
-	switch {
-	case v.Null:
+	front, next, spill := d.vals[:min(len(d.vals), frontLen)], uint32(len(d.vals)), len(d.vals) >= frontLen
+	if spill && d.strs == nil {
+		d.strs, d.ints = map[string]uint32{}, map[int64]uint32{}
+	}
+	if v.Null || v.Str != "" {
 		for i := range front {
-			if front[i].Null {
+			if c := &front[i]; c.Null == v.Null && (v.Null || c.Str == v.Str) {
 				return uint32(i)
 			}
 		}
-		if spill {
-			if d.null != 0 {
-				return d.null - 1
-			}
-			d.null = next + 1
+		k := v.Str
+		if v.Null {
+			k = "" // NULL's key: any other cell here has a non-empty Str
 		}
-	case v.Str != "":
-		for i := range front {
-			if c := &front[i]; !c.Null && c.Str == v.Str {
-				return uint32(i)
-			}
+		if c, ok := d.strs[k]; ok {
+			return c
+		} else if spill {
+			d.strs[k] = next
 		}
-		if spill {
-			if c, ok := d.strs[v.Str]; ok {
-				return c
-			}
-			d.strs[v.Str] = next
-		}
-	default:
+	} else {
 		for i := range front {
 			if c := &front[i]; !c.Null && c.Str == "" && c.Int == v.Int {
 				return uint32(i)
 			}
 		}
-		if spill {
-			if c, ok := d.ints[v.Int]; ok {
-				return c
-			}
+		if c, ok := d.ints[v.Int]; ok {
+			return c
+		} else if spill {
 			d.ints[v.Int] = next
 		}
 	}
@@ -316,6 +301,9 @@ func (d *keyDict) id(prefix, code uint32) uint32 {
 	}
 	next := uint32(len(d.pairs))
 	if len(d.pairs) >= frontLen {
+		if d.ids == nil {
+			d.ids = map[uint64]uint32{}
+		}
 		if id, ok := d.ids[p]; ok {
 			return id
 		}
@@ -325,28 +313,43 @@ func (d *keyDict) id(prefix, code uint32) uint32 {
 	return next
 }
 
+// absorb mints d's codes and ids for l's, which come after d's in row
+// order, in l's first-seen order; l's prefixes map through prefix (nil:
+// kept). It returns l's id → d's, or its codes for a dictionary that mints
+// no pairs (a GROUP BY's first), so d ends as if it had seen l's rows.
+func (d *keyDict) absorb(l *keyDict, prefix []uint32) []uint32 {
+	codes := make([]uint32, len(l.vals))
+	for c, v := range l.vals {
+		codes[c] = d.code(v)
+	}
+	if len(l.pairs) == 0 {
+		return codes
+	}
+	ids := make([]uint32, len(l.pairs))
+	for j, p := range l.pairs {
+		pre := uint32(p >> 32)
+		if prefix != nil {
+			pre = prefix[pre]
+		}
+		ids[j] = d.id(pre, codes[uint32(p)])
+	}
+	return ids
+}
+
 // groupKey is a GROUP BY clause's dictionary: one keyDict per column.
 type groupKey struct {
 	cols  []int // schema position of each group-by column
-	level []*keyDict
-}
-
-func newGroupKey(cols []int) *groupKey {
-	g := &groupKey{cols: cols}
-	for range cols {
-		g.level = append(g.level, newKeyDict())
-	}
-	return g
+	level []keyDict
 }
 
 // encode returns the row's dense group id. With no group-by columns every
 // row is group 0.
 func (g *groupKey) encode(r Row) uint32 {
 	id := uint32(0)
-	for i, d := range g.level {
-		c := d.code(r[g.cols[i]])
+	for i := range g.level {
+		c := g.level[i].code(r[g.cols[i]])
 		if i > 0 {
-			c = d.id(id, c)
+			c = g.level[i].id(id, c)
 		}
 		id = c
 	}
@@ -355,13 +358,90 @@ func (g *groupKey) encode(r Row) uint32 {
 
 // decode writes group id's cells (the first seen of each) into out.
 func (g *groupKey) decode(id uint32, out Row) {
-	for i := len(g.level) - 1; i > 0; i-- {
-		p := g.level[i].pairs[id]
-		out[i] = g.level[i].vals[uint32(p)]
-		id = uint32(p >> 32)
+	for i := len(g.level) - 1; i >= 0; i-- {
+		c := id // the first level's codes are its ids
+		if i > 0 {
+			c, id = uint32(g.level[i].pairs[id]), uint32(g.level[i].pairs[id]>>32)
+		}
+		out[i] = g.level[i].vals[c]
 	}
-	if len(g.level) > 0 {
-		out[0] = g.level[0].vals[id]
+}
+
+// shard is an engine worker's run of rows, [lo, lo+len(ids)), encoded
+// into a dictionary of its own; its fields after err are per pass.
+type shard struct {
+	t     *Table
+	where func(Row) bool
+	lo, n int      // n: the rows WHERE kept
+	gk    groupKey // row lo+i's id in gk is ids[i], or MaxUint32 if dropped
+	ids   []uint32
+	remap []uint32 // gk's id → the query's; nil when they agree (shard 0, no GROUP BY)
+	panic any      // what Where raised, re-raised on the caller
+	err   error    // the first row of the wrong arity
+	col   int
+	pd    *keyDict // a DISTINCT pass's (group, value) pairs
+	part  []tuple.Tuple
+}
+
+// rowPass applies WHERE and encodes the surviving rows' group keys.
+func (s *shard) rowPass() {
+	for i, r := range s.t.Rows[s.lo : s.lo+len(s.ids)] {
+		if n := len(s.t.Schema.Cols); len(r) != n {
+			s.err = fmt.Errorf("query: row %d has %d cells, schema has %d columns", s.lo+i, len(r), n)
+			return
+		}
+		s.ids[i] = math.MaxUint32 // never an id: ids are below the row count
+		if s.where == nil || s.where(r) {
+			s.ids[i], s.n = s.gk.encode(r), s.n+1
+		}
+	}
+}
+
+// project appends the pass's tuples to part, keyed by the query's group
+// ids: the non-NULL cells of col (-1: every surviving row). A DISTINCT
+// pass enters each (group, value) pair in pd instead.
+func (s *shard) project() {
+	s.part = s.part[:0]
+	for i, id := range s.ids {
+		if id == math.MaxUint32 {
+			continue // WHERE dropped the row
+		}
+		if s.remap != nil {
+			id = s.remap[id]
+		}
+		v := int64(0)
+		if s.col >= 0 {
+			cell := &s.t.Rows[s.lo+i][s.col]
+			if cell.Null {
+				continue // SQL aggregates ignore NULLs
+			}
+			if s.pd != nil {
+				s.pd.id(id, s.pd.code(*cell))
+				continue
+			}
+			v = cell.Int
+		}
+		s.part = append(s.part, tuple.Tuple{Key: tuple.Key(id), Val: v})
+	}
+}
+
+// fanOut runs f on every shard at once, shard 0 on the caller's goroutine.
+// The first shard in row order to fail decides: its panic is re-raised
+// here, its error is left to the caller.
+func fanOut(shards []shard, f func(*shard)) {
+	var wg sync.WaitGroup
+	wg.Add(len(shards) - 1)
+	for i := 1; i < len(shards); i++ {
+		go func(s *shard) {
+			defer func() { s.panic = recover(); wg.Done() }()
+			f(s)
+		}(&shards[i])
+	}
+	func() { defer wg.Wait(); f(&shards[0]) }() // a panic in shard 0 leaves no shard running
+	for i := 0; i < len(shards) && shards[i].err == nil; i++ {
+		if p := shards[i].panic; p != nil {
+			panic(p)
+		}
 	}
 }
 
@@ -390,13 +470,13 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 
 	// Result schema: group-by columns, then aggregates.
 	out := &Result{}
-	var gcols []int
+	gcols := make([]int, 0, len(q.GroupBy))
+	out.Schema.Cols = make([]Column, 0, len(q.GroupBy)+len(q.Aggs))
 	for _, g := range q.GroupBy {
 		i := t.Schema.Index(g)
 		gcols = append(gcols, i)
 		out.Schema.Cols = append(out.Schema.Cols, t.Schema.Cols[i])
 	}
-	gk := newGroupKey(gcols)
 	for _, a := range q.Aggs {
 		out.Schema.Cols = append(out.Schema.Cols, Column{Name: a.outName(), Type: Int64})
 	}
@@ -409,7 +489,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	// aggregates, plus a row-count pass whenever COUNT(*) is requested or
 	// no plain column pass exists (pure duplicate elimination). slot
 	// resolves each aggregate to its pass once, not per group.
-	var passes []pass
+	passes := make([]pass, 0, len(q.Aggs)+1)
 	passFor := func(col int, distinct bool) int {
 		for i, p := range passes {
 			if p.col == col && p.distinct == distinct {
@@ -431,83 +511,78 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		passFor(-1, false)
 	}
 
-	// The row pass: WHERE, then the dense group key. It is sequential, so
-	// Where is never called concurrently. sel holds the surviving rows'
-	// indices and stays nil without a WHERE (every row survives). Every id
-	// was minted by a surviving row and ids are dense, so 0..G-1 IS the
-	// union of groups across passes (a group whose aggregated column is
-	// entirely NULL still exists).
-	keys, G, ncols := make([]tuple.Key, 0, len(t.Rows)), 0, len(t.Schema.Cols)
-	var sel []uint32
-	if q.Where != nil {
-		sel = make([]uint32, 0, len(t.Rows))
+	// The row pass, a shard per engine worker. Shard 0's dictionary becomes
+	// the query's and absorbs the others' in row order: ids, cells and
+	// result are those of one sequential pass. Ids are dense and minted by
+	// surviving rows, so 0..G-1 IS the union of groups across passes.
+	shards, n, nkey := make([]shard, cfg.WorkerCount()), len(t.Rows), len(gcols)
+	ids, dicts := make([]uint32, n), newKeyDicts(len(shards)*nkey)
+	for i := range shards {
+		lo, hi := i*n/len(shards), (i+1)*n/len(shards)
+		shards[i] = shard{t: t, where: q.Where, lo: lo, ids: ids[lo:hi], gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey]}}
 	}
-	for i, r := range t.Rows {
-		if len(r) != ncols {
-			return nil, rowArityError(i, len(r), ncols)
-		}
-		if q.Where != nil {
-			if !q.Where(r) {
-				continue
+	fanOut(shards, (*shard).rowPass)
+	gk, selected := &shards[0].gk, 0
+	for i := range shards {
+		if s := &shards[i]; s.err != nil {
+			return nil, s.err
+		} else if selected += s.n; i > 0 {
+			for l := range gk.level { // each level's prefixes through the last's ids
+				s.remap = gk.level[l].absorb(&s.gk.level[l], s.remap)
 			}
-			sel = append(sel, uint32(i))
 		}
-		id := gk.encode(r)
-		G = max(G, int(id)+1)
-		keys = append(keys, tuple.Key(id))
+		shards[i].part = make([]tuple.Tuple, 0, shards[i].n)
+	}
+	G := min(selected, 1)
+	if nkey > 0 { // the last level's ids: its pairs, or a first level's codes
+		G = max(len(gk.level[nkey-1].pairs), len(gk.level[nkey-1].vals))
 	}
 
-	// The engine only reads its input and is done with it on return, so
-	// one projection buffer serves every pass. A DISTINCT pass keys its
-	// tuples by (group, value) pair — parallel duplicate elimination, the
-	// paper's other use case — and folds one representative per surviving
-	// pair back into the group's count and sum.
-	buf := make([]tuple.Tuple, 0, len(keys))
+	// Each shard projects every pass into a buffer of its own, an engine
+	// worker's partition. A DISTINCT pass keys tuples by (group, value)
+	// pair — parallel duplicate elimination, the paper's other use case: a
+	// shard ships its distinct pairs, absorbed into the query's dictionary,
+	// and each surviving pair folds into its group's count and sum.
+	parts := make([][]tuple.Tuple, len(shards))
 	for pi := range passes {
 		p := &passes[pi]
-		var pd *keyDict
+		var pds []keyDict // one per shard, then the query's
 		if p.distinct {
-			pd = newKeyDict()
+			pds = newKeyDicts(len(shards) + 1)
 		}
-		buf = buf[:0]
-		for i, k := range keys {
-			v := int64(0)
-			if p.col >= 0 {
-				ri := i
-				if sel != nil {
-					ri = int(sel[i])
-				}
-				cell := &t.Rows[ri][p.col]
-				if cell.Null {
-					continue // SQL aggregates ignore NULLs
-				}
-				v = cell.Int
-				if pd != nil {
-					k = tuple.Key(pd.id(uint32(k), pd.code(*cell)))
+		for i := range shards {
+			if shards[i].col, shards[i].pd = p.col, nil; pds != nil {
+				shards[i].pd = &pds[i]
+			}
+		}
+		fanOut(shards, (*shard).project)
+		for i := range shards {
+			s := &shards[i]
+			if s.pd != nil {
+				for j, id := range pds[len(shards)].absorb(s.pd, nil) {
+					s.part = append(s.part, tuple.Tuple{Key: tuple.Key(id), Val: s.pd.vals[uint32(s.pd.pairs[j])].Int})
 				}
 			}
-			buf = append(buf, tuple.Tuple{Key: k, Val: v})
+			parts[i] = s.part
 		}
-		res, err := live.Aggregate(cfg, buf, alg)
+		res, err := live.AggregatePartitioned(cfg, parts, alg)
 		if err != nil {
 			return nil, err
 		}
 		p.st = make([]tuple.AggState, G)
 		for k, s := range res.Groups {
-			if pd == nil {
+			if pds == nil {
 				p.st[k] = s
 				continue
 			}
-			pair := pd.pairs[k]
-			st := &p.st[pair>>32]
+			st := &p.st[pds[len(shards)].pairs[k]>>32]
 			st.Count++
-			st.Sum += pd.vals[uint32(pair)].Int
+			st.Sum += s.Min // the pair's value: every tuple of it carries it
 		}
 	}
 
 	// Assemble one row per group, in group-by order, then HAVING, ORDER BY
 	// and LIMIT. Distinct groups never compare equal, so the order is total.
-	nkey := len(gk.level)
 	out.Rows = make([]Row, G)
 	for g := range out.Rows {
 		row := make(Row, nkey+len(q.Aggs))
@@ -542,14 +617,10 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	if r := cfg.Obs; r != nil {
 		r.Counter("sql_queries_total", "queries executed").Inc()
 		r.Counter("sql_rows_in_total", "table rows read (before WHERE)").Add(int64(len(t.Rows)))
-		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(len(keys)))
+		r.Counter("sql_rows_selected_total", "rows surviving the WHERE clause").Add(int64(selected))
 		r.Counter("sql_groups_out_total", "result rows produced (after HAVING and LIMIT)").Add(int64(len(out.Rows)))
 	}
 	return out, nil
-}
-
-func rowArityError(row, cells, cols int) error {
-	return fmt.Errorf("query: row %d has %d cells, schema has %d columns", row, cells, cols)
 }
 
 // evalAgg turns a group's state in the aggregate's pass into its cell.

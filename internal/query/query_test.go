@@ -213,6 +213,10 @@ func tagged(cells Row) string {
 	return b.String()
 }
 
+func newGroupKey(cols []int) groupKey {
+	return groupKey{cols: cols, level: newKeyDicts(len(cols))}
+}
+
 func TestInjectiveKeyEncoding(t *testing.T) {
 	// Pairs that naive separator-based or radix encodings confuse.
 	g := newGroupKey([]int{0, 1})
@@ -387,12 +391,8 @@ func refLess(a, b Row) bool {
 }
 
 // Property: the query layer agrees with a direct map-based evaluation on
-// 50 seeded random tables — string, int and NULL group-by cells in up to
-// three columns (more distinct values than the dictionaries' linear front
-// holds), WHERE, every aggregate including COUNT/SUM DISTINCT, HAVING,
-// ORDER BY + LIMIT — for every live algorithm, with scan tables of four
-// entries so every pass overflows and switches.
-func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
+// randomQuery is the randomized differential's table and query for seed.
+func randomQuery(seed int64) (*Table, Query) {
 	schema := Schema{Cols: []Column{
 		{Name: "s", Type: String}, {Name: "i", Type: Int64}, {Name: "j", Type: Int64},
 		{Name: "v", Type: Int64}, {Name: "w", Type: Int64},
@@ -404,43 +404,54 @@ func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
 		{Func: Count, Col: "v", Distinct: true}, {Func: Sum, Col: "v", Distinct: true},
 		{Func: Sum, Col: "w"},
 	}
+	rng := rand.New(rand.NewSource(seed))
+	cell := func(v Value) Value { // one cell in eight is NULL
+		if rng.Intn(8) == 0 {
+			return NullValue
+		}
+		return v
+	}
+	tab := &Table{Schema: schema}
+	for n := rng.Intn(600); n > 0; n-- {
+		if err := tab.Append(Row{
+			cell(StrVal(fmt.Sprint("s", rng.Intn(2*frontLen)))),
+			cell(IntVal(int64(rng.Intn(2*frontLen) - 3))),
+			cell(IntVal(int64(rng.Intn(3)))),
+			cell(IntVal(int64(rng.Intn(12) - 4))),
+			cell(IntVal(int64(rng.Intn(100)))),
+		}); err != nil {
+			panic(err)
+		}
+	}
+	q := Query{Aggs: aggs}
+	for _, c := range rng.Perm(3)[:rng.Intn(4)] {
+		q.GroupBy = append(q.GroupBy, schema.Cols[c].Name)
+	}
+	if floor := int64(rng.Intn(60)); rng.Intn(3) > 0 {
+		q.Where = func(r Row) bool { return !r[4].Null && r[4].Int >= floor }
+	}
+	nkey := len(q.GroupBy)
+	if rng.Intn(2) == 0 {
+		q.Having = func(r Row) bool { return r[nkey].Int >= 2 } // n >= 2
+	}
+	if rng.Intn(3) > 0 {
+		q.OrderBy, q.Desc, q.Limit = []string{"sv", "n", "s"}[rng.Intn(3)], rng.Intn(2) == 0, rng.Intn(20)
+		if q.OrderBy == "s" && !slices.Contains(q.GroupBy, "s") {
+			q.OrderBy = "sv"
+		}
+	}
+	return tab, q
+}
+
+// 50 seeded random tables — string, int and NULL group-by cells in up to
+// three columns (more distinct values than the dictionaries' linear front
+// holds), WHERE, every aggregate including COUNT/SUM DISTINCT, HAVING,
+// ORDER BY + LIMIT — for every live algorithm, with scan tables of four
+// entries so every pass overflows and switches.
+func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cell := func(v Value) Value { // one cell in eight is NULL
-			if rng.Intn(8) == 0 {
-				return NullValue
-			}
-			return v
-		}
-		tab := &Table{Schema: schema}
-		for n := rng.Intn(600); n > 0; n-- {
-			if err := tab.Append(Row{
-				cell(StrVal(fmt.Sprint("s", rng.Intn(2*frontLen)))),
-				cell(IntVal(int64(rng.Intn(2*frontLen) - 3))),
-				cell(IntVal(int64(rng.Intn(3)))),
-				cell(IntVal(int64(rng.Intn(12) - 4))),
-				cell(IntVal(int64(rng.Intn(100)))),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		q := Query{Aggs: aggs}
-		for _, c := range rng.Perm(3)[:rng.Intn(4)] {
-			q.GroupBy = append(q.GroupBy, schema.Cols[c].Name)
-		}
-		if floor := int64(rng.Intn(60)); rng.Intn(3) > 0 {
-			q.Where = func(r Row) bool { return !r[4].Null && r[4].Int >= floor }
-		}
-		nkey := len(q.GroupBy)
-		if rng.Intn(2) == 0 {
-			q.Having = func(r Row) bool { return r[nkey].Int >= 2 } // n >= 2
-		}
-		if rng.Intn(3) > 0 {
-			q.OrderBy, q.Desc, q.Limit = []string{"sv", "n", "s"}[rng.Intn(3)], rng.Intn(2) == 0, rng.Intn(20)
-			if q.OrderBy == "s" && !slices.Contains(q.GroupBy, "s") {
-				q.OrderBy = "sv"
-			}
-		}
+		tab, q := randomQuery(seed)
+		schema, nkey := tab.Schema, len(q.GroupBy)
 
 		// The oracle: one accumulator per tagged group key.
 		type acc struct {
@@ -732,25 +743,28 @@ func TestDistinctOutputName(t *testing.T) {
 
 // The query layer used to allocate about five times per input row (a
 // formatted key string, its builder, an encodedRow, …). Now its own
-// allocations are per query and per group, and the rest is the engine's
-// fixed cost per run (≈115 per worker, three runs here): a 4× larger
-// table must cost almost the same number of allocations, and the spine's
-// query shape stays in the hundreds, not the hundred-thousands.
+// allocations are per query, per shard and per group, and the rest is the
+// engine's fixed cost per run (≈115 per worker, three runs here): a 4×
+// larger table must cost almost the same number of allocations, and the
+// spine's query shape stays in the hundreds, not the hundred-thousands,
+// on one shard and on two.
 func TestExecuteAllocationCeiling(t *testing.T) {
-	allocs := func(rows int) float64 {
-		tab := lineitemTable(rows, 7)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Execute(tab, lineitemQuery, live.Config{Workers: 1}, live.AdaptiveTwoPhase); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, w := range []int{1, 2} {
+		allocs := func(rows int) float64 {
+			tab := lineitemTable(rows, 7)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Execute(tab, lineitemQuery, live.Config{Workers: w}, live.AdaptiveTwoPhase); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(1<<14), allocs(1<<16)
+		if large-small >= 64 {
+			t.Errorf("%d workers, 2^14 rows: %.0f allocations, 2^16 rows: %.0f — the query layer allocates per row again", w, small, large)
+		}
+		if large >= 400 {
+			t.Errorf("%d workers: %.0f allocations per query on 2^16 rows, ceiling 400", w, large)
+		}
+		t.Logf("%d workers: allocations per query: %.0f on 2^14 rows, %.0f on 2^16 rows", w, small, large)
 	}
-	small, large := allocs(1<<14), allocs(1<<16)
-	if large-small >= 64 {
-		t.Errorf("2^14 rows: %.0f allocations, 2^16 rows: %.0f — the query layer allocates per row again", small, large)
-	}
-	if large >= 400 {
-		t.Errorf("%.0f allocations per query on 2^16 rows, ceiling 400", large)
-	}
-	t.Logf("allocations per query: %.0f on 2^14 rows, %.0f on 2^16 rows", small, large)
 }

@@ -4,7 +4,9 @@
 // below the aggregation, HAVING applied after it, and ORDER BY/LIMIT for
 // top-k results — executed on the live parallel engine. Group-by cells
 // reach the engine as dense integer keys built from per-column code
-// dictionaries, with no per-row string or allocation (DESIGN.md §15).
+// dictionaries, with no per-row string or allocation, by one shard of the
+// rows per engine worker (DESIGN.md §15). Query.Where is therefore called
+// from up to Workers goroutines at once: keep it a pure predicate.
 //
 //	res, err := sqlagg.Execute(table, sqlagg.Query{
 //	    GroupBy: []string{"returnflag", "linestatus"},
