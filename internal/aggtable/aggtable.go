@@ -22,12 +22,38 @@
 //     budget M: a new group past it is refused, an existing one still
 //     updates, and the caller decides what a refusal means.
 //
+// Table memory is recycled. A table's slot arrays live in one slab (control
+// bytes, keys, states), taken from a process-wide sync.Pool per power-of-two
+// slot count and returned there by a rehash (the old slab), Drain (the
+// emptied one) and Release (the current one), so an engine that builds a
+// table of the same size every run pays for the memory once per process.
+// A released table is not a table any more: every method panics on it,
+// Len and Each included, so it cannot pass for an empty one.
+//
+// Stale-slot invariant: a recycled slab's control bytes are reset to empty
+// when a table takes it, but its keys and states keep a previous table's
+// data. Every read of a key or state is gated by a live control byte:
+// findH compares a key only on an h2 match, and Each, Partials and rehash
+// visit live slots only. A new group's slot is written (key and state)
+// before anything reads it.
+//
+// Sizing. A bounded table is cheapest allocated at its bound (NewSized with
+// the bound as the hint): the paper's local phase folds into at most M
+// groups, and a table of slotsFor(M) slots keeps a few groups sparse, where
+// the linear probe's first slot nearly always decides. A table that grows
+// to just past its groups sits near half load instead, and on 1,024 groups
+// the probe was most of the fold. Merge tables, which have no bound, still
+// grow, or are Reserved to the projection the scans send: at 10^5 groups a
+// fold runs at the same ns/row at 76 % and 38 % load, since fresh memory,
+// not the probe, is what it waits on.
+//
 // Determinism contract: Partials and Drain return entries in
 // ascending key order regardless of insertion order or probe history, so
 // everything downstream of a drain (simulator events, results) is
 // byte-identical across same-seed runs. Slot order is exposed only by Each.
-// It is a function of the insertion sequence: two tables fed the same
-// operations in the same order walk identically. So Each serves consumers
+// It is a function of the insertion sequence and the slot count, not of
+// what a recycled slab held: two tables fed the same operations in the
+// same order walk identically. So Each serves consumers
 // that keep no order of their own, and wire frames filled by one goroutine
 // in a deterministic order (dist's scan-side flushes), which stay
 // byte-identical across same-seed runs without a sort.
@@ -35,7 +61,10 @@ package aggtable
 
 import (
 	"cmp"
+	"encoding/binary"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"parallelagg/internal/tuple"
 )
@@ -56,12 +85,20 @@ const (
 	// 13/16 ≈ 81%, past which linear probe chains start to hurt.
 	maxLoadNum = 13
 	maxLoadDen = 16
+
+	// wordEmpty is eight empty control bytes: the walks over the control
+	// array (Each, rehash, clearCtrl) read it eight slots per load.
+	// Live bytes have the high bit clear, so ^word & wordEmpty has bit 8j+7
+	// set for every live slot j of the word. Slot arrays are at least
+	// minSlots long, a multiple of eight.
+	wordEmpty = 0x8080808080808080
 )
 
 // Table is a capacity-bounded open-addressing aggregation hash table. It
 // is not safe for concurrent use; each table belongs to one worker or
 // simulated node. The zero value is not usable; build tables with New.
 type Table struct {
+	slab   *slab // the pooled storage ctrl, keys and states live in; nil once released
 	ctrl   []uint8
 	keys   []tuple.Key
 	states []tuple.AggState
@@ -97,38 +134,124 @@ func slotsFor(n int) int {
 	return slots
 }
 
-func (t *Table) init(slots int) {
-	t.ctrl = make([]uint8, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
-	for i := range t.ctrl {
-		t.ctrl[i] = ctrlEmpty
+// slab is one slot array's storage. A table keeps a *slab so returning it
+// to its pool boxes nothing new.
+type slab struct {
+	ctrl   []uint8
+	keys   []tuple.Key
+	states []tuple.AggState
+}
+
+// slabPools holds free slabs, indexed by log2 of their slot count. A pool
+// has no New: an empty one hands out nil, and getSlab makes the slab.
+var slabPools [64]sync.Pool
+
+// getSlab returns a slab of slots slots (a power of two) whose control
+// bytes, keys and states may hold anything.
+func getSlab(slots int) *slab {
+	if s, ok := slabPools[bits.TrailingZeros(uint(slots))].Get().(*slab); ok {
+		return s
 	}
-	t.keys = make([]tuple.Key, slots)        //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
-	t.states = make([]tuple.AggState, slots) //aggvet:allow noalloc -- slot-array (re)construction; amortized growth, absent from the steady-state fold the alloc pins measure
+	//aggvet:allow noalloc -- a fresh slab, made only while the pool has none of this size: growth that recycling amortizes, absent from the steady-state fold the alloc pins measure
+	return &slab{
+		ctrl:   make([]uint8, slots),
+		keys:   make([]tuple.Key, slots),
+		states: make([]tuple.AggState, slots),
+	}
+}
+
+// putSlab returns s (nil: nothing) to its pool. Its holder must not touch
+// it again.
+func putSlab(s *slab) {
+	if s != nil {
+		slabPools[bits.TrailingZeros(uint(len(s.ctrl)))].Put(s)
+	}
+}
+
+// init points the table at an empty slab of slots slots and returns the
+// slab it held (nil for a new table), which the caller puts back once done
+// with it.
+func (t *Table) init(slots int) (old *slab) {
+	old, t.slab = t.slab, getSlab(slots)
+	t.ctrl, t.keys, t.states = t.slab.ctrl, t.slab.keys, t.slab.states
+	clearCtrl(t.ctrl)
 	t.mask = uint64(slots - 1)
 	t.used = 0
 	t.growAt = slots * maxLoadNum / maxLoadDen
+	return old
+}
+
+// liveBits marks the live slots of the eight at ctrl[base:]: bit 8j+7 is
+// set iff slot base+j is live. base is a multiple of eight.
+func liveBits(ctrl []uint8, base int) uint64 {
+	return ^binary.LittleEndian.Uint64(ctrl[base:]) & wordEmpty
+}
+
+// clearCtrl marks every slot empty, writing only the words that hold a
+// live slot.
+func clearCtrl(ctrl []uint8) {
+	for base := 0; base < len(ctrl); base += 8 {
+		if liveBits(ctrl, base) != 0 {
+			binary.LittleEndian.PutUint64(ctrl[base:], wordEmpty)
+		}
+	}
+}
+
+// alive panics on a released table, whose slab may be another table's by
+// now.
+func (t *Table) alive() {
+	if t.slab == nil {
+		panic("aggtable: use of a released Table")
+	}
+}
+
+// releasedCtrl is a released table's control array: one word of live
+// slots over no keys, so Each, which has no room for alive and still
+// inline, panics on its first index instead of walking nothing.
+var releasedCtrl [8]uint8
+
+// Release returns the table's memory to the pool the next table of its
+// size takes it from. The table is unusable afterwards: every method
+// panics. Release only a table nothing else refers to.
+func (t *Table) Release() {
+	t.alive()
+	putSlab(t.slab)
+	*t = Table{ctrl: releasedCtrl[:]}
 }
 
 // Len returns the number of group entries.
 //
 //aggvet:noalloc
-func (t *Table) Len() int { return t.used }
+func (t *Table) Len() int {
+	t.alive()
+	return t.used
+}
 
 // Cap returns the logical capacity bound (0 = unbounded).
-func (t *Table) Cap() int { return t.bound }
+func (t *Table) Cap() int {
+	t.alive()
+	return t.bound
+}
 
 // Slots returns the current physical slot-array size.
-func (t *Table) Slots() int { return len(t.ctrl) }
+func (t *Table) Slots() int {
+	t.alive()
+	return len(t.ctrl)
+}
 
 // Full reports whether the table is at its capacity bound. An unbounded
 // table is never full.
-func (t *Table) Full() bool { return t.bound > 0 && t.used >= t.bound }
+func (t *Table) Full() bool {
+	t.alive()
+	return t.bound > 0 && t.used >= t.bound
+}
 
 // OccupancyPermille is the observability hook: the fill level of the
 // logical budget in 1/1000ths (used/bound), or of the physical slot array
 // when the table is unbounded. The obs layer publishes this as the
 // hash-occupancy gauge.
 func (t *Table) OccupancyPermille() int {
+	t.alive()
 	if t.bound > 0 {
 		return 1000 * t.used / t.bound
 	}
@@ -196,22 +319,22 @@ func (t *Table) insertAtH(i int, k tuple.Key, h uint64) int {
 func (t *Table) grow() { t.rehash(len(t.ctrl) << 1) }
 
 // rehash rebuilds the table over a slot array of the given size (a power
-// of two that holds t.used entries below the load limit) and reinserts
-// every live entry.
+// of two that holds t.used entries below the load limit), reinserts every
+// live entry, and returns the old slab to its pool.
 func (t *Table) rehash(slots int) {
-	oldCtrl, oldKeys, oldStates := t.ctrl, t.keys, t.states
-	t.init(slots)
-	for i, c := range oldCtrl {
-		if c == ctrlEmpty {
-			continue
+	old := t.init(slots)
+	for base := 0; base < len(old.ctrl); base += 8 {
+		for m := liveBits(old.ctrl, base); m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)>>3
+			k := old.keys[i]
+			j, _ := t.find(k)
+			t.ctrl[j] = old.ctrl[i]
+			t.keys[j] = k
+			t.states[j] = old.states[i]
+			t.used++
 		}
-		k := oldKeys[i]
-		j, _ := t.find(k)
-		t.ctrl[j] = c
-		t.keys[j] = k
-		t.states[j] = oldStates[i]
-		t.used++
 	}
+	putSlab(old)
 }
 
 // Reserve makes room for n more entries with at most one rehash, so the
@@ -221,6 +344,7 @@ func (t *Table) rehash(slots int) {
 // into the front of each too-small slot array as one long probe chain —
 // quadratic until the last doubling (DESIGN.md §10 "Growth").
 func (t *Table) Reserve(n int) {
+	t.alive()
 	if slots := slotsFor(t.used + n); slots > len(t.ctrl) {
 		t.rehash(slots)
 	}
@@ -228,12 +352,14 @@ func (t *Table) Reserve(n int) {
 
 // Contains reports whether a group entry exists for k.
 func (t *Table) Contains(k tuple.Key) bool {
+	t.alive()
 	_, ok := t.find(k)
 	return ok
 }
 
 // Get returns the state of group k.
 func (t *Table) Get(k tuple.Key) (tuple.AggState, bool) {
+	t.alive()
 	i, ok := t.find(k)
 	if !ok {
 		return tuple.AggState{}, false
@@ -248,6 +374,7 @@ func (t *Table) Get(k tuple.Key) (tuple.AggState, bool) {
 //
 //aggvet:noalloc
 func (t *Table) UpdateRaw(tp tuple.Tuple) bool {
+	t.alive()
 	h := tp.Key.Hash()
 	i, ok := t.findH(tp.Key, h)
 	if ok {
@@ -266,6 +393,7 @@ func (t *Table) UpdateRaw(tp tuple.Tuple) bool {
 //
 //aggvet:noalloc
 func (t *Table) MergePartial(p tuple.Partial) bool {
+	t.alive()
 	h := p.Key.Hash()
 	i, ok := t.findH(p.Key, h)
 	if ok {
@@ -282,13 +410,8 @@ func (t *Table) MergePartial(p tuple.Partial) bool {
 // Partials returns the table contents as partial tuples in ascending key
 // order (deterministic), without modifying the table.
 func (t *Table) Partials() []tuple.Partial {
-	out := make([]tuple.Partial, 0, t.used)
-	for i, c := range t.ctrl {
-		if c == ctrlEmpty {
-			continue
-		}
-		out = append(out, tuple.Partial{Key: t.keys[i], State: t.states[i]})
-	}
+	out := make([]tuple.Partial, 0, t.Len())
+	t.Each(func(k tuple.Key, s tuple.AggState) { out = append(out, tuple.Partial{Key: k, State: s}) })
 	sortPartials(out)
 	return out
 }
@@ -306,9 +429,14 @@ func sortPartials(ps []tuple.Partial) {
 // map). A wire frame may carry slot order only when one goroutine fills
 // the table in a deterministic order; a simulator event or a printed
 // result goes through Partials or Drain. fn must not modify the table.
+// It skips eight empty slots per load, so a sparse table walks fast, and
+// it inlines, so fn is called directly: a pour of a dense merge table into
+// a map spends its time in the map. On a released table it panics indexing
+// the table's keys (see Release).
 func (t *Table) Each(fn func(tuple.Key, tuple.AggState)) {
-	for i, c := range t.ctrl {
-		if c != ctrlEmpty {
+	for base := 0; base < len(t.ctrl); base += 8 {
+		for m := liveBits(t.ctrl, base); m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)>>3
 			fn(t.keys[i], t.states[i])
 		}
 	}
@@ -316,18 +444,17 @@ func (t *Table) Each(fn func(tuple.Key, tuple.AggState)) {
 
 // Drain returns the table contents like Partials and empties the table,
 // shrinking the slot array back to its initial size so a drained table is
-// as cheap to hold as a fresh one.
+// as cheap to hold as a fresh one; the slab it held goes back to its pool.
 func (t *Table) Drain() []tuple.Partial {
 	out := t.Partials()
-	t.init(minSlots)
+	putSlab(t.init(minSlots))
 	return out
 }
 
 // Reset empties the table in place, keeping the current slot array so the
 // next fill of similar size allocates nothing.
 func (t *Table) Reset() {
-	for i := range t.ctrl {
-		t.ctrl[i] = ctrlEmpty
-	}
+	t.alive()
+	clearCtrl(t.ctrl)
 	t.used = 0
 }

@@ -33,6 +33,7 @@ import "parallelagg/internal/tuple"
 //
 //aggvet:noalloc
 func (t *Table) UpdateRows(ts []tuple.Tuple, refused []int) []int {
+	t.alive()
 	for i := range ts {
 		k, v := ts[i].Key, ts[i].Val
 		h := k.Hash()
@@ -54,6 +55,7 @@ func (t *Table) UpdateRows(ts []tuple.Tuple, refused []int) []int {
 //
 //aggvet:noalloc
 func (t *Table) UpdateBatch(b *tuple.Batch, refused []int) []int {
+	t.alive()
 	for i, k := range b.Keys {
 		h := k.Hash()
 		j, ok := t.findH(k, h)
@@ -75,6 +77,7 @@ func (t *Table) UpdateBatch(b *tuple.Batch, refused []int) []int {
 //
 //aggvet:noalloc
 func (t *Table) MergeBatch(pb *tuple.PartialBatch, refused []int) []int {
+	t.alive()
 	for i, k := range pb.Keys {
 		h := k.Hash()
 		j, ok := t.findH(k, h)

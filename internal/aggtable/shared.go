@@ -297,14 +297,9 @@ func (s *Shared) collect(drain bool) []tuple.Partial {
 		st := &s.stripes[i].stripe
 		st.mu.Lock()
 		n := st.t.used
-		for j, c := range st.t.ctrl {
-			if c == ctrlEmpty {
-				continue
-			}
-			out = append(out, tuple.Partial{Key: st.t.keys[j], State: st.t.states[j]})
-		}
+		st.t.Each(func(k tuple.Key, v tuple.AggState) { out = append(out, tuple.Partial{Key: k, State: v}) })
 		if drain {
-			st.t.init(minSlots)
+			putSlab(st.t.init(minSlots))
 			s.used.Add(int64(-n))
 		}
 		st.mu.Unlock()

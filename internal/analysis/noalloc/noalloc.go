@@ -30,10 +30,11 @@
 // themselves allocation-free by construction or by their own
 // //aggvet:noalloc annotation in their home package: tuple's value
 // math and fixed-width codecs, encoding/binary's endian put/get,
-// math/bits, sync/atomic, and bare mutex operations. Everything else
-// escapes with //aggvet:allow noalloc and a rationale — growth
-// reallocation that amortizes to zero (aggtable.init, dist.frameBuf)
-// and cold error paths are the two sanctioned exception classes.
+// math/bits, sync/atomic, bare mutex operations, and sync.Pool's Get
+// and Put. Everything else escapes with //aggvet:allow noalloc and a
+// rationale — growth reallocation that amortizes to zero (aggtable's
+// fresh slabs, dist.frameBuf) and cold error paths are the two
+// sanctioned exception classes.
 package noalloc
 
 import (
@@ -76,7 +77,11 @@ var KnownAllocFree = map[string][]string{
 	"encoding/binary": {"PutUint16", "PutUint32", "PutUint64", "Uint16", "Uint32", "Uint64"},
 	"math/bits":       {"*"},
 	"sync/atomic":     {"*"},
-	"sync":            {"Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock"},
+	// Pool.Put of a pointer boxes nothing (checkArgBoxing still reports a
+	// value), and Pool.Get returns what a Put left, or nil from a pool
+	// with no New — a New func that allocates is the one case this entry
+	// misses, so the pools it covers (aggtable's slabs) have none.
+	"sync": {"Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock", "Get", "Put"},
 }
 
 // allowedBuiltins are the builtins that never allocate. append, make

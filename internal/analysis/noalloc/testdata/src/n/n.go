@@ -1,7 +1,8 @@
 // Package n exercises noalloc: an //aggvet:noalloc function and its
 // same-goroutine call closure must be free of allocating constructs.
 // Whitelisted cross-package callees (tuple codecs, binary endian ops,
-// math/bits, sync/atomic, bare mutex ops) and the self-append idiom
+// math/bits, sync/atomic, bare mutex ops, sync.Pool's Get and Put of a
+// pointer) and the self-append idiom
 // pass; everything else is reported, havoc included.
 package n
 
@@ -70,6 +71,17 @@ func pointerArg(p *point) {
 }
 
 func sink(vs ...any) {}
+
+// A sync.Pool with no New recycles pointers: Get hands back what a Put
+// left (or nil), and a pointer fits the interface word Put takes.
+var slabs sync.Pool
+
+//aggvet:noalloc
+func recycle(p *point) *point {
+	q, _ := slabs.Get().(*point)
+	slabs.Put(p)
+	return q
+}
 
 // spawned is only ever launched on its own goroutine: its body is
 // outside the same-goroutine closure, so this make is NOT reported —
@@ -176,6 +188,11 @@ func boxArg(n int) {
 //aggvet:noalloc
 func boxReturn(n int) any {
 	return n // want `interface conversion of int boxes on the heap`
+}
+
+//aggvet:noalloc
+func poolValue(pt point) {
+	slabs.Put(pt) // want `interface conversion of n.point boxes on the heap`
 }
 
 //aggvet:noalloc

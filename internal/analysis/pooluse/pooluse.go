@@ -27,8 +27,8 @@
 // are havoc only in the sense that passing an already-Put object to
 // any call is reported as a use.
 //
-// Scoped to internal/live and internal/dist — the layers that recycle
-// rawBatch/partBatch buffers through pools.
+// Scoped to internal/live, internal/dist and internal/aggtable — the
+// layers that recycle buffers through pools (aggtable's table slabs).
 package pooluse
 
 import (
@@ -45,7 +45,7 @@ import (
 
 // Packages scopes the analyzer to the pooling layers. "live" matches
 // both live/ and internal/live.
-var Packages = []string{"internal/live", "internal/dist", "live"}
+var Packages = []string{"internal/live", "internal/dist", "internal/aggtable", "live"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "pooluse",

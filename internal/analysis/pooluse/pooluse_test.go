@@ -10,6 +10,7 @@ import (
 func TestPooluse(t *testing.T) {
 	analysistest.Run(t, "testdata", pooluse.Analyzer,
 		"parallelagg/internal/live",
+		"parallelagg/internal/aggtable",
 		"parallelagg/other",
 	)
 }

@@ -92,7 +92,12 @@ type Config struct {
 	Algorithm Algorithm
 
 	// TableEntries bounds the local hash table (0 = unbounded; the
-	// adaptive switch then never fires).
+	// adaptive switch then never fires). It is an allocation as well as
+	// a cap: a node that folds allocates its scan table at the bound —
+	// the least power of two of slots that holds TableEntries below 13/16
+	// load, 49 B a slot (1.6 MB at 16,384) — from a process-wide pool the
+	// table goes back to when the scan ends, so later runs in the process
+	// reuse it.
 	TableEntries int
 
 	// Batch is the most records a data frame carries: raw tuples ship
@@ -772,6 +777,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 				dupFound, dupKey, dupNode = true, k, i
 			}
 		})
+		r.table.Release() // poured, and the node results die here: the next run's tables take its slab
 	}
 	if dupFound {
 		return nil, fmt.Errorf("dist: group %d produced by two nodes (second: %d)", dupKey, dupNode)

@@ -7,6 +7,13 @@
 // side folds it in any order to the sequential fold: AggState folds are
 // commutative and associative.
 //
+// The table is allocated at its bound, at the scan's first fold: a bounded
+// table of slotsFor(Bound) slots never rehashes, and its few groups in a
+// workload like live_few sit sparse, where the probe is cheapest (the
+// aggtable package doc). Its memory comes from aggtable's slab pool and
+// goes back there when Finish releases the table, so later runs reuse it.
+// Bound 0 is an unbounded table, which starts small and grows.
+//
 // A folding chunk is one aggtable.Table.UpdateRows call; only the tuples
 // it refuses (new groups at a full table) come back one by one. TwoPhase
 // then evicts the full table to the owners as partials and folds on into
@@ -132,9 +139,10 @@ func (k *Scan) Run(part []tuple.Tuple) error {
 	return k.Finish()
 }
 
-// Begin readies a fresh Scan's state for its run.
+// Begin readies a fresh Scan's state for its run. The table comes with
+// the first chunk the scan folds, so a scan that only routes never takes
+// one.
 func (k *Scan) Begin() {
-	k.table = aggtable.New(k.Bound)
 	k.raw = make([][]tuple.Tuple, k.Dests)
 	k.part = make([][]tuple.Partial, k.Dests)
 	k.left = make([]int, k.Dests)
@@ -163,12 +171,18 @@ func (k *Scan) Scan(part []tuple.Tuple) error {
 	return nil
 }
 
-// Finish flushes the table and ships every buffer that holds records.
+// Finish flushes the table, releases it, and ships every buffer that
+// holds records.
 func (k *Scan) Finish() error {
 	if k.Refresh != nil {
 		k.Owner = k.Refresh(k.scanned)
 	}
-	if err := k.flush(last); err != nil {
+	err := k.flush(last)
+	if k.table != nil {
+		k.table.Release()
+		k.table = nil
+	}
+	if err != nil {
 		return err
 	}
 	for d := range k.Dests {
@@ -202,6 +216,9 @@ func (k *Scan) chunk(seg []tuple.Tuple) error {
 		case k.routing:
 			return k.routeAll(seg)
 		default:
+			if k.table == nil {
+				k.table = aggtable.NewSized(k.Bound, k.Bound)
+			}
 			n := k.fold(seg)
 			for _, ix := range k.refused {
 				if err := k.refuse(seg[ix]); err != nil {
@@ -359,6 +376,9 @@ const (
 // it. Every flush but an eviction ships the table's last partials, so a
 // buffer it starts holds at most the groups it has left for the owner.
 func (k *Scan) flush(why flushKind) error {
+	if k.table == nil { // the scan never folded
+		return nil
+	}
 	k.Occ = max(k.Occ, k.table.OccupancyPermille())
 	if k.table.Len() == 0 {
 		return nil

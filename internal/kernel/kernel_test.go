@@ -360,3 +360,83 @@ func TestLastFlushSizesBuffersToItsGroups(t *testing.T) {
 		}
 	}
 }
+
+// slotWatch is a recorder that, at every reservation and partial buffer a
+// flush ships, notes the slot count of the table being flushed.
+type slotWatch struct {
+	recorder
+	k     *Scan
+	slots map[int]int // slot count → times seen
+}
+
+func (w *slotWatch) note() { w.slots[w.k.table.Slots()]++ }
+
+func (w *slotWatch) Reserve(d, groups int) error { w.note(); return w.recorder.Reserve(d, groups) }
+
+func (w *slotWatch) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) > 0 && w.k.table != nil {
+		w.note()
+	}
+	return w.recorder.Partials(d, b)
+}
+
+// A bounded scan allocates its table at the bound, at its first fold, and
+// never rehashes it: from that fold through every eviction or switch to
+// the last flush, the table has slotsFor(Bound) slots. A scan that only
+// routes (Repartitioning, AdaptiveRepartitioning before its fallback)
+// never takes a table, and Finish gives the table back.
+func TestBoundedScanNeverRehashes(t *testing.T) {
+	const dests, batch = 3, 256
+	cases := []struct {
+		alg           Algorithm
+		bound, groups int
+		slots         int // slotsFor(bound); 0: no table is ever made
+		fallback      bool
+	}{
+		{AdaptiveTwoPhase, 16384, 1024, 32768, false}, // live_few's shape: never full
+		{AdaptiveTwoPhase, 100, 5000, 128, false},     // switches
+		{TwoPhase, 4096, 20000, 8192, false},          // evicts, refills the same slots
+		{TwoPhase, 52, 60, 64, false},                 // at minSlots' load limit exactly
+		{AdaptiveRepartitioning, 4096, 50, 8192, true},
+		{AdaptiveRepartitioning, 4096, 20000, 0, false}, // keeps routing
+		{Repartitioning, 4096, 50, 0, false},
+	}
+	for _, c := range cases {
+		part := scanInput(40_000, c.groups)
+		w := &slotWatch{recorder: recorder{t: t, batch: batch, dest: func(k tuple.Key) int { return k.Dest(dests) }}, slots: map[int]int{}}
+		k := &Scan{Alg: c.alg, Bound: c.bound, Batch: batch, InitSeg: 1024, SwitchRatio: 0.1, Dests: dests, Rows: len(part),
+			Fallback: new(atomic.Bool), Ex: w}
+		w.k = k
+		name := fmt.Sprintf("alg %d bound %d groups %d", c.alg, c.bound, c.groups)
+		k.Begin()
+		if k.table != nil {
+			t.Fatalf("%s: Begin made a table", name)
+		}
+		for lo := 0; lo < len(part); lo += 1000 {
+			if err := k.Scan(part[lo : lo+1000]); err != nil {
+				t.Fatal(err)
+			}
+			if k.table != nil {
+				w.note()
+			}
+		}
+		if err := k.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if k.table != nil {
+			t.Errorf("%s: Finish kept its table", name)
+		}
+		if k.FellBack != c.fallback {
+			t.Errorf("%s: FellBack %v, want %v", name, k.FellBack, c.fallback)
+		}
+		if c.slots == 0 {
+			if len(w.slots) != 0 || k.Occ != 0 {
+				t.Errorf("%s: a routing scan had a table (slot counts %v, Occ %d)", name, w.slots, k.Occ)
+			}
+			continue
+		}
+		if len(w.slots) != 1 || w.slots[c.slots] == 0 {
+			t.Errorf("%s: slot counts seen %v, want only %d", name, w.slots, c.slots)
+		}
+	}
+}

@@ -22,7 +22,10 @@
 // internal/aggtable open-addressing tables, and exchange buffers are
 // recycled — the merge side returns each buffer to the run's pool after
 // folding it, and sizes its table once from the reservation targets the
-// scan sides send ahead of their flushes.
+// scan sides send ahead of their flushes. Table memory outlives the run:
+// the kernel releases each scan table when its scan finishes, and
+// AggregatePartitioned releases the merge tables (and Shared's overflow
+// tables) once poured into the result, so the next run's tables reuse them.
 package live
 
 import (
@@ -105,6 +108,12 @@ type Config struct {
 	// triggering the overflow behaviour of the chosen algorithm (an eviction
 	// for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
 	// group its worker owns, sized from what the scan tables report. 0 means unbounded.
+	// It is an allocation as well as a cap: a worker that folds allocates its
+	// scan table at the bound, at its first fold — the least power of two of
+	// slots that holds TableEntries below 13/16 load, 49 B a slot (1.6 MB at
+	// 16,384). Tables take their memory from a process-wide pool and give it
+	// back when the run ends, so later runs reuse it rather than allocate it
+	// again.
 	// The shared algorithms pool it: a front takes at most a quarter of a share, the
 	// rest bounds the table.
 	TableEntries int
@@ -346,7 +355,11 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		shared.Each(pour)
 		for _, wk := range workers {
 			wk.sharedOv.Each(pour)
+			wk.sharedOv.Release()
 		}
+	}
+	for _, tab := range owned { // poured: their slabs go to the next run's tables
+		tab.Release()
 	}
 	res := &Result{Groups: merged, PerWorker: metrics}
 	for i, sw := range switched {

@@ -142,6 +142,7 @@ func (wk *worker) leaveShared() {
 	if wk.front != nil {
 		pb := tuple.NewPartialBatch(wk.front.Len())
 		wk.front.Each(func(k tuple.Key, s tuple.AggState) { pb.Append(tuple.Partial{Key: k, State: s}) })
+		wk.front.Release()
 		wk.front = nil
 		wk.bounced = wk.shared.MergeBatch(&wk.sc, pb, wk.bounced[:0])
 		for _, ix := range wk.bounced {
