@@ -50,6 +50,11 @@ var algByName = map[string]dist.Algorithm{
 // the port behind -metrics-addr 127.0.0.1:0.
 var metricsReady func(addr string)
 
+// listen binds the node's own address. Tests hook it to hand run the
+// listener that reserved the node's port, so the port is never released
+// between its reservation and the node's start.
+var listen = net.Listen
+
 // Exit codes. 0 is success and 2 a usage error, per convention; local
 // (non-protocol) failures keep the generic 1. Protocol failures get a
 // distinct code per phase so orchestrators and chaos harnesses can
@@ -233,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ln, err := net.Listen("tcp", list[*id])
+	ln, err := listen("tcp", list[*id])
 	if err != nil {
 		reportError(stderr, *jsonErrors, *id, err)
 		return exitLocal

@@ -11,17 +11,22 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"parallelagg/internal/dist"
 )
 
-// freeAddrs reserves n distinct loopback ports by listening and
-// immediately closing. The tiny race window (another process grabbing
-// the port) is acceptable for a test.
-func freeAddrs(t *testing.T, n int) []string {
+// reserveAddrs binds n loopback listeners and hooks run's listen so
+// each node takes the listener that reserved its address. No reserved
+// port is released before its node binds it: a released port can be
+// taken by another test process's node, which a node of this test would
+// then dial and fold frames with.
+func reserveAddrs(t *testing.T, n int) []string {
 	t.Helper()
+	var mu sync.Mutex
+	reserved := make(map[string]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -29,9 +34,45 @@ func freeAddrs(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
-		ln.Close()
+		reserved[addrs[i]] = ln
 	}
+	listen = func(network, addr string) (net.Listener, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		ln, ok := reserved[addr]
+		if !ok {
+			return nil, fmt.Errorf("address %s was not reserved, or was taken twice", addr)
+		}
+		delete(reserved, addr)
+		return ln, nil
+	}
+	t.Cleanup(func() {
+		listen = net.Listen
+		for _, ln := range reserved {
+			ln.Close()
+		}
+	})
 	return addrs
+}
+
+// refusingAddr reserves a loopback port with a socket that is bound but
+// never listens, for as long as the test runs: a dial to it is refused,
+// and no other process can take the port meanwhile.
+func refusingAddr(t *testing.T) string {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
 }
 
 // scrape fetches /metrics and parses the Prometheus text exposition
@@ -88,7 +129,7 @@ func scrape(t *testing.T, addr string) map[string]int64 {
 // phase-switch counter, with every counter monotonically non-decreasing
 // across scrapes.
 func TestThreeNodeScrape(t *testing.T) {
-	addrs := freeAddrs(t, 3)
+	addrs := reserveAddrs(t, 3)
 	addrList := strings.Join(addrs, ",")
 
 	ready := make(chan string, 1)
@@ -229,7 +270,7 @@ func TestExitCodeMapping(t *testing.T) {
 // forms and checks both the dial exit code and the one-line JSON error
 // record on stderr.
 func TestJSONErrorsOnDialFailure(t *testing.T) {
-	addrs := freeAddrs(t, 2) // peer 1 never starts
+	addrs := append(reserveAddrs(t, 1), refusingAddr(t)) // peer 1 never starts
 	var stderr bytes.Buffer
 	code := run([]string{
 		"-id", "0",
@@ -266,7 +307,7 @@ func TestTolerantCLISurvivesCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node TCP test")
 	}
-	addrs := freeAddrs(t, 3)
+	addrs := reserveAddrs(t, 3)
 	common := []string{
 		"-addrs", strings.Join(addrs, ","),
 		"-alg", "2p",

@@ -17,7 +17,9 @@
 // of an overlapping chain is a double-Put. Facts die on strong
 // updates: reassigning the variable (or a prefix of the tracked path)
 // rebinds it to a fresh object, and a range loop rebinding its
-// iteration variables kills facts rooted at them each iteration.
+// iteration variables kills facts rooted at them each iteration. A range
+// loop's range expression is a use, checked at every entry to the loop
+// header.
 //
 // Known limitations, all in the conservative-for-this-rule direction
 // of missing rare hazards rather than flagging correct code: aliases
@@ -126,8 +128,11 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 // are present, keeping the transfer monotone for the fixpoint solve.
 func (c *checker) step(n ast.Node, facts cfg.Facts[fact], report bool) {
 	if rng, ok := n.(*ast.RangeStmt); ok {
-		// Loop-header marker: the iteration variables are rebound each
-		// trip, so facts rooted at them do not survive the back edge.
+		// Loop-header marker. The range expression is a use like any
+		// other: evaluated at entry, its elements read on every trip.
+		c.step(rng.X, facts, report)
+		// The iteration variables are rebound each trip, so facts rooted
+		// at them do not survive the back edge.
 		for _, e := range []ast.Expr{rng.Key, rng.Value} {
 			if id, ok := e.(*ast.Ident); ok {
 				if obj := c.info.ObjectOf(id); obj != nil {

@@ -34,7 +34,9 @@ func (t *table) rehashLate(fresh *slab) {
 	old := t.slab
 	putSlab(old)
 	t.slab, t.ctrl = fresh, fresh.ctrl
-	copy(t.ctrl, old.ctrl) // want `old.ctrl is used after being returned to its sync.Pool`
+	for i, c := range old.ctrl { // want `old.ctrl is used after being returned to its sync.Pool`
+		t.ctrl[i] = c
+	}
 }
 
 // A release that keeps reading the table's slab through its own field.

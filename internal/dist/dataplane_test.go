@@ -260,60 +260,81 @@ func series(snap, name string) (float64, bool) {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// A fail-fast node's own slice of the repartitioned stream is merged in
-// memory. The node-level counters still count it (RawSent is the whole
-// partition under Rep, as it was when the slice looped through a socket);
-// the wire metrics count exactly what went to other nodes.
+// A node's own slice of the repartitioned stream is merged in memory, in
+// either mode. The node-level counters still count it (RawSent is the
+// whole partition under Rep, as it was when the slice looped through a
+// socket); the wire metrics count exactly what went to other nodes: one
+// hello, the raw frames, one EOS and, in tolerant mode, the control frames
+// of the liveness protocol (heartbeats, done, finish, and a complaint
+// when a peer's teardown races its finish).
 func TestSelfSlotAccounting(t *testing.T) {
 	const nodes, batch = 3, 128
 	rel := workload.Uniform(nodes, 9_000, 600, 21)
-	reg := obs.New()
-	results := runNodes(t, rel.PerNode, Config{Algorithm: Repartitioning, Batch: batch, Obs: reg})
-	snap := string(reg.Snapshot())
+	for _, tolerate := range []bool{false, true} {
+		template := Config{Algorithm: Repartitioning}
+		if tolerate {
+			template = tolerantTemplate(Repartitioning)
+			template.PartitionSource = func(node int) []tuple.Tuple { return rel.PerNode[node] }
+		}
+		template.Batch, template.Obs = batch, obs.New()
+		results := runNodes(t, rel.PerNode, template)
+		snap := string(template.Obs.Snapshot())
 
-	got := make(map[tuple.Key]tuple.AggState)
-	var wantBytes, gotBytes float64
-	for i, r := range results {
-		if r.RawSent != int64(len(rel.PerNode[i])) || r.PartialsSent != 0 {
-			t.Errorf("node %d: RawSent %d PartialsSent %d, want %d and 0", i, r.RawSent, r.PartialsSent, len(rel.PerNode[i]))
-		}
-		for k, s := range r.Groups {
-			got[k] = s
-		}
-		to := make([]int, nodes)
-		for _, tp := range rel.PerNode[i] {
-			to[tp.Key.Dest(nodes)]++
-		}
-		for d := 0; d < nodes; d++ {
-			labels := fmt.Sprintf(`{node="%d",peer="%d"`, i, d)
-			if d == i {
-				for _, family := range []string{"dist_bytes_sent_total", "dist_bytes_recv_total"} {
-					if _, ok := series(snap, family+labels+"}"); ok {
-						t.Errorf("%s%s} exists: the self slot reached the wire metrics", family, labels)
+		got := make(map[tuple.Key]tuple.AggState)
+		var wantBytes, gotBytes float64
+		for i, r := range results {
+			if r.RawSent != int64(len(rel.PerNode[i])) || r.PartialsSent != 0 {
+				t.Errorf("tolerate=%v node %d: RawSent %d PartialsSent %d, want %d and 0", tolerate, i, r.RawSent, r.PartialsSent, len(rel.PerNode[i]))
+			}
+			for k, s := range r.Groups {
+				got[k] = s
+			}
+			to := make([]int, nodes)
+			for _, tp := range rel.PerNode[i] {
+				to[tp.Key.Dest(nodes)]++
+			}
+			for d := 0; d < nodes; d++ {
+				labels := fmt.Sprintf(`{node="%d",peer="%d"`, i, d)
+				frames := func(kind string) int {
+					f, _ := series(snap, "dist_frames_sent_total"+labels+`,kind="`+kind+`"}`)
+					return int(f)
+				}
+				if d == i {
+					for _, family := range []string{"dist_bytes_sent_total", "dist_bytes_recv_total"} {
+						if _, ok := series(snap, family+labels+"}"); ok {
+							t.Errorf("tolerate=%v: %s%s} exists: the self slot reached the wire metrics", tolerate, family, labels)
+						}
 					}
+					for _, kind := range []string{"hello", "raw", "eos", "heartbeat", "done"} {
+						if n := frames(kind); n != 0 {
+							t.Errorf("tolerate=%v: node %d counted %d %s frames sent to itself", tolerate, i, n, kind)
+						}
+					}
+					continue
 				}
-				if _, ok := series(snap, "dist_frames_sent_total"+labels+`,kind="raw"}`); ok {
-					t.Errorf("node %d counted frames sent to itself", i)
+				sent, ok := series(snap, "dist_bytes_sent_total"+labels+"}")
+				if !ok {
+					t.Fatalf("tolerate=%v: no dist_bytes_sent_total%s} series", tolerate, labels)
 				}
-				continue
+				if f := frames("raw"); f != ceilDiv(to[d], batch) {
+					t.Errorf("tolerate=%v: node %d -> %d: %v raw frames for %d records, want %d", tolerate, i, d, f, to[d], ceilDiv(to[d], batch))
+				}
+				if frames("hello") != 1 || frames("eos") != 1 {
+					t.Errorf("tolerate=%v: node %d -> %d: %d hellos and %d EOS, want one each", tolerate, i, d, frames("hello"), frames("eos"))
+				}
+				headers := 0
+				for _, kind := range []string{"raw", "eos", "eop", "heartbeat", "suspect", "assign", "evict", "done", "finish"} {
+					headers += frames(kind)
+				}
+				wantBytes += float64(4 + headerSize*headers + to[d]*tuple.RawSize)
+				gotBytes += sent
 			}
-			sent, ok := series(snap, "dist_bytes_sent_total"+labels+"}")
-			if !ok {
-				t.Fatalf("no dist_bytes_sent_total%s} series", labels)
-			}
-			frames := ceilDiv(to[d], batch)
-			if f, _ := series(snap, "dist_frames_sent_total"+labels+`,kind="raw"}`); int(f) != frames {
-				t.Errorf("node %d -> %d: %v raw frames for %d records, want %d", i, d, f, to[d], frames)
-			}
-			// hello + one header per raw frame + records + EOS.
-			wantBytes += float64(4 + headerSize*frames + to[d]*tuple.RawSize + headerSize)
-			gotBytes += sent
 		}
+		if gotBytes != wantBytes {
+			t.Errorf("tolerate=%v: wire bytes %v, want %v (records to other nodes x RawSize + headers)", tolerate, gotBytes, wantBytes)
+		}
+		verify(t, rel, got)
 	}
-	if gotBytes != wantBytes {
-		t.Errorf("wire bytes %v, want %v (records to other nodes x RawSize + headers)", gotBytes, wantBytes)
-	}
-	verify(t, rel, got)
 }
 
 // countingListener counts the connections a node accepted.
@@ -330,28 +351,82 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// A one-node cluster is all self slot: nothing is dialed, nothing is
-// accepted, and every algorithm still answers.
+// A one-node cluster is all self slot, in either mode: nothing is dialed,
+// nothing is accepted, and every algorithm still answers.
 func TestSingleNodeOpensNoConnection(t *testing.T) {
 	rel := workload.Uniform(1, 5_000, 300, 22)
-	for _, alg := range algorithms() {
-		var accepted atomic.Int32
-		res, err := RunConfigured(rel.PerNode, Config{
-			Algorithm:    alg,
-			TableEntries: 100,
-			Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
-				t.Errorf("%v: dialed %s", alg, addr)
+	for _, tolerate := range []bool{false, true} {
+		for _, alg := range algorithms() {
+			var accepted atomic.Int32
+			template := Config{Algorithm: alg}
+			if tolerate {
+				template = tolerantTemplate(alg)
+			}
+			template.TableEntries = 100
+			template.Dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				t.Errorf("tolerate=%v %v: dialed %s", tolerate, alg, addr)
 				return net.DialTimeout(network, addr, timeout)
-			},
-			WrapListener: func(ln net.Listener) net.Listener { return countingListener{ln, &accepted} },
-		})
+			}
+			template.WrapListener = func(ln net.Listener) net.Listener { return countingListener{ln, &accepted} }
+			res, err := RunConfigured(rel.PerNode, template)
+			if err != nil {
+				t.Fatalf("tolerate=%v %v: %v", tolerate, alg, err)
+			}
+			if n := accepted.Load(); n != 0 {
+				t.Errorf("tolerate=%v %v: accepted %d connections", tolerate, alg, n)
+			}
+			verify(t, rel, res.Groups)
+		}
+	}
+}
+
+// A tolerant node connects to its n−1 peers only: in a 4-node cluster
+// every node dials three addresses, none of them its own, and accepts
+// three connections.
+func TestTolerantMeshHasNoSelfConnection(t *testing.T) {
+	const nodes = 4
+	rel := workload.Uniform(nodes, 8_000, 500, 24)
+	ln := make([]net.Listener, nodes)
+	addrs := make([]string, nodes)
+	for i := range ln {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatal(err)
 		}
-		if n := accepted.Load(); n != 0 {
-			t.Errorf("%v: accepted %d connections", alg, n)
+		ln[i], addrs[i] = l, l.Addr().String()
+	}
+	var mu sync.Mutex
+	dialed := make([]map[string]bool, nodes)
+	accepted := make([]atomic.Int32, nodes)
+	var wg sync.WaitGroup
+	for i := range ln {
+		dialed[i] = make(map[string]bool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := tolerantTemplate(TwoPhase)
+			cfg.ID, cfg.Addrs = i, addrs
+			cfg.PartitionSource = func(node int) []tuple.Tuple { return rel.PerNode[node] }
+			cfg.Dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				mu.Lock()
+				dialed[i][addr] = true
+				mu.Unlock()
+				return net.DialTimeout(network, addr, timeout)
+			}
+			cfg.WrapListener = func(ln net.Listener) net.Listener { return countingListener{ln, &accepted[i]} }
+			if _, err := RunNode(ln[i], cfg, rel.PerNode[i]); err != nil {
+				t.Errorf("node %d: %v", i, err)
+			}
+		}()
+	}
+	watched(t, "4-node tolerant mesh", wg.Wait)
+	for i := range ln {
+		if len(dialed[i]) != nodes-1 || dialed[i][addrs[i]] {
+			t.Errorf("node %d dialed %v, want the %d other nodes", i, dialed[i], nodes-1)
 		}
-		verify(t, rel, res.Groups)
+		if n := accepted[i].Load(); n != nodes-1 {
+			t.Errorf("node %d accepted %d connections, want %d", i, n, nodes-1)
+		}
 	}
 }
 
@@ -440,8 +515,8 @@ func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // With Batch 64 no partial frame may carry more than 64 records, in
 // either mode: the frame count per (node, peer) is exactly what splitting
-// that pair's partials into 64s gives. Tolerant mode sends its own share
-// over its self-connection, so there the pair (i, i) counts too.
+// that pair's partials into 64s gives. A node's own share goes through its
+// self slot in both modes, so the pair (i, i) has no series.
 func TestPartialFramesBoundedByBatch(t *testing.T) {
 	const nodes, batch = 2, 64
 	rel := workload.Uniform(nodes, 6_000, 1_000, 23)
@@ -468,10 +543,13 @@ func TestPartialFramesBoundedByBatch(t *testing.T) {
 				to[d][tp.Key] = true
 			}
 			for d := range to {
-				if d == i && !tolerate {
+				name := fmt.Sprintf(`dist_frames_sent_total{node="%d",peer="%d",kind="partial"}`, i, d)
+				if d == i {
+					if _, ok := series(snap, name); ok {
+						t.Errorf("tolerate=%v: %s exists: the self slot reached the wire metrics", tolerate, name)
+					}
 					continue
 				}
-				name := fmt.Sprintf(`dist_frames_sent_total{node="%d",peer="%d",kind="partial"}`, i, d)
 				if got, _ := series(snap, name); int(got) != ceilDiv(len(to[d]), batch) {
 					t.Errorf("tolerate=%v: %s = %v for %d partials, want %d", tolerate, name, got, len(to[d]), ceilDiv(len(to[d]), batch))
 				}

@@ -5,8 +5,8 @@
 // listener, dials every other node, exchanges length-delimited binary
 // frames (the same record encodings the simulator's pages use), aggregates
 // its partition into a bounded aggtable.Table, and merges the groups that
-// hash to it into an unbounded one. A fail-fast node's own share of the
-// exchange goes to its merge loop in memory; only other nodes' shares
+// hash to it into an unbounded one. In either mode a node's own share of
+// the exchange goes to its merge side in memory; only other nodes' shares
 // cross a socket.
 //
 // Both modes speak one protocol (wire.go): every frame has the same
@@ -233,9 +233,14 @@ type NodeResult struct {
 	DeadPeers []int
 }
 
-// connTracker collects every live connection so cancellation can close
-// them all, unblocking any goroutine parked in a read or write.
-type connTracker struct {
+// canceller is a node's cooperative cancellation, in either mode: the
+// first cancel closes done, the listener and every connection registered
+// with add. Closing the connections bounds how long any goroutine can stay
+// parked in a read or write; done covers the channel operations.
+type canceller struct {
+	ln   net.Listener
+	done chan struct{}
+
 	mu sync.Mutex
 	//aggvet:guard mu
 	closed bool
@@ -243,8 +248,12 @@ type connTracker struct {
 	conns []net.Conn
 }
 
+func newCanceller(ln net.Listener) *canceller {
+	return &canceller{ln: ln, done: make(chan struct{})}
+}
+
 // add registers c, or closes it immediately if cancellation already ran.
-func (t *connTracker) add(c net.Conn) bool {
+func (t *canceller) add(c net.Conn) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -255,10 +264,15 @@ func (t *connTracker) add(c net.Conn) bool {
 	return true
 }
 
-func (t *connTracker) closeAll() {
+func (t *canceller) cancel() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
 	t.closed = true
+	close(t.done)
+	t.ln.Close()
 	for _, c := range t.conns {
 		c.Close()
 	}
@@ -321,123 +335,53 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	}
 	m := newMetrics(cfg.Obs, cfg.ID)
 
-	// Cooperative cancellation: the first error (from any side) closes
-	// done, the listener, and every tracked connection. Closing the
-	// connections bounds how long any goroutine can stay parked in a read
-	// or write; done covers the channel operations.
-	tracker := &connTracker{}
-	done := make(chan struct{})
-	var cancelOnce sync.Once
-	cancel := func() {
-		cancelOnce.Do(func() {
-			close(done)
-			ln.Close()
-			tracker.closeAll()
-		})
-	}
+	// The first error, from any side, cancels the node.
+	c := newCanceller(ln)
+	done, cancel := c.done, c.cancel
 	defer cancel()
-	defer ln.Close()
 
 	// Accept side: n-1 incoming connections (every node dials every other
 	// node; our own slice of the exchange reaches the merge loop through
 	// the self slot, not a socket). Frames are funnelled into one channel;
 	// the merge loop is the only consumer. Errors travel on the same
 	// channel so the merge loop is also the single decision point for
-	// aborting. Every send selects on done so accepters can never strand
-	// on a full frames channel after the merge loop has exited.
+	// aborting. Every send selects on done so readers can never strand on
+	// a full frames channel after the merge loop has exited.
 	frames := make(chan incoming, 4*n)
 	// One slice per frame that can be queued, decoding or folding at once:
 	// past that the pool only holds memory.
 	pool := make(rawPool, cap(frames)+n+1)
 	var accepters sync.WaitGroup
-	send := func(in incoming) bool {
+	send := func(in incoming) error {
 		select {
 		case frames <- in:
-			return true
+			return nil
 		case <-done:
-			return false
+			return net.ErrClosed
 		}
 	}
-	var connected atomic.Int32
-	formed := make(chan struct{})
 	accepters.Add(1)
 	go func() {
 		defer accepters.Done()
-		acceptDeadline := time.Now().Add(cfg.DialTimeout)
-		for i := 0; i < n-1; i++ {
-			conn, err := ln.Accept()
+		// Formation watchdog: a peer that never dials us would otherwise
+		// park ln.Accept forever with nothing to trip a deadline. If the
+		// full mesh has not formed within DialTimeout, the listener closes
+		// and the cluster is broken.
+		formation := time.AfterFunc(cfg.DialTimeout, func() { ln.Close() })
+		accepted, err := acceptLoop(c, n-1, time.Now().Add(cfg.DialTimeout), &accepters, func(conn net.Conn) {
+			// A connection's stream ends at its EOS: nothing follows it.
+			src, phase, err := readConn(conn, cfg, false, pool, m, func(_ int, f frame) bool {
+				return f.kind == frameHello || send(incoming{f: f}) == nil && f.kind != frameEOS
+			})
 			if err != nil {
-				if isTemporary(err) && time.Now().Before(acceptDeadline) {
-					select {
-					case <-time.After(time.Millisecond):
-						i--
-						continue
-					case <-done:
-						return
-					}
-				}
-				send(incoming{err: nodeErr(cfg.ID, -1, PhaseAccept, err)})
-				return
+				send(incoming{err: nodeErr(cfg.ID, src, phase, err)})
 			}
-			if ok := tracker.add(conn); !ok {
-				return
-			}
-			connected.Add(1)
-			accepters.Add(1)
-			go func(conn net.Conn) {
-				defer accepters.Done()
-				defer conn.Close()
-				r := bufio.NewReaderSize(conn, 1<<16)
-				arm := func() {
-					if cfg.IOTimeout > 0 {
-						conn.SetReadDeadline(time.Now().Add(cfg.IOTimeout))
-					}
-				}
-				arm()
-				src, err := readHello(r, n, false)
-				if err != nil {
-					m.ioError(PhaseHello, err)
-					send(incoming{err: nodeErr(cfg.ID, -1, PhaseHello, err)})
-					return
-				}
-				m.recv(src, frameHello, 0)
-				for {
-					arm()
-					f, err := readFrame(r, pool)
-					if err != nil {
-						m.ioError(PhaseRead, err)
-						send(incoming{err: nodeErr(cfg.ID, src, PhaseRead, err)})
-						return
-					}
-					m.recv(src, f.kind, len(f.raw)+len(f.partials))
-					if !send(incoming{f: f}) {
-						return
-					}
-					if f.kind == frameEOS {
-						return
-					}
-				}
-			}(conn)
+		})
+		if !formation.Stop() && err != nil {
+			err = fmt.Errorf("cluster formation timed out after %v (%d/%d peers connected)", cfg.DialTimeout, accepted, n-1)
 		}
-		close(formed)
-	}()
-
-	// Formation watchdog: a peer that never dials us would otherwise park
-	// ln.Accept forever with nothing to trip a deadline. If the full mesh
-	// has not formed within DialTimeout, declare the cluster broken.
-	accepters.Add(1)
-	go func() {
-		defer accepters.Done()
-		timer := time.NewTimer(cfg.DialTimeout)
-		defer timer.Stop()
-		select {
-		case <-formed:
-		case <-done:
-		case <-timer.C:
-			ln.Close() // unblock the accept loop
-			send(incoming{err: nodeErr(cfg.ID, -1, PhaseAccept,
-				fmt.Errorf("cluster formation timed out after %v (%d/%d peers connected)",
-					cfg.DialTimeout, connected.Load(), n-1))})
+		if err != nil {
+			send(incoming{err: nodeErr(cfg.ID, -1, PhaseAccept, err)})
 		}
 	}()
 
@@ -445,7 +389,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// backoff + jitter while the cluster comes up, all bounded by
 	// DialTimeout.
 	dialSpan := cfg.Tracer.Begin(cfg.ID, "dial")
-	peers, err := dialPeers(cfg, tracker, m)
+	peers, err := dialPeers(cfg, c, m)
 	dialSpan.End(fmt.Sprintf("%d peers", n-1))
 	if err != nil {
 		// Nobody is reading frames yet, but cancel closes done, so every
@@ -454,7 +398,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		accepters.Wait()
 		return nil, err
 	}
-	peers[cfg.ID] = &peer{id: cfg.ID, self: &selfSlot{frames: frames, done: done}}
+	peers[cfg.ID] = &peer{id: cfg.ID, self: send}
 
 	// Merge side runs concurrently with the scan so the exchange never
 	// backs up into a TCP deadlock. The fallback flag carries Adaptive
@@ -578,6 +522,73 @@ func checkRouting(id int, merged *aggtable.Table, owner func(tuple.Key) int) err
 		fmt.Errorf("received group %d owned by node %d", badKey, owner(badKey)))
 }
 
+// acceptLoop is the one accept loop of both modes. It accepts until limit
+// connections have arrived (a negative limit: until the listener closes),
+// registers each with c so cancellation closes it, and serves it on a
+// goroutine of its own in wg. A transient accept failure is retried
+// after a millisecond until retryUntil (zero: for as long as the node
+// runs). It returns how many connections arrived and the error that ended
+// it, nil when it reached limit or the node was cancelled.
+func acceptLoop(c *canceller, limit int, retryUntil time.Time, wg *sync.WaitGroup, serve func(net.Conn)) (int, error) {
+	accepted := 0
+	for accepted != limit {
+		conn, err := c.ln.Accept()
+		if err != nil {
+			if isTemporary(err) && (retryUntil.IsZero() || time.Now().Before(retryUntil)) {
+				select {
+				case <-time.After(time.Millisecond):
+					continue
+				case <-c.done:
+					return accepted, nil
+				}
+			}
+			return accepted, err
+		}
+		if ok := c.add(conn); !ok {
+			return accepted, nil
+		}
+		accepted++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serve(conn)
+		}()
+	}
+	return accepted, nil
+}
+
+// readConn is the one inbound reader of both modes. It reads conn's hello,
+// which must be of this node's mode and name a node of the cluster, then
+// frames, arming the read deadline before every read, and hands sink each
+// of them (the hello as a frameHello pseudo frame) until sink returns
+// false. A failed read ends it with the peer's id (-1 before the hello),
+// the phase and the error; a stop by sink returns a nil error.
+func readConn(conn net.Conn, cfg Config, tolerant bool, pool rawPool, m *metrics, sink func(src int, f frame) bool) (int, Phase, error) {
+	defer conn.Close()
+	r := bufio.NewReaderSize(conn, 1<<16)
+	arm := func() {
+		if cfg.IOTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(cfg.IOTimeout))
+		}
+	}
+	arm()
+	src, err := readHello(r, len(cfg.Addrs), tolerant)
+	if err != nil {
+		m.ioError(PhaseHello, err)
+		return -1, PhaseHello, err
+	}
+	m.recv(src, frameHello, 0)
+	for f := (frame{kind: frameHello}); sink(src, f); {
+		arm()
+		if f, err = readFrame(r, pool); err != nil {
+			m.ioError(PhaseRead, err)
+			return src, PhaseRead, err
+		}
+		m.recv(src, f.kind, len(f.raw)+len(f.partials))
+	}
+	return src, PhaseRead, nil
+}
+
 // jitterRand builds the per-node jitter source for dial backoff. Each
 // node mixes its ID into the seed (golden-ratio multiplier) so a
 // cluster built from one template Config still desynchronizes, while
@@ -588,8 +599,8 @@ func jitterRand(cfg Config) *rand.Rand {
 
 // dialPeer connects to node j, retrying with exponential backoff and
 // jitter (drawn from rng) until deadline, and registers the connection
-// with tracker so cancellation closes it. Both modes dial through it.
-func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, tracker *connTracker, m *metrics) (net.Conn, error) {
+// with c so cancellation closes it. Both modes dial through it.
+func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, c *canceller, m *metrics) (net.Conn, error) {
 	dial := cfg.Dial
 	if dial == nil {
 		dial = net.DialTimeout
@@ -613,7 +624,7 @@ func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, tracker *co
 			}
 			continue
 		}
-		if ok := tracker.add(conn); !ok {
+		if ok := c.add(conn); !ok {
 			return nil, nodeErr(cfg.ID, j, PhaseDial, net.ErrClosed)
 		}
 		return conn, nil
@@ -623,7 +634,7 @@ func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, tracker *co
 // dialPeers connects to every other node, bounded overall by
 // cfg.DialTimeout, and performs the hello handshake. The node's own entry
 // is left for the caller's self slot.
-func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
+func dialPeers(cfg Config, c *canceller, m *metrics) ([]*peer, error) {
 	peers := make([]*peer, len(cfg.Addrs))
 	rng := jitterRand(cfg)
 	deadline := time.Now().Add(cfg.DialTimeout)
@@ -631,7 +642,7 @@ func dialPeers(cfg Config, tracker *connTracker, m *metrics) ([]*peer, error) {
 		if j == cfg.ID {
 			continue
 		}
-		conn, err := dialPeer(cfg, j, deadline, rng, tracker, m)
+		conn, err := dialPeer(cfg, j, deadline, rng, c, m)
 		if err != nil {
 			return nil, err
 		}
@@ -717,6 +728,7 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 	}
 	wg.Wait()
 	out := &ClusterResult{}
+	dead := make(map[int]bool)
 	if template.Tolerate {
 		// Tolerant combine: the supervisor (node 0) is the authority on who
 		// died. Its result must exist; errors from dead-declared nodes are
@@ -726,27 +738,15 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 		if errs[0] != nil {
 			return nil, fmt.Errorf("dist: node 0: %w", errs[0])
 		}
-		dead := make(map[int]bool)
 		for _, d := range results[0].DeadPeers {
 			dead[d] = true
 			out.Dead = append(out.Dead, d)
+			results[d] = nil
 		}
-		for i, err := range errs {
-			if err != nil && !dead[i] {
-				return nil, fmt.Errorf("dist: node %d: %w", i, err)
-			}
-		}
-		results = results[:n]
-		for i := range results {
-			if dead[i] {
-				results[i] = nil
-			}
-		}
-	} else {
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("dist: node %d: %w", i, err)
-			}
+	}
+	for i, err := range errs {
+		if err != nil && !dead[i] {
+			return nil, fmt.Errorf("dist: node %d: %w", i, err)
 		}
 	}
 	// One pour per node into a map sized for all of them. A group two

@@ -504,7 +504,7 @@ func TestMixedModeHelloRejected(t *testing.T) {
 		exited := make(chan struct{})
 		go func() {
 			defer close(exited)
-			nd.readLoop(b)
+			nd.serve(b)
 		}()
 		writeHello(a, hello)
 		if ev := <-nd.events; ev.typ != evReadErr || ev.peer != -1 || ev.err == nil {

@@ -21,9 +21,17 @@ import (
 // run:
 //
 //   - Node 0 is the query supervisor (a documented single point of
-//     failure). Every node heartbeats on every outgoing connection; the
-//     supervisor classifies peers live/suspect/dead from heartbeat
-//     staleness and peer complaints (supervisor.go).
+//     failure). Every node heartbeats on every outgoing connection, and
+//     the supervisor beats itself at each tick; it classifies peers
+//     live/suspect/dead from heartbeat staleness and peer complaints
+//     (supervisor.go).
+//
+//   - A node connects to its n−1 peers only. Its own share of every
+//     stream goes through its self slot (selfSlot): the scan goroutine
+//     hands the frames to the control loop as events. What the control
+//     loop would send itself — the supervisor's assign to node 0, node
+//     0's done — it applies in place, because a post to its own events
+//     channel would never return once the channel is full.
 //
 //   - When a node d is declared dead, ALL of its duties — the input
 //     partitions assigned to it and the merge ranges it owns — move to a
@@ -44,12 +52,13 @@ import (
 // Concurrency discipline: a single control-loop goroutine owns every piece
 // of merge/duty state (slots, stages, owner tables, the supervisor state
 // machine). Readers, the scan/job goroutine, and the heartbeat ticker only
-// communicate with it through the events channel, and the control loop is
-// the only goroutine that enqueues to or closes the jobs channel.
+// communicate with it through the events channel, the control loop never
+// posts to that channel, and it is the only goroutine that enqueues to or
+// closes the jobs channel.
 
 // Event types delivered to the control loop.
 const (
-	evFrame      = iota // a decoded frame from an inbound connection
+	evFrame      = iota // a frame from an inbound connection or the self slot
 	evReadErr           // an inbound connection died
 	evComplaint         // a local I/O failure toward a peer (scan/heartbeat side)
 	evScanDone          // the primary scan finished
@@ -65,7 +74,7 @@ type tevent struct {
 	phase Phase
 	err   error
 	f     frame
-	conn  net.Conn // hello events carry the inbound connection
+	conn  net.Conn // the inbound connection a frame came on (nil: the self slot)
 }
 
 // tjob is one unit of recovery re-execution, run on the scan goroutine
@@ -109,13 +118,14 @@ type stage struct {
 // down; it is never a fresh failure discovery.
 var errPeerDown = errors.New("dist: peer marked down")
 
-// tpeer is one outgoing connection in tolerant mode: a peer behind a lock,
-// shared by the scan, the heartbeat ticker and the control loop, that can
-// be marked down. A down peer's writes return
-// errPeerDown and the data plane drops that destination's slices (the
-// receiver-side slot algebra makes ship-vs-drop equally correct for a dead
-// peer). markDown closes the connection so a write already blocked on it
-// fails promptly.
+// tpeer is one outgoing connection in tolerant mode, or the node's own
+// self slot: a peer behind a lock, shared by the scan, the heartbeat
+// ticker and the control loop, that can be marked down. A down peer's
+// writes return errPeerDown and the data plane drops that destination's
+// slices (the receiver-side slot algebra makes ship-vs-drop equally
+// correct for a dead peer). markDown closes the connection so a write
+// already blocked on it fails promptly. The self entry is up from the
+// start and only the scan goroutine writes to it.
 type tpeer struct {
 	id   int
 	down atomic.Bool
@@ -159,67 +169,55 @@ func (p *tpeer) helloT(src int) error {
 	return nil
 }
 
-func (p *tpeer) control(kind frameKind, origin, epoch int, aux uint32) error {
+// locked runs w on the peer's writer under its lock.
+func (p *tpeer) locked(w func(*peer) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.controlLocked(kind, origin, epoch, aux)
+	return p.write(w)
+}
+
+// write runs w on the held writer, or returns errPeerDown for a down peer;
+// the lock is the caller's (locked takes it, tryControl TryLocks it).
+//
+//aggvet:holds p.mu
+func (p *tpeer) write(w func(*peer) error) error {
+	if p.down.Load() {
+		return errPeerDown
+	}
+	return w(&p.out)
+}
+
+func (p *tpeer) control(kind frameKind, origin, epoch int, aux uint32) error {
+	return p.locked(func(o *peer) error { return o.control(kind, streamID{origin: origin, epoch: epoch}, aux) })
 }
 
 // tryControl is control with TryLock: the heartbeat ticker uses it so a
 // write blocked on one stuck peer cannot delay beacons to the others.
-// Skipped rounds (lock busy) return errPeerDown-like silence: (nil, false).
+// Skipped rounds (peer down or lock busy) return silence: (nil, false).
 func (p *tpeer) tryControl(kind frameKind, origin, epoch int, aux uint32) (error, bool) {
-	if p.down.Load() {
-		return nil, false
-	}
-	if !p.mu.TryLock() {
+	if p.down.Load() || !p.mu.TryLock() {
 		return nil, false
 	}
 	defer p.mu.Unlock()
-	return p.controlLocked(kind, origin, epoch, aux), true
-}
-
-// controlLocked writes one control frame on the held connection; the
-// lock is the caller's (control takes it, tryControl TryLocks it).
-//
-//aggvet:holds p.mu
-func (p *tpeer) controlLocked(kind frameKind, origin, epoch int, aux uint32) error {
-	if p.down.Load() {
-		return errPeerDown
-	}
-	return p.out.control(kind, streamID{origin: origin, epoch: epoch}, aux)
+	return p.write(func(o *peer) error { return o.control(kind, streamID{origin: origin, epoch: epoch}, aux) }), true
 }
 
 func (p *tpeer) writeRaw(s streamID, ts []tuple.Tuple) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.down.Load() {
-		return errPeerDown
-	}
-	return p.out.writeRaw(s, ts)
+	return p.locked(func(o *peer) error { return o.writeRaw(s, ts) })
 }
 
 func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.down.Load() {
-		return errPeerDown
-	}
-	return p.out.writePartials(s, ps)
+	return p.locked(func(o *peer) error { return o.writePartials(s, ps) })
 }
 
 // tnode is one tolerant-mode node. Fields below the "control-loop state"
 // marker are owned exclusively by the control goroutine.
 type tnode struct {
-	cfg     Config
-	id, n   int
-	part    []tuple.Tuple
-	m       *metrics
-	tracker *connTracker
-
-	done       chan struct{}
-	cancelOnce sync.Once
-	ln         net.Listener
+	cfg   Config
+	id, n int
+	part  []tuple.Tuple
+	m     *metrics
+	*canceller
 
 	events chan tevent
 	jobs   chan tjob
@@ -302,9 +300,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		n:            n,
 		part:         part,
 		m:            newMetrics(cfg.Obs, cfg.ID),
-		tracker:      &connTracker{},
-		done:         make(chan struct{}),
-		ln:           ln,
+		canceller:    newCanceller(ln),
 		events:       make(chan tevent, 16*n),
 		jobs:         make(chan tjob, 2*n*n+8),
 		peers:        make([]*tpeer, n),
@@ -324,12 +320,13 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	//aggvet:allow loopown -- construction: no goroutine exists yet; control() assumes ownership when it starts
 	for i := 0; i < n; i++ {
 		p := &tpeer{id: i, out: peer{id: i, timeout: cfg.IOTimeout, m: nd.m}}
-		p.down.Store(true) // up only once dialed
+		p.down.Store(i != cfg.ID) // a peer is up only once dialed
 		nd.peers[i] = p
 		nd.owner[i] = i
 		nd.assignee[i] = i
 		// This node owns its range at epoch 0 from every partition.
 		if i == cfg.ID {
+			p.out.self = nd.toSelf
 			for q := 0; q < n; q++ {
 				nd.slots[slotKey{r: i, p: q}] = &slot{acceptable: map[int]bool{0: true}}
 			}
@@ -337,14 +334,6 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	}
 	nd.publishOwner()
 	return nd
-}
-
-func (nd *tnode) cancel() {
-	nd.cancelOnce.Do(func() {
-		close(nd.done)
-		nd.ln.Close()
-		nd.tracker.closeAll()
-	})
 }
 
 func (nd *tnode) publishOwner() {
@@ -361,6 +350,15 @@ func (nd *tnode) post(ev tevent) bool {
 	case <-nd.done:
 		return false
 	}
+}
+
+// toSelf is a tolerant node's self slot: a frame of its own share, which
+// the scan goroutine posts to the control loop as an evFrame event.
+func (nd *tnode) toSelf(in incoming) error {
+	if !nd.post(tevent{typ: evFrame, peer: nd.id, f: in.f}) {
+		return errPeerDown // cancelled: nothing is left to ship to
+	}
+	return nil
 }
 
 // shipFail handles a data-plane write failure toward peer d: mark it down
@@ -383,7 +381,7 @@ func (nd *tnode) shipFail(d int, err error) {
 
 // runNodeTolerant executes one node of the fault-tolerant protocol. See
 // the file comment for the architecture; the sequencing here matters:
-// the supervisor connection is dialed before anything else starts, the
+// a peer dials the supervisor before anything else starts, the
 // heartbeat and control goroutines run while the remaining (possibly
 // slow or dead) peers are dialed so the node is never silent longer than
 // a beacon interval, and the supervisor's decision ticker only starts
@@ -393,53 +391,41 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	nd := newTnode(ln, cfg, part)
 	defer nd.cancel()
 
-	var readers, ctrl, scan, beat, tick sync.WaitGroup
+	// ctrl is the control loop, and rest every other goroutine the node
+	// starts: the accept loop, its readers, the heartbeat, the ticker and
+	// the scan.
+	var ctrl, rest sync.WaitGroup
+	spawn := func(wg *sync.WaitGroup, f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
 
 	// Accept side: runs until the listener closes. Tolerant formation has
 	// no fixed conn count — a late or restarted peer can still connect —
 	// so there is no formation watchdog; silent peers are the liveness
-	// protocol's business.
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		accepted := 0
-		// Exiting caps the inbound universe: tell control how many
-		// connections ever arrived, so it can recognize the moment none
-		// of them remain and nothing new can come (see onReadErr).
-		defer func() { nd.post(tevent{typ: evAcceptDone, peer: accepted}) }()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				if isTemporary(err) {
-					select {
-					case <-time.After(time.Millisecond):
-						continue
-					case <-nd.done:
-						return
-					}
-				}
-				return
-			}
-			if ok := nd.tracker.add(conn); !ok {
-				return
-			}
-			accepted++
-			readers.Add(1)
-			go func(conn net.Conn) {
-				defer readers.Done()
-				nd.readLoop(conn)
-			}(conn)
-		}
-	}()
+	// protocol's business. Exiting caps the inbound universe: control
+	// learns how many connections ever arrived, so it can recognize the
+	// moment none of them remain and nothing new can come (checkDeaf).
+	spawn(&rest, func() {
+		accepted, _ := acceptLoop(nd.canceller, -1, time.Time{}, &rest, nd.serve)
+		nd.post(tevent{typ: evAcceptDone, peer: accepted})
+	})
 
 	// The supervisor connection is load-bearing: without it this node can
 	// neither report progress nor learn about reassignments.
 	dialSpan := cfg.Tracer.Begin(cfg.ID, "dial")
-	if err := nd.dialOne(0, time.Now().Add(cfg.DialTimeout)); err != nil {
-		dialSpan.End("supervisor unreachable")
-		nd.cancel()
-		readers.Wait()
-		return nil, err
+	up := 0
+	if nd.id != 0 {
+		if err := nd.dialOne(0, time.Now().Add(cfg.DialTimeout)); err != nil {
+			dialSpan.End("supervisor unreachable")
+			nd.cancel()
+			rest.Wait()
+			return nil, err
+		}
+		up++
 	}
 	//aggvet:allow loopown -- handoff before control() spawns: the loop goroutine does not exist yet
 	if nd.id == 0 {
@@ -448,48 +434,27 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 		nd.sup = newSupervisor(cfg, time.Now())
 	}
 
-	ctrl.Add(1)
-	go func() {
-		defer ctrl.Done()
-		nd.control()
-	}()
-	beat.Add(1)
-	go func() {
-		defer beat.Done()
-		nd.heartbeatLoop()
-	}()
+	spawn(&ctrl, nd.control)
+	spawn(&rest, nd.heartbeatLoop)
 
 	// Remaining peers: a dial failure to a non-supervisor peer is
 	// tolerated — mark it down and complain; the supervisor will declare
-	// it dead and reassign. Failing to reach ourselves is fatal (the
-	// self-connection carries our own slices to our own merge).
+	// it dead and reassign.
 	deadline := time.Now().Add(cfg.DialTimeout)
-	var dialErr error
-	up := 1
 	for j := 1; j < nd.n; j++ {
+		if j == nd.id {
+			continue
+		}
 		if err := nd.dialOne(j, deadline); err != nil {
-			if j == nd.id {
-				dialErr = err
-				break
-			}
 			nd.post(tevent{typ: evComplaint, peer: j, phase: PhaseDial})
 			continue
 		}
 		up++
 	}
-	dialSpan.End(fmt.Sprintf("%d/%d peers", up, nd.n))
-	if dialErr != nil {
-		nd.cancel()
-		ctrl.Wait()
-		beat.Wait()
-		readers.Wait()
-		return nil, dialErr
-	}
+	dialSpan.End(fmt.Sprintf("%d/%d peers", up, nd.n-1))
 
 	if nd.id == 0 {
-		tick.Add(1)
-		go func() {
-			defer tick.Done()
+		spawn(&rest, func() {
 			t := time.NewTicker(cfg.HeartbeatEvery)
 			defer t.Stop()
 			for {
@@ -502,12 +467,10 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 					return
 				}
 			}
-		}()
+		})
 	}
 
-	scan.Add(1)
-	go func() {
-		defer scan.Done()
+	spawn(&rest, func() {
 		scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
 		primary := streamID{origin: nd.id}
 		sc := nd.scan(cfg.Algorithm, primary, len(part))
@@ -528,14 +491,11 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 			nd.reexecute(j)
 			nd.post(tevent{typ: evJobDone})
 		}
-	}()
+	})
 
 	ctrl.Wait()
 	nd.cancel()
-	tick.Wait()
-	beat.Wait()
-	scan.Wait()
-	readers.Wait()
+	rest.Wait()
 
 	// control() left its outcome at exit; the scan goroutine's counters are
 	// final now too.
@@ -585,7 +545,7 @@ func (nd *tnode) outcome() (*NodeResult, error) {
 // tolerant hello, and installs the connection. The peer stays down on
 // failure.
 func (nd *tnode) dialOne(j int, deadline time.Time) error {
-	conn, err := dialPeer(nd.cfg, j, deadline, jitterRand(nd.cfg), nd.tracker, nd.m)
+	conn, err := dialPeer(nd.cfg, j, deadline, jitterRand(nd.cfg), nd.canceller, nd.m)
 	if err != nil {
 		return err
 	}
@@ -598,62 +558,44 @@ func (nd *tnode) dialOne(j int, deadline time.Time) error {
 	return nil
 }
 
-// readLoop serves one inbound connection: hello, then frames until error
-// or close. Any frame is posted to the control loop; FIFO delivery per
-// connection guarantees a finish frame is processed before the connection's
-// own teardown error.
-func (nd *tnode) readLoop(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 1<<16)
-	arm := func() {
-		if nd.cfg.IOTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(nd.cfg.IOTimeout))
-		}
-	}
-	arm()
-	src, err := readHello(r, nd.n, true)
+// serve reads one inbound connection into the control loop. FIFO delivery
+// per connection guarantees a finish frame is processed before the
+// connection's own teardown error. A connection that dies before its
+// hello cannot be complained about, but the control loop counts it: a
+// node whose every inbound handshake fails is deaf (an inbound one-way
+// partition) and must declare itself failed rather than stall the query.
+func (nd *tnode) serve(conn net.Conn) {
+	src, _, err := readConn(conn, nd.cfg, true, nd.pool, nd.m, func(src int, f frame) bool {
+		return nd.post(tevent{typ: evFrame, peer: src, f: f, conn: conn})
+	})
 	if err != nil {
-		nd.m.ioError(PhaseHello, err)
-		// Unidentified connection: we can't complain about a nameless
-		// peer, but the control loop counts these — a node whose EVERY
-		// inbound handshake times out is deaf (inbound one-way partition)
-		// and must declare itself failed rather than stall the query.
-		nd.post(tevent{typ: evReadErr, peer: -1, err: err})
-		return
-	}
-	nd.m.recv(src, frameHello, 0)
-	if !nd.post(tevent{typ: evFrame, peer: src, f: frame{kind: frameHello}, conn: conn}) {
-		return
-	}
-	for {
-		arm()
-		f, err := readFrame(r, nd.pool)
-		if err != nil {
-			nd.m.ioError(PhaseRead, err)
-			nd.post(tevent{typ: evReadErr, peer: src, err: err})
-			return
-		}
-		nd.m.recv(src, f.kind, len(f.raw)+len(f.partials))
-		if !nd.post(tevent{typ: evFrame, peer: src, f: f}) {
-			return
-		}
+		nd.post(tevent{typ: evReadErr, peer: src, err: err})
 	}
 }
 
+// progress is the share of the primary scan done, in permille, that a
+// heartbeat reports.
+func (nd *tnode) progress() int {
+	if total := len(nd.part); total > 0 && !nd.scanFlag.Load() {
+		return int(nd.scanned.Load() * 1000 / int64(total))
+	}
+	return 1000
+}
+
 // heartbeatLoop beacons liveness + scan progress on every outgoing
-// connection. TryLock skips a peer whose writer is blocked so one stuck
-// connection cannot silence us toward everyone else (which would read as
-// OUR death at the supervisor).
+// connection (the supervisor beats itself in onTick). TryLock skips a
+// peer whose writer is blocked so one stuck connection cannot silence us
+// toward everyone else (which would read as OUR death at the supervisor).
 func (nd *tnode) heartbeatLoop() {
 	t := time.NewTicker(nd.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
-		permille := 1000
-		if total := len(nd.part); total > 0 && !nd.scanFlag.Load() {
-			permille = int(nd.scanned.Load() * 1000 / int64(total))
-		}
+		permille := uint32(nd.progress())
 		for _, p := range nd.peers {
-			err, sent := p.tryControl(frameHeartbeat, nd.id, 0, uint32(permille))
+			if p.id == nd.id {
+				continue
+			}
+			err, sent := p.tryControl(frameHeartbeat, nd.id, 0, permille)
 			if sent && err == nil {
 				nd.m.heartbeat()
 			}
@@ -733,7 +675,9 @@ func (nd *tnode) control() {
 		case evFrame:
 			nd.onFrame(ev)
 		case evReadErr:
-			nd.onReadErr(ev)
+			nd.inboundDead++
+			nd.classifyReadErr(ev)
+			nd.checkDeaf(ev.err)
 		case evComplaint:
 			nd.complainAbout(ev.peer, ev.phase)
 		case evScanDone:
@@ -825,25 +769,23 @@ func (nd *tnode) stage(s streamID) *stage {
 	return st
 }
 
-func (nd *tnode) onReadErr(ev tevent) {
-	nd.inboundDead++
-	nd.classifyReadErr(ev)
-	nd.checkDeaf(ev.err)
-}
-
 // checkDeaf fails the node the moment no frame can ever reach it again:
 // every inbound connection that arrived has died, and either the full
-// mesh had formed (n conns) or the listener itself is gone so nothing
-// new can connect. Without this a node whose connections are all torn
-// down mid-query would wait forever for a finish or evict frame that
-// cannot be delivered. Per-connection FIFO makes the rule race-free —
-// a finish frame is always queued ahead of its own connection's death
-// event, so a completed query never trips it.
+// mesh had formed (n−1 conns, one per peer) or the listener itself is
+// gone so nothing new can connect. Without this a node whose connections
+// are all torn down mid-query would wait forever for a finish or evict
+// frame that cannot be delivered. Per-connection FIFO makes the rule
+// race-free — a finish frame is always queued ahead of its own
+// connection's death event, so a completed query never trips it. Node 0
+// is never deaf: it hears itself (its own ticks and self slot), and a
+// peer it cannot hear goes stale and dies to the supervisor, so a node 0
+// whose every peer died still finishes alone, as does a one-node cluster,
+// which has no inbound connection at all.
 func (nd *tnode) checkDeaf(cause error) {
-	if nd.fatal != nil || nd.finished || nd.evicted || len(nd.inbound) != 0 {
+	if nd.id == 0 || nd.fatal != nil || nd.finished || nd.evicted || len(nd.inbound) != 0 {
 		return
 	}
-	noMesh := nd.inboundDead >= nd.n
+	noMesh := nd.inboundDead >= nd.n-1
 	noListener := nd.acceptClosed && nd.inboundDead >= nd.acceptedCap
 	if noMesh || noListener {
 		nd.fatal = nodeErr(nd.id, -1, PhaseHeartbeat,
@@ -854,11 +796,11 @@ func (nd *tnode) checkDeaf(cause error) {
 func (nd *tnode) classifyReadErr(ev tevent) {
 	if ev.peer < 0 {
 		nd.helloFails++
-		if !nd.everHello && nd.helloFails >= nd.n {
-			// Every inbound connection (we expect n, one per peer
-			// including ourselves) died before a single hello arrived:
-			// we can transmit but not receive. Stop heartbeating so the
-			// supervisor declares us dead and reassigns.
+		if nd.id != 0 && !nd.everHello && nd.helloFails >= nd.n-1 {
+			// Every inbound connection (we expect n−1, one per peer) died
+			// before a single hello arrived: we can transmit but not
+			// receive. Stop heartbeating so the supervisor declares us
+			// dead and reassigns. Node 0 hears itself, as in checkDeaf.
 			nd.fatal = nodeErr(nd.id, -1, PhaseHeartbeat,
 				fmt.Errorf("isolated: no inbound handshake completed (%d attempts): %w", nd.helloFails, ev.err))
 		}
@@ -868,9 +810,8 @@ func (nd *tnode) classifyReadErr(ev tevent) {
 		c.Close()
 		delete(nd.inbound, ev.peer)
 	}
-	if ev.peer == nd.id || nd.deadPeers[ev.peer] {
-		// Our own self-connection echo, or the expected teardown of a
-		// peer already declared dead.
+	if nd.deadPeers[ev.peer] {
+		// The expected teardown of a peer already declared dead.
 		return
 	}
 	if ev.peer == 0 && nd.id != 0 {
@@ -908,6 +849,7 @@ func (nd *tnode) onTick() {
 		return
 	}
 	now := time.Now()
+	nd.sup.beat(nd.id, nd.progress(), now)
 	decisions := nd.sup.decide(now)
 	for _, x := range nd.sup.takeSuspects() {
 		nd.m.suspicion(x)
@@ -925,21 +867,22 @@ func (nd *tnode) onTick() {
 			aux |= assignDeadFlag
 		}
 		for j, p := range nd.peers {
-			if nd.deadPeers[j] || (a.Dead && j == a.Node) {
+			if nd.deadPeers[j] || (a.Dead && j == a.Node) || j == nd.id {
 				continue
 			}
-			// Broadcast to every live peer including ourselves (the
-			// self-connection makes assign processing uniform).
 			if err := p.control(frameAssign, a.Node, a.Epoch, aux); err != nil && !errors.Is(err, errPeerDown) {
 				nd.shipFail(j, err)
 			}
 		}
+		// Then to ourselves, in place: a post to our own events channel
+		// from the loop that drains it could block for good.
+		nd.onAssign(a)
 	}
 	nd.checkFinished()
 }
 
 func (nd *tnode) checkFinished() {
-	if nd.sup == nil || !nd.sup.finished() {
+	if nd.finished || nd.sup == nil || !nd.sup.finished() {
 		return
 	}
 	if !nd.sup.lastDeathAt.IsZero() {
@@ -1151,14 +1094,13 @@ func (nd *tnode) maybeDone() {
 		return
 	}
 	nd.lastDoneSent = nd.maxEpoch
+	if nd.sup != nil {
+		// The supervisor is us: report in place.
+		nd.sup.done(nd.id, nd.maxEpoch)
+		nd.checkFinished()
+		return
+	}
 	if err := nd.peers[0].control(frameDone, nd.id, 0, uint32(nd.maxEpoch)); err != nil {
-		if nd.sup != nil {
-			// Our own self-connection failed; fall back to direct
-			// bookkeeping — the supervisor state machine is local anyway.
-			nd.sup.done(nd.id, nd.maxEpoch)
-			nd.checkFinished()
-			return
-		}
 		if !errors.Is(err, errPeerDown) {
 			nd.peers[0].markDown()
 		}

@@ -164,12 +164,19 @@ func sameGroups(t *testing.T, scenario string, got, want map[tuple.Key]tuple.Agg
 // leaked goroutines.
 //
 // Fault phases are targeted with operation-count triggers sized against
-// the victim's minimum operation budget: a clean run costs it at least 9
-// connection writes (4 hellos, 4 EOS, 1 done) and 9 reads (4 hellos, 4
-// EOS-bearing, 1 finish), so a trigger below that ALWAYS fires before
-// the query can complete. Count 1 lands in cluster formation; count 8
-// (writes) after hellos and first heartbeats, i.e. the scan/exchange;
-// count 6 (reads) after the inbound hellos, i.e. the merge drain.
+// the victim's minimum operation budget; a trigger of count c fails
+// operation c+1. A node connects to its three peers only (its own share
+// never touches a socket), so a clean run costs it at least 7 connection
+// writes — 3 hellos, each flushed at its dial; 3 EOS, each flushed; 1
+// done, after the EOS to node 0 — and 4 reads: one per peer connection,
+// which must carry that peer's EOS, and a second on node 0's, carrying
+// the finish that is sent only after our done. (Clean runs measure 8–10
+// writes and 7–9 reads: a read usually carries a hello alone, but one
+// read may take a whole stream.) So a write count up to 6 and a read
+// count up to 3 ALWAYS fire before the query can complete. Count 1
+// lands in cluster formation; count 6 (writes) after the hellos and
+// first heartbeats, i.e. the scan/exchange; count 3 (reads) after the
+// inbound hellos, i.e. the merge drain.
 // Placement is approximate by design — the protocol must survive a
 // fault at ANY operation, which is what makes approximate targeting
 // sufficient; the assertion is result identity, not fault position.
@@ -191,11 +198,11 @@ func TestChaosRecoveryMatrix(t *testing.T) {
 		faults faultnet.Config
 	}{
 		{"crash-dial", faultnet.Config{KillWrites: 1}},
-		{"crash-scan", faultnet.Config{KillWrites: 8}},
-		{"crash-merge", faultnet.Config{KillReads: 6}},
+		{"crash-scan", faultnet.Config{KillWrites: 6}},
+		{"crash-merge", faultnet.Config{KillReads: 3}},
 		{"hang-dial", faultnet.Config{HangWrites: 1}},
-		{"hang-scan", faultnet.Config{HangWrites: 8}},
-		{"hang-merge", faultnet.Config{HangReads: 6}},
+		{"hang-scan", faultnet.Config{HangWrites: 6}},
+		{"hang-merge", faultnet.Config{HangReads: 3}},
 		{"oneway-tx", faultnet.Config{OneWayTx: 1}},
 		{"oneway-rx", faultnet.Config{OneWayRx: 1}},
 	}
@@ -228,6 +235,37 @@ func TestChaosRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// TestChaosTwoNodeSupervisorFinishesAlone crashes node 1 of a two-node
+// tolerant cluster mid-scan. Node 0's only inbound connection dies with
+// it, yet node 0 is not deaf: it hears itself (its ticks and its self
+// slot), declares node 1 dead, re-executes its partition through its own
+// self slot and finishes with the fault-free answer.
+func TestChaosTwoNodeSupervisorFinishesAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs real time for liveness thresholds")
+	}
+	leakCheck(t)
+	rel := workload.Uniform(2, 8_000, 500, *chaosSeed+3)
+	template := recoveryTemplate(TwoPhase)
+	baseline, _ := launchTolerant(t, rel.PerNode, template, nil)
+	verify(t, rel, baseline.Groups)
+
+	// A clean run costs node 1 three writes (hello, EOS, done); count 2
+	// fails the third, after its hello and first heartbeat.
+	inj := faultnet.New(faultnet.Config{Seed: *chaosSeed, KillWrites: 2})
+	res, errs := launchTolerant(t, rel.PerNode, template, func(id int, cfg *Config) {
+		if id == 1 {
+			cfg.Dial = inj.Dialer(nil)
+			cfg.WrapListener = inj.Listener
+		}
+	})
+	if len(res.Dead) != 1 || res.Dead[0] != 1 {
+		saveChaosArtifact(t, "two-node")
+		t.Fatalf("dead = %v, want [1] (node 1 err=%v)", res.Dead, errs[1])
+	}
+	sameGroups(t, "two-node", res.Groups, baseline.Groups)
+}
+
 // TestChaosRecoveryDowngrade drives recovery into memory pressure: the
 // victim dies mid-scan and the re-execution jobs hit a 48-entry table
 // bound over a 500-group workload, so recovery MUST downgrade to raw
@@ -246,7 +284,8 @@ func TestChaosRecoveryDowngrade(t *testing.T) {
 	baseline, _ := launchTolerant(t, rel.PerNode, template, nil)
 	verify(t, rel, baseline.Groups)
 
-	inj := faultnet.New(faultnet.Config{Seed: *chaosSeed, KillWrites: 8})
+	// Count 6 is under the victim's 7-write budget (TestChaosRecoveryMatrix).
+	inj := faultnet.New(faultnet.Config{Seed: *chaosSeed, KillWrites: 6})
 	reg := obs.New()
 	template.Obs = reg
 	res, _ := launchTolerant(t, rel.PerNode, template, func(id int, cfg *Config) {

@@ -426,31 +426,49 @@ func TestTolerantMetricsVisible(t *testing.T) {
 
 // TestCheckDeaf pins the give-up rule that keeps a node from waiting
 // forever once no frame can ever reach it: all inbound connections dead
-// AND either the full mesh had formed or the listener itself is gone.
-// Found the hard way: a crashed node whose supervisor hello never
-// completed used to hang until an external timeout killed it.
+// AND either the full mesh (one conn per peer, n−1) had formed or the
+// listener itself is gone. Found the hard way: a crashed node whose
+// supervisor hello never completed used to hang until an external timeout
+// killed it. Node 0 hears itself and is never deaf, which also covers a
+// one-node cluster with no inbound connection at all.
 func TestCheckDeaf(t *testing.T) {
-	mk := func() *tnode {
+	mkNode := func(id, n int) *tnode {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		cfg := Config{ID: 1, Addrs: []string{"a", "b", "c"}, Tolerate: true}
+		cfg := Config{ID: id, Addrs: make([]string, n), Tolerate: true}
 		return newTnode(ln, cfg.withDefaults(), nil)
 	}
+	mk := func() *tnode { return mkNode(1, 3) }
 	cause := errors.New("conn torn down")
 
 	nd := mk()
-	nd.inboundDead = 2 // two of three conns dead, mesh count not reached
+	nd.inboundDead = 1 // one of two peer conns dead, mesh count not reached
 	nd.checkDeaf(cause)
 	if nd.fatal != nil {
 		t.Fatalf("fired with a conn still expected: %v", nd.fatal)
 	}
-	nd.inboundDead = 3
+	nd.inboundDead = 2
 	nd.checkDeaf(cause)
 	if nd.fatal == nil {
 		t.Fatal("full mesh came and went, no live inbound: must fail")
+	}
+
+	// Node 0 outlives every peer connection and its listener; so does a
+	// one-node cluster's only node, before and after its listener closes.
+	for _, n := range []int{2, 3, 1} {
+		nd = mkNode(0, n)
+		nd.inboundDead = n - 1
+		nd.checkDeaf(cause)
+		nd.acceptClosed = true
+		nd.acceptedCap = n - 1
+		nd.checkDeaf(cause)
+		nd.classifyReadErr(tevent{typ: evReadErr, peer: -1, err: cause})
+		if nd.fatal != nil {
+			t.Fatalf("node 0 of %d gave up with no peer left: %v", n, nd.fatal)
+		}
 	}
 
 	// A live identified connection holds the rule off at any count.
@@ -462,15 +480,28 @@ func TestCheckDeaf(t *testing.T) {
 		t.Fatalf("fired with the supervisor conn still live: %v", nd.fatal)
 	}
 
-	// Listener gone caps the universe below n: two conns ever arrived,
-	// both died — nothing new can connect, so waiting is hopeless.
+	// Listener gone caps the universe below n−1: one conn ever arrived
+	// and died — nothing new can connect, so waiting is hopeless.
 	nd = mk()
 	nd.acceptClosed = true
-	nd.acceptedCap = 2
-	nd.inboundDead = 2
+	nd.acceptedCap = 1
+	nd.inboundDead = 1
 	nd.checkDeaf(cause)
 	if nd.fatal == nil {
 		t.Fatal("listener closed with every accepted conn dead: must fail")
+	}
+
+	// The isolation rule counts peers too: a node is isolated once the
+	// hello of every peer's connection (n−1 of them) has failed.
+	nd = mk()
+	helloFail := tevent{typ: evReadErr, peer: -1, err: cause}
+	nd.classifyReadErr(helloFail)
+	if nd.fatal != nil {
+		t.Fatalf("isolated after one of two peer hellos failed: %v", nd.fatal)
+	}
+	nd.classifyReadErr(helloFail)
+	if nd.fatal == nil {
+		t.Fatal("every peer hello failed: must be isolated")
 	}
 
 	// A finished or evicted node never converts teardown into failure.
@@ -479,12 +510,35 @@ func TestCheckDeaf(t *testing.T) {
 		func(nd *tnode) { nd.evicted = true },
 	} {
 		nd = mk()
-		nd.inboundDead = 3
+		nd.inboundDead = 2
 		setup(nd)
 		nd.checkDeaf(cause)
 		if nd.fatal != nil {
 			t.Fatalf("fired after completion: %v", nd.fatal)
 		}
+	}
+}
+
+// No heartbeat of node 0's own reaches its supervisor: node 0 beats itself
+// at each tick, so its freshness (which the isolation rule reads) and its
+// scan progress (which the straggler rule's median counts) stay current.
+func TestSupervisorBeatsItself(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := Config{ID: 0, Addrs: make([]string, 3), Tolerate: true}
+	nd := newTnode(ln, cfg.withDefaults(), make([]tuple.Tuple, 1000))
+	start := time.Now().Add(-nd.cfg.SuspectAfter / 2)
+	nd.sup = newSupervisor(nd.cfg, start)
+	nd.scanned.Store(400)
+	nd.onTick()
+	if got := nd.sup.progress[0]; got != 400 {
+		t.Errorf("node 0 progress %d permille after a tick, want 400", got)
+	}
+	if !nd.sup.lastBeat[0].After(start) {
+		t.Error("a tick left node 0's last beat at supervisor start")
 	}
 }
 

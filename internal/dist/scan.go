@@ -33,50 +33,37 @@ type failFast struct {
 }
 
 func (x *failFast) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
-	self := x.peers[d].self != nil
-	if len(b) == 0 {
-		if self { // a slice the merge loop folded, when one has room
-			if b = x.pool.get(); cap(b) >= x.batch {
-				return b, nil
-			}
+	if len(b) > 0 {
+		if err := x.peers[d].writeRaw(streamID{origin: x.id}, b); err != nil {
+			return nil, nodeErr(x.id, d, PhaseWrite, err)
 		}
-		return make([]tuple.Tuple, 0, x.batch), nil
+		x.res.RawSent += int64(len(b))
 	}
-	if err := x.peers[d].writeRaw(streamID{origin: x.id}, b); err != nil {
-		return nil, nodeErr(x.id, d, PhaseWrite, err)
-	}
-	x.res.RawSent += int64(len(b))
-	if self {
-		return nil, nil
-	}
-	return b[:0], nil
+	return nextRaw(b, d == x.id, x.pool, x.batch), nil
 }
 
 func (x *failFast) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
-	if len(b) == 0 {
-		return make([]tuple.Partial, 0, x.batch), nil
+	if len(b) > 0 {
+		if err := x.peers[d].writePartials(streamID{origin: x.id}, b); err != nil {
+			return nil, nodeErr(x.id, d, PhaseWrite, err)
+		}
+		x.res.PartialsSent += int64(len(b))
 	}
-	if err := x.peers[d].writePartials(streamID{origin: x.id}, b); err != nil {
-		return nil, nodeErr(x.id, d, PhaseWrite, err)
-	}
-	x.res.PartialsSent += int64(len(b))
-	if x.peers[d].self != nil {
-		return nil, nil
-	}
-	return b[:0], nil
+	return nextPartials(b, d == x.id, x.batch), nil
 }
 
 func (x *failFast) Reserve(d, groups int) error {
 	if d != x.id {
 		return nil
 	}
-	return x.peers[d].self.post(incoming{reserve: groups})
+	return x.peers[d].self(incoming{reserve: groups})
 }
 
 func (x *failFast) EndPhase() error { return broadcast(x.peers, x.id, frameEOP) }
 
 // tolerantEx is a tolerant node's exchange for stream s, which tags every
-// frame. A failed write drops that destination's share (shipFail; the
+// frame; the node's own share goes through the self slot to its control
+// loop. A failed write drops that destination's share (shipFail; the
 // receiver-side slot algebra makes the drop correct), so no ship ends the
 // scan; a reservation is dropped too, as stages reserve at commit.
 type tolerantEx struct {
@@ -85,19 +72,17 @@ type tolerantEx struct {
 }
 
 func (x *tolerantEx) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
-	if len(b) == 0 {
-		return make([]tuple.Tuple, 0, x.nd.cfg.Batch), nil
+	if len(b) > 0 {
+		x.nd.shipped(d, x.nd.peers[d].writeRaw(x.s, b), &x.nd.rawSent, len(b))
 	}
-	x.nd.shipped(d, x.nd.peers[d].writeRaw(x.s, b), &x.nd.rawSent, len(b))
-	return b[:0], nil
+	return nextRaw(b, d == x.nd.id, x.nd.pool, x.nd.cfg.Batch), nil
 }
 
 func (x *tolerantEx) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
-	if len(b) == 0 {
-		return make([]tuple.Partial, 0, x.nd.cfg.Batch), nil
+	if len(b) > 0 {
+		x.nd.shipped(d, x.nd.peers[d].writePartials(x.s, b), &x.nd.partialsSent, len(b))
 	}
-	x.nd.shipped(d, x.nd.peers[d].writePartials(x.s, b), &x.nd.partialsSent, len(b))
-	return b[:0], nil
+	return nextPartials(b, d == x.nd.id, x.nd.cfg.Batch), nil
 }
 
 func (x *tolerantEx) Reserve(int, int) error { return nil }
@@ -105,6 +90,36 @@ func (x *tolerantEx) Reserve(int, int) error { return nil }
 func (x *tolerantEx) EndPhase() error {
 	x.nd.broadcast(x.nd.peers, frameEOP, x.s)
 	return nil
+}
+
+// nextRaw is the buffer a scan fills next for a destination after
+// shipping b there, in either mode: b emptied when a socket write encoded
+// it, nil when the self slot kept it. A fresh buffer (b empty) for the
+// self slot is a slice the merge side put back in the raw pool, when one
+// has room.
+func nextRaw(b []tuple.Tuple, self bool, pool rawPool, batch int) []tuple.Tuple {
+	switch {
+	case len(b) > 0 && self:
+		return nil
+	case len(b) > 0:
+		return b[:0]
+	case self:
+		if b = pool.get(); cap(b) >= batch {
+			return b
+		}
+	}
+	return make([]tuple.Tuple, 0, batch)
+}
+
+// nextPartials is nextRaw for partials, which have no pool.
+func nextPartials(b []tuple.Partial, self bool, batch int) []tuple.Partial {
+	switch {
+	case len(b) > 0 && self:
+		return nil
+	case len(b) > 0:
+		return b[:0]
+	}
+	return make([]tuple.Partial, 0, batch)
 }
 
 // shipped accounts for one write of n records to peer d: counted in sent,

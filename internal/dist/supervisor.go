@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"time"
 )
 
@@ -224,13 +225,7 @@ func (s *supervisor) medianProgress() int {
 	if len(vals) == 0 {
 		return 0
 	}
-	// Insertion sort: n is small and this avoids importing sort for a
-	// hot-loop-free path.
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	slices.Sort(vals)
 	return vals[len(vals)/2]
 }
 

@@ -305,11 +305,11 @@ func partialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte
 }
 
 // peer is one outgoing connection — a fail-fast node's, or the writer
-// inside a tolerant tpeer: the conn for deadline control, the buffered
-// writer for framing, and the per-frame write timeout. Every write arms a
-// fresh deadline, so a peer that stops draining its socket (backpressure
-// hang) fails the write within timeout instead of blocking the scan
-// forever.
+// inside a tolerant tpeer — or, in either mode, the node's own self slot:
+// the conn for deadline control, the buffered writer for framing, and the
+// per-frame write timeout. Every write arms a fresh deadline, so a peer
+// that stops draining its socket (backpressure hang) fails the write
+// within timeout instead of blocking the scan forever.
 type peer struct {
 	id      int
 	conn    net.Conn
@@ -321,31 +321,18 @@ type peer struct {
 	// steady state is one buffer allocation per connection, not one
 	// record-sized Write per tuple.
 	buf []byte
-	// self is set on the node's own entry only, which has no connection:
-	// every write hands its records to the node's merge loop, which keeps
-	// them.
-	self *selfSlot
+	// self is set on the node's own entry only, which has no connection.
+	self selfSlot
 }
 
-// selfSlot is where a fail-fast node's own share of the repartitioned
-// stream goes: straight onto the merge loop's channel, never through a
-// socket (paper §5 — a node merges its own partition of the exchange
-// locally). The wire metrics therefore never see it. Once the node is
+// selfSlot is where a node's own share of the exchange goes, in either
+// mode: every write to the node's own entry hands its frame, records and
+// all, straight to the node's merge side (a fail-fast merge loop, a
+// tolerant control loop), never through a socket (paper §5 — a node
+// merges its own partition of the exchange locally). Nothing is encoded
+// or decoded and the wire metrics never see it. Once the node is
 // cancelled a post fails the way a write to a closed connection does.
-type selfSlot struct {
-	frames chan<- incoming
-	done   <-chan struct{}
-}
-
-// post hands the merge loop a frame or, ahead of a flush, a reservation.
-func (s *selfSlot) post(in incoming) error {
-	select {
-	case s.frames <- in:
-		return nil
-	case <-s.done:
-		return net.ErrClosed
-	}
-}
+type selfSlot func(incoming) error
 
 func (p *peer) arm() {
 	if p.timeout > 0 {
@@ -376,11 +363,11 @@ func (p *peer) writeHello(src int) error {
 }
 
 // writeRaw ships ts as one raw frame of stream s. A socket write encodes
-// ts and does not keep it; the self slot keeps it, and the merge loop puts
+// ts and does not keep it; the self slot keeps it, and the merge side puts
 // it in the node's raw pool once folded.
 func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.self != nil {
-		return p.self.post(incoming{f: frame{kind: frameRaw, raw: ts}})
+		return p.self(incoming{f: frame{kind: frameRaw, origin: s.origin, epoch: s.epoch, raw: ts}})
 	}
 	p.arm()
 	var err error
@@ -392,7 +379,7 @@ func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 
 func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.self != nil {
-		return p.self.post(incoming{f: frame{kind: framePartial, partials: ps}})
+		return p.self(incoming{f: frame{kind: framePartial, origin: s.origin, epoch: s.epoch, partials: ps}})
 	}
 	p.arm()
 	var err error
@@ -406,7 +393,7 @@ func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 // flushes.
 func (p *peer) control(kind frameKind, s streamID, aux uint32) error {
 	if p.self != nil {
-		return p.self.post(incoming{f: frame{kind: kind}})
+		return p.self(incoming{f: frame{kind: kind, origin: s.origin, epoch: s.epoch, aux: aux}})
 	}
 	p.arm()
 	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, aux))

@@ -132,12 +132,6 @@ type Config struct {
 	InitSeg     int
 	SwitchRatio float64
 
-	// SharedStripes is the stripe count of the Shared/AdaptiveShared
-	// concurrent table (rounded up to a power of two; 0 picks the
-	// aggtable default). More stripes mean fewer lock collisions among
-	// the tuples the fronts miss, and a bigger empty-table footprint.
-	SharedStripes int
-
 	// Obs, when non-nil, receives per-worker counters (rows, routed
 	// tuples, partials, spills, groups, merge fan-in) and whole-run
 	// throughput after the aggregation completes.
@@ -261,13 +255,14 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 		return nil, fmt.Errorf("live: unknown algorithm %v", alg)
 	}
 
-	// The shared algorithms fold into one concurrent table. Its bound is
-	// the global equivalent of the per-worker budget: TableEntries
-	// entries per worker, pooled, less what the workers' fronts hold.
+	// The shared algorithms fold into one concurrent table, at
+	// aggtable's default stripe count. Its bound is the global equivalent
+	// of the per-worker budget: TableEntries entries per worker, pooled,
+	// less what the workers' fronts hold.
 	var shared *aggtable.Shared
 	if alg == Shared || alg == AdaptiveShared {
 		_, bound := cfg.sharedBudget()
-		shared = aggtable.NewShared(bound, cfg.SharedStripes)
+		shared = aggtable.NewShared(bound, 0)
 	}
 
 	// Inbox capacity 2*w: every scan side can have one in-flight batch

@@ -38,11 +38,10 @@ func TestSharedMatchesTwoPhaseDifferential(t *testing.T) {
 			in[i] = tuple.Tuple{Key: tuple.Key(rng.Int63n(keySpace)), Val: rng.Int63n(1000) - 500}
 		}
 		cfg := Config{
-			Workers:       1 + rng.Intn(8),
-			TableEntries:  []int{0, 16, 256}[rng.Intn(3)],
-			Batch:         1 + rng.Intn(64),
-			InitSeg:       64,
-			SharedStripes: 1 << rng.Intn(6),
+			Workers:      1 + rng.Intn(8),
+			TableEntries: []int{0, 16, 256}[rng.Intn(3)],
+			Batch:        1 + rng.Intn(64),
+			InitSeg:      64,
 		}
 		ref, err := Aggregate(cfg, in, TwoPhase)
 		if err != nil {
@@ -221,7 +220,7 @@ func absorbedShare(res *Result) float64 {
 // at the budget's bound goes to an unbounded overflow table, merged at the end.
 func directSharedFold(cfg Config, in []tuple.Tuple) map[tuple.Key]tuple.AggState {
 	cfg = cfg.withDefaults()
-	shared := aggtable.NewShared(cfg.TableEntries*cfg.Workers, cfg.SharedStripes)
+	shared := aggtable.NewShared(cfg.TableEntries*cfg.Workers, 0)
 	overflow := aggtable.New(0)
 	for _, tp := range in {
 		if !shared.UpdateRaw(tp) {
@@ -306,7 +305,7 @@ func newSharedWorker(cfg Config, alg Algorithm, flagUp bool, room int) *worker {
 	}
 	_, bound := cfg.sharedBudget()
 	return &worker{cfg: cfg, alg: alg, inboxes: inboxes, fallback: &flag, m: &WorkerMetrics{},
-		pools: newExchangePools(cfg.Workers), shared: aggtable.NewShared(bound, cfg.SharedStripes), sharedOv: aggtable.New(0)}
+		pools: newExchangePools(cfg.Workers), shared: aggtable.NewShared(bound, 0), sharedOv: aggtable.New(0)}
 }
 
 // runSharedScan drives one AdaptiveShared scan side by hand and returns the
