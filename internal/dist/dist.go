@@ -67,20 +67,7 @@ const (
 )
 
 // String returns the paper's abbreviation.
-func (a Algorithm) String() string {
-	switch a {
-	case TwoPhase:
-		return "2P"
-	case Repartitioning:
-		return "Rep"
-	case AdaptiveTwoPhase:
-		return "A-2P"
-	case AdaptiveRepartitioning:
-		return "A-Rep"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
+func (a Algorithm) String() string { return kernel.Algorithm(a).String() }
 
 // Config describes one node's view of the cluster.
 type Config struct {
@@ -215,9 +202,8 @@ type NodeResult struct {
 	Groups   map[tuple.Key]tuple.AggState
 	Switched bool // the adaptive switch fired on this node
 
-	// table is the node's merge table, the form the answer is computed
-	// in. RunNode copies it into Groups; RunConfigured pours every node's
-	// table straight into the cluster's map instead.
+	// table is the node's merge table, which RunNode assembles into Groups
+	// and RunConfigured into the cluster's, releasing it.
 	table *aggtable.Table
 
 	// RawSent and PartialsSent count the records this node shipped; they
@@ -302,8 +288,9 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if err != nil {
 		return nil, err
 	}
-	res.Groups = make(map[tuple.Key]tuple.AggState, res.table.Len())
-	res.table.Each(func(k tuple.Key, s tuple.AggState) { res.Groups[k] = s })
+	if res.Groups, err = kernel.Assemble([]*aggtable.Table{res.table}, 0); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
 	return res, nil
 }
 
@@ -407,8 +394,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	// first peer error the merge loop records it and cancels, which fails
 	// the scan side's next write and unblocks every accepter.
 	var fallback atomic.Bool
-	merged := aggtable.New(0)
-	reserved := 0 // the largest reservation target the scan has sent
+	merged := kernel.NewMerge()
 	var mergeErr error
 	var mergeDone sync.WaitGroup
 	mergeDone.Add(1)
@@ -416,7 +402,8 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 		defer mergeDone.Done()
 		mergeSpan := cfg.Tracer.Begin(cfg.ID, "merge")
 		defer func() {
-			mergeSpan.End(fmt.Sprintf("%d groups, reserved %d, %d slots", merged.Len(), reserved, merged.Slots()))
+			mergeSpan.End(fmt.Sprintf("%d groups, reserved %d, %d slots",
+				merged.Table().Len(), merged.Reserved(), merged.Table().Slots()))
 		}()
 		// n streams end here: one per inbound connection and our own.
 		for eos := 0; eos < n; {
@@ -439,9 +426,8 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 				cancel()
 				return
 			}
-			if in.reserve > 0 { // sized once: Reserve is a no-op while the slots suffice
-				reserved = max(reserved, in.reserve)
-				merged.Reserve(reserved - merged.Len())
+			if in.reserve > 0 {
+				merged.Reserve(in.reserve)
 				continue
 			}
 			switch in.f.kind {
@@ -450,12 +436,10 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 			case frameEOP:
 				fallback.Store(true)
 			case frameRaw:
-				merged.UpdateRows(in.f.raw, nil)
+				merged.Raw(in.f.raw)
 				pool.put(in.f.raw, done)
 			case framePartial:
-				for _, pt := range in.f.partials {
-					merged.MergePartial(pt)
-				}
+				merged.Partials(in.f.partials)
 			default:
 				// readFrame decodes every kind of the one protocol, so a
 				// tolerant control frame (heartbeat, assign, ...) sent
@@ -471,9 +455,9 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 
 	// Scan side: the kernel over the fail-fast exchange, which stops at the
 	// first failed write; keys go to their home node.
-	res := &NodeResult{table: merged}
+	res := &NodeResult{table: merged.Table()}
 	sc := newScan(cfg, cfg.Algorithm, n, len(part), &fallback,
-		&failFast{id: cfg.ID, batch: cfg.Batch, peers: peers, pool: pool, res: res})
+		failFast(cfg.ID, cfg.Batch, peers, pool, res))
 	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
 	scanErr := sc.Run(part)
 	m.scanned(&sc, cfg.TableEntries > 0, false)
@@ -497,7 +481,7 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	if err := checkRouting(cfg.ID, merged, func(k tuple.Key) int { return k.Dest(n) }); err != nil {
+	if err := checkRouting(cfg.ID, res.table, func(k tuple.Key) int { return k.Dest(n) }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -749,38 +733,18 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 			return nil, fmt.Errorf("dist: node %d: %w", i, err)
 		}
 	}
-	// One pour per node into a map sized for all of them. A group two
-	// nodes both produced shows as an assignment that did not lengthen
-	// the map; track the smallest such key so a multi-duplicate bug
-	// reports the same group on every run.
-	total := 0
-	for _, r := range results {
-		if r != nil {
-			total += r.table.Len()
-		}
-	}
-	out.Groups = make(map[tuple.Key]tuple.AggState, total)
-	dupFound := false
-	var dupKey tuple.Key
-	dupNode := -1
+	tables := make([]*aggtable.Table, n)
 	for i, r := range results {
-		if r == nil {
-			continue
-		}
-		if r.Switched {
-			out.Switched++
-		}
-		r.table.Each(func(k tuple.Key, s tuple.AggState) {
-			before := len(out.Groups)
-			out.Groups[k] = s
-			if len(out.Groups) == before && (!dupFound || k < dupKey) {
-				dupFound, dupKey, dupNode = true, k, i
+		if r != nil {
+			tables[i] = r.table
+			if r.Switched {
+				out.Switched++
 			}
-		})
-		r.table.Release() // poured, and the node results die here: the next run's tables take its slab
+		}
 	}
-	if dupFound {
-		return nil, fmt.Errorf("dist: group %d produced by two nodes (second: %d)", dupKey, dupNode)
+	var err error
+	if out.Groups, err = kernel.Assemble(tables, 0); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	return out, nil
 }

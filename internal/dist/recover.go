@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parallelagg/internal/aggtable"
 	"parallelagg/internal/kernel"
 	"parallelagg/internal/tuple"
 )
@@ -69,12 +68,13 @@ const (
 )
 
 type tevent struct {
-	typ   int
-	peer  int
-	phase Phase
-	err   error
-	f     frame
-	conn  net.Conn // the inbound connection a frame came on (nil: the self slot)
+	typ     int
+	peer    int
+	phase   Phase
+	err     error
+	f       frame
+	conn    net.Conn // the inbound connection a frame came on (nil: the self slot)
+	reserve int      // a self-slot reservation target for stream f.stream()
 }
 
 // tjob is one unit of recovery re-execution, run on the scan goroutine
@@ -107,10 +107,10 @@ type slot struct {
 }
 
 // stage buffers one in-flight stream (origin, epoch) before its EOS,
-// pre-aggregated per key so staging is bounded by the group count rather
-// than the input size.
+// pre-aggregated per key in a Merge of its own, so staging is bounded by
+// the group count rather than the input size, and counts its frames.
 type stage struct {
-	groups *aggtable.Table
+	*kernel.Merge
 	frames int64
 }
 
@@ -245,7 +245,7 @@ type tnode struct {
 	// post-join reads in runNodeTolerant) carry rationaled allows.
 	//
 	//aggvet:owner control
-	final *aggtable.Table
+	final *kernel.Merge
 	//aggvet:owner control
 	slots map[slotKey]*slot
 	//aggvet:owner control
@@ -305,7 +305,7 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		jobs:         make(chan tjob, 2*n*n+8),
 		peers:        make([]*tpeer, n),
 		pool:         make(rawPool, 16*n), // as many as events can queue
-		final:        aggtable.New(0),
+		final:        kernel.NewMerge(),
 		slots:        make(map[slotKey]*slot),
 		stages:       make(map[streamID]*stage),
 		pending:      make(map[streamID]bool),
@@ -355,7 +355,7 @@ func (nd *tnode) post(ev tevent) bool {
 // toSelf is a tolerant node's self slot: a frame of its own share, which
 // the scan goroutine posts to the control loop as an evFrame event.
 func (nd *tnode) toSelf(in incoming) error {
-	if !nd.post(tevent{typ: evFrame, peer: nd.id, f: in.f}) {
+	if !nd.post(tevent{typ: evFrame, peer: nd.id, f: in.f, reserve: in.reserve}) {
 		return errPeerDown // cancelled: nothing is left to ship to
 	}
 	return nil
@@ -485,7 +485,7 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 		// End of the primary stream at every peer: even a peer that
 		// received no slices needs the EOS to satisfy its (r, us) slot.
 		nd.broadcast(nd.peers, frameEOS, primary)
-		scanSpan.End(fmt.Sprintf("%d tuples, switched=%v", len(part), nd.switched))
+		scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), nd.switched, sc.Note("range")))
 		nd.post(tevent{typ: evScanDone})
 		for j := range nd.jobs {
 			nd.reexecute(j)
@@ -506,8 +506,13 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	return nd.res, nil
 }
 
-// outcome is the node's result as control() leaves it.
+// outcome is the node's result as control() leaves it. Leftover stages
+// are zombie attempts that never found an eligible slot, or streams a
+// failed node never saw end.
 func (nd *tnode) outcome() (*NodeResult, error) {
+	for s := range nd.stages {
+		nd.drop(s)
+	}
 	switch {
 	case nd.evicted:
 		return nil, nodeErr(nd.id, 0, PhaseHeartbeat, ErrEvicted)
@@ -518,16 +523,11 @@ func (nd *tnode) outcome() (*NodeResult, error) {
 		// possible if cancel ran from a path that already reported.
 		return nil, nodeErr(nd.id, -1, PhaseHeartbeat, fmt.Errorf("query cancelled before completion"))
 	}
-	// Leftover stages are zombie attempts that never found an eligible
-	// slot; account for them before the sanity check.
-	for _, st := range nd.stages {
-		nd.m.stale(st.frames)
-	}
 	// Sanity: every final group must hash to a range this node owns.
-	if err := checkRouting(nd.id, nd.final, func(k tuple.Key) int { return nd.owner[k.Dest(nd.n)] }); err != nil {
+	if err := checkRouting(nd.id, nd.final.Table(), func(k tuple.Key) int { return nd.owner[k.Dest(nd.n)] }); err != nil {
 		return nil, err
 	}
-	res := &NodeResult{table: nd.final}
+	res := &NodeResult{table: nd.final.Table()}
 	for r := 0; r < nd.n; r++ {
 		if nd.owner[r] == nd.id {
 			res.Ranges = append(res.Ranges, r)
@@ -614,7 +614,11 @@ func (nd *tnode) heartbeatLoop() {
 // scan is a kernel run over the tolerant exchange of stream s, routing by
 // the live owner table.
 func (nd *tnode) scan(alg Algorithm, s streamID, rows int) kernel.Scan {
-	sc := newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &tolerantEx{nd: nd, s: s})
+	sc := newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &exchange{id: nd.id, batch: nd.cfg.Batch, s: s, self: nd.toSelf, pool: nd.pool,
+		to:     func(d int) writer { return nd.peers[d] },
+		failed: func(d int, err error) error { nd.shipFail(d, err); return nil },
+		raw:    &nd.rawSent, part: &nd.partialsSent,
+		endPhase: func() error { nd.broadcast(nd.peers, frameEOP, s); return nil }})
 	sc.Refresh = func(int) []int { return *nd.ownerPtr.Load() }
 	return sc
 }
@@ -705,6 +709,10 @@ func (nd *tnode) control() {
 
 func (nd *tnode) onFrame(ev tevent) {
 	f := ev.f
+	if ev.reserve > 0 {
+		nd.stage(f.stream()).Reserve(ev.reserve)
+		return
+	}
 	if nd.sup != nil {
 		// Any frame from a peer is liveness evidence.
 		nd.sup.beat(ev.peer, 0, time.Now())
@@ -747,14 +755,12 @@ func (nd *tnode) onFrame(ev tevent) {
 	case frameRaw:
 		st := nd.stage(f.stream())
 		st.frames++
-		st.groups.UpdateRows(f.raw, nil)
+		st.Raw(f.raw)
 		nd.pool.put(f.raw, nd.done)
 	case framePartial:
 		st := nd.stage(f.stream())
 		st.frames++
-		for _, pt := range f.partials {
-			st.groups.MergePartial(pt)
-		}
+		st.Partials(f.partials)
 	case frameEOS:
 		nd.tryCommit(f.stream())
 	}
@@ -763,10 +769,20 @@ func (nd *tnode) onFrame(ev tevent) {
 func (nd *tnode) stage(s streamID) *stage {
 	st, ok := nd.stages[s]
 	if !ok {
-		st = &stage{groups: aggtable.New(0)}
+		st = &stage{Merge: kernel.NewMerge()}
 		nd.stages[s] = st
 	}
 	return st
+}
+
+// drop discards stream s's stage, if any: its frames count as stale and its
+// table goes back to the pool.
+func (nd *tnode) drop(s streamID) {
+	if st, ok := nd.stages[s]; ok {
+		nd.m.stale(st.frames)
+		st.Release()
+		delete(nd.stages, s)
+	}
 }
 
 // checkDeaf fails the node the moment no frame can ever reach it again:
@@ -983,10 +999,7 @@ func (nd *tnode) onAssign(a assignment) {
 		}
 		// The dead node's primary stream can no longer commit anywhere
 		// here; drop its stage if it never completed.
-		if st, ok := nd.stages[streamID{origin: a.Node, epoch: 0}]; ok {
-			nd.m.stale(st.frames)
-			delete(nd.stages, streamID{origin: a.Node, epoch: 0})
-		}
+		nd.drop(streamID{origin: a.Node})
 	} else {
 		// Speculative: the straggler's partitions gain an alternative
 		// epoch; first complete attempt per slot wins. No ranges move.
@@ -1050,23 +1063,15 @@ func (nd *tnode) tryCommit(s streamID) {
 		}
 	}
 	if !found {
-		nd.m.stale(st.frames)
-		delete(nd.stages, s)
+		nd.drop(s)
 		span := nd.cfg.Tracer.Begin(nd.id, "discard")
 		span.End(fmt.Sprintf("stale stream %s", s))
 		return
 	}
-	// Grow final ahead of the pour, by the groups the stage is certain to
-	// add (those beyond what final holds cannot all be duplicates): Each
-	// walks the stage in slot order, which a small destination doubling
-	// its way up takes quadratically (aggtable.Reserve). A later stage
-	// over the same keys reserves nothing and final stays as it is.
-	nd.final.Reserve(st.groups.Len() - nd.final.Len())
-	st.groups.Each(func(key tuple.Key, state tuple.AggState) {
-		if eligible[key.Dest(nd.n)] {
-			nd.final.MergePartial(tuple.Partial{Key: key, State: state})
-		}
-	})
+	span := nd.cfg.Tracer.Begin(nd.id, "commit")
+	span.End(fmt.Sprintf("stream %s: %d groups, reserved %d, %d slots",
+		s, st.Table().Len(), st.Reserved(), st.Table().Slots()))
+	st.Pour(nd.final, eligible)
 	for k, sl := range nd.slots {
 		if k.p == s.origin && eligible[k.r] {
 			sl.sat = true

@@ -11,12 +11,14 @@ import (
 	"parallelagg/internal/workload"
 )
 
-// mergeSpan is what one fail-fast merge span's note says.
+// mergeSpan is what one fail-fast merge span's note says, or one tolerant
+// commit span's of a node's own primary stream.
 type mergeSpan struct{ groups, reserved, slots int }
 
-// tracedCluster runs one fail-fast query with a tracer, checks it against
-// the sequential fold, and returns every scan span's note and every merge
-// span's parsed note, by node.
+// tracedCluster runs one query with a tracer, checks it against the
+// sequential fold, and returns every scan span's note and every merge
+// span's parsed note (in tolerant mode, the commit span's of the node's own
+// stream), by node.
 func tracedCluster(t *testing.T, ctx string, rel *workload.Relation, cfg Config) ([]string, []mergeSpan) {
 	t.Helper()
 	cfg.Tracer = trace.NewTracer(func() int64 { return time.Now().UnixNano() })
@@ -35,6 +37,16 @@ func tracedCluster(t *testing.T, ctx string, rel *workload.Relation, cfg Config)
 			if _, err := fmt.Sscanf(sp.Detail, "%d groups, reserved %d, %d slots", &m.groups, &m.reserved, &m.slots); err != nil {
 				t.Fatalf("%s: merge span %d note %q: %v", ctx, sp.Node, sp.Detail, err)
 			}
+		case "commit":
+			var origin, epoch int
+			var m mergeSpan
+			if _, err := fmt.Sscanf(sp.Detail, "stream (origin %d, epoch %d): %d groups, reserved %d, %d slots",
+				&origin, &epoch, &m.groups, &m.reserved, &m.slots); err != nil {
+				t.Fatalf("%s: commit span %d note %q: %v", ctx, sp.Node, sp.Detail, err)
+			}
+			if origin == sp.Node && epoch == 0 {
+				merges[sp.Node] = m
+			}
 		}
 	}
 	return scans, merges
@@ -45,15 +57,22 @@ func tracedCluster(t *testing.T, ctx string, rel *workload.Relation, cfg Config)
 func slotsFor(n int) int { return aggtable.NewSized(0, n).Slots() }
 
 // On dist_loop's shape at 1/8 scale both nodes switch, and the projection
-// each scanner hands its own merge loop sizes the merge table once: the
+// each scanner hands its own merge side sizes the merge table once: the
 // final slot array is the one reserved at the switch — no doubling before
-// it, none after.
+// it, none after. In tolerant mode that table is the stage of the node's
+// own stream.
 func TestMergeReservedAtSwitch(t *testing.T) {
 	const bound = 2048
-	for seed := int64(1); seed <= 3; seed++ {
+	for i := 0; i < 6; i++ {
+		seed := int64(1 + i%3)
 		rel := workload.Uniform(2, 1<<17, 25_000, seed)
-		ctx := fmt.Sprintf("seed %d", seed)
-		scans, merges := tracedCluster(t, ctx, rel, Config{Algorithm: AdaptiveTwoPhase, TableEntries: bound})
+		cfg := Config{Algorithm: AdaptiveTwoPhase, TableEntries: bound}
+		if i >= 3 {
+			cfg = tolerantTemplate(AdaptiveTwoPhase)
+			cfg.TableEntries = bound
+		}
+		ctx := fmt.Sprintf("seed %d, tolerate=%v", seed, cfg.Tolerate)
+		scans, merges := tracedCluster(t, ctx, rel, cfg)
 		for i, note := range scans {
 			if !strings.Contains(note, "switched=true, est ") || !strings.Contains(note, "/range (f1 ") {
 				t.Errorf("%s: scan %d note %q: no switch or no projection", ctx, i, note)

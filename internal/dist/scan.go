@@ -8,7 +8,7 @@ import (
 )
 
 // A fail-fast node's scan, a tolerant node's primary scan and its recovery
-// jobs all run internal/kernel's loop, over the two exchanges below. Each
+// jobs all run internal/kernel's loop, over the exchange below. Each
 // frame is a function of the partition, so a same-seed run ships
 // byte-identical frames.
 
@@ -21,113 +21,78 @@ func newScan(cfg Config, alg Algorithm, n, rows int, fallback *atomic.Bool, ex k
 		Fallback: fallback, Ex: ex}
 }
 
-// failFast is a fail-fast node's exchange: its peers, whose writes encode
-// a buffer so the scan refills it, and the self slot, which keeps it for
-// the merge loop. The first failed write ends the scan with a *NodeError;
-// a reservation reaches only the node's own merge loop.
-type failFast struct {
+// exchange is a node's kernel.Exchange for stream s, in either mode. A
+// peer's write encodes a buffer, which the scan refills; the self slot keeps
+// it for the merge side, and the scan takes a fresh one (raw: from the pool
+// the merge side refills). On a failed write fail-fast's failed returns the
+// error that ends the scan, tolerant's drops the share (shipFail) and returns
+// nil. A reservation reaches only the node's own Merge: no frame carries one.
+type exchange struct {
 	id, batch int
-	peers     []*peer
+	s         streamID
+	to        func(d int) writer
+	self      selfSlot
 	pool      rawPool
-	res       *NodeResult
+	failed    func(d int, err error) error
+	raw, part *int64 // records shipped
+	endPhase  func() error
 }
 
-func (x *failFast) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
-	if len(b) > 0 {
-		if err := x.peers[d].writeRaw(streamID{origin: x.id}, b); err != nil {
-			return nil, nodeErr(x.id, d, PhaseWrite, err)
+// failFast is a fail-fast node's exchange over peers, its own entry the
+// self slot: the first failed write ends the scan with a *NodeError.
+func failFast(id, batch int, peers []*peer, pool rawPool, res *NodeResult) *exchange {
+	return &exchange{id: id, batch: batch, s: streamID{origin: id}, self: peers[id].self, pool: pool,
+		to:     func(d int) writer { return peers[d] },
+		failed: func(d int, err error) error { return nodeErr(id, d, PhaseWrite, err) },
+		raw:    &res.RawSent, part: &res.PartialsSent,
+		endPhase: func() error { return broadcast(peers, id, frameEOP) }}
+}
+
+// writer is a peer's data-frame side: a fail-fast *peer or a tolerant *tpeer.
+type writer interface {
+	writeRaw(s streamID, ts []tuple.Tuple) error
+	writePartials(s streamID, ps []tuple.Partial) error
+}
+
+func (x *exchange) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
+	switch {
+	case len(b) > 0:
+		if err := x.sent(d, x.to(d).writeRaw(x.s, b), x.raw, len(b)); err != nil || d == x.id {
+			return nil, err
 		}
-		x.res.RawSent += int64(len(b))
-	}
-	return nextRaw(b, d == x.id, x.pool, x.batch), nil
-}
-
-func (x *failFast) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
-	if len(b) > 0 {
-		if err := x.peers[d].writePartials(streamID{origin: x.id}, b); err != nil {
-			return nil, nodeErr(x.id, d, PhaseWrite, err)
+		return b[:0], nil
+	case d == x.id:
+		if b = x.pool.get(); cap(b) >= x.batch {
+			return b, nil
 		}
-		x.res.PartialsSent += int64(len(b))
 	}
-	return nextPartials(b, d == x.id, x.batch), nil
+	return make([]tuple.Tuple, 0, x.batch), nil
 }
 
-func (x *failFast) Reserve(d, groups int) error {
+func (x *exchange) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
+	if len(b) > 0 {
+		if err := x.sent(d, x.to(d).writePartials(x.s, b), x.part, len(b)); err != nil || d == x.id {
+			return nil, err
+		}
+		return b[:0], nil
+	}
+	return make([]tuple.Partial, 0, x.batch), nil
+}
+
+func (x *exchange) Reserve(d, groups int) error {
 	if d != x.id {
 		return nil
 	}
-	return x.peers[d].self(incoming{reserve: groups})
+	return x.self(incoming{f: frame{origin: x.s.origin, epoch: x.s.epoch}, reserve: groups})
 }
 
-func (x *failFast) EndPhase() error { return broadcast(x.peers, x.id, frameEOP) }
+func (x *exchange) EndPhase() error { return x.endPhase() }
 
-// tolerantEx is a tolerant node's exchange for stream s, which tags every
-// frame; the node's own share goes through the self slot to its control
-// loop. A failed write drops that destination's share (shipFail; the
-// receiver-side slot algebra makes the drop correct), so no ship ends the
-// scan; a reservation is dropped too, as stages reserve at commit.
-type tolerantEx struct {
-	nd *tnode
-	s  streamID
-}
-
-func (x *tolerantEx) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
-	if len(b) > 0 {
-		x.nd.shipped(d, x.nd.peers[d].writeRaw(x.s, b), &x.nd.rawSent, len(b))
-	}
-	return nextRaw(b, d == x.nd.id, x.nd.pool, x.nd.cfg.Batch), nil
-}
-
-func (x *tolerantEx) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
-	if len(b) > 0 {
-		x.nd.shipped(d, x.nd.peers[d].writePartials(x.s, b), &x.nd.partialsSent, len(b))
-	}
-	return nextPartials(b, d == x.nd.id, x.nd.cfg.Batch), nil
-}
-
-func (x *tolerantEx) Reserve(int, int) error { return nil }
-
-func (x *tolerantEx) EndPhase() error {
-	x.nd.broadcast(x.nd.peers, frameEOP, x.s)
-	return nil
-}
-
-// nextRaw is the buffer a scan fills next for a destination after
-// shipping b there, in either mode: b emptied when a socket write encoded
-// it, nil when the self slot kept it. A fresh buffer (b empty) for the
-// self slot is a slice the merge side put back in the raw pool, when one
-// has room.
-func nextRaw(b []tuple.Tuple, self bool, pool rawPool, batch int) []tuple.Tuple {
-	switch {
-	case len(b) > 0 && self:
-		return nil
-	case len(b) > 0:
-		return b[:0]
-	case self:
-		if b = pool.get(); cap(b) >= batch {
-			return b
-		}
-	}
-	return make([]tuple.Tuple, 0, batch)
-}
-
-// nextPartials is nextRaw for partials, which have no pool.
-func nextPartials(b []tuple.Partial, self bool, batch int) []tuple.Partial {
-	switch {
-	case len(b) > 0 && self:
-		return nil
-	case len(b) > 0:
-		return b[:0]
-	}
-	return make([]tuple.Partial, 0, batch)
-}
-
-// shipped accounts for one write of n records to peer d: counted in sent,
-// or, failed, handed to shipFail.
-func (nd *tnode) shipped(d int, err error, sent *int64, n int) {
+// sent counts a write of n records to peer d in shipped, or hands its error to failed.
+func (x *exchange) sent(d int, err error, shipped *int64, n int) error {
 	if err != nil {
-		nd.shipFail(d, err)
-	} else {
-		*sent += int64(n)
+		return x.failed(d, err)
 	}
+	*shipped += int64(n)
+	return nil
 }

@@ -53,6 +53,14 @@ const (
 	AdaptiveRepartitioning
 )
 
+// String returns the paper's abbreviation.
+func (a Algorithm) String() string {
+	if names := [...]string{"2P", "Rep", "A-2P", "A-Rep"}; a >= 0 && int(a) < len(names) {
+		return names[a]
+	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
 // Exchange is where a scan's output goes; its first error ends the scan.
 // Raw(d, b) ships b's records (at most Batch) to destination d and returns
 // the buffer to fill next: b emptied, or nil if it kept b — the kernel then

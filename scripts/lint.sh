@@ -75,7 +75,7 @@ fi
 if ! "$AGGVET" -require-noalloc \
     internal/tuple:Key.Hash,Key.Dest \
     internal/aggtable:Table.Len,Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Shared.UpdateRaw,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
-    internal/kernel:Scan.fold,Scan.route,Scan.dest \
+    internal/kernel:Scan.fold,Scan.route,Scan.dest,Merge.Partials \
     internal/dist:rawFrameInto,partialFrameInto; then
     echo "lint: -require-noalloc gate failed — a pinned hot-path function lost its //aggvet:noalloc annotation" >&2
     exit 1
