@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,7 +267,9 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // socket); the wire metrics count exactly what went to other nodes: one
 // hello, the raw frames, one EOS and, in tolerant mode, the control frames
 // of the liveness protocol (heartbeats, done, finish, and a complaint
-// when a peer's teardown races its finish).
+// when a peer's teardown races its finish). A fail-fast node has recovery
+// off: it sends none of those, and every dist_recover_* series stays 0.
+// Either mode's node ends up owning its own range only, with no peer dead.
 func TestSelfSlotAccounting(t *testing.T) {
 	const nodes, batch = 3, 128
 	rel := workload.Uniform(nodes, 9_000, 600, 21)
@@ -285,6 +288,9 @@ func TestSelfSlotAccounting(t *testing.T) {
 		for i, r := range results {
 			if r.RawSent != int64(len(rel.PerNode[i])) || r.PartialsSent != 0 {
 				t.Errorf("tolerate=%v node %d: RawSent %d PartialsSent %d, want %d and 0", tolerate, i, r.RawSent, r.PartialsSent, len(rel.PerNode[i]))
+			}
+			if !slices.Equal(r.Ranges, []int{i}) || len(r.DeadPeers) != 0 {
+				t.Errorf("tolerate=%v node %d: Ranges %v DeadPeers %v, want [%d] and none", tolerate, i, r.Ranges, r.DeadPeers, i)
 			}
 			for k, s := range r.Groups {
 				got[k] = s
@@ -326,12 +332,24 @@ func TestSelfSlotAccounting(t *testing.T) {
 				for _, kind := range []string{"raw", "eos", "eop", "heartbeat", "suspect", "assign", "evict", "done", "finish"} {
 					headers += frames(kind)
 				}
+				if !tolerate {
+					for _, kind := range []string{"heartbeat", "suspect", "assign", "evict", "done", "finish"} {
+						if f := frames(kind); f != 0 {
+							t.Errorf("fail-fast node %d -> %d: %d %s frames with recovery off", i, d, f, kind)
+						}
+					}
+				}
 				wantBytes += float64(4 + headerSize*headers + to[d]*tuple.RawSize)
 				gotBytes += sent
 			}
 		}
 		if gotBytes != wantBytes {
 			t.Errorf("tolerate=%v: wire bytes %v, want %v (records to other nodes x RawSize + headers)", tolerate, gotBytes, wantBytes)
+		}
+		for _, line := range strings.Split(snap, "\n") {
+			if fields := strings.Fields(line); !tolerate && strings.HasPrefix(line, "dist_recover_") && fields[len(fields)-1] != "0" {
+				t.Errorf("fail-fast series %s is not 0 with recovery off", line)
+			}
 		}
 		verify(t, rel, got)
 	}
@@ -430,7 +448,7 @@ func TestTolerantMeshHasNoSelfConnection(t *testing.T) {
 	}
 }
 
-// A scan's flush through the fail-fast exchange must deliver every group
+// A scan's flush through a fail-fast node's exchange must deliver every group
 // exactly once to its destination, in frames of 1..batch records; two runs
 // over the same partition must write identical bytes (the slot order is a
 // function of the fill, so a same-seed run ships byte-identical frames);
@@ -443,21 +461,23 @@ func TestFlushPartialsFrames(t *testing.T) {
 		part[i] = tuple.Tuple{Key: tuple.Key(i % groups * 31), Val: int64(i)}
 		want.UpdateRaw(part[i])
 	}
-	// id n names no destination: every one is a socket, none the self slot.
+	// Node n of n+1 scans into n destinations: every one is a socket, none
+	// the self slot.
 	run := func(w func(d int) io.Writer) ([][]byte, error) {
+		nd := newTnode(nil, Config{ID: n, Addrs: make([]string, n+1), Batch: batch}, nil)
 		bufs := make([]*bytes.Buffer, n)
-		peers := make([]*peer, n+1)
-		for d := range bufs {
+		for d, p := range nd.peers[:n] {
 			bufs[d] = new(bytes.Buffer)
-			peers[d] = &peer{id: d, w: bufio.NewWriterSize(io.MultiWriter(bufs[d], w(d)), 16)}
+			p.mu.Lock()
+			p.out.w = bufio.NewWriterSize(io.MultiWriter(bufs[d], w(d)), 16)
+			p.mu.Unlock()
+			p.down.Store(false)
 		}
-		peers[n] = &peer{id: n}
-		sc := newScan(Config{Batch: batch}, TwoPhase, n, len(part), nil,
-			failFast(n, batch, peers, nil, &NodeResult{}))
+		sc := newScan(nd.cfg, TwoPhase, n, len(part), nil, &exchange{nd: nd, s: streamID{origin: n}})
 		err := sc.Run(part)
 		out := make([][]byte, n)
-		for d, p := range peers[:n] {
-			p.w.Flush()
+		for d, p := range nd.peers[:n] {
+			p.locked(func(o *peer) error { return o.w.Flush() })
 			out[d] = bufs[d].Bytes()
 		}
 		return out, err
@@ -705,7 +725,7 @@ func TestDistAllocationCeiling(t *testing.T) {
 // A fault-free tolerant run commits every stream it stages, and each
 // stage's table goes back to aggtable's pool once poured, as fail-fast's
 // merge tables do once assembled: so rerun, the two modes allocate about
-// the same bytes (tolerant reads 0.8–0.95× fail-fast here). Stages left to
+// the same bytes (tolerant reads 0.5–0.95× fail-fast here). Stages left to
 // the garbage collector cost a fresh table and its growth per stream and
 // run: 1.8–2.1×. The least
 // of three runs is taken, as a pool is emptied by two garbage collections

@@ -6,24 +6,25 @@
 // frames (the same record encodings the simulator's pages use), aggregates
 // its partition into a bounded aggtable.Table, and merges the groups that
 // hash to it into an unbounded one. In either mode a node's own share of
-// the exchange goes to its merge side in memory; only other nodes' shares
-// cross a socket.
+// the exchange goes to its control loop in memory; only other nodes'
+// shares cross a socket.
 //
-// Both modes speak one protocol (wire.go): every frame has the same
-// 12-byte header, tagged with the (origin, epoch) stream the tolerant
-// mode's recovery needs, and the connection's hello tells the modes
-// apart. Both run internal/kernel's scan loop (scan.go); they differ in
-// where keys go and in what a failed write means.
+// Both modes are one node program (recover.go) speaking one protocol
+// (wire.go): every frame has the same 12-byte header, tagged with the
+// (origin, epoch) stream the tolerant mode's recovery needs, and the
+// connection's hello tells the modes apart. Both run internal/kernel's scan
+// loop (scan.go) and one control loop that consumes every frame; a
+// fail-fast node is a tolerant one with recovery switched off.
 //
 // Unlike the PVM original, where a slow or dead peer hung the whole query,
 // the exchange here is failure-safe: every frame read and write carries a
 // deadline (Config.IOTimeout), dialing retries with exponential backoff
-// and jitter, transient accept failures are retried, and the first peer
-// error cancels the scan, merge, and accept sides cooperatively — RunNode
-// returns a structured *NodeError naming the peer and protocol phase, with
-// no leaked goroutines. See the "Failure semantics" sections of README.md
-// and DESIGN.md, and internal/faultnet for the chaos harness that tests
-// all of it.
+// and jitter, transient accept failures are retried, and in fail-fast mode
+// the first peer error ends the control loop and cancels the scan and
+// accept sides cooperatively — RunNode returns a structured *NodeError
+// naming the peer and protocol phase, with no leaked goroutines. See the
+// "Failure semantics" sections of README.md and DESIGN.md, and
+// internal/faultnet for the chaos harness that tests all of it.
 //
 // Nodes can run in one process (the in-process Run launcher used by tests
 // and examples) or as separate OS processes given each other's addresses
@@ -36,7 +37,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parallelagg/internal/aggtable"
@@ -130,9 +130,9 @@ type Config struct {
 	// 0 supervises per-peer liveness via heartbeat frames, a crashed,
 	// hung, or partitioned peer's duties are reassigned to a survivor
 	// under a fresh epoch, and the merge side discards stale frames so
-	// every tuple folds exactly once. False (the default) preserves the
-	// fail-fast semantics exactly: the first peer fault aborts the query
-	// with a *NodeError.
+	// every tuple folds exactly once. False (the default) runs the same
+	// node loop with recovery off, fail-fast: the first peer fault aborts
+	// the query with a *NodeError.
 	Tolerate bool
 
 	// PartitionSource returns any node's input partition so a surviving
@@ -211,10 +211,10 @@ type NodeResult struct {
 	RawSent      int64
 	PartialsSent int64
 
-	// Tolerant-mode extras: Ranges lists the merge ranges this node ended
-	// up owning (its own, plus any taken over from dead peers), and
-	// DeadPeers the nodes declared dead during the run. In fail-fast mode
-	// Ranges is nil and Groups covers exactly the node's own range.
+	// Ranges lists the merge ranges this node ended up owning, which Groups
+	// covers: its own, plus in tolerant mode any taken over from dead peers
+	// (in fail-fast mode it is always [ID]). DeadPeers lists the nodes
+	// declared dead during the run, always none in fail-fast mode.
 	Ranges    []int
 	DeadPeers []int
 }
@@ -265,24 +265,16 @@ func (t *canceller) cancel() {
 	t.conns = nil
 }
 
-// incoming is one unit of input to the merge loop: a frame or a terminal
-// error from one peer connection, or a reservation from the node's scan.
-type incoming struct {
-	f       frame
-	err     error
-	reserve int
-}
-
 // RunNode executes one node's role: it must be called with a listener
 // already bound to cfg.Addrs[cfg.ID] (so peers can connect regardless of
 // start order). It returns the final aggregate states of the groups this
 // node owns. The listener is closed before returning.
 //
-// On any peer failure — dial exhaustion, reset, deadline expiry, protocol
-// garbage — RunNode cancels all sides of the exchange, waits for every
-// goroutine it started, and returns a *NodeError identifying the peer and
-// phase. It never blocks longer than roughly IOTimeout past the failure
-// and never leaks goroutines.
+// In fail-fast mode, on any peer failure — dial exhaustion, reset,
+// deadline expiry, protocol garbage — RunNode cancels all sides of the
+// exchange, waits for every goroutine it started, and returns a *NodeError
+// identifying the peer and phase. It never blocks longer than roughly
+// IOTimeout past the failure and never leaks goroutines.
 func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, error) {
 	res, err := runNode(ln, cfg, part)
 	if err != nil {
@@ -313,178 +305,11 @@ func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 	if cfg.WrapListener != nil {
 		ln = cfg.WrapListener(ln)
 	}
-	if cfg.Tolerate {
-		if cfg.PartitionSource == nil {
-			ln.Close()
-			return nil, fmt.Errorf("dist: Tolerate requires PartitionSource (recovery must be able to re-execute a lost partition)")
-		}
-		return runNodeTolerant(ln, cfg, part)
+	if cfg.Tolerate && cfg.PartitionSource == nil {
+		ln.Close()
+		return nil, fmt.Errorf("dist: Tolerate requires PartitionSource (recovery must be able to re-execute a lost partition)")
 	}
-	m := newMetrics(cfg.Obs, cfg.ID)
-
-	// The first error, from any side, cancels the node.
-	c := newCanceller(ln)
-	done, cancel := c.done, c.cancel
-	defer cancel()
-
-	// Accept side: n-1 incoming connections (every node dials every other
-	// node; our own slice of the exchange reaches the merge loop through
-	// the self slot, not a socket). Frames are funnelled into one channel;
-	// the merge loop is the only consumer. Errors travel on the same
-	// channel so the merge loop is also the single decision point for
-	// aborting. Every send selects on done so readers can never strand on
-	// a full frames channel after the merge loop has exited.
-	frames := make(chan incoming, 4*n)
-	// One slice per frame that can be queued, decoding or folding at once:
-	// past that the pool only holds memory.
-	pool := make(rawPool, cap(frames)+n+1)
-	var accepters sync.WaitGroup
-	send := func(in incoming) error {
-		select {
-		case frames <- in:
-			return nil
-		case <-done:
-			return net.ErrClosed
-		}
-	}
-	accepters.Add(1)
-	go func() {
-		defer accepters.Done()
-		// Formation watchdog: a peer that never dials us would otherwise
-		// park ln.Accept forever with nothing to trip a deadline. If the
-		// full mesh has not formed within DialTimeout, the listener closes
-		// and the cluster is broken.
-		formation := time.AfterFunc(cfg.DialTimeout, func() { ln.Close() })
-		accepted, err := acceptLoop(c, n-1, time.Now().Add(cfg.DialTimeout), &accepters, func(conn net.Conn) {
-			// A connection's stream ends at its EOS: nothing follows it.
-			src, phase, err := readConn(conn, cfg, false, pool, m, func(_ int, f frame) bool {
-				return f.kind == frameHello || send(incoming{f: f}) == nil && f.kind != frameEOS
-			})
-			if err != nil {
-				send(incoming{err: nodeErr(cfg.ID, src, phase, err)})
-			}
-		})
-		if !formation.Stop() && err != nil {
-			err = fmt.Errorf("cluster formation timed out after %v (%d/%d peers connected)", cfg.DialTimeout, accepted, n-1)
-		}
-		if err != nil {
-			send(incoming{err: nodeErr(cfg.ID, -1, PhaseAccept, err)})
-		}
-	}()
-
-	// Dial side: one outgoing connection per other node, with exponential
-	// backoff + jitter while the cluster comes up, all bounded by
-	// DialTimeout.
-	dialSpan := cfg.Tracer.Begin(cfg.ID, "dial")
-	peers, err := dialPeers(cfg, c, m)
-	dialSpan.End(fmt.Sprintf("%d peers", n-1))
-	if err != nil {
-		// Nobody is reading frames yet, but cancel closes done, so every
-		// accepter's pending send unblocks and the wait below terminates.
-		cancel()
-		accepters.Wait()
-		return nil, err
-	}
-	peers[cfg.ID] = &peer{id: cfg.ID, self: send}
-
-	// Merge side runs concurrently with the scan so the exchange never
-	// backs up into a TCP deadlock. The fallback flag carries Adaptive
-	// Repartitioning's end-of-phase signal from the merge loop (which sees
-	// the frames) to the scan loop (which must change strategy). On the
-	// first peer error the merge loop records it and cancels, which fails
-	// the scan side's next write and unblocks every accepter.
-	var fallback atomic.Bool
-	merged := kernel.NewMerge()
-	var mergeErr error
-	var mergeDone sync.WaitGroup
-	mergeDone.Add(1)
-	go func() {
-		defer mergeDone.Done()
-		mergeSpan := cfg.Tracer.Begin(cfg.ID, "merge")
-		defer func() {
-			mergeSpan.End(fmt.Sprintf("%d groups, reserved %d, %d slots",
-				merged.Table().Len(), merged.Reserved(), merged.Table().Slots()))
-		}()
-		// n streams end here: one per inbound connection and our own.
-		for eos := 0; eos < n; {
-			var in incoming
-			select {
-			case in = <-frames:
-			case <-done:
-				return
-			}
-			if in.err != nil {
-				// If cancellation already ran, this error is just the echo
-				// of our own connection teardown; the root cause is being
-				// reported by whichever side triggered the cancel.
-				select {
-				case <-done:
-					return
-				default:
-				}
-				mergeErr = in.err
-				cancel()
-				return
-			}
-			if in.reserve > 0 {
-				merged.Reserve(in.reserve)
-				continue
-			}
-			switch in.f.kind {
-			case frameEOS:
-				eos++
-			case frameEOP:
-				fallback.Store(true)
-			case frameRaw:
-				merged.Raw(in.f.raw)
-				pool.put(in.f.raw, done)
-			case framePartial:
-				merged.Partials(in.f.partials)
-			default:
-				// readFrame decodes every kind of the one protocol, so a
-				// tolerant control frame (heartbeat, assign, ...) sent
-				// after a fail-fast hello lands here: abort rather than
-				// drop it.
-				mergeErr = &NodeError{NodeID: cfg.ID, Peer: -1, Phase: PhaseMerge,
-					Err: fmt.Errorf("unexpected frame kind %d in fail-fast mode", in.f.kind)}
-				cancel()
-				return
-			}
-		}
-	}()
-
-	// Scan side: the kernel over the fail-fast exchange, which stops at the
-	// first failed write; keys go to their home node.
-	res := &NodeResult{table: merged.Table()}
-	sc := newScan(cfg, cfg.Algorithm, n, len(part), &fallback,
-		failFast(cfg.ID, cfg.Batch, peers, pool, res))
-	scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
-	scanErr := sc.Run(part)
-	m.scanned(&sc, cfg.TableEntries > 0, false)
-	res.Switched = sc.FellBack || sc.Switched
-	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), res.Switched, sc.Note("range")))
-	if scanErr == nil {
-		scanErr = broadcast(peers, cfg.ID, frameEOS)
-	}
-	if scanErr != nil {
-		cancel()
-	}
-
-	mergeDone.Wait()
-	accepters.Wait()
-	// The merge loop saw the root cause (a peer's failure); the scan error
-	// is often just the echo of cancellation ("use of closed connection"),
-	// so the merge error wins when both are set.
-	if mergeErr != nil {
-		return nil, mergeErr
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if err := checkRouting(cfg.ID, res.table, func(k tuple.Key) int { return k.Dest(n) }); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return newTnode(ln, cfg, part).run()
 }
 
 // checkRouting is the post-merge sanity check of both modes: every group
@@ -547,7 +372,7 @@ func acceptLoop(c *canceller, limit int, retryUntil time.Time, wg *sync.WaitGrou
 // of them (the hello as a frameHello pseudo frame) until sink returns
 // false. A failed read ends it with the peer's id (-1 before the hello),
 // the phase and the error; a stop by sink returns a nil error.
-func readConn(conn net.Conn, cfg Config, tolerant bool, pool rawPool, m *metrics, sink func(src int, f frame) bool) (int, Phase, error) {
+func readConn(conn net.Conn, cfg Config, pool rawPool, m *metrics, sink func(src int, f frame) bool) (int, Phase, error) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	arm := func() {
@@ -556,7 +381,7 @@ func readConn(conn net.Conn, cfg Config, tolerant bool, pool rawPool, m *metrics
 		}
 	}
 	arm()
-	src, err := readHello(r, len(cfg.Addrs), tolerant)
+	src, err := readHello(r, len(cfg.Addrs), cfg.Tolerate)
 	if err != nil {
 		m.ioError(PhaseHello, err)
 		return -1, PhaseHello, err
@@ -613,41 +438,6 @@ func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, c *cancelle
 		}
 		return conn, nil
 	}
-}
-
-// dialPeers connects to every other node, bounded overall by
-// cfg.DialTimeout, and performs the hello handshake. The node's own entry
-// is left for the caller's self slot.
-func dialPeers(cfg Config, c *canceller, m *metrics) ([]*peer, error) {
-	peers := make([]*peer, len(cfg.Addrs))
-	rng := jitterRand(cfg)
-	deadline := time.Now().Add(cfg.DialTimeout)
-	for j := range peers {
-		if j == cfg.ID {
-			continue
-		}
-		conn, err := dialPeer(cfg, j, deadline, rng, c, m)
-		if err != nil {
-			return nil, err
-		}
-		p := &peer{id: j, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), timeout: cfg.IOTimeout, m: m}
-		if err := p.writeHello(cfg.ID); err != nil {
-			return nil, nodeErr(cfg.ID, j, PhaseHello, err)
-		}
-		peers[j] = p
-	}
-	return peers, nil
-}
-
-// broadcast sends a fail-fast control frame to every peer, the self slot
-// included; the first failed write ends it.
-func broadcast(peers []*peer, id int, kind frameKind) error {
-	for _, p := range peers {
-		if err := p.control(kind, streamID{origin: id}, 0); err != nil {
-			return nodeErr(id, p.id, PhaseWrite, err)
-		}
-	}
-	return nil
 }
 
 // ClusterResult is the combined outcome of an in-process cluster run.

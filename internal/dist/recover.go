@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,14 @@ import (
 	"parallelagg/internal/tuple"
 )
 
-// This file is the tolerant-mode engine (Config.Tolerate; DESIGN.md §11).
-// The fail-fast RunNode path in dist.go aborts the query on the first peer
-// fault; here a query completes correctly despite peer crashes, hangs, and
-// one-way partitions, and produces the exact same answer as the fault-free
-// run:
+// This file is the node loop of both modes. A fail-fast node is the
+// tolerant one with recovery off: no supervisor, heartbeats or recovery
+// jobs, its streams fold straight into its final table, it is finished once
+// its scan is done and its n streams have ended, and the first fault of any
+// kind ends it with a *NodeError (the policies sit at the Config.Tolerate
+// checks below). With recovery on (Config.Tolerate; DESIGN.md §11) a query
+// completes correctly despite peer crashes, hangs, and one-way partitions,
+// and produces the exact same answer as the fault-free run:
 //
 //   - Node 0 is the query supervisor (a documented single point of
 //     failure). Every node heartbeats on every outgoing connection, and
@@ -48,17 +52,17 @@ import (
 //     it degrades gracefully to raw shipping (A-2P → Rep for the job's
 //     remainder) instead of aborting.
 //
-// Concurrency discipline: a single control-loop goroutine owns every piece
-// of merge/duty state (slots, stages, owner tables, the supervisor state
-// machine). Readers, the scan/job goroutine, and the heartbeat ticker only
-// communicate with it through the events channel, the control loop never
-// posts to that channel, and it is the only goroutine that enqueues to or
-// closes the jobs channel.
+// Concurrency discipline, in either mode: a single control-loop goroutine
+// owns every piece of merge/duty state (slots, stages, owner tables, the
+// supervisor state machine). Readers, the scan/job goroutine, and the
+// heartbeat ticker only communicate with it through the events channel,
+// the control loop never posts to that channel, and it is the only
+// goroutine that enqueues to or closes the jobs channel.
 
 // Event types delivered to the control loop.
 const (
-	evFrame      = iota // a frame from an inbound connection or the self slot
-	evReadErr           // an inbound connection died
+	evFrame      = iota // a frame from an inbound connection, or a frame or reservation from the self slot
+	evReadErr           // an inbound connection died (peer and phase as its reader saw them)
 	evComplaint         // a local I/O failure toward a peer (scan/heartbeat side)
 	evScanDone          // the primary scan finished
 	evJobDone           // one queued recovery job finished
@@ -118,9 +122,9 @@ type stage struct {
 // down; it is never a fresh failure discovery.
 var errPeerDown = errors.New("dist: peer marked down")
 
-// tpeer is one outgoing connection in tolerant mode, or the node's own
-// self slot: a peer behind a lock, shared by the scan, the heartbeat
-// ticker and the control loop, that can be marked down. A down peer's
+// tpeer is one outgoing connection, or the node's own self slot: a peer
+// behind a lock, shared by the scan, the heartbeat ticker and the control
+// loop, that can be marked down (only ever in tolerant mode). A down peer's
 // writes return errPeerDown and the data plane drops that destination's
 // slices (the receiver-side slot algebra makes ship-vs-drop equally
 // correct for a dead peer). markDown closes the connection so a write
@@ -147,7 +151,7 @@ func (p *tpeer) markDown() {
 }
 
 // install arms the peer with a live connection (dial side). The peer stays
-// down until helloT has flushed the hello on it: a frame written ahead of
+// down until sayHello has flushed the hello on it: a frame written ahead of
 // the hello would be read as one and refused as the other mode's.
 func (p *tpeer) install(conn net.Conn) {
 	p.mu.Lock()
@@ -155,13 +159,16 @@ func (p *tpeer) install(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// helloT writes and flushes the hello on the installed connection and
-// only then marks the peer up, under the lock every write takes, so no
-// frame can precede the hello.
-func (p *tpeer) helloT(src int) error {
+// sayHello writes and flushes node src's hello, of its mode, on the
+// installed connection and only then marks the peer up, under the lock
+// every write takes, so no frame can precede the hello.
+func (p *tpeer) sayHello(src int, tolerant bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.out.writeHello(helloTolerantFlag | src); err != nil {
+	if tolerant {
+		src |= helloTolerantFlag
+	}
+	if err := p.out.writeHello(src); err != nil {
 		p.out.conn.Close()
 		return err
 	}
@@ -210,13 +217,14 @@ func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
 	return p.locked(func(o *peer) error { return o.writePartials(s, ps) })
 }
 
-// tnode is one tolerant-mode node. Fields below the "control-loop state"
+// tnode is one node, of either mode. Fields below the "control-loop state"
 // marker are owned exclusively by the control goroutine.
 type tnode struct {
 	cfg   Config
 	id, n int
 	part  []tuple.Tuple
 	m     *metrics
+	rng   *rand.Rand // dial jitter, drawn by the dialing goroutine only
 	*canceller
 
 	events chan tevent
@@ -242,7 +250,7 @@ type tnode struct {
 	// goroutines communicate through nd.events instead of touching
 	// these directly. The //aggvet:owner tags make loopown enforce
 	// that; the only sanctioned exceptions (construction in newTnode,
-	// post-join reads in runNodeTolerant) carry rationaled allows.
+	// the supervisor handoff in run) carry rationaled allows.
 	//
 	//aggvet:owner control
 	final *kernel.Merge
@@ -279,6 +287,8 @@ type tnode struct {
 	//aggvet:owner control
 	scanFinished bool
 	//aggvet:owner control
+	eos int // streams ended, counted with recovery off
+	//aggvet:owner control
 	maxEpoch int
 	//aggvet:owner control
 	lastDoneSent int
@@ -292,19 +302,31 @@ type tnode struct {
 	fatal error
 }
 
+// newTnode builds node cfg.ID over listener ln, which it closes on
+// cancellation, to scan part.
 func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	n := len(cfg.Addrs)
+	jobs := 0
+	if cfg.Tolerate {
+		// Room for every recovery job control can queue (n per assign),
+		// as the scan goroutine drains them only after its primary scan.
+		jobs = 2*n*n + 8
+	}
 	nd := &tnode{
-		cfg:          cfg,
-		id:           cfg.ID,
-		n:            n,
-		part:         part,
-		m:            newMetrics(cfg.Obs, cfg.ID),
-		canceller:    newCanceller(ln),
-		events:       make(chan tevent, 16*n),
-		jobs:         make(chan tjob, 2*n*n+8),
-		peers:        make([]*tpeer, n),
-		pool:         make(rawPool, 16*n), // as many as events can queue
+		cfg:       cfg,
+		id:        cfg.ID,
+		n:         n,
+		part:      part,
+		m:         newMetrics(cfg.Obs, cfg.ID),
+		rng:       jitterRand(cfg),
+		canceller: newCanceller(ln),
+		jobs:      make(chan tjob, jobs),
+		peers:     make([]*tpeer, n),
+		// A few frames per stream may queue, so a reader rarely waits on a
+		// fold. The pool keeps one raw slice per frame that can be queued,
+		// decoding or folding at once: past that it only holds memory.
+		events:       make(chan tevent, 4*n),
+		pool:         make(rawPool, 5*n+1),
 		final:        kernel.NewMerge(),
 		slots:        make(map[slotKey]*slot),
 		stages:       make(map[streamID]*stage),
@@ -324,12 +346,13 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		nd.peers[i] = p
 		nd.owner[i] = i
 		nd.assignee[i] = i
-		// This node owns its range at epoch 0 from every partition.
 		if i == cfg.ID {
 			p.out.self = nd.toSelf
-			for q := 0; q < n; q++ {
-				nd.slots[slotKey{r: i, p: q}] = &slot{acceptable: map[int]bool{0: true}}
-			}
+		}
+		if cfg.Tolerate {
+			// This node owns its range at epoch 0 from every partition; with
+			// recovery off nothing is accounted per stream.
+			nd.slots[slotKey{r: cfg.ID, p: i}] = &slot{acceptable: map[int]bool{0: true}}
 		}
 	}
 	nd.publishOwner()
@@ -352,43 +375,52 @@ func (nd *tnode) post(ev tevent) bool {
 	}
 }
 
-// toSelf is a tolerant node's self slot: a frame of its own share, which
-// the scan goroutine posts to the control loop as an evFrame event.
-func (nd *tnode) toSelf(in incoming) error {
-	if !nd.post(tevent{typ: evFrame, peer: nd.id, f: in.f, reserve: in.reserve}) {
+// toSelf is a node's self slot: a frame of its own share, or a
+// reservation for its own stream, which the scan goroutine posts to the
+// control loop as an evFrame event.
+func (nd *tnode) toSelf(ev tevent) error {
+	ev.typ, ev.peer = evFrame, nd.id
+	if !nd.post(ev) {
 		return errPeerDown // cancelled: nothing is left to ship to
 	}
 	return nil
 }
 
-// shipFail handles a data-plane write failure toward peer d: mark it down
-// (closing the connection, so nothing else blocks on it), and either
-// complain to the supervisor or — if the supervisor itself is the
-// unreachable one — declare the local node failed, because without the
+// shipFail handles a write failure toward peer d and returns the error that
+// ends the scan, if any. With recovery off any failed write is fatal: its
+// *NodeError goes to control and ends the scan. With recovery on it marks
+// d down (closing the connection, so nothing else blocks on it), and
+// either complains to the supervisor or — if the supervisor itself is the
+// unreachable one — declares the local node failed, because without the
 // supervisor no complaint, done report, or reassignment can reach us.
-func (nd *tnode) shipFail(d int, err error) {
+func (nd *tnode) shipFail(d int, err error) error {
+	if !nd.cfg.Tolerate {
+		err = nodeErr(nd.id, d, PhaseWrite, err)
+		nd.post(tevent{typ: evFatal, err: err})
+		return err
+	}
 	if errors.Is(err, errPeerDown) {
-		return // already known down; nothing new to report
+		return nil // already known down; nothing new to report
 	}
 	nd.peers[d].markDown()
 	if d == 0 && nd.id != 0 {
 		nd.post(tevent{typ: evFatal, err: nodeErr(nd.id, 0, PhaseWrite,
 			fmt.Errorf("supervisor connection lost: %w", err))})
-		return
+		return nil
 	}
 	nd.post(tevent{typ: evComplaint, peer: d, phase: PhaseWrite})
+	return nil
 }
 
-// runNodeTolerant executes one node of the fault-tolerant protocol. See
-// the file comment for the architecture; the sequencing here matters:
-// a peer dials the supervisor before anything else starts, the
-// heartbeat and control goroutines run while the remaining (possibly
-// slow or dead) peers are dialed so the node is never silent longer than
-// a beacon interval, and the supervisor's decision ticker only starts
-// once its own formation is complete so no assignment can be broadcast
-// to a not-yet-dialed peer.
-func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, error) {
-	nd := newTnode(ln, cfg, part)
+// run executes the node. See the file comment for the architecture; the
+// sequencing here matters: the peers a node cannot do without are dialed
+// before anything else starts, the heartbeat and control goroutines run
+// while the remaining (possibly slow or dead) peers are dialed so the node
+// is never silent longer than a beacon interval, and the supervisor's
+// decision ticker only starts once its own formation is complete so no
+// assignment can be broadcast to a not-yet-dialed peer.
+func (nd *tnode) run() (*NodeResult, error) {
+	cfg := nd.cfg
 	defer nd.cancel()
 
 	// ctrl is the control loop, and rest every other goroutine the node
@@ -402,25 +434,25 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 			f()
 		}()
 	}
+	spawn(&rest, func() { nd.accept(&rest) })
 
-	// Accept side: runs until the listener closes. Tolerant formation has
-	// no fixed conn count — a late or restarted peer can still connect —
-	// so there is no formation watchdog; silent peers are the liveness
-	// protocol's business. Exiting caps the inbound universe: control
-	// learns how many connections ever arrived, so it can recognize the
-	// moment none of them remain and nothing new can come (checkDeaf).
-	spawn(&rest, func() {
-		accepted, _ := acceptLoop(nd.canceller, -1, time.Time{}, &rest, nd.serve)
-		nd.post(tevent{typ: evAcceptDone, peer: accepted})
-	})
-
-	// The supervisor connection is load-bearing: without it this node can
-	// neither report progress nor learn about reassignments.
+	// Peers below first are those this node cannot do without, and a dial
+	// failure to one is fatal: with recovery off every peer; with it on
+	// the supervisor, without which this node can neither report progress
+	// nor learn about reassignments.
+	first := nd.n
+	if cfg.Tolerate {
+		first = 1
+	}
 	dialSpan := cfg.Tracer.Begin(cfg.ID, "dial")
 	up := 0
-	if nd.id != 0 {
-		if err := nd.dialOne(0, time.Now().Add(cfg.DialTimeout)); err != nil {
-			dialSpan.End("supervisor unreachable")
+	deadline := time.Now().Add(cfg.DialTimeout)
+	for j := 0; j < first; j++ {
+		if j == nd.id {
+			continue
+		}
+		if err := nd.dialOne(j, deadline); err != nil {
+			dialSpan.End(fmt.Sprintf("peer %d unreachable", j))
 			nd.cancel()
 			rest.Wait()
 			return nil, err
@@ -428,20 +460,21 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 		up++
 	}
 	//aggvet:allow loopown -- handoff before control() spawns: the loop goroutine does not exist yet
-	if nd.id == 0 {
-		// The failure detector's clock starts at supervisor formation, so
-		// every peer gets a full DeadAfter of grace to finish dialing.
-		nd.sup = newSupervisor(cfg, time.Now())
+	if cfg.Tolerate {
+		if nd.id == 0 {
+			// The failure detector's clock starts at supervisor formation,
+			// so every peer gets a full DeadAfter of grace to finish dialing.
+			nd.sup = newSupervisor(cfg, time.Now())
+		}
+		spawn(&rest, nd.heartbeatLoop)
 	}
-
 	spawn(&ctrl, nd.control)
-	spawn(&rest, nd.heartbeatLoop)
 
 	// Remaining peers: a dial failure to a non-supervisor peer is
 	// tolerated — mark it down and complain; the supervisor will declare
 	// it dead and reassign.
-	deadline := time.Now().Add(cfg.DialTimeout)
-	for j := 1; j < nd.n; j++ {
+	deadline = time.Now().Add(cfg.DialTimeout)
+	for j := first; j < nd.n; j++ {
 		if j == nd.id {
 			continue
 		}
@@ -453,7 +486,7 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	}
 	dialSpan.End(fmt.Sprintf("%d/%d peers", up, nd.n-1))
 
-	if nd.id == 0 {
+	if cfg.Tolerate && nd.id == 0 {
 		spawn(&rest, func() {
 			t := time.NewTicker(cfg.HeartbeatEvery)
 			defer t.Stop()
@@ -469,29 +502,7 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 			}
 		})
 	}
-
-	spawn(&rest, func() {
-		scanSpan := cfg.Tracer.Begin(cfg.ID, "scan")
-		primary := streamID{origin: nd.id}
-		sc := nd.scan(cfg.Algorithm, primary, len(part))
-		sc.Refresh = func(scanned int) []int {
-			nd.scanned.Store(int64(scanned))
-			return *nd.ownerPtr.Load()
-		}
-		_ = sc.Run(part) // a tolerant ship never fails
-		nd.m.scanned(&sc, cfg.TableEntries > 0, false)
-		nd.switched = sc.FellBack || sc.Switched
-		nd.scanFlag.Store(true)
-		// End of the primary stream at every peer: even a peer that
-		// received no slices needs the EOS to satisfy its (r, us) slot.
-		nd.broadcast(nd.peers, frameEOS, primary)
-		scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(part), nd.switched, sc.Note("range")))
-		nd.post(tevent{typ: evScanDone})
-		for j := range nd.jobs {
-			nd.reexecute(j)
-			nd.post(tevent{typ: evJobDone})
-		}
-	})
+	spawn(&rest, nd.work)
 
 	ctrl.Wait()
 	nd.cancel()
@@ -504,6 +515,65 @@ func runNodeTolerant(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResu
 	}
 	nd.res.Switched, nd.res.RawSent, nd.res.PartialsSent = nd.switched, nd.rawSent, nd.partialsSent
 	return nd.res, nil
+}
+
+// accept runs the accept loop, serving each connection on a goroutine in
+// wg. With recovery off it accepts the n−1 peers within DialTimeout, a
+// formation watchdog closing the listener if one never dials (which would
+// otherwise park Accept forever), and its error is fatal. With recovery on
+// formation has no fixed conn count — a late or restarted peer can still
+// connect — so it runs until the listener closes, and silent peers are
+// the liveness protocol's business. Its exit caps the inbound universe:
+// control learns how many connections ever arrived, so it can recognize
+// the moment none of them remain and nothing new can come (checkDeaf).
+func (nd *tnode) accept(wg *sync.WaitGroup) {
+	if nd.cfg.Tolerate {
+		accepted, _ := acceptLoop(nd.canceller, -1, time.Time{}, wg, nd.serve)
+		nd.post(tevent{typ: evAcceptDone, peer: accepted})
+		return
+	}
+	formation := time.AfterFunc(nd.cfg.DialTimeout, func() { nd.ln.Close() })
+	accepted, err := acceptLoop(nd.canceller, nd.n-1, time.Now().Add(nd.cfg.DialTimeout), wg, nd.serve)
+	if !formation.Stop() && err != nil {
+		err = fmt.Errorf("cluster formation timed out after %v (%d/%d peers connected)", nd.cfg.DialTimeout, accepted, nd.n-1)
+	}
+	if err != nil {
+		nd.post(tevent{typ: evFatal, err: nodeErr(nd.id, -1, PhaseAccept, err)})
+	}
+}
+
+// work is the scan goroutine: the node's primary scan, the end of its
+// stream at every peer, then the recovery jobs control queues, until
+// control exits and closes the queue.
+func (nd *tnode) work() {
+	scanSpan := nd.cfg.Tracer.Begin(nd.id, "scan")
+	primary := streamID{origin: nd.id}
+	sc := nd.scan(nd.cfg.Algorithm, primary, len(nd.part))
+	if nd.cfg.Tolerate {
+		// Route by the owner table reassignments change, and publish the
+		// progress heartbeats report.
+		sc.Refresh = func(scanned int) []int {
+			nd.scanned.Store(int64(scanned))
+			return *nd.ownerPtr.Load()
+		}
+	}
+	// A tolerant ship never fails; a fail-fast one has posted its fault.
+	err := sc.Run(nd.part)
+	nd.m.scanned(&sc, nd.cfg.TableEntries > 0, false)
+	nd.switched = sc.FellBack || sc.Switched
+	nd.scanFlag.Store(true)
+	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(nd.part), nd.switched, sc.Note("range")))
+	if err == nil {
+		// End of the primary stream at every peer: even a peer that
+		// received no slices needs the EOS. A failure is handled as
+		// the scan's writes are.
+		_ = nd.broadcast(nd.peers, frameEOS, primary)
+	}
+	nd.post(tevent{typ: evScanDone})
+	for j := range nd.jobs {
+		nd.reexecute(j)
+		nd.post(tevent{typ: evJobDone})
+	}
 }
 
 // outcome is the node's result as control() leaves it. Leftover stages
@@ -542,16 +612,15 @@ func (nd *tnode) outcome() (*NodeResult, error) {
 }
 
 // dialOne connects to peer j through the shared dialer, performs the
-// tolerant hello, and installs the connection. The peer stays down on
-// failure.
+// hello, and installs the connection. The peer stays down on failure.
 func (nd *tnode) dialOne(j int, deadline time.Time) error {
-	conn, err := dialPeer(nd.cfg, j, deadline, jitterRand(nd.cfg), nd.canceller, nd.m)
+	conn, err := dialPeer(nd.cfg, j, deadline, nd.rng, nd.canceller, nd.m)
 	if err != nil {
 		return err
 	}
 	p := nd.peers[j]
 	p.install(conn)
-	if err := p.helloT(nd.id); err != nil {
+	if err := p.sayHello(nd.id, nd.cfg.Tolerate); err != nil {
 		p.markDown()
 		return nodeErr(nd.id, j, PhaseHello, err)
 	}
@@ -564,12 +633,14 @@ func (nd *tnode) dialOne(j int, deadline time.Time) error {
 // hello cannot be complained about, but the control loop counts it: a
 // node whose every inbound handshake fails is deaf (an inbound one-way
 // partition) and must declare itself failed rather than stall the query.
+// With recovery off a connection's stream ends at its EOS: nothing
+// follows it, so the reader stops there.
 func (nd *tnode) serve(conn net.Conn) {
-	src, _, err := readConn(conn, nd.cfg, true, nd.pool, nd.m, func(src int, f frame) bool {
-		return nd.post(tevent{typ: evFrame, peer: src, f: f, conn: conn})
+	src, phase, err := readConn(conn, nd.cfg, nd.pool, nd.m, func(src int, f frame) bool {
+		return nd.post(tevent{typ: evFrame, peer: src, f: f, conn: conn}) && (nd.cfg.Tolerate || f.kind != frameEOS)
 	})
 	if err != nil {
-		nd.post(tevent{typ: evReadErr, peer: src, err: err})
+		nd.post(tevent{typ: evReadErr, peer: src, phase: phase, err: err})
 	}
 }
 
@@ -611,26 +682,22 @@ func (nd *tnode) heartbeatLoop() {
 	}
 }
 
-// scan is a kernel run over the tolerant exchange of stream s, routing by
-// the live owner table.
+// scan is a kernel run over the node's exchange of stream s.
 func (nd *tnode) scan(alg Algorithm, s streamID, rows int) kernel.Scan {
-	sc := newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &exchange{id: nd.id, batch: nd.cfg.Batch, s: s, self: nd.toSelf, pool: nd.pool,
-		to:     func(d int) writer { return nd.peers[d] },
-		failed: func(d int, err error) error { nd.shipFail(d, err); return nil },
-		raw:    &nd.rawSent, part: &nd.partialsSent,
-		endPhase: func() error { nd.broadcast(nd.peers, frameEOP, s); return nil }})
-	sc.Refresh = func(int) []int { return *nd.ownerPtr.Load() }
-	return sc
+	return newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &exchange{nd: nd, s: s})
 }
 
 // broadcast sends a control frame of stream s to every peer in to, with
-// the same failure policy.
-func (nd *tnode) broadcast(to []*tpeer, kind frameKind, s streamID) {
+// the data frames' failure policy: the first error shipFail returns ends it.
+func (nd *tnode) broadcast(to []*tpeer, kind frameKind, s streamID) error {
 	for _, p := range to {
 		if err := p.control(kind, s.origin, s.epoch, 0); err != nil {
-			nd.shipFail(p.id, err)
+			if err = nd.shipFail(p.id, err); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // reexecute runs one recovery job on the scan goroutine: the scan loop as
@@ -647,17 +714,19 @@ func (nd *tnode) reexecute(j tjob) {
 	to := nd.peers
 	if j.dest >= 0 {
 		// Re-extract: every kept key goes to the takeover worker.
-		sc.Owner, sc.Refresh = make([]int, nd.n), nil
+		sc.Owner = make([]int, nd.n)
 		for r := range sc.Owner {
 			sc.Owner[r] = j.dest
 		}
 		to = nd.peers[j.dest : j.dest+1]
+	} else {
+		sc.Refresh = func(int) []int { return *nd.ownerPtr.Load() }
 	}
 	before := nd.rawSent + nd.partialsSent
 	_ = sc.Run(data) // a tolerant ship never fails
 	nd.m.scanned(&sc, nd.cfg.TableEntries > 0, true)
 	nd.m.reship(nd.rawSent + nd.partialsSent - before)
-	nd.broadcast(to, frameEOS, s)
+	_ = nd.broadcast(to, frameEOS, s) // a tolerant ship never fails
 }
 
 // control is the single-goroutine brain: it owns all merge and duty state,
@@ -668,6 +737,14 @@ func (nd *tnode) reexecute(j tjob) {
 func (nd *tnode) control() {
 	defer close(nd.jobs)
 	defer func() { nd.res, nd.err = nd.outcome() }()
+	if !nd.cfg.Tolerate {
+		// Every frame folds straight into final: the loop is the merge.
+		span := nd.cfg.Tracer.Begin(nd.id, "merge")
+		defer func() {
+			span.End(fmt.Sprintf("%d groups, reserved %d, %d slots",
+				nd.final.Table().Len(), nd.final.Reserved(), nd.final.Table().Slots()))
+		}()
+	}
 	for {
 		var ev tevent
 		select {
@@ -679,6 +756,10 @@ func (nd *tnode) control() {
 		case evFrame:
 			nd.onFrame(ev)
 		case evReadErr:
+			if !nd.cfg.Tolerate {
+				nd.fatal = nodeErr(nd.id, ev.peer, ev.phase, ev.err)
+				break
+			}
 			nd.inboundDead++
 			nd.classifyReadErr(ev)
 			nd.checkDeaf(ev.err)
@@ -710,7 +791,15 @@ func (nd *tnode) control() {
 func (nd *tnode) onFrame(ev tevent) {
 	f := ev.f
 	if ev.reserve > 0 {
-		nd.stage(f.stream()).Reserve(ev.reserve)
+		nd.into(f, 0).Reserve(ev.reserve)
+		return
+	}
+	if !nd.cfg.Tolerate && f.kind >= frameHeartbeat {
+		// readFrame decodes every kind of the one protocol, so a tolerant
+		// control frame sent after a fail-fast hello lands here: abort
+		// rather than drop it.
+		nd.fatal = &NodeError{NodeID: nd.id, Peer: -1, Phase: PhaseMerge,
+			Err: fmt.Errorf("unexpected frame kind %d in fail-fast mode", f.kind)}
 		return
 	}
 	if nd.sup != nil {
@@ -753,17 +842,32 @@ func (nd *tnode) onFrame(ev tevent) {
 	case frameEOP:
 		nd.fallback.Store(true)
 	case frameRaw:
-		st := nd.stage(f.stream())
-		st.frames++
-		st.Raw(f.raw)
+		nd.into(f, 1).Raw(f.raw)
 		nd.pool.put(f.raw, nd.done)
 	case framePartial:
-		st := nd.stage(f.stream())
-		st.frames++
-		st.Partials(f.partials)
+		nd.into(f, 1).Partials(f.partials)
 	case frameEOS:
-		nd.tryCommit(f.stream())
+		if nd.cfg.Tolerate {
+			nd.tryCommit(f.stream())
+			return
+		}
+		// Nothing was staged, so nothing is poured: a stream's end is counted.
+		nd.eos++
+		nd.maybeDone()
 	}
+}
+
+// into is the table a frame folds into, counting frames toward a stage.
+// With recovery off it is the final table, as nothing can supersede a
+// stream, so a fail-fast node never stages and never reads a frame's
+// origin; with recovery on it is the stage of the frame's stream.
+func (nd *tnode) into(f frame, frames int64) *kernel.Merge {
+	if !nd.cfg.Tolerate {
+		return nd.final
+	}
+	st := nd.stage(f.stream())
+	st.frames += frames
+	return st.Merge
 }
 
 func (nd *tnode) stage(s streamID) *stage {
@@ -1088,6 +1192,11 @@ func (nd *tnode) tryCommit(s streamID) {
 // supervisor's epoch and forces a re-report once the new work is done.
 func (nd *tnode) maybeDone() {
 	if !nd.scanFinished || nd.queuedJobs > 0 {
+		return
+	}
+	if !nd.cfg.Tolerate {
+		// Done is finished once all n streams ended: no supervisor to tell.
+		nd.finished = nd.eos == nd.n
 		return
 	}
 	for _, sl := range nd.slots {

@@ -547,7 +547,7 @@ func TestSupervisorBeatsItself(t *testing.T) {
 // the tolerant flag; it refused the connection as the other mode's, the
 // dialer's next write failed, and the dialer dropped that peer's share for
 // good while both nodes went on heartbeating — a query that never ended.
-// Between install and helloT the peer must refuse tryControl; after it, the
+// Between install and sayHello the peer must refuse tryControl; after it, the
 // wire must carry the tolerant hello first and the heartbeat second.
 func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	dialer, acceptor := net.Pipe()
@@ -565,7 +565,7 @@ func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); sent || err != nil {
 		t.Fatalf("a peer without its hello took a heartbeat: sent=%v err=%v", sent, err)
 	}
-	if err := p.helloT(0); err != nil {
+	if err := p.sayHello(0, true); err != nil {
 		t.Fatal(err)
 	}
 	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); !sent || err != nil {

@@ -27,9 +27,10 @@ import (
 // partition whose data the stream carries (NOT the sender: a recovery
 // worker ships partition d's re-execution as origin d); epoch is the
 // supervisor-assigned attempt number (0 = the primary scan). A fail-fast
-// node sends origin = its id and epoch 0, and its merge side never reads
-// them. aux is a control frame's immediate (heartbeat progress, assign
-// owner and flags, done watermark) and 0 on a data frame. Raw records are
+// node sends origin = its id (its low byte) and epoch 0, and its control
+// loop never reads them, so fail-fast clusters may exceed maxOrigins. aux
+// is a control frame's immediate (heartbeat progress, assign owner and
+// flags, done watermark) and 0 on a data frame. Raw records are
 // tuple.RawSize bytes, partial records tuple.PartialSize bytes, in the
 // same little-endian layout the simulator's pages use; a control frame
 // has count 0.
@@ -136,7 +137,7 @@ type streamID struct {
 func (s streamID) String() string { return fmt.Sprintf("(origin %d, epoch %d)", s.origin, s.epoch) }
 
 // rawPool is a node's free list of raw-record slices: the readers decode
-// raw frames into slices taken from it and the merge side puts them back
+// raw frames into slices taken from it and the control loop puts them back
 // once folded, so a steady exchange allocates no record slices. A nil
 // pool always allocates and drops.
 type rawPool chan []tuple.Tuple
@@ -304,12 +305,12 @@ func partialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte
 	return buf, nil
 }
 
-// peer is one outgoing connection — a fail-fast node's, or the writer
-// inside a tolerant tpeer — or, in either mode, the node's own self slot:
-// the conn for deadline control, the buffered writer for framing, and the
-// per-frame write timeout. Every write arms a fresh deadline, so a peer
-// that stops draining its socket (backpressure hang) fails the write
-// within timeout instead of blocking the scan forever.
+// peer is the writer inside a tpeer: one outgoing connection, or the
+// node's own self slot. It holds the conn for deadline control, the
+// buffered writer for framing, and the per-frame write timeout. Every
+// write arms a fresh deadline, so a peer that stops draining its socket
+// (backpressure hang) fails the write within timeout instead of blocking
+// the scan forever.
 type peer struct {
 	id      int
 	conn    net.Conn
@@ -327,12 +328,12 @@ type peer struct {
 
 // selfSlot is where a node's own share of the exchange goes, in either
 // mode: every write to the node's own entry hands its frame, records and
-// all, straight to the node's merge side (a fail-fast merge loop, a
-// tolerant control loop), never through a socket (paper §5 — a node
-// merges its own partition of the exchange locally). Nothing is encoded
-// or decoded and the wire metrics never see it. Once the node is
-// cancelled a post fails the way a write to a closed connection does.
-type selfSlot func(incoming) error
+// all, straight to the node's control loop as an event, never through a
+// socket (paper §5 — a node merges its own partition of the exchange
+// locally). Nothing is encoded or decoded and the wire metrics never see
+// it. Once the node is cancelled a post fails the way a write to a closed
+// connection does.
+type selfSlot func(tevent) error
 
 func (p *peer) arm() {
 	if p.timeout > 0 {
@@ -363,11 +364,11 @@ func (p *peer) writeHello(src int) error {
 }
 
 // writeRaw ships ts as one raw frame of stream s. A socket write encodes
-// ts and does not keep it; the self slot keeps it, and the merge side puts
+// ts and does not keep it; the self slot keeps it, and the control loop puts
 // it in the node's raw pool once folded.
 func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 	if p.self != nil {
-		return p.self(incoming{f: frame{kind: frameRaw, origin: s.origin, epoch: s.epoch, raw: ts}})
+		return p.self(tevent{f: frame{kind: frameRaw, origin: s.origin, epoch: s.epoch, raw: ts}})
 	}
 	p.arm()
 	var err error
@@ -379,7 +380,7 @@ func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
 
 func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 	if p.self != nil {
-		return p.self(incoming{f: frame{kind: framePartial, origin: s.origin, epoch: s.epoch, partials: ps}})
+		return p.self(tevent{f: frame{kind: framePartial, origin: s.origin, epoch: s.epoch, partials: ps}})
 	}
 	p.arm()
 	var err error
@@ -393,7 +394,7 @@ func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
 // flushes.
 func (p *peer) control(kind frameKind, s streamID, aux uint32) error {
 	if p.self != nil {
-		return p.self(incoming{f: frame{kind: kind, origin: s.origin, epoch: s.epoch, aux: aux}})
+		return p.self(tevent{f: frame{kind: kind, origin: s.origin, epoch: s.epoch, aux: aux}})
 	}
 	p.arm()
 	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, aux))
