@@ -73,8 +73,9 @@ type Cluster struct {
 	// processes append to it; the DES scheduler serializes access.
 	Result map[tuple.Key]tuple.AggState
 
-	// Trace, when non-nil, records a timeline of the execution.
-	Trace *trace.Log
+	// Trace, when non-nil, records the execution's spans on the Sim
+	// clock. Recording reads the clock and never advances it.
+	Trace *trace.Tracer
 
 	// Obs, when non-nil, receives the execution's metrics: phase
 	// switches and hash occupancy as they happen, resource utilisation

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"fmt"
+
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
 	"parallelagg/internal/network"
-	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
@@ -29,7 +30,8 @@ func launchBroadcast(c *cluster.Cluster, opt Options) {
 
 func runBroadcastNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Options) {
 	prm := c.Prm
-	c.Trace.Add(int64(p.Now()), n.ID, trace.ScanStart, "broadcast mode")
+	merge := c.Trace.Begin(n.ID, "merge")
+	scan := c.Trace.Begin(n.ID, "scan")
 	agg := newAggregator(c, n, prm.TRead+prm.TAgg, prm.Tuples, opt.MaxBuckets)
 	eos := 0
 
@@ -90,7 +92,7 @@ func runBroadcastNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Opti
 		}
 	}
 	flush()
-	c.Trace.Add(int64(p.Now()), n.ID, trace.ScanEnd, "broadcast scan done")
+	scan.End(fmt.Sprintf("%d tuples, switched=false, broadcast mode", n.Metrics.Scanned))
 	for dst := 0; dst < prm.N; dst++ {
 		c.Net.Send(p, n.CPU, eosMsg(n.ID, dst))
 	}
@@ -104,6 +106,6 @@ func runBroadcastNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Opti
 	}
 	out := agg.Finalize(p)
 	emitResults(c, p, n, out, opt.NoResultStore)
-	c.Trace.Add(int64(p.Now()), n.ID, trace.MergeEnd, "broadcast merge done")
+	merge.End(fmt.Sprintf("%d groups", len(out)))
 	n.Metrics.Finish = p.Now()
 }

@@ -8,7 +8,6 @@ import (
 	"parallelagg/internal/des"
 	"parallelagg/internal/disk"
 	"parallelagg/internal/network"
-	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
@@ -235,8 +234,7 @@ func (a *aggregator) Finalize(p *des.Proc) []tuple.Partial {
 		}
 		sp.Flush(p)
 		recs := sp.ReadAll(p)
-		a.c.Trace.Add(int64(p.Now()), a.n.ID, trace.SpillPass,
-			fmt.Sprintf("reprocessing %d spilled records (depth %d)", len(recs), a.depth))
+		pass := a.c.Trace.Begin(a.n.ID, "spill")
 		sub := newAggregator(a.c, a.n, a.reprocessInstr(), int64(len(recs)), a.maxBuckets)
 		sub.depth = a.depth + 1
 		sub.chargeBatch(p, len(recs))
@@ -248,6 +246,7 @@ func (a *aggregator) Finalize(p *des.Proc) []tuple.Partial {
 			}
 		}
 		out = append(out, sub.Finalize(p)...)
+		pass.End(fmt.Sprintf("reprocessing %d spilled records (depth %d)", len(recs), a.depth))
 	}
 	return out
 }

@@ -122,8 +122,10 @@ type Options struct {
 	// aggregation feeding a pipeline instead of a store (Figure 2).
 	NoResultStore bool
 
-	// Trace records a timeline of phase transitions, switches and spill
-	// passes into Result.Trace.
+	// Trace records the execution's spans on the simulator's virtual
+	// clock into Result.Trace: per node a scan and a merge span, adaptive
+	// switches, end-of-phase broadcasts, spill passes and the sampling
+	// decision (DESIGN.md §9). Recording never moves the simulation.
 	Trace bool
 
 	// Obs, when non-nil, receives the execution's metrics: per-node
@@ -174,8 +176,9 @@ type Result struct {
 	// algorithms only).
 	Switched int
 
-	// Trace is the execution timeline (nil unless Options.Trace was set).
-	Trace *trace.Log
+	// Trace holds the execution's spans in virtual nanoseconds (nil
+	// unless Options.Trace was set).
+	Trace *trace.Tracer
 }
 
 // Run executes alg over rel on a simulated cluster configured by prm and
@@ -189,7 +192,7 @@ func Run(prm params.Params, rel *workload.Relation, alg Algorithm, opt Options) 
 	}
 	res := &Result{Algorithm: alg}
 	if opt.Trace {
-		c.Trace = &trace.Log{}
+		c.Trace = trace.NewTracer(func() int64 { return int64(c.Sim.Now()) })
 		res.Trace = c.Trace
 	}
 	c.Obs = opt.Obs

@@ -306,6 +306,17 @@ func TestSamplingChao1ExtendsSmallSamples(t *testing.T) {
 	}
 }
 
+// spansNamed returns the spans called name, in Spans order.
+func spansNamed(tr *trace.Tracer, name string) []trace.Span {
+	var out []trace.Span
+	for _, s := range tr.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestTraceRecordsAdaptiveTimeline(t *testing.T) {
 	prm := testParams(4)
 	rel := workload.Uniform(4, 4000, 2000, 91) // forces A2P switches
@@ -313,17 +324,23 @@ func TestTraceRecordsAdaptiveTimeline(t *testing.T) {
 	if res.Trace == nil || res.Trace.Len() == 0 {
 		t.Fatal("no trace recorded")
 	}
-	starts := res.Trace.ByKind(trace.ScanStart)
-	if len(starts) != prm.N {
-		t.Errorf("%d scan-start events, want %d", len(starts), prm.N)
+	for _, name := range []string{"scan", "merge"} {
+		perNode := make([]int, prm.N)
+		for _, s := range spansNamed(res.Trace, name) {
+			perNode[s.Node]++
+			if s.End < s.Start {
+				t.Errorf("%s span %+v ends before it starts", name, s)
+			}
+		}
+		for node, k := range perNode {
+			if k != 1 {
+				t.Errorf("node %d has %d %s spans, want 1", node, k, name)
+			}
+		}
 	}
-	switches := res.Trace.ByKind(trace.Switch)
+	switches := spansNamed(res.Trace, "switch")
 	if len(switches) != res.Switched {
-		t.Errorf("%d switch events, %d switched nodes", len(switches), res.Switched)
-	}
-	merges := res.Trace.ByKind(trace.MergeEnd)
-	if len(merges) != prm.N {
-		t.Errorf("%d merge-end events", len(merges))
+		t.Errorf("%d switch spans, %d switched nodes", len(switches), res.Switched)
 	}
 	// Without the option, no trace is attached.
 	res = run(t, prm, workload.Uniform(4, 4000, 2000, 91), A2P, Options{})
@@ -335,8 +352,8 @@ func TestTraceRecordsAdaptiveTimeline(t *testing.T) {
 func TestTraceRecordsSamplingDecision(t *testing.T) {
 	prm := testParams(4)
 	res := run(t, prm, workload.Uniform(4, 4000, 10, 92), Samp, Options{Trace: true})
-	if got := res.Trace.ByKind(trace.Decision); len(got) != 1 {
-		t.Fatalf("decision events = %v", got)
+	if got := spansNamed(res.Trace, "decision"); len(got) != 1 {
+		t.Fatalf("decision spans = %v", got)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"parallelagg/internal/des"
 	"parallelagg/internal/network"
 	"parallelagg/internal/obs"
-	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
@@ -225,7 +224,7 @@ func (d *driverNode) endOfPhase(p *des.Proc) {
 		return
 	}
 	d.eopSent = true
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.EndOfPhase, "broadcasting end-of-phase")
+	d.c.Trace.Begin(d.n.ID, "end-of-phase").End("broadcasting end-of-phase")
 	d.ship.BroadcastEndOfPhase(p)
 	d.switchToLocal(p)
 }
@@ -244,7 +243,7 @@ func (d *driverNode) switchToLocal(p *des.Proc) {
 		d.n.Metrics.SwitchedAt = d.n.Metrics.Scanned
 	}
 	d.mSwitch.With(strconv.Itoa(d.n.ID), "local").Inc()
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.Switch,
+	d.c.Trace.Begin(d.n.ID, "switch").End(
 		fmt.Sprintf("falling back to local aggregation after %d tuples", d.n.Metrics.Scanned))
 }
 
@@ -255,7 +254,7 @@ func (d *driverNode) switchToRepart(p *des.Proc) {
 	d.mode = modeRepart
 	d.n.Metrics.SwitchedAt = d.n.Metrics.Scanned
 	d.mSwitch.With(strconv.Itoa(d.n.ID), "repart").Inc()
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.Switch,
+	d.c.Trace.Begin(d.n.ID, "switch").End(
 		fmt.Sprintf("local table full after %d tuples; repartitioning", d.n.Metrics.Scanned))
 	d.flushLocalPartials(p)
 }
@@ -320,15 +319,16 @@ func (d *driverNode) run(p *des.Proc) {
 	if d.mode == modeRepart {
 		startMode = "repartition"
 	}
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.ScanStart, startMode+" mode")
+	merge := d.c.Trace.Begin(d.n.ID, "merge")
+	scan := d.c.Trace.Begin(d.n.ID, "scan")
 	for i := 0; i < d.n.Rel.Pages(); i++ {
 		ts := d.n.Rel.ReadPageSeq(p, i)
 		d.n.Metrics.Scanned += int64(len(ts))
 		d.scanPage(p, ts)
 	}
 	d.scanning = false
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.ScanEnd,
-		fmt.Sprintf("%d tuples scanned", d.n.Metrics.Scanned))
+	scan.End(fmt.Sprintf("%d tuples, switched=%v, %s mode",
+		d.n.Metrics.Scanned, d.n.Metrics.SwitchedAt >= 0, startMode))
 	if d.mode == modeLocal {
 		d.flushLocalPartials(p)
 	}
@@ -344,8 +344,7 @@ func (d *driverNode) run(p *des.Proc) {
 	}
 	out := d.global.Finalize(p)
 	emitResults(d.c, p, d.n, out, d.opt.NoResultStore)
-	d.c.Trace.Add(int64(p.Now()), d.n.ID, trace.MergeEnd,
-		fmt.Sprintf("%d groups emitted", len(out)))
+	merge.End(fmt.Sprintf("%d groups", len(out)))
 	d.n.Metrics.Finish = p.Now()
 }
 

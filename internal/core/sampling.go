@@ -9,7 +9,6 @@ import (
 	"parallelagg/internal/des"
 	"parallelagg/internal/network"
 	"parallelagg/internal/sample"
-	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
@@ -158,7 +157,7 @@ func runSampCoordinator(c *cluster.Cluster, p *des.Proc, opt Options, res *Resul
 		decision = tagDecisionRep
 	}
 	res.Decision = fmt.Sprintf("%s (%s, threshold %d)", choice, how, opt.CrossoverThreshold)
-	c.Trace.Add(int64(p.Now()), c.CoordID(), trace.Decision, res.Decision)
+	c.Trace.Begin(c.CoordID(), "decision").End(res.Decision)
 	for dst := 0; dst < prm.N; dst++ {
 		c.Net.Send(p, coord.CPU, &network.Message{Src: c.CoordID(), Dst: dst, Tag: decision})
 	}

@@ -8,7 +8,6 @@ import (
 	"parallelagg/internal/cluster"
 	"parallelagg/internal/des"
 	"parallelagg/internal/disk"
-	"parallelagg/internal/trace"
 	"parallelagg/internal/tuple"
 )
 
@@ -80,8 +79,7 @@ func (s *sorter) Finalize(p *des.Proc) []tuple.Partial {
 		return nil
 	}
 	if k > 1 {
-		s.c.Trace.Add(int64(p.Now()), s.n.ID, trace.SpillPass,
-			fmt.Sprintf("merging %d sorted runs (%d records)", k, len(all)))
+		s.c.Trace.Begin(s.n.ID, "spill").End(fmt.Sprintf("merging %d sorted runs (%d records)", k, len(all)))
 	}
 	s.n.Work(p, float64(len(all))*(math.Log2(float64(k)+1)*sortCompareInstr+s.c.Prm.TAgg))
 	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })

@@ -418,7 +418,7 @@ func dialPeer(cfg Config, j int, deadline time.Time, rng *rand.Rand, c *cancelle
 	for {
 		conn, err := dial("tcp", cfg.Addrs[j], max(min(time.Until(deadline), time.Second), 50*time.Millisecond))
 		if err != nil {
-			if time.Now().After(deadline) {
+			if !time.Now().Before(deadline) {
 				return nil, nodeErr(cfg.ID, j, PhaseDial, err)
 			}
 			m.dialRetry(j)

@@ -1,5 +1,5 @@
 // Package obs is the repo's dependency-free observability layer: a
-// metrics registry of counters, gauges and histograms organised into
+// metrics registry of counters and gauges organised into
 // labeled families, exported deterministically (sorted families and
 // series, so a same-seed simulation serializes byte-identically) and
 // over HTTP in Prometheus text format and JSON.
@@ -36,7 +36,6 @@ type Kind int
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 // String returns the Prometheus TYPE name.
@@ -46,8 +45,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -120,50 +117,19 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bound cumulative histogram. Bounds are
-// inclusive upper edges in ascending order; one implicit +Inf bucket
-// catches the rest.
-type Histogram struct {
-	bounds []int64
-	counts []atomic.Int64 // len(bounds)+1
-	sum    atomic.Int64
-	n      atomic.Int64
-}
-
-// Observe records one value. No-op on a nil receiver.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	// Binary search for the first bound >= v.
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
-}
-
-// Count returns the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // series is one labeled instance inside a family.
 type series struct {
 	labelVals []string
 	c         *Counter
 	g         *Gauge
-	h         *Histogram
+}
+
+// value returns the series' counter or gauge value.
+func (s *series) value() int64 {
+	if s.c != nil {
+		return s.c.Value()
+	}
+	return s.g.Value()
 }
 
 // family is one named metric with a fixed label schema.
@@ -172,7 +138,6 @@ type family struct {
 	help   string
 	kind   Kind
 	labels []string
-	bounds []int64 // histograms only
 
 	mu sync.Mutex
 	//aggvet:guard mu
@@ -197,8 +162,6 @@ func (f *family) get(vals []string) *series {
 			s.c = &Counter{}
 		case KindGauge:
 			s.g = &Gauge{}
-		case KindHistogram:
-			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
 		}
 		f.series[key] = s
 	}
@@ -241,24 +204,14 @@ func New() *Registry {
 }
 
 // register finds or creates a family, enforcing a consistent schema
-// for re-registrations (same kind, labels and bounds).
-func (r *Registry) register(name, help string, kind Kind, labels []string, bounds []int64) *family {
+// for re-registrations (same kind and labels).
+func (r *Registry) register(name, help string, kind Kind, labels []string) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	for _, l := range labels {
 		if !validName(l) {
 			panic(fmt.Sprintf("obs: invalid label name %q on metric %s", l, name))
-		}
-	}
-	if kind == KindHistogram {
-		if len(bounds) == 0 {
-			panic(fmt.Sprintf("obs: histogram %s needs at least one bucket bound", name))
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("obs: histogram %s bounds not strictly ascending: %v", name, bounds))
-			}
 		}
 	}
 	r.mu.Lock()
@@ -270,13 +223,12 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bound
 			help:   help,
 			kind:   kind,
 			labels: append([]string(nil), labels...),
-			bounds: append([]int64(nil), bounds...),
 			series: make(map[string]*series),
 		}
 		r.families[name] = f
 		return f
 	}
-	if f.kind != kind || !equalStrings(f.labels, labels) || !equalInts(f.bounds, bounds) {
+	if f.kind != kind || !equalStrings(f.labels, labels) {
 		panic(fmt.Sprintf("obs: metric %s re-registered with a different schema", name))
 	}
 	return f
@@ -296,7 +248,7 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.register(name, help, KindCounter, labelKeys, nil)}
+	return &CounterVec{f: r.register(name, help, KindCounter, labelKeys)}
 }
 
 // With returns the counter for the given label values.
@@ -320,7 +272,7 @@ func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.register(name, help, KindGauge, labelKeys, nil)}
+	return &GaugeVec{f: r.register(name, help, KindGauge, labelKeys)}
 }
 
 // With returns the gauge for the given label values.
@@ -329,31 +281,6 @@ func (v *GaugeVec) With(labelVals ...string) *Gauge {
 		return nil
 	}
 	return v.f.get(labelVals).g
-}
-
-// HistogramVec is a labeled histogram family with shared bucket bounds.
-type HistogramVec struct{ f *family }
-
-// Histogram returns the unlabeled histogram named name with the given
-// inclusive ascending bucket bounds.
-func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	return r.HistogramVec(name, help, bounds).With()
-}
-
-// HistogramVec declares a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []int64, labelKeys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.register(name, help, KindHistogram, labelKeys, bounds)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(labelVals ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(labelVals).h
 }
 
 // sortedFamilies returns the registry's families in name order.
@@ -397,18 +324,6 @@ func validName(s string) bool {
 }
 
 func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
 	}

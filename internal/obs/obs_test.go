@@ -53,42 +53,12 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := New()
-	h := r.Histogram("frame_bytes", "frame sizes", []int64{10, 100, 1000})
-	for _, v := range []int64{1, 10, 11, 100, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 5122 {
-		t.Fatalf("count=%d sum=%d, want 5 and 5122", h.Count(), h.Sum())
-	}
-	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`frame_bytes_bucket{le="10"} 2`,
-		`frame_bytes_bucket{le="100"} 4`,
-		`frame_bytes_bucket{le="1000"} 4`,
-		`frame_bytes_bucket{le="+Inf"} 5`,
-		`frame_bytes_sum 5122`,
-		`frame_bytes_count 5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prom output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("a", "").Inc()
 	r.Gauge("b", "").Set(1)
-	r.Histogram("c", "", []int64{1}).Observe(1)
 	r.CounterVec("d", "", "l").With("x").Add(1)
 	r.GaugeVec("e", "", "l").With("x").Max(1)
-	r.HistogramVec("f", "", []int64{1}, "l").With("x").Observe(1)
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("nil registry snapshot = %q, want empty", got)
 	}
@@ -156,7 +126,6 @@ func TestWriteJSONIsValidAndDeterministic(t *testing.T) {
 	r := New()
 	r.CounterVec("c_total", "counts", "node").With("1").Add(4)
 	r.Gauge("g_now", `quo"te`).Set(-2)
-	r.Histogram("h_ns", "", []int64{100, 200}).Observe(150)
 	var b1, b2 bytes.Buffer
 	if err := r.WriteJSON(&b1); err != nil {
 		t.Fatal(err)
@@ -174,22 +143,20 @@ func TestWriteJSONIsValidAndDeterministic(t *testing.T) {
 			Series []struct {
 				Labels map[string]string `json:"labels"`
 				Value  *int64            `json:"value"`
-				Sum    *int64            `json:"sum"`
-				Count  *int64            `json:"count"`
 			} `json:"series"`
 		} `json:"families"`
 	}
 	if err := json.Unmarshal(b1.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, b1.String())
 	}
-	if len(doc.Families) != 3 {
-		t.Fatalf("got %d families, want 3", len(doc.Families))
+	if len(doc.Families) != 2 {
+		t.Fatalf("got %d families, want 2", len(doc.Families))
 	}
 	if doc.Families[0].Name != "c_total" || *doc.Families[0].Series[0].Value != 4 {
 		t.Fatalf("unexpected first family: %+v", doc.Families[0])
 	}
-	if doc.Families[2].Name != "h_ns" || *doc.Families[2].Series[0].Sum != 150 {
-		t.Fatalf("unexpected histogram family: %+v", doc.Families[2])
+	if doc.Families[1].Name != "g_now" || doc.Families[1].Type != "gauge" || *doc.Families[1].Series[0].Value != -2 {
+		t.Fatalf("unexpected gauge family: %+v", doc.Families[1])
 	}
 }
 
@@ -206,7 +173,6 @@ func TestLabelEscaping(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	v := r.CounterVec("conc_total", "", "w")
-	h := r.Histogram("conc_ns", "", []int64{8, 64})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -215,15 +181,11 @@ func TestConcurrentUpdates(t *testing.T) {
 			c := v.With("x")
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				h.Observe(int64(i % 100))
 			}
 		}(w)
 	}
 	wg.Wait()
 	if got := v.With("x").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
-	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }

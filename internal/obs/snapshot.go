@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -23,7 +22,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.sorted() {
-			if err := writeSeries(w, f, s); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(f.labels, s.labelVals), s.value()); err != nil {
 				return err
 			}
 		}
@@ -31,41 +30,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
-	switch f.kind {
-	case KindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(f.labels, s.labelVals, "", ""), s.c.Value())
-		return err
-	case KindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(f.labels, s.labelVals, "", ""), s.g.Value())
-		return err
-	case KindHistogram:
-		// Cumulative buckets, then _sum and _count, per the format.
-		cum := int64(0)
-		for i, b := range s.h.bounds {
-			cum += s.h.counts[i].Load()
-			le := strconv.FormatInt(b, 10)
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelSet(f.labels, s.labelVals, "le", le), cum); err != nil {
-				return err
-			}
-		}
-		cum += s.h.counts[len(s.h.bounds)].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelSet(f.labels, s.labelVals, "le", "+Inf"), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", f.name, labelSet(f.labels, s.labelVals, "", ""), s.h.Sum()); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelSet(f.labels, s.labelVals, "", ""), s.h.Count())
-		return err
-	}
-	return nil
-}
-
-// labelSet renders {k="v",...}, optionally with one extra label
-// appended (the histogram "le"), or "" when there are no labels.
-func labelSet(keys, vals []string, extraKey, extraVal string) string {
-	if len(keys) == 0 && extraKey == "" {
+// labelSet renders {k="v",...}, or "" when there are no labels.
+func labelSet(keys, vals []string) string {
+	if len(keys) == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -77,15 +44,6 @@ func labelSet(keys, vals []string, extraKey, extraVal string) string {
 		b.WriteString(k)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(vals[i]))
-		b.WriteByte('"')
-	}
-	if extraKey != "" {
-		if len(keys) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extraKey)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(extraVal))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -119,9 +77,7 @@ func (r *Registry) Snapshot() []byte {
 // hand-rolled (sorted, no struct tags to drift) and stable:
 //
 //	{"families":[{"name":...,"type":...,"help":...,
-//	  "series":[{"labels":{...},"value":N}
-//	            |{"labels":{...},"buckets":[{"le":...,"count":N}],
-//	              "sum":N,"count":N}]}]}
+//	  "series":[{"labels":{...},"value":N}]}]}
 func (r *Registry) WriteJSON(w io.Writer) error {
 	var b bytes.Buffer
 	b.WriteString(`{"families":[`)
@@ -142,29 +98,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				}
 				fmt.Fprintf(&b, `%s:%s`, jsonStr(k), jsonStr(s.labelVals[li]))
 			}
-			b.WriteString(`}`)
-			switch f.kind {
-			case KindCounter:
-				fmt.Fprintf(&b, `,"value":%d}`, s.c.Value())
-			case KindGauge:
-				fmt.Fprintf(&b, `,"value":%d}`, s.g.Value())
-			case KindHistogram:
-				b.WriteString(`,"buckets":[`)
-				cum := int64(0)
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					if i > 0 {
-						b.WriteByte(',')
-					}
-					fmt.Fprintf(&b, `{"le":%d,"count":%d}`, bound, cum)
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				if len(s.h.bounds) > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, `{"le":"+Inf","count":%d}`, cum)
-				fmt.Fprintf(&b, `],"sum":%d,"count":%d}`, s.h.Sum(), s.h.Count())
-			}
+			fmt.Fprintf(&b, `},"value":%d}`, s.value())
 		}
 		b.WriteString(`]}`)
 	}

@@ -1,3 +1,10 @@
+// Package trace records a timeline of one query execution as spans: a
+// node's dial, scan and merge phases, its adaptive switches, overflow
+// passes and protocol milestones. One type serves both clocks: the
+// simulator stamps spans with virtual time, so a same-seed trace is
+// byte-identical, and the live and distributed engines stamp them with a
+// wall clock. A trace is how you see WHY an adaptive algorithm behaved
+// as it did — which node switched, when, and what it had seen by then.
 package trace
 
 import (
@@ -23,10 +30,10 @@ type Span struct {
 // Duration returns End-Start.
 func (s Span) Duration() int64 { return s.End - s.Start }
 
-// Tracer records spans from concurrent goroutines — the extension of
-// the sim-only Log to the real dist/live execution path, where many
-// nodes or workers trace into one timeline at once. A nil *Tracer is a
-// valid disabled tracer: Begin returns a nil span whose End no-ops.
+// Tracer records spans, from concurrent goroutines when the engine has
+// them: many nodes or workers trace into one timeline at once. A nil
+// *Tracer is a valid disabled tracer: Begin returns a nil span whose End
+// no-ops.
 type Tracer struct {
 	clock func() int64
 
@@ -72,6 +79,8 @@ func (s *ActiveSpan) End(detail string) {
 
 // Spans returns a copy of the recorded spans, sorted by (Start, Node,
 // Name) so concurrent recording order does not leak into the output.
+// Spans that tie on all three keep their recording order, which the
+// simulator makes deterministic.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
@@ -79,7 +88,7 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	out := append([]Span(nil), t.spans...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
 		}

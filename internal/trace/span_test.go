@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -73,5 +74,28 @@ func TestRenderAligned(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "dial") || !strings.Contains(out, "3 peers") || !strings.Contains(out, "node 0") {
 		t.Fatalf("render output missing fields: %q", out)
+	}
+}
+
+func TestSpansTiedKeepRecordingOrder(t *testing.T) {
+	// Tied spans interleaved with earlier-starting ones, so the sort has
+	// to move them.
+	var now int64
+	tr := NewTracer(func() int64 { return now })
+	const n = 64
+	for i := 0; i < n; i++ {
+		now = 1000
+		tr.Begin(2, "switch").End(fmt.Sprintf("event %d", i))
+		now = int64(n - i)
+		tr.Begin(0, "scan").End("")
+	}
+	spans := tr.Spans()
+	if len(spans) != 2*n {
+		t.Fatalf("got %d spans, want %d", len(spans), 2*n)
+	}
+	for i, s := range spans[n:] {
+		if want := fmt.Sprintf("event %d", i); s.Detail != want {
+			t.Fatalf("tied span %d detail %q, want %q: tied spans reordered", i, s.Detail, want)
+		}
 	}
 }

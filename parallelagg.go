@@ -99,10 +99,11 @@ type (
 // Duration is virtual time, in nanoseconds.
 type Duration = des.Duration
 
-// TraceLog is the execution timeline recorded when Options.Trace is set:
-// per-node phase transitions, adaptive switches, spill passes and the
-// sampling decision, each stamped with virtual time.
-type TraceLog = trace.Log
+// Tracer is the execution timeline recorded when Options.Trace is set:
+// each node's scan and merge spans, adaptive switches, spill passes and
+// the sampling decision, stamped with virtual time. The live and
+// distributed engines record the same span type on a wall clock.
+type Tracer = trace.Tracer
 
 // Relation is a generated relation declustered across cluster nodes.
 type Relation = workload.Relation
@@ -143,10 +144,10 @@ func Aggregate(prm Params, rel *Relation, alg Algorithm, opt Options) (*Result, 
 	return core.Run(prm, rel, alg, opt)
 }
 
-// MetricsRegistry collects integer-valued counters, gauges and
-// histograms from a run. Attach one via Options.Obs; after the run,
-// Snapshot() serializes every series in Prometheus text format, sorted,
-// and is byte-identical across same-seed simulations (DESIGN.md §9).
+// MetricsRegistry collects integer-valued counters and gauges from a
+// run. Attach one via Options.Obs; after the run, Snapshot() serializes
+// every series in Prometheus text format, sorted, and is byte-identical
+// across same-seed simulations (DESIGN.md §9).
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry ready to attach to

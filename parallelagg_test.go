@@ -2,9 +2,13 @@ package parallelagg_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"parallelagg"
+	"parallelagg/internal/trace"
+	"parallelagg/live"
 )
 
 func quickParams() parallelagg.Params {
@@ -47,6 +51,47 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 		}
 		if len(res.Groups) != len(want) {
 			t.Errorf("%v: %d groups, want %d", alg, len(res.Groups), len(want))
+		}
+	}
+}
+
+// The simulator and the live engine trace one span vocabulary: an A-2P
+// run of one workload gives a scan and a merge span per node on the
+// virtual clock and per worker on the wall clock, and both engines' scan
+// notes open with the same "N tuples, switched=B" prefix.
+func TestSimAndLiveShareSpanVocabulary(t *testing.T) {
+	prm := quickParams()
+	rel := parallelagg.Uniform(prm.N, 8_000, 2_000, 5) // every node switches
+	sim, err := parallelagg.Aggregate(prm, rel, parallelagg.AdaptiveTwoPhase, parallelagg.Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewTracer(func() int64 { return time.Now().UnixNano() })
+	if _, err := live.AggregatePartitioned(live.Config{TableEntries: prm.HashEntries, Tracer: tr},
+		rel.PerNode, live.AdaptiveTwoPhase); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		tr   *parallelagg.Tracer
+	}{{"sim", sim.Trace}, {"live", tr}} {
+		scans, merges := make([]int, prm.N), make([]int, prm.N)
+		for _, sp := range run.tr.Spans() {
+			switch sp.Name {
+			case "scan":
+				scans[sp.Node]++
+				if !strings.HasPrefix(sp.Detail, fmt.Sprintf("%d tuples, switched=", len(rel.PerNode[sp.Node]))) {
+					t.Errorf("%s: node %d scan note %q", run.name, sp.Node, sp.Detail)
+				}
+			case "merge":
+				merges[sp.Node]++
+			}
+		}
+		for node := 0; node < prm.N; node++ {
+			if scans[node] != 1 || merges[node] != 1 {
+				t.Errorf("%s: node %d has %d scan and %d merge spans, want 1 each",
+					run.name, node, scans[node], merges[node])
+			}
 		}
 	}
 }
