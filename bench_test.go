@@ -193,18 +193,18 @@ func BenchmarkAblationOpt2PvsA2P(b *testing.B) {
 	}
 }
 
-// Ablation: the A-Rep initial-segment length, the knob that decides how
-// long a node watches before giving up on repartitioning.
-func BenchmarkAblationARepInitSeg(b *testing.B) {
+// Ablation: the table bound M, which sets A-Rep's window (M/2 tuples a
+// node repartitions before it judges whether its groups fit the table).
+func BenchmarkAblationARepBound(b *testing.B) {
 	prm := benchParams()
 	rel := parallelagg.Uniform(prm.N, prm.Tuples, 8, 4) // few groups: fallback pays
-	for _, initSeg := range []int{50, 200, 1000, 4000} {
-		initSeg := initSeg
-		b.Run(fmt.Sprintf("initSeg=%d", initSeg), func(b *testing.B) {
+	for _, bound := range []int{100, 400, 2000, 8000} {
+		prm := prm
+		prm.HashEntries = bound
+		b.Run(fmt.Sprintf("bound=%d", bound), func(b *testing.B) {
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res, err := parallelagg.Aggregate(prm, rel, parallelagg.AdaptiveRepartitioning,
-					parallelagg.Options{InitSeg: initSeg})
+				res, err := parallelagg.Aggregate(prm, rel, parallelagg.AdaptiveRepartitioning, parallelagg.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

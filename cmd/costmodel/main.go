@@ -1,11 +1,10 @@
-// Command costmodel prints the paper's analytical cost curves (Figures
-// 1–7) or a detailed per-component breakdown for one algorithm at one
-// selectivity.
+// Command costmodel prints the analytical model's per-component breakdown
+// for one algorithm at one group count. The paper's Figures 1–7 come from
+// aggbench (-experiment fig1 … fig7).
 //
 // Usage:
 //
-//	costmodel -figure 3            # print the Figure 3 series
-//	costmodel -alg rep -groups 1e6 # break down one point
+//	costmodel -alg rep -groups 1e6
 //	costmodel -alg 2p -groups 500 -net ethernet -nodes 8
 package main
 
@@ -20,31 +19,12 @@ import (
 
 func main() {
 	var (
-		figure  = flag.Int("figure", 0, "figure number to regenerate (1-7); 0 means single-point mode")
-		algName = flag.String("alg", "a2p", "algorithm for single-point mode: c2p, 2p, rep, samp, a2p, arep")
-		groups  = flag.Float64("groups", 1000, "number of groups for single-point mode")
-		nodes   = flag.Int("nodes", 32, "cluster size for single-point mode")
+		algName = flag.String("alg", "a2p", "algorithm: c2p, 2p, rep, samp, a2p, arep")
+		groups  = flag.Float64("groups", 1000, "number of groups")
+		nodes   = flag.Int("nodes", 32, "cluster size")
 		netKind = flag.String("net", "fast", "interconnect: fast or ethernet")
 	)
 	flag.Parse()
-
-	if *figure != 0 {
-		if *figure < 1 || *figure > 7 {
-			fmt.Fprintln(os.Stderr, "costmodel: -figure must be 1..7 (figures 8-9 are simulated; use aggbench)")
-			os.Exit(2)
-		}
-		r := parallelagg.NewExperimentRunner(0, 0)
-		e, err := r.Figure(fmt.Sprintf("fig%d", *figure))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "costmodel: %v\n", err)
-			os.Exit(2)
-		}
-		if err := e.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "costmodel: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	prm := parallelagg.DefaultParams()
 	prm.N = *nodes
@@ -66,7 +46,7 @@ func main() {
 	case "a2p":
 		b = m.A2P(s)
 	case "arep":
-		b = m.ARep(s, parallelagg.ARepCostConfig{InitSeg: prm.HashEntries / 2, SwitchRatio: 0.1})
+		b = m.ARep(s)
 	default:
 		fmt.Fprintf(os.Stderr, "costmodel: unknown algorithm %q\n", *algName)
 		os.Exit(2)

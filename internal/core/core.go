@@ -15,9 +15,10 @@
 //     coordinator, then run TwoPhase or Rep.
 //   - Adaptive Two Phase (A2P): start as TwoPhase; a node whose local hash
 //     table fills flushes its partials and repartitions the rest raw.
-//   - Adaptive Repartitioning (ARep): start as Rep; a node that observes
-//     too few groups broadcasts end-of-phase and every node falls back to
-//     the A2P strategy, reusing the merge table built so far.
+//   - Adaptive Repartitioning (ARep): start as Rep; a node whose first M/2
+//     tuples project to groups its table holds (sample.FallBack) broadcasts
+//     end-of-phase and every node falls back to the A2P strategy, reusing
+//     the merge table built so far.
 //   - Broadcast (Bcast) and Sort Two Phase (Sort2P): the baselines of
 //     Bitton et al. [BBDW83] — every tuple sent to every node, and Two
 //     Phase with sort-based instead of hash aggregation.
@@ -98,15 +99,6 @@ type Options struct {
 	// 10 × CrossoverThreshold, the paper's [ER61]-derived rule of thumb.
 	SampleTuples int
 
-	// InitSeg is the number of tuples an ARep node scans before judging
-	// whether repartitioning is worthwhile. Default: M/2.
-	InitSeg int
-
-	// SwitchRatio: an ARep node switches to the A2P strategy when the
-	// distinct groups observed in its first InitSeg tuples are fewer than
-	// SwitchRatio × InitSeg. Default: 0.1.
-	SwitchRatio float64
-
 	// MaxBuckets caps the fan-out of overflow partitioning. Default: 64.
 	MaxBuckets int
 
@@ -141,15 +133,6 @@ func (o Options) withDefaults(prm params.Params) Options {
 	}
 	if o.SampleTuples == 0 {
 		o.SampleTuples = sample.RequiredTuples(o.CrossoverThreshold)
-	}
-	if o.InitSeg == 0 {
-		o.InitSeg = prm.HashEntries / 2
-		if o.InitSeg < 1 {
-			o.InitSeg = 1
-		}
-	}
-	if o.SwitchRatio == 0 {
-		o.SwitchRatio = 0.1
 	}
 	if o.MaxBuckets == 0 {
 		o.MaxBuckets = 64

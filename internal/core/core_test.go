@@ -178,14 +178,15 @@ func TestA2PSwitchReducesSpillVersus2P(t *testing.T) {
 
 func TestARepFallsBackOnFewGroups(t *testing.T) {
 	prm := testParams(4)
-	opt := Options{InitSeg: 200, SwitchRatio: 0.1}
-	// 5 groups: after 200 tuples a node has seen ≤5 distinct < 20 → fall back.
-	res := run(t, prm, workload.Uniform(4, 4000, 5, 51), ARep, opt)
+	// 5 groups: a node's 32-tuple window projects to at most 5 ≤ M = 64 →
+	// fall back.
+	res := run(t, prm, workload.Uniform(4, 4000, 5, 51), ARep, Options{})
 	if res.Switched != prm.N {
 		t.Errorf("ARep fell back on %d of %d nodes for a 5-group workload", res.Switched, prm.N)
 	}
-	// 2000 groups: stays repartitioning everywhere.
-	res = run(t, prm, workload.Uniform(4, 4000, 2000, 52), ARep, opt)
+	// 2000 groups: the window's mostly distinct keys project past M, and
+	// it stays repartitioning everywhere.
+	res = run(t, prm, workload.Uniform(4, 4000, 2000, 52), ARep, Options{})
 	if res.Switched != 0 {
 		t.Errorf("ARep fell back on %d nodes for a 2000-group workload", res.Switched)
 	}
@@ -397,13 +398,11 @@ func TestC2PCoordinatorOverflow(t *testing.T) {
 }
 
 func TestARepRelayedEndOfPhase(t *testing.T) {
-	// Only node 0 sees few groups early (its InitSeg is much smaller than
-	// the others' via a skewed layout is hard to build directly, so use a
-	// uniform few-group relation: the first node to finish its InitSeg
+	// A uniform few-group relation: the first node to finish its window
 	// triggers, the rest must fall back via the relayed message or their
-	// own observation — in all cases every node ends up switched).
+	// own observation — in all cases every node ends up switched.
 	prm := testParams(4)
-	res := run(t, prm, workload.Uniform(4, 4000, 3, 96), ARep, Options{InitSeg: 100})
+	res := run(t, prm, workload.Uniform(4, 4000, 3, 96), ARep, Options{})
 	if res.Switched != 4 {
 		t.Errorf("switched = %d, want all 4", res.Switched)
 	}
@@ -419,10 +418,7 @@ func TestOptionsDefaultsApplied(t *testing.T) {
 	if opt.SampleTuples != 8000 {
 		t.Errorf("SampleTuples = %d, want 10x threshold", opt.SampleTuples)
 	}
-	if opt.InitSeg != prm.HashEntries/2 {
-		t.Errorf("InitSeg = %d", opt.InitSeg)
-	}
-	if opt.SwitchRatio != 0.1 || opt.MaxBuckets != 64 || opt.Seed != 1 {
+	if opt.MaxBuckets != 64 || opt.Seed != 1 {
 		t.Errorf("defaults = %+v", opt)
 	}
 }
@@ -544,8 +540,9 @@ func TestARepEndOfPhaseAfterScanFinished(t *testing.T) {
 	prm := testParams(4)
 	prm.Network = params.SharedBusNet
 	prm.MsgPageBytes = 2048
+	prm.HashEntries = 1000                         // a 500-tuple window, longer than a small node's partition
 	rel := workload.InputSkew(4, 4000, 5, 77, 101) // node 0 holds ~96% of tuples
-	res := run(t, prm, rel, ARep, Options{InitSeg: 500})
+	res := run(t, prm, rel, ARep, Options{})
 	if res.Switched == 0 {
 		t.Error("the skewed node should still have fallen back")
 	}

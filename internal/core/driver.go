@@ -9,6 +9,7 @@ import (
 	"parallelagg/internal/des"
 	"parallelagg/internal/network"
 	"parallelagg/internal/obs"
+	"parallelagg/internal/sample"
 	"parallelagg/internal/tuple"
 )
 
@@ -43,8 +44,8 @@ type driverConfig struct {
 	// switchOnFull: a full local table triggers the Adaptive Two Phase
 	// switch — flush partials, then repartition the rest.
 	switchOnFull bool
-	// observe: watch the first InitSeg scanned tuples and fall back to the
-	// A2P strategy when too few groups appear (Adaptive Repartitioning).
+	// observe: judge the first M/2 scanned tuples and fall back to the A2P
+	// strategy when their groups fit the table (Adaptive Repartitioning).
 	observe bool
 }
 
@@ -84,10 +85,11 @@ type driverNode struct {
 	eos     int
 	eopSent bool
 
-	// ARep observation of the first InitSeg scanned tuples.
-	obsDone   bool
-	obsSeen   int64
-	obsGroups map[tuple.Key]struct{}
+	// ARep's window: the tuples it has counted, until it is judged, and
+	// the verdict the scan span's note ends with.
+	obsDone bool
+	obsSeen int
+	verdict string
 
 	// Metrics handles, resolved once per node; nil (and therefore no-ops)
 	// when the cluster has no registry attached.
@@ -104,6 +106,7 @@ func newDriverNode(c *cluster.Cluster, n *cluster.Node, opt Options, cfg driverC
 		cfg:      cfg,
 		mode:     cfg.start,
 		scanning: true,
+		obsDone:  !cfg.observe || prm.HashEntries < 2, // not ARep, or no window
 		ship:     newShipper(c, n),
 		global: cfg.newAgg(c, n, prm.TRead+prm.TAgg,
 			prm.Tuples/int64(prm.N)+1, opt.MaxBuckets),
@@ -117,9 +120,6 @@ func newDriverNode(c *cluster.Cluster, n *cluster.Node, opt Options, cfg driverC
 	}
 	if cfg.start == modeLocal || cfg.observe {
 		d.initLocal()
-	}
-	if cfg.observe {
-		d.obsGroups = make(map[tuple.Key]struct{})
 	}
 	return d
 }
@@ -179,8 +179,8 @@ func (d *driverNode) scanPage(p *des.Proc, ts []tuple.Tuple) {
 		// Repartitioning: read, write, hash, destination, then route.
 		instr += prm.TRead + prm.TWrite + prm.THash + prm.TDest
 		d.ship.Raw(p, t.Key.Dest(prm.N), t)
-		if d.cfg.observe && !d.obsDone {
-			d.observe(p, t.Key)
+		if !d.obsDone {
+			d.observe(p, t)
 		}
 	}
 	d.n.Work(p, instr)
@@ -190,33 +190,31 @@ func (d *driverNode) scanPage(p *des.Proc, ts []tuple.Tuple) {
 	d.drainInbox(p)
 }
 
-// observe implements the ARep decision rule: watch the first InitSeg
-// scanned tuples; if they contain fewer than SwitchRatio×InitSeg distinct
-// groups, repartitioning is wasted effort — broadcast end-of-phase and fall
-// back to the A2P strategy.
-func (d *driverNode) observe(p *des.Proc, k tuple.Key) {
-	threshold := int(d.opt.SwitchRatio * float64(d.opt.InitSeg))
-	if threshold < 1 {
-		threshold = 1
-	}
-	d.obsSeen++
-	if len(d.obsGroups) <= threshold {
-		d.obsGroups[k] = struct{}{}
-	}
-	if len(d.obsGroups) > threshold {
-		// Plenty of groups: repartitioning is the right call. Stop watching.
-		d.obsDone, d.obsGroups = true, nil
+// observe implements the ARep decision rule: count the first M/2 scanned
+// tuples in the (still idle) local table, then let sample.FallBack judge
+// Chao1 over their profile; when the node's groups fit the table,
+// repartitioning is wasted effort — broadcast end-of-phase and fall back
+// to the A2P strategy.
+func (d *driverNode) observe(p *des.Proc, t tuple.Tuple) {
+	d.localTab.UpdateRaw(t)
+	if d.obsSeen++; d.obsSeen < d.c.Prm.HashEntries/2 {
 		return
 	}
-	if d.obsSeen >= int64(d.opt.InitSeg) {
-		d.obsDone, d.obsGroups = true, nil
-		d.endOfPhase(p)
+	d.obsDone = true
+	var prof sample.Profile
+	d.localTab.Each(func(_ tuple.Key, s tuple.AggState) { prof.Add(s.Count) })
+	est, fell := sample.FallBack(sample.Chao1(d.localTab.Len(), prof.F1, prof.F2), d.n.Rel.Len(), d.c.Prm.HashEntries)
+	verdict := sample.Verdict(est, d.c.Prm.HashEntries, fell, prof)
+	d.verdict = ", " + verdict
+	d.localTab.Reset() // the window went out raw
+	if fell {
+		d.endOfPhase(p, verdict)
 	}
 }
 
 // endOfPhase performs the ARep fallback on this node and tells everyone
-// else, exactly once.
-func (d *driverNode) endOfPhase(p *des.Proc) {
+// else, exactly once; note is the end-of-phase span's.
+func (d *driverNode) endOfPhase(p *des.Proc, note string) {
 	// A node that has already finished its scan must not react: it has
 	// nothing left to re-route, and its send side is closed (relaying here
 	// would violate the network's sender contract).
@@ -224,7 +222,7 @@ func (d *driverNode) endOfPhase(p *des.Proc) {
 		return
 	}
 	d.eopSent = true
-	d.c.Trace.Begin(d.n.ID, "end-of-phase").End("broadcasting end-of-phase")
+	d.c.Trace.Begin(d.n.ID, "end-of-phase").End(note)
 	d.ship.BroadcastEndOfPhase(p)
 	d.switchToLocal(p)
 }
@@ -236,9 +234,7 @@ func (d *driverNode) switchToLocal(p *des.Proc) {
 		return
 	}
 	d.mode = modeLocal
-	if d.localTab == nil && d.localAgg == nil {
-		d.initLocal()
-	}
+	d.localTab.Reset() // a window cut short by a relayed end-of-phase went out raw
 	if d.n.Metrics.SwitchedAt < 0 {
 		d.n.Metrics.SwitchedAt = d.n.Metrics.Scanned
 	}
@@ -282,8 +278,8 @@ func (d *driverNode) flushLocalPartials(p *des.Proc) {
 func (d *driverNode) handleMsg(p *des.Proc, m *network.Message) {
 	if m.EndOfPhase && d.cfg.observe {
 		// Another node decided repartitioning is wasted; follow suit.
-		d.obsDone, d.obsGroups = true, nil
-		d.endOfPhase(p)
+		d.obsDone = true
+		d.endOfPhase(p, "broadcasting end-of-phase")
 	}
 	if k := len(m.Raw) + len(m.Partials); k > 0 {
 		d.n.Work(p, d.global.instr()*float64(k))
@@ -327,8 +323,8 @@ func (d *driverNode) run(p *des.Proc) {
 		d.scanPage(p, ts)
 	}
 	d.scanning = false
-	scan.End(fmt.Sprintf("%d tuples, switched=%v, %s mode",
-		d.n.Metrics.Scanned, d.n.Metrics.SwitchedAt >= 0, startMode))
+	scan.End(fmt.Sprintf("%d tuples, switched=%v, %s mode%s",
+		d.n.Metrics.Scanned, d.n.Metrics.SwitchedAt >= 0, startMode, d.verdict))
 	if d.mode == modeLocal {
 		d.flushLocalPartials(p)
 	}

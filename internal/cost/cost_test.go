@@ -142,7 +142,7 @@ func TestFig3AdaptiveTracksEnvelope(t *testing.T) {
 		if a2p > envelope*1.30 {
 			t.Errorf("A2P at %v groups = %.2fs, envelope %.2fs (>30%% off)", g, a2p, envelope)
 		}
-		arep := m.ARep(s, ARepConfig{InitSeg: 5000, SwitchRatio: 0.1}).Total()
+		arep := m.ARep(s).Total()
 		if arep > envelope*1.35 {
 			t.Errorf("ARep at %v groups = %.2fs, envelope %.2fs (>35%% off)", g, arep, envelope)
 		}
@@ -294,8 +294,7 @@ func TestA2PDegeneratesToTwoPhase(t *testing.T) {
 func TestARepDegeneratesToRep(t *testing.T) {
 	m := model()
 	s := sel(m.P, float64(m.P.Tuples)/2)
-	cfg := ARepConfig{InitSeg: 5000, SwitchRatio: 0.1}
-	if a, b := m.ARep(s, cfg).Total(), m.Rep(s).Total(); a != b {
+	if a, b := m.ARep(s).Total(), m.Rep(s).Total(); a != b {
 		t.Errorf("ARep %.4f != Rep %.4f for huge group count", a, b)
 	}
 }

@@ -60,9 +60,9 @@ const (
 	// AdaptiveTwoPhase: start as TwoPhase, switch to raw repartitioning
 	// when the local table hits Config.TableEntries.
 	AdaptiveTwoPhase = Algorithm(kernel.AdaptiveTwoPhase)
-	// AdaptiveRepartitioning: start as Repartitioning; a node that sees
-	// too few distinct groups in its first InitSeg tuples broadcasts an
-	// end-of-phase frame and every node falls back to AdaptiveTwoPhase.
+	// AdaptiveRepartitioning: start as Repartitioning; a node whose first
+	// TableEntries/2 tuples project to groups its table holds broadcasts
+	// an end-of-phase frame and every node falls back to AdaptiveTwoPhase.
 	AdaptiveRepartitioning = Algorithm(kernel.AdaptiveRepartitioning)
 )
 
@@ -91,12 +91,6 @@ type Config struct {
 	// when a destination's batch fills, a flushed table's partials in
 	// batches of this size. Default 1024; at most 1<<20 (the wire limit).
 	Batch int
-
-	// InitSeg and SwitchRatio drive AdaptiveRepartitioning's fallback,
-	// with the same meaning as the simulator's options. Defaults: 4096
-	// and 0.1.
-	InitSeg     int
-	SwitchRatio float64
 
 	// DialTimeout bounds the whole cluster-formation phase: dialing every
 	// peer (with exponential backoff + jitter between attempts) and
@@ -178,12 +172,6 @@ func (c Config) withDefaults() Config {
 		c.IOTimeout = 30 * time.Second
 	} else if c.IOTimeout < 0 {
 		c.IOTimeout = 0
-	}
-	if c.InitSeg <= 0 {
-		c.InitSeg = 4096
-	}
-	if c.SwitchRatio <= 0 {
-		c.SwitchRatio = 0.1
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 250 * time.Millisecond
@@ -268,7 +256,8 @@ func (t *canceller) cancel() {
 // RunNode executes one node's role: it must be called with a listener
 // already bound to cfg.Addrs[cfg.ID] (so peers can connect regardless of
 // start order). It returns the final aggregate states of the groups this
-// node owns. The listener is closed before returning.
+// node owns. It closes the listener before returning, unless it rejects
+// the config: a rejected config leaves the listener open.
 //
 // In fail-fast mode, on any peer failure — dial exhaustion, reset,
 // deadline expiry, protocol garbage — RunNode cancels all sides of the
@@ -289,27 +278,31 @@ func RunNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, erro
 // runNode is RunNode up to the merge table: the result's Groups is unset.
 func runNode(ln net.Listener, cfg Config, part []tuple.Tuple) (*NodeResult, error) {
 	cfg = cfg.withDefaults()
-	n := len(cfg.Addrs)
-	if n == 0 {
-		return nil, fmt.Errorf("dist: empty address list")
+	if err := cfg.check(len(cfg.Addrs)); err != nil {
+		return nil, err
 	}
-	if cfg.ID < 0 || cfg.ID >= n {
-		return nil, fmt.Errorf("dist: node id %d out of range [0,%d)", cfg.ID, n)
-	}
-	if cfg.Batch > maxFrameRecords {
-		return nil, fmt.Errorf("dist: Batch %d exceeds the %d-record wire limit", cfg.Batch, maxFrameRecords)
-	}
-	if cfg.Tolerate && n > maxOrigins {
-		return nil, fmt.Errorf("dist: Tolerate supports at most %d nodes (a frame names its origin in one byte), got %d", maxOrigins, n)
+	if cfg.ID < 0 || cfg.ID >= len(cfg.Addrs) {
+		return nil, fmt.Errorf("dist: node id %d out of range [0,%d)", cfg.ID, len(cfg.Addrs))
 	}
 	if cfg.WrapListener != nil {
 		ln = cfg.WrapListener(ln)
 	}
-	if cfg.Tolerate && cfg.PartitionSource == nil {
-		ln.Close()
-		return nil, fmt.Errorf("dist: Tolerate requires PartitionSource (recovery must be able to re-execute a lost partition)")
-	}
 	return newTnode(ln, cfg, part).run()
+}
+
+// check rejects a config that no node of an n-node cluster can run.
+func (c Config) check(n int) error {
+	switch {
+	case n == 0:
+		return fmt.Errorf("dist: empty address list")
+	case c.Batch > maxFrameRecords:
+		return fmt.Errorf("dist: Batch %d exceeds the %d-record wire limit", c.Batch, maxFrameRecords)
+	case c.Tolerate && n > maxOrigins:
+		return fmt.Errorf("dist: Tolerate supports at most %d nodes (a frame names its origin in one byte), got %d", maxOrigins, n)
+	case c.Tolerate && c.PartitionSource == nil:
+		return fmt.Errorf("dist: Tolerate requires PartitionSource (recovery must be able to re-execute a lost partition)")
+	}
+	return nil
 }
 
 // checkRouting is the post-merge sanity check of both modes: every group
@@ -468,16 +461,6 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 	if n == 0 {
 		return &ClusterResult{Groups: map[tuple.Key]tuple.AggState{}}, nil
 	}
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("dist: listen: %w", err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	if template.Tolerate && template.PartitionSource == nil {
 		template.PartitionSource = func(node int) []tuple.Tuple {
 			if node < 0 || node >= len(parts) {
@@ -485,6 +468,22 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 			}
 			return parts[node]
 		}
+	}
+	if err := template.withDefaults().check(n); err != nil {
+		return nil, err
+	}
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, ln := range listeners[:i] {
+				ln.Close()
+			}
+			return nil, fmt.Errorf("dist: listen: %w", err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
 	}
 	results := make([]*NodeResult, n)
 	errs := make([]error, n)

@@ -3,6 +3,8 @@ package dist
 import (
 	"errors"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -165,17 +167,50 @@ func TestRunNodeValidatesConfig(t *testing.T) {
 		c.Close()
 	}
 	// The largest addressable tolerant cluster passes that check and
-	// reaches the next one.
+	// reaches the next one, which leaves the listener open too.
 	cfg.Addrs, cfg.PartitionSource = addrs[:maxOrigins], nil
 	if _, err = RunNode(ln3, cfg, nil); err == nil || !strings.Contains(err.Error(), "PartitionSource") {
 		t.Errorf("Tolerate with %d nodes: %v, want only the missing PartitionSource refused", maxOrigins, err)
+	}
+	if c, err := net.Dial("tcp", ln3.Addr().String()); err != nil {
+		t.Errorf("the config without PartitionSource closed the listener: %v", err)
+	} else {
+		c.Close()
+	}
+}
+
+// A template RunConfigured refuses leaves no listener open.
+func TestRunConfiguredRejectionLeaksNoListener(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	for _, c := range []struct {
+		nodes int
+		cfg   Config
+	}{
+		{4, Config{Batch: maxFrameRecords + 1}},
+		{maxOrigins + 1, Config{Tolerate: true}},
+	} {
+		if _, err := RunConfigured(make([][]tuple.Tuple, c.nodes), c.cfg); err == nil {
+			t.Fatalf("%d nodes, %+v: accepted", c.nodes, c.cfg)
+		}
+	}
+	if after := fds(); after != before {
+		t.Errorf("%d descriptors open before the rejected runs, %d after", before, after)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Batch != 1024 || c.DialTimeout != 5*time.Second || c.IOTimeout != 30*time.Second ||
-		c.InitSeg != 4096 || c.SwitchRatio != 0.1 {
+	if c.Batch != 1024 || c.DialTimeout != 5*time.Second || c.IOTimeout != 30*time.Second {
 		t.Errorf("defaults = %+v", c)
 	}
 	// Negative IOTimeout opts out of deadlines entirely.
@@ -203,7 +238,6 @@ func TestDistributedARepFallsBack(t *testing.T) {
 	got, err := RunConfigured(rel.PerNode, Config{
 		Algorithm:    AdaptiveRepartitioning,
 		TableEntries: 1_000,
-		InitSeg:      500,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,11 +247,12 @@ func TestDistributedARepFallsBack(t *testing.T) {
 		t.Error("no node fell back on a 5-group workload")
 	}
 
-	// Many groups: everyone keeps repartitioning.
+	// Many groups: a 500-tuple window projects past the bound, and
+	// everyone keeps repartitioning.
 	rel = workload.Uniform(4, 40_000, 20_000, 10)
 	got, err = RunConfigured(rel.PerNode, Config{
-		Algorithm: AdaptiveRepartitioning,
-		InitSeg:   500,
+		Algorithm:    AdaptiveRepartitioning,
+		TableEntries: 1_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,13 +267,12 @@ func TestDistributedARepFallbackThenOverflow(t *testing.T) {
 	// Few DISTINCT early groups trigger the fallback, but the relation has
 	// more groups than the bound overall: nodes fall back, overflow, and
 	// switch forward again — the full A-Rep → A-2P → Rep journey. The
-	// answer must survive all of it.
+	// answer must survive all of it. A 32-tuple window of Zipf's hot keys
+	// looks like few groups.
 	rel := workload.Zipf(4, 40_000, 5_000, 1.6, 11)
 	got, err := RunConfigured(rel.PerNode, Config{
 		Algorithm:    AdaptiveRepartitioning,
 		TableEntries: 64,
-		InitSeg:      200,
-		SwitchRatio:  0.5, // aggressive: Zipf's hot keys look like few groups
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -308,13 +308,15 @@ func TestTolerantAdaptiveRepFallback(t *testing.T) {
 	// aggregation, broadcasting EOP over tolerant control frames.
 	rel := workload.Uniform(4, 8_000, 1, 13)
 	template := tolerantTemplate(AdaptiveRepartitioning)
-	template.InitSeg = 512
-	template.SwitchRatio = 0.01
+	template.TableEntries = 1024 // a 512-tuple window
 	res, err := RunConfigured(rel.PerNode, template)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verify(t, rel, res.Groups)
+	if res.Switched != 4 {
+		t.Errorf("switched = %d nodes, want all 4 fallen back", res.Switched)
+	}
 }
 
 func TestTolerantMatchesFailFast(t *testing.T) {

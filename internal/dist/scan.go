@@ -17,8 +17,7 @@ import (
 // own partition, so a switch projects over n × rows: equal partitions.
 func newScan(cfg Config, alg Algorithm, n, rows int, fallback *atomic.Bool, ex kernel.Exchange) kernel.Scan {
 	return kernel.Scan{Alg: kernel.Algorithm(alg), Bound: cfg.TableEntries, Batch: cfg.Batch,
-		InitSeg: cfg.InitSeg, SwitchRatio: cfg.SwitchRatio, Dests: n, Rows: n * rows,
-		Fallback: fallback, Ex: ex}
+		Dests: n, Rows: n * rows, Fallback: fallback, Ex: ex}
 }
 
 // exchange is node nd's kernel.Exchange for stream s, in either mode: it

@@ -198,10 +198,8 @@ func checkTraditional(e *Experiment) error {
 	return nil
 }
 
-// checkAdaptive: A-2P tracks the lower envelope of {2P, Rep} within the
-// tolerance everywhere; A-Rep matches Rep at the top end and stays within a
-// looser bound elsewhere; Samp never strays far above the envelope plus its
-// sampling overhead.
+// checkAdaptive: A-2P and A-Rep track the lower envelope of {2P, Rep}
+// within the tolerance everywhere.
 func checkAdaptive(e *Experiment, tol float64) error {
 	twoP, err := e.Get("2P")
 	if err != nil {
@@ -219,26 +217,18 @@ func checkAdaptive(e *Experiment, tol float64) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range a2p.Points {
-		y2, err2 := twoP.Y(p.X)
-		yr, errr := rep.Y(p.X)
-		if err2 != nil || errr != nil {
-			continue
+	for _, s := range []*Series{a2p, arep} {
+		for _, p := range s.Points {
+			y2, err2 := twoP.Y(p.X)
+			yr, errr := rep.Y(p.X)
+			if err2 != nil || errr != nil {
+				continue
+			}
+			env := math.Min(y2, yr)
+			if p.Y > env*tol {
+				return fmt.Errorf("%s: %s at %v groups = %.2fs, envelope %.2fs (tol ×%.2f)", e.ID, s.Name, p.X, p.Y, env, tol)
+			}
 		}
-		env := math.Min(y2, yr)
-		if p.Y > env*tol {
-			return fmt.Errorf("%s: A-2P at %v groups = %.2fs, envelope %.2fs (tol ×%.2f)", e.ID, p.X, p.Y, env, tol)
-		}
-	}
-	// A-Rep must be within tolerance of Rep at the highest group count.
-	la, lr := lastX(arep), lastX(rep)
-	if la.Y > lr.Y*tol {
-		return fmt.Errorf("%s: A-Rep at %v groups = %.2fs, Rep = %.2fs", e.ID, la.X, la.Y, lr.Y)
-	}
-	// And within tolerance of 2P at the lowest (it falls back).
-	fa, f2 := firstX(arep), firstX(twoP)
-	if fa.Y > f2.Y*tol {
-		return fmt.Errorf("%s: A-Rep at %v groups = %.2fs, 2P = %.2fs", e.ID, fa.X, fa.Y, f2.Y)
 	}
 	return nil
 }

@@ -25,12 +25,6 @@ func modelSeries(prm params.Params, name string, f func(s float64) cost.Breakdow
 	return Series{Name: name, Points: pts}
 }
 
-// arepCfg returns the paper-aligned Adaptive Repartitioning tuning used by
-// every model figure.
-func arepCfg(prm params.Params) cost.ARepConfig {
-	return cost.ARepConfig{InitSeg: prm.HashEntries / 2, SwitchRatio: 0.1}
-}
-
 // Fig1 regenerates Figure 1: the traditional algorithms (C-2P, 2P, Rep) on
 // the 32-node configuration, with Rep shown on both the high-bandwidth
 // network and the shared-bus Ethernet to expose the network sensitivity.
@@ -92,7 +86,7 @@ func (r Runner) Fig3() *Experiment {
 			modelSeries(prm, "Rep", m.Rep),
 			modelSeries(prm, "Samp", func(s float64) cost.Breakdown { return m.Samp(s, 10*cross) }),
 			modelSeries(prm, "A-2P", m.A2P),
-			modelSeries(prm, "A-Rep", func(s float64) cost.Breakdown { return m.ARep(s, arepCfg(prm)) }),
+			modelSeries(prm, "A-Rep", func(s float64) cost.Breakdown { return m.ARep(s) }),
 		},
 	}
 }
@@ -114,7 +108,7 @@ func (r Runner) Fig4() *Experiment {
 			modelSeries(prm, "Rep", m.Rep),
 			modelSeries(prm, "Samp", func(s float64) cost.Breakdown { return m.Samp(s, 10*cross) }),
 			modelSeries(prm, "A-2P", m.A2P),
-			modelSeries(prm, "A-Rep", func(s float64) cost.Breakdown { return m.ARep(s, arepCfg(prm)) }),
+			modelSeries(prm, "A-Rep", func(s float64) cost.Breakdown { return m.ARep(s) }),
 		},
 	}
 }
@@ -149,7 +143,7 @@ func scaleupExperiment(id, title string, sel float64) *Experiment {
 			}),
 			scaleupSeries("A-2P", sel, func(m *cost.Model, s float64) float64 { return m.A2P(s).Total() }),
 			scaleupSeries("A-Rep", sel, func(m *cost.Model, s float64) float64 {
-				return m.ARep(s, arepCfg(m.P)).Total()
+				return m.ARep(s).Total()
 			}),
 		},
 	}

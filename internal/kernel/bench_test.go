@@ -50,7 +50,7 @@ func scanInput(rows, groups int) []tuple.Tuple {
 func TestAllocsPinScan(t *testing.T) {
 	part := scanInput(1<<14, 1024)
 	for _, sh := range scanShapes {
-		k := Scan{Alg: sh.alg, Bound: 4096, Batch: 1024, InitSeg: 4096, SwitchRatio: 0.1,
+		k := Scan{Alg: sh.alg, Bound: 4096, Batch: 1024,
 			Dests: 4, Rows: len(part), Fallback: new(atomic.Bool), Ex: sink{1024}}
 		k.Begin()
 		k.Scan(part) // warm-up: the table's slots and every destination's buffer
@@ -67,7 +67,7 @@ func BenchmarkKernelScan(b *testing.B) {
 	part := scanInput(1<<18, 1024)
 	for _, sh := range scanShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			k := Scan{Alg: sh.alg, Bound: 16384, Batch: 4096, InitSeg: 4096, SwitchRatio: 0.1,
+			k := Scan{Alg: sh.alg, Bound: 16384, Batch: 4096,
 				Dests: 4, Rows: len(part), Fallback: new(atomic.Bool), Ex: sink{4096}}
 			k.Begin()
 			b.ResetTimer()

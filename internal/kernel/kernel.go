@@ -21,8 +21,9 @@
 // AdaptiveTwoPhase flushes it and routes every later tuple raw, the
 // switch. Near its bound an adaptive scan folds at most the table's room
 // per call, so it switches at the first refused tuple and projects from a
-// table without the chunk's later repeats. AdaptiveRepartitioning's
-// observation of its first InitSeg tuples is the one per-tuple phase.
+// table without the chunk's later repeats. AdaptiveRepartitioning routes
+// its window, the first Bound/2 tuples, and counts them in the table; at
+// the window's end sample.FallBack judges Chao1 over their profile.
 //
 // A flush walks the table twice: to count each destination's groups, sent
 // ahead as a reservation floor (at a switch raised to the §3.1 projection
@@ -85,13 +86,13 @@ type Exchange interface {
 // value the caller keeps (live, one in each worker), so a run allocates
 // only its table and per-destination slices.
 type Scan struct {
-	Alg         Algorithm
-	Bound       int // the table's group bound; 0 = unbounded
-	Batch       int // tuples per chunk, and the most records a buffer holds
-	InitSeg     int // AdaptiveRepartitioning's observation window
-	SwitchRatio float64
-	Dests       int // destinations, and the merge ranges keys hash to (Key.Dest)
-	Rows        int // the input a switch projects its group estimate over
+	Alg   Algorithm
+	Bound int // the table's group bound; 0 = unbounded
+	Batch int // tuples per chunk, and the most records a buffer holds
+	Dests int // destinations, and the merge ranges keys hash to (Key.Dest)
+	// Rows is the input a switch projects its group estimate over;
+	// AdaptiveRepartitioning's rule projects over a destination's share.
+	Rows int
 
 	// Owner maps a merge range to the destination that owns it (nil: the
 	// identity). Refresh, if set, replaces it before every chunk and the
@@ -123,14 +124,14 @@ type Scan struct {
 	//aggvet:owner scan
 	left []int // groups a last flush has yet to ship to each destination
 
-	refused []int                  // the chunk fold's refusals
-	kept    []tuple.Tuple          // the chunk Keep filtered
-	seen    map[tuple.Key]struct{} // AdaptiveRepartitioning's observed groups
+	refused []int         // the chunk fold's refusals
+	kept    []tuple.Tuple // the chunk Keep filtered
 
 	// The switch's projection: groups per destination, made when estOK,
 	// from the full table's count profile.
 	est, f1, f2 int
 	estOK       bool
+	verdict     string // AdaptiveRepartitioning's note, once its window is judged
 
 	routing, listening bool
 	observed, scanned  int
@@ -156,9 +157,6 @@ func (k *Scan) Begin() {
 	k.left = make([]int, k.Dests)
 	k.routing = k.Alg == Repartitioning || k.Alg == AdaptiveRepartitioning
 	k.listening = k.Alg == AdaptiveRepartitioning
-	if k.listening {
-		k.seen = make(map[tuple.Key]struct{})
-	}
 }
 
 // Scan aggregates or routes part, a chunk at a time.
@@ -184,6 +182,9 @@ func (k *Scan) Scan(part []tuple.Tuple) error {
 func (k *Scan) Finish() error {
 	if k.Refresh != nil {
 		k.Owner = k.Refresh(k.scanned)
+	}
+	if k.listening && k.table != nil { // a window never judged: it went out raw
+		k.table.Reset()
 	}
 	err := k.flush(last)
 	if k.table != nil {
@@ -275,41 +276,44 @@ func (k *Scan) refuse(t tuple.Tuple) error {
 	return k.routeAll([]tuple.Tuple{t})
 }
 
-// observe is AdaptiveRepartitioning before its fallback: it watches the
-// Fallback flag at every tuple and, over its first InitSeg tuples, counts
-// their groups; then it routes the tuples it watched. It returns how many
-// that was; fewer than len(seg) means the scan fell back and folds the rest.
-func (k *Scan) observe(seg []tuple.Tuple) (int, error) {
-	threshold := max(1, int(k.SwitchRatio*float64(k.InitSeg)))
-	declared := false
-	i := 0
-	for ; i < len(seg); i++ {
-		if k.Fallback.Load() { // raised by another scan, or relayed back to this one
-			k.FellBack = true
-			break
+// observe is AdaptiveRepartitioning before its fallback. Between chunks it
+// watches the Fallback flag; it routes seg, counting what falls in its
+// window in the table, and at the window's end judges it. It returns how
+// many tuples it routed; fewer than len(seg) means the scan fell back and
+// folds the rest into the table, emptied: the window went out raw.
+func (k *Scan) observe(seg []tuple.Tuple) (n int, err error) {
+	window := k.Bound/2 - k.observed
+	switch {
+	case k.Fallback.Load(): // raised by another scan, or relayed back to this one
+	case window <= 0: // no window (bound 0), or judged: Rep
+		return len(seg), k.routeAll(seg)
+	default:
+		if k.table == nil {
+			k.table = aggtable.NewSized(k.Bound, k.Bound)
 		}
-		if k.seen == nil {
-			continue
+		n = min(window, len(seg))
+		k.refused = k.table.UpdateRows(seg[:n], k.refused[:0]) // at most Bound/2 groups: none refused
+		k.observed += n
+		if err = k.routeAll(seg[:n]); err != nil || n < window {
+			return n, err
 		}
-		k.observed++
-		if len(k.seen) <= threshold {
-			k.seen[seg[i].Key] = struct{}{}
+		var prof sample.Profile
+		k.table.Each(func(_ tuple.Key, s tuple.AggState) { prof.Add(s.Count) })
+		est, fell := sample.FallBack(sample.Chao1(k.table.Len(), prof.F1, prof.F2), k.Rows/k.Dests, k.Bound)
+		k.verdict = ", " + sample.Verdict(est, k.Bound, fell, prof)
+		if !fell {
+			k.table.Release()
+			k.table = nil
+			return n, nil
 		}
-		if len(k.seen) > threshold {
-			k.seen = nil // plenty of groups: keep routing
-		} else if k.observed >= k.InitSeg {
-			k.FellBack, declared = true, true
-			k.Fallback.Store(true)
-			break
-		}
+		k.Fallback.Store(true)
+		err = k.Ex.EndPhase()
 	}
-	if k.FellBack {
-		k.listening, k.routing = false, false
+	k.FellBack, k.listening, k.routing = true, false, false
+	if k.table != nil {
+		k.table.Reset()
 	}
-	if err := k.routeAll(seg[:i]); err != nil || !declared {
-		return i, err
-	}
-	return i, k.Ex.EndPhase()
+	return n, err
 }
 
 // routeAll routes every tuple of seg, shipping each buffer as it fills.
@@ -453,14 +457,15 @@ func (k *Scan) Partial(p tuple.Partial) (err error) {
 	return nil
 }
 
-// Note describes the switch's projection for a scan span, per names what
-// a destination is; it is empty when the scan did not switch.
+// Note describes for a scan span AdaptiveRepartitioning's verdict on its
+// window and the switch's projection, per naming what a destination is;
+// it is empty when the scan did neither.
 func (k *Scan) Note(per string) string {
 	switch {
 	case !k.Switched:
-		return ""
+		return k.verdict
 	case !k.estOK:
-		return fmt.Sprintf(", est declined (f1 %d, f2 %d)", k.f1, k.f2)
+		return k.verdict + fmt.Sprintf(", est declined (f1 %d, f2 %d)", k.f1, k.f2)
 	}
-	return fmt.Sprintf(", est %d/%s (f1 %d, f2 %d)", k.est, per, k.f1, k.f2)
+	return k.verdict + fmt.Sprintf(", est %d/%s (f1 %d, f2 %d)", k.est, per, k.f1, k.f2)
 }

@@ -101,7 +101,7 @@ func sortedTuples(ts []tuple.Tuple) []tuple.Tuple {
 // run's shipments must fold to the sequential fold of what it kept, and
 // each algorithm must ship raw exactly the tuples its rule says.
 func TestScanShipsWhatTheRuleSays(t *testing.T) {
-	const n, batch, rows, initSeg = 3, 64, 5000, 256
+	const n, batch, rows = 3, 64, 5000
 	type variant struct {
 		name    string
 		owner   []int
@@ -140,7 +140,7 @@ func TestScanShipsWhatTheRuleSays(t *testing.T) {
 							}
 							return v.owner[k.Dest(n)]
 						}}
-						k := Scan{Alg: alg, Bound: bound, Batch: batch, InitSeg: initSeg, SwitchRatio: 0.1,
+						k := Scan{Alg: alg, Bound: bound, Batch: batch,
 							Dests: n, Rows: n * rows, Owner: v.owner, Keep: v.keep, Fallback: &fallback, Ex: rec}
 						var progress []int
 						if v.refresh {
@@ -197,17 +197,25 @@ func TestScanShipsWhatTheRuleSays(t *testing.T) {
 							i := firstRefusal(kept, bound)
 							wantRaw, wantSwitch = kept[i:], i < len(kept)
 						case AdaptiveRepartitioning:
-							if groups >= initSeg/10 {
-								wantRaw = kept // plenty of groups: never falls back
+							// The window is bound/2 tuples. Ten groups fit either
+							// bound; a two-tuple window's Chao1 is 3, which fits 4;
+							// 512 distinct keys project past 1,024. Bound 0 has no
+							// window.
+							window := bound / 2
+							if bound == 0 || (groups == 2000 && bound == 1024) {
+								wantRaw = kept
+								if k.FellBack || rec.endPhase != 0 {
+									t.Errorf("fell back %v, %d end-of-phase calls; want Rep throughout", k.FellBack, rec.endPhase)
+								}
 								break
 							}
-							// Falls back at the InitSeg-th tuple, which it folds.
-							rest := kept[initSeg-1:]
+							// Routes the window, then folds the rest.
+							rest := kept[window:]
 							i := firstRefusal(rest, bound)
-							wantRaw, wantSwitch = append(slices.Clone(kept[:initSeg-1]), rest[i:]...), i < len(rest)
+							wantRaw, wantSwitch = append(slices.Clone(kept[:window]), rest[i:]...), i < len(rest)
 							if !k.FellBack || !fallback.Load() || rec.endPhase != 1 {
-								t.Errorf("fell back %v, flag %v, %d end-of-phase calls; want a fallback at tuple %d",
-									k.FellBack, fallback.Load(), rec.endPhase, initSeg)
+								t.Errorf("fell back %v, flag %v, %d end-of-phase calls; want a fallback after tuple %d",
+									k.FellBack, fallback.Load(), rec.endPhase, window)
 							}
 						}
 						if got, want := sortedTuples(rec.raw), sortedTuples(wantRaw); !slices.Equal(got, want) {
@@ -272,7 +280,7 @@ func TestScanStopsAtFirstError(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{TwoPhase, Repartitioning, AdaptiveTwoPhase, AdaptiveRepartitioning} {
 		for left := 0; left < 40; left++ {
-			k := Scan{Alg: alg, Bound: 16, Batch: 8, InitSeg: 64, SwitchRatio: 0.5, Dests: 2, Rows: len(part),
+			k := Scan{Alg: alg, Bound: 16, Batch: 8, Dests: 2, Rows: len(part),
 				Fallback: new(atomic.Bool), Ex: &failing{left: left}}
 			if err := k.Run(part); err != errShip {
 				t.Fatalf("alg %d, %d good operations: Run returned %v", alg, left, err)
@@ -295,6 +303,42 @@ func TestNote(t *testing.T) {
 	k.est, k.estOK = 42, true
 	if got := k.Note("range"); got != ", est 42/range (f1 7, f2 3)" {
 		t.Errorf("projected: note %q", got)
+	}
+}
+
+// AdaptiveRepartitioning's scan note carries its window's verdict, ahead
+// of any later switch's projection: an eight-tuple window over six groups
+// projects (Chao1 6 + 4²/(2·2)) to ten, which bound 16 holds; eight
+// distinct keys project (Chao1 8 + 8·7/2) to 36, which it does not. A
+// partition shorter than its window is never judged.
+func TestARepNoteCarriesVerdict(t *testing.T) {
+	for _, c := range []struct {
+		rows, groups int
+		want         string
+	}{
+		{1000, 6, ", fell back: est 10 ≤ bound 16 (f1 4, f2 2)"},
+		{1000, 100, ", stayed Rep: est 36 > 16 (f1 8, f2 0)"},
+		{7, 6, ""},
+	} {
+		part := scanInput(c.rows, c.groups)
+		rec := &recorder{t: t, batch: 4, dest: func(k tuple.Key) int { return k.Dest(2) }}
+		k := Scan{Alg: AdaptiveRepartitioning, Bound: 16, Batch: 4, Dests: 2, Rows: 2 * c.rows, Fallback: new(atomic.Bool), Ex: rec}
+		if err := k.Run(part); err != nil {
+			t.Fatal(err)
+		}
+		shipped := int64(len(rec.raw))
+		for _, p := range rec.partials {
+			shipped += p.State.Count
+		}
+		if shipped != int64(c.rows) {
+			t.Errorf("%d rows over %d groups: shipped %d tuples' worth", c.rows, c.groups, shipped)
+		}
+		if got := k.Note("range"); got != c.want {
+			t.Errorf("%d rows over %d groups: note %q, want %q", c.rows, c.groups, got, c.want)
+		}
+		if fell := c.want != "" && c.want[2] == 'f'; k.FellBack != fell || (rec.endPhase == 1) != fell {
+			t.Errorf("%d rows over %d groups: fell back %v after %d end-of-phase calls, want %v", c.rows, c.groups, k.FellBack, rec.endPhase, fell)
+		}
 	}
 }
 
@@ -327,8 +371,11 @@ func TestLastFlushSizesBuffersToItsGroups(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{TwoPhase, AdaptiveTwoPhase, AdaptiveRepartitioning} {
 		for _, bound := range []int{0, 6} {
+			if alg == AdaptiveRepartitioning && bound == 0 {
+				continue // no window to fall back after: it ships no partials
+			}
 			r := &sizer{recorder: recorder{t: t, batch: batch, dest: func(k tuple.Key) int { return k.Dest(dests) }}}
-			k := Scan{Alg: alg, Bound: bound, Batch: batch, InitSeg: 64, SwitchRatio: 0.5, Dests: dests, Rows: len(six),
+			k := Scan{Alg: alg, Bound: bound, Batch: batch, Dests: dests, Rows: len(six),
 				Fallback: new(atomic.Bool), Ex: r}
 			if err := k.Run(six); err != nil {
 				t.Fatal(err)
@@ -382,9 +429,9 @@ func (w *slotWatch) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) 
 
 // A bounded scan allocates its table at the bound, at its first fold, and
 // never rehashes it: from that fold through every eviction or switch to
-// the last flush, the table has slotsFor(Bound) slots. A scan that only
-// routes (Repartitioning, AdaptiveRepartitioning before its fallback)
-// never takes a table, and Finish gives the table back.
+// the last flush, the table has slotsFor(Bound) slots. Repartitioning
+// never takes a table; AdaptiveRepartitioning counts its window in one and
+// gives it back when it stays Rep. Finish gives the table back.
 func TestBoundedScanNeverRehashes(t *testing.T) {
 	const dests, batch = 3, 256
 	cases := []struct {
@@ -398,13 +445,13 @@ func TestBoundedScanNeverRehashes(t *testing.T) {
 		{TwoPhase, 4096, 20000, 8192, false},          // evicts, refills the same slots
 		{TwoPhase, 52, 60, 64, false},                 // at minSlots' load limit exactly
 		{AdaptiveRepartitioning, 4096, 50, 8192, true},
-		{AdaptiveRepartitioning, 4096, 20000, 0, false}, // keeps routing
+		{AdaptiveRepartitioning, 4096, 20000, 8192, false}, // keeps routing
 		{Repartitioning, 4096, 50, 0, false},
 	}
 	for _, c := range cases {
 		part := scanInput(40_000, c.groups)
 		w := &slotWatch{recorder: recorder{t: t, batch: batch, dest: func(k tuple.Key) int { return k.Dest(dests) }}, slots: map[int]int{}}
-		k := &Scan{Alg: c.alg, Bound: c.bound, Batch: batch, InitSeg: 1024, SwitchRatio: 0.1, Dests: dests, Rows: len(part),
+		k := &Scan{Alg: c.alg, Bound: c.bound, Batch: batch, Dests: dests, Rows: len(part),
 			Fallback: new(atomic.Bool), Ex: w}
 		w.k = k
 		name := fmt.Sprintf("alg %d bound %d groups %d", c.alg, c.bound, c.groups)
@@ -428,6 +475,9 @@ func TestBoundedScanNeverRehashes(t *testing.T) {
 		}
 		if k.FellBack != c.fallback {
 			t.Errorf("%s: FellBack %v, want %v", name, k.FellBack, c.fallback)
+		}
+		if c.alg == AdaptiveRepartitioning && !c.fallback && (k.Occ != 0 || w.slots[c.slots] != 2) {
+			t.Errorf("%s: stayed Rep with a table past its 2,048-tuple window (seen %v, Occ %d)", name, w.slots, k.Occ)
 		}
 		if c.slots == 0 {
 			if len(w.slots) != 0 || k.Occ != 0 {

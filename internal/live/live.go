@@ -56,9 +56,9 @@ const (
 	// AdaptiveTwoPhase: start as TwoPhase; a worker whose local table
 	// fills flushes its partials and repartitions the rest raw.
 	AdaptiveTwoPhase = Algorithm(kernel.AdaptiveTwoPhase)
-	// AdaptiveRepartitioning: start as Repartitioning; a worker that sees
-	// too few distinct groups in its first InitSeg tuples raises a shared
-	// flag and every worker falls back to the AdaptiveTwoPhase strategy.
+	// AdaptiveRepartitioning: start as Repartitioning; a worker whose first
+	// TableEntries/2 tuples project to groups its table holds raises a
+	// shared flag and every worker falls back to AdaptiveTwoPhase.
 	AdaptiveRepartitioning = Algorithm(kernel.AdaptiveRepartitioning)
 	// Shared: every worker folds its partition into ONE striped concurrent
 	// table (internal/aggtable.Shared) through a small private front table —
@@ -72,8 +72,8 @@ const (
 	// budget is global — TableEntries×Workers entries, fronts included.
 	Shared = AdaptiveRepartitioning + 1
 	// AdaptiveShared: start as Shared; a worker that sees the shared
-	// table refuse a tuple (bound pressure) or more than SwitchRatio of
-	// its last InitSeg shared-table folds contend on a stripe lock raises
+	// table refuse a tuple (bound pressure) or more than sharedRatio of
+	// its last sharedWindow shared-table folds contend on a stripe lock raises
 	// a flag; every worker then empties its front into the shared table and
 	// runs the AdaptiveTwoPhase strategy on the rest of its partition. The
 	// shared contents are poured once at the end over the exchanged results.
@@ -119,15 +119,6 @@ type Config struct {
 	// of tuples or partials per exchanged message. Default 4096.
 	Batch int
 
-	// InitSeg and SwitchRatio drive AdaptiveRepartitioning's fallback,
-	// with the same meaning as core.Options. Defaults: 4096 and 0.1.
-	// AdaptiveShared reuses them as its contention window: a worker that
-	// sees more than SwitchRatio×InitSeg contended folds among InitSeg
-	// consecutive shared-table updates falls back to two-phase. Tuples its
-	// front absorbs take no lock and are not in the window.
-	InitSeg     int
-	SwitchRatio float64
-
 	// Obs, when non-nil, receives per-worker counters (rows, routed
 	// tuples, partials, spills, groups, merge fan-in) and whole-run
 	// throughput after the aggregation completes.
@@ -150,12 +141,6 @@ func (c Config) withDefaults() Config {
 	c.Workers = c.WorkerCount()
 	if c.Batch <= 0 {
 		c.Batch = 4096
-	}
-	if c.InitSeg <= 0 {
-		c.InitSeg = 4096
-	}
-	if c.SwitchRatio <= 0 {
-		c.SwitchRatio = 0.1
 	}
 	return c
 }
@@ -464,11 +449,14 @@ func (wk *worker) noteOcc(permille int) {
 	wk.m.TableOcc = max(wk.m.TableOcc, int64(permille))
 }
 
-// sharedContentionHigh is AdaptiveShared's switch predicate: more than
-// SwitchRatio of the window's folds hit a held stripe lock. The window
-// counts only folds that reach the shared table: a front takes no lock.
+// AdaptiveShared's contention window: sharedWindow consecutive folds that
+// reach the shared table (a front takes no lock), of which more than
+// sharedRatio hit a held stripe lock to fall back.
+const sharedWindow, sharedRatio = 4096, 0.1
+
+// sharedContentionHigh is AdaptiveShared's switch predicate.
 func (wk *worker) sharedContentionHigh() bool {
-	return float64(wk.sharedContended) > wk.cfg.SwitchRatio*float64(wk.sharedSeen)
+	return float64(wk.sharedContended) > sharedRatio*float64(wk.sharedSeen)
 }
 
 // mergeSide folds everything routed to this worker into mg until every

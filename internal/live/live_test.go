@@ -119,7 +119,7 @@ func TestA2PSwitchesUnderMemoryPressure(t *testing.T) {
 
 func TestARepFallsBackOnFewGroups(t *testing.T) {
 	rel := workload.Uniform(1, 50_000, 5, 11)
-	res, err := Aggregate(Config{Workers: 4, TableEntries: 1000, InitSeg: 500}, flatten(rel), AdaptiveRepartitioning)
+	res, err := Aggregate(Config{Workers: 4, TableEntries: 1000}, flatten(rel), AdaptiveRepartitioning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +128,10 @@ func TestARepFallsBackOnFewGroups(t *testing.T) {
 	}
 	checkAgainstReference(t, rel, res)
 
-	// Many groups: nobody falls back.
+	// Many groups: a 500-tuple window projects past the bound, and nobody
+	// falls back.
 	rel = workload.Uniform(1, 50_000, 20_000, 12)
-	res, err = Aggregate(Config{Workers: 4, InitSeg: 500}, flatten(rel), AdaptiveRepartitioning)
+	res, err = Aggregate(Config{Workers: 4, TableEntries: 1000}, flatten(rel), AdaptiveRepartitioning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,6 @@ func TestLiveMatchesReferenceProperty(t *testing.T) {
 			Workers:      int(workers%8) + 1,
 			TableEntries: int(bound % 16), // 0 = unbounded
 			Batch:        3,
-			InitSeg:      16,
 		}
 		alg := Algorithms()[int(algPick)%len(Algorithms())]
 		res, err := Aggregate(cfg, ts, alg)

@@ -28,8 +28,7 @@ func (wk *worker) scanSide(part []tuple.Tuple) (switched bool) {
 	}
 	k := &wk.k
 	*k = kernel.Scan{Alg: alg, Bound: wk.cfg.TableEntries, Batch: wk.cfg.Batch,
-		InitSeg: wk.cfg.InitSeg, SwitchRatio: wk.cfg.SwitchRatio, Dests: wk.cfg.Workers, Rows: wk.rows,
-		Fallback: wk.fallback, Ex: wk}
+		Dests: wk.cfg.Workers, Rows: wk.rows, Fallback: wk.fallback, Ex: wk}
 	k.Begin()
 	wk.m.Scanned = int64(len(part))
 	if wk.shared != nil {
@@ -107,7 +106,7 @@ func (wk *worker) flushMiss() {
 	if wk.alg == AdaptiveShared {
 		wk.sharedSeen += wk.miss.Len() - len(wk.bounced)
 		wk.sharedContended += contended
-		if wk.sharedSeen >= wk.cfg.InitSeg {
+		if wk.sharedSeen >= sharedWindow {
 			if wk.sharedContentionHigh() {
 				wk.fallback.Store(true)
 			}

@@ -41,7 +41,6 @@ func TestSharedMatchesTwoPhaseDifferential(t *testing.T) {
 			Workers:      1 + rng.Intn(8),
 			TableEntries: []int{0, 16, 256}[rng.Intn(3)],
 			Batch:        1 + rng.Intn(64),
-			InitSeg:      64,
 		}
 		ref, err := Aggregate(cfg, in, TwoPhase)
 		if err != nil {
@@ -100,11 +99,11 @@ func TestASharedFallsBackOnBoundPressure(t *testing.T) {
 	if res.Switched == 0 {
 		t.Error("no worker fell back under bound pressure")
 	}
-	// With plenty of memory, nobody switches and nothing is exchanged.
-	// SwitchRatio 1 turns the contention trigger off (contended folds can
-	// never exceed folds): on a box that preempts a stripe-lock holder it
-	// fires legitimately, and this half is about the bound trigger only.
-	res, err = Aggregate(Config{Workers: 4, TableEntries: 50_000, SwitchRatio: 1}, flatten(rel), AdaptiveShared)
+	// With plenty of memory, nobody switches and nothing is exchanged. One
+	// worker keeps the contention trigger off (no other worker can hold a
+	// stripe lock): on a box that preempts a stripe-lock holder it fires
+	// legitimately, and this half is about the bound trigger only.
+	res, err = Aggregate(Config{Workers: 1, TableEntries: 50_000}, flatten(rel), AdaptiveShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +142,9 @@ func TestSharedNoExchangeTraffic(t *testing.T) {
 }
 
 // TestSharedContentionPredicate unit-tests the fallback decision in
-// isolation: the window trips exactly past SwitchRatio.
+// isolation: the window trips exactly past sharedRatio.
 func TestSharedContentionPredicate(t *testing.T) {
-	wk := &worker{cfg: Config{SwitchRatio: 0.1}.withDefaults()}
+	wk := &worker{cfg: Config{}.withDefaults()}
 	wk.sharedSeen = 100
 	wk.sharedContended = 10
 	if wk.sharedContentionHigh() {
@@ -161,24 +160,25 @@ func TestSharedContentionPredicate(t *testing.T) {
 // chunk by chunk (no concurrency, so nothing contends) and checks the
 // window bookkeeping rolls over without tripping the flag.
 func TestSharedContentionWindowResets(t *testing.T) {
-	wk := newSharedWorker(Config{Workers: 1, InitSeg: 8, SwitchRatio: 0.1}, AdaptiveShared, false, 0)
-	for i := 0; i < 20; i += 5 {
-		seg := make([]tuple.Tuple, 5)
+	const chunk = sharedWindow * 5 / 8 // the second chunk closes the window
+	wk := newSharedWorker(Config{Workers: 1}, AdaptiveShared, false, 0)
+	for i := 0; i < 4*chunk; i += chunk {
+		seg := make([]tuple.Tuple, chunk)
 		for j := range seg {
 			seg[j] = tuple.Tuple{Key: tuple.Key(i + j), Val: 1}
 		}
 		if wk.sharedChunk(seg) {
 			t.Fatalf("chunk at %d: a worker without a front reported a cold one", i)
 		}
-		if want := (i + 5) % 10; wk.sharedSeen != want {
-			t.Errorf("after %d tuples: sharedSeen = %d, want %d (the window closes at InitSeg and starts over)", i+5, wk.sharedSeen, want)
+		if want := (i + chunk) % (2 * chunk); wk.sharedSeen != want {
+			t.Errorf("after %d tuples: sharedSeen = %d, want %d (the window closes at sharedWindow and starts over)", i+chunk, wk.sharedSeen, want)
 		}
 	}
 	if wk.fallback.Load() {
 		t.Error("uncontended run raised the fallback flag")
 	}
-	if wk.shared.Len() != 20 || wk.miss.Len() != 0 {
-		t.Errorf("shared table holds %d keys with %d misses pending, want 20 and 0", wk.shared.Len(), wk.miss.Len())
+	if wk.shared.Len() != 4*chunk || wk.miss.Len() != 0 {
+		t.Errorf("shared table holds %d keys with %d misses pending, want %d and 0", wk.shared.Len(), wk.miss.Len(), 4*chunk)
 	}
 }
 
@@ -354,7 +354,7 @@ func TestASharedFallsBackWithFrontAndMisses(t *testing.T) {
 		part[i] = tuple.Tuple{Key: tuple.Key(k), Val: int64(i%89) - 30}
 	}
 	rel := &workload.Relation{PerNode: [][]tuple.Tuple{part}}
-	cfg := Config{Workers: 2, TableEntries: 64, Batch: 64, SwitchRatio: 1}
+	cfg := Config{Workers: 2, TableEntries: 64, Batch: 64}
 	for _, flagUp := range []bool{false, true} {
 		wk, switched, got := runSharedScan(t, cfg, part, flagUp)
 		if !switched || !wk.fallback.Load() {

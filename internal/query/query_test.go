@@ -527,7 +527,7 @@ func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
 		}
 
 		for _, alg := range live.Algorithms() {
-			res, err := Execute(tab, q, live.Config{Workers: 3, TableEntries: 4, InitSeg: 8}, alg)
+			res, err := Execute(tab, q, live.Config{Workers: 3, TableEntries: 4}, alg)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, alg, err)
 			}

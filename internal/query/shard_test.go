@@ -19,7 +19,7 @@ func sameOverShards(t *testing.T, name string, tab *Table, q Query) {
 	t.Helper()
 	var want *Result
 	for _, w := range shardCounts {
-		got, err := Execute(tab, q, live.Config{Workers: w, TableEntries: 4, InitSeg: 8}, live.AdaptiveTwoPhase)
+		got, err := Execute(tab, q, live.Config{Workers: w, TableEntries: 4}, live.AdaptiveTwoPhase)
 		if err != nil {
 			t.Fatalf("%s, %d workers: %v", name, w, err)
 		}

@@ -6,7 +6,10 @@
 // times the crossover threshold suffices.
 package sample
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RequiredTuples returns the sample size (in tuples, across the whole
 // cluster) needed to decide a crossover threshold of the given number of
@@ -132,4 +135,23 @@ func ProjectOwnerGroups(observed, f1, f2, rows, owners int) (est int, ok bool) {
 	}
 	g := ExpectedDistinct(Chao1(observed, f1, f2), float64(rows))
 	return min(int(g)/owners, rows/owners), true
+}
+
+// FallBack is Adaptive Repartitioning's rule at the end of its window of
+// bound/2 tuples: a node falls back to A-2P when a domain of the given size
+// puts few enough groups in its rows for the table's bound to hold, the
+// paper's "too few groups". It returns that projection too. At bound 0
+// there is no window and no fallback.
+func FallBack(domain float64, rows, bound int) (est int, ok bool) {
+	est = int(math.Ceil(ExpectedDistinct(domain, float64(rows))))
+	return est, bound > 0 && est <= bound
+}
+
+// Verdict is FallBack's decision as both clocks' traces print it, with the
+// window's count profile p.
+func Verdict(est, bound int, fell bool, p Profile) string {
+	if fell {
+		return fmt.Sprintf("fell back: est %d ≤ bound %d (f1 %d, f2 %d)", est, bound, p.F1, p.F2)
+	}
+	return fmt.Sprintf("stayed Rep: est %d > %d (f1 %d, f2 %d)", est, bound, p.F1, p.F2)
 }

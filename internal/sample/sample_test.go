@@ -251,3 +251,34 @@ func TestProjectOwnerGroups(t *testing.T) {
 		}
 	}
 }
+
+// A-Rep's rule: fall back when the groups a domain puts in a node's rows
+// fit the bound, never at bound 0; a domain larger than the bound can
+// still fit when the rows are few.
+func TestFallBack(t *testing.T) {
+	for _, c := range []struct {
+		domain      float64
+		rows, bound int
+		est         int
+		fell        bool
+	}{
+		{1024, 1 << 16, 16384, 1024, true},
+		{1 << 18, 1 << 16, 16384, 57987, false},
+		{16384, 1 << 20, 16384, 16384, true},
+		{16385, 1 << 20, 16384, 16385, false},
+		{1 << 20, 1000, 1000, 1000, true},
+		{5, 100, 0, 5, false},
+	} {
+		est, fell := FallBack(c.domain, c.rows, c.bound)
+		if est != c.est || fell != c.fell {
+			t.Errorf("domain %v, rows %d, bound %d: est %d, fell back %v; want %d, %v",
+				c.domain, c.rows, c.bound, est, fell, c.est, c.fell)
+		}
+	}
+	if got := Verdict(10, 16, true, Profile{F1: 4, F2: 2}); got != "fell back: est 10 ≤ bound 16 (f1 4, f2 2)" {
+		t.Errorf("fell back: %q", got)
+	}
+	if got := Verdict(36, 16, false, Profile{F1: 8}); got != "stayed Rep: est 36 > 16 (f1 8, f2 0)" {
+		t.Errorf("stayed Rep: %q", got)
+	}
+}

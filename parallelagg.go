@@ -163,9 +163,8 @@ func ServeMetrics(ln net.Listener, r *MetricsRegistry) *http.Server { return obs
 // CostModel evaluates the paper's closed-form cost equations (Sections
 // 2–4); CostBreakdown is a per-component estimate in seconds.
 type (
-	CostModel      = cost.Model
-	CostBreakdown  = cost.Breakdown
-	ARepCostConfig = cost.ARepConfig
+	CostModel     = cost.Model
+	CostBreakdown = cost.Breakdown
 )
 
 // NewCostModel returns an analytical model over prm.

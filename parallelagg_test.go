@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"parallelagg"
+	"parallelagg/internal/dist"
 	"parallelagg/internal/trace"
 	"parallelagg/live"
 )
@@ -58,7 +59,12 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 // The simulator and the live engine trace one span vocabulary: an A-2P
 // run of one workload gives a scan and a merge span per node on the
 // virtual clock and per worker on the wall clock, and both engines' scan
-// notes open with the same "N tuples, switched=B" prefix.
+// notes open with the same "N tuples, switched=B" prefix. A-Rep's verdict
+// on its window reads the same on both clocks: each node's scan note ends
+// with the same "fell back: est E ≤ bound B (f1 a, f2 b)" or "stayed Rep:
+// est E > B (…)" in both engines (a node whose window a relayed
+// end-of-phase cut short has none), and the simulator's end-of-phase span
+// carries it too.
 func TestSimAndLiveShareSpanVocabulary(t *testing.T) {
 	prm := quickParams()
 	rel := parallelagg.Uniform(prm.N, 8_000, 2_000, 5) // every node switches
@@ -92,6 +98,92 @@ func TestSimAndLiveShareSpanVocabulary(t *testing.T) {
 				t.Errorf("%s: node %d has %d scan and %d merge spans, want 1 each",
 					run.name, node, scans[node], merges[node])
 			}
+		}
+	}
+	// A-Rep: M = 128 gives a 64-tuple window.
+	for _, c := range []struct {
+		groups int64
+		prefix string
+	}{{8, "fell back: est "}, {2_000, "stayed Rep: est "}} {
+		rel := parallelagg.Uniform(prm.N, 8_000, c.groups, 5)
+		sim, err := parallelagg.Aggregate(prm, rel, parallelagg.AdaptiveRepartitioning, parallelagg.Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.NewTracer(func() int64 { return time.Now().UnixNano() })
+		if _, err := live.AggregatePartitioned(live.Config{TableEntries: prm.HashEntries, Tracer: tr},
+			rel.PerNode, live.AdaptiveRepartitioning); err != nil {
+			t.Fatal(err)
+		}
+		verdicts := func(tr *parallelagg.Tracer) ([]string, int) {
+			v, eop := make([]string, prm.N), 0
+			for _, sp := range tr.Spans() {
+				switch {
+				case sp.Name == "scan":
+					if i := strings.Index(sp.Detail, ", "+c.prefix[:6]); i >= 0 {
+						v[sp.Node] = sp.Detail[i+2:]
+					}
+				case sp.Name == "end-of-phase" && strings.HasPrefix(sp.Detail, c.prefix):
+					eop++
+				}
+			}
+			return v, eop
+		}
+		simV, simEOP := verdicts(sim.Trace)
+		liveV, _ := verdicts(tr)
+		judged := 0
+		for node := range simV {
+			for _, v := range []string{simV[node], liveV[node]} {
+				if v != "" && !strings.HasPrefix(v, c.prefix) {
+					t.Errorf("%d groups: node %d verdict %q, want %q…", c.groups, node, v, c.prefix)
+				}
+			}
+			if simV[node] != "" && liveV[node] != "" {
+				judged++
+				if simV[node] != liveV[node] {
+					t.Errorf("%d groups: node %d judged %q in the simulator, %q live", c.groups, node, simV[node], liveV[node])
+				}
+			}
+		}
+		fell := c.groups == 8
+		if judged == 0 || (!fell && judged != prm.N) {
+			t.Errorf("%d groups: %d nodes judged their windows on both clocks (sim %q, live %q)", c.groups, judged, simV, liveV)
+		}
+		if fell != (simEOP > 0) {
+			t.Errorf("%d groups: %d end-of-phase spans carry the verdict", c.groups, simEOP)
+		}
+	}
+}
+
+// The fallback rule is one rule on every substrate: over the same
+// relation and table bound, the simulator, the live engine and a loopback
+// dist cluster all fall back at 1,024 groups, which fit the 16,384-entry
+// table, and none does at 2^18 groups, which do not.
+func TestARepFallsBackAlikeOnEverySubstrate(t *testing.T) {
+	const nodes, rows, bound = 4, 1 << 16, 16_384
+	prm := quickParams()
+	prm.N, prm.HashEntries = nodes, bound
+	for _, groups := range []int64{1_024, 1 << 18} {
+		rel := parallelagg.Uniform(nodes, nodes*rows, groups, 7)
+		want := 0
+		if groups == 1_024 {
+			want = nodes
+		}
+		sim, err := parallelagg.Aggregate(prm, rel, parallelagg.AdaptiveRepartitioning, parallelagg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv, err := live.AggregatePartitioned(live.Config{TableEntries: bound}, rel.PerNode, live.AdaptiveRepartitioning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := dist.RunConfigured(rel.PerNode, dist.Config{Algorithm: dist.AdaptiveRepartitioning, TableEntries: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Switched != want || lv.Switched != want || ds.Switched != want {
+			t.Errorf("%d groups: fell back on %d simulated, %d live and %d dist nodes, want %d each",
+				groups, sim.Switched, lv.Switched, ds.Switched, want)
 		}
 	}
 }
