@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -44,12 +45,23 @@ var lineitemQuery = Query{
 	},
 }
 
+// benchConfig is the benchmark spine's engine configuration: two workers,
+// each scan table bounded at 16,384 entries.
+var benchConfig = live.Config{Workers: 2, TableEntries: 16384}
+
 func benchExecute(b *testing.B, tab *Table, q Query, wantGroups int) {
 	b.Helper()
 	b.ReportAllocs()
+	// A warm-up query fills the buffer and slab pools as the spine's
+	// warm-up does; testing's collection before each run may have emptied them.
+	if _, err := Execute(tab, q, benchConfig, live.AdaptiveTwoPhase); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Execute(tab, q, live.Config{Workers: 2}, live.AdaptiveTwoPhase)
+		res, err := Execute(tab, q, benchConfig, live.AdaptiveTwoPhase)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +69,11 @@ func benchExecute(b *testing.B, tab *Table, q Query, wantGroups int) {
 			b.Fatalf("%d groups, want %d", len(res.Rows), wantGroups)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tab.Rows)), "ns/row")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	rows := float64(b.N) * float64(len(tab.Rows))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rows, "B/row")
 }
 
 // BenchmarkExecuteLineitem is the spine's sql_groupby query without the

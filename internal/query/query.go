@@ -10,21 +10,22 @@
 //	GROUP BY columns
 //	[HAVING  predicate]
 //
-// A pass over the rows, one shard per engine worker, applies WHERE and turns
-// each row's group-by cells into a dense group id: every group-by column has
-// a code dictionary, and the codes are folded left to right through (prefix
-// id, code) pair dictionaries, so no key is ever formatted or concatenated.
-// Each aggregated column then becomes one engine pass, each shard projecting
-// its own partition, and the passes are stitched into a result table
-// (DESIGN.md §15). SQL NULL semantics are honoured: aggregates ignore NULL
-// inputs, COUNT(*) counts rows, and a group whose aggregated column is
-// entirely NULL yields NULL.
+// One pass over the rows, a shard per engine worker, applies WHERE, turns
+// each row's group-by cells into a dense group id — every group-by column
+// has a code dictionary, and the codes are folded left to right through
+// (prefix id, code) pair dictionaries, so no key is ever formatted — and
+// writes the row's cell for each aggregated column into that column's
+// engine pass, a partition per shard. The passes' results are stitched
+// into a result table (DESIGN.md §15). SQL NULL semantics are honoured:
+// aggregates ignore NULL inputs, COUNT(*) counts rows, and a group whose
+// aggregated column is entirely NULL yields NULL.
 package query
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -263,7 +264,9 @@ func (d *keyDict) code(v Value) uint32 {
 	}
 	if v.Null || v.Str != "" {
 		for i := range front {
-			if c := &front[i]; c.Null == v.Null && (v.Null || c.Str == v.Str) {
+			// Length and first byte settle most mismatches without a call.
+			if c := &front[i]; c.Null == v.Null && (v.Null ||
+				len(c.Str) == len(v.Str) && c.Str[0] == v.Str[0] && c.Str == v.Str) {
 				return uint32(i)
 			}
 		}
@@ -367,62 +370,74 @@ func (g *groupKey) decode(id uint32, out Row) {
 	}
 }
 
-// shard is an engine worker's run of rows, [lo, lo+len(ids)), encoded
-// into a dictionary of its own; its fields after err are per pass.
+// shard is an engine worker's rows [lo, hi) and a dictionary of their own.
 type shard struct {
-	t     *Table
-	where func(Row) bool
-	lo, n int      // n: the rows WHERE kept
-	gk    groupKey // row lo+i's id in gk is ids[i], or MaxUint32 if dropped
-	ids   []uint32
-	remap []uint32 // gk's id → the query's; nil when they agree (shard 0, no GROUP BY)
-	panic any      // what Where raised, re-raised on the caller
-	err   error    // the first row of the wrong arity
-	col   int
-	pd    *keyDict // a DISTINCT pass's (group, value) pairs
-	part  []tuple.Tuple
+	t      *Table
+	where  func(Row) bool
+	lo, hi int
+	n      int // the rows WHERE kept
+	gk     groupKey
+	remap  []uint32 // gk's id → the query's; nil when they agree (shard 0, no GROUP BY)
+	sinks  []sink   // one per pass
+	panic  any      // what Where raised, re-raised on the caller
+	err    error    // the first row of the wrong arity
 }
 
-// rowPass applies WHERE and encodes the surviving rows' group keys.
+// sink is a pass's partition of one shard: buf[:n] holds its tuples. The
+// row pass writes (id, cell.Int) for the non-NULL cells of col (-1: (id,
+// 0) for every kept row), or enters a DISTINCT pass's (id, cell) in pd.
+type sink struct {
+	col int
+	buf []tuple.Tuple
+	n   int
+	pd  *keyDict
+	box *[]tuple.Tuple // buf, pooled
+}
+
+// bufPools holds free sink buffers by log2 of their length, as aggtable
+// holds its slabs; a buffer travels as a pointer so Put boxes nothing.
+var bufPools [33]sync.Pool
+
+// getBuf returns a buffer of at least n tuples whose contents may be anything.
+func getBuf(n int) *[]tuple.Tuple {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if b, ok := bufPools[k].Get().(*[]tuple.Tuple); ok {
+		return b
+	}
+	b := make([]tuple.Tuple, 1<<k)
+	return &b
+}
+
+// rowPass applies WHERE, encodes the kept rows' group keys and writes each
+// one's cells into every sink. It counts in a copy of the sinks on its own
+// stack: the shards' sinks sit side by side, and a store to them per row
+// would have two shards' cores take turns at one cache line.
 func (s *shard) rowPass() {
-	for i, r := range s.t.Rows[s.lo : s.lo+len(s.ids)] {
-		if n := len(s.t.Schema.Cols); len(r) != n {
-			s.err = fmt.Errorf("query: row %d has %d cells, schema has %d columns", s.lo+i, len(r), n)
+	cur, kept, ncol := append(make([]sink, 0, 4), s.sinks...), 0, len(s.t.Schema.Cols)
+	for i, r := range s.t.Rows[s.lo:s.hi] {
+		if len(r) != ncol {
+			s.err = fmt.Errorf("query: row %d has %d cells, schema has %d columns", s.lo+i, len(r), ncol)
 			return
 		}
-		s.ids[i] = math.MaxUint32 // never an id: ids are below the row count
-		if s.where == nil || s.where(r) {
-			s.ids[i], s.n = s.gk.encode(r), s.n+1
+		if s.where != nil && !s.where(r) {
+			continue
 		}
-	}
-}
-
-// project appends the pass's tuples to part, keyed by the query's group
-// ids: the non-NULL cells of col (-1: every surviving row). A DISTINCT
-// pass enters each (group, value) pair in pd instead.
-func (s *shard) project() {
-	s.part = s.part[:0]
-	for i, id := range s.ids {
-		if id == math.MaxUint32 {
-			continue // WHERE dropped the row
-		}
-		if s.remap != nil {
-			id = s.remap[id]
-		}
-		v := int64(0)
-		if s.col >= 0 {
-			cell := &s.t.Rows[s.lo+i][s.col]
-			if cell.Null {
+		id := s.gk.encode(r)
+		for j := range cur {
+			if c := &cur[j]; c.col < 0 {
+				c.buf[c.n], c.n = tuple.Tuple{Key: tuple.Key(id)}, c.n+1
+			} else if cell := &r[c.col]; cell.Null {
 				continue // SQL aggregates ignore NULLs
+			} else if c.pd != nil {
+				c.pd.id(id, c.pd.code(*cell))
+			} else {
+				c.buf[c.n], c.n = tuple.Tuple{Key: tuple.Key(id), Val: cell.Int}, c.n+1
 			}
-			if s.pd != nil {
-				s.pd.id(id, s.pd.code(*cell))
-				continue
-			}
-			v = cell.Int
 		}
-		s.part = append(s.part, tuple.Tuple{Key: tuple.Key(id), Val: v})
+		kept++
 	}
+	s.n = kept
+	copy(s.sinks, cur)
 }
 
 // fanOut runs f on every shard at once, shard 0 on the caller's goroutine.
@@ -451,6 +466,7 @@ func fanOut(shards []shard, f func(*shard)) {
 type pass struct {
 	col      int
 	distinct bool
+	pds      []keyDict // a DISTINCT pass's pairs: one per shard, then the query's
 	// st[g] is group g's state once the pass has run. Count 0 means the
 	// group fed the pass no non-NULL value. A DISTINCT pass fills Count
 	// and Sum only, from one representative per pair.
@@ -511,15 +527,32 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		passFor(-1, false)
 	}
 
-	// The row pass, a shard per engine worker. Shard 0's dictionary becomes
-	// the query's and absorbs the others' in row order: ids, cells and
-	// result are those of one sequential pass. Ids are dense and minted by
-	// surviving rows, so 0..G-1 IS the union of groups across passes.
+	// The row pass, a shard per engine worker, fills every pass's
+	// partitions. Shard 0's dictionary becomes the query's and absorbs the
+	// others' in row order: ids, cells and result are those of one
+	// sequential pass. Ids are dense and minted by surviving rows, so
+	// 0..G-1 IS the union of groups across passes.
 	shards, n, nkey := make([]shard, cfg.WorkerCount()), len(t.Rows), len(gcols)
-	ids, dicts := make([]uint32, n), newKeyDicts(len(shards)*nkey)
+	dicts, sinks := newKeyDicts(len(shards)*nkey), make([]sink, len(shards)*len(passes))
+	defer func() { // every writer is done: fanOut and the engine wait for theirs
+		for _, o := range sinks {
+			bufPools[bits.Len(uint(len(o.buf)-1))].Put(o.box)
+		}
+	}()
 	for i := range shards {
-		lo, hi := i*n/len(shards), (i+1)*n/len(shards)
-		shards[i] = shard{t: t, where: q.Where, lo: lo, ids: ids[lo:hi], gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey]}}
+		lo, hi, s := i*n/len(shards), (i+1)*n/len(shards), &shards[i]
+		*s = shard{t: t, where: q.Where, lo: lo, hi: hi, gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey]},
+			sinks: sinks[i*len(passes) : (i+1)*len(passes)]}
+		for pi := range passes {
+			p, o := &passes[pi], &s.sinks[pi]
+			if p.distinct && p.pds == nil {
+				p.pds = newKeyDicts(len(shards) + 1) // one per shard, then the query's
+			}
+			if o.col, o.box = p.col, getBuf(hi-lo); p.distinct {
+				o.pd = &p.pds[i]
+			}
+			o.buf = *o.box
+		}
 	}
 	fanOut(shards, (*shard).rowPass)
 	gk, selected := &shards[0].gk, 0
@@ -531,39 +564,35 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 				s.remap = gk.level[l].absorb(&s.gk.level[l], s.remap)
 			}
 		}
-		shards[i].part = make([]tuple.Tuple, 0, shards[i].n)
 	}
+	fanOut(shards, func(s *shard) { // the shard's ids in its sinks become the query's
+		for _, o := range s.sinks {
+			for k := 0; s.remap != nil && k < o.n; k++ {
+				o.buf[k].Key = tuple.Key(s.remap[o.buf[k].Key])
+			}
+		}
+	})
 	G := min(selected, 1)
 	if nkey > 0 { // the last level's ids: its pairs, or a first level's codes
 		G = max(len(gk.level[nkey-1].pairs), len(gk.level[nkey-1].vals))
 	}
 
-	// Each shard projects every pass into a buffer of its own, an engine
-	// worker's partition. A DISTINCT pass keys tuples by (group, value)
-	// pair — parallel duplicate elimination, the paper's other use case: a
-	// shard ships its distinct pairs, absorbed into the query's dictionary,
-	// and each surviving pair folds into its group's count and sum.
+	// A shard's partition of a pass goes to one engine worker. A DISTINCT
+	// pass keys tuples by (group, value) pair — parallel duplicate
+	// elimination, the paper's other use case: a shard ships its pairs,
+	// absorbed into the pass's dictionary, and each surviving pair folds
+	// into its group's count and sum.
 	parts := make([][]tuple.Tuple, len(shards))
 	for pi := range passes {
 		p := &passes[pi]
-		var pds []keyDict // one per shard, then the query's
-		if p.distinct {
-			pds = newKeyDicts(len(shards) + 1)
-		}
 		for i := range shards {
-			if shards[i].col, shards[i].pd = p.col, nil; pds != nil {
-				shards[i].pd = &pds[i]
-			}
-		}
-		fanOut(shards, (*shard).project)
-		for i := range shards {
-			s := &shards[i]
-			if s.pd != nil {
-				for j, id := range pds[len(shards)].absorb(s.pd, nil) {
-					s.part = append(s.part, tuple.Tuple{Key: tuple.Key(id), Val: s.pd.vals[uint32(s.pd.pairs[j])].Int})
+			o := &shards[i].sinks[pi]
+			if o.pd != nil {
+				for j, id := range p.pds[len(shards)].absorb(o.pd, shards[i].remap) {
+					o.buf[j], o.n = tuple.Tuple{Key: tuple.Key(id), Val: o.pd.vals[uint32(o.pd.pairs[j])].Int}, j+1
 				}
 			}
-			parts[i] = s.part
+			parts[i] = o.buf[:o.n]
 		}
 		res, err := live.AggregatePartitioned(cfg, parts, alg)
 		if err != nil {
@@ -571,11 +600,11 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		}
 		p.st = make([]tuple.AggState, G)
 		for k, s := range res.Groups {
-			if pds == nil {
+			if p.pds == nil {
 				p.st[k] = s
 				continue
 			}
-			st := &p.st[pds[len(shards)].pairs[k]>>32]
+			st := &p.st[p.pds[len(shards)].pairs[k]>>32]
 			st.Count++
 			st.Sum += s.Min // the pair's value: every tuple of it carries it
 		}

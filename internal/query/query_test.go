@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -747,13 +748,16 @@ func TestDistinctOutputName(t *testing.T) {
 // engine's fixed cost per run (≈115 per worker, three runs here): a 4×
 // larger table must cost almost the same number of allocations, and the
 // spine's query shape stays in the hundreds, not the hundred-thousands,
-// on one shard and on two.
+// on one shard and on two. The passes' tuple buffers are recycled across
+// queries, so once one query has run, the next allocates at most 2 B per
+// row — a buffer made afresh would be 16 B per row and pass.
 func TestExecuteAllocationCeiling(t *testing.T) {
 	for _, w := range []int{1, 2} {
+		cfg := live.Config{Workers: w}
 		allocs := func(rows int) float64 {
 			tab := lineitemTable(rows, 7)
 			return testing.AllocsPerRun(5, func() {
-				if _, err := Execute(tab, lineitemQuery, live.Config{Workers: w}, live.AdaptiveTwoPhase); err != nil {
+				if _, err := Execute(tab, lineitemQuery, cfg, live.AdaptiveTwoPhase); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -766,5 +770,26 @@ func TestExecuteAllocationCeiling(t *testing.T) {
 			t.Errorf("%d workers: %.0f allocations per query on 2^16 rows, ceiling 400", w, large)
 		}
 		t.Logf("%d workers: allocations per query: %.0f on 2^14 rows, %.0f on 2^16 rows", w, small, large)
+
+		if raceEnabled {
+			continue // its sync.Pool drops a share of what it is given
+		}
+		const rows = 1 << 16
+		tab := lineitemTable(rows, 7)
+		bytes := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Execute(tab, lineitemQuery, cfg, live.AdaptiveTwoPhase); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		bytes() // warm-up: the pooled buffers and engine tables
+		if got := float64(min(bytes(), bytes(), bytes())) / rows; got > 2 {
+			t.Errorf("%d workers: a repeated query allocated %.2f B per row on 2^16 rows, ceiling 2", w, got)
+		} else {
+			t.Logf("%d workers: a repeated query allocated %.2f B per row", w, got)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"parallelagg/internal/live"
@@ -148,4 +149,56 @@ func TestWherePanicReachesCaller(t *testing.T) {
 			t.Errorf("%d workers: Execute returned (%v) past a panicking Where", w, err)
 		}()
 	}
+}
+
+// The passes' tuple buffers come from a process-wide pool: queries that run
+// at once, of sizes that share a buffer length and of sizes that do not,
+// must each get buffers of their own. Eight goroutines run the randomized
+// differential's queries and the spine's shape on one to three workers,
+// each in a different order, and every result must equal that query's
+// result run alone.
+func TestConcurrentExecuteSharesNoBuffer(t *testing.T) {
+	type job struct {
+		tab  *Table
+		q    Query
+		cfg  live.Config
+		want *Result
+	}
+	var jobs []job
+	for seed := int64(0); seed < 24; seed++ {
+		tab, q := randomQuery(seed)
+		jobs = append(jobs, job{tab: tab, q: q, cfg: live.Config{Workers: 1 + int(seed%3), TableEntries: 4}})
+	}
+	for w := 1; w <= 3; w++ {
+		jobs = append(jobs, job{tab: lineitemTable(1<<12+w, int64(w)), q: lineitemQuery, cfg: live.Config{Workers: w}})
+	}
+	for i := range jobs {
+		res, err := Execute(jobs[i].tab, jobs[i].q, jobs[i].cfg, live.AdaptiveTwoPhase)
+		if err != nil {
+			t.Fatalf("job %d alone: %v", i, err)
+		}
+		jobs[i].want = res
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range jobs {
+					j := &jobs[(k+3*g+round)%len(jobs)]
+					got, err := Execute(j.tab, j.q, j.cfg, live.AdaptiveTwoPhase)
+					if err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+					if !reflect.DeepEqual(got, j.want) {
+						t.Errorf("goroutine %d, %d workers: %d rows differ from the same query run alone", g, j.cfg.Workers, len(got.Rows))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
