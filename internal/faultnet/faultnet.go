@@ -58,9 +58,12 @@ type Config struct {
 	Latency time.Duration
 	Jitter  time.Duration
 
-	// Bandwidth throttles payload bytes per second across the whole
-	// injector (0 = unlimited). Implemented as a sleep of len/Bandwidth
-	// per operation.
+	// Bandwidth throttles payload in bytes per second (0 = unlimited), one
+	// operation at a time: each Read and Write first sleeps len(p)/Bandwidth
+	// (for a Read, the buffer's length, not the bytes it returns). No budget
+	// is shared across connections or across operations that overlap, so n
+	// busy connections move about n times Bandwidth. One injector-wide
+	// clock is ROADMAP item 5(c).
 	Bandwidth int
 
 	// PartialWrite is the probability that a Write delivers only a random

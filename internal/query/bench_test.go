@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -77,10 +79,21 @@ func benchExecute(b *testing.B, tab *Table, q Query, wantGroups int) {
 }
 
 // BenchmarkExecuteLineitem is the spine's sql_groupby query without the
-// spine: 2^18 wide rows, six groups, so per-row key handling and
-// projection are all there is to see.
+// spine: 2^18 wide rows, six groups, so per-row key handling is all there
+// is to see. random is the spine's table, each row's flag pair drawn at
+// random; sorted holds the same rows in six runs, one per flag pair, where
+// every branch on a row's key goes the way it went for the row before.
 func BenchmarkExecuteLineitem(b *testing.B) {
-	benchExecute(b, lineitemTable(1<<18, 1), lineitemQuery, 6)
+	tab := lineitemTable(1<<18, 1)
+	b.Run("random", func(b *testing.B) { benchExecute(b, tab, lineitemQuery, 6) })
+	sorted := &Table{Schema: tab.Schema, Rows: slices.Clone(tab.Rows)}
+	slices.SortStableFunc(sorted.Rows, func(x, y Row) int {
+		return cmp.Or(cmpValue(x[0], y[0]), cmpValue(x[1], y[1]))
+	})
+	for i, r := range sorted.Rows { // rows laid out in their new order, as random's are in theirs
+		sorted.Rows[i] = slices.Clone(r)
+	}
+	b.Run("sorted", func(b *testing.B) { benchExecute(b, sorted, lineitemQuery, 6) })
 }
 
 // BenchmarkExecuteHighCard is the other end: an int × string group-by

@@ -11,12 +11,12 @@
 //	[HAVING  predicate]
 //
 // One pass over the rows, a shard per engine worker, applies WHERE, turns
-// each row's group-by cells into a dense group id — every group-by column
-// has a code dictionary, and the codes are folded left to right through
-// (prefix id, code) pair dictionaries, so no key is ever formatted — and
-// writes the row's cell for each aggregated column into that column's
-// engine pass, a partition per shard. The passes' results are stitched
-// into a result table (DESIGN.md §15). SQL NULL semantics are honoured:
+// each row's group-by cells into a dense group id — a code dictionary per
+// column, its codes folded left to right through (prefix id, code) pair
+// dictionaries, each asked through a small memo of its latest answers, so
+// no key is ever formatted — and writes each aggregated cell into its
+// engine pass, a partition per shard. The passes' results are stitched into
+// a result table (DESIGN.md §15). SQL NULL semantics are honoured:
 // aggregates ignore NULL inputs, COUNT(*) counts rows, and a group whose
 // aggregated column is entirely NULL yields NULL.
 package query
@@ -29,6 +29,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"parallelagg/internal/live"
 	"parallelagg/internal/tuple"
@@ -140,17 +141,15 @@ type Agg struct {
 }
 
 func (a Agg) outName() string {
-	if a.As != "" {
+	switch {
+	case a.As != "":
 		return a.As
-	}
-	if a.Func == CountStar {
+	case a.Func == CountStar:
 		return "count_star"
+	case a.Distinct:
+		return strings.ToLower(a.Func.String()) + "_distinct_" + a.Col
 	}
-	infix := "_"
-	if a.Distinct {
-		infix = "_distinct_"
-	}
-	return strings.ToLower(a.Func.String()) + infix + a.Col
+	return strings.ToLower(a.Func.String()) + "_" + a.Col
 }
 
 // Query is a GROUP BY aggregation over a table.
@@ -168,9 +167,8 @@ type Query struct {
 	// default group-by order. Desc reverses it.
 	OrderBy string
 	Desc    bool
-	// Limit truncates the result to the first Limit rows (after OrderBy
-	// and Having). 0 means no limit. Together with OrderBy this is the
-	// SQL top-k idiom.
+	// Limit keeps the first Limit rows after OrderBy and Having (0: all);
+	// with OrderBy, it is the SQL top-k idiom.
 	Limit int
 }
 
@@ -212,29 +210,25 @@ func (q Query) validate(s Schema) error {
 		if a.Func == CountStar {
 			continue
 		}
-		i := s.Index(a.Col)
-		if i < 0 {
+		if i := s.Index(a.Col); i < 0 {
 			return fmt.Errorf("query: unknown aggregate column %q", a.Col)
-		}
-		if s.Cols[i].Type != Int64 {
+		} else if s.Cols[i].Type != Int64 {
 			return fmt.Errorf("query: cannot aggregate non-numeric column %q", a.Col)
 		}
 	}
 	return nil
 }
 
-// frontLen is how many of a dictionary's first entries a linear scan finds
-// before its maps are made and consulted: a flag or a status is never hashed.
+// frontLen is how many first entries a dictionary finds by a linear scan.
 const frontLen = 8
 
 // keyDict extends a dense prefix id by one cell. code maps the cell to a
-// dense column code and id maps (prefix, code) to a dense id; both mint
-// 0, 1, 2, … in first-seen order, so the ids of the last group-by column
-// are the dense group keys 0..G-1 the engine and result assembly index
-// by, and the mapping is injective whatever the column count or
-// cardinality. A GROUP BY over k columns chains k of them (the first
-// needs no prefix, its codes are its ids); a DISTINCT pass uses one, with
-// the group id as the prefix.
+// dense column code and id maps (prefix, code) to a dense id; both mint 0,
+// 1, 2, … in first-seen order, so the last group-by column's ids are the
+// dense group keys 0..G-1 the engine and result assembly index by, and the
+// mapping is injective whatever the column count or cardinality. A GROUP
+// BY over k columns chains k of them (the first needs no prefix, its codes
+// are its ids); a DISTINCT pass uses one, with the group id as the prefix.
 //
 // Two cells are the same key exactly when both are NULL, or neither is
 // and their Str are equal and non-empty, or both Str are empty and their
@@ -245,28 +239,86 @@ type keyDict struct {
 	ints  map[int64]uint32  // codes past the front, by Int
 	pairs []uint64          // id → prefix<<32 | code
 	ids   map[uint64]uint32 // ids past the front, by pair
+	m     *memo
 }
 
-// newKeyDicts returns n empty dictionaries whose fronts share a presized
-// backing: one that never outgrows its front allocates nothing.
+// memo is a keyDict's pooled block, cleared when taken: the backing of its
+// fronts, and its latest answers, asked before find and findID scan the
+// front and the maps, which alone mint: codes by hash in two-way sets, each
+// hit checked against the code's first cell, and ids by pair.
+type memo struct {
+	cells     [memoSets][2][2]uint64  // the hash (0: empty), the code
+	pairs     [2 * memoSets][2]uint64 // the pair + 1 (0: empty), its id
+	front     [frontLen]Value
+	pairFront [frontLen]uint64
+}
+
+const memoBits, memoSets, mix = 5, 1 << 5, 0x9e3779b97f4a7c15 // mix: 2^64/φ
+var memoPool = sync.Pool{New: func() any { return new(memo) }}
+
+// newKeyDicts returns n empty dictionaries on pooled blocks, which putMemos
+// gives back: one that never outgrows its fronts allocates nothing more.
 func newKeyDicts(n int) []keyDict {
-	ds, vals, pairs := make([]keyDict, n), make([]Value, n*frontLen), make([]uint64, n*frontLen)
+	ds := make([]keyDict, n)
 	for i := range ds {
-		ds[i].vals, ds[i].pairs = vals[i*frontLen:][:0:frontLen], pairs[i*frontLen:][:0:frontLen]
+		m := memoPool.Get().(*memo)
+		*m = memo{}
+		ds[i] = keyDict{vals: m.front[:0], pairs: m.pairFront[:0], m: m}
 	}
 	return ds
 }
 
+func putMemos(ds []keyDict) {
+	for i := range ds {
+		memoPool.Put(ds[i].m)
+	}
+}
+
 func (d *keyDict) code(v Value) uint32 {
+	if len(d.vals) > 2*memoSets { // more codes than the memo holds: it would mostly miss
+		return d.find(v)
+	}
+	h := uint64(v.Int) // NULL, a non-empty Str (FNV-1a) and Int each hashed apart
+	if v.Null {
+		h = 1 << 63
+	} else if v.Str != "" {
+		h = 0xcbf29ce484222325
+		for i := 0; i < len(v.Str); i++ {
+			h = (h ^ uint64(v.Str[i])) * 0x100000001b3
+		}
+	}
+	h = h*mix | 1 // never 0; the top bits pick the set
+	set := &d.m.cells[h>>(64-memoBits)]
+	for _, e := range set {
+		if e[0] == h { // a hash can collide: the rule above settles it, equal data pointers first
+			if c := &d.vals[e[1]]; c.Null == v.Null && (v.Null || len(c.Str) == len(v.Str) && (v.Str != "" || c.Int == v.Int) &&
+				(unsafe.StringData(c.Str) == unsafe.StringData(v.Str) || c.Str == v.Str)) {
+				return uint32(e[1])
+			}
+		}
+	}
+	c := d.find(v)
+	set[1], set[0] = set[0], [2]uint64{h, uint64(c)}
+	return c
+}
+
+func (d *keyDict) id(prefix, code uint32) uint32 {
+	p, hi := uint64(prefix)<<32|uint64(code), uint64(prefix>>3)<<32|uint64(code>>3)
+	e := &d.m.pairs[(uint64(prefix<<3^code)^hi*mix>>(63-memoBits))%(2*memoSets)] // prefix<<3 | code below 8
+	if e[0] != p+1 {
+		e[0], e[1] = p+1, uint64(d.findID(p))
+	}
+	return uint32(e[1])
+}
+
+func (d *keyDict) find(v Value) uint32 {
 	front, next, spill := d.vals[:min(len(d.vals), frontLen)], uint32(len(d.vals)), len(d.vals) >= frontLen
 	if spill && d.strs == nil {
 		d.strs, d.ints = map[string]uint32{}, map[int64]uint32{}
 	}
 	if v.Null || v.Str != "" {
 		for i := range front {
-			// Length and first byte settle most mismatches without a call.
-			if c := &front[i]; c.Null == v.Null && (v.Null ||
-				len(c.Str) == len(v.Str) && c.Str[0] == v.Str[0] && c.Str == v.Str) {
+			if c := &front[i]; c.Null == v.Null && (v.Null || c.Str == v.Str) {
 				return uint32(i)
 			}
 		}
@@ -295,21 +347,19 @@ func (d *keyDict) code(v Value) uint32 {
 	return next
 }
 
-func (d *keyDict) id(prefix, code uint32) uint32 {
-	p := uint64(prefix)<<32 | uint64(code)
+func (d *keyDict) findID(p uint64) uint32 {
 	for i, q := range d.pairs[:min(len(d.pairs), frontLen)] {
 		if q == p {
 			return uint32(i)
 		}
 	}
-	next := uint32(len(d.pairs))
-	if len(d.pairs) >= frontLen {
-		if d.ids == nil {
-			d.ids = map[uint64]uint32{}
-		}
-		if id, ok := d.ids[p]; ok {
-			return id
-		}
+	next, spill := uint32(len(d.pairs)), len(d.pairs) >= frontLen
+	if spill && d.ids == nil {
+		d.ids = map[uint64]uint32{}
+	}
+	if id, ok := d.ids[p]; ok {
+		return id
+	} else if spill {
 		d.ids[p] = next
 	}
 	d.pairs = append(d.pairs, p)
@@ -345,8 +395,7 @@ type groupKey struct {
 	level []keyDict
 }
 
-// encode returns the row's dense group id. With no group-by columns every
-// row is group 0.
+// encode returns the row's dense group id, 0 with no group-by columns.
 func (g *groupKey) encode(r Row) uint32 {
 	id := uint32(0)
 	for i := range g.level {
@@ -507,10 +556,8 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	// resolves each aggregate to its pass once, not per group.
 	passes := make([]pass, 0, len(q.Aggs)+1)
 	passFor := func(col int, distinct bool) int {
-		for i, p := range passes {
-			if p.col == col && p.distinct == distinct {
-				return i
-			}
+		if i := slices.IndexFunc(passes, func(p pass) bool { return p.col == col && p.distinct == distinct }); i >= 0 {
+			return i
 		}
 		passes = append(passes, pass{col: col, distinct: distinct})
 		return len(passes) - 1
@@ -527,11 +574,10 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		passFor(-1, false)
 	}
 
-	// The row pass, a shard per engine worker, fills every pass's
-	// partitions. Shard 0's dictionary becomes the query's and absorbs the
-	// others' in row order: ids, cells and result are those of one
-	// sequential pass. Ids are dense and minted by surviving rows, so
-	// 0..G-1 IS the union of groups across passes.
+	// The row pass, a shard per engine worker, fills every pass's partitions.
+	// Shard 0's dictionary becomes the query's and absorbs the others' in
+	// row order: ids, cells and result are those of one sequential pass.
+	// Ids are dense and minted by surviving rows: 0..G-1 IS every group.
 	shards, n, nkey := make([]shard, cfg.WorkerCount()), len(t.Rows), len(gcols)
 	dicts, sinks := newKeyDicts(len(shards)*nkey), make([]sink, len(shards)*len(passes))
 	defer func() { // every writer is done: fanOut and the engine wait for theirs
@@ -539,6 +585,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 			bufPools[bits.Len(uint(len(o.buf)-1))].Put(o.box)
 		}
 	}()
+	defer putMemos(dicts)
 	for i := range shards {
 		lo, hi, s := i*n/len(shards), (i+1)*n/len(shards), &shards[i]
 		*s = shard{t: t, where: q.Where, lo: lo, hi: hi, gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey]},
@@ -547,6 +594,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 			p, o := &passes[pi], &s.sinks[pi]
 			if p.distinct && p.pds == nil {
 				p.pds = newKeyDicts(len(shards) + 1) // one per shard, then the query's
+				defer putMemos(p.pds)
 			}
 			if o.col, o.box = p.col, getBuf(hi-lo); p.distinct {
 				o.pd = &p.pds[i]
@@ -572,9 +620,9 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 			}
 		}
 	})
-	G := min(selected, 1)
-	if nkey > 0 { // the last level's ids: its pairs, or a first level's codes
-		G = max(len(gk.level[nkey-1].pairs), len(gk.level[nkey-1].vals))
+	G := 1 // with no GROUP BY, one row even over no rows, as in SQL
+	if nkey > 0 {
+		G = max(len(gk.level[nkey-1].pairs), len(gk.level[nkey-1].vals)) // the last level's ids
 	}
 
 	// A shard's partition of a pass goes to one engine worker. A DISTINCT
@@ -605,16 +653,16 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 				continue
 			}
 			st := &p.st[p.pds[len(shards)].pairs[k]>>32]
-			st.Count++
-			st.Sum += s.Min // the pair's value: every tuple of it carries it
+			st.Count, st.Sum = st.Count+1, st.Sum+s.Min // s.Min: the pair's value, which all its tuples carry
 		}
 	}
 
 	// Assemble one row per group, in group-by order, then HAVING, ORDER BY
 	// and LIMIT. Distinct groups never compare equal, so the order is total.
+	cells, width := make([]Value, G*len(out.Schema.Cols)), len(out.Schema.Cols) // rows cut to capacity: an append copies
 	out.Rows = make([]Row, G)
 	for g := range out.Rows {
-		row := make(Row, nkey+len(q.Aggs))
+		row := Row(cells[g*width : (g+1)*width : (g+1)*width])
 		gk.decode(uint32(g), row)
 		for i, a := range q.Aggs {
 			row[nkey+i] = evalAgg(a.Func, passes[slot[i]].st[g])
@@ -657,8 +705,7 @@ func evalAgg(f AggFunc, st tuple.AggState) Value {
 	switch {
 	case f == Count, f == CountStar:
 		return IntVal(st.Count) // COUNT of an all-NULL column is 0, not NULL
-	case st.Count == 0:
-		return NullValue
+	case st.Count == 0: // NULL
 	case f == Sum:
 		return IntVal(st.Sum)
 	case f == Avg:
@@ -667,9 +714,8 @@ func evalAgg(f AggFunc, st tuple.AggState) Value {
 		return IntVal(st.Min)
 	case f == Max:
 		return IntVal(st.Max)
-	default:
-		return NullValue
 	}
+	return NullValue
 }
 
 // cmpValue orders cells: NULLs first, then by string, then by int.

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -161,6 +162,45 @@ func TestScalarAggregateNoGroupBy(t *testing.T) {
 	}
 	if res.Rows[0][0].Int != 43 || res.Rows[0][1].Int != 6 {
 		t.Errorf("row = %v", res.Rows[0])
+	}
+}
+
+// A scalar aggregate is one row whatever the input, as in SQL: over no
+// rows — a WHERE that rejects them all, or an empty table — COUNT and
+// COUNT(*) are 0 and every other aggregate is NULL. It used to return no
+// row at all. HAVING may still drop it.
+func TestScalarAggregateOverNoRows(t *testing.T) {
+	aggs := []Agg{
+		{Func: CountStar}, {Func: Count, Col: "quantity"}, {Func: Sum, Col: "quantity"},
+		{Func: Avg, Col: "quantity"}, {Func: Min, Col: "price"}, {Func: Max, Col: "price"},
+		{Func: Count, Col: "price", Distinct: true}, {Func: Sum, Col: "price", Distinct: true},
+	}
+	want := Row{IntVal(0), IntVal(0), NullValue, NullValue, NullValue, NullValue, IntVal(0), NullValue}
+	none := func(Row) bool { return false }
+	for _, c := range []struct {
+		name string
+		tab  *Table
+		q    Query
+	}{
+		{"WHERE keeps no row", lineitems(), Query{Aggs: aggs, Where: none}},
+		{"empty table", &Table{Schema: lineitems().Schema}, Query{Aggs: aggs}},
+	} {
+		for _, alg := range live.Algorithms() {
+			for _, w := range []int{1, 3} {
+				res, err := Execute(c.tab, c.q, live.Config{Workers: w}, alg)
+				if err != nil {
+					t.Fatalf("%s, %v, %d workers: %v", c.name, alg, w, err)
+				}
+				if len(res.Rows) != 1 || !reflect.DeepEqual(res.Rows[0], want) {
+					t.Errorf("%s, %v, %d workers: rows %v, want [%v]", c.name, alg, w, res.Rows, want)
+				}
+			}
+		}
+		q := c.q
+		q.Having = func(r Row) bool { return r[0].Int > 0 }
+		if res := exec(t, c.tab, q); len(res.Rows) != 0 {
+			t.Errorf("%s: HAVING COUNT(*) > 0 kept %v", c.name, res.Rows)
+		}
 	}
 }
 
@@ -462,6 +502,9 @@ func TestQueryMatchesDirectEvaluationProperty(t *testing.T) {
 			wcnt, wsum            int64
 		}
 		groups := map[string]*acc{}
+		if nkey == 0 { // a scalar aggregate has its one group even if no row is kept
+			groups[tagged(nil)] = &acc{distinct: map[int64]bool{}}
+		}
 		for _, r := range tab.Rows {
 			if q.Where != nil && !q.Where(r) {
 				continue

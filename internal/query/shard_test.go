@@ -95,6 +95,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 		{"fewer rows than workers", Query{GroupBy: []string{"a", "b"}, Aggs: aggs},
 			&Table{Schema: tab.Schema, Rows: tab.Rows[:3]}},
 		{"no rows", Query{GroupBy: []string{"a"}, Aggs: aggs}, &Table{Schema: tab.Schema}},
+		// No GROUP BY over no kept rows: one row, on every shard count.
+		{"no key, every shard empty", Query{Aggs: aggs, Where: func(r Row) bool { return false }}, tab},
+		{"no key, no rows", Query{Aggs: aggs}, &Table{Schema: tab.Schema}},
 	} {
 		sameOverShards(t, c.name, c.table, c.q)
 	}
