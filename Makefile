@@ -38,8 +38,9 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/dist/... ./internal/faultnet/...
 
-# Short fuzz sweep over the wire decoder and the fault-spec parser —
-# the same smoke CI runs; use `go test -fuzz=... -fuzztime=10m` for a
+# Short fuzz sweep over the wire decoder, the fault-spec parser, the
+# aggregation tables and the query layer's group keys — the same smoke
+# CI runs; use `go test -fuzz=... -fuzztime=10m` for a
 # real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 15s ./internal/dist/
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzInsertMergeDrain' -fuzztime 15s ./internal/aggtable/
 	$(GO) test -run '^$$' -fuzz 'FuzzConcurrentInsertMerge' -fuzztime 15s ./internal/aggtable/
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchUpdate' -fuzztime 15s ./internal/aggtable/
+	$(GO) test -run '^$$' -fuzz 'FuzzKeyEncoding' -fuzztime 15s ./internal/query/
 
 # Statement-coverage ratchet against scripts/coverage-floor.txt.
 cover:

@@ -59,8 +59,8 @@ type Config struct {
 	Jitter  time.Duration
 
 	// Bandwidth throttles payload in bytes per second (0 = unlimited), one
-	// operation at a time: each Read and Write first sleeps len(p)/Bandwidth
-	// (for a Read, the buffer's length, not the bytes it returns). No budget
+	// operation at a time: each Write first sleeps len(p)/Bandwidth, and
+	// each Read sleeps n/Bandwidth after it returns n bytes. No budget
 	// is shared across connections or across operations that overlap, so n
 	// busy connections move about n times Bandwidth. One injector-wide
 	// clock is ROADMAP item 5(c).
@@ -481,7 +481,7 @@ func (c *conn) reset() error {
 }
 
 // before runs the faults shared by Read and Write: hang, reset, latency,
-// bandwidth throttle (for n payload bytes).
+// bandwidth throttle (for n payload bytes; a Read is charged after it).
 func (c *conn) before(n int, write bool) error {
 	if c.in.roll(c.in.cfg.Hang) {
 		if err := c.wait(-1, write); err != nil {
@@ -491,11 +491,15 @@ func (c *conn) before(n int, write bool) error {
 	if c.in.roll(c.in.cfg.Reset) {
 		return c.reset()
 	}
-	d := c.in.jittered()
-	if c.in.cfg.Bandwidth > 0 && n > 0 {
-		d += time.Duration(float64(n) / float64(c.in.cfg.Bandwidth) * float64(time.Second))
+	return c.wait(c.in.jittered()+c.charge(n), write)
+}
+
+// charge is the bandwidth throttle's sleep for n payload bytes.
+func (c *conn) charge(n int) time.Duration {
+	if c.in.cfg.Bandwidth <= 0 || n <= 0 {
+		return 0
 	}
-	return c.wait(d, write)
+	return time.Duration(float64(n) / float64(c.in.cfg.Bandwidth) * float64(time.Second))
 }
 
 func (c *conn) Read(p []byte) (int, error) {
@@ -513,10 +517,14 @@ func (c *conn) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := c.before(len(p), false); err != nil {
+	if err := c.before(0, false); err != nil {
 		return 0, err
 	}
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	if werr := c.wait(c.charge(n), false); err == nil { // the bytes it returned, not the buffer's length
+		err = werr
+	}
+	return n, err
 }
 
 func (c *conn) Write(p []byte) (int, error) {

@@ -73,6 +73,26 @@ func TestBandwidthThrottle(t *testing.T) {
 	}
 }
 
+func TestBandwidthReadChargesBytesRead(t *testing.T) {
+	// 1 KiB read through a 64 KiB buffer at 10 KiB/s: ~100ms, not the
+	// 6.4 s a full buffer would cost.
+	in := New(Config{Bandwidth: 10 * 1024})
+	client, server := pipePair(t, in)
+	go server.Write(make([]byte, 1024))
+	start := time.Now()
+	buf := make([]byte, 64*1024)
+	for got := 0; got < 1024; {
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+	}
+	if d := time.Since(start); d < 80*time.Millisecond || d >= time.Second {
+		t.Errorf("1KiB read at 10KiB/s took %v, want ~100ms", d)
+	}
+}
+
 func TestResetInjection(t *testing.T) {
 	in := New(Config{Reset: 1})
 	client, _ := pipePair(t, in)

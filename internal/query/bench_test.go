@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"parallelagg/internal/live"
@@ -81,11 +82,21 @@ func benchExecute(b *testing.B, tab *Table, q Query, wantGroups int) {
 // BenchmarkExecuteLineitem is the spine's sql_groupby query without the
 // spine: 2^18 wide rows, six groups, so per-row key handling is all there
 // is to see. random is the spine's table, each row's flag pair drawn at
-// random; sorted holds the same rows in six runs, one per flag pair, where
+// random; copied is random with every string on a backing of its own, so
+// no key compare is settled by equal data pointers and each reads the
+// bytes; sorted holds the same rows in six runs, one per flag pair, where
 // every branch on a row's key goes the way it went for the row before.
 func BenchmarkExecuteLineitem(b *testing.B) {
 	tab := lineitemTable(1<<18, 1)
 	b.Run("random", func(b *testing.B) { benchExecute(b, tab, lineitemQuery, 6) })
+	copied := &Table{Schema: tab.Schema, Rows: make([]Row, len(tab.Rows))}
+	for i, r := range tab.Rows {
+		copied.Rows[i] = slices.Clone(r)
+		for j := range r {
+			copied.Rows[i][j].Str = strings.Clone(r[j].Str)
+		}
+	}
+	b.Run("copied", func(b *testing.B) { benchExecute(b, copied, lineitemQuery, 6) })
 	sorted := &Table{Schema: tab.Schema, Rows: slices.Clone(tab.Rows)}
 	slices.SortStableFunc(sorted.Rows, func(x, y Row) int {
 		return cmp.Or(cmpValue(x[0], y[0]), cmpValue(x[1], y[1]))
@@ -94,6 +105,44 @@ func BenchmarkExecuteLineitem(b *testing.B) {
 		sorted.Rows[i] = slices.Clone(r)
 	}
 	b.Run("sorted", func(b *testing.B) { benchExecute(b, sorted, lineitemQuery, 6) })
+}
+
+// BenchmarkExecuteLowCard has two 8-value flag columns, 64 groups drawn
+// in random order: as many keys as the whole-key memo has entries, so
+// most of its sets hold two or more keys and ask the second way, or evict.
+func BenchmarkExecuteLowCard(b *testing.B) { benchFlagPairs(b, 8) }
+
+// BenchmarkExecuteMidCard lies between: two 12-value flag columns, 144
+// groups drawn in random order. That is more keys than the whole-key memo
+// holds, and few enough cells for the cell memos to hit.
+func BenchmarkExecuteMidCard(b *testing.B) { benchFlagPairs(b, 12) }
+
+// benchFlagPairs groups 2^18 rows by two string columns of flags values
+// each, every pair drawn at random; equal strings share their bytes.
+func benchFlagPairs(b *testing.B, flags int) {
+	const rows = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	names := make([]string, 2*flags)
+	for i := range names {
+		names[i] = string(rune('A' + i))
+	}
+	tab := &Table{Schema: Schema{Cols: []Column{
+		{Name: "a", Type: String},
+		{Name: "b", Type: String},
+		{Name: "v", Type: Int64},
+	}}}
+	tab.Rows = make([]Row, rows)
+	for i := range tab.Rows {
+		x, y := i%flags, i/flags%flags // the first flags² rows cover every group
+		if i >= flags*flags {
+			x, y = rng.Intn(flags), rng.Intn(flags)
+		}
+		tab.Rows[i] = Row{StrVal(names[x]), StrVal(names[flags+y]), IntVal(rng.Int63n(1000))}
+	}
+	benchExecute(b, tab, Query{
+		GroupBy: []string{"a", "b"},
+		Aggs:    []Agg{{Func: CountStar}, {Func: Sum, Col: "v"}},
+	}, flags*flags)
 }
 
 // BenchmarkExecuteHighCard is the other end: an int × string group-by

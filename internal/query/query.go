@@ -11,14 +11,12 @@
 //	[HAVING  predicate]
 //
 // One pass over the rows, a shard per engine worker, applies WHERE, turns
-// each row's group-by cells into a dense group id — a code dictionary per
-// column, its codes folded left to right through (prefix id, code) pair
-// dictionaries, each asked through a small memo of its latest answers, so
-// no key is ever formatted — and writes each aggregated cell into its
-// engine pass, a partition per shard. The passes' results are stitched into
-// a result table (DESIGN.md §15). SQL NULL semantics are honoured:
-// aggregates ignore NULL inputs, COUNT(*) counts rows, and a group whose
-// aggregated column is entirely NULL yields NULL.
+// each row's group-by cells into a dense group id by dictionaries, never a
+// formatted key, and writes each aggregated cell into its engine pass, a
+// partition per shard. The passes' results are stitched into a result
+// table (DESIGN.md §15). SQL NULL semantics are honoured: aggregates
+// ignore NULL inputs, COUNT(*) counts rows, and a group whose aggregated
+// column is entirely NULL yields NULL.
 package query
 
 import (
@@ -58,12 +56,7 @@ type Schema struct {
 
 // Index returns the position of the named column, or -1.
 func (s Schema) Index(name string) int {
-	for i, c := range s.Cols {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(s.Cols, func(c Column) bool { return c.Name == name })
 }
 
 // Value is one cell: an integer, a string, or SQL NULL.
@@ -182,45 +175,42 @@ type Result struct {
 
 // Col returns the values of the named result column.
 func (r *Result) Col(name string) ([]Value, error) {
-	i := r.Schema.Index(name)
+	i, out := r.Schema.Index(name), make([]Value, len(r.Rows))
 	if i < 0 {
 		return nil, fmt.Errorf("query: result has no column %q", name)
 	}
-	out := make([]Value, len(r.Rows))
 	for j, row := range r.Rows {
 		out[j] = row[i]
 	}
 	return out, nil
 }
 
-// validate resolves column references and checks aggregatability.
-func (q Query) validate(s Schema) error {
-	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
+// validate resolves column references and checks aggregatability and size.
+func (q Query) validate(t *Table) error {
+	switch {
+	case len(q.GroupBy) == 0 && len(q.Aggs) == 0:
 		return fmt.Errorf("query: neither group-by columns nor aggregates given")
+	case uint64(len(t.Rows)) > math.MaxUint32: // group ids, codes and row indices are 32-bit
+		return fmt.Errorf("query: table has %d rows, limit is %d", len(t.Rows), uint32(math.MaxUint32))
 	}
 	for _, g := range q.GroupBy {
-		if s.Index(g) < 0 {
+		if t.Schema.Index(g) < 0 {
 			return fmt.Errorf("query: unknown group-by column %q", g)
 		}
 	}
 	for _, a := range q.Aggs {
-		if a.Distinct && a.Func != Count && a.Func != Sum {
+		switch i := t.Schema.Index(a.Col); {
+		case a.Distinct && a.Func != Count && a.Func != Sum:
 			return fmt.Errorf("query: DISTINCT is only supported for COUNT and SUM, not %v", a.Func)
-		}
-		if a.Func == CountStar {
-			continue
-		}
-		if i := s.Index(a.Col); i < 0 {
+		case a.Func == CountStar:
+		case i < 0:
 			return fmt.Errorf("query: unknown aggregate column %q", a.Col)
-		} else if s.Cols[i].Type != Int64 {
+		case t.Schema.Cols[i].Type != Int64:
 			return fmt.Errorf("query: cannot aggregate non-numeric column %q", a.Col)
 		}
 	}
 	return nil
 }
-
-// frontLen is how many first entries a dictionary finds by a linear scan.
-const frontLen = 8
 
 // keyDict extends a dense prefix id by one cell. code maps the cell to a
 // dense column code and id maps (prefix, code) to a dense id; both mint 0,
@@ -229,10 +219,6 @@ const frontLen = 8
 // mapping is injective whatever the column count or cardinality. A GROUP
 // BY over k columns chains k of them (the first needs no prefix, its codes
 // are its ids); a DISTINCT pass uses one, with the group id as the prefix.
-//
-// Two cells are the same key exactly when both are NULL, or neither is
-// and their Str are equal and non-empty, or both Str are empty and their
-// Int are equal — StrVal("") and IntVal(0) are one Value and one key.
 type keyDict struct {
 	vals  []Value           // code → the first cell seen with it
 	strs  map[string]uint32 // codes past the front, by non-empty Str ("": NULL)
@@ -242,18 +228,22 @@ type keyDict struct {
 	m     *memo
 }
 
-// memo is a keyDict's pooled block, cleared when taken: the backing of its
-// fronts, and its latest answers, asked before find and findID scan the
-// front and the maps, which alone mint: codes by hash in two-way sets, each
-// hit checked against the code's first cell, and ids by pair.
+// memo is a keyDict's pooled block, cleared when taken: its fronts' backing
+// and latest answers, asked before find and findID, which alone mint: codes
+// by hash in two-way sets, each hit checked against the code's first cell,
+// and ids by pair.
 type memo struct {
-	cells     [memoSets][2][2]uint64  // the hash (0: empty), the code
-	pairs     [2 * memoSets][2]uint64 // the pair + 1 (0: empty), its id
-	front     [frontLen]Value
-	pairFront [frontLen]uint64
+	cells      [memoSets][2][2]uint64  // the hash (0: empty), the code
+	pairs      [2 * memoSets][2]uint64 // the pair + 1 (0: empty), its id
+	keys       [memoSets][2][2]uint64  // level 0's: a whole key's hash (0: empty), id<<32 | a row (< 2^32) with it
+	misses, lo int                     // level 0's: the rows that asked past keys' first way; the shard's first row
+	front      [frontLen]Value
+	pairFront  [frontLen]uint64
 }
 
-const memoBits, memoSets, mix = 5, 1 << 5, 0x9e3779b97f4a7c15 // mix: 2^64/φ
+// A dictionary finds its first frontLen entries by a linear scan; mix is 2^64/φ.
+const frontLen, memoBits, memoSets, mix = 8, 5, 1 << 5, 0x9e3779b97f4a7c15
+
 var memoPool = sync.Pool{New: func() any { return new(memo) }}
 
 // newKeyDicts returns n empty dictionaries on pooled blocks, which putMemos
@@ -278,7 +268,21 @@ func (d *keyDict) code(v Value) uint32 {
 	if len(d.vals) > 2*memoSets { // more codes than the memo holds: it would mostly miss
 		return d.find(v)
 	}
-	h := uint64(v.Int) // NULL, a non-empty Str (FNV-1a) and Int each hashed apart
+	h := cellHash(&v)*mix | 1 // never 0; the top bits pick the set
+	set := &d.m.cells[h>>(64-memoBits)]
+	for _, e := range set {
+		if e[0] == h && sameKey(&d.vals[e[1]], &v, true) { // a hash can collide: the rule settles it
+			return uint32(e[1])
+		}
+	}
+	c := d.find(v)
+	set[1], set[0] = set[0], [2]uint64{h, uint64(c)}
+	return c
+}
+
+// cellHash hashes NULL, a non-empty Str (FNV-1a) and an Int each apart.
+func cellHash(v *Value) uint64 {
+	h := uint64(v.Int)
 	if v.Null {
 		h = 1 << 63
 	} else if v.Str != "" {
@@ -287,19 +291,16 @@ func (d *keyDict) code(v Value) uint32 {
 			h = (h ^ uint64(v.Str[i])) * 0x100000001b3
 		}
 	}
-	h = h*mix | 1 // never 0; the top bits pick the set
-	set := &d.m.cells[h>>(64-memoBits)]
-	for _, e := range set {
-		if e[0] == h { // a hash can collide: the rule above settles it, equal data pointers first
-			if c := &d.vals[e[1]]; c.Null == v.Null && (v.Null || len(c.Str) == len(v.Str) && (v.Str != "" || c.Int == v.Int) &&
-				(unsafe.StringData(c.Str) == unsafe.StringData(v.Str) || c.Str == v.Str)) {
-				return uint32(e[1])
-			}
-		}
-	}
-	c := d.find(v)
-	set[1], set[0] = set[0], [2]uint64{h, uint64(c)}
-	return c
+	return h
+}
+
+// sameKey is the key rule: two cells are one key exactly when both are
+// NULL, or neither is and their Str are equal and non-empty, or both Str are
+// empty and their Int are equal (StrVal("") and IntVal(0) are one). Data
+// pointers go before bytes; without bytes, one Str on two backings is two.
+func sameKey(c, v *Value, bytes bool) bool {
+	return c.Null == v.Null && (v.Null || len(c.Str) == len(v.Str) && (v.Str != "" || c.Int == v.Int) &&
+		(unsafe.StringData(c.Str) == unsafe.StringData(v.Str) || bytes && c.Str == v.Str))
 }
 
 func (d *keyDict) id(prefix, code uint32) uint32 {
@@ -389,21 +390,63 @@ func (d *keyDict) absorb(l *keyDict, prefix []uint32) []uint32 {
 	return ids
 }
 
-// groupKey is a GROUP BY clause's dictionary: one keyDict per column.
+// groupKey is a GROUP BY clause's dictionary: one keyDict per column and,
+// with two or more, a memo of whole keys asked first (m: level 0's; nil: none).
 type groupKey struct {
 	cols  []int // schema position of each group-by column
 	level []keyDict
+	m     *memo
 }
 
-// encode returns the row's dense group id, 0 with no group-by columns.
-func (g *groupKey) encode(r Row) uint32 {
-	id := uint32(0)
-	for i := range g.level {
-		c := g.level[i].code(r[g.cols[i]])
-		if i > 0 {
-			c = g.level[i].id(id, c)
+// whole returns row i of t's dense group id if the first way of its set
+// in the memo of whole keys holds it, data pointers compared; else miss.
+func (g *groupKey) whole(t *Table, i int) uint32 {
+	r, h := t.Rows[i], uint64(0)
+	for _, c := range g.cols { // rotated, or (NULL, 0) and (0, NULL) collide: 1<<63 times an odd mix is 1<<63
+		h = (bits.RotateLeft64(h, 5)^cellHash(&r[c]))*mix | 1 // never 0; the top bits pick the set
+	}
+	if e := &g.m.keys[h>>(64-memoBits)][0]; e[0] == h && g.same(t.Rows[uint32(e[1])], r, false) {
+		return uint32(e[1] >> 32)
+	}
+	return g.miss(t, i, h)
+}
+
+// miss asks row i's set again, bytes compared, then the levels, which
+// alone mint, and puts the answer first.
+func (g *groupKey) miss(t *Table, i int, h uint64) uint32 {
+	m, r, set := g.m, t.Rows[i], &g.m.keys[h>>(64-memoBits)]
+	if m.misses++; m.misses > 64+(i-m.lo)/8 { // past 64, one in eight of the shard's rows: it costs more than it saves
+		g.m = nil
+	}
+	for w, e := range set {
+		if e[0] == h && g.same(t.Rows[uint32(e[1])], r, true) {
+			set[0], set[w] = e, set[0]
+			return uint32(e[1] >> 32)
 		}
-		id = c
+	}
+	id := g.levels(r)
+	set[1], set[0] = set[0], [2]uint64{h, uint64(id)<<32 | uint64(i)}
+	return id
+}
+
+// same reports whether rows a and b have one key.
+func (g *groupKey) same(a, b Row, bytes bool) bool {
+	for _, c := range g.cols {
+		if !sameKey(&a[c], &b[c], bytes) {
+			return false
+		}
+	}
+	return true
+}
+
+// levels returns r's dense group id by the column dictionaries (0: none).
+func (g *groupKey) levels(r Row) (id uint32) {
+	for i := range g.level {
+		if c := g.level[i].code(r[g.cols[i]]); i == 0 {
+			id = c // the first level's codes are its ids
+		} else {
+			id = g.level[i].id(id, c)
+		}
 	}
 	return id
 }
@@ -421,26 +464,24 @@ func (g *groupKey) decode(id uint32, out Row) {
 
 // shard is an engine worker's rows [lo, hi) and a dictionary of their own.
 type shard struct {
-	t      *Table
-	where  func(Row) bool
-	lo, hi int
-	n      int // the rows WHERE kept
-	gk     groupKey
-	remap  []uint32 // gk's id → the query's; nil when they agree (shard 0, no GROUP BY)
-	sinks  []sink   // one per pass
-	panic  any      // what Where raised, re-raised on the caller
-	err    error    // the first row of the wrong arity
+	t         *Table
+	where     func(Row) bool
+	lo, hi, n int // n: the rows WHERE kept
+	gk        groupKey
+	remap     []uint32 // gk's id → the query's; nil when they agree (shard 0, no GROUP BY)
+	sinks     []sink   // one per pass
+	panic     any      // what Where raised, re-raised on the caller
+	err       error    // the first row of the wrong arity
 }
 
 // sink is a pass's partition of one shard: buf[:n] holds its tuples. The
 // row pass writes (id, cell.Int) for the non-NULL cells of col (-1: (id,
 // 0) for every kept row), or enters a DISTINCT pass's (id, cell) in pd.
 type sink struct {
-	col int
-	buf []tuple.Tuple
-	n   int
-	pd  *keyDict
-	box *[]tuple.Tuple // buf, pooled
+	col, n int
+	buf    []tuple.Tuple
+	pd     *keyDict
+	box    *[]tuple.Tuple // buf, pooled
 }
 
 // bufPools holds free sink buffers by log2 of their length, as aggtable
@@ -458,9 +499,9 @@ func getBuf(n int) *[]tuple.Tuple {
 }
 
 // rowPass applies WHERE, encodes the kept rows' group keys and writes each
-// one's cells into every sink. It counts in a copy of the sinks on its own
-// stack: the shards' sinks sit side by side, and a store to them per row
-// would have two shards' cores take turns at one cache line.
+// one's cells into every sink, counting in a copy of the sinks on its own
+// stack: a store per row to the shards' side-by-side sinks would have two
+// cores take turns at one cache line.
 func (s *shard) rowPass() {
 	cur, kept, ncol := append(make([]sink, 0, 4), s.sinks...), 0, len(s.t.Schema.Cols)
 	for i, r := range s.t.Rows[s.lo:s.hi] {
@@ -471,7 +512,12 @@ func (s *shard) rowPass() {
 		if s.where != nil && !s.where(r) {
 			continue
 		}
-		id := s.gk.encode(r)
+		id := uint32(0)
+		if s.gk.m != nil { // one call per row: levels inlines here
+			id = s.gk.whole(s.t, s.lo+i)
+		} else {
+			id = s.gk.levels(r)
+		}
 		for j := range cur {
 			if c := &cur[j]; c.col < 0 {
 				c.buf[c.n], c.n = tuple.Tuple{Key: tuple.Key(id)}, c.n+1
@@ -490,8 +536,7 @@ func (s *shard) rowPass() {
 }
 
 // fanOut runs f on every shard at once, shard 0 on the caller's goroutine.
-// The first shard in row order to fail decides: its panic is re-raised
-// here, its error is left to the caller.
+// The first shard in row order to fail decides: its panic is re-raised here.
 func fanOut(shards []shard, f func(*shard)) {
 	var wg sync.WaitGroup
 	wg.Add(len(shards) - 1)
@@ -516,31 +561,22 @@ type pass struct {
 	col      int
 	distinct bool
 	pds      []keyDict // a DISTINCT pass's pairs: one per shard, then the query's
-	// st[g] is group g's state once the pass has run. Count 0 means the
-	// group fed the pass no non-NULL value. A DISTINCT pass fills Count
-	// and Sum only, from one representative per pair.
+	// st[g] is group g's state (Count 0: it fed no non-NULL value); a
+	// DISTINCT pass fills Count and Sum only, one representative per pair.
 	st []tuple.AggState
 }
 
-// Execute runs the query on the table using the live parallel engine with
-// the given configuration and algorithm.
+// Execute runs the query on the table with the live parallel engine.
 func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, error) {
-	if err := q.validate(t.Schema); err != nil {
+	if err := q.validate(t); err != nil {
 		return nil, err
-	}
-	// Group ids, codes and row indices are 32-bit; all are below the row count.
-	if uint64(len(t.Rows)) > math.MaxUint32 {
-		return nil, fmt.Errorf("query: table has %d rows, limit is %d", len(t.Rows), uint32(math.MaxUint32))
 	}
 
 	// Result schema: group-by columns, then aggregates.
-	out := &Result{}
-	gcols := make([]int, 0, len(q.GroupBy))
-	out.Schema.Cols = make([]Column, 0, len(q.GroupBy)+len(q.Aggs))
+	out, gcols := &Result{Schema: Schema{make([]Column, 0, len(q.GroupBy)+len(q.Aggs))}}, make([]int, 0, len(q.GroupBy))
 	for _, g := range q.GroupBy {
-		i := t.Schema.Index(g)
-		gcols = append(gcols, i)
-		out.Schema.Cols = append(out.Schema.Cols, t.Schema.Cols[i])
+		gcols = append(gcols, t.Schema.Index(g))
+		out.Schema.Cols = append(out.Schema.Cols, t.Schema.Cols[gcols[len(gcols)-1]])
 	}
 	for _, a := range q.Aggs {
 		out.Schema.Cols = append(out.Schema.Cols, Column{Name: a.outName(), Type: Int64})
@@ -550,10 +586,9 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		return nil, fmt.Errorf("query: ORDER BY column %q not in the result", q.OrderBy)
 	}
 
-	// One engine pass per distinct (column, DISTINCT) among the
-	// aggregates, plus a row-count pass whenever COUNT(*) is requested or
-	// no plain column pass exists (pure duplicate elimination). slot
-	// resolves each aggregate to its pass once, not per group.
+	// One engine pass per distinct (column, DISTINCT) among the aggregates,
+	// plus a row-count pass for COUNT(*) or when no plain column pass exists
+	// (pure duplicate elimination); slot resolves each aggregate's pass.
 	passes := make([]pass, 0, len(q.Aggs)+1)
 	passFor := func(col int, distinct bool) int {
 		if i := slices.IndexFunc(passes, func(p pass) bool { return p.col == col && p.distinct == distinct }); i >= 0 {
@@ -575,9 +610,9 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	}
 
 	// The row pass, a shard per engine worker, fills every pass's partitions.
-	// Shard 0's dictionary becomes the query's and absorbs the others' in
-	// row order: ids, cells and result are those of one sequential pass.
-	// Ids are dense and minted by surviving rows: 0..G-1 IS every group.
+	// Shard 0's dictionary becomes the query's and absorbs the others' in row
+	// order: ids (dense, 0..G-1 IS every group), cells and result are one
+	// sequential pass's.
 	shards, n, nkey := make([]shard, cfg.WorkerCount()), len(t.Rows), len(gcols)
 	dicts, sinks := newKeyDicts(len(shards)*nkey), make([]sink, len(shards)*len(passes))
 	defer func() { // every writer is done: fanOut and the engine wait for theirs
@@ -588,8 +623,11 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	defer putMemos(dicts)
 	for i := range shards {
 		lo, hi, s := i*n/len(shards), (i+1)*n/len(shards), &shards[i]
-		*s = shard{t: t, where: q.Where, lo: lo, hi: hi, gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey]},
+		*s = shard{t: t, where: q.Where, lo: lo, hi: hi, gk: groupKey{gcols, dicts[i*nkey : (i+1)*nkey], nil},
 			sinks: sinks[i*len(passes) : (i+1)*len(passes)]}
+		if nkey > 1 {
+			s.gk.m, dicts[i*nkey].m.lo = dicts[i*nkey].m, lo
+		}
 		for pi := range passes {
 			p, o := &passes[pi], &s.sinks[pi]
 			if p.distinct && p.pds == nil {
@@ -626,10 +664,9 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 	}
 
 	// A shard's partition of a pass goes to one engine worker. A DISTINCT
-	// pass keys tuples by (group, value) pair — parallel duplicate
-	// elimination, the paper's other use case: a shard ships its pairs,
-	// absorbed into the pass's dictionary, and each surviving pair folds
-	// into its group's count and sum.
+	// pass (parallel duplicate elimination, the paper's other use case)
+	// keys tuples by the (group, value) pairs its shards' dictionaries
+	// absorbed, and each surviving pair folds into its group's count and sum.
 	parts := make([][]tuple.Tuple, len(shards))
 	for pi := range passes {
 		p := &passes[pi]
@@ -669,14 +706,7 @@ func Execute(t *Table, q Query, cfg live.Config, alg live.Algorithm) (*Result, e
 		}
 		out.Rows[g] = row
 	}
-	slices.SortFunc(out.Rows, func(a, b Row) int {
-		for i := 0; i < nkey; i++ {
-			if c := cmpValue(a[i], b[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
+	slices.SortFunc(out.Rows, func(a, b Row) int { return slices.CompareFunc(a[:nkey], b[:nkey], cmpValue) })
 	if q.Having != nil {
 		out.Rows = slices.DeleteFunc(out.Rows, func(r Row) bool { return !q.Having(r) })
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -254,8 +255,28 @@ func tagged(cells Row) string {
 	return b.String()
 }
 
-func newGroupKey(cols []int) groupKey {
-	return groupKey{cols: cols, level: newKeyDicts(len(cols))}
+// testKey is a groupKey and the table of the rows it has encoded.
+type testKey struct {
+	groupKey
+	t Table
+}
+
+// newGroupKey returns a groupKey over cols whose memo of whole keys, with
+// two or more columns, is never dropped, so every row asks it.
+func newGroupKey(cols []int) *testKey {
+	g := &testKey{groupKey: groupKey{cols: cols, level: newKeyDicts(len(cols))}}
+	if len(cols) > 1 {
+		g.m, g.level[0].m.misses = g.level[0].m, math.MinInt/2
+	}
+	return g
+}
+
+// encodeRow appends r to g's rows and encodes it as the row pass does.
+func (g *testKey) encodeRow(r Row) uint32 {
+	if g.t.Rows = append(g.t.Rows, r); g.m != nil {
+		return g.whole(&g.t, len(g.t.Rows)-1)
+	}
+	return g.levels(r)
 }
 
 func TestInjectiveKeyEncoding(t *testing.T) {
@@ -276,25 +297,25 @@ func TestInjectiveKeyEncoding(t *testing.T) {
 		{IntVal(1<<63 - 1), IntVal(-1 << 63)},
 	}
 	for i, r := range rows {
-		if id := g.encode(r); id != uint32(i) {
+		if id := g.encodeRow(r); id != uint32(i) {
 			t.Fatalf("row %d %v got id %d: ids must be dense in first-seen order", i, r, id)
 		}
 	}
 	for i, r := range rows {
-		if id := g.encode(r); id != uint32(i) {
+		if id := g.encodeRow(r); id != uint32(i) {
 			t.Errorf("encode not stable: row %d %v is now id %d", i, r, id)
 		}
 	}
 	// StrVal("") and IntVal(0) are one Value, hence one key; NULL is not.
 	// A non-empty Str decides alone, whatever Int rides along.
 	one := newGroupKey([]int{0})
-	if a, b, n := one.encode(Row{StrVal("")}), one.encode(Row{IntVal(0)}), one.encode(Row{NullValue}); a != b || n == a {
+	if a, b, n := one.encodeRow(Row{StrVal("")}), one.encodeRow(Row{IntVal(0)}), one.encodeRow(Row{NullValue}); a != b || n == a {
 		t.Errorf(`StrVal("") = %d, IntVal(0) = %d, NULL = %d`, a, b, n)
 	}
-	if a, b := one.encode(Row{{Str: "x", Int: 1}}), one.encode(Row{{Str: "x", Int: 2}}); a != b {
+	if a, b := one.encodeRow(Row{{Str: "x", Int: 1}}), one.encodeRow(Row{{Str: "x", Int: 2}}); a != b {
 		t.Errorf("same Str, different Int: ids %d and %d", a, b)
 	}
-	if a, b := one.encode(Row{{Null: true, Str: "x"}}), one.encode(Row{NullValue}); a != b {
+	if a, b := one.encodeRow(Row{{Null: true, Str: "x"}}), one.encodeRow(Row{NullValue}); a != b {
 		t.Errorf("NULL carrying a Str is id %d, plain NULL %d", a, b)
 	}
 
@@ -317,7 +338,7 @@ func TestInjectiveKeyEncoding(t *testing.T) {
 						want = uint32(len(ref))
 						ref[tagged(r)] = want
 					}
-					if got := g.encode(r); got != want {
+					if got := g.encodeRow(r); got != want {
 						t.Fatalf("round %d: %v encodes to %d, want %d", round, r, got, want)
 					}
 					back := make(Row, 3)
