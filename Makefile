@@ -38,12 +38,14 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/dist/... ./internal/faultnet/...
 
-# Short fuzz sweep over the wire decoder, the fault-spec parser, the
-# aggregation tables and the query layer's group keys — the same smoke
-# CI runs; use `go test -fuzz=... -fuzztime=10m` for a
+# Short fuzz sweep over the wire decoder, the record codecs, the
+# fault-spec parser, the aggregation tables and the query layer's group
+# keys — the same smoke CI runs; use `go test -fuzz=... -fuzztime=10m` for a
 # real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 15s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz 'FuzzRawRoundTrip' -fuzztime 15s ./internal/tuple/
+	$(GO) test -run '^$$' -fuzz 'FuzzPartialRoundTrip' -fuzztime 15s ./internal/tuple/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseSpec' -fuzztime 15s ./internal/faultnet/
 	$(GO) test -run '^$$' -fuzz 'FuzzInsertMergeDrain' -fuzztime 15s ./internal/aggtable/
 	$(GO) test -run '^$$' -fuzz 'FuzzConcurrentInsertMerge' -fuzztime 15s ./internal/aggtable/

@@ -32,7 +32,7 @@ func garbageSlabs(rng *rand.Rand, keys []tuple.Key, maxSlots int) []*slab {
 		for i := range s.ctrl {
 			s.ctrl[i] = uint8(rng.Intn(256))
 			s.keys[i] = keys[rng.Intn(len(keys))]
-			s.states[i] = tuple.AggState{Count: rng.Int63(), Sum: rng.Int63(), SumSq: rng.Int63(), Min: -rng.Int63(), Max: rng.Int63()}
+			s.states[i] = tuple.AggState{Count: rng.Int63(), Sum: rng.Int63(), Min: -rng.Int63(), Max: rng.Int63()}
 		}
 		for _, k := range keys {
 			h := k.Hash()
@@ -122,7 +122,7 @@ func TestRecycledSlabsFoldLikeFresh(t *testing.T) {
 				a, b = step(func(tab *Table) any { return tab.MergeBatch(pb, nil) })
 			case r < 15:
 				tp := randTuples(1)[0]
-				p := tuple.Partial{Key: tp.Key, State: tuple.AggState{Count: 3, Sum: tp.Val, SumSq: tp.Val * tp.Val, Min: tp.Val - 1, Max: tp.Val + 1}}
+				p := tuple.Partial{Key: tp.Key, State: tuple.AggState{Count: 3, Sum: tp.Val, Min: tp.Val - 1, Max: tp.Val + 1}}
 				name = "MergePartial"
 				a, b = step(func(tab *Table) any { return tab.MergePartial(p) })
 			case r < 16:

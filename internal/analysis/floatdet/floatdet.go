@@ -14,8 +14,8 @@
 // merging into a cell addressed by the loop key itself —
 // dst[k] += v touches each cell exactly once per source, so order
 // cannot matter. The repo-wide fix used by the aggregation paths is
-// stronger still: keep Sum/SumSq as int64 in tuple.AggState and derive
-// AVG/VAR as float only once, at result-assembly time.
+// stronger still: keep Sum as int64 in tuple.AggState and derive AVG
+// as float only once, at result-assembly time.
 package floatdet
 
 import (

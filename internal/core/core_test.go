@@ -423,19 +423,6 @@ func TestOptionsDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestResultVarianceExposed(t *testing.T) {
-	prm := testParams(4)
-	res := run(t, prm, workload.Uniform(4, 1000, 5, 97), TwoPhase, Options{})
-	for k, s := range res.Groups {
-		if s.StdDev() < 0 {
-			t.Errorf("group %d stddev negative", k)
-		}
-		if s.Var() > 0 && s.Min == s.Max {
-			t.Errorf("group %d: positive variance with min==max", k)
-		}
-	}
-}
-
 func TestBroadcastShipsNCopies(t *testing.T) {
 	prm := testParams(4)
 	rel := workload.Uniform(4, 2000, 100, 98)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -639,13 +640,15 @@ func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (re
 // Every algorithm, both modes and three table bounds (unbounded, a bound
 // every node hits at once, a bound some seeds never reach) against the
 // sequential fold, over 50 seeded relations with empty and lopsided
-// partitions among them.
+// partitions among them, and one more whose values are shifted by 3/4 of
+// MaxInt64, so that every group's SUM crosses MaxInt64 and must wrap alike
+// on every path.
 func TestDifferentialAllModes(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 5
 	}
-	for seed := 0; seed < seeds; seed++ {
+	for seed := 0; seed <= seeds; seed++ {
 		nodes := 1 + seed%4
 		groups := int64(1 + (seed*seed*37)%3_000)
 		rel := workload.Uniform(nodes, 3_000, groups, int64(100+seed))
@@ -657,6 +660,13 @@ func TestDifferentialAllModes(t *testing.T) {
 				rel.PerNode[i] = nil
 			}
 			rel.PerNode[nodes-1] = all
+		}
+		if seed == seeds {
+			for _, part := range rel.PerNode {
+				for i := range part {
+					part[i].Val += math.MaxInt64 / 4 * 3
+				}
+			}
 		}
 		want := rel.Reference()
 		for _, alg := range algorithms() {

@@ -1,9 +1,5 @@
 //go:build goexperiment.synctest
 
-// go.mod's go 1.22 line selects the old timer channels, which synctest
-// refuses; the directive restores the current ones for this test binary.
-//go:debug asynctimerchan=0
-
 package dist
 
 import (

@@ -82,7 +82,7 @@ type Config struct {
 	// adaptive switch then never fires). It is an allocation as well as
 	// a cap: a node that folds allocates its scan table at the bound —
 	// the least power of two of slots that holds TableEntries below 13/16
-	// load, 49 B a slot (1.6 MB at 16,384) — from a process-wide pool the
+	// load, 41 B a slot (1.3 MB at 16,384) — from a process-wide pool the
 	// table goes back to when the scan ends, so later runs in the process
 	// reuse it.
 	TableEntries int

@@ -127,12 +127,14 @@ var errPeerDown = errors.New("dist: peer marked down")
 // loop, that can be marked down (only ever in tolerant mode). A down peer's
 // writes return errPeerDown and the data plane drops that destination's
 // slices (the receiver-side slot algebra makes ship-vs-drop equally
-// correct for a dead peer). markDown closes the connection so a write
-// already blocked on it fails promptly. The self entry is up from the
-// start and only the scan goroutine writes to it.
+// correct for a dead peer). markDown closes the connection without the
+// lock, which a write blocked on that connection holds until its deadline,
+// so the write fails promptly and the caller does not wait for it. The
+// self entry is up from the start and only the scan goroutine writes to it.
 type tpeer struct {
 	id   int
 	down atomic.Bool
+	conn atomic.Value // out's net.Conn, published by install for markDown
 
 	mu sync.Mutex
 	//aggvet:guard mu
@@ -143,11 +145,9 @@ func (p *tpeer) markDown() {
 	if p.down.Swap(true) {
 		return
 	}
-	p.mu.Lock()
-	if p.out.conn != nil {
-		p.out.conn.Close()
+	if c, ok := p.conn.Load().(net.Conn); ok {
+		c.Close()
 	}
-	p.mu.Unlock()
 }
 
 // install arms the peer with a live connection (dial side). The peer stays
@@ -157,6 +157,7 @@ func (p *tpeer) install(conn net.Conn) {
 	p.mu.Lock()
 	p.out.conn, p.out.w = conn, bufio.NewWriterSize(conn, 1<<16)
 	p.mu.Unlock()
+	p.conn.Store(conn)
 }
 
 // sayHello writes and flushes node src's hello, of its mode, on the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -579,5 +580,36 @@ func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	}
 	if f, err := readFrame(bufio.NewReader(bytes.NewReader(b[4:])), nil); f.kind != frameHeartbeat || err != nil {
 		t.Errorf("second frame is kind %d (%v), want a heartbeat", f.kind, err)
+	}
+}
+
+// markDown closes a peer's connection without waiting for its write lock.
+// A write blocked on a peer that reads nothing holds that lock until its
+// deadline (IOTimeout, 30 s by default), and the control loop, which calls
+// markDown when it declares a peer dead, must not stall behind it: the
+// close has to come at once and fail the blocked write.
+func TestMarkDownDoesNotWaitForBlockedWrite(t *testing.T) {
+	dialer, acceptor := net.Pipe()
+	defer acceptor.Close()
+	p := &tpeer{id: 1, out: peer{id: 1, timeout: 3 * time.Second}}
+	p.install(dialer)
+	werr := make(chan error, 1)
+	go func() { werr <- p.writeRaw(streamID{}, make([]tuple.Tuple, 1<<13)) }()
+	for p.mu.TryLock() { // until the writer holds the lock
+		p.mu.Unlock()
+		runtime.Gosched()
+	}
+	start := time.Now()
+	p.markDown()
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Errorf("markDown took %v behind a blocked write, want < 200ms", d)
+	}
+	select {
+	case err := <-werr:
+		if err == nil {
+			t.Error("the blocked write succeeded on a peer marked down")
+		}
+	case <-time.After(time.Second):
+		t.Error("the blocked write did not fail within 1s of markDown")
 	}
 }

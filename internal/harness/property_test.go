@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -82,12 +83,21 @@ func sameGroups(t *testing.T, label string, got, want map[tuple.Key]tuple.AggSta
 // simulator algorithms and checks every result against the independent
 // sequential oracle. This is the paper's exactness claim ("every
 // algorithm produces the exact aggregation result") as a property test.
+// One more workload shifts every value by 3/4 of MaxInt64, so every
+// group's SUM crosses MaxInt64 and must wrap alike on every algorithm.
 func TestPropertySimMatchesOracle(t *testing.T) {
 	algs := []core.Algorithm{core.C2P, core.TwoPhase, core.Rep, core.Samp, core.A2P, core.ARep}
 	rng := rand.New(rand.NewSource(20260805))
 	const cases = 50
-	for c := 0; c < cases; c++ {
+	for c := 0; c <= cases; c++ {
 		rel, prm := propWorkload(rng)
+		if c == cases {
+			for _, part := range rel.PerNode {
+				for i := range part {
+					part[i].Val += math.MaxInt64 / 4 * 3
+				}
+			}
+		}
 		want := propOracle(rel)
 		optSeed := rng.Int63()
 		for _, alg := range algs {

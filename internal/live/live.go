@@ -106,7 +106,7 @@ type Config struct {
 	// group its worker owns, sized from what the scan tables report. 0 means unbounded.
 	// It is an allocation as well as a cap: a worker that folds allocates its
 	// scan table at the bound, at its first fold — the least power of two of
-	// slots that holds TableEntries below 13/16 load, 49 B a slot (1.6 MB at
+	// slots that holds TableEntries below 13/16 load, 41 B a slot (1.3 MB at
 	// 16,384). Tables take their memory from a process-wide pool and give it
 	// back when the run ends, so later runs reuse it rather than allocate it
 	// again.

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,12 +23,21 @@ import (
 // unsorted and make no projection: plain 2P's evictions, and switches
 // from a table too small to hold repeats (on OutputSkew, from one that lists
 // every group once first). Without a projection, each merge table must
-// end at exactly the size growth alone reaches, floors or not.
+// end at exactly the size growth alone reaches, floors or not. A third
+// input shifts every value by 3/4 of MaxInt64, so every group's SUM
+// crosses MaxInt64 and must wrap alike on every path.
 func TestHighCardinalityDifferential(t *testing.T) {
 	const workers, bound = 4, 128
+	wrapping := workload.Uniform(workers, 60_000, 8*bound*workers, 47)
+	for _, part := range wrapping.PerNode {
+		for i := range part {
+			part[i].Val += math.MaxInt64 / 4 * 3
+		}
+	}
 	for ri, rel := range []*workload.Relation{
 		workload.Uniform(workers, 60_000, 8*bound*workers, 41),
 		workload.OutputSkew(workers, 60_000, 8*bound*workers, 43),
+		wrapping,
 	} {
 		oracles := []struct {
 			name string
@@ -44,10 +54,7 @@ func TestHighCardinalityDifferential(t *testing.T) {
 		for _, alg := range Algorithms() {
 			res, scans, merges := tracedRun(t, Config{TableEntries: bound}, rel.PerNode, alg)
 			for _, or := range oracles {
-				name := fmt.Sprintf("%v/%s", alg, or.name)
-				if ri > 0 {
-					name = "OutputSkew/" + name
-				}
+				name := []string{"", "OutputSkew/", "Wrapping/"}[ri] + fmt.Sprintf("%v/%s", alg, or.name)
 				t.Run(name, func(t *testing.T) {
 					checkGroups(t, or.want, res.Groups)
 				})
@@ -66,7 +73,7 @@ func TestHighCardinalityDifferential(t *testing.T) {
 			}
 			// The shared table keeps groups of its own: plain Shared's, and on
 			// OutputSkew those of the one-group workers under A-Shared.
-			if alg != Shared && (alg != AdaptiveShared || ri == 0) && out != int64(groups) {
+			if alg != Shared && (alg != AdaptiveShared || ri != 1) && out != int64(groups) {
 				t.Errorf("%s/%v: merge sides produced %d groups, want %d", rel.Name, alg, out, groups)
 			}
 			if alg == TwoPhase && spilled == 0 {
@@ -124,9 +131,10 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 // replay the slice into a second table: ≈460 B allocated per input row at
 // selectivity 0.5. One growing table plus the result map was ≈190 B/row
 // here; reserved once at the switch instead of doubling from 64 slots, and
-// flushed from the scan side without a drained copy, it is 127–132 (with or
-// without -race). The ceiling sits just above that, so neither the replay
-// shape nor merge-table growth can come back unnoticed.
+// flushed from the scan side without a drained copy, and with 32-byte
+// states, it is 56–62 (with or without -race). The ceiling sits below both
+// old shapes, so neither the replay nor merge-table growth can come back
+// unnoticed.
 func TestA2PAllocationCeiling(t *testing.T) {
 	const rows, groups, ceiling = 1 << 17, 1 << 16, 140
 	rel := workload.Uniform(2, rows, groups, 5)

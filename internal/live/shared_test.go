@@ -455,8 +455,9 @@ func TestSharedBudget(t *testing.T) {
 // Shared's allocation is a per-query constant that scales with groups, not
 // rows: the striped table and its growth, one presized front and miss batch
 // per worker, the front's way out through one pooled partial batch, and a
-// result map made at its final size. On shared_hot's shape at 1/64 that is
-// 1.4–1.6 MB a query (one or two partial batches, as the pool has it). A
+// result map made at its final size. On shared_hot's shape at 1/64 that was
+// 1.4–1.6 MB a query (one or two partial batches, as the pool has it) when
+// the ceiling was set; with 32-byte states it is about 0.35 MB. A
 // per-worker columnar copy of the chunk in front of the fold, which is what
 // the scan side made until the front folded rows where they lie, adds 0.2 MB
 // presized (1.6–1.8, at the ceiling) and 0.5 MB grown by append (past it).

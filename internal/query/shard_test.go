@@ -2,8 +2,10 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -78,6 +80,16 @@ func TestShardedMatchesSequential(t *testing.T) {
 	aggs := []Agg{{Func: CountStar}, {Func: Sum, Col: "v"}, {Func: Min, Col: "v"},
 		{Func: Count, Col: "v", Distinct: true}, {Func: Sum, Col: "v", Distinct: true}}
 	n := int64(len(tab.Rows))
+	// The same rows with every value shifted by 3/4 of MaxInt64: each
+	// group's SUM crosses MaxInt64 and must wrap alike on every shard count.
+	wrapping := &Table{Schema: tab.Schema}
+	for _, r := range tab.Rows {
+		r = slices.Clone(r)
+		if !r[3].Null {
+			r[3].Int += math.MaxInt64 / 4 * 3
+		}
+		wrapping.Rows = append(wrapping.Rows, r)
+	}
 	for _, c := range []struct {
 		name  string
 		q     Query
@@ -98,6 +110,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		// No GROUP BY over no kept rows: one row, on every shard count.
 		{"no key, every shard empty", Query{Aggs: aggs, Where: func(r Row) bool { return false }}, tab},
 		{"no key, no rows", Query{Aggs: aggs}, &Table{Schema: tab.Schema}},
+		{"sums that wrap", Query{GroupBy: []string{"a", "b"}, Aggs: aggs}, wrapping},
 	} {
 		sameOverShards(t, c.name, c.table, c.q)
 	}

@@ -69,12 +69,11 @@ func (b *Batch) AppendRows(ts []Tuple) {
 func (b *Batch) At(i int) Tuple { return Tuple{Key: b.Keys[i], Val: b.Vals[i]} }
 
 // PartialBatch is a columnar batch of partial-aggregate tuples: one
-// column per AggState field. All six columns always have equal length.
+// column per AggState field. All five columns always have equal length.
 type PartialBatch struct {
 	Keys   []Key
 	Counts []int64
 	Sums   []int64
-	SumSqs []int64
 	Mins   []int64
 	Maxs   []int64
 }
@@ -86,7 +85,6 @@ func NewPartialBatch(capacity int) *PartialBatch {
 		Keys:   make([]Key, 0, capacity),
 		Counts: make([]int64, 0, capacity),
 		Sums:   make([]int64, 0, capacity),
-		SumSqs: make([]int64, 0, capacity),
 		Mins:   make([]int64, 0, capacity),
 		Maxs:   make([]int64, 0, capacity),
 	}
@@ -104,7 +102,6 @@ func (pb *PartialBatch) Reset() {
 	pb.Keys = pb.Keys[:0]
 	pb.Counts = pb.Counts[:0]
 	pb.Sums = pb.Sums[:0]
-	pb.SumSqs = pb.SumSqs[:0]
 	pb.Mins = pb.Mins[:0]
 	pb.Maxs = pb.Maxs[:0]
 }
@@ -116,7 +113,6 @@ func (pb *PartialBatch) Append(p Partial) {
 	pb.Keys = append(pb.Keys, p.Key)
 	pb.Counts = append(pb.Counts, p.State.Count)
 	pb.Sums = append(pb.Sums, p.State.Sum)
-	pb.SumSqs = append(pb.SumSqs, p.State.SumSq)
 	pb.Mins = append(pb.Mins, p.State.Min)
 	pb.Maxs = append(pb.Maxs, p.State.Max)
 }
@@ -125,16 +121,7 @@ func (pb *PartialBatch) Append(p Partial) {
 //
 //aggvet:noalloc
 func (pb *PartialBatch) At(i int) Partial {
-	return Partial{
-		Key: pb.Keys[i],
-		State: AggState{
-			Count: pb.Counts[i],
-			Sum:   pb.Sums[i],
-			SumSq: pb.SumSqs[i],
-			Min:   pb.Mins[i],
-			Max:   pb.Maxs[i],
-		},
-	}
+	return Partial{Key: pb.Keys[i], State: pb.StateAt(i)}
 }
 
 // StateAt materializes the AggState of partial i.
@@ -144,7 +131,6 @@ func (pb *PartialBatch) StateAt(i int) AggState {
 	return AggState{
 		Count: pb.Counts[i],
 		Sum:   pb.Sums[i],
-		SumSq: pb.SumSqs[i],
 		Min:   pb.Mins[i],
 		Max:   pb.Maxs[i],
 	}
@@ -153,8 +139,8 @@ func (pb *PartialBatch) StateAt(i int) AggState {
 // Columnar wire forms. A columnar raw section of n tuples is n*RawSize
 // bytes: n contiguous little-endian keys followed by n contiguous
 // values. A columnar partial section of n records is n*PartialSize
-// bytes: keys, then counts, sums, sums-of-squares, mins, maxs — six
-// contiguous sections. Record widths are identical to the row codecs,
+// bytes: keys, then counts, sums, mins, maxs — five contiguous
+// sections. Record widths are identical to the row codecs,
 // only the interleaving differs, so every frame-size bound derived for
 // row frames holds verbatim for columnar frames.
 //
@@ -194,7 +180,7 @@ func DecodeRawCol(dst []Tuple, src []byte, n int) []Tuple {
 
 // EncodePartialCol writes the columnar wire form of ps into dst, which
 // must hold len(ps)*PartialSize bytes. Single pass over the rows;
-// record i scatters into the six column sections.
+// record i scatters into the five column sections.
 //
 //aggvet:noalloc
 func EncodePartialCol(dst []byte, ps []Partial) {
@@ -203,9 +189,8 @@ func EncodePartialCol(dst []byte, ps []Partial) {
 		binary.LittleEndian.PutUint64(dst[i*8:], uint64(ps[i].Key))
 		binary.LittleEndian.PutUint64(dst[(n+i)*8:], uint64(ps[i].State.Count))
 		binary.LittleEndian.PutUint64(dst[(2*n+i)*8:], uint64(ps[i].State.Sum))
-		binary.LittleEndian.PutUint64(dst[(3*n+i)*8:], uint64(ps[i].State.SumSq))
-		binary.LittleEndian.PutUint64(dst[(4*n+i)*8:], uint64(ps[i].State.Min))
-		binary.LittleEndian.PutUint64(dst[(5*n+i)*8:], uint64(ps[i].State.Max))
+		binary.LittleEndian.PutUint64(dst[(3*n+i)*8:], uint64(ps[i].State.Min))
+		binary.LittleEndian.PutUint64(dst[(4*n+i)*8:], uint64(ps[i].State.Max))
 	}
 }
 
@@ -221,9 +206,8 @@ func DecodePartialCol(dst []Partial, src []byte, n int) []Partial {
 			State: AggState{
 				Count: int64(binary.LittleEndian.Uint64(src[(n+i)*8:])),
 				Sum:   int64(binary.LittleEndian.Uint64(src[(2*n+i)*8:])),
-				SumSq: int64(binary.LittleEndian.Uint64(src[(3*n+i)*8:])),
-				Min:   int64(binary.LittleEndian.Uint64(src[(4*n+i)*8:])),
-				Max:   int64(binary.LittleEndian.Uint64(src[(5*n+i)*8:])),
+				Min:   int64(binary.LittleEndian.Uint64(src[(3*n+i)*8:])),
+				Max:   int64(binary.LittleEndian.Uint64(src[(4*n+i)*8:])),
 			},
 		})
 	}

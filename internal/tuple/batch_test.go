@@ -76,7 +76,7 @@ func TestRawColLayout(t *testing.T) {
 func TestPartialColRoundTrip(t *testing.T) {
 	ps := []Partial{
 		{Key: 7, State: NewState(3)},
-		{Key: 8, State: AggState{Count: 2, Sum: -5, SumSq: 13, Min: -3, Max: -2}},
+		{Key: 8, State: AggState{Count: 2, Sum: -5, Min: -3, Max: -2}},
 	}
 	buf := make([]byte, len(ps)*PartialSize)
 	EncodePartialCol(buf, ps)

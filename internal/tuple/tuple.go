@@ -9,7 +9,6 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Key is a group-by key. The algorithms only ever hash and compare keys, so
@@ -26,14 +25,17 @@ type Tuple struct {
 	Val int64
 }
 
-// AggState is the running state of all standard SQL aggregates over one
-// group. COUNT, SUM, MIN, MAX and the sum of squares (for VAR/STDDEV) are
-// stored directly; AVG is Sum/Count. The zero value is NOT a valid state;
-// build states with NewState.
+// AggState is the running state of COUNT, SUM, MIN and MAX over one
+// group; AVG is Sum/Count. The zero value is NOT a valid state; build
+// states with NewState.
+//
+// Count and Sum wrap as two's complement on overflow. Wrapping addition
+// is associative and commutative mod 2^64, so every fold order and every
+// split into partitions gives the same Sum; a checked add would fail or
+// not depending on how the input was split.
 type AggState struct {
 	Count int64
 	Sum   int64
-	SumSq int64
 	Min   int64
 	Max   int64
 }
@@ -43,7 +45,7 @@ type AggState struct {
 //
 //aggvet:noalloc
 func NewState(v int64) AggState {
-	return AggState{Count: 1, Sum: v, SumSq: v * v, Min: v, Max: v}
+	return AggState{Count: 1, Sum: v, Min: v, Max: v}
 }
 
 // Update folds one more raw value into the state.
@@ -52,7 +54,6 @@ func NewState(v int64) AggState {
 func (s *AggState) Update(v int64) {
 	s.Count++
 	s.Sum += v
-	s.SumSq += v * v
 	if v < s.Min {
 		s.Min = v
 	}
@@ -69,7 +70,6 @@ func (s *AggState) Update(v int64) {
 func (s *AggState) Merge(o AggState) {
 	s.Count += o.Count
 	s.Sum += o.Sum
-	s.SumSq += o.SumSq
 	if o.Min < s.Min {
 		s.Min = o.Min
 	}
@@ -86,23 +86,9 @@ func (s AggState) Avg() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Var returns the population variance (SQL VAR_POP): E[X²] − E[X]².
-// It panics on an empty state.
-func (s AggState) Var() float64 {
-	mean := s.Avg()
-	v := float64(s.SumSq)/float64(s.Count) - mean*mean
-	if v < 0 {
-		return 0 // guard rounding
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation (SQL STDDEV_POP).
-func (s AggState) StdDev() float64 { return math.Sqrt(s.Var()) }
-
 // String renders the state for debugging.
 func (s AggState) String() string {
-	return fmt.Sprintf("{count=%d sum=%d sumsq=%d min=%d max=%d}", s.Count, s.Sum, s.SumSq, s.Min, s.Max)
+	return fmt.Sprintf("{count=%d sum=%d min=%d max=%d}", s.Count, s.Sum, s.Min, s.Max)
 }
 
 // Partial is a partial-aggregate tuple: the output of a local aggregation
@@ -154,7 +140,7 @@ func (k Key) BucketAt(n, depth int) int {
 // Encoded widths of the two wire/disk record formats.
 const (
 	RawSize     = 16 // key + value
-	PartialSize = 48 // key + count + sum + sum-of-squares + min + max
+	PartialSize = 40 // key + count + sum + min + max
 )
 
 // EncodeRaw writes the 16-byte wire form of t into b, which must have room.
@@ -175,19 +161,18 @@ func DecodeRaw(b []byte) Tuple {
 	}
 }
 
-// EncodePartial writes the 48-byte wire form of p into b.
+// EncodePartial writes the 40-byte wire form of p into b.
 //
 //aggvet:noalloc
 func EncodePartial(b []byte, p Partial) {
 	binary.LittleEndian.PutUint64(b[0:8], uint64(p.Key))
 	binary.LittleEndian.PutUint64(b[8:16], uint64(p.State.Count))
 	binary.LittleEndian.PutUint64(b[16:24], uint64(p.State.Sum))
-	binary.LittleEndian.PutUint64(b[24:32], uint64(p.State.SumSq))
-	binary.LittleEndian.PutUint64(b[32:40], uint64(p.State.Min))
-	binary.LittleEndian.PutUint64(b[40:48], uint64(p.State.Max))
+	binary.LittleEndian.PutUint64(b[24:32], uint64(p.State.Min))
+	binary.LittleEndian.PutUint64(b[32:40], uint64(p.State.Max))
 }
 
-// DecodePartial reads the 48-byte wire form from b.
+// DecodePartial reads the 40-byte wire form from b.
 //
 //aggvet:noalloc
 func DecodePartial(b []byte) Partial {
@@ -196,9 +181,8 @@ func DecodePartial(b []byte) Partial {
 		State: AggState{
 			Count: int64(binary.LittleEndian.Uint64(b[8:16])),
 			Sum:   int64(binary.LittleEndian.Uint64(b[16:24])),
-			SumSq: int64(binary.LittleEndian.Uint64(b[24:32])),
-			Min:   int64(binary.LittleEndian.Uint64(b[32:40])),
-			Max:   int64(binary.LittleEndian.Uint64(b[40:48])),
+			Min:   int64(binary.LittleEndian.Uint64(b[24:32])),
+			Max:   int64(binary.LittleEndian.Uint64(b[32:40])),
 		},
 	}
 }

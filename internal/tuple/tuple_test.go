@@ -57,28 +57,28 @@ func fold(vs []int64) AggState {
 }
 
 // Property: merging the states of any two partitions of a value list equals
-// folding the whole list. This is the correctness core of every two-phase
-// algorithm in the paper.
+// folding the whole list, field by field, over the full int64 range. This is
+// the correctness core of every two-phase algorithm in the paper. Sums that
+// leave the range wrap as two's complement, and wrapping addition is
+// associative and commutative, so the identity holds where Sum overflows too.
 func TestMergeEqualsFoldProperty(t *testing.T) {
-	f := func(a, b []int16) bool {
+	f := func(a, b []int64) bool {
 		if len(a) == 0 || len(b) == 0 {
 			return true
 		}
-		av := make([]int64, len(a))
-		for i, v := range a {
-			av[i] = int64(v)
-		}
-		bv := make([]int64, len(b))
-		for i, v := range b {
-			bv[i] = int64(v)
-		}
-		left := fold(av)
-		left.Merge(fold(bv))
-		want := fold(append(append([]int64{}, av...), bv...))
-		return left == want
+		left := fold(a)
+		left.Merge(fold(b))
+		return left == fold(append(append([]int64{}, a...), b...))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// Two values whose sum crosses MaxInt64 wrap to the same Sum either way.
+	big := []int64{math.MaxInt64 - 1, 3}
+	s := fold(big[:1])
+	s.Merge(fold(big[1:]))
+	if want := int64(math.MinInt64 + 1); s.Sum != want || s != fold(big) {
+		t.Errorf("wrapped merge = %v, fold = %v, want Sum %d", s, fold(big), want)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestRawRoundTrip(t *testing.T) {
 
 func TestPartialRoundTrip(t *testing.T) {
 	var b [PartialSize]byte
-	in := Partial{Key: 7, State: AggState{Count: 3, Sum: -9, SumSq: 77, Min: -100, Max: 42}}
+	in := Partial{Key: 7, State: AggState{Count: 3, Sum: -9, Min: -100, Max: 42}}
 	EncodePartial(b[:], in)
 	if got := DecodePartial(b[:]); got != in {
 		t.Errorf("round trip = %v, want %v", got, in)
@@ -192,55 +192,11 @@ func TestRawRoundTripProperty(t *testing.T) {
 }
 
 func TestPartialRoundTripProperty(t *testing.T) {
-	f := func(k uint64, c, s, sq, mn, mx int64) bool {
+	f := func(k uint64, c, s, mn, mx int64) bool {
 		var b [PartialSize]byte
-		in := Partial{Key: Key(k), State: AggState{Count: c, Sum: s, SumSq: sq, Min: mn, Max: mx}}
+		in := Partial{Key: Key(k), State: AggState{Count: c, Sum: s, Min: mn, Max: mx}}
 		EncodePartial(b[:], in)
 		return DecodePartial(b[:]) == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVarAndStdDev(t *testing.T) {
-	// Values 2, 4, 4, 4, 5, 5, 7, 9: the textbook example with variance 4.
-	s := NewState(2)
-	for _, v := range []int64{4, 4, 4, 5, 5, 7, 9} {
-		s.Update(v)
-	}
-	if got := s.Var(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Var = %v, want 4", got)
-	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	// A single value has zero variance.
-	one := NewState(-17)
-	if one.Var() != 0 || one.StdDev() != 0 {
-		t.Errorf("single-value Var/StdDev = %v/%v", one.Var(), one.StdDev())
-	}
-}
-
-// Property: variance survives the two-phase split exactly — merging
-// partition states yields the same variance as the sequential fold.
-func TestVarMergeProperty(t *testing.T) {
-	f := func(a, b []int8) bool {
-		if len(a) == 0 || len(b) == 0 {
-			return true
-		}
-		av := make([]int64, len(a))
-		for i, v := range a {
-			av[i] = int64(v)
-		}
-		bv := make([]int64, len(b))
-		for i, v := range b {
-			bv[i] = int64(v)
-		}
-		merged := fold(av)
-		merged.Merge(fold(bv))
-		whole := fold(append(append([]int64{}, av...), bv...))
-		return math.Abs(merged.Var()-whole.Var()) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -262,12 +218,13 @@ func FuzzRawRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzPartialRoundTrip covers the 48-byte partial record.
+// FuzzPartialRoundTrip covers the 40-byte partial record.
 func FuzzPartialRoundTrip(f *testing.F) {
-	f.Add(uint64(7), int64(1), int64(2), int64(3), int64(4), int64(5))
-	f.Fuzz(func(t *testing.T, k uint64, c, s, sq, mn, mx int64) {
+	f.Add(uint64(7), int64(1), int64(2), int64(3), int64(4))
+	f.Add(uint64(1<<63), int64(math.MaxInt64), int64(math.MinInt64), int64(-1), int64(0))
+	f.Fuzz(func(t *testing.T, k uint64, c, s, mn, mx int64) {
 		var b [PartialSize]byte
-		in := Partial{Key: Key(k), State: AggState{Count: c, Sum: s, SumSq: sq, Min: mn, Max: mx}}
+		in := Partial{Key: Key(k), State: AggState{Count: c, Sum: s, Min: mn, Max: mx}}
 		EncodePartial(b[:], in)
 		if got := DecodePartial(b[:]); got != in {
 			t.Fatalf("round trip mismatch")
@@ -302,7 +259,7 @@ func TestBucketAtDepthsDiffer(t *testing.T) {
 
 func TestAggStateString(t *testing.T) {
 	s := NewState(5)
-	if got := s.String(); got != "{count=1 sum=5 sumsq=25 min=5 max=5}" {
+	if got := s.String(); got != "{count=1 sum=5 min=5 max=5}" {
 		t.Errorf("String = %q", got)
 	}
 }
