@@ -234,6 +234,8 @@ func (t *Table) Cap() int {
 }
 
 // Slots returns the current physical slot-array size.
+//
+//aggvet:noalloc
 func (t *Table) Slots() int {
 	t.alive()
 	return len(t.ctrl)
@@ -270,7 +272,7 @@ func (t *Table) find(k tuple.Key) (int, bool) {
 //aggvet:noalloc
 func (t *Table) findH(k tuple.Key, h uint64) (int, bool) {
 	h2 := uint8(h >> 57) // top 7 bits; high bit clear, so never ctrlEmpty
-	i := h & t.mask
+	i := t.home(h)
 	for {
 		c := t.ctrl[i]
 		if c == h2 && t.keys[i] == k {
@@ -282,6 +284,23 @@ func (t *Table) findH(k tuple.Key, h uint64) (int, bool) {
 		i = (i + 1) & t.mask
 	}
 }
+
+// Home is the slot a key of hash h probes first: its hash's low bits over
+// the slot array. A probe runs forward from there, so keys whose homes are
+// close share the cache lines of every slot array; a caller that groups
+// keys by the top bits of their homes (kernel.Merge's staging) folds each
+// group into one contiguous region of the table.
+//
+//aggvet:noalloc
+func (t *Table) Home(h uint64) uint64 {
+	t.alive()
+	return t.home(h)
+}
+
+// home is Home on a live table, the rule findH probes from.
+//
+//aggvet:noalloc
+func (t *Table) home(h uint64) uint64 { return h & t.mask }
 
 // claim is the insert half of the fold kernel: it takes the empty slot i
 // findH stopped at for the new group k, or returns -1 at the table's bound.

@@ -170,6 +170,7 @@ func TestReleasedTablePanics(t *testing.T) {
 		"Each":              func(tab *Table) { tab.Each(func(tuple.Key, tuple.AggState) {}) },
 		"Full":              func(tab *Table) { tab.Full() },
 		"Get":               func(tab *Table) { tab.Get(1) },
+		"Home":              func(tab *Table) { tab.Home(1) },
 		"Len":               func(tab *Table) { tab.Len() },
 		"MergeBatch":        func(tab *Table) { tab.MergeBatch(tuple.NewPartialBatch(1), nil) },
 		"MergePartial":      func(tab *Table) { tab.MergePartial(tuple.Partial{Key: 1, State: tuple.NewState(1)}) },

@@ -29,8 +29,9 @@
 // are havoc only in the sense that passing an already-Put object to
 // any call is reported as a use.
 //
-// Scoped to internal/live, internal/dist and internal/aggtable — the
-// layers that recycle buffers through pools (aggtable's table slabs).
+// Scoped to internal/live, internal/dist, internal/aggtable and
+// internal/kernel — the layers that recycle buffers through pools
+// (aggtable's table slabs, kernel.Merge's stages).
 package pooluse
 
 import (
@@ -47,7 +48,7 @@ import (
 
 // Packages scopes the analyzer to the pooling layers. "live" matches
 // both live/ and internal/live.
-var Packages = []string{"internal/live", "internal/dist", "internal/aggtable", "live"}
+var Packages = []string{"internal/live", "internal/dist", "internal/aggtable", "internal/kernel", "live"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "pooluse",

@@ -642,7 +642,10 @@ func runWatched(t *testing.T, ctx string, parts [][]tuple.Tuple, cfg Config) (re
 // sequential fold, over 50 seeded relations with empty and lopsided
 // partitions among them, and one more whose values are shifted by 3/4 of
 // MaxInt64, so that every group's SUM crosses MaxInt64 and must wrap alike
-// on every path.
+// on every path. Last, dist_loop's shape at a quarter scale, where A-2P's
+// switch reserves each range past the merge side's cache budget: in both
+// modes the merge table stages raw tuples and folds them region by region
+// (DESIGN.md §14), as its span note shows.
 func TestDifferentialAllModes(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -691,6 +694,22 @@ func TestDifferentialAllModes(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	rel := workload.Uniform(2, 1<<18, 1<<17, 99)
+	for _, tolerate := range []bool{false, true} {
+		cfg := Config{Algorithm: AdaptiveTwoPhase}
+		if tolerate {
+			cfg = tolerantTemplate(AdaptiveTwoPhase)
+		}
+		cfg.TableEntries = 4096
+		ctx := fmt.Sprintf("staged: tolerate=%v", tolerate)
+		_, merges := tracedCluster(t, ctx, rel, cfg)
+		for i, m := range merges {
+			if m.staged == 0 || m.folds == 0 {
+				t.Errorf("%s: merge %d reserved %d (%d slots) and staged %d tuples in %d folds",
+					ctx, i, m.reserved, m.slots, m.staged, m.folds)
 			}
 		}
 	}

@@ -742,8 +742,7 @@ func (nd *tnode) control() {
 		// Every frame folds straight into final: the loop is the merge.
 		span := nd.cfg.Tracer.Begin(nd.id, "merge")
 		defer func() {
-			span.End(fmt.Sprintf("%d groups, reserved %d, %d slots",
-				nd.final.Table().Len(), nd.final.Reserved(), nd.final.Table().Slots()))
+			span.End(mergeNote(nd.final))
 		}()
 	}
 	for {
@@ -1174,8 +1173,7 @@ func (nd *tnode) tryCommit(s streamID) {
 		return
 	}
 	span := nd.cfg.Tracer.Begin(nd.id, "commit")
-	span.End(fmt.Sprintf("stream %s: %d groups, reserved %d, %d slots",
-		s, st.Table().Len(), st.Reserved(), st.Table().Slots()))
+	span.End(fmt.Sprintf("stream %s: %s", s, mergeNote(st.Merge)))
 	st.Pour(nd.final, eligible)
 	for k, sl := range nd.slots {
 		if k.p == s.origin && eligible[k.r] {
@@ -1185,6 +1183,15 @@ func (nd *tnode) tryCommit(s streamID) {
 	nd.m.streamCommit(s.epoch)
 	delete(nd.stages, s)
 	nd.maybeDone()
+}
+
+// mergeNote describes a merge table for its span: groups, reservation,
+// slot array, and the raw tuples it staged (DESIGN.md §14).
+func mergeNote(m *kernel.Merge) string {
+	tab := m.Table()
+	staged, folds := m.Staged()
+	return fmt.Sprintf("%d groups, reserved %d, %d slots, staged %d in %d folds",
+		tab.Len(), m.Reserved(), tab.Slots(), staged, folds)
 }
 
 // maybeDone reports completion (scan finished, job queue drained, every

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -76,5 +78,53 @@ func BenchmarkKernelScan(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(part)), "ns/row")
 		})
+	}
+}
+
+// ownerInput is what one of two owners receives: rows raw tuples over
+// groups keys of its range (Key.Dest(2) == 0), drawn uniformly. It returns
+// how many of the keys were drawn.
+func ownerInput(rows, groups int, seed int64) ([]tuple.Tuple, int) {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]tuple.Key, 0, groups)
+	for k := tuple.Key(0); len(keys) < groups; k++ {
+		if k.Dest(2) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	in, drawn := make([]tuple.Tuple, rows), make(map[tuple.Key]bool, groups)
+	for i := range in {
+		in[i] = tuple.Tuple{Key: keys[rng.Intn(groups)], Val: int64(i)}
+		drawn[in[i].Key] = true
+	}
+	return in, len(drawn)
+}
+
+// BenchmarkMergeRaw folds 2^20 owner-shaped raw tuples, in batches of
+// 4,096, through a Merge reserved for their groups, staged and direct, at
+// 2^13–2^18 groups: ns/row per query, the table's reservation and
+// Table() included. It is the sweep stageSlots is set from.
+func BenchmarkMergeRaw(b *testing.B) {
+	const rows, batch = 1 << 20, 4096
+	for lg := 13; lg <= 18; lg++ {
+		groups := 1 << lg
+		in, drawn := ownerInput(rows, groups, int64(lg))
+		for _, staged := range []bool{false, true} {
+			b.Run(fmt.Sprintf("groups=2^%d/staged=%v", lg, staged), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m := NewMerge()
+					m.Reserve(groups)
+					m.staging = staged
+					for lo := 0; lo < rows; lo += batch {
+						m.Raw(in[lo : lo+batch])
+					}
+					if m.Table().Len() != drawn {
+						b.Fatalf("%d groups, want %d", m.Table().Len(), drawn)
+					}
+					m.Release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
 	}
 }

@@ -173,26 +173,139 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 }
 
 // TestMergeAllocsPin pins the owner side's steady state: a reserved Merge
-// folds raw and partial batches without allocating.
+// folds raw and partial batches without allocating, and so does one
+// reserved past the budget once its stage has been taken.
 func TestMergeAllocsPin(t *testing.T) {
-	const groups, batch = 4096, 256
-	m := NewMerge()
-	m.Reserve(groups)
-	raw, part := make([]tuple.Tuple, batch), make([]tuple.Partial, batch)
-	next := 0
-	allocs := testing.AllocsPerRun(1_000, func() {
-		for i := range raw {
-			raw[i] = tuple.Tuple{Key: tuple.Key(next % groups), Val: 1}
-			part[i] = tuple.Partial{Key: tuple.Key((next + 1) % groups), State: tuple.NewState(2)}
-			next += 7
+	const batch = 256
+	for _, groups := range []int{4096, stageSlots} {
+		m := NewMerge()
+		m.Reserve(groups)
+		if m.staging != (groups > 4096) {
+			t.Fatalf("reserved %d groups: staging=%v", groups, m.staging)
 		}
-		m.Raw(raw)
-		m.Partials(part)
-	})
-	if allocs != 0 {
-		t.Errorf("a reserved Merge allocates %.1f per batch pair, want 0", allocs)
+		raw, part := make([]tuple.Tuple, batch), make([]tuple.Partial, batch)
+		next := 0
+		allocs := testing.AllocsPerRun(1_000, func() {
+			for i := range raw {
+				raw[i] = tuple.Tuple{Key: tuple.Key(next % groups), Val: 1}
+				part[i] = tuple.Partial{Key: tuple.Key((next + 1) % groups), State: tuple.NewState(2)}
+				next += 7
+			}
+			m.Raw(raw)
+			m.Partials(part)
+		})
+		if allocs != 0 {
+			t.Errorf("a Merge reserved for %d groups allocates %.1f per batch pair, want 0", groups, allocs)
+		}
+		if n := m.Table().Len(); n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+		m.Release()
 	}
-	if n := m.Table().Len(); n != groups {
-		t.Fatalf("%d groups, want %d", n, groups)
+}
+
+// A Merge that stages folds to what one folding on arrival does, whatever
+// the interleaving of raw batches, partial batches and reservations below,
+// at and above the budget. Over the seeds it must see a reservation that
+// grows the table while tuples are staged, a partition that folds at its
+// cap, a Pour, and a Release with tuples staged; each case is checked
+// against a direct fold, the last through the next Merge to take the
+// released stage.
+func TestStagedMergeMatchesDirect(t *testing.T) {
+	at := stageSlots * 13 / 16 // the most groups a stageSlots array holds: no staging yet
+	targets := []func(*rand.Rand) int{
+		func(rng *rand.Rand) int { return rng.Intn(at) },
+		func(*rand.Rand) int { return at },
+		func(*rand.Rand) int { return at + 1 },
+		func(rng *rand.Rand) int { return at + 1 + rng.Intn(stageSlots) },
+	}
+	var grewStaged, capped, poured, released int
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// A few groups fill a partition to its cap within a few batches.
+		groups := 1 + rng.Intn([]int{8, 3_000, 100_000}[seed%3])
+		want := map[tuple.Key]tuple.AggState{}
+		fold := func(k tuple.Key, s tuple.AggState) {
+			if have, ok := want[k]; ok {
+				s.Merge(have)
+			}
+			want[k] = s
+		}
+		check := func(m *Merge, what string) {
+			t.Helper()
+			tab := m.Table()
+			if got := tab.Len(); got != len(want) {
+				t.Fatalf("seed %d, %s: %d groups, want %d", seed, what, got, len(want))
+			}
+			tab.Each(func(k tuple.Key, s tuple.AggState) {
+				if want[k] != s {
+					t.Fatalf("seed %d, %s: group %d = %v, want %v", seed, what, k, s, want[k])
+				}
+			})
+		}
+		m := NewMerge()
+		for op := 0; op < 120; op++ {
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				b := make([]tuple.Tuple, rng.Intn(2048))
+				for i := range b {
+					b[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(groups)), Val: rng.Int63n(1000) - 500}
+					fold(b[i].Key, tuple.NewState(b[i].Val))
+				}
+				before := m.folds
+				m.Raw(b)
+				if m.folds > before {
+					capped++
+				}
+			case 3:
+				b := make([]tuple.Partial, rng.Intn(64))
+				for i := range b {
+					s := tuple.NewState(rng.Int63n(1000) - 500)
+					s.Update(rng.Int63n(1000))
+					b[i] = tuple.Partial{Key: tuple.Key(rng.Intn(groups)), State: s}
+					fold(b[i].Key, s)
+				}
+				m.Partials(b)
+			case 4:
+				slots, hadStage := m.table.Slots(), m.stage != nil
+				m.Reserve(targets[rng.Intn(len(targets))](rng))
+				if hadStage && m.table.Slots() > slots {
+					grewStaged++
+				}
+				if m.staging != (m.table.Slots() > stageSlots) {
+					t.Fatalf("seed %d: reserved %d, %d slots: staging=%v", seed, m.Reserved(), m.table.Slots(), m.staging)
+				}
+			default:
+				if rng.Intn(4) == 0 {
+					dst := NewMerge()
+					dst.Reserve(targets[rng.Intn(len(targets))](rng))
+					m.Pour(dst, []bool{true})
+					m = dst
+					poured++
+				}
+			}
+		}
+		if rng.Intn(4) == 0 && m.stage != nil {
+			m.Release()
+			if m.stage != nil || m.Table() != nil {
+				t.Fatalf("seed %d: a released Merge keeps its stage or table", seed)
+			}
+			released++
+			clear(want)
+			m = NewMerge()
+			m.Reserve(targets[3](rng))
+			for k := 0; k < 5_000; k++ {
+				tp := tuple.Tuple{Key: tuple.Key(rng.Intn(groups)), Val: int64(k)}
+				m.Raw([]tuple.Tuple{tp})
+				fold(tp.Key, tuple.NewState(tp.Val))
+			}
+		}
+		check(m, "end")
+		m.Release()
+	}
+	t.Logf("reservations growing a stage %d, folds at the cap %d, pours %d, releases with tuples staged %d",
+		grewStaged, capped, poured, released)
+	if grewStaged == 0 || capped == 0 || poured == 0 || released == 0 {
+		t.Errorf("a case was never reached: grew %d, capped %d, poured %d, released %d", grewStaged, capped, poured, released)
 	}
 }

@@ -103,7 +103,9 @@ type Config struct {
 	// TableEntries bounds each worker's scan-side local hash table only,
 	// triggering the overflow behaviour of the chosen algorithm (an eviction
 	// for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
-	// group its worker owns, sized from what the scan tables report. 0 means unbounded.
+	// group its worker owns, sized from what the scan tables report, 41 B a
+	// slot, and one reserved past 2^16 slots stages raw tuples in 16 B more
+	// a slot while it folds them (DESIGN.md §14). 0 means unbounded.
 	// It is an allocation as well as a cap: a worker that folds allocates its
 	// scan table at the bound, at its first fold — the least power of two of
 	// slots that holds TableEntries below 13/16 load, 41 B a slot (1.3 MB at
@@ -303,8 +305,9 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			wk.mergeSide(inboxes[i], mg)
 			owned[i] = mg.Table()
 			metrics[i].GroupsOut = int64(owned[i].Len())
-			span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots",
-				owned[i].Len(), metrics[i].FanIn, mg.Reserved(), owned[i].Slots()))
+			staged, folds := mg.Staged()
+			span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots, staged %d in %d folds",
+				owned[i].Len(), metrics[i].FanIn, mg.Reserved(), owned[i].Slots(), staged, folds))
 		}()
 	}
 	all.Wait()

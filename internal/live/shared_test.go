@@ -457,12 +457,18 @@ func TestSharedBudget(t *testing.T) {
 // per worker, the front's way out through one pooled partial batch, and a
 // result map made at its final size. On shared_hot's shape at 1/64 that was
 // 1.4–1.6 MB a query (one or two partial batches, as the pool has it) when
-// the ceiling was set; with 32-byte states it is about 0.35 MB. A
-// per-worker columnar copy of the chunk in front of the fold, which is what
-// the scan side made until the front folded rows where they lie, adds 0.2 MB
-// presized (1.6–1.8, at the ceiling) and 0.5 MB grown by append (past it).
+// the first ceiling was set; with 32-byte states it is 0.344 MB, and the
+// ceiling is 1.3 times that. A per-worker columnar copy of the chunk in
+// front of the fold, which is what the scan side made until the front
+// folded rows where they lie, adds 0.2 MB presized and 0.5 MB grown by
+// append. Under -race sync.Pool drops a share of what it is given, and
+// the query allocates about 0.69 MB. The least of three runs is taken, as
+// in TestBoundedRerunAllocationCeiling.
 func TestSharedAllocationCeiling(t *testing.T) {
-	const rows, groups, ceiling = 1 << 16, 128, 1_700_000
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what it is given")
+	}
+	const rows, groups, ceiling = 1 << 16, 128, 447_000
 	rel := workload.Zipf(2, rows, groups, 1.2, 5)
 	cfg := Config{TableEntries: 16384}
 	run := func() uint64 {
@@ -479,7 +485,9 @@ func TestSharedAllocationCeiling(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	run() // warm-up: goroutine stacks, runtime pools
-	if got := run(); got > ceiling {
+	got := min(run(), run(), run())
+	t.Logf("Shared allocated %d B for the query", got)
+	if got > ceiling {
 		t.Errorf("Shared allocated %d B for the query, ceiling %d", got, ceiling)
 	}
 }

@@ -204,7 +204,7 @@ func TestProjectOwnerGroups(t *testing.T) {
 		bound        int
 	}{
 		{2, 1 << 16, 1 << 15, 2048}, // live_many at 1/8 scale
-		{2, 1 << 17, 1 << 16, 4096}, // TestA2PAllocationCeiling's shape
+		{2, 1 << 17, 1 << 16, 4096}, // live_many at 1/4 scale
 		{4, 1 << 18, 1 << 15, 4096}, // selectivity 1/8
 		{2, 1 << 20, 1 << 16, 4096}, // selectivity 1/16
 	}
