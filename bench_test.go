@@ -62,7 +62,6 @@ func BenchmarkTable1Params(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = prm.DiskPages(prm.Tuples)
-		_ = prm.MsgPages(prm.Tuples)
 	}
 }
 

@@ -241,13 +241,6 @@ func (t *Table) Slots() int {
 	return len(t.ctrl)
 }
 
-// Full reports whether the table is at its capacity bound. An unbounded
-// table is never full.
-func (t *Table) Full() bool {
-	t.alive()
-	return t.bound > 0 && t.used >= t.bound
-}
-
 // OccupancyPermille is the observability hook: the fill level of the
 // logical budget in 1/1000ths (used/bound), or of the physical slot array
 // when the table is unbounded. The obs layer publishes this as the
@@ -367,13 +360,6 @@ func (t *Table) Reserve(n int) {
 	if slots := slotsFor(t.used + n); slots > len(t.ctrl) {
 		t.rehash(slots)
 	}
-}
-
-// Contains reports whether a group entry exists for k.
-func (t *Table) Contains(k tuple.Key) bool {
-	t.alive()
-	_, ok := t.find(k)
-	return ok
 }
 
 // Get returns the state of group k.

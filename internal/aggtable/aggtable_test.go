@@ -129,9 +129,6 @@ func TestPropertyAgainstMapOracle(t *testing.T) {
 					t.Fatalf("seed %d op %d: MergePartial(%d) = %v, oracle %v", seed, op, k, got, want)
 				}
 			case c < 80:
-				if got, want := tab.Contains(k), func() bool { _, ok := o.m[k]; return ok }(); got != want {
-					t.Fatalf("seed %d op %d: Contains(%d) = %v, oracle %v", seed, op, k, got, want)
-				}
 				gs, gok := tab.Get(k)
 				ws, wok := o.m[k]
 				if gok != wok || gs != ws {
@@ -146,8 +143,8 @@ func TestPropertyAgainstMapOracle(t *testing.T) {
 			default:
 				checkAgree(t, "spot check", tab, o)
 			}
-			if tab.Full() != (bound > 0 && len(o.m) >= bound) {
-				t.Fatalf("seed %d op %d: Full() disagrees with oracle", seed, op)
+			if tab.Len() != len(o.m) {
+				t.Fatalf("seed %d op %d: Len() = %d, oracle %d", seed, op, tab.Len(), len(o.m))
 			}
 		}
 		checkAgree(t, "final", tab, o)
@@ -212,8 +209,8 @@ func TestBoundRefusalContract(t *testing.T) {
 	if !tab.UpdateRaw(tuple.Tuple{Key: 10, Val: 5}) {
 		t.Error("update of resident group refused at bound")
 	}
-	if !tab.Full() {
-		t.Error("Full() = false at bound")
+	if tab.Len() != tab.Cap() {
+		t.Errorf("Len() = %d at bound %d", tab.Len(), tab.Cap())
 	}
 	s, ok := tab.Get(10)
 	if !ok || s.Count != 2 || s.Sum != 6 {

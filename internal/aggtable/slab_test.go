@@ -140,7 +140,7 @@ func TestRecycledSlabsFoldLikeFresh(t *testing.T) {
 				name = "Get"
 				a, b = step(func(tab *Table) any {
 					s, ok := tab.Get(k)
-					return fmt.Sprint(s, ok, tab.Contains(k))
+					return fmt.Sprint(s, ok)
 				})
 			}
 			ctx := fmt.Sprintf("seed %d step %d (%s)", seed, i, name)
@@ -165,10 +165,8 @@ func TestRecycledSlabsFoldLikeFresh(t *testing.T) {
 func TestReleasedTablePanics(t *testing.T) {
 	calls := map[string]func(tab *Table){
 		"Cap":               func(tab *Table) { tab.Cap() },
-		"Contains":          func(tab *Table) { tab.Contains(1) },
 		"Drain":             func(tab *Table) { tab.Drain() },
 		"Each":              func(tab *Table) { tab.Each(func(tuple.Key, tuple.AggState) {}) },
-		"Full":              func(tab *Table) { tab.Full() },
 		"Get":               func(tab *Table) { tab.Get(1) },
 		"Home":              func(tab *Table) { tab.Home(1) },
 		"Len":               func(tab *Table) { tab.Len() },

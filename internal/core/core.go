@@ -102,11 +102,6 @@ type Options struct {
 	// MaxBuckets caps the fan-out of overflow partitioning. Default: 64.
 	MaxBuckets int
 
-	// Chao1 makes the Sampling coordinator decide on the Chao1 species
-	// estimate (observed + singletons²/2·doubletons) instead of the raw
-	// observed distinct count, extending a small sample's reach.
-	Chao1 bool
-
 	// Seed drives sampling page choice. Default: 1.
 	Seed int64
 

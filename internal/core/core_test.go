@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"parallelagg/internal/des"
 
@@ -290,23 +289,6 @@ func TestMismatchedPartitionsRejected(t *testing.T) {
 	}
 }
 
-func TestSamplingChao1ExtendsSmallSamples(t *testing.T) {
-	prm := testParams(4)
-	rel := workload.Uniform(4, 8000, 4000, 63) // duplicate-elimination regime
-	opt := Options{CrossoverThreshold: 2000, SampleTuples: 1200}
-	// The raw distinct count of a 1200-tuple sample cannot reach 2000.
-	raw := run(t, prm, rel, Samp, opt)
-	if !strings.HasPrefix(raw.Decision, "2P") {
-		t.Fatalf("raw sampling decision = %q; expected the (wrong) 2P pick", raw.Decision)
-	}
-	// Chao1 sees the singleton-heavy profile and correctly picks Rep.
-	opt.Chao1 = true
-	est := run(t, prm, rel, Samp, opt)
-	if !strings.HasPrefix(est.Decision, "Rep") {
-		t.Fatalf("Chao1 sampling decision = %q; expected Rep", est.Decision)
-	}
-}
-
 // spansNamed returns the spans called name, in Spans order.
 func spansNamed(tr *trace.Tracer, name string) []trace.Span {
 	var out []trace.Span
@@ -470,52 +452,6 @@ func TestRangePlacementMakesTwoPhaseOptimal(t *testing.T) {
 	a2p := run(t, prm, mk(), A2P, Options{})
 	if a2p.Switched != 0 {
 		t.Errorf("A-2P switched %d nodes under perfectly compressing placement", a2p.Switched)
-	}
-}
-
-// TestRandomizedConfigurationsProperty is the catch-all: random cluster
-// sizes, memory budgets, network kinds, workload shapes and algorithms.
-// Run verifies every result against the sequential reference internally,
-// so the property is simply "no configuration errors or wrong answers".
-func TestRandomizedConfigurationsProperty(t *testing.T) {
-	f := func(nodes8, mem16, shape, algPick uint8, tup uint16, grp uint16, seed int64, ethernet bool) bool {
-		nodes := int(nodes8%6) + 1
-		tuples := int64(tup%4000) + int64(nodes)
-		groups := int64(grp)%tuples + 1
-		prm := params.Default()
-		prm.N = nodes
-		prm.HashEntries = int(mem16%128) + 1
-		if ethernet {
-			prm.Network = params.SharedBusNet
-			prm.MsgPageBytes = 2048
-		}
-		var rel *workload.Relation
-		switch shape % 4 {
-		case 0:
-			rel = workload.Uniform(nodes, tuples, groups, seed)
-		case 1:
-			rel = workload.Zipf(nodes, tuples, groups, 1.3, seed)
-		case 2:
-			rel = workload.InputSkew(nodes, tuples, groups, 3, seed)
-		default:
-			if nodes >= 2 && groups >= int64(nodes/2)+1 &&
-				groups-int64(nodes/2) <= tuples-int64(nodes/2)*(tuples/int64(nodes)) {
-				rel = workload.OutputSkew(nodes, tuples, groups, seed)
-			} else {
-				rel = workload.Uniform(nodes, tuples, groups, seed)
-			}
-		}
-		alg := All()[int(algPick)%len(All())]
-		_, err := Run(prm, rel, alg, Options{})
-		if err != nil {
-			t.Logf("n=%d M=%d alg=%v shape=%d tuples=%d groups=%d: %v",
-				nodes, prm.HashEntries, alg, shape%4, tuples, groups, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -134,29 +134,12 @@ func runSampCoordinator(c *cluster.Cluster, p *des.Proc, opt Options, res *Resul
 			}
 		}
 	}
-	var singles, doubles int
-	for _, n := range freq {
-		switch n {
-		case 1:
-			singles++
-		case 2:
-			doubles++
-		}
-	}
-	var choice sample.Decision
-	var how string
-	if opt.Chao1 {
-		choice = sample.DecideChao1(len(freq), singles, doubles, opt.CrossoverThreshold)
-		how = fmt.Sprintf("Chao1 estimate %.0f from %d distinct", sample.Chao1(len(freq), singles, doubles), len(freq))
-	} else {
-		choice = sample.Decide(len(freq), opt.CrossoverThreshold)
-		how = fmt.Sprintf("sampled %d distinct groups", len(freq))
-	}
+	choice := sample.Decide(len(freq), opt.CrossoverThreshold)
 	decision := tagDecision2P
 	if choice == sample.UseRepartitioning {
 		decision = tagDecisionRep
 	}
-	res.Decision = fmt.Sprintf("%s (%s, threshold %d)", choice, how, opt.CrossoverThreshold)
+	res.Decision = fmt.Sprintf("%s (sampled %d distinct groups, threshold %d)", choice, len(freq), opt.CrossoverThreshold)
 	c.Trace.Begin(c.CoordID(), "decision").End(res.Decision)
 	for dst := 0; dst < prm.N; dst++ {
 		c.Net.Send(p, coord.CPU, &network.Message{Src: c.CoordID(), Dst: dst, Tag: decision})

@@ -30,24 +30,6 @@ func verify(t *testing.T, rel *workload.Relation, got map[tuple.Key]tuple.AggSta
 	}
 }
 
-func TestDistributedAllAlgorithms(t *testing.T) {
-	workloads := []*workload.Relation{
-		workload.Uniform(4, 20_000, 1, 1),
-		workload.Uniform(4, 20_000, 100, 2),
-		workload.Uniform(4, 20_000, 8_000, 3),
-		workload.OutputSkew(4, 20_000, 1_000, 4),
-	}
-	for _, alg := range algorithms() {
-		for wi, rel := range workloads {
-			got, _, err := Run(rel.PerNode, alg, 256)
-			if err != nil {
-				t.Fatalf("%v workload %d: %v", alg, wi, err)
-			}
-			verify(t, rel, got)
-		}
-	}
-}
-
 func TestDistributedUnboundedTables(t *testing.T) {
 	rel := workload.Uniform(3, 9_000, 500, 5)
 	got, switched, err := Run(rel.PerNode, AdaptiveTwoPhase, 0)

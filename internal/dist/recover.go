@@ -453,7 +453,9 @@ func (nd *tnode) run() (*NodeResult, error) {
 			continue
 		}
 		if err := nd.dialOne(j, deadline); err != nil {
-			dialSpan.End(fmt.Sprintf("peer %d unreachable", j))
+			if dialSpan != nil {
+				dialSpan.End(fmt.Sprintf("peer %d unreachable", j))
+			}
 			nd.cancel()
 			rest.Wait()
 			return nil, err
@@ -485,7 +487,9 @@ func (nd *tnode) run() (*NodeResult, error) {
 		}
 		up++
 	}
-	dialSpan.End(fmt.Sprintf("%d/%d peers", up, nd.n-1))
+	if dialSpan != nil {
+		dialSpan.End(fmt.Sprintf("%d/%d peers", up, nd.n-1))
+	}
 
 	if cfg.Tolerate && nd.id == 0 {
 		spawn(&rest, func() {
@@ -563,7 +567,9 @@ func (nd *tnode) work() {
 	nd.m.scanned(&sc, nd.cfg.TableEntries > 0, false)
 	nd.switched = sc.FellBack || sc.Switched
 	nd.scanFlag.Store(true)
-	scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(nd.part), nd.switched, sc.Note("range")))
+	if scanSpan != nil {
+		scanSpan.End(fmt.Sprintf("%d tuples, switched=%v%s", len(nd.part), nd.switched, sc.Note("range")))
+	}
 	if err == nil {
 		// End of the primary stream at every peer: even a peer that
 		// received no slices needs the EOS. A failure is handled as
@@ -740,10 +746,11 @@ func (nd *tnode) control() {
 	defer func() { nd.res, nd.err = nd.outcome() }()
 	if !nd.cfg.Tolerate {
 		// Every frame folds straight into final: the loop is the merge.
-		span := nd.cfg.Tracer.Begin(nd.id, "merge")
-		defer func() {
-			span.End(mergeNote(nd.final))
-		}()
+		if span := nd.cfg.Tracer.Begin(nd.id, "merge"); span != nil {
+			defer func() {
+				span.End(mergeNote(nd.final))
+			}()
+		}
 	}
 	for {
 		var ev tevent
@@ -820,8 +827,9 @@ func (nd *tnode) onFrame(ev tevent) {
 	case frameSuspect:
 		if nd.sup != nil {
 			nd.sup.complain(ev.peer, f.origin)
-			span := nd.cfg.Tracer.Begin(nd.id, "suspect")
-			span.End(fmt.Sprintf("node %d blames %d (%s)", ev.peer, f.origin, codePhase(f.aux)))
+			if span := nd.cfg.Tracer.Begin(nd.id, "suspect"); span != nil {
+				span.End(fmt.Sprintf("node %d blames %d (%s)", ev.peer, f.origin, codePhase(f.aux)))
+			}
 		}
 	case frameDone:
 		if nd.sup != nil {
@@ -1168,12 +1176,14 @@ func (nd *tnode) tryCommit(s streamID) {
 	}
 	if !found {
 		nd.drop(s)
-		span := nd.cfg.Tracer.Begin(nd.id, "discard")
-		span.End(fmt.Sprintf("stale stream %s", s))
+		if span := nd.cfg.Tracer.Begin(nd.id, "discard"); span != nil {
+			span.End(fmt.Sprintf("stale stream %s", s))
+		}
 		return
 	}
-	span := nd.cfg.Tracer.Begin(nd.id, "commit")
-	span.End(fmt.Sprintf("stream %s: %s", s, mergeNote(st.Merge)))
+	if span := nd.cfg.Tracer.Begin(nd.id, "commit"); span != nil {
+		span.End(fmt.Sprintf("stream %s: %s", s, mergeNote(st.Merge)))
+	}
 	st.Pour(nd.final, eligible)
 	for k, sl := range nd.slots {
 		if k.p == s.origin && eligible[k.r] {

@@ -320,31 +320,6 @@ func TestTolerantAdaptiveRepFallback(t *testing.T) {
 	}
 }
 
-func TestTolerantMatchesFailFast(t *testing.T) {
-	// The determinism obligation, fault-free half: the tolerant protocol
-	// must produce the exact groups of the fail-fast protocol (the chaos
-	// matrix proves the faulty half against the same baseline).
-	rel := workload.Uniform(4, 8_000, 700, 14)
-	template := tolerantTemplate(TwoPhase)
-	tol, err := runWatched(t, "seed 14, 4 nodes, 2P, tolerate=true, bound 0", rel.PerNode, template)
-	if err != nil {
-		t.Fatal(err)
-	}
-	template.Tolerate = false
-	ff, err := runWatched(t, "seed 14, 4 nodes, 2P, tolerate=false, bound 0", rel.PerNode, template)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tol.Groups) != len(ff.Groups) {
-		t.Fatalf("tolerant %d groups, fail-fast %d", len(tol.Groups), len(ff.Groups))
-	}
-	for k, s := range ff.Groups {
-		if ts, ok := tol.Groups[k]; !ok || ts != s {
-			t.Fatalf("group %d: tolerant %v, fail-fast %v", k, tol.Groups[k], s)
-		}
-	}
-}
-
 func TestTolerantSingleNodeAndEmpty(t *testing.T) {
 	rel := workload.Uniform(1, 3_000, 100, 15)
 	res, err := RunConfigured(rel.PerNode, tolerantTemplate(TwoPhase))

@@ -68,20 +68,6 @@ func TestBatchScalarDifferential(t *testing.T) {
 	}
 }
 
-// A bound so tight that nearly every chunk is mostly refusals: the leftover
-// path (evict, flush-and-switch, bounce) does the work, not the chunk fold.
-func TestBatchScalarDifferentialTinyBound(t *testing.T) {
-	rel := workload.Uniform(4, 10_000, 5_000, 77)
-	in := flatten(rel)
-	for _, alg := range Algorithms() {
-		res, err := Aggregate(Config{Workers: 4, TableEntries: 8}, in, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		checkAgainstReference(t, rel, res)
-	}
-}
-
 // Scan-side batches must reach the merge side through the columnar
 // builders: a single-run smoke that the scan side routes (Routed > 0)
 // and ships partials on the two-phase algorithms.

@@ -296,7 +296,9 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			defer scanners.Done()
 			span := cfg.Tracer.Begin(i, "scan")
 			metrics[i].Switched = wk.scanSide(parts[i])
-			span.End(fmt.Sprintf("%d tuples, switched=%v%s", len(parts[i]), metrics[i].Switched, wk.k.Note("owner")))
+			if span != nil {
+				span.End(fmt.Sprintf("%d tuples, switched=%v%s", len(parts[i]), metrics[i].Switched, wk.k.Note("owner")))
+			}
 		}()
 		go func() {
 			defer all.Done()
@@ -305,9 +307,11 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			wk.mergeSide(inboxes[i], mg)
 			owned[i] = mg.Table()
 			metrics[i].GroupsOut = int64(owned[i].Len())
-			staged, folds := mg.Staged()
-			span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots, staged %d in %d folds",
-				owned[i].Len(), metrics[i].FanIn, mg.Reserved(), owned[i].Slots(), staged, folds))
+			if span != nil {
+				staged, folds := mg.Staged()
+				span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots, staged %d in %d folds",
+					owned[i].Len(), metrics[i].FanIn, mg.Reserved(), owned[i].Slots(), staged, folds))
+			}
 		}()
 	}
 	all.Wait()

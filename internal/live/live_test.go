@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"parallelagg/internal/tuple"
 	"parallelagg/internal/workload"
@@ -166,49 +165,6 @@ func TestPartitionBalance(t *testing.T) {
 	}
 	if total != 103 {
 		t.Errorf("partitions cover %d of 103", total)
-	}
-}
-
-// Property: for random inputs, worker counts and memory bounds, every
-// algorithm produces exactly the sequential fold.
-func TestLiveMatchesReferenceProperty(t *testing.T) {
-	f := func(keys []uint8, workers, bound uint8, algPick uint8) bool {
-		if len(keys) == 0 {
-			return true
-		}
-		ts := make([]tuple.Tuple, len(keys))
-		ref := map[tuple.Key]tuple.AggState{}
-		for i, k := range keys {
-			ts[i] = tuple.Tuple{Key: tuple.Key(k), Val: int64(i) - 50}
-			if s, ok := ref[ts[i].Key]; ok {
-				s.Update(ts[i].Val)
-				ref[ts[i].Key] = s
-			} else {
-				ref[ts[i].Key] = tuple.NewState(ts[i].Val)
-			}
-		}
-		cfg := Config{
-			Workers:      int(workers%8) + 1,
-			TableEntries: int(bound % 16), // 0 = unbounded
-			Batch:        3,
-		}
-		alg := Algorithms()[int(algPick)%len(Algorithms())]
-		res, err := Aggregate(cfg, ts, alg)
-		if err != nil {
-			return false
-		}
-		if len(res.Groups) != len(ref) {
-			return false
-		}
-		for k, s := range ref {
-			if res.Groups[k] != s {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

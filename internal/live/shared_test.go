@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -12,58 +11,6 @@ import (
 	"parallelagg/internal/tuple"
 	"parallelagg/internal/workload"
 )
-
-// sortedGroups renders a result as the deterministic ascending-key
-// partial list, the byte-comparable form of the differential tests.
-func sortedGroups(res *Result) []tuple.Partial {
-	out := make([]tuple.Partial, 0, len(res.Groups))
-	for k, s := range res.Groups {
-		out = append(out, tuple.Partial{Key: k, State: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// TestSharedMatchesTwoPhaseDifferential runs Shared and A-Shared head to
-// head against TwoPhase over seeded random workloads — worker counts,
-// bounds, batch sizes — and requires byte-identical sorted results. The
-// 1995 algorithm is the oracle for the 2025 one.
-func TestSharedMatchesTwoPhaseDifferential(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2000 + rng.Intn(8000)
-		keySpace := int64(1) << uint(2+rng.Intn(12))
-		in := make([]tuple.Tuple, n)
-		for i := range in {
-			in[i] = tuple.Tuple{Key: tuple.Key(rng.Int63n(keySpace)), Val: rng.Int63n(1000) - 500}
-		}
-		cfg := Config{
-			Workers:      1 + rng.Intn(8),
-			TableEntries: []int{0, 16, 256}[rng.Intn(3)],
-			Batch:        1 + rng.Intn(64),
-		}
-		ref, err := Aggregate(cfg, in, TwoPhase)
-		if err != nil {
-			t.Fatalf("seed %d: 2P: %v", seed, err)
-		}
-		want := sortedGroups(ref)
-		for _, alg := range []Algorithm{Shared, AdaptiveShared} {
-			res, err := Aggregate(cfg, in, alg)
-			if err != nil {
-				t.Fatalf("seed %d: %v: %v", seed, alg, err)
-			}
-			got := sortedGroups(res)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: %v produced %d groups, 2P %d", seed, alg, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d: %v group %d = %+v, 2P %+v", seed, alg, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
 
 // TestSharedBoundOverflowExact forces the shared table's global bound to
 // refuse most groups and checks the overflow path still produces the

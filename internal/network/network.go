@@ -101,9 +101,6 @@ func New(sim *des.Simulation, prm params.Params) *Net {
 	return n
 }
 
-// Inbox returns node id's receive queue. Index prm.N is the coordinator.
-func (n *Net) Inbox(id int) *des.Queue { return n.inboxes[id] }
-
 // AddSenders registers k processes that will call Done.
 func (n *Net) AddSenders(k int) { n.senders += k }
 

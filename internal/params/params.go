@@ -183,10 +183,3 @@ func (p Params) DiskPages(n int64) int64 {
 	}
 	return (n + per - 1) / per
 }
-
-// MsgPages returns the number of message blocks needed to carry n projected
-// tuples.
-func (p Params) MsgPages(n int64) int64 {
-	per := int64(p.ProjTuplesPerMsgPage())
-	return (n + per - 1) / per
-}

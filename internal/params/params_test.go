@@ -114,9 +114,6 @@ func TestGeometryHelpers(t *testing.T) {
 	if got := imp.ProjTuplesPerMsgPage(); got != 128 {
 		t.Errorf("ProjTuplesPerMsgPage = %d, want 128 (2048/16)", got)
 	}
-	if got := imp.MsgPages(129); got != 2 {
-		t.Errorf("MsgPages(129) = %d, want 2", got)
-	}
 }
 
 func TestValidateCatchesBadConfigs(t *testing.T) {
@@ -154,9 +151,6 @@ func TestMsgPagesClampsTinyRecords(t *testing.T) {
 	p.MsgPageBytes = 8 // smaller than one projected tuple
 	if got := p.ProjTuplesPerMsgPage(); got != 1 {
 		t.Errorf("ProjTuplesPerMsgPage = %d, want clamp to 1", got)
-	}
-	if got := p.MsgPages(3); got != 3 {
-		t.Errorf("MsgPages(3) = %d, want 3 one-tuple pages", got)
 	}
 }
 

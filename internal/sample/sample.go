@@ -69,16 +69,6 @@ func Chao1(observed, singletons, doubletons int) float64 {
 	return float64(observed) + float64(singletons)*float64(singletons)/(2*float64(doubletons))
 }
 
-// DecideChao1 applies the crossover rule to the Chao1 estimate instead of
-// the raw observed count, buying a given sample size a larger effective
-// reach at the risk of overshooting on heavily skewed frequency profiles.
-func DecideChao1(observed, singletons, doubletons, crossoverThreshold int) Decision {
-	if Chao1(observed, singletons, doubletons) >= float64(crossoverThreshold) {
-		return UseRepartitioning
-	}
-	return UseTwoPhase
-}
-
 // ExpectedDistinct returns the expected number of distinct groups observed
 // in n uniform draws from g groups: g·(1 − (1 − 1/g)^n), computed stably.
 func ExpectedDistinct(g, n float64) float64 {

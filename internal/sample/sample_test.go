@@ -153,21 +153,6 @@ func TestChao1EstimatesHiddenGroups(t *testing.T) {
 	}
 }
 
-func TestDecideChao1ExtendsReach(t *testing.T) {
-	// Observed is below the threshold, but the frequency profile is almost
-	// all singletons: Chao1 sees past the sample and picks Rep.
-	if DecideChao1(700, 650, 20, 800) != UseRepartitioning {
-		t.Error("Chao1 decision missed the hidden groups")
-	}
-	if Decide(700, 800) != UseTwoPhase {
-		t.Error("raw decision should have picked 2P here")
-	}
-	// An exhaustive sample of few groups still picks 2P.
-	if DecideChao1(100, 0, 0, 800) != UseTwoPhase {
-		t.Error("Chao1 decision overshot on an exhaustive sample")
-	}
-}
-
 // fullTableProfile folds part into a table of bound entries until the table
 // refuses a group, as an adaptive scan side does, and returns the count
 // profile its switch sees: groups held, f1 of them seen once, f2 twice.

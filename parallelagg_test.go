@@ -41,21 +41,6 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAllPublicAlgorithmsAgree(t *testing.T) {
-	prm := quickParams()
-	rel := parallelagg.OutputSkew(prm.N, 8_000, 600, 2)
-	want := rel.Reference()
-	for _, alg := range parallelagg.Algorithms() {
-		res, err := parallelagg.Aggregate(prm, rel, alg, parallelagg.Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if len(res.Groups) != len(want) {
-			t.Errorf("%v: %d groups, want %d", alg, len(res.Groups), len(want))
-		}
-	}
-}
-
 // The simulator and the live engine trace one span vocabulary: an A-2P
 // run of one workload gives a scan and a merge span per node on the
 // virtual clock and per worker on the wall clock, and both engines' scan
