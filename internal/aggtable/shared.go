@@ -126,9 +126,6 @@ func (s *Shared) Len() int { return int(s.used.Load()) }
 // Cap returns the logical capacity bound (0 = unbounded).
 func (s *Shared) Cap() int { return s.bound }
 
-// Full reports whether the table is at its capacity bound.
-func (s *Shared) Full() bool { return s.bound > 0 && int(s.used.Load()) >= s.bound }
-
 // OccupancyPermille mirrors Table's obs hook: fill level of the logical
 // budget when bounded, of the physical slot arrays when unbounded.
 func (s *Shared) OccupancyPermille() int {
@@ -231,15 +228,6 @@ func (s *Shared) MergePartial(p tuple.Partial) bool {
 	st := s.stripeFor(p.Key)
 	st.mu.Lock()
 	ok := s.mergeLocked(st, p)
-	st.mu.Unlock()
-	return ok
-}
-
-// Contains reports whether a group entry exists for k.
-func (s *Shared) Contains(k tuple.Key) bool {
-	st := s.stripeFor(k)
-	st.mu.Lock()
-	_, ok := st.t.find(k)
 	st.mu.Unlock()
 	return ok
 }

@@ -55,9 +55,6 @@ func TestSharedSequentialMatchesTable(t *testing.T) {
 			case c < 75:
 				gs, gok := sh.Get(k)
 				ws, wok := ref.Get(k)
-				if got := sh.Contains(k); got != wok {
-					t.Fatalf("seed %d op %d: Contains(%d) = %v, want %v", seed, op, k, got, wok)
-				}
 				if gok != wok || gs != ws {
 					t.Fatalf("seed %d op %d: Get(%d) = %+v,%v, want %+v,%v", seed, op, k, gs, gok, ws, wok)
 				}
@@ -74,9 +71,6 @@ func TestSharedSequentialMatchesTable(t *testing.T) {
 				if sh.Len() != ref.Len() {
 					t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, sh.Len(), ref.Len())
 				}
-			}
-			if full := bound > 0 && ref.Len() >= bound; sh.Full() != full {
-				t.Fatalf("seed %d op %d: Full() = %v, sequential table %v", seed, op, sh.Full(), full)
 			}
 		}
 		samePartials(t, "final", sh.Partials(), ref.Partials())
@@ -99,8 +93,8 @@ func TestSharedBoundRefusalContract(t *testing.T) {
 	if !sh.UpdateRaw(tuple.Tuple{Key: 10, Val: 5}) {
 		t.Error("update of resident group refused at bound")
 	}
-	if !sh.Full() {
-		t.Error("Full() = false at bound")
+	if sh.Len() != 2 {
+		t.Errorf("Len() = %d at bound, want 2", sh.Len())
 	}
 	s, ok := sh.Get(10)
 	if !ok || s.Count != 2 || s.Sum != 6 {

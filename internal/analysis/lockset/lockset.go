@@ -257,7 +257,7 @@ func joinPath(a, b string) string {
 }
 
 // absObject resolves a mutex expression to its instance-independent
-// identity: the struct field object for p.mu (shared by every tpeer),
+// identity: the struct field object for p.mu (shared by every peer),
 // or the variable itself for a package-level `var mu sync.Mutex`.
 func absObject(info *types.Info, recv ast.Expr) types.Object {
 	switch e := ast.Unparen(recv).(type) {

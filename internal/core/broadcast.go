@@ -32,7 +32,7 @@ func runBroadcastNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Opti
 	prm := c.Prm
 	merge := c.Trace.Begin(n.ID, "merge")
 	scan := c.Trace.Begin(n.ID, "scan")
-	agg := newAggregator(c, n, prm.TRead+prm.TAgg, prm.Tuples, opt.MaxBuckets)
+	agg := newAggregator(c, n, prm.TRead+prm.TAgg, prm.Tuples)
 	eos := 0
 
 	// handle merges one incoming message: every node reads and hashes every
@@ -105,7 +105,7 @@ func runBroadcastNode(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Opti
 		handle(m)
 	}
 	out := agg.Finalize(p)
-	emitResults(c, p, n, out, opt.NoResultStore)
+	emitResults(c, p, n, out)
 	merge.End(fmt.Sprintf("%d groups", len(out)))
 	n.Metrics.Finish = p.Now()
 }

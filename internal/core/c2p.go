@@ -27,7 +27,7 @@ func launchC2P(c *cluster.Cluster, opt Options) {
 // overflow to the local disk), and send the partials to the coordinator.
 func runC2PWorker(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Options) {
 	prm := c.Prm
-	agg := newAggregator(c, n, prm.TRead+prm.THash+prm.TAgg, int64(n.Rel.Len()), opt.MaxBuckets)
+	agg := newAggregator(c, n, prm.TRead+prm.THash+prm.TAgg, int64(n.Rel.Len()))
 	for i := 0; i < n.Rel.Pages(); i++ {
 		ts := n.Rel.ReadPageSeq(p, i)
 		n.Metrics.Scanned += int64(len(ts))
@@ -55,7 +55,7 @@ func runC2PWorker(c *cluster.Cluster, n *cluster.Node, p *des.Proc, opt Options)
 func runC2PCoordinator(c *cluster.Cluster, p *des.Proc, opt Options) {
 	prm := c.Prm
 	coord := c.Coord
-	agg := newAggregator(c, coord, prm.TRead+prm.TAgg, prm.Tuples, opt.MaxBuckets)
+	agg := newAggregator(c, coord, prm.TRead+prm.TAgg, prm.Tuples)
 	eos := 0
 	for eos < prm.N {
 		m, ok := c.Net.Recv(p, coord.CPU, c.CoordID())
@@ -74,6 +74,6 @@ func runC2PCoordinator(c *cluster.Cluster, p *des.Proc, opt Options) {
 		}
 	}
 	out := agg.Finalize(p)
-	emitResults(c, p, coord, out, opt.NoResultStore)
+	emitResults(c, p, coord, out)
 	coord.Metrics.Finish = p.Now()
 }

@@ -129,21 +129,19 @@ type aggregator struct {
 
 	firstPassInstr float64 // charged per record on the first pass
 	expected       int64   // anticipated total records (bucket-count sizing)
-	maxBuckets     int
 
 	depth  int
 	seen   int64
 	spills []*disk.Spill
 }
 
-func newAggregator(c *cluster.Cluster, n *cluster.Node, firstPassInstr float64, expected int64, maxBuckets int) *aggregator {
+func newAggregator(c *cluster.Cluster, n *cluster.Node, firstPassInstr float64, expected int64) *aggregator {
 	return &aggregator{
 		c:              c,
 		n:              n,
 		tab:            aggtable.New(c.Prm.HashEntries),
 		firstPassInstr: firstPassInstr,
 		expected:       expected,
-		maxBuckets:     maxBuckets,
 	}
 }
 
@@ -164,11 +162,14 @@ func (a *aggregator) chooseBuckets() int {
 	if nb < 2 {
 		nb = 2
 	}
-	if nb > a.maxBuckets {
-		nb = a.maxBuckets
+	if nb > maxBuckets {
+		nb = maxBuckets
 	}
 	return nb
 }
+
+// maxBuckets caps the fan-out of overflow partitioning.
+const maxBuckets = 64
 
 func (a *aggregator) spillFor(k tuple.Key) *disk.Spill {
 	if a.spills == nil {
@@ -235,7 +236,7 @@ func (a *aggregator) Finalize(p *des.Proc) []tuple.Partial {
 		sp.Flush(p)
 		recs := sp.ReadAll(p)
 		pass := a.c.Trace.Begin(a.n.ID, "spill")
-		sub := newAggregator(a.c, a.n, a.reprocessInstr(), int64(len(recs)), a.maxBuckets)
+		sub := newAggregator(a.c, a.n, a.reprocessInstr(), int64(len(recs)))
 		sub.depth = a.depth + 1
 		sub.chargeBatch(p, len(recs))
 		for _, r := range recs {
@@ -254,11 +255,9 @@ func (a *aggregator) Finalize(p *des.Proc) []tuple.Partial {
 // emitResults charges the result-generation CPU and store I/O for the
 // final groups a node (or the coordinator) produced, and registers them in
 // the cluster result.
-func emitResults(c *cluster.Cluster, p *des.Proc, n *cluster.Node, out []tuple.Partial, noStore bool) {
+func emitResults(c *cluster.Cluster, p *des.Proc, n *cluster.Node, out []tuple.Partial) {
 	n.Work(p, c.Prm.TWrite*float64(len(out)))
-	if !noStore {
-		n.Dsk.StoreResult(p, int64(len(out)))
-	}
+	n.Dsk.StoreResult(p, int64(len(out)))
 	n.Metrics.GroupsOut += int64(len(out))
 	if err := c.Emit(n.ID, out); err != nil {
 		panic(err)

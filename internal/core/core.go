@@ -99,15 +99,8 @@ type Options struct {
 	// 10 × CrossoverThreshold, the paper's [ER61]-derived rule of thumb.
 	SampleTuples int
 
-	// MaxBuckets caps the fan-out of overflow partitioning. Default: 64.
-	MaxBuckets int
-
 	// Seed drives sampling page choice. Default: 1.
 	Seed int64
-
-	// NoResultStore suppresses the final result-write I/O, modelling an
-	// aggregation feeding a pipeline instead of a store (Figure 2).
-	NoResultStore bool
 
 	// Trace records the execution's spans on the simulator's virtual
 	// clock into Result.Trace: per node a scan and a merge span, adaptive
@@ -128,9 +121,6 @@ func (o Options) withDefaults(prm params.Params) Options {
 	}
 	if o.SampleTuples == 0 {
 		o.SampleTuples = sample.RequiredTuples(o.CrossoverThreshold)
-	}
-	if o.MaxBuckets == 0 {
-		o.MaxBuckets = 64
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -266,15 +266,6 @@ func TestOpt2PForwardsRawOnOverflow(t *testing.T) {
 	}
 }
 
-func TestNoResultStoreIsFaster(t *testing.T) {
-	prm := testParams(4)
-	with := run(t, prm, workload.Uniform(4, 4000, 2000, 81), Rep, Options{})
-	without := run(t, prm, workload.Uniform(4, 4000, 2000, 81), Rep, Options{NoResultStore: true})
-	if without.Elapsed >= with.Elapsed {
-		t.Errorf("NoResultStore elapsed %v, with store %v", without.Elapsed, with.Elapsed)
-	}
-}
-
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	rel := workload.Uniform(4, 100, 10, 1)
 	if _, err := Run(testParams(4), rel, Algorithm(99), Options{}); err == nil {
@@ -400,7 +391,7 @@ func TestOptionsDefaultsApplied(t *testing.T) {
 	if opt.SampleTuples != 8000 {
 		t.Errorf("SampleTuples = %d, want 10x threshold", opt.SampleTuples)
 	}
-	if opt.MaxBuckets != 64 || opt.Seed != 1 {
+	if opt.Seed != 1 {
 		t.Errorf("defaults = %+v", opt)
 	}
 }

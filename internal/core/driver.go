@@ -109,7 +109,7 @@ func newDriverNode(c *cluster.Cluster, n *cluster.Node, opt Options, cfg driverC
 		obsDone:  !cfg.observe || prm.HashEntries < 2, // not ARep, or no window
 		ship:     newShipper(c, n),
 		global: cfg.newAgg(c, n, prm.TRead+prm.TAgg,
-			prm.Tuples/int64(prm.N)+1, opt.MaxBuckets),
+			prm.Tuples/int64(prm.N)+1),
 	}
 	if c.Obs != nil {
 		d.mSwitch = c.Obs.CounterVec("sim_phase_switch_total",
@@ -129,7 +129,7 @@ func (d *driverNode) initLocal() {
 	prm := d.c.Prm
 	if d.cfg.localSpill {
 		d.localAgg = d.cfg.newAgg(d.c, d.n, prm.TRead+prm.THash+prm.TAgg,
-			int64(d.n.Rel.Len()), d.opt.MaxBuckets)
+			int64(d.n.Rel.Len()))
 	} else {
 		d.localTab = aggtable.New(prm.HashEntries)
 	}
@@ -137,11 +137,11 @@ func (d *driverNode) initLocal() {
 
 // newAgg builds a local or merge aggregation: a sorter for Sort-2P, else a
 // hashing aggregator charging instr per first-pass record.
-func (cfg driverConfig) newAgg(c *cluster.Cluster, n *cluster.Node, instr float64, expected int64, maxBuckets int) groupAgg {
+func (cfg driverConfig) newAgg(c *cluster.Cluster, n *cluster.Node, instr float64, expected int64) groupAgg {
 	if cfg.sortRuns {
 		return &sorter{c: c, n: n}
 	}
-	return newAggregator(c, n, instr, expected, maxBuckets)
+	return newAggregator(c, n, instr, expected)
 }
 
 // scanPage processes one page of scanned tuples according to the current
@@ -339,7 +339,7 @@ func (d *driverNode) run(p *des.Proc) {
 		d.handleMsg(p, m)
 	}
 	out := d.global.Finalize(p)
-	emitResults(d.c, p, d.n, out, d.opt.NoResultStore)
+	emitResults(d.c, p, d.n, out)
 	merge.End(fmt.Sprintf("%d groups", len(out)))
 	d.n.Metrics.Finish = p.Now()
 }

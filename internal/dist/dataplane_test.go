@@ -461,23 +461,25 @@ func TestFlushPartialsFrames(t *testing.T) {
 		part[i] = tuple.Tuple{Key: tuple.Key(i % groups * 31), Val: int64(i)}
 		want.UpdateRaw(part[i])
 	}
-	// Node n of n+1 scans into n destinations: every one is a socket, none
-	// the self slot.
+	// Node n of n+1 scans into n destinations: every one is a peer, none
+	// the node's own share.
 	run := func(w func(d int) io.Writer) ([][]byte, error) {
 		nd := newTnode(nil, Config{ID: n, Addrs: make([]string, n+1), Batch: batch}, nil)
 		bufs := make([]*bytes.Buffer, n)
 		for d, p := range nd.peers[:n] {
 			bufs[d] = new(bytes.Buffer)
 			p.mu.Lock()
-			p.out.w = bufio.NewWriterSize(io.MultiWriter(bufs[d], w(d)), 16)
+			p.w = bufio.NewWriterSize(io.MultiWriter(bufs[d], w(d)), 16)
 			p.mu.Unlock()
-			p.down.Store(false)
+			p.up.Store(true)
 		}
 		sc := newScan(nd.cfg, TwoPhase, n, len(part), nil, &exchange{nd: nd, s: streamID{origin: n}})
 		err := sc.Run(part)
 		out := make([][]byte, n)
 		for d, p := range nd.peers[:n] {
-			p.locked(func(o *peer) error { return o.w.Flush() })
+			p.mu.Lock()
+			p.w.Flush()
+			p.mu.Unlock()
 			out[d] = bufs[d].Bytes()
 		}
 		return out, err

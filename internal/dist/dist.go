@@ -7,7 +7,8 @@
 // its partition into a bounded aggtable.Table, and merges the groups that
 // hash to it into an unbounded one. In either mode a node's own share of
 // the exchange goes to its control loop in memory; only other nodes'
-// shares cross a socket.
+// shares cross a socket, each connection written through one peer
+// (wire.go).
 //
 // Both modes are one node program (recover.go) speaking one protocol
 // (wire.go): every frame has the same 12-byte header, tagged with the
@@ -493,7 +494,6 @@ func RunConfigured(parts [][]tuple.Tuple, template Config) (*ClusterResult, erro
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
 		go func() {
 			defer wg.Done()
 			cfg := template

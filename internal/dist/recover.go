@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -30,11 +29,11 @@ import (
 //     (supervisor.go).
 //
 //   - A node connects to its n−1 peers only. Its own share of every
-//     stream goes through its self slot (selfSlot): the scan goroutine
-//     hands the frames to the control loop as events. What the control
-//     loop would send itself — the supervisor's assign to node 0, node
-//     0's done — it applies in place, because a post to its own events
-//     channel would never return once the channel is full.
+//     stream never reaches a peer: the scan goroutine hands those frames
+//     to the control loop as events (toSelf). What the control loop would
+//     send itself — the supervisor's assign to node 0, node 0's done — it
+//     applies in place, because a post to its own events channel would
+//     never return once the channel is full.
 //
 //   - When a node d is declared dead, ALL of its duties — the input
 //     partitions assigned to it and the merge ranges it owns — move to a
@@ -57,11 +56,14 @@ import (
 // supervisor state machine). Readers, the scan/job goroutine, and the
 // heartbeat ticker only communicate with it through the events channel,
 // the control loop never posts to that channel, and it is the only
-// goroutine that enqueues to or closes the jobs channel.
+// goroutine that enqueues to or closes the jobs channel. They share each
+// outgoing connection through its peer (wire.go), whose lock heartbeats
+// and complaints only try, never waiting behind a blocked write; a
+// complaint that finds the lock busy waits in suspects for the next beat.
 
 // Event types delivered to the control loop.
 const (
-	evFrame      = iota // a frame from an inbound connection, or a frame or reservation from the self slot
+	evFrame      = iota // a frame from an inbound connection, or a frame or reservation of the node's own share
 	evReadErr           // an inbound connection died (peer and phase as its reader saw them)
 	evComplaint         // a local I/O failure toward a peer (scan/heartbeat side)
 	evScanDone          // the primary scan finished
@@ -77,8 +79,8 @@ type tevent struct {
 	phase   Phase
 	err     error
 	f       frame
-	conn    net.Conn // the inbound connection a frame came on (nil: the self slot)
-	reserve int      // a self-slot reservation target for stream f.stream()
+	conn    net.Conn // the inbound connection a frame came on (nil: the node's own share)
+	reserve int      // a reservation target for the node's own stream f.stream()
 }
 
 // tjob is one unit of recovery re-execution, run on the scan goroutine
@@ -118,106 +120,6 @@ type stage struct {
 	frames int64
 }
 
-// errPeerDown marks a write skipped because the peer was already marked
-// down; it is never a fresh failure discovery.
-var errPeerDown = errors.New("dist: peer marked down")
-
-// tpeer is one outgoing connection, or the node's own self slot: a peer
-// behind a lock, shared by the scan, the heartbeat ticker and the control
-// loop, that can be marked down (only ever in tolerant mode). A down peer's
-// writes return errPeerDown and the data plane drops that destination's
-// slices (the receiver-side slot algebra makes ship-vs-drop equally
-// correct for a dead peer). markDown closes the connection without the
-// lock, which a write blocked on that connection holds until its deadline,
-// so the write fails promptly and the caller does not wait for it. The
-// self entry is up from the start and only the scan goroutine writes to it.
-type tpeer struct {
-	id   int
-	down atomic.Bool
-	conn atomic.Value // out's net.Conn, published by install for markDown
-
-	mu sync.Mutex
-	//aggvet:guard mu
-	out peer // its conn is nil until install
-}
-
-func (p *tpeer) markDown() {
-	if p.down.Swap(true) {
-		return
-	}
-	if c, ok := p.conn.Load().(net.Conn); ok {
-		c.Close()
-	}
-}
-
-// install arms the peer with a live connection (dial side). The peer stays
-// down until sayHello has flushed the hello on it: a frame written ahead of
-// the hello would be read as one and refused as the other mode's.
-func (p *tpeer) install(conn net.Conn) {
-	p.mu.Lock()
-	p.out.conn, p.out.w = conn, bufio.NewWriterSize(conn, 1<<16)
-	p.mu.Unlock()
-	p.conn.Store(conn)
-}
-
-// sayHello writes and flushes node src's hello, of its mode, on the
-// installed connection and only then marks the peer up, under the lock
-// every write takes, so no frame can precede the hello.
-func (p *tpeer) sayHello(src int, tolerant bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if tolerant {
-		src |= helloTolerantFlag
-	}
-	if err := p.out.writeHello(src); err != nil {
-		p.out.conn.Close()
-		return err
-	}
-	p.down.Store(false)
-	return nil
-}
-
-// locked runs w on the peer's writer under its lock.
-func (p *tpeer) locked(w func(*peer) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.write(w)
-}
-
-// write runs w on the held writer, or returns errPeerDown for a down peer;
-// the lock is the caller's (locked takes it, tryControl TryLocks it).
-//
-//aggvet:holds p.mu
-func (p *tpeer) write(w func(*peer) error) error {
-	if p.down.Load() {
-		return errPeerDown
-	}
-	return w(&p.out)
-}
-
-func (p *tpeer) control(kind frameKind, origin, epoch int, aux uint32) error {
-	return p.locked(func(o *peer) error { return o.control(kind, streamID{origin: origin, epoch: epoch}, aux) })
-}
-
-// tryControl is control with TryLock: the heartbeat ticker uses it so a
-// write blocked on one stuck peer cannot delay beacons to the others.
-// Skipped rounds (peer down or lock busy) return silence: (nil, false).
-func (p *tpeer) tryControl(kind frameKind, origin, epoch int, aux uint32) (error, bool) {
-	if p.down.Load() || !p.mu.TryLock() {
-		return nil, false
-	}
-	defer p.mu.Unlock()
-	return p.write(func(o *peer) error { return o.control(kind, streamID{origin: origin, epoch: epoch}, aux) }), true
-}
-
-func (p *tpeer) writeRaw(s streamID, ts []tuple.Tuple) error {
-	return p.locked(func(o *peer) error { return o.writeRaw(s, ts) })
-}
-
-func (p *tpeer) writePartials(s streamID, ps []tuple.Partial) error {
-	return p.locked(func(o *peer) error { return o.writePartials(s, ps) })
-}
-
 // tnode is one node, of either mode. Fields below the "control-loop state"
 // marker are owned exclusively by the control goroutine.
 type tnode struct {
@@ -230,8 +132,13 @@ type tnode struct {
 
 	events chan tevent
 	jobs   chan tjob
-	peers  []*tpeer
+	peers  []*peer // nil at the node's own id
 	pool   rawPool // raw-record slices: readers take, the control loop returns
+
+	// suspects[x] is the phase code + 1 of a complaint about peer x that
+	// the supervisor's busy connection skipped (complainAbout), 0 for none:
+	// the heartbeat loop sends it on a later beat.
+	suspects []atomic.Uint32
 
 	ownerPtr atomic.Pointer[[]int] // routing snapshot shared with the scan side
 	fallback atomic.Bool           // A-Rep end-of-phase flag
@@ -322,7 +229,8 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 		rng:       jitterRand(cfg),
 		canceller: newCanceller(ln),
 		jobs:      make(chan tjob, jobs),
-		peers:     make([]*tpeer, n),
+		peers:     make([]*peer, n),
+		suspects:  make([]atomic.Uint32, n),
 		// A few frames per stream may queue, so a reader rarely waits on a
 		// fold. The pool keeps one raw slice per frame that can be queued,
 		// decoding or folding at once: past that it only holds memory.
@@ -342,14 +250,11 @@ func newTnode(ln net.Listener, cfg Config, part []tuple.Tuple) *tnode {
 	}
 	//aggvet:allow loopown -- construction: no goroutine exists yet; control() assumes ownership when it starts
 	for i := 0; i < n; i++ {
-		p := &tpeer{id: i, out: peer{id: i, timeout: cfg.IOTimeout, m: nd.m}}
-		p.down.Store(i != cfg.ID) // a peer is up only once dialed
-		nd.peers[i] = p
+		if i != cfg.ID {
+			nd.peers[i] = &peer{id: i, timeout: cfg.IOTimeout, m: nd.m}
+		}
 		nd.owner[i] = i
 		nd.assignee[i] = i
-		if i == cfg.ID {
-			p.out.self = nd.toSelf
-		}
 		if cfg.Tolerate {
 			// This node owns its range at epoch 0 from every partition; with
 			// recovery off nothing is accounted per stream.
@@ -376,9 +281,12 @@ func (nd *tnode) post(ev tevent) bool {
 	}
 }
 
-// toSelf is a node's self slot: a frame of its own share, or a
-// reservation for its own stream, which the scan goroutine posts to the
-// control loop as an evFrame event.
+// toSelf hands the control loop a frame of the node's own share, records
+// and all, or a reservation for its own stream, as an evFrame event: the
+// scan goroutine's path to its own merge (paper §5 — a node merges its own
+// partition of the exchange locally). Nothing is encoded or decoded and the
+// wire metrics never see it. Once the node is cancelled a post fails the
+// way a write to a closed connection does.
 func (nd *tnode) toSelf(ev tevent) error {
 	ev.typ, ev.peer = evFrame, nd.id
 	if !nd.post(ev) {
@@ -574,7 +482,7 @@ func (nd *tnode) work() {
 		// End of the primary stream at every peer: even a peer that
 		// received no slices needs the EOS. A failure is handled as
 		// the scan's writes are.
-		_ = nd.broadcast(nd.peers, frameEOS, primary)
+		_ = nd.broadcast(frameEOS, primary, -1)
 	}
 	nd.post(tevent{typ: evScanDone})
 	for j := range nd.jobs {
@@ -618,17 +526,14 @@ func (nd *tnode) outcome() (*NodeResult, error) {
 	return res, nil
 }
 
-// dialOne connects to peer j through the shared dialer, performs the
-// hello, and installs the connection. The peer stays down on failure.
+// dialOne connects to peer j through the shared dialer and opens the peer
+// on the connection with this node's hello. The peer stays down on failure.
 func (nd *tnode) dialOne(j int, deadline time.Time) error {
 	conn, err := dialPeer(nd.cfg, j, deadline, nd.rng, nd.canceller, nd.m)
 	if err != nil {
 		return err
 	}
-	p := nd.peers[j]
-	p.install(conn)
-	if err := p.sayHello(nd.id, nd.cfg.Tolerate); err != nil {
-		p.markDown()
+	if err := nd.peers[j].open(conn, nd.id, nd.cfg.Tolerate); err != nil {
 		return nodeErr(nd.id, j, PhaseHello, err)
 	}
 	return nil
@@ -661,24 +566,34 @@ func (nd *tnode) progress() int {
 }
 
 // heartbeatLoop beacons liveness + scan progress on every outgoing
-// connection (the supervisor beats itself in onTick). TryLock skips a
-// peer whose writer is blocked so one stuck connection cannot silence us
-// toward everyone else (which would read as OUR death at the supervisor).
+// connection (the supervisor beats itself in onTick), and sends the
+// complaints complainAbout left pending. tryWrite skips a peer whose writer
+// is blocked so one stuck connection cannot silence us toward everyone
+// else (which would read as OUR death at the supervisor).
 func (nd *tnode) heartbeatLoop() {
 	t := time.NewTicker(nd.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
-		permille := uint32(nd.progress())
-		for _, p := range nd.peers {
-			if p.id == nd.id {
+		beat := frame{kind: frameHeartbeat, origin: nd.id, aux: uint32(nd.progress())}
+		for j, p := range nd.peers {
+			if j == nd.id {
 				continue
 			}
-			err, sent := p.tryControl(frameHeartbeat, nd.id, 0, permille)
+			sent, err := p.tryWrite(beat)
 			if sent && err == nil {
 				nd.m.heartbeat()
 			}
 			if err != nil && !errors.Is(err, errPeerDown) {
-				nd.shipFail(p.id, err)
+				nd.shipFail(j, err)
+			}
+		}
+		// A failed write here fails the next beat to node 0 too: its
+		// buffered writer keeps the error.
+		for x := range nd.suspects {
+			if code := nd.suspects[x].Load(); code != 0 {
+				if sent, _ := nd.peers[0].tryWrite(frame{kind: frameSuspect, origin: x, aux: code - 1}); sent {
+					nd.suspects[x].Store(0)
+				}
 			}
 		}
 		select {
@@ -694,14 +609,36 @@ func (nd *tnode) scan(alg Algorithm, s streamID, rows int) kernel.Scan {
 	return newScan(nd.cfg, alg, nd.n, rows, &nd.fallback, &exchange{nd: nd, s: s})
 }
 
-// broadcast sends a control frame of stream s to every peer in to, with
-// the data frames' failure policy: the first error shipFail returns ends it.
-func (nd *tnode) broadcast(to []*tpeer, kind frameKind, s streamID) error {
-	for _, p := range to {
-		if err := p.control(kind, s.origin, s.epoch, 0); err != nil {
-			if err = nd.shipFail(p.id, err); err != nil {
-				return err
-			}
+// ship sends f to node d from the scan goroutine and counts its records:
+// the node's own share goes to its control loop, which keeps f's records,
+// and any other share through peer d, which encodes them. A failed write
+// goes to shipFail, whose error, if any, ends the scan.
+func (nd *tnode) ship(d int, f frame) error {
+	var err error
+	if d == nd.id {
+		err = nd.toSelf(tevent{f: f})
+	} else {
+		err = nd.peers[d].write(f)
+	}
+	if err != nil {
+		return nd.shipFail(d, err)
+	}
+	nd.rawSent += int64(len(f.raw))
+	nd.partialsSent += int64(len(f.partials))
+	return nil
+}
+
+// broadcast sends a control frame of stream s to node dest, or to every
+// node for dest < 0, with the data frames' failure policy: the first error
+// shipFail returns ends it.
+func (nd *tnode) broadcast(kind frameKind, s streamID, dest int) error {
+	lo, hi := 0, nd.n
+	if dest >= 0 {
+		lo, hi = dest, dest+1
+	}
+	for d := lo; d < hi; d++ {
+		if err := nd.ship(d, frame{kind: kind, origin: s.origin, epoch: s.epoch}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -718,14 +655,12 @@ func (nd *tnode) reexecute(j tjob) {
 	s := streamID{origin: j.partition, epoch: j.epoch}
 	sc := nd.scan(AdaptiveTwoPhase, s, len(data))
 	sc.Keep = j.ranges
-	to := nd.peers
 	if j.dest >= 0 {
 		// Re-extract: every kept key goes to the takeover worker.
 		sc.Owner = make([]int, nd.n)
 		for r := range sc.Owner {
 			sc.Owner[r] = j.dest
 		}
-		to = nd.peers[j.dest : j.dest+1]
 	} else {
 		sc.Refresh = func(int) []int { return *nd.ownerPtr.Load() }
 	}
@@ -733,7 +668,7 @@ func (nd *tnode) reexecute(j tjob) {
 	_ = sc.Run(data) // a tolerant ship never fails
 	nd.m.scanned(&sc, nd.cfg.TableEntries > 0, true)
 	nd.m.reship(nd.rawSent + nd.partialsSent - before)
-	_ = nd.broadcast(to, frameEOS, s) // a tolerant ship never fails
+	_ = nd.broadcast(frameEOS, s, j.dest) // a tolerant ship never fails
 }
 
 // control is the single-goroutine brain: it owns all merge and duty state,
@@ -905,7 +840,7 @@ func (nd *tnode) drop(s streamID) {
 // frame that cannot be delivered. Per-connection FIFO makes the rule
 // race-free — a finish frame is always queued ahead of its own
 // connection's death event, so a completed query never trips it. Node 0
-// is never deaf: it hears itself (its own ticks and self slot), and a
+// is never deaf: it hears itself (its own ticks and share), and a
 // peer it cannot hear goes stale and dies to the supervisor, so a node 0
 // whose every peer died still finishes alone, as does a one-node cluster,
 // which has no inbound connection at all.
@@ -957,7 +892,10 @@ func (nd *tnode) classifyReadErr(ev tevent) {
 // supervisor. Complaints are advisory and therefore best-effort: losing
 // one only delays failure detection, and making them fatal would turn
 // benign teardown races (a finished peer closing its connections a beat
-// before our finish frame is processed) into spurious node failures.
+// before our finish frame is processed) into spurious node failures. So
+// the control loop never waits on the supervisor's connection for one: a
+// complaint its busy connection skips stays pending in suspects, and the
+// heartbeat loop sends it once the connection is free.
 func (nd *tnode) complainAbout(x int, phase Phase) {
 	if x < 0 || x >= nd.n || nd.complained[x] || nd.deadPeers[x] {
 		return
@@ -967,7 +905,12 @@ func (nd *tnode) complainAbout(x int, phase Phase) {
 		nd.sup.complain(0, x)
 		return
 	}
-	if err := nd.peers[0].control(frameSuspect, x, 0, phaseCode(phase)); err != nil && !errors.Is(err, errPeerDown) {
+	suspect := frame{kind: frameSuspect, origin: x, aux: phaseCode(phase)}
+	sent, err := nd.peers[0].tryWrite(suspect)
+	if !sent {
+		nd.suspects[x].Store(suspect.aux + 1)
+	}
+	if err != nil && !errors.Is(err, errPeerDown) {
 		nd.peers[0].markDown()
 	}
 }
@@ -988,17 +931,17 @@ func (nd *tnode) onTick() {
 			// Best-effort eviction notice, so a slandered-but-alive node
 			// (one-way partition) stops instead of shipping frames the
 			// cluster will discard.
-			nd.peers[a.Node].control(frameEvict, a.Node, a.Epoch, 0)
+			nd.peers[a.Node].write(frame{kind: frameEvict, origin: a.Node, epoch: a.Epoch})
 		}
-		aux := uint32(a.Worker)
+		assign := frame{kind: frameAssign, origin: a.Node, epoch: a.Epoch, aux: uint32(a.Worker)}
 		if a.Dead {
-			aux |= assignDeadFlag
+			assign.aux |= assignDeadFlag
 		}
 		for j, p := range nd.peers {
 			if nd.deadPeers[j] || (a.Dead && j == a.Node) || j == nd.id {
 				continue
 			}
-			if err := p.control(frameAssign, a.Node, a.Epoch, aux); err != nil && !errors.Is(err, errPeerDown) {
+			if err := p.write(assign); err != nil && !errors.Is(err, errPeerDown) {
 				nd.shipFail(j, err)
 			}
 		}
@@ -1020,7 +963,7 @@ func (nd *tnode) checkFinished() {
 		if nd.deadPeers[j] || j == nd.id {
 			continue
 		}
-		p.control(frameFinish, 0, nd.sup.epoch, 0)
+		p.write(frame{kind: frameFinish, epoch: nd.sup.epoch})
 	}
 	nd.finished = true
 }
@@ -1232,7 +1175,7 @@ func (nd *tnode) maybeDone() {
 		nd.checkFinished()
 		return
 	}
-	if err := nd.peers[0].control(frameDone, nd.id, 0, uint32(nd.maxEpoch)); err != nil {
+	if err := nd.peers[0].write(frame{kind: frameDone, origin: nd.id, aux: uint32(nd.maxEpoch)}); err != nil {
 		if !errors.Is(err, errPeerDown) {
 			nd.peers[0].markDown()
 		}

@@ -525,28 +525,37 @@ func TestSupervisorBeatsItself(t *testing.T) {
 // the tolerant flag; it refused the connection as the other mode's, the
 // dialer's next write failed, and the dialer dropped that peer's share for
 // good while both nodes went on heartbeating — a query that never ended.
-// Between install and sayHello the peer must refuse tryControl; after it, the
-// wire must carry the tolerant hello first and the heartbeat second.
+// Before open the peer must skip a tryWrite, while open's hello waits on
+// the wire it must not be up, and after it the wire must carry the tolerant
+// hello first and the heartbeat second.
 func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	dialer, acceptor := net.Pipe()
 	defer dialer.Close()
 	defer acceptor.Close()
+	p := &peer{id: 1}
+	beat := frame{kind: frameHeartbeat, aux: 500}
+	if sent, err := p.tryWrite(beat); sent || err != nil {
+		t.Fatalf("a peer without its hello took a heartbeat: sent=%v err=%v", sent, err)
+	}
+	opened := make(chan error, 1)
+	go func() { opened <- p.open(dialer, 0, true) }()
+	for p.mu.TryLock() { // until the hello, which nobody reads yet, holds the lock
+		p.mu.Unlock()
+		runtime.Gosched()
+	}
+	if p.up.Load() {
+		t.Error("a peer is up before its hello is flushed")
+	}
 	wire := make(chan []byte, 1)
 	go func() {
 		b := make([]byte, 4+headerSize)
 		io.ReadFull(acceptor, b)
 		wire <- b
 	}()
-	p := &tpeer{id: 1}
-	p.down.Store(true)
-	p.install(dialer)
-	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); sent || err != nil {
-		t.Fatalf("a peer without its hello took a heartbeat: sent=%v err=%v", sent, err)
-	}
-	if err := p.sayHello(0, true); err != nil {
+	if err := <-opened; err != nil {
 		t.Fatal(err)
 	}
-	if err, sent := p.tryControl(frameHeartbeat, 0, 0, 500); !sent || err != nil {
+	if sent, err := p.tryWrite(beat); !sent || err != nil {
 		t.Fatalf("a peer past its hello refused a heartbeat: sent=%v err=%v", sent, err)
 	}
 	b := <-wire
@@ -558,22 +567,43 @@ func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	}
 }
 
+// pipePeer is an opened peer over a net.Pipe with the given write timeout,
+// and the pipe's far end, which has read the hello and reads nothing more
+// until the caller does.
+func pipePeer(t *testing.T, timeout time.Duration) (*peer, net.Conn) {
+	dialer, acceptor := net.Pipe()
+	t.Cleanup(func() {
+		dialer.Close()
+		acceptor.Close()
+	})
+	go io.ReadFull(acceptor, make([]byte, 4))
+	p := &peer{id: 0, timeout: timeout}
+	if err := p.open(dialer, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	return p, acceptor
+}
+
+// blockedWrite starts a raw write larger than p's buffer, which blocks on a
+// far end that reads nothing, and returns once the write holds p's lock.
+func blockedWrite(p *peer) <-chan error {
+	werr := make(chan error, 1)
+	go func() { werr <- p.write(frame{kind: frameRaw, raw: make([]tuple.Tuple, 1<<13)}) }()
+	for p.mu.TryLock() { // until the writer holds the lock
+		p.mu.Unlock()
+		runtime.Gosched()
+	}
+	return werr
+}
+
 // markDown closes a peer's connection without waiting for its write lock.
 // A write blocked on a peer that reads nothing holds that lock until its
 // deadline (IOTimeout, 30 s by default), and the control loop, which calls
 // markDown when it declares a peer dead, must not stall behind it: the
 // close has to come at once and fail the blocked write.
 func TestMarkDownDoesNotWaitForBlockedWrite(t *testing.T) {
-	dialer, acceptor := net.Pipe()
-	defer acceptor.Close()
-	p := &tpeer{id: 1, out: peer{id: 1, timeout: 3 * time.Second}}
-	p.install(dialer)
-	werr := make(chan error, 1)
-	go func() { werr <- p.writeRaw(streamID{}, make([]tuple.Tuple, 1<<13)) }()
-	for p.mu.TryLock() { // until the writer holds the lock
-		p.mu.Unlock()
-		runtime.Gosched()
-	}
+	p, _ := pipePeer(t, 3*time.Second)
+	werr := blockedWrite(p)
 	start := time.Now()
 	p.markDown()
 	if d := time.Since(start); d > 200*time.Millisecond {
@@ -586,5 +616,78 @@ func TestMarkDownDoesNotWaitForBlockedWrite(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Error("the blocked write did not fail within 1s of markDown")
+	}
+}
+
+// A complaint is advisory, and complainAbout runs on the control loop, so it
+// must not wait for the supervisor's connection while another write holds
+// it: a raw write blocked on a supervisor that drains nothing holds that
+// connection until its IOTimeout deadline. The complaint skips the busy
+// connection at once and stays pending, and the heartbeat loop delivers it
+// once the connection is free, with no further complaint about the peer.
+func TestComplaintDoesNotWaitForBlockedWrite(t *testing.T) {
+	const timeout = 2 * time.Second
+	nd := newTnode(nil, Config{ID: 1, Addrs: make([]string, 3), Tolerate: true,
+		IOTimeout: timeout, HeartbeatEvery: 10 * time.Millisecond}, nil)
+	p, supervisor := pipePeer(t, timeout)
+	nd.peers[0] = p
+	werr := blockedWrite(p)
+	start := time.Now()
+	nd.complainAbout(2, PhaseRead)
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Errorf("complainAbout took %v behind a blocked write, want < 200ms", d)
+	}
+	if nd.suspects[2].Load() == 0 {
+		t.Fatal("a complaint skipped on a busy connection was not left pending")
+	}
+
+	beats := make(chan struct{})
+	go func() {
+		defer close(beats)
+		nd.heartbeatLoop()
+	}()
+	defer func() {
+		close(nd.done)
+		<-beats
+	}()
+	frames := make(chan frame, 64)
+	go func() {
+		defer close(frames)
+		r := bufio.NewReader(supervisor)
+		for {
+			f, err := readFrame(r, nil)
+			if err != nil {
+				return
+			}
+			frames <- f
+		}
+	}()
+	if err := <-werr; err != nil {
+		t.Fatalf("the raw write failed once drained: %v", err)
+	}
+	if f := <-frames; f.kind != frameRaw {
+		t.Fatalf("first frame is kind %d, want the raw write", f.kind)
+	}
+	// The suspect arrives once: the beats after it carry no other.
+	suspects := 0
+	deadline, quiet := time.After(timeout), (<-chan time.Time)(nil)
+	for {
+		select {
+		case f := <-frames:
+			if f.kind == frameHeartbeat {
+				continue
+			}
+			if f.kind != frameSuspect || f.origin != 2 || codePhase(f.aux) != PhaseRead {
+				t.Errorf("frame kind %d origin %d phase %s, want a suspect of peer 2 in phase read", f.kind, f.origin, codePhase(f.aux))
+			}
+			if suspects++; suspects > 1 {
+				t.Fatal("the pending complaint was sent twice")
+			}
+			quiet = time.After(10 * nd.cfg.HeartbeatEvery)
+		case <-quiet:
+			return
+		case <-deadline:
+			t.Fatal("the pending complaint did not reach the supervisor once its connection was free")
+		}
 	}
 }

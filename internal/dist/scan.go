@@ -21,10 +21,9 @@ func newScan(cfg Config, alg Algorithm, n, rows int, fallback *atomic.Bool, ex k
 }
 
 // exchange is node nd's kernel.Exchange for stream s, in either mode: it
-// writes through nd's peers. A peer's write encodes a buffer, which the
-// scan refills; the self slot keeps it for the control loop, and the scan
-// takes a fresh one (raw: from the pool the control loop refills). A failed
-// write goes to nd.shipFail, whose error, if any, ends the scan. A
+// ships through nd.ship. A peer's write encodes a buffer, which the scan
+// refills; the node's own share keeps it for the control loop, and the scan
+// takes a fresh one (raw: from the pool the control loop refills). A
 // reservation reaches only the node's own table: no frame carries one.
 type exchange struct {
 	nd *tnode
@@ -35,7 +34,7 @@ func (x *exchange) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
 	nd := x.nd
 	switch {
 	case len(b) > 0:
-		if err := nd.sent(d, nd.peers[d].writeRaw(x.s, b), &nd.rawSent, len(b)); err != nil || d == nd.id {
+		if err := nd.ship(d, frame{kind: frameRaw, origin: x.s.origin, epoch: x.s.epoch, raw: b}); err != nil || d == nd.id {
 			return nil, err
 		}
 		return b[:0], nil
@@ -50,7 +49,7 @@ func (x *exchange) Raw(d int, b []tuple.Tuple) ([]tuple.Tuple, error) {
 func (x *exchange) Partials(d int, b []tuple.Partial) ([]tuple.Partial, error) {
 	nd := x.nd
 	if len(b) > 0 {
-		if err := nd.sent(d, nd.peers[d].writePartials(x.s, b), &nd.partialsSent, len(b)); err != nil || d == nd.id {
+		if err := nd.ship(d, frame{kind: framePartial, origin: x.s.origin, epoch: x.s.epoch, partials: b}); err != nil || d == nd.id {
 			return nil, err
 		}
 		return b[:0], nil
@@ -65,14 +64,4 @@ func (x *exchange) Reserve(d, groups int) error {
 	return x.nd.toSelf(tevent{f: frame{origin: x.s.origin, epoch: x.s.epoch}, reserve: groups})
 }
 
-func (x *exchange) EndPhase() error { return x.nd.broadcast(x.nd.peers, frameEOP, x.s) }
-
-// sent counts a write of n records to peer d in shipped, or hands its error
-// to shipFail.
-func (nd *tnode) sent(d int, err error, shipped *int64, n int) error {
-	if err != nil {
-		return nd.shipFail(d, err)
-	}
-	*shipped += int64(n)
-	return nil
-}
+func (x *exchange) EndPhase() error { return x.nd.broadcast(frameEOP, x.s, -1) }

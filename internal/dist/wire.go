@@ -3,10 +3,13 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"parallelagg/internal/tuple"
@@ -137,9 +140,9 @@ type streamID struct {
 func (s streamID) String() string { return fmt.Sprintf("(origin %d, epoch %d)", s.origin, s.epoch) }
 
 // rawPool is a node's free list of raw-record slices: the readers decode
-// raw frames into slices taken from it and the control loop puts them back
-// once folded, so a steady exchange allocates no record slices. A nil
-// pool always allocates and drops.
+// raw frames into slices taken from it and the node puts them back once
+// folded, so a steady exchange allocates no record slices. A nil pool
+// always allocates and drops.
 type rawPool chan []tuple.Tuple
 
 func (p rawPool) get() []tuple.Tuple {
@@ -210,15 +213,6 @@ func readPartialBody(r *bufio.Reader, count int) ([]tuple.Partial, error) {
 	return dst, nil
 }
 
-// writeHello sends the connection's hello: the source node id, with
-// helloTolerantFlag set by a tolerant node.
-func writeHello(w io.Writer, hello int) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(hello))
-	_, err := w.Write(b[:])
-	return err
-}
-
 // readHello receives a peer's hello and is the one handshake check of both
 // modes: the peer must speak this node's mode (tolerant or not) and name a
 // node of its n-node cluster.
@@ -244,18 +238,6 @@ func putHeader(b []byte, kind frameKind, origin, epoch int, aux uint32, count in
 	binary.LittleEndian.PutUint16(b[2:4], uint16(epoch))
 	binary.LittleEndian.PutUint32(b[4:8], aux)
 	binary.LittleEndian.PutUint32(b[8:12], uint32(count))
-}
-
-// writeControl writes a record-less frame and flushes, so control traffic
-// (end of stream or phase, heartbeats, assigns) is never stuck behind
-// buffered data.
-func writeControl(w *bufio.Writer, kind frameKind, origin, epoch int, aux uint32) error {
-	var b [headerSize]byte
-	putHeader(b[:], kind, origin, epoch, aux, 0)
-	if _, err := w.Write(b[:]); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 // frameBuf returns buf resized to hold need bytes, reallocating only
@@ -305,99 +287,133 @@ func partialFrameInto(buf []byte, origin, epoch int, ps []tuple.Partial) ([]byte
 	return buf, nil
 }
 
-// peer is the writer inside a tpeer: one outgoing connection, or the
-// node's own self slot. It holds the conn for deadline control, the
-// buffered writer for framing, and the per-frame write timeout. Every
-// write arms a fresh deadline, so a peer that stops draining its socket
-// (backpressure hang) fails the write within timeout instead of blocking
-// the scan forever.
+// errPeerDown marks a write skipped because the peer was already marked
+// down; it is never a fresh failure discovery.
+var errPeerDown = errors.New("dist: peer marked down")
+
+// peer is one outgoing connection, shared by every goroutine of the node
+// that sends to that peer. A frame that must arrive goes out
+// with write, which waits for the connection's lock; an advisory one
+// (heartbeat, suspect) with tryWrite, which skips a peer another goroutine
+// is writing to. Every write arms a fresh deadline, so a peer that stops
+// draining its socket fails the write within timeout instead of blocking
+// its writer forever.
+//
+// A peer is up once open has flushed its hello, until markDown runs (only
+// ever in tolerant mode). A down peer's writes return errPeerDown, and the
+// data plane drops that destination's slices (the receiver-side slot
+// algebra makes ship-vs-drop equally correct for a dead peer). markDown
+// closes the connection without the lock, which a write blocked on that
+// connection holds until its deadline, so the write fails at once and no
+// caller waits for it.
 type peer struct {
-	id      int
-	conn    net.Conn
-	w       *bufio.Writer
-	timeout time.Duration
-	m       *metrics // nil when metrics are disabled
+	id        int
+	timeout   time.Duration
+	m         *metrics // nil when metrics are disabled
+	up        atomic.Bool
+	published atomic.Value // conn, stored by open for markDown's lock-free close
+
+	mu sync.Mutex
+	//aggvet:guard mu
+	conn net.Conn // nil until open
+	//aggvet:guard mu
+	w *bufio.Writer
 	// buf is the frame-encoding scratch buffer: each data frame is
 	// encoded here in full and handed to the writer as one Write, so the
 	// steady state is one buffer allocation per connection, not one
 	// record-sized Write per tuple.
+	//
+	//aggvet:guard mu
 	buf []byte
-	// self is set on the node's own entry only, which has no connection.
-	self selfSlot
 }
 
-// selfSlot is where a node's own share of the exchange goes, in either
-// mode: every write to the node's own entry hands its frame, records and
-// all, straight to the node's control loop as an event, never through a
-// socket (paper §5 — a node merges its own partition of the exchange
-// locally). Nothing is encoded or decoded and the wire metrics never see
-// it. Once the node is cancelled a post fails the way a write to a closed
-// connection does.
-type selfSlot func(tevent) error
+// open makes conn the peer's connection and writes node src's hello on it,
+// with helloTolerantFlag set by a tolerant node. The peer is up only once
+// the hello is flushed, and open holds the lock every write takes until
+// then: a frame written ahead of the hello would be read as one and refused
+// as the other mode's. On failure the connection is closed.
+func (p *peer) open(conn net.Conn, src int, tolerant bool) error {
+	if tolerant {
+		src |= helloTolerantFlag
+	}
+	p.published.Store(conn)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.conn, p.w = conn, bufio.NewWriterSize(conn, 1<<16)
+	if err := p.put(frame{kind: frameHello, aux: uint32(src)}); err != nil {
+		conn.Close()
+		return err
+	}
+	p.up.Store(true)
+	return nil
+}
 
-func (p *peer) arm() {
-	if p.timeout > 0 {
-		p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
+func (p *peer) markDown() {
+	if !p.up.Swap(false) {
+		return
+	}
+	if c, ok := p.published.Load().(net.Conn); ok {
+		c.Close()
 	}
 }
 
-// count wraps a frame write with the send-side metrics: bytes and
-// frames on success, deadline classification on failure.
-func (p *peer) count(kind frameKind, records int, err error) error {
+// write sends f, waiting for the peer's lock: for frames that must arrive.
+func (p *peer) write(f frame) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.put(f)
+}
+
+// tryWrite sends f unless the peer is down or its lock is busy, and reports
+// whether it did: for advisory frames, so a write blocked on one stuck peer
+// delays no heartbeat or complaint behind it.
+func (p *peer) tryWrite(f frame) (bool, error) {
+	if !p.up.Load() || !p.mu.TryLock() {
+		return false, nil
+	}
+	defer p.mu.Unlock()
+	return true, p.put(f)
+}
+
+// put encodes f whole into buf, so the caller's records are not kept,
+// writes it and counts it in the send-side metrics; only open's hello goes
+// to a peer that is not up. A hello or control frame is flushed, never
+// stuck behind buffered data: the accept side identifies the peer (and
+// arms its read deadline) before any data flush, and end of stream or
+// phase, heartbeats and assigns arrive at once.
+//
+//aggvet:holds p.mu
+func (p *peer) put(f frame) error {
+	if f.kind != frameHello && !p.up.Load() {
+		return errPeerDown
+	}
+	if p.timeout > 0 {
+		p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
+	}
+	var err error
+	switch f.kind {
+	case frameHello:
+		p.buf = binary.LittleEndian.AppendUint32(p.buf[:0], f.aux)
+	case frameRaw:
+		p.buf, err = rawFrameInto(p.buf, f.origin, f.epoch, f.raw)
+	case framePartial:
+		p.buf, err = partialFrameInto(p.buf, f.origin, f.epoch, f.partials)
+	case frameEOS, frameEOP, frameHeartbeat, frameSuspect, frameAssign, frameEvict, frameDone, frameFinish:
+		p.buf = frameBuf(p.buf, headerSize)
+		putHeader(p.buf, f.kind, f.origin, f.epoch, f.aux, 0)
+	}
+	if err == nil {
+		_, err = p.w.Write(p.buf)
+	}
+	if err == nil && f.kind != frameRaw && f.kind != framePartial {
+		err = p.w.Flush()
+	}
 	if err != nil {
 		p.m.ioError(PhaseWrite, err)
 		return err
 	}
-	p.m.sent(p.id, kind, records)
+	p.m.sent(p.id, f.kind, len(f.raw)+len(f.partials))
 	return nil
-}
-
-func (p *peer) writeHello(src int) error {
-	p.arm()
-	if err := writeHello(p.w, src); err != nil {
-		return p.count(frameHello, 0, err)
-	}
-	// Flush so the hello doubles as a handshake: the accept side can
-	// identify the peer (and apply its read deadline) immediately instead
-	// of waiting for the first data flush.
-	return p.count(frameHello, 0, p.w.Flush())
-}
-
-// writeRaw ships ts as one raw frame of stream s. A socket write encodes
-// ts and does not keep it; the self slot keeps it, and the control loop puts
-// it in the node's raw pool once folded.
-func (p *peer) writeRaw(s streamID, ts []tuple.Tuple) error {
-	if p.self != nil {
-		return p.self(tevent{f: frame{kind: frameRaw, origin: s.origin, epoch: s.epoch, raw: ts}})
-	}
-	p.arm()
-	var err error
-	if p.buf, err = rawFrameInto(p.buf, s.origin, s.epoch, ts); err == nil {
-		_, err = p.w.Write(p.buf)
-	}
-	return p.count(frameRaw, len(ts), err)
-}
-
-func (p *peer) writePartials(s streamID, ps []tuple.Partial) error {
-	if p.self != nil {
-		return p.self(tevent{f: frame{kind: framePartial, origin: s.origin, epoch: s.epoch, partials: ps}})
-	}
-	p.arm()
-	var err error
-	if p.buf, err = partialFrameInto(p.buf, s.origin, s.epoch, ps); err == nil {
-		_, err = p.w.Write(p.buf)
-	}
-	return p.count(framePartial, len(ps), err)
-}
-
-// control sends a record-less frame of stream s with immediate aux and
-// flushes.
-func (p *peer) control(kind frameKind, s streamID, aux uint32) error {
-	if p.self != nil {
-		return p.self(tevent{f: frame{kind: kind, origin: s.origin, epoch: s.epoch, aux: aux}})
-	}
-	p.arm()
-	return p.count(kind, 0, writeControl(p.w, kind, s.origin, s.epoch, aux))
 }
 
 // frame is one decoded wire frame.

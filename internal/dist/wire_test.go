@@ -3,7 +3,9 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -17,6 +19,20 @@ import (
 func readBack(t *testing.T, buf []byte) (frame, error) {
 	t.Helper()
 	return readFrame(bufio.NewReader(bytes.NewReader(buf)), nil)
+}
+
+// writeHello writes a hello as a peer's open does.
+func writeHello(w io.Writer, hello int) error {
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, uint32(hello)))
+	return err
+}
+
+// writeControl writes and flushes a record-less frame as a peer's put does.
+func writeControl(w *bufio.Writer, kind frameKind, origin, epoch int, aux uint32) error {
+	if _, err := w.Write(header(kind, origin, epoch, aux, 0)); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // header builds a bare frame header.
@@ -175,10 +191,11 @@ func TestWriteSideFrameBound(t *testing.T) {
 	over := maxFrameRecords + 1
 	var cw countingWriter
 	p := &peer{id: 1, w: bufio.NewWriterSize(&cw, 16)}
-	if err := p.writeRaw(streamID{}, make([]tuple.Tuple, over)); err == nil {
+	p.up.Store(true)
+	if err := p.write(frame{kind: frameRaw, raw: make([]tuple.Tuple, over)}); err == nil {
 		t.Error("raw frame over the record limit accepted")
 	}
-	if err := p.writePartials(streamID{}, make([]tuple.Partial, over)); err == nil {
+	if err := p.write(frame{kind: framePartial, partials: make([]tuple.Partial, over)}); err == nil {
 		t.Error("partial frame over the record limit accepted")
 	}
 	if p.w.Flush(); cw.calls != 0 {
@@ -200,14 +217,15 @@ func TestWriteSideFrameBound(t *testing.T) {
 func TestFrameSingleWrite(t *testing.T) {
 	var cw countingWriter
 	p := &peer{id: 1, w: bufio.NewWriterSize(&cw, 16)}
-	if err := p.writeRaw(streamID{origin: 1}, []tuple.Tuple{{Key: 1, Val: 2}, {Key: 3, Val: 4}}); err != nil {
+	p.up.Store(true)
+	if err := p.write(frame{kind: frameRaw, origin: 1, raw: []tuple.Tuple{{Key: 1, Val: 2}, {Key: 3, Val: 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	if cw.calls != 1 {
 		t.Errorf("raw frame took %d Write calls, want 1", cw.calls)
 	}
 	cw.calls = 0
-	if err := p.writePartials(streamID{origin: 1}, []tuple.Partial{{Key: 9, State: tuple.NewState(7)}}); err != nil {
+	if err := p.write(frame{kind: framePartial, origin: 1, partials: []tuple.Partial{{Key: 9, State: tuple.NewState(7)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if cw.calls != 1 {
@@ -279,8 +297,9 @@ func TestPeerWriteDeadline(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	p := &peer{id: 1, conn: a, w: bufio.NewWriterSize(a, 8), timeout: 50 * time.Millisecond}
+	p.up.Store(true)
 	start := time.Now()
-	err := p.control(frameEOS, streamID{}, 0) // flushes into a pipe with no reader
+	err := p.write(frame{kind: frameEOS}) // flushes into a pipe with no reader
 	if err == nil {
 		t.Fatal("write to undrained pipe succeeded")
 	}
@@ -305,11 +324,11 @@ func TestPeerZeroTimeoutWrites(t *testing.T) {
 			}
 		}
 	}()
-	p := &peer{id: 0, conn: a, w: bufio.NewWriter(a), timeout: 0}
-	if err := p.writeHello(3); err != nil {
+	p := &peer{id: 0, timeout: 0}
+	if err := p.open(a, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.control(frameEOS, streamID{}, 0); err != nil {
+	if err := p.write(frame{kind: frameEOS}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,9 +68,9 @@ func TestBatchScalarDifferential(t *testing.T) {
 	}
 }
 
-// Scan-side batches must reach the merge side through the columnar
-// builders: a single-run smoke that the scan side routes (Routed > 0)
-// and ships partials on the two-phase algorithms.
+// Both shipping modes reach the merge side: 2P ships partials
+// (PartialsSent > 0) and Rep routes raw tuples (Routed > 0), and each
+// run's groups equal the sequential reference.
 func TestBatchPathShipsColumnar(t *testing.T) {
 	rel := workload.Uniform(4, 20_000, 2_000, 31)
 	res, err := Aggregate(Config{Workers: 4}, flatten(rel), TwoPhase)
@@ -100,8 +100,9 @@ func TestBatchPathShipsColumnar(t *testing.T) {
 	checkAgainstReference(t, rel, res)
 }
 
-// A tuple.Batch pooled through the engine must not leak state between
-// uses: run the same config twice and confirm determinism of results.
+// Buffers and tables the engine pools must not leak state from one query
+// into the next: every algorithm, run twice on the same bounded config,
+// returns the same groups both times.
 func TestBatchPathDeterministic(t *testing.T) {
 	rel := workload.Zipf(4, 15_000, 1_500, 1.2, 42)
 	in := flatten(rel)
