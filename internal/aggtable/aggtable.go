@@ -22,6 +22,21 @@
 //     budget M: a new group past it is refused, an existing one still
 //     updates, and the caller decides what a refusal means.
 //
+// Two fold kernels. The scan side (UpdateRaw, UpdateRows, UpdateBatch and
+// the Merge* pair) folds into tables that are bounded or hot: a group gets
+// hundreds or thousands of rows, so whether the next one is a new minimum
+// or maximum is almost always "no", and AggState.Update's compare-and-jump
+// predicts well. The owner side (FoldRows, FoldPartial: kernel.Merge, the
+// merge phase of paper §3.2) folds into unbounded tables whose groups are
+// cold: 2–8 rows each on the spine's owner-heavy workloads, where a new
+// extreme is a coin flip and that jump mispredicts. So the owner kernel
+// refuses nothing and folds min and max with the min/max builtins, which
+// compile to conditional moves. At eight rows a group BenchmarkFold's
+// owner kernel ran 27–36 ns/row against the scan kernel's 38–43, and at
+// 1,024 the two were level (2-vCPU Xeon, Go 1.24); the same builtins on
+// the scan side too cost live_few, shared_hot and sql_groupby CPU
+// (EXPERIMENTS.md "Owner tables fold cold groups without mispredicts").
+//
 // Table memory is recycled. A table's slot arrays live in one slab (control
 // bytes, keys, states), taken from a process-wide sync.Pool per power-of-two
 // slot count and returned there by a rehash (the old slab), Drain (the

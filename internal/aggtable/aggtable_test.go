@@ -432,3 +432,38 @@ func BenchmarkPourSlotOrder(b *testing.B) {
 		})
 	}
 }
+
+// TestOwnerFilteredKeysProbeAsAnyKeys: an owner's table holds only keys
+// that tuple.Key.Dest sends it, so Dest must not read the bits its home
+// slot or control byte does, or the owner's keys crowd into a fraction of
+// its home slots. The mean probe displacement, (slot − home) & mask over
+// every group, of keys filtered to Dest(n) == 0 must be within 5 % of
+// unfiltered keys' at the same load. Dest as Hash() % n read the home
+// slot's low bits: 0.50 extra probes at n = 1, 0.68 at n = 2, 1.09 at n = 4.
+func TestOwnerFilteredKeysProbeAsAnyKeys(t *testing.T) {
+	const groups = 1 << 16
+	displacement := func(n int) float64 {
+		tab := NewSized(0, groups)
+		defer tab.Release()
+		for k := tuple.Key(0); tab.Len() < groups; k++ {
+			if k.Dest(n) == 0 {
+				tab.FoldRows([]tuple.Tuple{{Key: k, Val: 1}})
+			}
+		}
+		sum := uint64(0)
+		tab.Each(func(k tuple.Key, _ tuple.AggState) {
+			i, _ := tab.find(k)
+			sum += (uint64(i) - tab.home(k.Hash())) & tab.mask
+		})
+		return float64(sum) / groups
+	}
+	base := displacement(1)
+	t.Logf("n = 1: %.3f extra probes per key", base)
+	for _, n := range []int{2, 4} {
+		d := displacement(n)
+		t.Logf("n = %d: %.3f extra probes per key (%.3fx n = 1)", n, d, d/base)
+		if d > 1.05*base || d < 0.95*base {
+			t.Errorf("keys owned by node 0 of %d probe %.3f slots past home, %.3fx the %.3f of all keys: Dest reads the home slot's bits", n, d, d/base, base)
+		}
+	}
+}

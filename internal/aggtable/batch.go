@@ -22,6 +22,11 @@
 // `bound` groups when that record is folded. Table folds in index order, so
 // its refusal list is ascending; Shared folds stripe segments in stripe
 // order and its list is a set with unspecified order.
+//
+// Owner-side entry points: FoldRows and FoldPartial are the merge phase's
+// kernel, for the unbounded tables an owner folds into (kernel.Merge). They
+// refuse nothing and fold min and max without a branch (the package
+// comment says why the two sides differ).
 
 package aggtable
 
@@ -92,4 +97,61 @@ func (t *Table) MergeBatch(pb *tuple.PartialBatch, refused []int) []int {
 		t.states[j] = pb.StateAt(i)
 	}
 	return refused
+}
+
+// FoldRows folds every tuple of ts into the table, the owner-side kernel
+// for raw tuples (see the package comment). The table must be unbounded.
+//
+//aggvet:noalloc
+func (t *Table) FoldRows(ts []tuple.Tuple) {
+	t.unbounded()
+	for i := range ts {
+		k := ts[i].Key
+		h := k.Hash()
+		j, ok := t.findH(k, h)
+		if !ok {
+			j = t.insertAtH(j, k, h)
+			t.states[j] = tuple.NewState(ts[i].Val)
+			continue
+		}
+		foldState(&t.states[j], tuple.NewState(ts[i].Val))
+	}
+}
+
+// FoldPartial folds one partial into the table, the owner-side kernel for
+// partials: FoldRows' probe and fold, with a partial's state for a raw
+// tuple's. The table must be unbounded.
+//
+//aggvet:noalloc
+func (t *Table) FoldPartial(p tuple.Partial) {
+	t.unbounded()
+	h := p.Key.Hash()
+	j, ok := t.findH(p.Key, h)
+	if !ok {
+		t.states[t.insertAtH(j, p.Key, h)] = p.State
+		return
+	}
+	foldState(&t.states[j], p.State)
+}
+
+// foldState is AggState.Merge without a branch: a raw value folds as its
+// one-tuple state, whose constant count the compiler folds in.
+//
+//aggvet:noalloc
+func foldState(s *tuple.AggState, o tuple.AggState) {
+	s.Count += o.Count
+	s.Sum += o.Sum
+	s.Min = min(s.Min, o.Min)
+	s.Max = max(s.Max, o.Max)
+}
+
+// unbounded panics on a released or bounded table: the owner-side kernel
+// claims a slot for every new group and has no refusal to report.
+//
+//aggvet:noalloc
+func (t *Table) unbounded() {
+	t.alive()
+	if t.bound > 0 {
+		panic("aggtable: owner-side fold into a bounded Table")
+	}
 }

@@ -331,6 +331,30 @@ func TestAllocsPinMergeBatch(t *testing.T) {
 	}
 }
 
+// The owner-side kernel on a warm table allocates nothing, and a bounded
+// table, whose refusals it has no way to report, is refused outright.
+func TestAllocsPinFoldRows(t *testing.T) {
+	ts := make([]tuple.Tuple, 1024)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(i % 512), Val: int64(i)}
+	}
+	tab := New(0)
+	tab.FoldRows(ts) // warm table
+	allocs := testing.AllocsPerRun(1000, func() {
+		tab.FoldRows(ts)
+		tab.FoldPartial(tuple.Partial{Key: 7, State: tuple.NewState(-1)})
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state FoldRows and FoldPartial allocate %.1f per op, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FoldRows into a bounded table did not panic")
+		}
+	}()
+	NewSized(8, 8).FoldRows(ts)
+}
+
 func TestAllocsPinSharedUpdateBatch(t *testing.T) {
 	sh := NewShared(0, 16)
 	b := tuple.NewBatch(1024)
@@ -387,6 +411,9 @@ func TestAllocsPinSharedMergeBatch(t *testing.T) {
 // fuzzer-chosen keys, values, bound regimes and split points: a chunk folded
 // as two sub-chunks at any cut must produce the oracle's refusal indexes
 // exactly, and leave Len() and Partials() identical to tuple-at-a-time folds.
+// The owner-side kernel, which refuses nothing, is held to the same oracle
+// unbounded: FoldRows over both sub-chunks, and FoldRows over the first with
+// the second arriving as the partials a scan table sends (FoldPartial).
 func FuzzBatchUpdate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 2})             // unbounded, two keys
@@ -421,7 +448,6 @@ func FuzzBatchUpdate(f *testing.F) {
 				wantRefused = append(wantRefused, i)
 			}
 		}
-		want := oracle.Partials()
 
 		cut := 0
 		if n > 0 {
@@ -438,6 +464,21 @@ func FuzzBatchUpdate(f *testing.F) {
 			{"UpdateBatch", batchTab, [2][]int{batchTab.UpdateBatch(b1, nil), batchTab.UpdateBatch(b2, nil)}},
 			{"UpdateRows", rowsTab, [2][]int{rowsTab.UpdateRows(ts[:cut], nil), rowsTab.UpdateRows(ts[cut:], nil)}},
 		}
+		same := func(name string, tab, oracle *Table) {
+			t.Helper()
+			if tab.Len() != oracle.Len() {
+				t.Fatalf("%s bound %d cut %d: Len %d, want %d", name, bound, cut, tab.Len(), oracle.Len())
+			}
+			have, want := tab.Partials(), oracle.Partials()
+			if len(have) != len(want) {
+				t.Fatalf("%s bound %d cut %d: %d groups, want %d", name, bound, cut, len(have), len(want))
+			}
+			for i := range want {
+				if have[i] != want[i] {
+					t.Fatalf("%s bound %d cut %d: group %d = %+v, want %+v", name, bound, cut, i, have[i], want[i])
+				}
+			}
+		}
 		for _, fd := range folds {
 			got := fd.refused[0]
 			for _, ix := range fd.refused[1] {
@@ -451,18 +492,22 @@ func FuzzBatchUpdate(f *testing.F) {
 					t.Fatalf("%s bound %d cut %d: refusal %d = %d, want %d", fd.name, bound, cut, i, got[i], wantRefused[i])
 				}
 			}
-			if fd.tab.Len() != oracle.Len() {
-				t.Fatalf("%s bound %d cut %d: Len %d, want %d", fd.name, bound, cut, fd.tab.Len(), oracle.Len())
-			}
-			have := fd.tab.Partials()
-			if len(have) != len(want) {
-				t.Fatalf("%s bound %d cut %d: %d groups, want %d", fd.name, bound, cut, len(have), len(want))
-			}
-			for i := range want {
-				if have[i] != want[i] {
-					t.Fatalf("%s bound %d cut %d: group %d = %+v, want %+v", fd.name, bound, cut, i, have[i], want[i])
-				}
-			}
+			same(fd.name, fd.tab, oracle)
 		}
+
+		all := New(0)
+		for _, tp := range ts {
+			all.UpdateRaw(tp)
+		}
+		rows, mixed, scan := New(0), New(0), New(0)
+		rows.FoldRows(ts[:cut])
+		rows.FoldRows(ts[cut:])
+		same("FoldRows", rows, all)
+		mixed.FoldRows(ts[:cut])
+		scan.UpdateRows(ts[cut:], nil)
+		for _, p := range scan.Partials() {
+			mixed.FoldPartial(p)
+		}
+		same("FoldRows+FoldPartial", mixed, all)
 	})
 }

@@ -8,12 +8,13 @@ import (
 	"parallelagg/internal/tuple"
 )
 
-// BenchmarkFold times the fold kernel through its three raw-tuple entry
-// points on one seeded input: 2^20 uniform rows over 1,024 groups (the scan
-// side's shape on live_few: the table sits in L1/L2 and never grows after
-// the first chunk), 16,384 (a full scan-side table) and 131,072 (the merge
-// side's: growth and cache misses dominate). Every iteration folds the whole
-// input into a fresh unbounded table in 4,096-row chunks, the live engine's
+// BenchmarkFold times the fold kernels through their four raw-tuple entry
+// points (the owner side's FoldRows as "owner") on one seeded input: 2^20
+// uniform rows over 1,024 groups (the scan side's shape on live_few: the
+// table sits in L1/L2 and never grows after the first chunk), 16,384 (a
+// full scan-side table) and 131,072 (the merge side's, eight rows a group:
+// growth and cache misses dominate). Every iteration folds the whole input
+// into a fresh unbounded table in 4,096-row chunks, the live engine's
 // default, so growth is inside the figure as it is inside a query; "batch"
 // folds columnar copies built outside the timer. ns/row is the number to read.
 func BenchmarkFold(b *testing.B) {
@@ -50,6 +51,11 @@ func BenchmarkFold(b *testing.B) {
 			{"rows", func(t *Table) {
 				for off := 0; off < rows; off += chunk {
 					refused = t.UpdateRows(part[off:off+chunk], refused[:0])
+				}
+			}},
+			{"owner", func(t *Table) {
+				for off := 0; off < rows; off += chunk {
+					t.FoldRows(part[off : off+chunk])
 				}
 			}},
 		}

@@ -167,6 +167,8 @@ func TestReleasedTablePanics(t *testing.T) {
 		"Cap":               func(tab *Table) { tab.Cap() },
 		"Drain":             func(tab *Table) { tab.Drain() },
 		"Each":              func(tab *Table) { tab.Each(func(tuple.Key, tuple.AggState) {}) },
+		"FoldPartial":       func(tab *Table) { tab.FoldPartial(tuple.Partial{Key: 1, State: tuple.NewState(1)}) },
+		"FoldRows":          func(tab *Table) { tab.FoldRows(nil) },
 		"Get":               func(tab *Table) { tab.Get(1) },
 		"Home":              func(tab *Table) { tab.Home(1) },
 		"Len":               func(tab *Table) { tab.Len() },

@@ -72,7 +72,7 @@ var KnownAllocFree = map[string][]string{
 	// The fold entry points of Table and Shared, Table's size and slot
 	// count, and its home-slot rule: annotated in package aggtable, and
 	// scripts/lint.sh's -require-noalloc gate keeps them so.
-	"internal/aggtable": {"Len", "Slots", "Home", "UpdateRaw", "MergePartial", "UpdateRows", "UpdateBatch", "UpdateBatchContended", "MergeBatch"},
+	"internal/aggtable": {"Len", "Slots", "Home", "UpdateRaw", "MergePartial", "UpdateRows", "UpdateBatch", "UpdateBatchContended", "MergeBatch", "FoldRows", "FoldPartial"},
 
 	"encoding/binary": {"PutUint16", "PutUint32", "PutUint64", "Uint16", "Uint32", "Uint64"},
 	"math/bits":       {"*"},

@@ -543,7 +543,7 @@ func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 		p.mu.Unlock()
 		runtime.Gosched()
 	}
-	if p.up.Load() {
+	if p.state.Load() == peerUp {
 		t.Error("a peer is up before its hello is flushed")
 	}
 	wire := make(chan []byte, 1)
@@ -564,6 +564,33 @@ func TestTolerantPeerUpOnlyAfterHello(t *testing.T) {
 	}
 	if f, err := readFrame(bufio.NewReader(bytes.NewReader(b[4:])), nil); f.kind != frameHeartbeat || err != nil {
 		t.Errorf("second frame is kind %d (%v), want a heartbeat", f.kind, err)
+	}
+}
+
+// TestPeerMarkedDownBeforeOpenStaysDown: a tolerant node dials the peers
+// after the supervisor one while its control loop already runs, so the
+// cluster can declare a peer dead, and this node mark it down, before its
+// dial returns. The open that follows must not bring it up, or the scan
+// would ship that peer's share to a node the cluster has given up; it
+// returns errPeerDown and closes the connection.
+func TestPeerMarkedDownBeforeOpenStaysDown(t *testing.T) {
+	dialer, acceptor := net.Pipe()
+	defer acceptor.Close()
+	go io.ReadFull(acceptor, make([]byte, 4)) // the hello
+	p := &peer{id: 1}
+	p.markDown()
+	if err := p.open(dialer, 0, true); !errors.Is(err, errPeerDown) {
+		t.Errorf("open on a peer marked down = %v, want errPeerDown", err)
+	}
+	if p.state.Load() == peerUp {
+		t.Error("a peer marked down before its open came up")
+	}
+	dialer.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) // an open pipe nobody reads blocks
+	if _, err := dialer.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("write on the refused connection = %v, want io.ErrClosedPipe (closed)", err)
+	}
+	if sent, err := p.tryWrite(frame{kind: frameHeartbeat}); sent || err != nil {
+		t.Errorf("a down peer took a heartbeat: sent=%v err=%v", sent, err)
 	}
 }
 

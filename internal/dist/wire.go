@@ -299,18 +299,20 @@ var errPeerDown = errors.New("dist: peer marked down")
 // draining its socket fails the write within timeout instead of blocking
 // its writer forever.
 //
-// A peer is up once open has flushed its hello, until markDown runs (only
-// ever in tolerant mode). A down peer's writes return errPeerDown, and the
-// data plane drops that destination's slices (the receiver-side slot
-// algebra makes ship-vs-drop equally correct for a dead peer). markDown
-// closes the connection without the lock, which a write blocked on that
-// connection holds until its deadline, so the write fails at once and no
-// caller waits for it.
+// A peer is opening until open has flushed its hello, then up until
+// markDown runs (only ever in tolerant mode); down is final, whenever
+// markDown runs, so a peer the cluster declared dead while this node was
+// still dialing it never comes up. A down peer's writes return errPeerDown,
+// and the data plane drops that destination's slices (the receiver-side
+// slot algebra makes ship-vs-drop equally correct for a dead peer).
+// markDown closes the connection without the lock, which a write blocked
+// on that connection holds until its deadline, so the write fails at once
+// and no caller waits for it.
 type peer struct {
 	id        int
 	timeout   time.Duration
-	m         *metrics // nil when metrics are disabled
-	up        atomic.Bool
+	m         *metrics     // nil when metrics are disabled
+	state     atomic.Int32 // peerOpening, peerUp or peerDown
 	published atomic.Value // conn, stored by open for markDown's lock-free close
 
 	mu sync.Mutex
@@ -327,11 +329,19 @@ type peer struct {
 	buf []byte
 }
 
+// A peer's states: the zero value is opening.
+const (
+	peerOpening int32 = iota
+	peerUp
+	peerDown
+)
+
 // open makes conn the peer's connection and writes node src's hello on it,
 // with helloTolerantFlag set by a tolerant node. The peer is up only once
 // the hello is flushed, and open holds the lock every write takes until
 // then: a frame written ahead of the hello would be read as one and refused
-// as the other mode's. On failure the connection is closed.
+// as the other mode's. A peer marked down before that stays down: open
+// returns errPeerDown. On failure the connection is closed.
 func (p *peer) open(conn net.Conn, src int, tolerant bool) error {
 	if tolerant {
 		src |= helloTolerantFlag
@@ -344,12 +354,17 @@ func (p *peer) open(conn net.Conn, src int, tolerant bool) error {
 		conn.Close()
 		return err
 	}
-	p.up.Store(true)
+	if !p.state.CompareAndSwap(peerOpening, peerUp) {
+		conn.Close()
+		return errPeerDown
+	}
 	return nil
 }
 
+// markDown marks the peer down for good and closes its connection, if open
+// has published one.
 func (p *peer) markDown() {
-	if !p.up.Swap(false) {
+	if p.state.Swap(peerDown) == peerDown {
 		return
 	}
 	if c, ok := p.published.Load().(net.Conn); ok {
@@ -368,7 +383,7 @@ func (p *peer) write(f frame) error {
 // whether it did: for advisory frames, so a write blocked on one stuck peer
 // delays no heartbeat or complaint behind it.
 func (p *peer) tryWrite(f frame) (bool, error) {
-	if !p.up.Load() || !p.mu.TryLock() {
+	if p.state.Load() != peerUp || !p.mu.TryLock() {
 		return false, nil
 	}
 	defer p.mu.Unlock()
@@ -384,7 +399,7 @@ func (p *peer) tryWrite(f frame) (bool, error) {
 //
 //aggvet:holds p.mu
 func (p *peer) put(f frame) error {
-	if f.kind != frameHello && !p.up.Load() {
+	if f.kind != frameHello && p.state.Load() != peerUp {
 		return errPeerDown
 	}
 	if p.timeout > 0 {

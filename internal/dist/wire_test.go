@@ -191,7 +191,7 @@ func TestWriteSideFrameBound(t *testing.T) {
 	over := maxFrameRecords + 1
 	var cw countingWriter
 	p := &peer{id: 1, w: bufio.NewWriterSize(&cw, 16)}
-	p.up.Store(true)
+	p.state.Store(peerUp)
 	if err := p.write(frame{kind: frameRaw, raw: make([]tuple.Tuple, over)}); err == nil {
 		t.Error("raw frame over the record limit accepted")
 	}
@@ -217,7 +217,7 @@ func TestWriteSideFrameBound(t *testing.T) {
 func TestFrameSingleWrite(t *testing.T) {
 	var cw countingWriter
 	p := &peer{id: 1, w: bufio.NewWriterSize(&cw, 16)}
-	p.up.Store(true)
+	p.state.Store(peerUp)
 	if err := p.write(frame{kind: frameRaw, origin: 1, raw: []tuple.Tuple{{Key: 1, Val: 2}, {Key: 3, Val: 4}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPeerWriteDeadline(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	p := &peer{id: 1, conn: a, w: bufio.NewWriterSize(a, 8), timeout: 50 * time.Millisecond}
-	p.up.Store(true)
+	p.state.Store(peerUp)
 	start := time.Now()
 	err := p.write(frame{kind: frameEOS}) // flushes into a pipe with no reader
 	if err == nil {

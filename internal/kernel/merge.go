@@ -33,7 +33,10 @@ const (
 // Merge is one owner's table, the merge side of paper §3.2: it folds the
 // raw tuples and partials routed to its groups, whatever algorithm sent
 // them, in any order to the sequential fold, and refuses nothing. live runs
-// one per worker, dist one per node and, tolerant, one per stream.
+// one per worker, dist one per node and, tolerant, one per stream. Every
+// fold goes through aggtable's owner-side kernel (Table.FoldRows and
+// FoldPartial), which updates min and max without a branch: an owner's
+// groups are cold, a few tuples each.
 //
 // A Merge reserved past stageSlots stages raw tuples instead of folding
 // them on arrival: Raw copies each into the partition of its home slot's
@@ -85,7 +88,7 @@ func NewMerge() *Merge { return &Merge{table: aggtable.New(0)} }
 //aggvet:noalloc
 func (m *Merge) Raw(ts []tuple.Tuple) {
 	if !m.staging {
-		m.table.UpdateRows(ts, nil)
+		m.table.FoldRows(ts)
 		return
 	}
 	if m.stage == nil {
@@ -129,7 +132,7 @@ func (m *Merge) fold(r int) {
 	if st.ends[r] == lo {
 		return
 	}
-	m.table.UpdateRows(st.buf[lo:st.ends[r]], nil)
+	m.table.FoldRows(st.buf[lo:st.ends[r]])
 	st.ends[r] = lo
 	m.folds++
 }
@@ -161,7 +164,7 @@ func (m *Merge) drop() {
 //aggvet:noalloc
 func (m *Merge) Partials(ps []tuple.Partial) {
 	for _, p := range ps {
-		m.table.MergePartial(p)
+		m.table.FoldPartial(p)
 	}
 }
 
@@ -188,7 +191,7 @@ func (m *Merge) Pour(dst *Merge, keep []bool) {
 	dst.Reserve(m.table.Len())
 	m.table.Each(func(k tuple.Key, s tuple.AggState) {
 		if keep[k.Dest(len(keep))] {
-			dst.table.MergePartial(tuple.Partial{Key: k, State: s})
+			dst.table.FoldPartial(tuple.Partial{Key: k, State: s})
 		}
 	})
 	m.Release()

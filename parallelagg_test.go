@@ -224,5 +224,5 @@ func ExampleAggregate() {
 		panic(err)
 	}
 	fmt.Printf("%d groups in %v\n", len(res.Groups), res.Elapsed)
-	// Output: 3 groups in 0.226s
+	// Output: 3 groups in 0.225s
 }

@@ -74,7 +74,7 @@ fi
 # the annotated bodies; this step verifies the annotations exist.
 if ! "$AGGVET" -require-noalloc \
     internal/tuple:Key.Hash,Key.Dest \
-    internal/aggtable:Table.Len,Table.Slots,Table.Home,Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Shared.UpdateRaw,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
+    internal/aggtable:Table.Len,Table.Slots,Table.Home,Table.UpdateRaw,Table.MergePartial,Table.UpdateRows,Table.UpdateBatch,Table.MergeBatch,Table.FoldRows,Table.FoldPartial,Shared.UpdateRaw,Shared.MergePartial,Shared.UpdateBatch,Shared.UpdateBatchContended,Shared.MergeBatch \
     internal/kernel:Scan.fold,Scan.route,Scan.dest,Merge.Raw,Merge.Partials \
     internal/dist:rawFrameInto,partialFrameInto; then
     echo "lint: -require-noalloc gate failed — a pinned hot-path function lost its //aggvet:noalloc annotation" >&2
