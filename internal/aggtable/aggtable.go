@@ -293,19 +293,8 @@ func (t *Table) findH(k tuple.Key, h uint64) (int, bool) {
 	}
 }
 
-// Home is the slot a key of hash h probes first: its hash's low bits over
-// the slot array. A probe runs forward from there, so keys whose homes are
-// close share the cache lines of every slot array; a caller that groups
-// keys by the top bits of their homes (kernel.Merge's staging) folds each
-// group into one contiguous region of the table.
-//
-//aggvet:noalloc
-func (t *Table) Home(h uint64) uint64 {
-	t.alive()
-	return t.home(h)
-}
-
-// home is Home on a live table, the rule findH probes from.
+// home is the slot a key of hash h probes first, the rule findH probes
+// from: its hash's low bits over the slot array.
 //
 //aggvet:noalloc
 func (t *Table) home(h uint64) uint64 { return h & t.mask }

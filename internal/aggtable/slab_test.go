@@ -170,7 +170,6 @@ func TestReleasedTablePanics(t *testing.T) {
 		"FoldPartial":       func(tab *Table) { tab.FoldPartial(tuple.Partial{Key: 1, State: tuple.NewState(1)}) },
 		"FoldRows":          func(tab *Table) { tab.FoldRows(nil) },
 		"Get":               func(tab *Table) { tab.Get(1) },
-		"Home":              func(tab *Table) { tab.Home(1) },
 		"Len":               func(tab *Table) { tab.Len() },
 		"MergeBatch":        func(tab *Table) { tab.MergeBatch(tuple.NewPartialBatch(1), nil) },
 		"MergePartial":      func(tab *Table) { tab.MergePartial(tuple.Partial{Key: 1, State: tuple.NewState(1)}) },

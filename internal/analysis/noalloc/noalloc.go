@@ -69,10 +69,10 @@ var Analyzer = &analysis.Analyzer{
 var KnownAllocFree = map[string][]string{
 	"internal/tuple": {"Hash", "Dest", "Update", "Merge", "NewState", "EncodeRaw", "EncodePartial", "DecodeRaw", "DecodePartial",
 		"Len", "Reset", "Append", "AppendRows", "At", "StateAt", "EncodeRawCol", "EncodePartialCol", "DecodeRawCol", "DecodePartialCol"},
-	// The fold entry points of Table and Shared, Table's size and slot
-	// count, and its home-slot rule: annotated in package aggtable, and
+	// The fold entry points of Table and Shared, and Table's size and slot
+	// count: annotated in package aggtable, and
 	// scripts/lint.sh's -require-noalloc gate keeps them so.
-	"internal/aggtable": {"Len", "Slots", "Home", "UpdateRaw", "MergePartial", "UpdateRows", "UpdateBatch", "UpdateBatchContended", "MergeBatch", "FoldRows", "FoldPartial"},
+	"internal/aggtable": {"Len", "Slots", "UpdateRaw", "MergePartial", "UpdateRows", "UpdateBatch", "UpdateBatchContended", "MergeBatch", "FoldRows", "FoldPartial"},
 
 	"encoding/binary": {"PutUint16", "PutUint32", "PutUint64", "Uint16", "Uint32", "Uint64"},
 	"math/bits":       {"*"},

@@ -31,7 +31,7 @@
 //
 // Scoped to internal/live, internal/dist, internal/aggtable and
 // internal/kernel — the layers that recycle buffers through pools
-// (aggtable's table slabs, kernel.Merge's stages).
+// (aggtable's table slabs).
 package pooluse
 
 import (

@@ -87,8 +87,7 @@ type Config struct {
 	// table goes back to when the scan ends, so later runs in the process
 	// reuse it. It does not bound the merge side: a node's merge table
 	// holds every group of its ranges, 41 B a slot, reserved from the
-	// switch's projection, and one reserved past 2^16 slots stages raw
-	// tuples in 16 B more a slot while it folds them (DESIGN.md §14).
+	// switch's projection (DESIGN.md §14).
 	TableEntries int
 
 	// Batch is the most records a data frame carries: raw tuples ship

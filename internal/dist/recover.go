@@ -683,7 +683,7 @@ func (nd *tnode) control() {
 		// Every frame folds straight into final: the loop is the merge.
 		if span := nd.cfg.Tracer.Begin(nd.id, "merge"); span != nil {
 			defer func() {
-				span.End(mergeNote(nd.final))
+				span.End(nd.final.Note())
 			}()
 		}
 	}
@@ -1125,7 +1125,7 @@ func (nd *tnode) tryCommit(s streamID) {
 		return
 	}
 	if span := nd.cfg.Tracer.Begin(nd.id, "commit"); span != nil {
-		span.End(fmt.Sprintf("stream %s: %s", s, mergeNote(st.Merge)))
+		span.End(fmt.Sprintf("stream %s: %s", s, st.Merge.Note()))
 	}
 	st.Pour(nd.final, eligible)
 	for k, sl := range nd.slots {
@@ -1136,15 +1136,6 @@ func (nd *tnode) tryCommit(s streamID) {
 	nd.m.streamCommit(s.epoch)
 	delete(nd.stages, s)
 	nd.maybeDone()
-}
-
-// mergeNote describes a merge table for its span: groups, reservation,
-// slot array, and the raw tuples it staged (DESIGN.md §14).
-func mergeNote(m *kernel.Merge) string {
-	tab := m.Table()
-	staged, folds := m.Staged()
-	return fmt.Sprintf("%d groups, reserved %d, %d slots, staged %d in %d folds",
-		tab.Len(), m.Reserved(), tab.Slots(), staged, folds)
 }
 
 // maybeDone reports completion (scan finished, job queue drained, every

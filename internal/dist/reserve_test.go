@@ -13,7 +13,7 @@ import (
 
 // mergeSpan is what one fail-fast merge span's note says, or one tolerant
 // commit span's of a node's own primary stream.
-type mergeSpan struct{ groups, reserved, slots, staged, folds int }
+type mergeSpan struct{ groups, reserved, slots int }
 
 // tracedCluster runs one query with a tracer, checks it against the
 // sequential fold, and returns every scan span's note and every merge
@@ -34,15 +34,15 @@ func tracedCluster(t *testing.T, ctx string, rel *workload.Relation, cfg Config)
 			scans[sp.Node] = sp.Detail
 		case "merge":
 			m := &merges[sp.Node]
-			if _, err := fmt.Sscanf(sp.Detail, "%d groups, reserved %d, %d slots, staged %d in %d folds",
-				&m.groups, &m.reserved, &m.slots, &m.staged, &m.folds); err != nil {
+			if _, err := fmt.Sscanf(sp.Detail, "%d groups, reserved %d, %d slots",
+				&m.groups, &m.reserved, &m.slots); err != nil {
 				t.Fatalf("%s: merge span %d note %q: %v", ctx, sp.Node, sp.Detail, err)
 			}
 		case "commit":
 			var origin, epoch int
 			var m mergeSpan
-			if _, err := fmt.Sscanf(sp.Detail, "stream (origin %d, epoch %d): %d groups, reserved %d, %d slots, staged %d in %d folds",
-				&origin, &epoch, &m.groups, &m.reserved, &m.slots, &m.staged, &m.folds); err != nil {
+			if _, err := fmt.Sscanf(sp.Detail, "stream (origin %d, epoch %d): %d groups, reserved %d, %d slots",
+				&origin, &epoch, &m.groups, &m.reserved, &m.slots); err != nil {
 				t.Fatalf("%s: commit span %d note %q: %v", ctx, sp.Node, sp.Detail, err)
 			}
 			if origin == sp.Node && epoch == 0 {

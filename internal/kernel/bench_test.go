@@ -101,30 +101,27 @@ func ownerInput(rows, groups int, seed int64) ([]tuple.Tuple, int) {
 }
 
 // BenchmarkMergeRaw folds 2^20 owner-shaped raw tuples, in batches of
-// 4,096, through a Merge reserved for their groups, staged and direct, at
-// 2^13–2^18 groups: ns/row per query, the table's reservation and
-// Table() included. It is the sweep stageSlots is set from.
+// 4,096, through a Merge reserved for their groups at 2^13–2^18 groups:
+// the owner fold's ns/row by table size, the reservation and Table()
+// included.
 func BenchmarkMergeRaw(b *testing.B) {
 	const rows, batch = 1 << 20, 4096
 	for lg := 13; lg <= 18; lg++ {
 		groups := 1 << lg
 		in, drawn := ownerInput(rows, groups, int64(lg))
-		for _, staged := range []bool{false, true} {
-			b.Run(fmt.Sprintf("groups=2^%d/staged=%v", lg, staged), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m := NewMerge()
-					m.Reserve(groups)
-					m.staging = staged
-					for lo := 0; lo < rows; lo += batch {
-						m.Raw(in[lo : lo+batch])
-					}
-					if m.Table().Len() != drawn {
-						b.Fatalf("%d groups, want %d", m.Table().Len(), drawn)
-					}
-					m.Release()
+		b.Run(fmt.Sprintf("groups=2^%d", lg), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := NewMerge()
+				m.Reserve(groups)
+				for lo := 0; lo < rows; lo += batch {
+					m.Raw(in[lo : lo+batch])
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-			})
-		}
+				if m.Table().Len() != drawn {
+					b.Fatalf("%d groups, want %d", m.Table().Len(), drawn)
+				}
+				m.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

@@ -173,16 +173,13 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 }
 
 // TestMergeAllocsPin pins the owner side's steady state: a reserved Merge
-// folds raw and partial batches without allocating, and so does one
-// reserved past the budget once its stage has been taken.
+// folds raw and partial batches without allocating, below 2^16 slots and
+// past them.
 func TestMergeAllocsPin(t *testing.T) {
 	const batch = 256
-	for _, groups := range []int{4096, stageSlots} {
+	for _, groups := range []int{4096, 1 << 16} {
 		m := NewMerge()
 		m.Reserve(groups)
-		if m.staging != (groups > 4096) {
-			t.Fatalf("reserved %d groups: staging=%v", groups, m.staging)
-		}
 		raw, part := make([]tuple.Tuple, batch), make([]tuple.Partial, batch)
 		next := 0
 		allocs := testing.AllocsPerRun(1_000, func() {
@@ -204,25 +201,16 @@ func TestMergeAllocsPin(t *testing.T) {
 	}
 }
 
-// A Merge that stages folds to what one folding on arrival does, whatever
-// the interleaving of raw batches, partial batches and reservations below,
-// at and above the budget. Over the seeds it must see a reservation that
-// grows the table while tuples are staged, a partition that folds at its
-// cap, a Pour, and a Release with tuples staged; each case is checked
-// against a direct fold, the last through the next Merge to take the
-// released stage.
-func TestStagedMergeMatchesDirect(t *testing.T) {
-	at := stageSlots * 13 / 16 // the most groups a stageSlots array holds: no staging yet
-	targets := []func(*rand.Rand) int{
-		func(rng *rand.Rand) int { return rng.Intn(at) },
-		func(*rand.Rand) int { return at },
-		func(*rand.Rand) int { return at + 1 },
-		func(rng *rand.Rand) int { return at + 1 + rng.Intn(stageSlots) },
-	}
-	var grewStaged, capped, poured, released int
+// A Merge folds to the map fold of its input whatever the interleaving of
+// raw batches, partial batches, reservations (below, at and past what the
+// table holds), pours and releases. Over the seeds it must see a
+// reservation that grows the table between folds, a Pour whose keep mask
+// drops some ranges, and a Release followed by a fresh Merge that may take
+// the released slab; each is checked against the map.
+func TestMergeMatchesMapFold(t *testing.T) {
+	var grew, poured, released int
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// A few groups fill a partition to its cap within a few batches.
 		groups := 1 + rng.Intn([]int{8, 3_000, 100_000}[seed%3])
 		want := map[tuple.Key]tuple.AggState{}
 		fold := func(k tuple.Key, s tuple.AggState) {
@@ -252,11 +240,7 @@ func TestStagedMergeMatchesDirect(t *testing.T) {
 					b[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(groups)), Val: rng.Int63n(1000) - 500}
 					fold(b[i].Key, tuple.NewState(b[i].Val))
 				}
-				before := m.folds
 				m.Raw(b)
-				if m.folds > before {
-					capped++
-				}
 			case 3:
 				b := make([]tuple.Partial, rng.Intn(64))
 				for i := range b {
@@ -267,33 +251,42 @@ func TestStagedMergeMatchesDirect(t *testing.T) {
 				}
 				m.Partials(b)
 			case 4:
-				slots, hadStage := m.table.Slots(), m.stage != nil
-				m.Reserve(targets[rng.Intn(len(targets))](rng))
-				if hadStage && m.table.Slots() > slots {
-					grewStaged++
-				}
-				if m.staging != (m.table.Slots() > stageSlots) {
-					t.Fatalf("seed %d: reserved %d, %d slots: staging=%v", seed, m.Reserved(), m.table.Slots(), m.staging)
+				slots := m.Table().Slots()
+				m.Reserve(rng.Intn(2 * groups))
+				if m.Table().Slots() > slots && m.Table().Len() > 0 {
+					grew++
 				}
 			default:
-				if rng.Intn(4) == 0 {
-					dst := NewMerge()
-					dst.Reserve(targets[rng.Intn(len(targets))](rng))
-					m.Pour(dst, []bool{true})
-					m = dst
-					poured++
+				if rng.Intn(4) != 0 {
+					break
 				}
+				// A mask over three ranges keeps one to three of them.
+				keep := []bool{true, rng.Intn(2) == 0, rng.Intn(2) == 0}
+				dst := NewMerge()
+				dst.Reserve(rng.Intn(2 * groups))
+				m.Pour(dst, keep)
+				if m.Table() != nil {
+					t.Fatalf("seed %d: a poured Merge keeps its table", seed)
+				}
+				for k := range want {
+					if !keep[k.Dest(len(keep))] {
+						delete(want, k)
+					}
+				}
+				check(dst, "pour")
+				m = dst
+				poured++
 			}
 		}
-		if rng.Intn(4) == 0 && m.stage != nil {
+		if rng.Intn(4) == 0 {
 			m.Release()
-			if m.stage != nil || m.Table() != nil {
-				t.Fatalf("seed %d: a released Merge keeps its stage or table", seed)
+			if m.Table() != nil {
+				t.Fatalf("seed %d: a released Merge keeps its table", seed)
 			}
 			released++
 			clear(want)
 			m = NewMerge()
-			m.Reserve(targets[3](rng))
+			m.Reserve(rng.Intn(2 * groups))
 			for k := 0; k < 5_000; k++ {
 				tp := tuple.Tuple{Key: tuple.Key(rng.Intn(groups)), Val: int64(k)}
 				m.Raw([]tuple.Tuple{tp})
@@ -303,9 +296,8 @@ func TestStagedMergeMatchesDirect(t *testing.T) {
 		check(m, "end")
 		m.Release()
 	}
-	t.Logf("reservations growing a stage %d, folds at the cap %d, pours %d, releases with tuples staged %d",
-		grewStaged, capped, poured, released)
-	if grewStaged == 0 || capped == 0 || poured == 0 || released == 0 {
-		t.Errorf("a case was never reached: grew %d, capped %d, poured %d, released %d", grewStaged, capped, poured, released)
+	t.Logf("reservations growing a filled table %d, pours %d, releases %d", grew, poured, released)
+	if grew == 0 || poured == 0 || released == 0 {
+		t.Errorf("a case was never reached: grew %d, poured %d, released %d", grew, poured, released)
 	}
 }

@@ -104,8 +104,7 @@ type Config struct {
 	// triggering the overflow behaviour of the chosen algorithm (an eviction
 	// for TwoPhase, the switch for AdaptiveTwoPhase); a merge side holds every
 	// group its worker owns, sized from what the scan tables report, 41 B a
-	// slot, and one reserved past 2^16 slots stages raw tuples in 16 B more
-	// a slot while it folds them (DESIGN.md §14). 0 means unbounded.
+	// slot (DESIGN.md §14). 0 means unbounded.
 	// It is an allocation as well as a cap: a worker that folds allocates its
 	// scan table at the bound, at its first fold — the least power of two of
 	// slots that holds TableEntries below 13/16 load, 41 B a slot (1.3 MB at
@@ -308,9 +307,7 @@ func AggregatePartitioned(cfg Config, parts [][]tuple.Tuple, alg Algorithm) (*Re
 			owned[i] = mg.Table()
 			metrics[i].GroupsOut = int64(owned[i].Len())
 			if span != nil {
-				staged, folds := mg.Staged()
-				span.End(fmt.Sprintf("%d groups, fan-in %d, reserved %d, %d slots, staged %d in %d folds",
-					owned[i].Len(), metrics[i].FanIn, mg.Reserved(), owned[i].Slots(), staged, folds))
+				span.End(fmt.Sprintf("%s, fan-in %d", mg.Note(), metrics[i].FanIn))
 			}
 		}()
 	}

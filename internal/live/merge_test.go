@@ -27,9 +27,9 @@ import (
 // end at exactly the size growth alone reaches, floors or not. One of them
 // shifts every value by 3/4 of MaxInt64, so every group's SUM
 // crosses MaxInt64 and must wrap alike on every path. A fourth input is
-// live_many's shape at half scale: there A-2P's switch projects each
-// owner's groups past the merge side's cache budget, so its merge tables
-// stage raw tuples and fold them region by region (DESIGN.md §14).
+// live_many's shape at half scale ("Staged", after a region stage its
+// merge tables once had): there the adaptive switches project each owner's
+// groups past 2^16 slots, so its merge tables are reserved that large.
 func TestHighCardinalityDifferential(t *testing.T) {
 	const workers, bound = 4, 128
 	wrapping := workload.Uniform(workers, 60_000, 8*bound*workers, 47)
@@ -74,9 +74,8 @@ func TestHighCardinalityDifferential(t *testing.T) {
 				spilled += m.Spilled
 				mg := merges[i]
 				if projected {
-					if stages := alg == AdaptiveTwoPhase || alg == AdaptiveShared; stages != (mg.staged > 0) || stages != (mg.folds > 0) {
-						t.Errorf("%s/%v: merge %d reserved %d (%d slots) and staged %d tuples in %d folds",
-							rel.Name, alg, i, mg.reserved, mg.slots, mg.staged, mg.folds)
+					if large := alg == AdaptiveTwoPhase || alg == AdaptiveShared; large && mg.slots <= 1<<16 {
+						t.Errorf("%s/%v: merge %d reserved %d, %d slots: not past 2^16", rel.Name, alg, i, mg.reserved, mg.slots)
 					}
 					continue
 				}
@@ -86,9 +85,6 @@ func TestHighCardinalityDifferential(t *testing.T) {
 				if mg.slots != slotsFor(mg.groups) {
 					t.Errorf("%s/%v: merge %d ends at %d slots for %d groups (reserved %d), growth alone reaches %d",
 						rel.Name, alg, i, mg.slots, mg.groups, mg.reserved, slotsFor(mg.groups))
-				}
-				if mg.staged != 0 {
-					t.Errorf("%s/%v: merge %d staged %d tuples below the budget", rel.Name, alg, i, mg.staged)
 				}
 			}
 			// The shared table keeps groups of its own: plain Shared's, and
@@ -153,12 +149,11 @@ func TestAssembleNamesDuplicateProducer(t *testing.T) {
 // selectivity 0.5. One growing table plus the result map was ≈190 B/row
 // here; reserved once at the switch instead of doubling from 64 slots, and
 // flushed from the scan side without a drained copy, and with 32-byte
-// states, it is 52 B/row. Each merge table here is reserved past the
-// cache budget and stages its raw tuples (DESIGN.md §14); a stage taken
-// fresh every query, 16 B a slot, would add 16 B/row, past the ceiling of
-// 1.3 times what this shape measured when it was set. The least of three
-// runs is taken, as in TestBoundedRerunAllocationCeiling, which says why
-// -race is skipped.
+// states, it is 52 B/row. Each merge table here is reserved past 2^16
+// slots, where a slab taken fresh every query, 41 B a slot, would show
+// past the ceiling of 1.3 times what this shape measured when it was set.
+// The least of three runs is taken, as in TestBoundedRerunAllocationCeiling,
+// which says why -race is skipped.
 func TestA2PAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a share of what it is given")
@@ -179,7 +174,11 @@ func TestA2PAllocationCeiling(t *testing.T) {
 			t.Fatalf("switched=%d groups=%d, want 2 and %d: not the regime this test pins", res.Switched, len(res.Groups), groups)
 		}
 		for _, sp := range cfg.Tracer.Spans() {
-			if sp.Name == "merge" && strings.Contains(sp.Detail, "staged 0 ") {
+			var groups, reserved, slots int
+			if sp.Name != "merge" {
+				continue
+			}
+			if _, err := fmt.Sscanf(sp.Detail, "%d groups, reserved %d, %d slots", &groups, &reserved, &slots); err != nil || slots <= 1<<16 {
 				t.Fatalf("merge %d: %q: not the regime this test pins", sp.Node, sp.Detail)
 			}
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // mergeSpan is what one merge span's note says.
-type mergeSpan struct{ groups, fanIn, reserved, slots, staged, folds int }
+type mergeSpan struct{ groups, reserved, slots, fanIn int }
 
 // tracedRun runs one query with a tracer and returns the result with every
 // scan span's note and every merge span's parsed note, by worker.
@@ -31,8 +31,8 @@ func tracedRun(t *testing.T, cfg Config, parts [][]tuple.Tuple, alg Algorithm) (
 			scans[sp.Node] = sp.Detail
 		case "merge":
 			m := &merges[sp.Node]
-			if _, err := fmt.Sscanf(sp.Detail, "%d groups, fan-in %d, reserved %d, %d slots, staged %d in %d folds",
-				&m.groups, &m.fanIn, &m.reserved, &m.slots, &m.staged, &m.folds); err != nil {
+			if _, err := fmt.Sscanf(sp.Detail, "%d groups, reserved %d, %d slots, fan-in %d",
+				&m.groups, &m.reserved, &m.slots, &m.fanIn); err != nil {
 				t.Fatalf("merge span %d note %q: %v", sp.Node, sp.Detail, err)
 			}
 		}
